@@ -2,7 +2,7 @@
 # job runs exactly `make lint`, so a clean local run is a clean CI run.
 # See docs/DEVELOPMENT.md#static-analysis for the analyzer reference.
 
-.PHONY: lint fmt test race build
+.PHONY: lint fmt test race build loc
 
 lint:
 	@unformatted=$$(gofmt -l .); \
@@ -12,6 +12,23 @@ lint:
 		exit 1; \
 	fi
 	go run ./cmd/nucleuslint ./...
+	@if go list -deps . ./cmd/... | grep -qx nucleus/internal/nucleustest; then \
+		echo "internal/nucleustest (the Hyper test oracle) is imported by production code:"; \
+		echo "  go list -deps . ./cmd/... must not contain it"; \
+		exit 1; \
+	fi
+
+# Non-test source lines per package and in total: ROADMAP tracks the line
+# count per PR and expects it to go down. Not counted: bench/ (a module of
+# its own, the measuring instrument), internal/nucleustest (test support)
+# and analyzer fixtures under testdata/.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' \
+		! -path './internal/nucleustest/*' ! -path '*/testdata/*' -print0 \
+	| xargs -0 wc -l \
+	| awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' \
+	| sort -k2
 
 fmt:
 	gofmt -w .

@@ -69,26 +69,26 @@ type HierarchyNode = hierarchy.Node
 // BuildHierarchy materializes the nucleus forest of a decomposition from
 // its κ indices.
 func BuildHierarchy(g *Graph, dec Decomposition, kappa []int32) *Forest {
-	return hierarchy.Build(instanceFor(g, dec), kappa)
+	return hierarchy.Build(instanceFor(g, dec, 1), kappa)
 }
 
 // MaxNucleusCells returns the cells of the maximum nucleus of the given
 // cell: the maximal S-connected set of cells with κ >= κ(cell) around it
 // (the paper's "maximum core of a vertex", generalized).
 func MaxNucleusCells(g *Graph, dec Decomposition, kappa []int32, cell int32) []int32 {
-	return hierarchy.MaxNucleusOf(instanceFor(g, dec), kappa, cell)
+	return hierarchy.MaxNucleusOf(instanceFor(g, dec, 1), kappa, cell)
 }
 
 // NucleiAt returns the cell sets of all k-(r,s) nuclei at threshold k: the
 // S-connected components of the cells with κ >= k.
 func NucleiAt(g *Graph, dec Decomposition, kappa []int32, k int32) [][]int32 {
-	return hierarchy.KNucleusSubgraphs(instanceFor(g, dec), kappa, k)
+	return hierarchy.KNucleusSubgraphs(instanceFor(g, dec, 1), kappa, k)
 }
 
 // CellsToVertices maps a cell set of the given decomposition to its sorted
 // distinct vertex set.
 func CellsToVertices(g *Graph, dec Decomposition, cells []int32) []uint32 {
-	return hierarchy.CellsToVertices(instanceFor(g, dec), cells)
+	return hierarchy.CellsToVertices(instanceFor(g, dec, 1), cells)
 }
 
 // KCoreSubgraph extracts the induced subgraph of the classic k-core (all

@@ -75,7 +75,7 @@ func measureStages(threadsList []int, reps int, stdout io.Writer) []stageRow {
 	g := dataset.Get(stageDataset).Graph()
 	edges := g.Edges()
 	n := g.N()
-	inst := nucleus.NewIndexedTruss(g, runtime.GOMAXPROCS(0))
+	inst := nucleus.NewFlatTruss(g, runtime.GOMAXPROCS(0))
 	stages := []struct {
 		name string
 		run  func(threads int)

@@ -61,6 +61,10 @@ func run(args []string, w io.Writer) error {
 	if *graphPath == "" {
 		return fmt.Errorf("-graph is required")
 	}
+	generic := *rFlag != 0 || *sFlag != 0
+	if generic && (*rFlag < 1 || *rFlag >= *sFlag) {
+		return fmt.Errorf("generic (r,s) needs both -r and -s with 1 <= r < s, got -r %d -s %d", *rFlag, *sFlag)
+	}
 	g, err := root.LoadEdgeList(*graphPath)
 	if err != nil {
 		return err
@@ -83,7 +87,7 @@ func run(args []string, w io.Writer) error {
 	start := time.Now()
 	var res *root.Result
 	var dec root.Decomposition
-	if *rFlag > 0 && *sFlag > 0 {
+	if generic {
 		res = root.DecomposeRS(g, *rFlag, *sFlag, opts)
 		fmt.Fprintf(w, "generic (%d,%d) decomposition", *rFlag, *sFlag)
 	} else {
@@ -116,7 +120,7 @@ func run(args []string, w io.Writer) error {
 	}
 
 	if *hier || *dot {
-		if *rFlag > 0 {
+		if generic {
 			return fmt.Errorf("hierarchy printing is not supported for generic (r,s)")
 		}
 		f := root.BuildHierarchy(g, dec, res.Kappa)

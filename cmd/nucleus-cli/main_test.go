@@ -107,6 +107,10 @@ func TestRunErrors(t *testing.T) {
 		{"-graph", path, "-alg", "bogus"},
 		{"-graph", path, "-dec", "bogus"},
 		{"-bogus-flag"},
+		{"-graph", path, "-r", "3", "-s", "2"}, // used to panic out of the library
+		{"-graph", path, "-r", "2"},            // used to be ignored and run k-core
+		{"-graph", path, "-s", "3"},
+		{"-graph", path, "-r", "0", "-s", "2"},
 	}
 	for _, args := range cases {
 		var sb strings.Builder

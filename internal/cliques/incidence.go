@@ -2,9 +2,9 @@ package cliques
 
 import (
 	"math"
-	"sync"
 
 	"nucleus/internal/graph"
+	"nucleus/internal/par"
 )
 
 // This file materializes the s-clique incidence of the (2,3) and (3,4)
@@ -61,7 +61,7 @@ func BuildEdgeIncidence(g *graph.Graph, deg []int32, threads int) *EdgeIncidence
 	}
 	inc.Pairs = make([]int32, inc.Offs[m])
 
-	parallelVertexRanges(g.N(), threads, func(lo, hi int) {
+	par.Ranges(g.N(), threads, func(_, lo, hi int) {
 		for u := lo; u < hi; u++ {
 			uu := uint32(u)
 			ns := g.Neighbors(uu)
@@ -138,7 +138,7 @@ func BuildK4Incidence(g *graph.Graph, ti *TriangleIndex, deg []int32, threads in
 	}
 	inc.Triples = make([]int32, inc.Offs[t])
 
-	parallelVertexRanges(ti.Len(), threads, func(lo, hi int) {
+	par.Ranges(ti.Len(), threads, func(_, lo, hi int) {
 		for tr := lo; tr < hi; tr++ {
 			pos := inc.Offs[tr]
 			ti.ForEachK4OfTriangle(g, int32(tr), func(_ uint32, t1, t2, t3 int32) bool {
@@ -151,34 +151,4 @@ func BuildK4Incidence(g *graph.Graph, ti *TriangleIndex, deg []int32, threads in
 		}
 	})
 	return inc
-}
-
-// parallelVertexRanges splits [0,n) into one contiguous chunk per worker
-// and runs body on each; sequential when threads <= 1.
-func parallelVertexRanges(n, threads int, body func(lo, hi int)) {
-	if threads <= 1 || n == 0 {
-		body(0, n)
-		return
-	}
-	if threads > n {
-		threads = n
-	}
-	chunk := (n + threads - 1) / threads
-	var wg sync.WaitGroup
-	for w := 0; w < threads; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			body(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }

@@ -2,6 +2,7 @@ package cliques
 
 import (
 	"nucleus/internal/graph"
+	"nucleus/internal/par"
 )
 
 // TriangleIndex assigns dense ids to every triangle of a graph and supports
@@ -75,7 +76,7 @@ func (ti *TriangleIndex) K4DegreePerTriangle(g *graph.Graph) []int32 {
 // CountPerEdgeParallel for the (2,3) instance.
 func (ti *TriangleIndex) K4DegreePerTriangleParallel(g *graph.Graph, threads int) []int32 {
 	deg := make([]int32, ti.Len())
-	parallelVertexRanges(ti.Len(), threads, func(lo, hi int) {
+	par.Ranges(ti.Len(), threads, func(_, lo, hi int) {
 		for t := lo; t < hi; t++ {
 			tri := ti.List[t]
 			c := 0

@@ -50,7 +50,7 @@ func CountPerEdgeParallel(g *graph.Graph, threads int) []int32 {
 		return CountPerEdge(g)
 	}
 	counts := make([]int32, g.M())
-	parallelVertexRanges(g.N(), threads, func(lo, hi int) {
+	par.Ranges(g.N(), threads, func(_, lo, hi int) {
 		for u := lo; u < hi; u++ {
 			uu := uint32(u)
 			ns := g.Neighbors(uu)

@@ -1,14 +1,15 @@
 // Package hindex implements the H function of the paper (Definition 5):
 // H(K) is the largest h such that at least h elements of K are >= h.
 //
-// Three implementations are provided, mirroring §4.4 of the paper:
+// Two implementations are provided, mirroring §4.4 of the paper:
 //
-//   - Sort:        the textbook O(n log n) sort-then-scan version,
-//   - Linear:      the O(n) counting version (values above n are clamped
-//     to n since H can never exceed n),
-//   - Preserve:    the incremental heuristic used in non-initial local
-//     iterations — check whether the previous τ can be kept by
-//     counting elements >= τ and stopping at τ of them.
+//   - Sort:   the textbook O(n log n) sort-then-scan version,
+//   - Linear: the O(n) counting version (values above n are clamped to n
+//     since H can never exceed n); LinearInto is the same over a
+//     caller-owned counting array, and the only variant on a hot path.
+//
+// The §4.4 early-exit heuristic (keep the previous τ once τ values >= τ
+// have been seen) is fused into the sweep kernels of package localhi.
 package hindex
 
 import "sort"
@@ -74,62 +75,4 @@ func LinearInto(vals []int32, scratch *[]int32) int32 {
 		}
 	}
 	return 0
-}
-
-// Accumulator computes H(K) in a single streaming pass without retaining
-// the value list, as described in §4.4: keep the running h, the count of
-// items equal to h, and a small table of counts above h.
-type Accumulator struct {
-	h int32
-	// above[i] counts items seen with value exactly h+1+i; the table grows
-	// on demand and shifts left when h is promoted.
-	above []int32
-	total int32 // running sum of above (items with value > h)
-}
-
-// Add feeds one value into the accumulator.
-func (a *Accumulator) Add(v int32) {
-	if v <= a.h {
-		return // cannot help increase h
-	}
-	// v > h: it supports a future h of at least h+1.
-	idx := v - a.h - 1
-	if int(idx) >= len(a.above) {
-		grown := make([]int32, idx+1)
-		copy(grown, a.above)
-		a.above = grown
-	}
-	a.above[idx]++
-	a.total++
-	if a.total >= a.h+1 {
-		// Promote h by one: items of value exactly h+1 drop out of `above`
-		// (they support the new h but not any larger one).
-		a.h++
-		a.total -= a.above[0]
-		a.above = a.above[1:]
-	}
-}
-
-// H returns the current h-index of the values added so far.
-func (a *Accumulator) H() int32 { return a.h }
-
-// Preserve reports whether the previous index tau is preserved by the value
-// stream vals: it returns (tau, true) as soon as tau values >= tau have been
-// seen — the early-exit heuristic of §4.4 — and (H(vals), false) when the
-// stream is exhausted without reaching tau supports, in which case the
-// h-index must be recomputed (done here in the same pass data).
-func Preserve(tau int32, vals []int32) (int32, bool) {
-	if tau <= 0 {
-		return 0, true
-	}
-	support := int32(0)
-	for _, v := range vals {
-		if v >= tau {
-			support++
-			if support >= tau {
-				return tau, true
-			}
-		}
-	}
-	return Linear(vals), false
 }

@@ -61,19 +61,6 @@ func TestLinearKnownCases(t *testing.T) {
 	}
 }
 
-func TestAccumulatorKnownCases(t *testing.T) {
-	for _, c := range cases {
-		want := reference(c)
-		var a Accumulator
-		for _, v := range c {
-			a.Add(v)
-		}
-		if got := a.H(); got != want {
-			t.Errorf("Accumulator(%v) = %d, want %d", c, got, want)
-		}
-	}
-}
-
 func TestPaperFigure2Values(t *testing.T) {
 	// τ1(a) = H({2,3}) = 2, τ1(b) = H({2,2,2}) = 2, τ2(a) = H({1,2}) = 1.
 	if Linear([]int32{2, 3}) != 2 {
@@ -99,14 +86,7 @@ func TestAllAgreeQuick(t *testing.T) {
 			vals[i] = int32(r % 50)
 		}
 		want := reference(vals)
-		if Sort(vals) != want || Linear(vals) != want {
-			return false
-		}
-		var a Accumulator
-		for _, v := range vals {
-			a.Add(v)
-		}
-		return a.H() == want
+		return Sort(vals) == want && Linear(vals) == want
 	}, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -152,46 +132,6 @@ func TestHIndexMonotone(t *testing.T) {
 			lowered[p] = 0
 		}
 		return Linear(lowered) <= Linear(vals)
-	}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPreserve(t *testing.T) {
-	// tau preserved: 3 values >= 3.
-	if got, kept := Preserve(3, []int32{5, 4, 3, 1}); !kept || got != 3 {
-		t.Errorf("Preserve(3, ...) = %d,%v", got, kept)
-	}
-	// Not preserved: recomputes the true h-index.
-	if got, kept := Preserve(4, []int32{5, 4, 1}); kept || got != 2 {
-		t.Errorf("Preserve(4, {5,4,1}) = %d,%v, want 2,false", got, kept)
-	}
-	if got, kept := Preserve(0, nil); !kept || got != 0 {
-		t.Errorf("Preserve(0, nil) = %d,%v", got, kept)
-	}
-}
-
-func TestPreserveQuick(t *testing.T) {
-	// Preserve(tau, vals) with tau = H(vals) must hold; with tau > H it must
-	// return the exact H.
-	cfg := &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(10))}
-	err := quick.Check(func(raw []uint8, bump uint8) bool {
-		vals := make([]int32, len(raw))
-		for i, r := range raw {
-			vals[i] = int32(r % 20)
-		}
-		h := reference(vals)
-		got, kept := Preserve(h, vals)
-		if got != h {
-			return false
-		}
-		if h > 0 && !kept {
-			return false
-		}
-		over := h + 1 + int32(bump%5)
-		got2, kept2 := Preserve(over, vals)
-		return !kept2 && got2 == h
 	}, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -37,12 +37,12 @@ func fusedCases(t *testing.T) []struct {
 			name    string
 			generic nucleus.Instance
 			indexed nucleus.Instance
-		}{fmt.Sprintf("truss/g%d", gi), nucleus.NewTruss(g), nucleus.NewIndexedTruss(g, 2)})
+		}{fmt.Sprintf("truss/g%d", gi), nucleus.NewTruss(g), nucleus.NewFlatTruss(g, 2)})
 		out = append(out, struct {
 			name    string
 			generic nucleus.Instance
 			indexed nucleus.Instance
-		}{fmt.Sprintf("n34/g%d", gi), nucleus.NewN34(g), nucleus.NewIndexedN34(g, 2)})
+		}{fmt.Sprintf("n34/g%d", gi), nucleus.NewN34(g), nucleus.NewFlatN34(g, 2)})
 	}
 	return out
 }
@@ -57,7 +57,7 @@ func TestFusedKernelMatchesGeneric(t *testing.T) {
 		{Preserve: true},
 		{Notification: true},
 		{Notification: true, Preserve: true},
-		{Threads: 4, Scheduling: Static},
+		{Threads: 4},
 		{Threads: 4, Notification: true, Preserve: true},
 		{MaxSweeps: 2},
 	}
@@ -104,7 +104,7 @@ func TestFusedKernelMatchesGeneric(t *testing.T) {
 // InitialTau warm start over the fused kernel.
 func TestFusedSubsetAndWarmStart(t *testing.T) {
 	g := graph.PlantedCommunities(3, 14, 0.5, 40, 11)
-	generic, indexed := nucleus.NewTruss(g), nucleus.NewIndexedTruss(g, 2)
+	generic, indexed := nucleus.NewTruss(g), nucleus.NewFlatTruss(g, 2)
 
 	subset := []int32{0, 1, 2, 10, 11, 12}
 	w := And(generic, Options{Subset: subset, Notification: true})
@@ -132,10 +132,10 @@ func TestFusedSubsetAndWarmStart(t *testing.T) {
 // every cell performs zero heap allocations.
 func TestFusedKernelZeroAlloc(t *testing.T) {
 	g := graph.PlantedCommunities(3, 14, 0.5, 40, 11)
-	inst := nucleus.NewIndexedTruss(g, 1)
+	inst := nucleus.NewFlatTruss(g, 1)
 	fa, ok := flatOf(inst)
 	if !ok {
-		t.Fatal("IndexedTruss does not expose flat incidence")
+		t.Fatal("flat truss does not expose flat incidence")
 	}
 	tau := inst.Degrees()
 	sc := &sweepScratch{}
@@ -153,6 +153,35 @@ func TestFusedKernelZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestGenericKernelZeroAlloc is the same claim for the generic kernel: its
+// visitor is bound to the scratch once, not built per cell. The wrapper
+// hides FlatIncidenceArrays, so the closure path runs — over Flat's
+// VisitSCliques, which itself allocates nothing, so every allocation
+// counted here would be the kernel's.
+func TestGenericKernelZeroAlloc(t *testing.T) {
+	g := graph.PlantedCommunities(3, 14, 0.5, 40, 11)
+	var inst nucleus.Instance = struct{ nucleus.Instance }{nucleus.NewFlatTruss(g, 1)}
+	if _, ok := flatOf(inst); ok {
+		t.Fatal("wrapped instance still takes the fused path")
+	}
+	tau := inst.Degrees()
+	sc := &sweepScratch{}
+	n := int32(inst.NumCells())
+	sweep := func(preserve, par bool) {
+		for c := int32(0); c < n; c++ {
+			computeTau(inst, c, tau, sc, tau[c], preserve, par)
+		}
+	}
+	sweep(false, false) // warm the scratch and bind the visitor
+	for _, preserve := range []bool{false, true} {
+		for _, par := range []bool{false, true} {
+			if allocs := testing.AllocsPerRun(10, func() { sweep(preserve, par) }); allocs != 0 {
+				t.Fatalf("preserve=%v par=%v: generic sweep allocated %.1f times per run, want 0", preserve, par, allocs)
+			}
+		}
+	}
+}
+
 // TestFlatOfRejectsNonFlat pins the dispatch predicate.
 func TestFlatOfRejectsNonFlat(t *testing.T) {
 	g := graph.Complete(5)
@@ -162,7 +191,7 @@ func TestFlatOfRejectsNonFlat(t *testing.T) {
 	if _, ok := flatOf(nucleus.NewCore(g)); ok {
 		t.Fatal("Core must not take the fused path")
 	}
-	if fa, ok := flatOf(nucleus.NewIndexedTruss(g, 1)); !ok || fa.co != 2 {
-		t.Fatalf("IndexedTruss: flatOf = %+v, %v; want co=2, true", fa, ok)
+	if fa, ok := flatOf(nucleus.NewFlatTruss(g, 1)); !ok || fa.co != 2 {
+		t.Fatalf("flat truss: flatOf = %+v, %v; want co=2, true", fa, ok)
 	}
 }

@@ -5,16 +5,16 @@
 // converge to the κ indices (Theorem 3 / Lemma 2).
 //
 // The algorithms work against any nucleus.Instance, so the same code
-// computes k-core (1,2), k-truss (2,3), the (3,4) nucleus, and the generic
-// hypergraph instance. Instances that materialize their s-clique incidence
-// as flat CSR arrays (nucleus.FlatIncidence, e.g. IndexedTruss/IndexedN34)
-// are detected and run through a fused sweep kernel — pure array scans
-// with per-worker reusable scratch and zero steady-state allocations —
-// while every other instance takes the generic closure path (see fused.go
-// and docs/PERFORMANCE.md). Both algorithms are parallel: cells are
-// distributed to workers with either static (contiguous chunk) or dynamic
-// (work stealing via a shared cursor) scheduling, mirroring the OpenMP
-// discussion in §4.4.
+// computes k-core (1,2), k-truss (2,3), the (3,4) nucleus and any generic
+// (r,s). There are two sweep kernels, one per side of the paper's §5 fork:
+// instances that store their s-cliques as flat CSR arrays
+// (nucleus.FlatIncidence, i.e. nucleus.Flat) run the fused kernel — pure
+// array scans — and instances that discover them on the fly run the
+// generic kernel through VisitSCliques; both reuse per-worker scratch and
+// allocate nothing in the steady state (see kernel.go and
+// docs/PERFORMANCE.md). Both algorithms are parallel: idle workers claim
+// the next 64 cells off a shared cursor (par.ForEachWorker), the dynamic
+// scheduling §4.4 recommends against notification-induced load imbalance.
 //
 // A converged run yields the exact decomposition (Result.Converged);
 // bounding Options.MaxSweeps yields an anytime approximation with the
@@ -29,27 +29,15 @@
 package localhi
 
 import (
-	"math"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
-	"nucleus/internal/hindex"
 	"nucleus/internal/nucleus"
+	"nucleus/internal/par"
 )
 
-// Scheduling selects how sweep work is distributed over workers.
-type Scheduling int
-
-const (
-	// Dynamic hands each idle worker the next chunk of cells (OpenMP
-	// "dynamic"); the paper's choice, robust to notification-induced load
-	// imbalance.
-	Dynamic Scheduling = iota
-	// Static pre-splits cells into one contiguous chunk per worker (OpenMP
-	// "static").
-	Static
-)
+// sweepGrain is the number of cells a worker claims at a time.
+const sweepGrain = 64
 
 // Options configures a local decomposition run.
 type Options struct {
@@ -67,10 +55,6 @@ type Options struct {
 	// Notification enables the plateau-skipping wakeup mechanism (§4.2.1);
 	// only meaningful for And.
 	Notification bool
-	// Scheduling selects Static or Dynamic chunking for parallel sweeps.
-	Scheduling Scheduling
-	// ChunkSize is the dynamic scheduling grain; 0 means 64.
-	ChunkSize int
 	// OnSweep, when non-nil, is invoked after every sweep with the sweep
 	// index (1-based) and the current τ array (read-only; valid only for
 	// the duration of the call).
@@ -150,53 +134,33 @@ func (o Options) threads() int {
 	return o.Threads
 }
 
-func (o Options) chunk() int {
-	if o.ChunkSize <= 0 {
-		return 64
-	}
-	return o.ChunkSize
-}
-
 // Snd runs the synchronous algorithm: every sweep computes τ_{t+1} for all
 // cells from the frozen τ_t of the previous sweep (Jacobi iteration).
-// Instances exposing flat incidence arrays (nucleus.FlatIncidence) run the
-// fused zero-allocation sweep kernel; everything else takes the generic
-// closure-based path.
 func Snd(inst nucleus.Instance, opts Options) *Result {
 	n := inst.NumCells()
 	tau := initialTau(inst, opts)
 	prev := make([]int32, n)
 	res := &Result{}
 	cells := sweepCells(n, opts)
-	fa, flat := flatOf(inst)
+	k := kernelFor(inst, opts)
+	scs := make([]sweepScratch, opts.threads())
+	body := func(chunk []int32, sc *sweepScratch) {
+		var upd, vis int64
+		for _, c := range chunk {
+			h, v := k.update(c, prev, sc, prev[c], false)
+			vis += v
+			if h != prev[c] {
+				upd++
+			}
+			tau[c] = h
+		}
+		sc.updates += upd
+		sc.visits += vis
+	}
 
 	for {
 		copy(prev, tau)
-		var updates, visits int64
-		parallelFor(len(cells), opts, func(lo, hi int, sc *sweepScratch) (int64, int64) {
-			var upd, vis int64
-			for i := lo; i < hi; i++ {
-				c := cells[i]
-				var h int32
-				var v int64
-				switch {
-				case flat && opts.Preserve:
-					h, v = computeTauFlat(fa, c, prev, sc, prev[c], true, false)
-				case flat:
-					h, v = computeTauFlat(fa, c, prev, sc, 0, false, false)
-				case opts.Preserve:
-					h, v = computeTauPreserve(inst, c, prev, sc, prev[c], false)
-				default:
-					h, v = computeTau(inst, c, prev, sc)
-				}
-				vis += v
-				if h != prev[c] {
-					upd++
-				}
-				tau[c] = h
-			}
-			return upd, vis
-		}, &updates, &visits)
+		updates, visits, _ := sweep(cells, scs, body)
 		res.Sweeps++
 		res.WorkVisits += visits
 		res.SweepUpdates = append(res.SweepUpdates, updates)
@@ -237,8 +201,9 @@ func And(inst nucleus.Instance, opts Options) *Result {
 	tau := initialTau(inst, opts)
 	res := &Result{}
 	cells := sweepCells(n, opts)
-	par := opts.threads() > 1
-	fa, flat := flatOf(inst)
+	concurrent := opts.threads() > 1
+	k := kernelFor(inst, opts)
+	scs := make([]sweepScratch, opts.threads())
 
 	var active []int32
 	if opts.Notification {
@@ -247,56 +212,51 @@ func And(inst nucleus.Instance, opts Options) *Result {
 			active[c] = 1
 		}
 	}
+	wake := func(d int32) bool {
+		atomic.StoreInt32(&active[d], 1)
+		return true
+	}
 
-	runSweep := func(ignoreFlags bool) (updates int64) {
-		var visits, skipped int64
-		parallelFor(len(cells), opts, func(lo, hi int, sc *sweepScratch) (int64, int64) {
-			var upd, vis int64
-			for i := lo; i < hi; i++ {
-				c := cells[i]
-				if active != nil && !ignoreFlags {
-					if atomic.LoadInt32(&active[c]) == 0 {
-						atomic.AddInt64(&skipped, 1)
-						continue
-					}
-					// Clear before computing: a notification that arrives
-					// mid-compute is preserved for the next sweep, so no
-					// wakeup is lost.
-					atomic.StoreInt32(&active[c], 0)
+	ignoreFlags := false
+	body := func(chunk []int32, sc *sweepScratch) {
+		var upd, vis, skip int64
+		for _, c := range chunk {
+			if active != nil && !ignoreFlags {
+				if atomic.LoadInt32(&active[c]) == 0 {
+					skip++
+					continue
 				}
-				var h int32
-				var v int64
-				switch {
-				case flat && opts.Preserve:
-					h, v = computeTauFlat(fa, c, tau, sc, loadTau(par, tau, c), true, par)
-				case flat:
-					h, v = computeTauFlat(fa, c, tau, sc, 0, false, par)
-				case opts.Preserve:
-					h, v = computeTauPreserve(inst, c, tau, sc, loadTau(par, tau, c), par)
-				case par:
-					h, v = computeTauAtomic(inst, c, tau, sc)
-				default:
-					h, v = computeTau(inst, c, tau, sc)
+				// Clear before computing: a notification that arrives
+				// mid-compute is preserved for the next sweep, so no
+				// wakeup is lost.
+				atomic.StoreInt32(&active[c], 0)
+			}
+			// Only the worker that claimed c writes tau[c], so one read
+			// serves as both the Preserve threshold and the old value.
+			old := loadTau(concurrent, tau, c)
+			h, v := k.update(c, tau, sc, old, concurrent)
+			vis += v
+			if h < old {
+				storeTau(concurrent, tau, c, h)
+				upd++
+				if active == nil {
+					continue
 				}
-				vis += v
-				old := loadTau(par, tau, c)
-				if h < old {
-					storeTau(par, tau, c, h)
-					upd++
-					if active != nil {
-						if flat {
-							notifyNeighborsFlat(fa, c, active)
-						} else {
-							inst.VisitNeighbors(c, func(d int32) bool {
-								atomic.StoreInt32(&active[d], 1)
-								return true
-							})
-						}
-					}
+				if k.flat {
+					notifyNeighborsFlat(k.fa, c, active)
+				} else {
+					inst.VisitNeighbors(c, wake)
 				}
 			}
-			return upd, vis
-		}, &updates, &visits)
+		}
+		sc.updates += upd
+		sc.visits += vis
+		sc.skipped += skip
+	}
+
+	runSweep := func(certify bool) int64 {
+		ignoreFlags = certify
+		updates, visits, skipped := sweep(cells, scs, body)
 		res.Sweeps++
 		res.WorkVisits += visits
 		res.SkippedCells += skipped
@@ -359,103 +319,15 @@ func And(inst nucleus.Instance, opts Options) *Result {
 	return res
 }
 
-// computeTau evaluates the update operator U for cell c against the given τ
-// array: H over { min τ(co-members of S) : S ∋ c }. Returns the new value
-// and the number of s-clique visits.
-func computeTau(inst nucleus.Instance, c int32, tau []int32, sc *sweepScratch) (int32, int64) {
-	vals := sc.vals[:0]
-	var visits int64
-	inst.VisitSCliques(c, func(others []int32) bool {
-		rho := int32(math.MaxInt32)
-		for _, d := range others {
-			if tau[d] < rho {
-				rho = tau[d]
-			}
-		}
-		vals = append(vals, rho)
-		visits++
-		return true
-	})
-	sc.vals = vals
-	return hindex.LinearInto(vals, &sc.cnt), visits
-}
-
-// computeTauAtomic is computeTau with atomic reads, for concurrent And
-// sweeps where other workers may be lowering τ entries. Stale (higher)
-// reads are benign: τ stays an upper bound of κ (Theorem 1) and later
-// sweeps repair them.
-func computeTauAtomic(inst nucleus.Instance, c int32, tau []int32, sc *sweepScratch) (int32, int64) {
-	vals := sc.vals[:0]
-	var visits int64
-	inst.VisitSCliques(c, func(others []int32) bool {
-		rho := int32(math.MaxInt32)
-		for _, d := range others {
-			if v := atomic.LoadInt32(&tau[d]); v < rho {
-				rho = v
-			}
-		}
-		vals = append(vals, rho)
-		visits++
-		return true
-	})
-	sc.vals = vals
-	return hindex.LinearInto(vals, &sc.cnt), visits
-}
-
-// computeTauPreserve is computeTau with the §4.4 early-exit: once cur
-// s-cliques with ρ >= cur have been seen, the current index is preserved
-// and enumeration stops. Monotonicity makes this sound — the h-index of
-// the full ρ list cannot exceed cur, and cur supporting s-cliques (each
-// with ρ >= cur) certify that it equals cur. Cells already at zero skip
-// enumeration entirely.
-func computeTauPreserve(inst nucleus.Instance, c int32, tau []int32, sc *sweepScratch, cur int32, par bool) (int32, int64) {
-	if cur <= 0 {
-		return 0, 0
-	}
-	vals := sc.vals[:0]
-	var visits int64
-	support := int32(0)
-	preserved := false
-	inst.VisitSCliques(c, func(others []int32) bool {
-		rho := int32(math.MaxInt32)
-		for _, d := range others {
-			var v int32
-			if par {
-				v = atomic.LoadInt32(&tau[d])
-			} else {
-				v = tau[d]
-			}
-			if v < rho {
-				rho = v
-			}
-		}
-		visits++
-		if rho >= cur {
-			support++
-			if support >= cur {
-				preserved = true
-				return false
-			}
-		}
-		vals = append(vals, rho)
-		return true
-	})
-	sc.vals = vals
-	if preserved {
-		return cur, visits
-	}
-	return hindex.LinearInto(vals, &sc.cnt), visits
-}
-
-func loadTau(par bool, tau []int32, c int32) int32 {
-	if par {
+func loadTau(concurrent bool, tau []int32, c int32) int32 {
+	if concurrent {
 		return atomic.LoadInt32(&tau[c])
 	}
 	return tau[c]
 }
 
-func storeTau(par bool, tau []int32, c int32, v int32) {
-	if par {
+func storeTau(concurrent bool, tau []int32, c int32, v int32) {
+	if concurrent {
 		atomic.StoreInt32(&tau[c], v)
 		return
 	}
@@ -495,76 +367,22 @@ func sweepCells(n int, opts Options) []int32 {
 	return cells
 }
 
-// parallelFor executes body over [0,n) split across opts.threads() workers,
-// accumulating the two int64 outputs of each body invocation into updates
-// and visits. Each worker owns one sweepScratch for its whole lifetime, so
-// per-cell computations allocate nothing once the scratch has grown to the
-// largest row. Sequential when a single thread is requested.
-func parallelFor(n int, opts Options, body func(lo, hi int, sc *sweepScratch) (int64, int64), updates, visits *int64) {
-	t := opts.threads()
-	if t > n {
-		t = n
+// sweep runs body over the cells in grain-sized chunks claimed dynamically
+// by up to len(scs) workers, each with its own scratch, and returns the
+// tallies the workers left there. A single worker runs inline on the
+// calling goroutine.
+func sweep(cells []int32, scs []sweepScratch, body func(chunk []int32, sc *sweepScratch)) (updates, visits, skipped int64) {
+	par.ForEachWorker(len(cells), sweepGrain, len(scs), func(w, lo, hi int) {
+		body(cells[lo:hi], &scs[w])
+	})
+	for i := range scs {
+		sc := &scs[i]
+		updates += sc.updates
+		visits += sc.visits
+		skipped += sc.skipped
+		sc.updates, sc.visits, sc.skipped = 0, 0, 0
 	}
-	if t <= 1 {
-		sc := &sweepScratch{vals: make([]int32, 0, 64)}
-		u, v := body(0, n, sc)
-		*updates += u
-		*visits += v
-		return
-	}
-	var wg sync.WaitGroup
-	var uTotal, vTotal int64
-	switch opts.Scheduling {
-	case Static:
-		per := (n + t - 1) / t
-		for w := 0; w < t; w++ {
-			lo := w * per
-			hi := lo + per
-			if hi > n {
-				hi = n
-			}
-			if lo >= hi {
-				break
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				sc := &sweepScratch{vals: make([]int32, 0, 64)}
-				u, v := body(lo, hi, sc)
-				atomic.AddInt64(&uTotal, u)
-				atomic.AddInt64(&vTotal, v)
-			}(lo, hi)
-		}
-	default: // Dynamic
-		chunk := opts.chunk()
-		var cursor int64
-		for w := 0; w < t; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				sc := &sweepScratch{vals: make([]int32, 0, 64)}
-				var u, v int64
-				for { //nucleus:lint-ignore ctxstop steal loop is bounded by the shared cursor reaching n; Stop is honored between sweeps where partial τ stays consistent
-					lo := int(atomic.AddInt64(&cursor, int64(chunk))) - chunk
-					if lo >= n {
-						break
-					}
-					hi := lo + chunk
-					if hi > n {
-						hi = n
-					}
-					du, dv := body(lo, hi, sc)
-					u += du
-					v += dv
-				}
-				atomic.AddInt64(&uTotal, u)
-				atomic.AddInt64(&vTotal, v)
-			}()
-		}
-	}
-	wg.Wait()
-	*updates += uTotal
-	*visits += vTotal
+	return updates, visits, skipped
 }
 
 // DefaultThreads returns a sensible worker count for parallel runs.

@@ -118,19 +118,6 @@ func TestUpdateRateTracksAccuracy(t *testing.T) {
 	}
 }
 
-// TestStaticSchedulingMatches: static chunking computes the same fixpoint.
-func TestStaticSchedulingMatches(t *testing.T) {
-	g := graph.PowerLawCluster(300, 5, 0.5, 91)
-	inst := nucleus.NewTruss(g)
-	want := peel.Run(inst).Kappa
-	for _, chunk := range []int{1, 7, 1024} {
-		res := And(inst, Options{Threads: 3, Scheduling: Static, ChunkSize: chunk, Notification: true})
-		if !equalInt32(res.Tau, want) {
-			t.Fatalf("static chunk=%d wrong", chunk)
-		}
-	}
-}
-
 // TestThreadsExceedCells: more workers than cells must not break.
 func TestThreadsExceedCells(t *testing.T) {
 	g := graph.Complete(4)

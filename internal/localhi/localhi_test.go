@@ -8,6 +8,7 @@ import (
 
 	"nucleus/internal/graph"
 	"nucleus/internal/nucleus"
+	"nucleus/internal/nucleustest"
 	"nucleus/internal/peel"
 )
 
@@ -155,7 +156,7 @@ func TestAndMatchesPeelAllInstances(t *testing.T) {
 // peeling and local algorithms for an exotic (1,3) decomposition.
 func TestHyperGenericMatches(t *testing.T) {
 	g := graph.PlantedCommunities(2, 9, 0.7, 6, 21)
-	inst := nucleus.NewHyper(g, 1, 3)
+	inst := nucleustest.NewHyper(g, 1, 3)
 	want := peel.Run(inst).Kappa
 	if got := Snd(inst, Options{}).Tau; !equalInt32(got, want) {
 		t.Fatalf("SND (1,3) = %v, want %v", got, want)
@@ -253,15 +254,13 @@ func TestParallelMatchesSequential(t *testing.T) {
 	for _, inst := range []nucleus.Instance{nucleus.NewCore(g), nucleus.NewTruss(g)} {
 		want := peel.Run(inst).Kappa
 		for _, threads := range []int{2, 4, 8} {
-			for _, sched := range []Scheduling{Dynamic, Static} {
-				snd := Snd(inst, Options{Threads: threads, Scheduling: sched})
-				if !equalInt32(snd.Tau, want) {
-					t.Fatalf("parallel SND t=%d sched=%d wrong", threads, sched)
-				}
-				and := And(inst, Options{Threads: threads, Scheduling: sched, Notification: true})
-				if !equalInt32(and.Tau, want) {
-					t.Fatalf("parallel AND t=%d sched=%d wrong", threads, sched)
-				}
+			snd := Snd(inst, Options{Threads: threads})
+			if !equalInt32(snd.Tau, want) {
+				t.Fatalf("parallel SND t=%d wrong", threads)
+			}
+			and := And(inst, Options{Threads: threads, Notification: true})
+			if !equalInt32(and.Tau, want) {
+				t.Fatalf("parallel AND t=%d wrong", threads)
 			}
 		}
 	}

@@ -4,13 +4,14 @@ import (
 	"testing"
 
 	"nucleus/internal/graph"
+	"nucleus/internal/nucleustest"
 )
 
 // Exercise the early-stop paths of every instance's visitors.
 
 func TestEarlyStopAllInstances(t *testing.T) {
 	g := graph.Complete(6)
-	for _, inst := range []Instance{NewCore(g), NewTruss(g), NewN34(g), NewHyper(g, 2, 3), Materialize(NewTruss(g))} {
+	for _, inst := range []Instance{NewCore(g), NewTruss(g), NewN34(g), nucleustest.NewHyper(g, 2, 3), NewFlatTruss(g, 1), NewFlatN34(g, 1), NewFlat(g, 2, 4, 1)} {
 		count := 0
 		inst.VisitSCliques(0, func([]int32) bool {
 			count++
@@ -53,7 +54,10 @@ func TestCellVerticesAllInstances(t *testing.T) {
 		{NewCore(g), 1},
 		{NewTruss(g), 2},
 		{NewN34(g), 3},
-		{NewHyper(g, 4, 5), 4},
+		{nucleustest.NewHyper(g, 4, 5), 4},
+		{NewFlatTruss(g, 1), 2},
+		{NewFlatN34(g, 1), 3},
+		{NewFlat(g, 4, 5, 1), 4},
 	} {
 		vs := tc.inst.CellVertices(0, nil)
 		if len(vs) != tc.want {
@@ -72,7 +76,7 @@ func TestCellVerticesAllInstances(t *testing.T) {
 func TestHyperDisconnectedSmallS(t *testing.T) {
 	// A graph with no s-cliques at all: every cell has degree 0.
 	g := graph.Path(6)
-	h := NewHyper(g, 2, 3) // edges as cells, triangles as s-cliques: none
+	h := nucleustest.NewHyper(g, 2, 3) // edges as cells, triangles as s-cliques: none
 	if h.NumCells() != 5 {
 		t.Fatalf("cells = %d", h.NumCells())
 	}
@@ -91,20 +95,9 @@ func TestHyperDisconnectedSmallS(t *testing.T) {
 	})
 }
 
-func TestMaterializedDegreesCopied(t *testing.T) {
-	g := graph.Complete(4)
-	m := Materialize(NewCore(g))
-	d1 := m.Degrees()
-	d1[0] = 99
-	d2 := m.Degrees()
-	if d2[0] == 99 {
-		t.Fatal("Degrees returned aliased storage")
-	}
-}
-
 func TestCoreDegreesCopied(t *testing.T) {
 	g := graph.Complete(4)
-	for _, inst := range []Instance{NewTruss(g), NewN34(g), NewHyper(g, 1, 2)} {
+	for _, inst := range []Instance{NewTruss(g), NewN34(g), nucleustest.NewHyper(g, 1, 2), NewFlatTruss(g, 1), NewFlat(g, 1, 2, 1)} {
 		d1 := inst.Degrees()
 		orig := d1[0]
 		d1[0] = 77

@@ -1,0 +1,255 @@
+package nucleus
+
+import (
+	"fmt"
+	"sync"
+
+	"nucleus/internal/cliques"
+	"nucleus/internal/graph"
+	"nucleus/internal/par"
+)
+
+// FlatIncidence is implemented by instances whose s-clique incidence is
+// materialized as flat CSR arrays. Algorithms that iterate VisitSCliques
+// many times (the localhi sweep kernels) detect this interface and run a
+// fused array-scan fast path instead of the closure-per-s-clique generic
+// path.
+type FlatIncidence interface {
+	Instance
+	// FlatIncidenceArrays exposes the index: for cell c,
+	// members[offs[c]:offs[c+1]] holds the co-member cell ids of its
+	// s-cliques, coArity (= the co-member count of one s-clique, e.g. 2
+	// for (2,3), 3 for (3,4)) consecutive ids per s-clique. The arrays are
+	// immutable and shared; callers must not modify them.
+	FlatIncidenceArrays() (offs []int64, members []int32, coArity int)
+}
+
+// Flat is the stored-s-cliques instance of any (r,s) decomposition — the
+// other side of the paper's §5 fork from the on-the-fly Truss and N34:
+// every VisitSCliques is a contiguous scan of a CSR row instead of an
+// adjacency intersection. It implements FlatIncidence, so the fused
+// zero-allocation sweep kernel of internal/localhi applies to every
+// family. Three builders feed it: NewFlatTruss (edge incidence, cells
+// numbered by edge id), NewFlatN34 (4-clique incidence, cells numbered by
+// triangle id) and NewFlat (any r < s, by clique enumeration); Build picks
+// between a family's flat and on-the-fly instance under a memory budget.
+type Flat struct {
+	r, s int
+	// Cell c's s-cliques are members[offs[c]:offs[c+1]], coArity co-member
+	// cell ids per s-clique.
+	offs    []int64
+	members []int32
+	coArity int
+	deg     []int32
+	// verts appends a cell's vertices to buf. Flat holds no per-cell
+	// vertex array of its own: edge endpoints come from the graph,
+	// triangle vertices from the TriangleIndex, and only the enumerating
+	// builder, which has no other home for them, keeps a clique list.
+	verts func(c int32, buf []uint32) []uint32
+}
+
+// NewFlatTruss counts triangles per edge and materializes the flat (2,3)
+// incidence, both in parallel over the given thread count. Panics if the
+// graph has more than MaxInt32 edges.
+func NewFlatTruss(g *graph.Graph, threads int) *Flat {
+	return flatTruss(&Truss{G: g, deg: cliques.CountPerEdgeParallel(g, threads)}, threads)
+}
+
+func flatTruss(t *Truss, threads int) *Flat {
+	inc := cliques.BuildEdgeIncidence(t.G, t.deg, threads)
+	return &Flat{r: 2, s: 3, offs: inc.Offs, members: inc.Pairs, coArity: 2, deg: t.deg, verts: t.CellVertices}
+}
+
+// NewFlatN34 enumerates and indexes all triangles, counts 4-cliques per
+// triangle and materializes the flat (3,4) incidence, all in parallel.
+func NewFlatN34(g *graph.Graph, threads int) *Flat {
+	return flatN34(newN34(g, threads), threads)
+}
+
+func flatN34(n *N34, threads int) *Flat {
+	inc := cliques.BuildK4Incidence(n.G, n.Idx, n.deg, threads)
+	return &Flat{r: 3, s: 4, offs: inc.Offs, members: inc.Triples, coArity: 3, deg: n.deg, verts: n.CellVertices}
+}
+
+// NewFlat enumerates the r-cliques and s-cliques of g (r < s) and builds
+// their flat incidence. Both enumerations fan out across the given number
+// of workers via the chunk-ordered parallel enumerator, which reproduces
+// the sequential emission order — so dense cell ids are deterministic at
+// every thread count: cell c is the c-th r-clique cliques.ForEachKClique
+// emits. Enumeration keeps this builder practical for small-to-medium
+// graphs only. Panics if r >= s or r < 1.
+func NewFlat(g *graph.Graph, r, s, threads int) *Flat {
+	if r < 1 || r >= s {
+		panic(fmt.Sprintf("nucleus: invalid (r,s) = (%d,%d)", r, s))
+	}
+	if threads < 1 {
+		threads = 1
+	}
+	f := &Flat{r: r, s: s, coArity: binom(s, r) - 1}
+
+	// Enumerate and index the r-cliques; ids are positions in the flat list.
+	cellVerts := cliques.KCliquesFlat(g, r, threads)
+	f.verts = func(c int32, buf []uint32) []uint32 {
+		return append(buf, cellVerts[int(c)*r:int(c+1)*r]...)
+	}
+	n := len(cellVerts) / r
+	idOf := make(map[string]int32, n)
+	for c := 0; c < n; c++ {
+		idOf[cliqueKey(cellVerts[c*r:(c+1)*r])] = int32(c)
+	}
+	f.deg = make([]int32, n)
+
+	// Pass 1: enumerate the s-cliques once, resolving each to its member
+	// cell ids (groups of groupSize = coArity+1), and count s-degrees. The
+	// map is read-only here, so resolution shards over the s-cliques.
+	groupSize := f.coArity + 1
+	sFlat := cliques.KCliquesFlat(g, s, threads)
+	numS := len(sFlat) / s
+	var subPool = sync.Pool{New: func() any {
+		b := make([]uint32, r)
+		return &b
+	}}
+	groups := par.Collect(numS, 256, threads, func(si int, buf []int32) []int32 {
+		sub := *subPool.Get().(*[]uint32)
+		forEachSubset(sFlat[si*s:(si+1)*s], r, sub, func() {
+			id, ok := idOf[cliqueKey(sub)]
+			if !ok {
+				panic("nucleus: s-clique subset missing from r-clique index")
+			}
+			buf = append(buf, id)
+		})
+		subPool.Put(&sub)
+		return buf
+	})
+	for _, id := range groups {
+		f.deg[id]++
+	}
+
+	// Pass 2: prefix-sum the degrees into CSR offsets and record each
+	// membership's write slot. Slot assignment follows enumeration order,
+	// so the built arrays are byte-identical at every thread count.
+	f.offs = make([]int64, n+1)
+	for c := 0; c < n; c++ {
+		f.offs[c+1] = f.offs[c] + int64(f.deg[c])*int64(f.coArity)
+	}
+	cursor := append([]int64(nil), f.offs[:n]...)
+	slots := make([]int64, len(groups))
+	for i, c := range groups {
+		slots[i] = cursor[c]
+		cursor[c] += int64(f.coArity)
+	}
+
+	// Pass 3: scatter every group's co-members into its recorded slots,
+	// in parallel over s-cliques (disjoint writes).
+	f.members = make([]int32, f.offs[n])
+	numGroups := len(groups) / groupSize
+	par.ForEach(numGroups, 512, threads, func(lo, hi int) {
+		for gi := lo; gi < hi; gi++ {
+			grp := groups[gi*groupSize : (gi+1)*groupSize]
+			for j := range grp {
+				w := slots[gi*groupSize+j]
+				for m, d := range grp {
+					if m == j {
+						continue
+					}
+					f.members[w] = d
+					w++
+				}
+			}
+		}
+	})
+	return f
+}
+
+func (f *Flat) R() int        { return f.r }
+func (f *Flat) S() int        { return f.s }
+func (f *Flat) NumCells() int { return len(f.deg) }
+
+func (f *Flat) Degrees() []int32 { return append([]int32(nil), f.deg...) }
+
+func (f *Flat) VisitSCliques(c int32, fn func(others []int32) bool) {
+	row := f.members[f.offs[c]:f.offs[c+1]]
+	ca := f.coArity
+	for i := 0; i+ca <= len(row); i += ca {
+		if !fn(row[i : i+ca : i+ca]) {
+			return
+		}
+	}
+}
+
+func (f *Flat) VisitNeighbors(c int32, fn func(int32) bool) {
+	for _, d := range f.members[f.offs[c]:f.offs[c+1]] {
+		if !fn(d) {
+			return
+		}
+	}
+}
+
+func (f *Flat) CellVertices(c int32, buf []uint32) []uint32 { return f.verts(c, buf) }
+
+func (f *Flat) CellLabel(c int32) string { return cellLabel(f.verts(c, nil)) }
+
+func (f *Flat) FlatIncidenceArrays() ([]int64, []int32, int) {
+	return f.offs, f.members, f.coArity
+}
+
+// IndexBytes returns the memory held by the flat incidence arrays.
+func (f *Flat) IndexBytes() int64 {
+	return 8*int64(len(f.offs)) + 4*int64(len(f.members))
+}
+
+// cellLabel formats a cell's vertex set the way every instance labels it:
+// e(u,v) for an edge, t(u,v,w) for a triangle, c[...] for any other clique.
+func cellLabel(vs []uint32) string {
+	switch len(vs) {
+	case 2:
+		return fmt.Sprintf("e(%d,%d)", vs[0], vs[1])
+	case 3:
+		return fmt.Sprintf("t(%d,%d,%d)", vs[0], vs[1], vs[2])
+	}
+	return fmt.Sprintf("c%v", vs)
+}
+
+// cliqueKey packs a sorted vertex list into a string key.
+func cliqueKey(vs []uint32) string {
+	b := make([]byte, 4*len(vs))
+	for i, v := range vs {
+		b[4*i] = byte(v)
+		b[4*i+1] = byte(v >> 8)
+		b[4*i+2] = byte(v >> 16)
+		b[4*i+3] = byte(v >> 24)
+	}
+	return string(b)
+}
+
+// forEachSubset enumerates the size-k subsets of the sorted set, writing
+// each into buf and invoking fn.
+func forEachSubset(set []uint32, k int, buf []uint32, fn func()) {
+	var rec func(start, picked int)
+	rec = func(start, picked int) {
+		if picked == k {
+			fn()
+			return
+		}
+		for i := start; i+(k-picked) <= len(set); i++ {
+			buf[picked] = set[i]
+			rec(i+1, picked+1)
+		}
+	}
+	rec(0, 0)
+}
+
+// binom computes C(n,k) for the small arguments used here.
+func binom(n, k int) int {
+	if k < 0 || k > n {
+		return 0
+	}
+	if k > n-k {
+		k = n - k
+	}
+	res := 1
+	for i := 1; i <= k; i++ {
+		res = res * (n - k + i) / i
+	}
+	return res
+}

@@ -8,12 +8,19 @@
 // the s-degree of every cell, iteration over the s-cliques containing a
 // cell (with the co-member cells), and iteration over neighboring cells.
 //
-// Concrete instances:
+// There are four instances, split along the paper's one real fork (§5:
+// discover the s-cliques on the fly, or store them):
 //
-//	Core  — (1,2): cells are vertices, s-cliques are edges
-//	Truss — (2,3): cells are edges, s-cliques are triangles (on the fly)
-//	N34   — (3,4): cells are triangles, s-cliques are 4-cliques (on the fly)
-//	Hyper — any (r,s): explicit hypergraph from k-clique enumeration
+//	Core  — (1,2): cells are vertices, s-cliques are edges; the CSR
+//	        adjacency already is the incidence, so there is nothing to store
+//	Truss — (2,3) on the fly: triangles found by adjacency intersection
+//	N34   — (3,4) on the fly: 4-cliques found over a triangle index
+//	Flat  — any (r,s) stored: a flat CSR of co-member cell ids, built from
+//	        the edge incidence, the 4-clique incidence, or by enumeration
+//
+// Build picks between a family's Flat and on-the-fly instance under a
+// memory budget. The explicit-hypergraph oracle the instances are tested
+// against lives in internal/nucleustest, outside the production imports.
 package nucleus
 
 import (

@@ -9,6 +9,7 @@ import (
 
 	"nucleus/internal/cliques"
 	"nucleus/internal/graph"
+	"nucleus/internal/nucleustest"
 )
 
 func TestCoreInstanceBasics(t *testing.T) {
@@ -91,7 +92,7 @@ func TestHyperMatchesSpecializedDegrees(t *testing.T) {
 	quickGraphs(t, 20, func(g *graph.Graph) bool {
 		// (1,2): Hyper degrees equal vertex degrees (cells are single
 		// vertices; order matches because 1-cliques enumerate in id order).
-		h12 := NewHyper(g, 1, 2)
+		h12 := nucleustest.NewHyper(g, 1, 2)
 		core := NewCore(g)
 		if h12.NumCells() != core.NumCells() {
 			return false
@@ -103,7 +104,7 @@ func TestHyperMatchesSpecializedDegrees(t *testing.T) {
 			}
 		}
 		// (2,3): compare triangle counts via vertex-set keys.
-		h23 := NewHyper(g, 2, 3)
+		h23 := nucleustest.NewHyper(g, 2, 3)
 		truss := NewTruss(g)
 		if h23.NumCells() != truss.NumCells() {
 			return false
@@ -122,7 +123,7 @@ func TestHyperMatchesSpecializedDegrees(t *testing.T) {
 
 func TestHyper34MatchesN34(t *testing.T) {
 	g := graph.PlantedCommunities(2, 10, 0.7, 5, 3)
-	h := NewHyper(g, 3, 4)
+	h := nucleustest.NewHyper(g, 3, 4)
 	n34 := NewN34(g)
 	if h.NumCells() != n34.NumCells() {
 		t.Fatalf("cell counts differ: %d vs %d", h.NumCells(), n34.NumCells())
@@ -151,7 +152,7 @@ func TestHyperInvalidArgs(t *testing.T) {
 					t.Errorf("NewHyper(%d,%d) did not panic", rs[0], rs[1])
 				}
 			}()
-			NewHyper(g, rs[0], rs[1])
+			nucleustest.NewHyper(g, rs[0], rs[1])
 		}()
 	}
 }
@@ -179,7 +180,7 @@ func TestVisitNeighborsSymmetryCore(t *testing.T) {
 
 func TestVisitSCliquesCountMatchesDegree(t *testing.T) {
 	g := graph.PlantedCommunities(2, 12, 0.6, 10, 5)
-	for _, inst := range []Instance{NewCore(g), NewTruss(g), NewN34(g), NewHyper(g, 2, 3)} {
+	for _, inst := range []Instance{NewCore(g), NewTruss(g), NewN34(g), nucleustest.NewHyper(g, 2, 3)} {
 		deg := inst.Degrees()
 		for c := int32(0); c < int32(inst.NumCells()); c++ {
 			count := int32(0)
@@ -208,7 +209,7 @@ func TestCellLabels(t *testing.T) {
 	if got := n34.CellLabel(0); got == "" {
 		t.Errorf("empty n34 label")
 	}
-	h := NewHyper(g, 1, 2)
+	h := nucleustest.NewHyper(g, 1, 2)
 	if got := h.CellLabel(0); got == "" {
 		t.Errorf("empty hyper label")
 	}
@@ -216,7 +217,7 @@ func TestCellLabels(t *testing.T) {
 
 func TestHyperCellID(t *testing.T) {
 	g := graph.Complete(4)
-	h := NewHyper(g, 2, 3)
+	h := nucleustest.NewHyper(g, 2, 3)
 	for c := int32(0); c < int32(h.NumCells()); c++ {
 		vs := h.CellVertices(c, nil)
 		if got := h.CellID([]uint32{vs[1], vs[0]}); got != c {

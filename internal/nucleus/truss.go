@@ -1,8 +1,6 @@
 package nucleus
 
 import (
-	"fmt"
-
 	"nucleus/internal/cliques"
 	"nucleus/internal/graph"
 )
@@ -18,13 +16,12 @@ type Truss struct {
 }
 
 // NewTruss returns the (2,3) instance of g with sequential degree
-// initialization; NewTrussThreads parallelizes it.
-func NewTruss(g *graph.Graph) *Truss { return NewTrussThreads(g, 1) }
+// initialization; Build(g, FamilyTruss, 0, threads) parallelizes it.
+func NewTruss(g *graph.Graph) *Truss { return newTruss(g, 1) }
 
-// NewTrussThreads returns the (2,3) instance of g, splitting the per-edge
-// triangle count — the instance's only up-front cost — across the given
-// number of workers.
-func NewTrussThreads(g *graph.Graph, threads int) *Truss {
+// newTruss splits the per-edge triangle count — the instance's only
+// up-front cost — across the given number of workers.
+func newTruss(g *graph.Graph, threads int) *Truss {
 	return &Truss{G: g, deg: cliques.CountPerEdgeParallel(g, threads)}
 }
 
@@ -55,10 +52,7 @@ func (t *Truss) CellVertices(e int32, buf []uint32) []uint32 {
 	return append(buf, u, v)
 }
 
-func (t *Truss) CellLabel(e int32) string {
-	u, v := t.G.Edge(int64(e))
-	return fmt.Sprintf("e(%d,%d)", u, v)
-}
+func (t *Truss) CellLabel(e int32) string { return cellLabel(t.CellVertices(e, nil)) }
 
 // N34 is the (3,4) nucleus instance: cells are triangles, s-cliques are the
 // 4-cliques containing a triangle, discovered on the fly via three-way
@@ -70,15 +64,15 @@ type N34 struct {
 }
 
 // NewN34 returns the (3,4) instance of g, enumerating and indexing all
-// triangles, with sequential degree initialization; NewN34Threads
-// parallelizes it.
-func NewN34(g *graph.Graph) *N34 { return NewN34Threads(g, 1) }
+// triangles, with sequential degree initialization;
+// Build(g, FamilyN34, 0, threads) parallelizes it.
+func NewN34(g *graph.Graph) *N34 { return newN34(g, 1) }
 
-// NewN34Threads returns the (3,4) instance of g, splitting both the
-// triangle enumeration and the per-triangle 4-clique count across the given
-// number of workers. Triangle ids stay identical to the sequential build:
-// the parallel enumeration reproduces the sequential emission order.
-func NewN34Threads(g *graph.Graph, threads int) *N34 {
+// newN34 splits both the triangle enumeration and the per-triangle
+// 4-clique count across the given number of workers. Triangle ids stay
+// identical to the sequential build: the parallel enumeration reproduces
+// the sequential emission order.
+func newN34(g *graph.Graph, threads int) *N34 {
 	idx := cliques.BuildTriangleIndexThreads(g, threads)
 	return &N34{G: g, Idx: idx, deg: idx.K4DegreePerTriangleParallel(g, threads)}
 }
@@ -110,7 +104,4 @@ func (n *N34) CellVertices(t int32, buf []uint32) []uint32 {
 	return append(buf, tri[0], tri[1], tri[2])
 }
 
-func (n *N34) CellLabel(t int32) string {
-	tri := n.Idx.List[t]
-	return fmt.Sprintf("t(%d,%d,%d)", tri[0], tri[1], tri[2])
-}
+func (n *N34) CellLabel(t int32) string { return cellLabel(n.CellVertices(t, nil)) }

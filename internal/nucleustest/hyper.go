@@ -1,4 +1,10 @@
-package nucleus
+// Package nucleustest is test support for the nucleus instances: Hyper,
+// the explicit-hypergraph (r,s) instance every production instance is
+// checked against. It is imported from _test.go files only — CI fails if
+// it shows up in `go list -deps . ./cmd/...` — and deliberately shares no
+// code with internal/nucleus, so the oracle cannot inherit a bug from the
+// instances it checks.
+package nucleustest
 
 import (
 	"fmt"
@@ -14,8 +20,9 @@ import (
 // s-clique containing c, the ids of its other C(s,r)-1 member r-cliques.
 //
 // The paper notes (§5) that materialization is infeasible for large
-// networks; Hyper exists for the generality claim (any r < s), for small
-// graphs, and as a correctness oracle for the on-the-fly instances.
+// networks; Hyper is deliberately the naive ragged-slice construction, kept
+// as the correctness oracle for the production instances (it satisfies
+// nucleus.Instance, so every engine runs on it unchanged).
 type Hyper struct {
 	r, s int
 	// cells[i] is the sorted vertex set of r-clique i.

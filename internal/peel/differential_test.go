@@ -37,11 +37,11 @@ var diffInstances = []struct {
 }{
 	{"core", func(g *graph.Graph) nucleus.Instance { return nucleus.NewCore(g) }},
 	{"truss", func(g *graph.Graph) nucleus.Instance { return nucleus.NewTruss(g) }},
-	{"trussIndexed", func(g *graph.Graph) nucleus.Instance { return nucleus.NewIndexedTruss(g, 2) }},
+	{"trussIndexed", func(g *graph.Graph) nucleus.Instance { return nucleus.NewFlatTruss(g, 2) }},
 	{"n34", func(g *graph.Graph) nucleus.Instance { return nucleus.NewN34(g) }},
-	{"n34Indexed", func(g *graph.Graph) nucleus.Instance { return nucleus.NewIndexedN34(g, 2) }},
-	{"rs13", func(g *graph.Graph) nucleus.Instance { return nucleus.NewFlatRS(g, 1, 3, 2) }},
-	{"rs24", func(g *graph.Graph) nucleus.Instance { return nucleus.NewFlatRS(g, 2, 4, 2) }},
+	{"n34Indexed", func(g *graph.Graph) nucleus.Instance { return nucleus.NewFlatN34(g, 2) }},
+	{"rs13", func(g *graph.Graph) nucleus.Instance { return nucleus.NewFlat(g, 1, 3, 2) }},
+	{"rs24", func(g *graph.Graph) nucleus.Instance { return nucleus.NewFlat(g, 2, 4, 2) }},
 }
 
 // TestDifferentialParallelPeel is the differential property suite of the

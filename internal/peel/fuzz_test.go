@@ -68,7 +68,7 @@ func FuzzPeelFrontier(f *testing.F) {
 		case 1:
 			inst = nucleus.NewTruss(g)
 		case 2:
-			inst = nucleus.NewIndexedTruss(g, 2)
+			inst = nucleus.NewFlatTruss(g, 2)
 		default:
 			inst = nucleus.NewN34(g)
 		}

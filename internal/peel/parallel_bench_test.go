@@ -62,7 +62,7 @@ func benchScaling(b *testing.B, inst nucleus.Instance) {
 // (planted communities, triangle-rich — wide frontiers, the favorable
 // case for frontier parallelism).
 func BenchmarkPeelScalingTruss(b *testing.B) {
-	benchScaling(b, nucleus.NewIndexedTruss(dataset.Get("fb").Graph(), 1))
+	benchScaling(b, nucleus.NewFlatTruss(dataset.Get("fb").Graph(), 1))
 }
 
 // BenchmarkPeelScalingCore covers the unfavorable shape: k-core peeling

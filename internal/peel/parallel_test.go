@@ -135,7 +135,7 @@ func TestParallelTrussAndN34Quick(t *testing.T) {
 		}
 		g := graph.Build(n, edges)
 		checkParallelMatches(t, nucleus.NewTruss(g))
-		checkParallelMatches(t, nucleus.NewIndexedTruss(g, 2))
+		checkParallelMatches(t, nucleus.NewFlatTruss(g, 2))
 		checkParallelMatches(t, nucleus.NewN34(g))
 	}
 }

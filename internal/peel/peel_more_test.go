@@ -8,6 +8,7 @@ import (
 	"nucleus/internal/cliques"
 	"nucleus/internal/graph"
 	"nucleus/internal/nucleus"
+	"nucleus/internal/nucleustest"
 )
 
 // naiveTruss computes truss numbers by literal repeated minimum-support
@@ -75,7 +76,7 @@ func TestN34MatchesHyperQuick(t *testing.T) {
 		}
 		g := graph.GnM(n, m, seed)
 		n34 := nucleus.NewN34(g)
-		hyper := nucleus.NewHyper(g, 3, 4)
+		hyper := nucleustest.NewHyper(g, 3, 4)
 		a := Run(n34).Kappa
 		b := Run(hyper).Kappa
 		if n34.NumCells() != hyper.NumCells() {

@@ -7,6 +7,7 @@ import (
 
 	"nucleus/internal/graph"
 	"nucleus/internal/nucleus"
+	"nucleus/internal/nucleustest"
 )
 
 // naiveCore computes core numbers by literal repeated minimum-degree
@@ -189,7 +190,7 @@ func TestHyperMatchesSpecialized(t *testing.T) {
 	// instances for (1,2) — cell ids coincide (vertex order).
 	quickGraphs(t, func(g *graph.Graph) bool {
 		a := Run(nucleus.NewCore(g)).Kappa
-		b := Run(nucleus.NewHyper(g, 1, 2)).Kappa
+		b := Run(nucleustest.NewHyper(g, 1, 2)).Kappa
 		for i := range a {
 			if a[i] != b[i] {
 				return false
@@ -204,7 +205,7 @@ func TestHyper25(t *testing.T) {
 	// In K6 every edge lies in C(4,3) = 4 five-cliques and peeling is
 	// uniform: κ = 4 for all edges.
 	g := graph.Complete(6)
-	res := Run(nucleus.NewHyper(g, 2, 5))
+	res := Run(nucleustest.NewHyper(g, 2, 5))
 	for _, k := range res.Kappa {
 		if k != 4 {
 			t.Fatalf("(2,5) on K6: κ = %v", res.Kappa)

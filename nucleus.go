@@ -80,15 +80,6 @@ func (a Algorithm) String() string {
 	return fmt.Sprintf("Algorithm(%d)", int(a))
 }
 
-// Scheduling selects the parallel work distribution strategy.
-type Scheduling = localhi.Scheduling
-
-// Scheduling strategies for parallel sweeps.
-const (
-	Dynamic = localhi.Dynamic
-	Static  = localhi.Static
-)
-
 // Options configures Decompose.
 type Options struct {
 	// Algorithm selects AND (default), SND or Peel.
@@ -105,8 +96,6 @@ type Options struct {
 	// Notification enables AND's plateau-skipping wakeup mechanism.
 	// Defaults to on for AND; set DisableNotification to turn it off.
 	DisableNotification bool
-	// Scheduling selects Dynamic (default) or Static chunking.
-	Scheduling Scheduling
 	// Order overrides AND's processing order (cell ids).
 	Order []int32
 	// OnSweep is invoked after each local sweep with the current τ.
@@ -146,7 +135,7 @@ type Result struct {
 
 // Decompose computes the selected decomposition of g.
 func Decompose(g *Graph, dec Decomposition, opts Options) *Result {
-	return decomposeInstance(instanceFor(g, dec), dec, opts)
+	return decomposeInstance(instanceFor(g, dec, opts.Threads), dec, opts)
 }
 
 // DecomposeRS computes the generic (r,s) decomposition (r < s). The
@@ -154,10 +143,11 @@ func Decompose(g *Graph, dec Decomposition, opts Options) *Result {
 // Decompose uses — cells are numbered by the family's canonical ids
 // (vertices, edge ids, triangle ids) and the flat s-clique incidence index
 // is built in parallel over Options.Threads. Any other pair materializes a
-// flat CSR incidence over the enumerated r-/s-cliques (nucleus.FlatRS), so
-// generic (r,s) runs the exact same engines: the fused sweep kernels of
-// the local algorithms and the parallel peeling frontier. Enumeration
-// keeps the generic path practical for small-to-medium graphs only.
+// flat CSR incidence over the enumerated r-/s-cliques, so generic (r,s)
+// runs the exact same engines: the fused sweep kernel of the local
+// algorithms and the parallel peeling frontier. Enumeration keeps the
+// generic path practical for small-to-medium graphs only. Panics if
+// r >= s or r < 1.
 func DecomposeRS(g *Graph, r, s int, opts Options) *Result {
 	threads := opts.Threads
 	if threads < 1 {
@@ -172,7 +162,7 @@ func DecomposeRS(g *Graph, r, s int, opts Options) *Result {
 	case r == 3 && s == 4:
 		inst, _ = inucleus.Build(g, inucleus.FamilyN34, -1, threads)
 	default:
-		inst = inucleus.NewFlatRS(g, r, s, threads)
+		inst = inucleus.NewFlat(g, r, s, threads)
 	}
 	return decomposeInstance(inst, Decomposition(-1), opts)
 }
@@ -187,19 +177,17 @@ func decomposeInstance(inst inucleus.Instance, dec Decomposition, opts Options) 
 		res.Converged = true
 	case SND:
 		lr := localhi.Snd(inst, localhi.Options{
-			Threads:    opts.Threads,
-			MaxSweeps:  opts.MaxSweeps,
-			Scheduling: opts.Scheduling,
-			OnSweep:    opts.OnSweep,
-			Progress:   opts.Progress,
-			Stop:       opts.Stop,
+			Threads:   opts.Threads,
+			MaxSweeps: opts.MaxSweeps,
+			OnSweep:   opts.OnSweep,
+			Progress:  opts.Progress,
+			Stop:      opts.Stop,
 		})
 		fillLocal(res, lr)
 	default: // AND
 		lr := localhi.And(inst, localhi.Options{
 			Threads:      opts.Threads,
 			MaxSweeps:    opts.MaxSweeps,
-			Scheduling:   opts.Scheduling,
 			Order:        opts.Order,
 			Notification: !opts.DisableNotification,
 			OnSweep:      opts.OnSweep,
@@ -224,24 +212,20 @@ func fillLocal(res *Result, lr *localhi.Result) {
 	}
 }
 
-func instanceFor(g *Graph, dec Decomposition) inucleus.Instance {
-	switch dec {
-	case KCore:
-		return inucleus.NewCore(g)
-	case KTruss:
-		return inucleus.NewTruss(g)
-	case Nucleus34:
-		return inucleus.NewN34(g)
-	}
-	panic(fmt.Sprintf("nucleus: unknown decomposition %d", dec))
+// families maps each Decomposition to the internal cell family of the same
+// (r,s).
+var families = [...]inucleus.Family{
+	KCore: inucleus.FamilyCore, KTruss: inucleus.FamilyTruss, Nucleus34: inucleus.FamilyN34,
 }
 
-// DecomposeMaterialized is Decompose over a materialized instance: the
-// s-clique co-member lists are computed once and stored, trading memory
-// for avoiding per-sweep re-enumeration (the §5 trade-off). Profitable
-// when many sweeps run on a graph whose s-clique lists fit in memory.
-func DecomposeMaterialized(g *Graph, dec Decomposition, opts Options) *Result {
-	return decomposeInstance(inucleus.Materialize(instanceFor(g, dec)), dec, opts)
+// instanceFor builds the on-the-fly instance of a decomposition (memory
+// budget 0: never index), counting s-degrees on the given thread count.
+func instanceFor(g *Graph, dec Decomposition, threads int) inucleus.Instance {
+	if dec < 0 || int(dec) >= len(families) {
+		panic(fmt.Sprintf("nucleus: unknown decomposition %d", dec))
+	}
+	inst, _ := inucleus.Build(g, families[dec], 0, threads)
+	return inst
 }
 
 // CellLabel formats cell c of the result's decomposition for display

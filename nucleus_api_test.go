@@ -1,6 +1,7 @@
 package nucleus
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -39,13 +40,22 @@ func TestKCoreSubgraphAPI(t *testing.T) {
 	}
 }
 
-func TestDecomposeMaterialized(t *testing.T) {
+// TestDecomposeThreadsBuildTheInstance: Decompose now builds its instance
+// through Build with Options.Threads (the s-degree count used to run on one
+// thread whatever it said); that must not change which instance it runs on
+// — the on-the-fly one, budget 0 — or what it computes.
+func TestDecomposeThreadsBuildTheInstance(t *testing.T) {
 	g := PowerLawCluster(200, 4, 0.5, 59)
-	for _, dec := range []Decomposition{KCore, KTruss, Nucleus34} {
-		want := Decompose(g, dec, Options{Algorithm: Peel})
-		got := DecomposeMaterialized(g, dec, Options{Algorithm: AND})
-		if ExactFraction(got.Kappa, want.Kappa) != 1 {
-			t.Fatalf("%v materialized decomposition differs", dec)
+	for dec, wantInst := range map[Decomposition]string{
+		KCore: "*nucleus.Core", KTruss: "*nucleus.Truss", Nucleus34: "*nucleus.N34",
+	} {
+		one := Decompose(g, dec, Options{Algorithm: Peel, Threads: 1})
+		four := Decompose(g, dec, Options{Algorithm: Peel, Threads: 4})
+		if got := fmt.Sprintf("%T", four.inst); got != wantInst {
+			t.Fatalf("%v: Decompose ran on %s, want the on-the-fly %s", dec, got, wantInst)
+		}
+		if ExactFraction(four.Kappa, one.Kappa) != 1 {
+			t.Fatalf("%v: κ differs between 1 and 4 threads", dec)
 		}
 	}
 }

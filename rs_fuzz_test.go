@@ -7,12 +7,13 @@ import (
 
 	"nucleus/internal/graph"
 	inucleus "nucleus/internal/nucleus"
+	"nucleus/internal/nucleustest"
 	"nucleus/internal/peel"
 )
 
 // rsPairs are the (r,s) pairs the fuzzer cycles through: the three
 // first-class decompositions plus three genuinely generic pairs that
-// exercise the FlatRS builder.
+// exercise the enumerating Flat builder.
 var rsPairs = [][2]int{{1, 2}, {2, 3}, {3, 4}, {1, 3}, {2, 4}, {1, 4}}
 
 // fuzzGraph decodes fuzz bytes into a small graph. Vertex ids are masked
@@ -29,7 +30,7 @@ func fuzzGraph(data []byte) *Graph {
 
 // kappaByVertexKey maps each cell's sorted vertex set to its κ value,
 // making decompositions comparable across engines that number cells
-// differently (FlatRS/Hyper enumeration order vs canonical edge or
+// differently (clique enumeration order vs canonical edge or
 // triangle ids).
 func kappaByVertexKey(t *testing.T, inst inucleus.Instance, kappa []int32) map[string]int32 {
 	t.Helper()
@@ -83,7 +84,7 @@ func FuzzDecomposeRS(f *testing.F) {
 
 		// Independent oracle: sequential peel over the materialized
 		// hypergraph, compared by vertex-set key.
-		oracle := inucleus.NewHyper(g, r, s)
+		oracle := nucleustest.NewHyper(g, r, s)
 		or := peel.Run(oracle)
 		want := kappaByVertexKey(t, oracle, or.Kappa)
 		got := kappaByVertexKey(t, pr.inst, pr.Kappa)
