@@ -2,7 +2,7 @@
 # job runs exactly `make lint`, so a clean local run is a clean CI run.
 # See docs/DEVELOPMENT.md#static-analysis for the analyzer reference.
 
-.PHONY: lint fmt test race build loc
+.PHONY: lint fmt test race build loc bench-check
 
 lint:
 	@unformatted=$$(gofmt -l .); \
@@ -29,6 +29,13 @@ loc:
 	| awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 		END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' \
 	| sort -k2
+
+# bench/ is a module of its own (the measuring instrument) that compiles
+# against internal/server, internal/replica and internal/store, so root
+# `go build ./... && go test ./...` does not see it: a signature change
+# that breaks it must fail the PR, not the next benchmark run.
+bench-check:
+	cd bench && go vet ./... && go test ./...
 
 fmt:
 	gofmt -w .

@@ -32,6 +32,21 @@ import (
 	"nucleus/internal/router"
 )
 
+// Slow-client bounds (ROADMAP 5d): a connection must deliver its request
+// headers within readHeaderTimeout and an idle keep-alive connection is
+// closed after idleTimeout, so stalled clients cannot pin connections
+// forever. Constants, not flags: no deployment needs another value. There
+// is deliberately no WriteTimeout — SSE streams and synchronous
+// decompositions legitimately take long to answer.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 func main() {
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
@@ -97,7 +112,7 @@ func run(args []string) error {
 		defer rt.Stop()
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: rt}
+	httpSrv := newHTTPServer(*addr, rt)
 	errCh := make(chan error, 1)
 	go func() {
 		log.Printf("nucleus-router listening on %s (%d groups, generation %d, check every %v)",

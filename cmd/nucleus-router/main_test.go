@@ -4,53 +4,9 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"strings"
 	"testing"
 	"time"
 )
-
-func TestRunBadFlags(t *testing.T) {
-	if err := run([]string{"-no-such-flag"}); err == nil {
-		t.Fatal("expected flag parse error")
-	}
-}
-
-func TestRunRejectsNonPositiveSizes(t *testing.T) {
-	for _, args := range [][]string{
-		{"-workers", "0"},
-		{"-workers", "-3"},
-		{"-queue", "0"},
-		{"-cache", "0"},
-		{"-cache", "-1"},
-		{"-job-threads", "0"},
-		{"-job-history", "-5"},
-		{"-max-upload-mb", "0"},
-	} {
-		err := run(args)
-		if err == nil {
-			t.Fatalf("%v: expected a validation error", args)
-		}
-		if !strings.Contains(err.Error(), "positive") {
-			t.Fatalf("%v: unhelpful error %q", args, err)
-		}
-	}
-}
-
-func TestRunBadAddr(t *testing.T) {
-	if err := run([]string{"-addr", "999.999.999.999:bad"}); err == nil {
-		t.Fatal("expected listen error")
-	}
-}
-
-func TestRunRejectsNegativeIndexBudget(t *testing.T) {
-	err := run([]string{"-index-mem-budget", "-1"})
-	if err == nil {
-		t.Fatal("expected a validation error")
-	}
-	if !strings.Contains(err.Error(), "index-mem-budget") {
-		t.Fatalf("unhelpful error %q", err)
-	}
-}
 
 // TestSlowClientIsDisconnected: a connection that never finishes its
 // request line is closed by the server rather than held forever. The

@@ -37,6 +37,21 @@ import (
 	root "nucleus"
 )
 
+// Slow-client bounds (ROADMAP 5d): a connection must deliver its request
+// headers within readHeaderTimeout and an idle keep-alive connection is
+// closed after idleTimeout, so stalled clients cannot pin connections
+// forever. Constants, not flags: no deployment needs another value. There
+// is deliberately no WriteTimeout — SSE streams and synchronous
+// decompositions legitimately take long to answer.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 func main() {
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
@@ -202,7 +217,7 @@ func run(args []string) error {
 	})
 	defer srv.Close()
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv}
+	httpSrv := newHTTPServer(*addr, srv)
 	errCh := make(chan error, 1)
 	go func() {
 		durable := "persistence off"

@@ -33,6 +33,21 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
+// writeStatus maps a write-pipeline error to its HTTP status; anything
+// untyped is a store failure.
+func writeStatus(err error) int {
+	var oversize errOversize
+	switch {
+	case errors.Is(err, errUnknownGraph):
+		return http.StatusNotFound
+	case errors.As(err, &oversize):
+		return http.StatusBadRequest
+	case errors.Is(err, errReplaced):
+		return http.StatusConflict
+	}
+	return http.StatusInternalServerError
+}
+
 // maxJSONBody caps JSON request bodies (jobs, generate, estimates); graph
 // uploads have their own MaxUploadBytes limit.
 const maxJSONBody = 8 << 20
@@ -407,33 +422,16 @@ func (s *Server) handleUploadGraph(w http.ResponseWriter, r *http.Request) {
 	s.registerGraph(w, name, "upload:"+orDefault(format, "edgelist"), g)
 }
 
-// registerGraph installs a parsed upload/generation under the per-name
-// mutation lock and persists its snapshot before acknowledging, so a 201
-// means the graph survives a crash. The lock keeps the install + snapshot
-// pair atomic with respect to edit batches, compaction and other uploads
-// of the same name. Persistence failure rolls the registration back: the
-// entry the upload displaced (if any) is reinstated — a failed re-upload
-// must not destroy the healthy graph clients are querying — and its cache
-// entries, never purged on this path, remain valid.
+// registerGraph installs a parsed upload/generation and acknowledges it.
+// A 201 means the graph survives a crash; a 500 means it was never visible
+// and the graph it would have replaced (if any) is still served, its cache
+// entries intact.
 func (s *Server) registerGraph(w http.ResponseWriter, name, source string, g *graph.Graph) {
-	lock := s.reg.mutationLock(name)
-	lock.Lock()
-	prev, hadPrev := s.reg.get(name)
-	e := s.reg.put(name, source, g)
-	err := s.persistSnapshot(e)
-	if err != nil {
-		s.persistErrors.Add(1)
-		if hadPrev {
-			s.reg.install(prev)
-		} else {
-			s.reg.deleteIf(name, e.version)
-		}
-		lock.Unlock()
-		writeError(w, http.StatusInternalServerError, "persisting graph %q: %v", name, err)
+	e := &graphEntry{name: name, g: g, source: source, created: time.Now()}
+	if _, err := s.installGraph(e, 0); err != nil {
+		writeError(w, writeStatus(err), "%v", err)
 		return
 	}
-	lock.Unlock()
-	s.cache.purgeGraph(name, e.version) // replacement invalidates prior results
 	writeJSON(w, http.StatusCreated, viewGraph(e))
 }
 
@@ -467,29 +465,8 @@ func (s *Server) handleDeleteGraph(w http.ResponseWriter, r *http.Request) {
 	if !s.admitWrite(w, r) {
 		return
 	}
-	name := r.PathValue("name")
-	// Existence pre-check before creating a per-name mutation lock (same
-	// rationale as the mutation path: junk names must not allocate locks).
-	if _, ok := s.reg.get(name); !ok {
-		writeError(w, http.StatusNotFound, "unknown graph %q", name)
-		return
-	}
-	lock := s.reg.mutationLock(name)
-	lock.Lock()
-	e, ok := s.reg.delete(name)
-	var storeErr error
-	if ok {
-		storeErr = s.store.Delete(name)
-	}
-	lock.Unlock()
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown graph %q", name)
-		return
-	}
-	s.cache.purgeGraph(name, e.version+1)
-	if storeErr != nil {
-		s.persistErrors.Add(1)
-		writeError(w, http.StatusInternalServerError, "graph %q removed from memory, but deleting its persisted data failed: %v", name, storeErr)
+	if err := s.dropGraph(r.PathValue("name")); err != nil {
+		writeError(w, writeStatus(err), "%v", err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)

@@ -167,9 +167,11 @@ var errQueueFull = fmt.Errorf("job queue is full")
 // still have room); handlers map it to 429 like errQueueFull.
 var errTenantQuota = fmt.Errorf("tenant queue quota is full")
 
-// errUnknownGraph reports a job naming an unregistered graph; handlers map
-// it to 404.
+// errUnknownGraph reports a job or a write naming an unregistered graph;
+// handlers map it to 404.
 var errUnknownGraph = fmt.Errorf("unknown graph")
+
+func unknownGraph(name string) error { return fmt.Errorf("%w %q", errUnknownGraph, name) }
 
 // submit validates the request, consults the cache, prices the job with
 // the cost model, and runs the admission policy: complete immediately
@@ -202,7 +204,7 @@ func (m *jobManager) submit(req jobRequest, tenant string, deadlineMs int) (*job
 	}
 	entry, ok := m.s.reg.get(req.Graph)
 	if !ok {
-		return nil, fmt.Errorf("%w %q", errUnknownGraph, req.Graph)
+		return nil, unknownGraph(req.Graph)
 	}
 	if tenant == "" {
 		tenant = defaultTenant

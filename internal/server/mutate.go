@@ -1,7 +1,6 @@
 package server
 
 import (
-	"log"
 	"net/http"
 	"strconv"
 
@@ -30,13 +29,13 @@ import (
 // fresh immutable CSR graph installed under a bumped version, so jobs
 // in flight on the previous version keep their consistent snapshot.
 //
-// Durability (package store): each batch is appended to the graph's WAL
-// BEFORE it touches the overlay, and a commit frame carrying the published
-// version is appended after replaceIf succeeds — both under the per-name
-// mutation lock, so the pair is adjacent in the log. Warm cache seeding
-// runs after the lock is released: it is reconvergence work over the whole
-// graph, and serializing it with the next batch would turn the mutation
-// path into a decomposition queue (regression tests:
+// Durability (package store): commitBatch (write.go) appends each batch to
+// the graph's WAL BEFORE it touches the overlay, and a commit frame carrying
+// the published version after the publish succeeds — both under the
+// per-name mutation lock, so the pair is adjacent in the log. Warm cache
+// seeding runs after the lock is released: it is reconvergence work over
+// the whole graph, and serializing it with the next batch would turn the
+// mutation path into a decomposition queue (regression tests:
 // TestConcurrentMutatorsWarmSeed, TestWarmSeedHoldsNoMutationLock).
 
 // edgeOp is one edit of a mutation batch.
@@ -106,237 +105,22 @@ func (s *Server) handleMutateGraph(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// Cheap existence pre-check before creating a per-name mutation lock:
-	// without it, requests naming junk graphs would grow the lock map
-	// without bound (locks are deliberately retained across versions).
-	if _, ok := s.reg.get(name); !ok {
-		writeError(w, http.StatusNotFound, "unknown graph %q", name)
+	out, err := s.commitBatch(name, batch, 0)
+	if err != nil {
+		writeError(w, writeStatus(err), "%v", err)
 		return
 	}
-
-	// Lock ordering matters here: the per-name mutation lock FIRST, the
-	// sync slot only once this batch is actually next in line. The other
-	// way around, every batch queued on one hot graph would pin a slot
-	// while blocked on the lock, starving the sync endpoints of every
-	// other graph.
-	lock := s.reg.mutationLock(name)
-	lock.Lock()
-	locked := true
-	unlock := func() {
-		if locked {
-			locked = false
-			lock.Unlock()
-		}
-	}
-	defer unlock()
-
-	// Overlay repair, snapshot and warm seeding are graph-sized work on a
-	// request goroutine; take a sync slot like the other such endpoints,
-	// held across the warm seeding below (which runs after unlock).
-	s.acquireSync() //nucleus:lint-ignore lockdiscipline deliberate ordering per the comment above: mutation lock first, sync slot second, so queued batches never pin slots
-	defer s.releaseSync()
-
-	old, ne, resp, ok := s.applyMutationLocked(w, name, batch)
-	if !ok {
-		return // error already written
-	}
-	unlock() // warm seeding must not serialize the next batch of this name
-	if ne != nil {
-		// Published: warm-seed the new version's cache from the old
-		// version's results OUTSIDE the mutation lock — the next batch of
-		// this name must not queue behind graph-sized reconvergence — then
-		// purge the now-stale entries (the seeds carry the new version and
-		// survive the purge).
-		resp.WarmSeeded = s.warmSeed(old, ne, resp.Added)
-		s.cache.purgeGraph(name, ne.version)
-	}
-	s.maybeCompact(name)
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// batchNeedN resolves the vertex count a batch requires: the current n,
-// the explicit growTo, and one past the largest added endpoint. int64
-// arithmetic so an add naming vertex 2^31-1 overflows nothing on 32-bit
-// platforms and trips the ceiling check at the call site. Self-loop adds
-// are rejected at apply time and must not grow the graph either.
-func batchNeedN(n int, b *store.Batch) int64 {
-	needN := int64(n)
-	if int64(b.GrowTo) > needN {
-		needN = int64(b.GrowTo)
-	}
-	for _, ed := range b.Edits {
-		if ed.Op != store.OpAdd || ed.U == ed.V {
-			continue
-		}
-		if v := int64(ed.U) + 1; v > needN {
-			needN = v
-		}
-		if v := int64(ed.V) + 1; v > needN {
-			needN = v
-		}
-	}
-	return needN
-}
-
-// applyBatch grows the overlay and applies one batch to it, repairing κ
-// incrementally. The no-op semantics (duplicate adds, absent or
-// out-of-range removes, self-loops) are shared verbatim between the HTTP
-// handler and WAL replay — recovery MUST reproduce the handler's exact
-// decisions or replayed graphs would drift from the acknowledged state.
-func applyBatch(dyn *dynamic.Graph, b *store.Batch, needN int) (added, removed, ignored int) {
-	dyn.Grow(needN)
-	for _, ed := range b.Edits {
-		switch {
-		case ed.Op == store.OpAdd && dyn.InsertEdge(ed.U, ed.V):
-			added++
-		case ed.Op == store.OpRemove && int(ed.U) < dyn.N() && int(ed.V) < dyn.N() && dyn.RemoveEdge(ed.U, ed.V):
-			removed++
-		default:
-			ignored++
-		}
-	}
-	return added, removed, ignored
-}
-
-// applyMutationLocked is the critical section of the mutation path:
-// holding the per-name mutation lock (the caller's), it write-ahead logs
-// the batch, repairs the overlay, publishes the copy-on-write snapshot
-// and logs the commit. It returns the entry the batch was applied
-// against, the published entry (nil for a fully no-op batch) and the
-// response skeleton; ok=false means an error response was already
-// written.
-func (s *Server) applyMutationLocked(w http.ResponseWriter, name string, batch *store.Batch) (old, ne *graphEntry, resp *mutateResponse, ok bool) {
-	e, found := s.reg.get(name)
-	if !found {
-		writeError(w, http.StatusNotFound, "unknown graph %q", name)
-		return nil, nil, nil, false
-	}
-
-	// Resolve and bound the target vertex count before anything durable or
-	// mutable happens.
-	needN := batchNeedN(e.g.N(), batch)
-	if needN > maxGenVertices {
-		writeError(w, http.StatusBadRequest, "mutation would grow the graph to %d vertices, exceeding the limit of %d", needN, maxGenVertices)
-		return nil, nil, nil, false
-	}
-
-	// Write-ahead: the batch must be durable before it is applied. A
-	// failure here rejects the batch outright — nothing has been mutated.
-	if n, err := s.store.BeginBatch(name, batch); err != nil {
-		s.persistErrors.Add(1)
-		writeError(w, http.StatusInternalServerError, "writing batch to the WAL: %v", err)
-		return nil, nil, nil, false
-	} else if n > 0 {
-		s.walAppends.Add(1)
-		s.walBytes.Add(int64(n))
-	}
-
-	dyn := e.dyn
-	if dyn == nil {
-		// First mutation of this lineage: build the overlay, seeding its
-		// core numbers from the recovered/maintained κ or from a cached
-		// exact decomposition when one exists (skipping FromStatic's cold
-		// peel).
-		switch {
-		case e.coreKappa != nil:
-			dyn = dynamic.FromStaticCores(e.g, e.coreKappa)
-		default:
-			if seed := s.exactCoreKappa(e); seed != nil {
-				dyn = dynamic.FromStaticCores(e.g, seed)
-			} else {
-				dyn = dynamic.FromStatic(e.g)
-			}
-		}
-	}
-	// needN <= maxGenVertices, so the int conversion is safe.
-	added, removed, ignored := applyBatch(dyn, batch, int(needN))
-
-	if added == 0 && removed == 0 && dyn.N() == e.g.N() {
-		// Fully no-op batch (e.g. an idempotent retry): the graph is
-		// bit-identical, so don't republish — a version bump would purge
-		// every cache entry the warm seeder does not re-derive (n34, snd,
-		// bounded runs) and pay an O(m) snapshot for nothing. No commit
-		// frame either: replay drops the batch, which is exactly right
-		// since it changed nothing. Keep the (possibly just-built) overlay
-		// for the next batch; e.dyn is only touched under the per-name
-		// mutation lock held here.
-		e.dyn = dyn
-		s.mutIgnored.Add(int64(ignored))
-		return e, nil, &mutateResponse{
-			Graph:      name,
-			Version:    e.version,
-			N:          e.g.N(),
-			M:          e.g.M(),
-			Ignored:    ignored,
-			MaxCore:    maxOf(dyn.CoreNumbers()),
-			WarmSeeded: []string{},
-		}, true
-	}
-
-	// Copy-on-write publication: snapshot the overlay into a fresh
-	// immutable entry. In-flight work on the old version keeps its graph.
-	kappa := append([]int32(nil), dyn.CoreNumbers()...)
-	ne = &graphEntry{
-		name:      name,
-		g:         dyn.Static(),
-		source:    e.source,
-		created:   e.created,
-		dyn:       dyn,
-		coreKappa: kappa,
-		mutations: e.mutations + 1,
-	}
-	if !s.reg.replaceIf(name, e.version, ne) {
-		// Defensive: uploads and deletes now hold this same lock, so a
-		// concurrent replacement should be impossible — but if it ever
-		// happens, our edits are against a dead snapshot and must not be
-		// published (the uncommitted WAL batch is dropped on replay).
-		writeError(w, http.StatusConflict, "graph %q was replaced concurrently; re-fetch and retry", name)
-		return nil, nil, nil, false
-	}
-	// Commit frame: replay applies the batch at exactly this version. A
-	// failed append cannot be rolled back (the overlay already mutated and
-	// the version published), so it degrades durability, loudly: the batch
-	// may not survive a restart.
-	if n, err := s.store.CommitBatch(name, ne.version); err != nil {
-		s.persistErrors.Add(1)
-		log.Printf("nucleusd: WAL commit for graph %q version %d failed (batch applied in memory, may be lost on restart): %v", name, ne.version, err)
-	} else if n > 0 {
-		s.walAppends.Add(1)
-		s.walBytes.Add(int64(n))
-	}
-	s.mutBatches.Add(1)
-	s.mutApplied.Add(int64(added + removed))
-	s.mutIgnored.Add(int64(ignored))
-
-	return e, ne, &mutateResponse{
-		Graph:   name,
-		Version: ne.version,
-		N:       ne.g.N(),
-		M:       ne.g.M(),
-		Added:   added,
-		Removed: removed,
-		Ignored: ignored,
-		MaxCore: maxOf(kappa),
-	}, true
-}
-
-func maxOf(kappa []int32) int32 {
-	m := int32(0)
-	for _, k := range kappa {
-		if k > m {
-			m = k
-		}
-	}
-	return m
-}
-
-// exactCoreKappa returns an exact (converged, unbounded) core-number array
-// for the entry from the result cache, or nil.
-func (s *Server) exactCoreKappa(e *graphEntry) []int32 {
-	if res := s.convergedResult(e, "core"); res != nil {
-		return res.Kappa
-	}
-	return nil
+	writeJSON(w, http.StatusOK, mutateResponse{
+		Graph:      name,
+		Version:    out.live.version,
+		N:          out.live.g.N(),
+		M:          out.live.g.M(),
+		Added:      out.added,
+		Removed:    out.removed,
+		Ignored:    out.ignored,
+		MaxCore:    out.maxCore,
+		WarmSeeded: out.warmSeeded,
+	})
 }
 
 // convergedResult returns a cached converged full-budget decomposition of

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -312,8 +313,63 @@ func TestMutationWarmStartE2E(t *testing.T) {
 	}
 }
 
-// TestMutationPathMatchesColdPeelProperty drives random insert/remove
-// batches through the mutation endpoint and checks, after every batch,
+// randomBatch draws one edit batch against cur, the test-side mirror of the
+// server graph: adds (vertex id n grows the graph by one), removes of
+// present edges, and every no-op kind — duplicate adds, removes of absent
+// edges and of out-of-range vertices, self-loops (one past the end must not
+// grow the graph) — sometimes with an explicit growTo; noopOnly draws from
+// the no-op kinds alone. It returns the request body and the same edits in
+// graph.ApplyEdits form.
+func randomBatch(rng *rand.Rand, cur *graph.Graph, noopOnly bool) (mutateRequest, []graph.EdgeEdit) {
+	n := cur.N()
+	var req mutateRequest
+	if !noopOnly && rng.Intn(4) == 0 {
+		req.GrowTo = n + 1 + rng.Intn(3)
+	}
+	var edits []graph.EdgeEdit
+	emit := func(add bool, u, v uint32) {
+		op := "remove"
+		if add {
+			op = "add"
+		}
+		req.Edits = append(req.Edits, edgeOp{Op: op, U: u, V: v})
+		edits = append(edits, graph.EdgeEdit{Add: add, U: u, V: v})
+	}
+	for i, numOps := 0, 4+rng.Intn(8); i < numOps; i++ {
+		kind := rng.Intn(10)
+		if noopOnly {
+			kind = 6 + rng.Intn(4)
+		}
+		if cur.M() == 0 && kind >= 4 && kind <= 6 {
+			kind = 7 + rng.Intn(3) // no edge to remove or duplicate
+		}
+		switch {
+		case kind < 4: // add, possibly growing by one
+			emit(true, uint32(rng.Intn(n+1)), uint32(rng.Intn(n)))
+		case kind < 6: // remove a present edge
+			e := cur.Edges()[rng.Int63n(cur.M())]
+			emit(false, e[0], e[1])
+		case kind == 6: // duplicate add
+			e := cur.Edges()[rng.Int63n(cur.M())]
+			emit(true, e[1], e[0])
+		case kind == 7: // self-loop, in range or one past the end
+			u := uint32(rng.Intn(n + 2))
+			emit(true, u, u)
+		case kind == 8: // remove naming a vertex that does not exist
+			emit(false, uint32(rng.Intn(n)), uint32(n+5+rng.Intn(3)))
+		default: // remove an absent edge
+			u, v := uint32(rng.Intn(n)), uint32(rng.Intn(n))
+			for cur.HasEdge(u, v) {
+				u, v = uint32(rng.Intn(n)), uint32(rng.Intn(n))
+			}
+			emit(false, u, v)
+		}
+	}
+	return req, edits
+}
+
+// TestMutationPathMatchesColdPeelProperty drives random batches (see
+// randomBatch) through the mutation endpoint and checks, after every batch,
 // that the maintained core numbers and the warm-started truss numbers
 // exactly match a cold peel of the independently rebuilt static graph.
 func TestMutationPathMatchesColdPeelProperty(t *testing.T) {
@@ -322,7 +378,8 @@ func TestMutationPathMatchesColdPeelProperty(t *testing.T) {
 	cur := graph.GnM(50, 140, 7) // test-side mirror of the server graph
 	doJSON(t, "POST", ts.URL+"/graphs/rnd", strings.NewReader(edgeListBody(cur)), nil)
 
-	for batch := 0; batch < 6; batch++ {
+	mutated := false
+	for batch := 0; batch < 12; batch++ {
 		// Keep the current version's core/truss results cached so the
 		// mutation warm-seeds both (first round computes, later rounds are
 		// the previous round's warm seeds).
@@ -334,33 +391,33 @@ func TestMutationPathMatchesColdPeelProperty(t *testing.T) {
 			}
 		}
 
-		n := cur.N()
-		numOps := 4 + rng.Intn(8)
-		ops := make([]map[string]any, 0, numOps)
-		edits := make([]graph.EdgeEdit, 0, numOps)
-		for i := 0; i < numOps; i++ {
-			if rng.Intn(10) < 6 || cur.M() == 0 {
-				u := uint32(rng.Intn(n + 1)) // id n grows the graph by one
-				v := uint32(rng.Intn(n))
-				ops = append(ops, map[string]any{"op": "add", "u": u, "v": v})
-				edits = append(edits, graph.EdgeEdit{Add: true, U: u, V: v})
-			} else {
-				e := cur.Edges()[rng.Int63n(cur.M())]
-				ops = append(ops, map[string]any{"op": "remove", "u": e[0], "v": e[1]})
-				edits = append(edits, graph.EdgeEdit{U: e[0], V: e[1]})
-			}
+		// Every fourth batch, the very first included, is made of no-ops.
+		req, edits := randomBatch(rng, cur, batch%4 == 0)
+		next := graph.ApplyEdits(cur, req.GrowTo, edits)
+		changed := next.N() != cur.N() || !reflect.DeepEqual(next.Edges(), cur.Edges())
+		if changed && batch%4 == 0 {
+			t.Fatalf("batch %d: a no-op batch changed the mirror", batch)
 		}
+		cur = next
 
 		var mr mutateResponse
-		if resp := postJSON(t, ts.URL+"/graphs/rnd/edges", map[string]any{"edits": ops}, &mr); resp.StatusCode != http.StatusOK {
+		if resp := postJSON(t, ts.URL+"/graphs/rnd/edges", req, &mr); resp.StatusCode != http.StatusOK {
 			t.Fatalf("batch %d: status %d", batch, resp.StatusCode)
 		}
-		if len(mr.WarmSeeded) != 2 {
-			t.Fatalf("batch %d: warmSeeded %v", batch, mr.WarmSeeded)
+		// A batch that changed the graph republishes and re-derives both
+		// cached decompositions; a fully no-op one does neither.
+		wantSeeded := 0
+		if changed {
+			wantSeeded = 2
 		}
-		cur = graph.ApplyEdits(cur, 0, edits)
+		if len(mr.WarmSeeded) != wantSeeded {
+			t.Fatalf("batch %d (changed=%v): warmSeeded %v", batch, changed, mr.WarmSeeded)
+		}
 		if mr.N != cur.N() || mr.M != cur.M() {
 			t.Fatalf("batch %d: server (%d,%d) vs mirror (%d,%d)", batch, mr.N, mr.M, cur.N(), cur.M())
+		}
+		if mutated = mutated || changed; !mutated {
+			continue // a never-mutated lineage keeps no maintained κ to check
 		}
 
 		// Maintained core numbers for every vertex == cold peel.

@@ -17,12 +17,13 @@ import (
 // known) and a WAL of committed edit batches since that snapshot. The
 // serving layer owns the ordering guarantees:
 //
-//   - uploads/generates persist the snapshot BEFORE the 201 response, under
-//     the per-name mutation lock, so an acknowledged upload survives a
-//     crash and never interleaves with a mutation or compaction;
+//   - uploads/generates persist the snapshot BEFORE the graph is published
+//     and the 201 sent, under the per-name mutation lock (installGraph), so
+//     an acknowledged upload survives a crash, an unacknowledged one was
+//     never visible, and neither interleaves with a mutation or compaction;
 //   - edit batches append a WAL batch frame before touching the overlay and
-//     a commit frame after the new version is published, so replay
-//     reconstructs exactly the acknowledged state;
+//     a commit frame after the new version is published (commitBatch), so
+//     replay reconstructs exactly the acknowledged state;
 //   - a background compactor folds long WALs into fresh snapshots once they
 //     cross Config.WALCompactBytes, bounding replay time;
 //   - startup replays snapshot+WAL for every persisted graph, restores the
@@ -43,8 +44,8 @@ import (
 // are independent), and each snapshot decode additionally fans its CSR
 // construction across Config.JobThreads when the backend implements
 // store.ThreadedLoader. Recovered versions are bit-identical to the serial
-// path: per-graph results do not depend on recovery order, and the final
-// version bump takes the max over all of them.
+// path: per-graph results do not depend on recovery order, and publish
+// leaves the version counter at the max over all of them.
 func (s *Server) recoverFromStore() {
 	names, err := s.store.List()
 	if err != nil {
@@ -53,7 +54,6 @@ func (s *Server) recoverFromStore() {
 		return
 	}
 	loader, _ := s.store.(store.ThreadedLoader)
-	versions := make([]uint64, len(names))
 	par.ForEach(len(names), 1, runtime.GOMAXPROCS(0), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			name := names[i]
@@ -72,9 +72,8 @@ func (s *Server) recoverFromStore() {
 				s.persistErrors.Add(1)
 				continue
 			}
-			e := rebuildEntry(name, snap, batches)
-			versions[i] = e.version
-			s.reg.install(e)
+			e := s.rebuildEntry(name, snap, batches)
+			s.reg.publish(e, nil)
 			s.replays.Add(1)
 			s.replayedBatches.Add(int64(len(batches)))
 			if e.coreKappa != nil {
@@ -82,23 +81,15 @@ func (s *Server) recoverFromStore() {
 			}
 		}
 	})
-	// Future versions must stay above every recovered one, or cache keys
-	// from different lifetimes of a name could collide.
-	maxVer := uint64(0)
-	for _, v := range versions {
-		if v > maxVer {
-			maxVer = v
-		}
-	}
-	s.reg.bumpVersion(maxVer)
 }
 
 // rebuildEntry replays one graph: the snapshot is the base, each committed
-// WAL batch is re-applied through the same dynamic-overlay repair the
-// mutation handler uses, and the entry lands at the exact version the last
-// commit published. When the snapshot carries the maintained exact κ the
-// overlay seeds from it (no cold peel even with a non-empty WAL).
-func rebuildEntry(name string, snap *store.Snapshot, batches []store.CommittedBatch) *graphEntry {
+// WAL batch is re-applied through the same overlay (overlayFor) and repair
+// (applyBatch) commitBatch uses, and the entry lands at the exact version
+// the last commit published. When the snapshot carries the maintained
+// exact κ the overlay seeds from it (no cold peel even with a non-empty
+// WAL); a never-decomposed lineage with a WAL pays one peel.
+func (s *Server) rebuildEntry(name string, snap *store.Snapshot, batches []store.CommittedBatch) *graphEntry {
 	e := &graphEntry{
 		name:      name,
 		g:         snap.Graph,
@@ -111,14 +102,7 @@ func rebuildEntry(name string, snap *store.Snapshot, batches []store.CommittedBa
 	if len(batches) == 0 {
 		return e
 	}
-	var dyn *dynamic.Graph
-	if snap.Kappa != nil {
-		dyn = dynamic.FromStaticCores(snap.Graph, snap.Kappa)
-	} else {
-		// Never-decomposed lineage with a WAL: the overlay needs exact core
-		// numbers to repair incrementally, so this one graph pays a peel.
-		dyn = dynamic.FromStatic(snap.Graph)
-	}
+	dyn := s.overlayFor(e)
 	for _, b := range batches {
 		applyBatch(dyn, &b.Batch, int(batchNeedN(dyn.N(), &b.Batch)))
 		e.version = b.Version

@@ -167,16 +167,16 @@ type registry struct {
 	// mutMu guards mutLocks, the per-name mutation locks. A name's lock
 	// serializes everything that changes its durable or published state:
 	// edit batches (WAL batch append → overlay repair → snapshot →
-	// republish → WAL commit append), uploads/generates/deletes (registry
-	// install + snapshot persistence), and background WAL compaction.
+	// republish → WAL commit append), uploads/generates/deletes (snapshot
+	// persistence + registry publish), and background WAL compaction.
 	// Warm cache seeding deliberately runs OUTSIDE the lock — it is
 	// graph-sized reconvergence work, and holding the lock across it would
 	// stall every queued mutation of the name behind a cache refill (the
 	// seeder re-validates liveness before keeping its entries). Different
 	// names mutate concurrently. Locks are retained after delete — a
 	// name's lock is a few words, and keeping it avoids racing a deletion
-	// against a mutation in flight (handlers pre-check existence before
-	// creating one, so junk names never allocate).
+	// against a mutation in flight (commitBatch and dropGraph pre-check
+	// existence before creating one, so junk names never allocate).
 	mutMu    sync.Mutex
 	mutLocks map[string]*sync.Mutex
 }
@@ -201,78 +201,31 @@ func (r *registry) mutationLock(name string) *sync.Mutex {
 	return l
 }
 
-func (r *registry) put(name, source string, g *graph.Graph) *graphEntry {
-	// Version assignment and map install happen under one critical
-	// section so concurrent uploads of the same name cannot leave a
-	// lower-versioned entry live over a higher-versioned one.
-	r.mu.Lock()
-	e := &graphEntry{
-		name:    name,
-		g:       g,
-		version: r.nextVer.Add(1),
-		source:  source,
-		created: time.Now(),
-	}
-	r.graphs[name] = e
-	r.mu.Unlock()
-	return e
-}
+// mint reserves a fresh version. Minting is separate from publishing so an
+// upload can persist its snapshot at the version it will be served under
+// BEFORE any reader can see it; a version whose write then fails is simply
+// never used.
+func (r *registry) mint() uint64 { return r.nextVer.Add(1) }
 
-// replaceIf installs e as the new version of name only if the live entry
-// still has version oldVer, assigning the fresh version under the lock
-// (same discipline as put). A false return means the graph was deleted or
-// replaced concurrently — the caller's edits were applied against a dead
-// snapshot and must not be published.
-func (r *registry) replaceIf(name string, oldVer uint64, e *graphEntry) bool {
+// publish makes e the live entry of its name at e.version, which the
+// caller settled beforehand: minted (client writes), shipped by the
+// primary (replication) or read back from disk (recovery). With over
+// non-nil it publishes only while over is still the live entry; false means
+// the graph was deleted or replaced meanwhile, so the caller's edits were
+// applied against a dead snapshot and must not be served. The version
+// counter is raised to e.version, so versions minted after a recovery or a
+// promotion stay above every installed one (CAS loop: replication and
+// parallel recovery publish concurrently with each other and with mint).
+func (r *registry) publish(e, over *graphEntry) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	cur, ok := r.graphs[name]
-	if !ok || cur.version != oldVer {
+	if over != nil && r.graphs[e.name] != over {
 		return false
 	}
-	e.version = r.nextVer.Add(1)
-	r.graphs[name] = e
-	return true
-}
-
-// install places an entry under its existing version without assigning a
-// fresh one: startup recovery (single-threaded, before the first request;
-// bumpVersion afterwards keeps future versions above every installed one)
-// and upload rollback (under the per-name mutation lock, reinstating the
-// entry a failed re-upload displaced).
-func (r *registry) install(e *graphEntry) {
-	r.mu.Lock()
-	r.graphs[e.name] = e
-	r.mu.Unlock()
-}
-
-// bumpVersion raises the version counter to at least v. Recovery-only
-// (single-threaded), so load+store needs no CAS loop.
-func (r *registry) bumpVersion(v uint64) {
-	if r.nextVer.Load() < v {
-		r.nextVer.Store(v)
-	}
-}
-
-// installReplicated installs e at exactly version — the version the
-// primary acknowledged for this state — unless the live entry has
-// already reached it (a duplicate shipment). Unlike put/replaceIf it
-// never assigns a fresh version: replication's contract is that a
-// promoted replica serves the identical version history. The version
-// counter is raised so versions minted after a promotion stay above
-// every replicated one (CAS loop: the puller runs concurrently with
-// request traffic, unlike recovery's bumpVersion).
-func (r *registry) installReplicated(e *graphEntry, version uint64) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if cur, ok := r.graphs[e.name]; ok && cur.version >= version {
-		return false
-	}
-	e.version = version
 	r.graphs[e.name] = e
 	for {
 		cur := r.nextVer.Load()
-		if cur >= version || r.nextVer.CompareAndSwap(cur, version) {
+		if cur >= e.version || r.nextVer.CompareAndSwap(cur, e.version) {
 			return true
 		}
 	}
@@ -291,17 +244,6 @@ func (r *registry) maxVersion() uint64 {
 		}
 	}
 	return mv
-}
-
-// deleteIf removes name only while its live entry is still exactly ver:
-// the upload path uses it to roll back a registration whose snapshot
-// could not be persisted, without clobbering a concurrent re-upload.
-func (r *registry) deleteIf(name string, ver uint64) {
-	r.mu.Lock()
-	if cur, ok := r.graphs[name]; ok && cur.version == ver {
-		delete(r.graphs, name)
-	}
-	r.mu.Unlock()
 }
 
 func (r *registry) get(name string) (*graphEntry, bool) {

@@ -1,12 +1,14 @@
 package server
 
 import (
+	"errors"
+	"fmt"
 	"log"
 	"net/http"
+	"slices"
 	"strconv"
 	"time"
 
-	"nucleus/internal/dynamic"
 	"nucleus/internal/replica"
 	"nucleus/internal/sched"
 	"nucleus/internal/store"
@@ -422,11 +424,12 @@ func queryInt64(r *http.Request, name string, def int64) (int64, error) {
 // ---------------------------------------------------------------------------
 // The applier: how shipped state enters the serving layer.
 
-// replApplier implements replica.Applier over the server's registry,
-// store and cache. Every method takes the same per-name mutation lock
-// the primary's handlers take, so replication application serializes
-// with compaction and (after a promotion) with client writes exactly
-// the way local mutations do.
+// replApplier implements replica.Applier over the server's write
+// pipeline (write.go): shipped state enters through the same installGraph /
+// commitBatch / dropGraph a client's write runs, called with the version
+// the primary acknowledged, so replication application serializes with
+// compaction and (after a promotion) with client writes exactly the way
+// local mutations do.
 type replApplier struct {
 	s *Server
 }
@@ -448,173 +451,49 @@ func (a replApplier) GraphNames() []string {
 	return names
 }
 
-// InstallSnapshot publishes a shipped snapshot at exactly its
-// Meta.Version, persists it locally (a replica must itself be
-// crash-recoverable and promotable), and warm-seeds the core cache from
-// the shipped κ so the first read decomposes warm, not cold.
+// InstallSnapshot persists a shipped snapshot locally (a replica must
+// itself be crash-recoverable and promotable), publishes it at exactly its
+// Meta.Version, and warm-seeds the core cache from the shipped κ so the
+// first read decomposes warm, not cold.
 func (a replApplier) InstallSnapshot(name string, snap *store.Snapshot) error {
-	s := a.s
-	lock := s.reg.mutationLock(name)
-	lock.Lock()
-	e := rebuildEntry(name, snap, nil)
-	if !s.reg.installReplicated(e, snap.Meta.Version) {
-		lock.Unlock()
-		return nil // a duplicate shipment; the local state already covers it
+	e := a.s.rebuildEntry(name, snap, nil)
+	installed, err := a.s.installGraph(e, snap.Meta.Version)
+	if installed && e.coreKappa != nil {
+		a.s.warmRecoverCore(e)
 	}
-	if err := s.persistSnapshot(e); err != nil {
-		// Keep serving the shipped state from memory; durability is
-		// degraded, loudly, like a failed WAL commit on the primary.
-		s.persistErrors.Add(1)
-		log.Printf("nucleusd: persisting replicated snapshot of %q: %v", name, err)
-	}
-	lock.Unlock()
-	// Warm seeding is graph-sized reconvergence; like the mutation path
-	// it must not hold the lock. The seed carries e.version and survives
-	// the purge of the displaced version's entries.
-	if e.coreKappa != nil {
-		s.warmRecoverCore(e)
-	}
-	s.cache.purgeGraph(name, e.version)
-	return nil
+	return err
 }
 
-// ApplyBatch re-applies one committed batch through the primary's exact
-// pipeline — WAL batch frame, overlay repair, copy-on-write publish,
-// WAL commit frame — but at the shipped version instead of a freshly
-// minted one. Idempotence is by version: a batch at or below the local
-// version reports applied=false without touching anything.
+// ApplyBatch commits one shipped batch at the version the primary
+// published it under. The one policy difference from a client write: the
+// primary warm-seeds only decompositions with demonstrated interest, a
+// replica seeds core unconditionally — reads land here while writes land
+// on the primary, so the first read must not pay a cold run. The overlay's
+// maintained κ makes that a single certification sweep.
 func (a replApplier) ApplyBatch(name string, batch *store.Batch, version uint64) (bool, error) {
-	s := a.s
-	lock := s.reg.mutationLock(name)
-	lock.Lock()
-	e, ok := s.reg.get(name)
-	if !ok {
+	out, err := a.s.commitBatch(name, batch, version)
+	var oversize errOversize
+	switch {
+	case errors.Is(err, errUnknownGraph):
 		// The puller snapshots before tailing, so this is a deleted-graph
 		// race; the next pull cycle re-resolves it.
-		lock.Unlock()
-		return false, errReplUnknownGraph(name)
-	}
-	if e.version >= version {
-		lock.Unlock()
-		return false, nil
-	}
-	needN := batchNeedN(e.g.N(), batch)
-	if needN > maxGenVertices {
-		lock.Unlock()
-		return false, errReplOversize(name, needN)
-	}
-	// Durability first, exactly as on the primary: the batch must be in
-	// the local WAL before it mutates anything, so a promoted replica
-	// survives its own crash with every acknowledged batch.
-	if n, err := s.store.BeginBatch(name, batch); err != nil {
-		s.persistErrors.Add(1)
-		lock.Unlock()
+		return false, fmt.Errorf("replicated batch for %w", err)
+	case errors.As(err, &oversize):
+		return false, fmt.Errorf("replicated batch would grow graph %q to %d vertices, exceeding the limit of %d", name, oversize.needN, maxGenVertices)
+	case err != nil:
 		return false, err
-	} else if n > 0 {
-		s.walAppends.Add(1)
-		s.walBytes.Add(int64(n))
 	}
-	dyn := e.dyn
-	if dyn == nil {
-		// Same overlay seeding ladder as the mutation handler: maintained
-		// κ, then a cached exact decomposition, then a cold peel.
-		switch {
-		case e.coreKappa != nil:
-			dyn = dynamic.FromStaticCores(e.g, e.coreKappa)
-		default:
-			if seed := s.exactCoreKappa(e); seed != nil {
-				dyn = dynamic.FromStaticCores(e.g, seed)
-			} else {
-				dyn = dynamic.FromStatic(e.g)
-			}
-		}
+	if out.published && !slices.Contains(out.warmSeeded, "core") {
+		a.s.warmRecoverCore(out.live)
 	}
-	added, removed, ignored := applyBatch(dyn, batch, int(needN))
-	// Publish unconditionally — even if every edit was a no-op here, the
-	// primary committed this batch at this version and the version
-	// sequence is the replication contract.
-	kappa := append([]int32(nil), dyn.CoreNumbers()...)
-	ne := &graphEntry{
-		name:      name,
-		g:         dyn.Static(),
-		source:    e.source,
-		created:   e.created,
-		dyn:       dyn,
-		coreKappa: kappa,
-		mutations: e.mutations + 1,
-	}
-	if !s.reg.installReplicated(ne, version) {
-		lock.Unlock()
-		return false, nil
-	}
-	if n, err := s.store.CommitBatch(name, version); err != nil {
-		s.persistErrors.Add(1)
-		log.Printf("nucleusd: WAL commit for replicated batch of %q version %d failed (applied in memory, may be lost on restart): %v", name, version, err)
-	} else if n > 0 {
-		s.walAppends.Add(1)
-		s.walBytes.Add(int64(n))
-	}
-	s.mutBatches.Add(1)
-	s.mutApplied.Add(int64(added + removed))
-	s.mutIgnored.Add(int64(ignored))
-	lock.Unlock()
-	// Outside the lock, like the mutation handler: warm-seed the new
-	// version's cache from the old one's converged results, then purge
-	// the stale entries (the seeds carry the new version and survive).
-	// Unlike the primary's "demonstrated interest" policy, a replica
-	// seeds core unconditionally — reads land here while writes land on
-	// the primary, so the first read must not pay a cold run. The
-	// overlay's maintained κ makes that a single certification sweep.
-	coreSeeded := false
-	for _, d := range s.warmSeed(e, ne, added) {
-		if d == "core" {
-			coreSeeded = true
-		}
-	}
-	if !coreSeeded {
-		s.warmRecoverCore(ne)
-	}
-	s.cache.purgeGraph(name, version)
-	s.maybeCompact(name)
-	return true, nil
+	return out.published, nil
 }
 
-// DropGraph removes a graph the primary no longer has, mirroring the
-// DELETE handler.
+// DropGraph removes a graph the primary no longer has; one already gone
+// is not an error.
 func (a replApplier) DropGraph(name string) error {
-	s := a.s
-	if _, ok := s.reg.get(name); !ok {
-		return nil
+	if err := a.s.dropGraph(name); !errors.Is(err, errUnknownGraph) {
+		return err
 	}
-	lock := s.reg.mutationLock(name)
-	lock.Lock()
-	e, ok := s.reg.delete(name)
-	var storeErr error
-	if ok {
-		storeErr = s.store.Delete(name)
-	}
-	lock.Unlock()
-	if ok {
-		s.cache.purgeGraph(name, e.version+1)
-	}
-	if storeErr != nil {
-		s.persistErrors.Add(1)
-	}
-	return storeErr
-}
-
-// errReplUnknownGraph / errReplOversize keep the applier's error paths
-// allocation-free in the common case and the messages consistent.
-type replApplyError struct{ msg string }
-
-func (e replApplyError) Error() string { return e.msg }
-
-func errReplUnknownGraph(name string) error {
-	return replApplyError{"replicated batch for unknown graph " + strconv.Quote(name)}
-}
-
-func errReplOversize(name string, needN int64) error {
-	return replApplyError{"replicated batch would grow graph " + strconv.Quote(name) +
-		" to " + strconv.FormatInt(needN, 10) + " vertices, exceeding the limit of " +
-		strconv.Itoa(maxGenVertices)}
+	return nil
 }

@@ -595,7 +595,10 @@ func TestNegativeMaxSweepsSharesCacheSlot(t *testing.T) {
 func TestSingleFlightCoalescing(t *testing.T) {
 	s := New(Config{})
 	defer s.Close()
-	e := s.reg.put("g", "test", mustGenerate(t, generateRequest{Generator: "gnm", N: 2000, M: 16000}))
+	e := &graphEntry{name: "g", source: "test", g: mustGenerate(t, generateRequest{Generator: "gnm", N: 2000, M: 16000})}
+	if _, err := s.installGraph(e, 0); err != nil {
+		t.Fatal(err)
+	}
 	key := cacheKey{e.name, e.version, "truss", "and", 0}
 
 	const callers = 8
