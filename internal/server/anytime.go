@@ -80,10 +80,7 @@ func synthSnapshotView(res *decompResult, durationMs float64) progressSnapshotVi
 		Final:     true,
 		ElapsedMs: durationMs,
 	}
-	if n := len(res.Kappa); n > 0 {
-		v.UpdateRate = float64(res.LastSweepUpdates) / float64(n)
-	}
-	v.FractionStable = 1 - v.UpdateRate
+	v.UpdateRate, v.FractionStable = res.stability()
 	return v
 }
 
@@ -334,42 +331,14 @@ func queryIntAny(r *http.Request, def int, names ...string) (int, error) {
 	return def, nil
 }
 
-// convergedBaseline returns a cached converged κ for (entry, dec) under
-// any algorithm, or nil. peek, not get: accuracy introspection must not
-// distort the LRU order the way client traffic does.
-func (s *Server) convergedBaseline(e *graphEntry, dec string) *decompResult {
-	for _, alg := range []string{"and", "snd", "peel"} {
-		if res, ok := s.cache.peek(cacheKey{e.name, e.version, dec, alg, 0}); ok && res.Converged {
-			return res
-		}
-	}
-	return nil
-}
-
 // handleDecompose is the budget-bounded synchronous decomposition: the
 // caller trades exactness for a response-time guarantee via ?maxSweeps=
 // (deterministic, cacheable) and/or ?maxMs= (wall-clock deadline,
 // checked between sweeps, never cached). Without budgets it behaves like
 // the other synchronous consumers: full decomposition through the cache.
 func (s *Server) handleDecompose(w http.ResponseWriter, r *http.Request) {
-	e, ok := s.reg.get(r.PathValue("name"))
+	q, asked, ok := s.readQuery(w, r, "maxSweeps", "max_sweeps")
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown graph %q", r.PathValue("name"))
-		return
-	}
-	dec, err := normalizeDec(r.URL.Query().Get("dec"))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	alg, err := normalizeAlg(r.URL.Query().Get("alg"))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	maxSweeps, err := queryIntAny(r, 0, "maxSweeps", "max_sweeps")
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	maxMs, err := queryIntAny(r, 0, "maxMs", "max_ms")
@@ -377,78 +346,33 @@ func (s *Server) handleDecompose(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if maxSweeps < 0 {
-		maxSweeps = 0
-	}
-	if maxMs < 0 {
-		maxMs = 0
-	}
 	s.budgetedQueries.Add(1)
 
 	start := time.Now()
-	var res *decompResult
-	stoppedBy := ""
-	if maxMs == 0 {
-		// Deterministic request: fully cacheable and single-flighted.
-		res, err = s.kappaFor(e, dec, alg, maxSweeps)
-	} else {
-		// Deadline-bounded: serve a cached exact result if one exists
-		// (it cannot be beaten), otherwise run fresh with a between-sweep
-		// deadline check. The partial result is timing-dependent, so it
-		// is never cached — but a run that converges inside its deadline
-		// produced the exact answer and seeds the cache for everyone.
-		exactKey := cacheKey{e.name, e.version, dec, alg, 0}
-		budgetKey := cacheKey{e.name, e.version, dec, alg, maxSweeps}
-		if cached, ok := s.cache.get(exactKey); ok {
-			s.cacheHits.Add(1)
-			res = cached
-		} else if cached, ok := s.cache.get(budgetKey); maxSweeps > 0 && ok {
-			// The deterministic maxSweeps approximation is already known
-			// (from a prior budgeted request); it trivially satisfies any
-			// deadline.
-			s.cacheHits.Add(1)
-			res = cached
-		} else {
-			deadline := start.Add(time.Duration(maxMs) * time.Millisecond)
-			func() {
-				s.acquireSync()
-				defer s.releaseSync()
-				res, err = s.runDecomposition(e, dec, alg, s.cfg.JobThreads, maxSweeps, nil,
-					func() bool { return time.Now().After(deadline) })
-			}()
-			s.cacheMisses.Add(1)
-			if err == nil {
-				switch {
-				case res.Stopped:
-					stoppedBy = "deadline"
-					s.deadlineStops.Add(1)
-				case res.Converged:
-					s.cacheIfLive(exactKey, res)
-				case maxSweeps > 0:
-					// The deadline never fired, so this is the deterministic
-					// maxSweeps approximation — reusable by budget-only
-					// requests for the same key.
-					s.cacheIfLive(budgetKey, res)
-				}
-			}
-		}
+	if maxMs > 0 {
+		q.deadline = start.Add(time.Duration(maxMs) * time.Millisecond)
 	}
+	res, _, err := s.resolve(q)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	if stoppedBy == "" && !res.Converged {
+	stoppedBy := ""
+	switch {
+	case res.Stopped: // only this read's own deadline can have stopped its run
+		stoppedBy = "deadline"
+	case !res.Converged:
 		stoppedBy = "sweeps"
 	}
 
 	n := len(res.Kappa)
 	out := decomposeResponse{
-		Graph:         e.name,
-		Version:       e.version,
-		Decomposition: dec,
-		Algorithm:     alg,
-		MaxSweeps:     maxSweeps,
-		MaxMs:         maxMs,
+		Graph:         q.entry.name,
+		Version:       q.entry.version,
+		Decomposition: q.dec,
+		Algorithm:     q.alg,
+		MaxSweeps:     max(asked, 0),
+		MaxMs:         max(maxMs, 0),
 		Cells:         n,
 		MaxTau:        res.MaxKappa,
 		Converged:     res.Converged,
@@ -462,12 +386,9 @@ func (s *Server) handleDecompose(w http.ResponseWriter, r *http.Request) {
 			LastSweepUpdates: res.LastSweepUpdates,
 		},
 	}
-	if n > 0 {
-		out.Convergence.UpdateRate = float64(res.LastSweepUpdates) / float64(n)
-	}
-	out.Convergence.FractionStable = 1 - out.Convergence.UpdateRate
+	out.Convergence.UpdateRate, out.Convergence.FractionStable = res.stability()
 	if !res.Converged {
-		if base := s.convergedBaseline(e, dec); base != nil && len(base.Kappa) == n && n > 0 {
+		if base := s.convergedResult(q.entry, q.dec); base != nil && len(base.Kappa) == n && n > 0 {
 			acc := &accuracyView{}
 			var sum int64
 			exact := 0
@@ -486,12 +407,8 @@ func (s *Server) handleDecompose(w http.ResponseWriter, r *http.Request) {
 			out.Accuracy = acc
 		}
 	}
-	hist := make([]int64, res.MaxKappa+1)
-	for _, k := range res.Kappa {
-		hist[k]++
-	}
-	out.Histogram = hist
-	if q := r.URL.Query(); q.Get("tau") == "true" || q.Get("kappa") == "true" {
+	out.Histogram = res.histogram()
+	if v := r.URL.Query(); v.Get("tau") == "true" || v.Get("kappa") == "true" {
 		out.Tau = res.Kappa
 	}
 	writeJSON(w, http.StatusOK, out)

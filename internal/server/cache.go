@@ -45,6 +45,24 @@ type decompResult struct {
 	Inst nucleus.Instance
 }
 
+// stability is the ground-truth-free convergence signal of a finished run:
+// the fraction of cells its last sweep still changed, and the complement.
+func (res *decompResult) stability() (updateRate, fractionStable float64) {
+	if n := len(res.Kappa); n > 0 {
+		updateRate = float64(res.LastSweepUpdates) / float64(n)
+	}
+	return updateRate, 1 - updateRate
+}
+
+// histogram counts the cells at each κ (or τ) value.
+func (res *decompResult) histogram() []int64 {
+	hist := make([]int64, res.MaxKappa+1)
+	for _, k := range res.Kappa {
+		hist[k]++
+	}
+	return hist
+}
+
 // lruCache is a fixed-capacity LRU map from cacheKey to *decompResult.
 type lruCache struct {
 	mu    sync.Mutex
@@ -116,8 +134,8 @@ func (c *lruCache) peek(k cacheKey) (*decompResult, bool) {
 // minVer. Deleting or replacing a graph makes those entries unreachable
 // (the live version changed), so without this they pin κ arrays and
 // s-clique indices until LRU pressure happens to evict them. An in-flight
-// decomposition that finishes after the purge is handled by
-// computeShared's liveness recheck, which removes its own stale insert.
+// decomposition that finishes after the purge is handled by fill's
+// liveness recheck, which removes its own stale insert.
 func (c *lruCache) purgeGraph(name string, minVer uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

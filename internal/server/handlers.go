@@ -11,7 +11,7 @@ import (
 
 	"nucleus/internal/graph"
 	"nucleus/internal/hierarchy"
-	"nucleus/internal/query"
+	iquery "nucleus/internal/query"
 )
 
 // ---------------------------------------------------------------------------
@@ -523,11 +523,11 @@ func viewJob(j *job) jobView {
 	defer j.mu.Unlock()
 	v := jobView{
 		ID:              j.id,
-		Graph:           j.req.Graph,
-		Decomposition:   j.req.Decomposition,
-		Algorithm:       j.req.Algorithm,
-		MaxSweeps:       j.req.MaxSweeps,
-		Threads:         j.threads,
+		Graph:           j.q.entry.name,
+		Decomposition:   j.q.dec,
+		Algorithm:       j.q.alg,
+		MaxSweeps:       j.q.maxSweeps,
+		Threads:         j.q.threads,
 		State:           j.state,
 		Cached:          j.cached,
 		Error:           j.errMsg,
@@ -644,11 +644,7 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	j.mu.Lock()
 	res := j.result
 	j.mu.Unlock()
-	hist := make([]int64, res.MaxKappa+1)
-	for _, k := range res.Kappa {
-		hist[k]++
-	}
-	out := jobResultResponse{jobView: v, Histogram: hist}
+	out := jobResultResponse{jobView: v, Histogram: res.histogram()}
 	if r.URL.Query().Get("kappa") == "true" {
 		out.Kappa = res.Kappa
 	}
@@ -703,7 +699,7 @@ func (s *Server) handleEstimateCore(w http.ResponseWriter, r *http.Request) {
 	}
 	s.acquireSync()
 	defer s.releaseSync() // defer: an engine panic must not leak the slot
-	est := query.CoreNumbersOn(s.instanceOf(e, "core"), e.g, req.Vertices, req.Hops, req.MaxSweeps)
+	est := iquery.CoreNumbersOn(s.instanceOf(e, "core"), e.g, req.Vertices, req.Hops, req.MaxSweeps)
 	writeJSON(w, http.StatusOK, estimateResponse{
 		Graph:       req.Graph,
 		Estimates:   est.Tau,
@@ -742,7 +738,7 @@ func (s *Server) handleEstimateTruss(w http.ResponseWriter, r *http.Request) {
 	}
 	s.acquireSync()
 	defer s.releaseSync()
-	est := query.TrussNumbersOn(s.instanceOf(e, "truss"), e.g, req.Edges, req.Hops, req.MaxSweeps)
+	est := iquery.TrussNumbersOn(s.instanceOf(e, "truss"), e.g, req.Edges, req.Hops, req.MaxSweeps)
 	writeJSON(w, http.StatusOK, estimateResponse{
 		Graph:       req.Graph,
 		Estimates:   est.Tau,
@@ -754,36 +750,33 @@ func (s *Server) handleEstimateTruss(w http.ResponseWriter, r *http.Request) {
 // ---------------------------------------------------------------------------
 // Hierarchy, nuclei and densest subgraph (synchronous, cache-backed).
 
-// decParams extracts and validates the dec/alg/maxSweeps query parameters
-// shared by the hierarchy and nuclei endpoints.
-func (s *Server) decParams(w http.ResponseWriter, r *http.Request) (dec, alg string, maxSweeps int, ok bool) {
-	var err error
-	if dec, err = normalizeDec(r.URL.Query().Get("dec")); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return "", "", 0, false
+// readQuery builds the query of a GET /graphs/{name}/… read: the graph
+// from the path, dec and alg from the query string, the sweep budget from
+// the first present of budgetNames (asked is that budget as sent, for a
+// response that echoes it). It answers 404 or 400 itself when ok is false.
+func (s *Server) readQuery(w http.ResponseWriter, r *http.Request, budgetNames ...string) (q query, asked int, ok bool) {
+	e, found := s.reg.get(r.PathValue("name"))
+	if !found {
+		writeError(w, http.StatusNotFound, "unknown graph %q", r.PathValue("name"))
+		return q, 0, false
 	}
-	if alg, err = normalizeAlg(r.URL.Query().Get("alg")); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return "", "", 0, false
+	asked, err := queryIntAny(r, 0, budgetNames...)
+	if err == nil {
+		q, err = s.newQuery(e, r.URL.Query().Get("dec"), r.URL.Query().Get("alg"), asked, 0)
 	}
-	if maxSweeps, err = queryInt(r, "maxSweeps", 0); err != nil {
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
-		return "", "", 0, false
+		return q, 0, false
 	}
-	return dec, alg, maxSweeps, true
+	return q, asked, true
 }
 
 func (s *Server) handleHierarchy(w http.ResponseWriter, r *http.Request) {
-	e, ok := s.reg.get(r.PathValue("name"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown graph %q", r.PathValue("name"))
-		return
-	}
-	dec, alg, maxSweeps, ok := s.decParams(w, r)
+	q, _, ok := s.readQuery(w, r, "maxSweeps")
 	if !ok {
 		return
 	}
-	res, err := s.kappaFor(e, dec, alg, maxSweeps)
+	res, _, err := s.resolve(q)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
@@ -791,7 +784,7 @@ func (s *Server) handleHierarchy(w http.ResponseWriter, r *http.Request) {
 	forest := hierarchy.Build(res.Inst, res.Kappa)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	_ = forest.WriteJSON(w, e.g)
+	_ = forest.WriteJSON(w, q.entry.g)
 }
 
 type nucleusView struct {
@@ -810,12 +803,7 @@ type nucleiResponse struct {
 }
 
 func (s *Server) handleNuclei(w http.ResponseWriter, r *http.Request) {
-	e, ok := s.reg.get(r.PathValue("name"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown graph %q", r.PathValue("name"))
-		return
-	}
-	dec, alg, maxSweeps, ok := s.decParams(w, r)
+	q, _, ok := s.readQuery(w, r, "maxSweeps")
 	if !ok {
 		return
 	}
@@ -829,14 +817,14 @@ func (s *Server) handleNuclei(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "k=%d out of range [0, %d]", k, math.MaxInt32)
 		return
 	}
-	res, err := s.kappaFor(e, dec, alg, maxSweeps)
+	res, _, err := s.resolve(q)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	inst := res.Inst
 	cellSets := hierarchy.KNucleusSubgraphs(inst, res.Kappa, int32(k))
-	out := nucleiResponse{Graph: e.name, Decomposition: dec, K: k, Nuclei: []nucleusView{}}
+	out := nucleiResponse{Graph: q.entry.name, Decomposition: q.dec, K: k, Nuclei: []nucleusView{}}
 	for _, cells := range cellSets {
 		out.Nuclei = append(out.Nuclei, nucleusView{
 			Cells:    len(cells),

@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,17 +54,14 @@ type jobRequest struct {
 
 // job is one decomposition job. Mutable fields are guarded by mu.
 type job struct {
-	id    string
-	mgr   *jobManager
-	req   jobRequest
-	entry *graphEntry
-	key   cacheKey
-	// threads is the effective intra-job worker count, resolved at submit
-	// time (request value, else the server default, clamped to the host)
-	// and surfaced in the job status. All engines honor it — the local
-	// algorithms split sweeps across workers and peel runs the parallel
-	// bucket engine.
-	threads int
+	id  string
+	mgr *jobManager
+	// q is the job's read-pipeline query (read.go), fixed at submit. Its
+	// threads is the effective intra-job worker count (request value, else
+	// the server default, clamped to the host) surfaced in the job status;
+	// all engines honor it — the local algorithms split sweeps across
+	// workers and peel runs the parallel bucket engine.
+	q query
 	// Scheduler state, fixed at submit: the submitting tenant, the
 	// requested relative deadline (0 = none), its absolute form, the cost
 	// model's estimate for the admitted run, and the model inputs needed
@@ -97,8 +93,9 @@ type job struct {
 	// queued to fail.
 	degraded bool
 	// resolved marks the job's per-request cache accounting (exactly one
-	// hit or miss per admitted request) as done. Cancel, shed, shutdown
-	// and run paths can race to resolve; the flag keeps it exactly-once.
+	// hit or miss per admitted request) as done or, once a worker took the
+	// job, as resolve's to do. Cancel, shed and shutdown can race a
+	// dispatch for a queued job; the flag keeps it exactly-once.
 	resolved bool
 	// prog is the progress publisher of the computation currently serving
 	// this job (the owning flight's — shared when this job coalesced onto
@@ -181,52 +178,37 @@ func unknownGraph(name string) error { return fmt.Errorf("%w %q", errUnknownGrap
 // enqueue on the tenant-fair scheduler. tenant is the X-Nucleus-Tenant
 // header (defaulted); deadlineMs is the ?deadlineMs query (0 = none).
 func (m *jobManager) submit(req jobRequest, tenant string, deadlineMs int) (*job, error) {
-	dec, err := normalizeDec(req.Decomposition)
+	entry, known := m.s.reg.get(req.Graph)
+	q, err := m.s.newQuery(entry, req.Decomposition, req.Algorithm, req.MaxSweeps, req.Threads)
 	if err != nil {
 		return nil, err
 	}
-	alg, err := normalizeAlg(req.Algorithm)
-	if err != nil {
-		return nil, err
-	}
-	req.Decomposition, req.Algorithm = dec, alg
-	// Clamp client-supplied intra-job parallelism to the host: an
-	// arbitrary request must not be able to spawn unbounded goroutines.
-	if max := runtime.GOMAXPROCS(0); req.Threads > max {
-		req.Threads = max
-	}
-	if alg == "peel" || req.MaxSweeps < 0 {
-		// Peeling is exact and ignores the sweep budget, and the local
-		// algorithms treat any non-positive budget as "run to
-		// convergence"; normalize so equivalent requests share one cache
-		// slot.
-		req.MaxSweeps = 0
-	}
-	entry, ok := m.s.reg.get(req.Graph)
-	if !ok {
+	if !known {
 		return nil, unknownGraph(req.Graph)
 	}
 	if tenant == "" {
 		tenant = defaultTenant
 	}
 
-	threads := req.Threads
-	if threads <= 0 {
-		threads = m.s.cfg.JobThreads
-	}
 	j := &job{
 		id:         fmt.Sprintf("j%d", m.nextID.Add(1)),
 		mgr:        m,
-		req:        req,
-		entry:      entry,
-		key:        cacheKey{entry.name, entry.version, dec, alg, req.MaxSweeps},
-		threads:    threads,
+		q:          q,
 		tenant:     tenant,
 		deadlineMs: deadlineMs,
 		state:      JobQueued,
 		submitted:  time.Now(),
 	}
-	j.costKey = sched.CostKey{Graph: entry.name, Version: entry.version, Dec: dec, Alg: alg}
+	j.q.pooled = true
+	j.q.stop = j.cancel.Load // the job's cooperative stop signal
+	j.q.onFlight = func(f *flight) {
+		// Expose the (possibly shared) computation's live progress to the
+		// /jobs/{id}/progress and /stream endpoints.
+		j.mu.Lock()
+		j.prog = f.prog
+		j.mu.Unlock()
+	}
+	j.costKey = sched.CostKey{Graph: entry.name, Version: entry.version, Dec: q.dec, Alg: q.alg}
 	j.size = int64(entry.g.N()) + entry.g.M()
 
 	if m.finishIfCached(j) {
@@ -235,15 +217,15 @@ func (m *jobManager) submit(req jobRequest, tenant string, deadlineMs int) (*job
 	// Not counted as a miss yet: whether this request was ultimately a hit
 	// (the key got cached, or the run coalesced onto an in-flight
 	// computation) or a miss (the worker computed it) is only known when
-	// the job runs — run() does the accounting, keeping the per-request
-	// invariant hits + misses == resolved requests.
+	// the job runs — resolve does the accounting there, keeping the
+	// per-request invariant hits + misses == resolved requests.
 
 	// Price the job: the full-run estimate, capped by the requested sweep
 	// budget when that budget is the binding constraint.
 	pred := m.cost.Predict(j.costKey, j.size)
 	j.predictedMs = pred.Ms
-	if req.MaxSweeps > 0 && float64(req.MaxSweeps) < pred.Sweeps {
-		j.predictedMs = float64(req.MaxSweeps) * pred.SweepMs
+	if q.maxSweeps > 0 && float64(q.maxSweeps) < pred.Sweeps {
+		j.predictedMs = float64(q.maxSweeps) * pred.SweepMs
 	}
 
 	wait := m.sched.PredictedWaitMs()
@@ -254,7 +236,7 @@ func (m *jobManager) submit(req jobRequest, tenant string, deadlineMs int) (*job
 				"shed at admission: predicted queue wait %.0fms exceeds deadline %dms", wait, deadlineMs))
 			return j, nil
 		}
-		if alg != "peel" && wait+j.predictedMs > float64(deadlineMs) {
+		if q.alg != "peel" && wait+j.predictedMs > float64(deadlineMs) {
 			// The job can start before its deadline but not finish a full
 			// run: degrade to the anytime budget that fits the slack
 			// (PR 5 machinery), re-keying the cache slot for the budgeted
@@ -263,9 +245,8 @@ func (m *jobManager) submit(req jobRequest, tenant string, deadlineMs int) (*job
 			if budget < 1 {
 				budget = 1
 			}
-			if req.MaxSweeps == 0 || budget < req.MaxSweeps {
-				j.req.MaxSweeps = budget
-				j.key = cacheKey{entry.name, entry.version, dec, alg, budget}
+			if q.maxSweeps == 0 || budget < q.maxSweeps {
+				j.q.maxSweeps = budget
 				j.degraded = true
 				j.predictedMs = float64(budget) * pred.SweepMs
 				m.degraded.Add(1)
@@ -322,11 +303,11 @@ func (m *jobManager) submit(req jobRequest, tenant string, deadlineMs int) (*job
 // finishIfCached completes j on the spot when its cache key is already
 // resolved, reporting whether it did.
 func (m *jobManager) finishIfCached(j *job) bool {
-	res, ok := m.s.cache.get(j.key)
+	res, ok := m.s.lookup(j.q)
 	if !ok {
 		return false
 	}
-	m.s.cacheHits.Add(1)
+	m.s.account(served)
 	j.resolved = true
 	j.cached = true
 	j.state = JobDone
@@ -390,7 +371,7 @@ func (m *jobManager) onShed(it *sched.Item) {
 func (m *jobManager) resolveMissLocked(j *job) {
 	if !j.resolved {
 		j.resolved = true
-		m.s.cacheMisses.Add(1)
+		m.s.account(dropped)
 	}
 }
 
@@ -484,35 +465,20 @@ func (m *jobManager) run(it *sched.Item) {
 	}
 	j.state = JobRunning
 	j.started = time.Now()
+	// From here resolve counts this request; shed, cancel and shutdown
+	// only ever count a job that is still queued.
+	j.resolved = true
 	j.mu.Unlock()
 
-	res, shared, err := m.s.computeShared(j.key, j.entry, j.threads, j.req.MaxSweeps,
-		j.cancel.Load, // the job's cooperative stop signal
-		func(f *flight) {
-			// Expose the (possibly shared) computation's live progress to
-			// the /jobs/{id}/progress and /stream endpoints.
-			j.mu.Lock()
-			j.prog = f.prog
-			j.mu.Unlock()
-		})
-	// Deferred per-request cache accounting (see submit): shared covers
-	// both a post-submit cache fill and coalescing onto another caller.
-	j.mu.Lock()
-	if !j.resolved {
-		j.resolved = true
-		if shared {
-			m.s.cacheHits.Add(1)
-		} else {
-			m.s.cacheMisses.Add(1)
-		}
-	}
-	j.mu.Unlock()
+	// shared covers both a post-submit cache fill and coalescing onto
+	// another caller's run.
+	res, shared, err := m.s.resolve(j.q)
 
 	// Feed the cost model — full uncoalesced runs only. Shared results,
 	// cancelled/stopped runs and unconverged budgeted runs measure
 	// something other than the full cost of this key, and would teach the
 	// admission policy the wrong price.
-	if err == nil && !shared && !res.Stopped && (j.req.MaxSweeps == 0 || res.Converged) {
+	if err == nil && !shared && !res.Stopped && (j.q.maxSweeps == 0 || res.Converged) {
 		observedMs := float64(time.Since(j.started)) / float64(time.Millisecond)
 		m.cost.Observe(j.costKey, j.size, j.predictedMs, observedMs, res.Sweeps, res.Updates)
 	}
@@ -529,8 +495,8 @@ func (m *jobManager) run(it *sched.Item) {
 	}
 	if res.Stopped || j.cancel.Load() {
 		// res.Stopped: only this job's own cancel flag can stop its run
-		// (coalesced flights whose owner stopped are retried by
-		// computeShared), so a stopped result means this job was cancelled
+		// (coalesced flights whose owner stopped are retried by resolve),
+		// so a stopped result means this job was cancelled
 		// mid-run. The second clause covers a cancelled job that coalesced
 		// onto (or raced the completion of) a run it could not stop: the
 		// DELETE answered 202 promising a transition to cancelled, so
@@ -641,36 +607,12 @@ func (m *jobManager) counts() (queued, running int) {
 // ---------------------------------------------------------------------------
 // Decomposition engine glue.
 
-func normalizeDec(s string) (string, error) {
-	switch s {
-	case "", "core", "kcore", "12":
-		return "core", nil
-	case "truss", "ktruss", "23":
-		return "truss", nil
-	case "n34", "34", "nucleus34":
-		return "n34", nil
-	}
-	return "", fmt.Errorf("unknown decomposition %q (want core, truss or n34)", s)
-}
-
-func normalizeAlg(s string) (string, error) {
-	switch s {
-	case "", "and":
-		return "and", nil
-	case "snd":
-		return "snd", nil
-	case "peel":
-		return "peel", nil
-	}
-	return "", fmt.Errorf("unknown algorithm %q (want and, snd or peel)", s)
-}
-
 // runDecomposition executes one decomposition with the selected engine,
-// reusing the entry's memoized (possibly flat-indexed) instance. dec and
-// alg must already be normalized. prog (anytime progress publishing) and
-// stop (cooperative cancellation / deadlines) apply to the local
-// algorithms only; peeling is all-or-nothing and ignores both.
-func (s *Server) runDecomposition(entry *graphEntry, dec, alg string, threads, maxSweeps int, prog *localhi.Progress, stop func() bool) (res *decompResult, err error) {
+// reusing the entry's memoized (possibly flat-indexed) instance. prog
+// (anytime progress publishing) and stop (cooperative cancellation /
+// deadlines) apply to the local algorithms only; peeling is all-or-nothing
+// and ignores both.
+func (s *Server) runDecomposition(q query, prog *localhi.Progress, stop func() bool) (res *decompResult, err error) {
 	// A decomposition touches every cell of a user-supplied graph;
 	// convert engine panics (e.g. from a hostile input that slipped past
 	// parsing) into failed jobs instead of crashing the server.
@@ -679,19 +621,19 @@ func (s *Server) runDecomposition(entry *graphEntry, dec, alg string, threads, m
 			res, err = nil, fmt.Errorf("decomposition panicked: %v", r)
 		}
 	}()
-	inst := s.instanceOf(entry, dec)
-	switch alg {
+	inst := s.instanceOf(q.entry, q.dec)
+	switch q.alg {
 	case "peel":
-		pr := peel.RunThreads(inst, threads)
+		pr := peel.RunThreads(inst, q.threads)
 		return &decompResult{Kappa: pr.Kappa, MaxKappa: pr.MaxKappa, Converged: true, Inst: inst}, nil
 	case "snd":
-		lr := localhi.Snd(inst, localhi.Options{Threads: threads, MaxSweeps: maxSweeps, Progress: prog, Stop: stop})
+		lr := localhi.Snd(inst, localhi.Options{Threads: q.threads, MaxSweeps: q.maxSweeps, Progress: prog, Stop: stop})
 		return localResult(lr, inst), nil
 	case "and":
-		lr := localhi.And(inst, localhi.Options{Threads: threads, MaxSweeps: maxSweeps, Notification: true, Progress: prog, Stop: stop})
+		lr := localhi.And(inst, localhi.Options{Threads: q.threads, MaxSweeps: q.maxSweeps, Notification: true, Progress: prog, Stop: stop})
 		return localResult(lr, inst), nil
 	}
-	return nil, fmt.Errorf("unknown algorithm %q", alg)
+	return nil, fmt.Errorf("unknown algorithm %q", q.alg)
 }
 
 func localResult(lr *localhi.Result, inst inucleus.Instance) *decompResult {
@@ -702,134 +644,11 @@ func localResult(lr *localhi.Result, inst inucleus.Instance) *decompResult {
 		Iterations: lr.Iterations,
 		Sweeps:     lr.Sweeps,
 		Updates:    lr.Updates,
+		MaxKappa:   maxOf(lr.Tau),
 		Inst:       inst,
 	}
 	if n := len(lr.SweepUpdates); n > 0 {
 		res.LastSweepUpdates = lr.SweepUpdates[n-1]
 	}
-	for _, k := range lr.Tau {
-		if k > res.MaxKappa {
-			res.MaxKappa = k
-		}
-	}
 	return res
-}
-
-// kappaFor returns the κ array for (entry, dec, alg, maxSweeps), serving
-// from the LRU cache when possible and computing synchronously (and
-// caching) otherwise. The synchronous hierarchy/nuclei endpoints share
-// cache slots — and in-flight computations — with the async job path
-// through this helper.
-func (s *Server) kappaFor(entry *graphEntry, dec, alg string, maxSweeps int) (*decompResult, error) {
-	if alg == "peel" || maxSweeps < 0 {
-		maxSweeps = 0
-	}
-	key := cacheKey{entry.name, entry.version, dec, alg, maxSweeps}
-	// Fast path without a semaphore slot: a cached result costs nothing.
-	if res, ok := s.cache.get(key); ok {
-		s.cacheHits.Add(1)
-		return res, nil
-	}
-	s.acquireSync()
-	defer s.releaseSync()
-	res, shared, err := s.computeShared(key, entry, s.cfg.JobThreads, maxSweeps, nil, nil)
-	// Count before the error check so a failed computation still resolves
-	// this request's accounting (as a miss).
-	if shared {
-		s.cacheHits.Add(1)
-	} else {
-		s.cacheMisses.Add(1)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// computeShared runs the decomposition for key at most once across
-// concurrent callers (single-flight): the first caller computes and
-// populates the cache; concurrent callers with the same key block until
-// it finishes and share the result. shared is true when this caller did
-// not do the work itself (cache hit or coalesced onto another caller).
-//
-// stop is this caller's cooperative stop signal; it is honored only when
-// this caller ends up owning the computation (a coalesced caller must
-// not kill a run other clients are waiting on). A run the owner's stop
-// ended is returned to the owner alone — it is never cached (the partial
-// τ depends on timing), and coalesced waiters transparently retry the
-// computation. onFlight, when non-nil, is invoked with the flight this
-// caller attached to (its own or an existing one) before any blocking
-// work, so callers can expose the flight's live progress publisher.
-func (s *Server) computeShared(key cacheKey, entry *graphEntry, threads, maxSweeps int, stop func() bool, onFlight func(*flight)) (res *decompResult, shared bool, err error) {
-	for {
-		if res, ok := s.cache.get(key); ok {
-			return res, true, nil
-		}
-		s.flightMu.Lock()
-		if f, ok := s.inflight[key]; ok {
-			s.flightMu.Unlock()
-			if onFlight != nil {
-				onFlight(f)
-			}
-			<-f.done
-			if f.err == nil && f.res != nil && f.res.Stopped {
-				// The owner's run was cancelled or hit its deadline; its
-				// partial result belongs to the owner, not to this caller.
-				// Retry: the flight table slot is free again.
-				continue
-			}
-			return f.res, true, f.err
-		}
-		f := &flight{done: make(chan struct{})}
-		if key.alg != "peel" && s.cfg.ProgressEvery > 0 {
-			f.prog = localhi.NewProgress(s.cfg.ProgressEvery)
-		}
-		s.inflight[key] = f
-		s.flightMu.Unlock()
-		if onFlight != nil {
-			onFlight(f)
-		}
-
-		s.coldRuns.Add(1)
-		f.res, f.err = s.runDecomposition(entry, key.dec, key.alg, threads, maxSweeps, f.prog, stop)
-		if f.prog != nil {
-			s.progressSnaps.Add(f.prog.Published())
-			// The engine finishes the publisher on every normal exit; a
-			// panic converted to err by runDecomposition would leave
-			// subscribers hanging, so release them defensively (no-op
-			// when already finished).
-			f.prog.Abort()
-		}
-		if f.err == nil && !f.res.Stopped {
-			s.cacheIfLive(key, f.res)
-		}
-		s.flightMu.Lock()
-		delete(s.inflight, key)
-		s.flightMu.Unlock()
-		close(f.done)
-		return f.res, false, f.err
-	}
-}
-
-// cacheIfLive inserts res under key with a liveness recheck: if the
-// graph was deleted or replaced while the result was computed, its purge
-// may have run before our put — take the dead entry back out. Every
-// interleaving removes it: either the purge saw our insert, or this
-// recheck sees the changed version.
-func (s *Server) cacheIfLive(key cacheKey, res *decompResult) {
-	s.cache.put(key, res)
-	if cur, ok := s.reg.get(key.graph); !ok || cur.version != key.version {
-		s.cache.remove(key)
-	}
-}
-
-// flight is one in-progress decomposition that concurrent callers wait
-// on; res/err are set before done is closed. prog is the run's anytime
-// progress publisher (nil for peel runs or when publishing is disabled),
-// shared by every job that coalesces onto the flight.
-type flight struct {
-	done chan struct{}
-	res  *decompResult
-	err  error
-	prog *localhi.Progress
 }

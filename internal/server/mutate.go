@@ -125,10 +125,11 @@ func (s *Server) handleMutateGraph(w http.ResponseWriter, r *http.Request) {
 
 // convergedResult returns a cached converged full-budget decomposition of
 // the entry for dec under any algorithm, preferring the local algorithms
-// (whose Sweeps field makes the warm saving measurable).
+// (whose Sweeps field makes the warm saving measurable). peek, not get: an
+// internal scan must not reorder the LRU the way client traffic does.
 func (s *Server) convergedResult(e *graphEntry, dec string) *decompResult {
 	for _, alg := range []string{"and", "snd", "peel"} {
-		if res, ok := s.cache.peek(cacheKey{e.name, e.version, dec, alg, 0}); ok && res.Converged {
+		if res, ok := s.cache.peek(keyOf(e, dec, alg, 0)); ok && res.Converged {
 			return res
 		}
 	}
@@ -141,57 +142,38 @@ func (s *Server) convergedResult(e *graphEntry, dec string) *decompResult {
 // version had a cached converged result for (demonstrated interest), and
 // lands under the (dec, "and", 0) key — the warm runs ARE converged And
 // runs — which is exactly the key the default job/hierarchy path
-// consults. Returns the seeded decomposition names.
+// consults, through fill: ne may itself be replaced or deleted while the
+// warm runs execute. Returns the seeded decomposition names.
 //
-// Core gets the tightest possible start: the overlay's incrementally
-// maintained κ is already exact for the NEW graph, so the run starts at
-// the fixpoint (bump 0) and needs only one scan plus the certification
-// sweep — it doubles as a convergence check of the maintained array.
-// Truss has no maintained counterpart, so it starts from the previous
-// version's κ bumped by the insert count (each insertion raises truss
-// numbers by at most one).
+// Core gets the tightest possible start (warmRecoverCore): the overlay's
+// incrementally maintained κ is already exact for the NEW graph. Truss has
+// no maintained counterpart, so it starts from the previous version's κ
+// bumped by the insert count (each insertion raises truss numbers by at
+// most one).
 func (s *Server) warmSeed(old, ne *graphEntry, inserts int) []string {
 	seeded := []string{} // non-nil so the response field is [] rather than null
-	threads := s.cfg.JobThreads
-	var keys []cacheKey
 	if seedRes := s.convergedResult(old, "core"); seedRes != nil {
-		inst := s.instanceOf(ne, "core")
-		lr := dynamic.WarmCoreNumbersOn(inst, ne.g, ne.coreKappa, 0, threads)
-		s.recordWarm(seedRes, lr)
-		k := cacheKey{ne.name, ne.version, "core", "and", 0}
-		s.cache.put(k, localResult(lr, inst))
-		keys = append(keys, k)
+		s.warmRecoverCore(ne, seedRes)
 		seeded = append(seeded, "core")
 	}
 	if seedRes := s.convergedResult(old, "truss"); seedRes != nil {
 		inst := s.instanceOf(ne, "truss")
-		lr := dynamic.WarmTrussNumbersOn(inst, ne.g, old.g, seedRes.Kappa, inserts, threads)
+		lr := dynamic.WarmTrussNumbersOn(inst, ne.g, old.g, seedRes.Kappa, inserts, s.cfg.JobThreads)
 		s.recordWarm(seedRes, lr)
-		k := cacheKey{ne.name, ne.version, "truss", "and", 0}
-		s.cache.put(k, localResult(lr, inst))
-		keys = append(keys, k)
+		s.fill(keyOf(ne, "truss", "and", 0), localResult(lr, inst))
 		seeded = append(seeded, "truss")
-	}
-	// Liveness recheck, mirroring computeShared: if ne was itself replaced
-	// (or the graph deleted) while the warm runs executed, that
-	// replacement's purge may have run before our puts — take the dead
-	// entries back out rather than pinning κ arrays and s-clique indices
-	// in the LRU unreachable.
-	if cur, ok := s.reg.get(ne.name); !ok || cur.version != ne.version {
-		for _, k := range keys {
-			s.cache.remove(k)
-		}
 	}
 	return seeded
 }
 
 // recordWarm updates the warm-start counters: the sweeps the warm run
-// spent, and — when the seed result came from a sweep-reporting local
-// algorithm — the sweeps saved relative to that cold run.
+// spent, and — when there is a seed result and it came from a
+// sweep-reporting local algorithm — the sweeps saved relative to that cold
+// run.
 func (s *Server) recordWarm(seed *decompResult, lr *localhi.Result) {
 	s.warmRuns.Add(1)
 	s.warmSweeps.Add(int64(lr.Sweeps))
-	if seed.Sweeps > lr.Sweeps {
+	if seed != nil && seed.Sweeps > lr.Sweeps {
 		s.sweepsSaved.Add(int64(seed.Sweeps - lr.Sweeps))
 	}
 }
@@ -242,7 +224,8 @@ func (s *Server) handleCoreLookup(w http.ResponseWriter, r *http.Request) {
 	if !maintained {
 		// Never-mutated graph: fall back to the cache-backed decomposition
 		// path (cheap after the first request).
-		res, err := s.kappaFor(e, "core", "and", 0)
+		q, _ := s.newQuery(e, "core", "and", 0, 0) // constants: cannot fail
+		res, _, err := s.resolve(q)
 		if err != nil {
 			writeError(w, http.StatusInternalServerError, "%v", err)
 			return

@@ -475,9 +475,9 @@ func TestMutationIsolatesInFlightVersion(t *testing.T) {
 	// A computation that was in flight for the pre-mutation version
 	// finishes now: the liveness recheck must keep it out of the cache.
 	key := cacheKey{e1.name, e1.version, "core", "and", 0}
-	res, _, err := s.computeShared(key, e1, 1, 0, nil, nil)
-	if err != nil {
-		t.Fatal(err)
+	res := resolvePooled(t, s, e1, "core")
+	if res == nil {
+		t.FailNow()
 	}
 	// It still computed against the old snapshot (K6: all κ = 5).
 	if res.MaxKappa != 5 {

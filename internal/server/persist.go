@@ -77,7 +77,7 @@ func (s *Server) recoverFromStore() {
 			s.replays.Add(1)
 			s.replayedBatches.Add(int64(len(batches)))
 			if e.coreKappa != nil {
-				s.warmRecoverCore(e)
+				s.warmRecoverCore(e, nil)
 			}
 		}
 	})
@@ -114,16 +114,18 @@ func (s *Server) rebuildEntry(name string, snap *store.Snapshot, batches []store
 	return e
 }
 
-// warmRecoverCore seeds the recovered entry's core cache entry by
-// Lemma 2 warm-started reconvergence from the persisted exact κ: the run
-// starts at the fixpoint, so it is one certification pass, not a cold
-// decomposition (coldRuns stays 0 across a restart).
-func (s *Server) warmRecoverCore(e *graphEntry) {
+// warmRecoverCore seeds e's core cache entry by Lemma 2 warm-started
+// reconvergence from its maintained (or persisted) exact κ: the run starts
+// at the fixpoint, so it is one scan plus the certification sweep, not a
+// cold decomposition (coldRuns stays 0 across a restart) — and it doubles
+// as a convergence check of the maintained array. seed is the previous
+// version's cached result when there was one (nil after recovery or on a
+// replica), for the sweeps-saved accounting.
+func (s *Server) warmRecoverCore(e *graphEntry, seed *decompResult) {
 	inst := s.instanceOf(e, "core")
 	lr := dynamic.WarmCoreNumbersOn(inst, e.g, e.coreKappa, 0, s.cfg.JobThreads)
-	s.warmRuns.Add(1)
-	s.warmSweeps.Add(int64(lr.Sweeps))
-	s.cache.put(cacheKey{e.name, e.version, "core", "and", 0}, localResult(lr, inst))
+	s.recordWarm(seed, lr)
+	s.fill(keyOf(e, "core", "and", 0), localResult(lr, inst))
 }
 
 // persistSnapshot writes the entry's current state as the authoritative

@@ -459,7 +459,7 @@ func (a replApplier) InstallSnapshot(name string, snap *store.Snapshot) error {
 	e := a.s.rebuildEntry(name, snap, nil)
 	installed, err := a.s.installGraph(e, snap.Meta.Version)
 	if installed && e.coreKappa != nil {
-		a.s.warmRecoverCore(e)
+		a.s.warmRecoverCore(e, nil)
 	}
 	return err
 }
@@ -484,7 +484,7 @@ func (a replApplier) ApplyBatch(name string, batch *store.Batch, version uint64)
 		return false, err
 	}
 	if out.published && !slices.Contains(out.warmSeeded, "core") {
-		a.s.warmRecoverCore(out.live)
+		a.s.warmRecoverCore(out.live, nil)
 	}
 	return out.published, nil
 }

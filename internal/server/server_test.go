@@ -352,7 +352,11 @@ func TestLRUCacheEviction(t *testing.T) {
 	if _, ok := c.get(k1); !ok {
 		t.Fatal("k1 evicted too early")
 	}
-	// k1 is now most recent; inserting k3 must evict k2.
+	// k1 is now most recent, and a peek at k2 does not change that:
+	// inserting k3 must evict k2.
+	if _, ok := c.peek(k2); !ok {
+		t.Fatal("k2 evicted too early")
+	}
 	c.put(k3, &decompResult{MaxKappa: 3})
 	if _, ok := c.get(k2); ok {
 		t.Fatal("k2 should have been evicted")
@@ -599,8 +603,6 @@ func TestSingleFlightCoalescing(t *testing.T) {
 	if _, err := s.installGraph(e, 0); err != nil {
 		t.Fatal(err)
 	}
-	key := cacheKey{e.name, e.version, "truss", "and", 0}
-
 	const callers = 8
 	results := make([]*decompResult, callers)
 	var wg sync.WaitGroup
@@ -608,12 +610,7 @@ func TestSingleFlightCoalescing(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, _, err := s.computeShared(key, e, 1, 0, nil, nil)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			results[i] = res
+			results[i] = resolvePooled(t, s, e, "truss")
 		}(i)
 	}
 	wg.Wait()
@@ -623,6 +620,24 @@ func TestSingleFlightCoalescing(t *testing.T) {
 			t.Fatalf("caller %d got a distinct result: computation was not coalesced", i)
 		}
 	}
+}
+
+// resolvePooled resolves (e, dec, "and", to convergence) the way a pool
+// worker does: no synchronous-work slot, so concurrent callers all reach
+// the flight table.
+func resolvePooled(t *testing.T, s *Server, e *graphEntry, dec string) *decompResult {
+	t.Helper()
+	q, err := s.newQuery(e, dec, "and", 0, 1)
+	if err != nil {
+		t.Error(err)
+		return nil
+	}
+	q.pooled = true
+	res, _, err := s.resolve(q)
+	if err != nil {
+		t.Error(err)
+	}
+	return res
 }
 
 func mustGenerate(t *testing.T, req generateRequest) *graph.Graph {
@@ -731,9 +746,7 @@ func TestStaleResultNotCachedAfterReplace(t *testing.T) {
 	// A computation that was in flight for the dead version finishes now:
 	// the liveness recheck must take its insert back out of the cache.
 	key := cacheKey{e1.name, e1.version, "core", "and", 0}
-	if _, _, err := s.computeShared(key, e1, 1, 0, nil, nil); err != nil {
-		t.Fatal(err)
-	}
+	resolvePooled(t, s, e1, "core")
 	if _, ok := s.cache.get(key); ok {
 		t.Fatal("stale-version result remained cached after replacement")
 	}
@@ -741,9 +754,7 @@ func TestStaleResultNotCachedAfterReplace(t *testing.T) {
 	// The live version caches normally.
 	e2, _ := s.reg.get("g")
 	live := cacheKey{e2.name, e2.version, "core", "and", 0}
-	if _, _, err := s.computeShared(live, e2, 1, 0, nil, nil); err != nil {
-		t.Fatal(err)
-	}
+	resolvePooled(t, s, e2, "core")
 	if _, ok := s.cache.get(live); !ok {
 		t.Fatal("live-version result was not cached")
 	}
