@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"strings"
+
+	"nucleus/internal/replica"
 )
 
 // runRepl handles the `repl` subcommand family: fleet operations
@@ -61,25 +63,6 @@ func runRepl(args []string, w io.Writer) error {
 	}
 }
 
-// nodeStatusDoc mirrors the GET /replication/status document.
-type nodeStatusDoc struct {
-	Role               string  `json:"role"`
-	Generation         uint64  `json:"generation"`
-	MaxVersion         uint64  `json:"maxVersion"`
-	Graphs             int     `json:"graphs"`
-	Primary            string  `json:"primary"`
-	LagVersions        int64   `json:"lagVersions"`
-	LagMs              float64 `json:"lagMs"`
-	Pulls              int64   `json:"pulls"`
-	PullErrors         int64   `json:"pullErrors"`
-	StalePulls         int64   `json:"stalePulls"`
-	BytesPulled        int64   `json:"bytesPulled"`
-	SnapshotsInstalled int64   `json:"snapshotsInstalled"`
-	BatchesApplied     int64   `json:"batchesApplied"`
-	DuplicatesSkipped  int64   `json:"duplicatesSkipped"`
-	LastError          string  `json:"lastError"`
-}
-
 func replStatus(base string, w io.Writer) error {
 	resp, err := http.Get(base + "/replication/status")
 	if err != nil {
@@ -89,7 +72,7 @@ func replStatus(base string, w io.Writer) error {
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("repl status: %s", readError(resp))
 	}
-	var st nodeStatusDoc
+	var st replica.NodeStatus
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		return err
 	}
@@ -97,11 +80,11 @@ func replStatus(base string, w io.Writer) error {
 	return nil
 }
 
-func printNodeStatus(w io.Writer, st *nodeStatusDoc) {
+func printNodeStatus(w io.Writer, st *replica.NodeStatus) {
 	fmt.Fprintf(w, "role:        %s\n", st.Role)
 	fmt.Fprintf(w, "generation:  %d\n", st.Generation)
 	fmt.Fprintf(w, "max version: %d (%d graphs)\n", st.MaxVersion, st.Graphs)
-	if st.Role != "replica" {
+	if st.Role != replica.RoleReplica {
 		return
 	}
 	fmt.Fprintf(w, "primary:     %s\n", st.Primary)
@@ -138,7 +121,7 @@ func replPost(base, path string, body any, w io.Writer) error {
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("repl %s: %s", strings.TrimPrefix(path, "/replication/"), readError(resp))
 	}
-	var st nodeStatusDoc
+	var st replica.NodeStatus
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		return err
 	}

@@ -47,6 +47,9 @@ func ReadMatrixMarket(r io.Reader) (*Graph, error) {
 		if rows < 0 || rows >= remapThreshold {
 			return nil, fmt.Errorf("graph: implausible dimension %d", rows)
 		}
+		if nnz < 0 {
+			return nil, fmt.Errorf("graph: negative entry count %d", nnz)
+		}
 		n, m = rows, nnz
 		break
 	}
@@ -108,6 +111,9 @@ func ReadMETIS(r io.Reader) (*Graph, error) {
 		}
 		if n < 0 || n >= remapThreshold {
 			return nil, fmt.Errorf("graph: implausible vertex count %d", n)
+		}
+		if m < 0 {
+			return nil, fmt.Errorf("graph: negative edge count %d", m)
 		}
 		if len(fields) >= 3 {
 			fmtCode = fields[2]

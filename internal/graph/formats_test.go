@@ -51,6 +51,7 @@ func TestReadMatrixMarketErrors(t *testing.T) {
 		"%%MatrixMarket matrix coordinate real general\n3 3 1\nx y\n",               // non-numeric
 		"%%MatrixMarket matrix coordinate real general\nbad size\n",                 // bad size line
 		"%%MatrixMarket matrix coordinate real general\n99999999 99999999 1\n1 2\n", // implausible
+		"%%MatrixMarket matrix coordinate real general\n3 3 -5\n1 2\n",              // negative entry count
 	}
 	for _, c := range cases {
 		if _, err := ReadMatrixMarket(strings.NewReader(c)); err == nil {
@@ -109,6 +110,7 @@ func TestReadMETISErrors(t *testing.T) {
 		"2 1\n9\n1\n",  // neighbor out of range
 		"2 1\nzz\n1\n", // non-numeric
 		"99999999 1\n", // implausible
+		"3 -5\n",       // negative edge count
 	}
 	for _, c := range cases {
 		if _, err := ReadMETIS(strings.NewReader(c)); err == nil {

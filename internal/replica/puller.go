@@ -251,7 +251,7 @@ func (p *Puller) gen() uint64 {
 func (p *Puller) recordError(err error, stale bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.status.Errors++
+	p.status.PullErrors++
 	if stale {
 		p.status.StalePulls++
 	}

@@ -83,17 +83,7 @@ type NodeStatus struct {
 	MaxVersion uint64 `json:"maxVersion"`
 	Graphs     int    `json:"graphs"`
 	// Replica-only pull progress (zero values on primaries).
-	Primary            string  `json:"primary,omitempty"`
-	LagVersions        int64   `json:"lagVersions"`
-	LagMs              float64 `json:"lagMs"`
-	Pulls              int64   `json:"pulls"`
-	PullErrors         int64   `json:"pullErrors"`
-	StalePulls         int64   `json:"stalePulls"`
-	BytesPulled        int64   `json:"bytesPulled"`
-	SnapshotsInstalled int64   `json:"snapshotsInstalled"`
-	BatchesApplied     int64   `json:"batchesApplied"`
-	DuplicatesSkipped  int64   `json:"duplicatesSkipped"`
-	LastError          string  `json:"lastError,omitempty"`
+	Status
 }
 
 // Applier is what the puller applies shipped state through — the
@@ -123,26 +113,28 @@ type Applier interface {
 	DropGraph(name string) error
 }
 
-// Status is a snapshot of the puller's progress and lag, merged by the
-// server into NodeStatus, /stats and /metrics.
+// Status is a snapshot of the puller's progress and lag. It is embedded
+// as is in NodeStatus and in the replication section of /stats, and
+// /metrics derives its replication series from the prom and help tags
+// (see internal/promtext).
 type Status struct {
 	// Primary is the source base URL currently being pulled.
-	Primary string
+	Primary string `json:"primary,omitempty"`
 	// LagVersions is Σ over manifest graphs of (primary version − local
 	// version) at the end of the last pull: the committed-batch frames
 	// not yet applied locally.
-	LagVersions int64
+	LagVersions int64 `json:"lagVersions" prom:"nucleusd_replication_lag_versions" help:"Committed versions the replica has not yet applied."`
 	// LagMs is how long the replica has continuously been behind: 0 when
 	// the last pull fully caught up, otherwise the time since the pull
 	// that first observed the current lag streak.
-	LagMs float64
+	LagMs float64 `json:"lagMs" prom:"nucleusd_replication_lag_ms" help:"How long the replica has continuously been behind."`
 
-	Pulls              int64
-	Errors             int64
-	StalePulls         int64
-	BytesPulled        int64
-	SnapshotsInstalled int64
-	BatchesApplied     int64
-	DuplicatesSkipped  int64
-	LastError          string
+	Pulls              int64  `json:"pulls" prom:"nucleusd_replication_pulls_total" help:"Pull cycles completed."`
+	PullErrors         int64  `json:"pullErrors" prom:"nucleusd_replication_pull_errors_total" help:"Pull cycles that ended in an error."`
+	StalePulls         int64  `json:"stalePulls" prom:"nucleusd_replication_stale_pulls_total" help:"Pulls rejected because the source's generation was stale."`
+	BytesPulled        int64  `json:"bytesPulled" prom:"nucleusd_replication_bytes_pulled_total" help:"WAL and snapshot bytes shipped to this replica."`
+	SnapshotsInstalled int64  `json:"snapshotsInstalled" prom:"nucleusd_replication_snapshots_installed_total" help:"Full snapshot resyncs applied."`
+	BatchesApplied     int64  `json:"batchesApplied" prom:"nucleusd_replication_batches_applied_total" help:"Replicated batches applied."`
+	DuplicatesSkipped  int64  `json:"duplicatesSkipped" prom:"nucleusd_replication_duplicates_skipped_total" help:"Replicated batches skipped as duplicates."`
+	LastError          string `json:"lastError,omitempty"`
 }

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"nucleus/internal/promtext"
 )
 
 // TestDocsRoutesConsistency is the router's docs drift gate, the twin
@@ -65,5 +67,49 @@ func TestDocsRoutesConsistency(t *testing.T) {
 	if len(stale) > 0 {
 		t.Errorf("routes documented in docs/REPLICATION.md but not registered in internal/router:\n  %s",
 			strings.Join(stale, "\n  "))
+	}
+}
+
+// TestDocsMetricsConsistency is the drift gate between the router's
+// /metrics and the "Metrics reference" of docs/OPERATIONS.md, in both
+// directions: every family the router exposes has a row with its type,
+// every nucleusrouter_ row is still exposed, and a row's /stats path is
+// the tagged field's.
+func TestDocsMetricsConsistency(t *testing.T) {
+	exposed := map[string]string{}
+	for _, f := range metricsFamilies(t, scrape(t, twoNodeRouter(t), "/metrics")) {
+		exposed[f.Name] = f.Type
+	}
+	paths := map[string]string{}
+	for _, l := range promtext.Leaves(&routerStats{}) {
+		if l.Path != "-" {
+			paths[l.Series] = l.Path
+		}
+	}
+
+	doc, err := os.ReadFile("../../docs/OPERATIONS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rowRe := regexp.MustCompile("(?m)^\\| `(nucleusrouter_\\w+)(?:\\{[a-z,]+\\})?` \\| (\\w+) \\| (?:`([^`]+)` \\|)?")
+	rows := rowRe.FindAllStringSubmatch(string(doc), -1)
+	if len(rows) == 0 {
+		t.Fatal("no nucleusrouter_ rows found in docs/OPERATIONS.md; did the table convention change?")
+	}
+	for _, m := range rows {
+		name, typ, path := m[1], m[2], m[3]
+		switch want, ok := exposed[name]; {
+		case !ok:
+			t.Errorf("docs/OPERATIONS.md documents %s, which /metrics does not expose", name)
+		case want != typ:
+			t.Errorf("docs/OPERATIONS.md calls %s a %s; /metrics says %s", name, typ, want)
+		}
+		if want, derived := paths[name]; derived && want != path {
+			t.Errorf("docs/OPERATIONS.md puts %s at /stats path %s; the tagged field is %s", name, path, want)
+		}
+		delete(exposed, name)
+	}
+	for name := range exposed {
+		t.Errorf("/metrics exposes %s, which has no row in the metrics reference of docs/OPERATIONS.md", name)
 	}
 }

@@ -32,12 +32,12 @@ type GroupCheck struct {
 // tests and the POST /router/check endpoint can drive it
 // deterministically.
 func (rt *Router) CheckOnce() []GroupCheck {
-	rt.checks.Add(1)
+	rt.stats.Checks.Add(1)
 	out := make([]GroupCheck, len(rt.groups))
 	for i, g := range rt.groups {
 		out[i] = rt.checkGroup(g)
 		if out[i].Error != "" {
-			rt.failedChecks.Add(1)
+			rt.stats.FailedChecks.Add(1)
 		}
 	}
 	return out
@@ -107,7 +107,7 @@ func (rt *Router) checkGroup(g *group) GroupCheck {
 	g.primary = best
 	g.generation = newGen
 	g.mu.Unlock()
-	rt.promotions.Add(1)
+	rt.stats.Promotions.Add(1)
 	log.Printf("nucleus-router: group %s: promoted %s to primary at generation %d (old primary %s fenced)",
 		g.name, candidate.name, newGen, primary.name)
 

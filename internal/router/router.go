@@ -24,6 +24,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"nucleus/internal/promtext"
 	"nucleus/internal/replica"
 )
 
@@ -130,15 +131,9 @@ type Router struct {
 	mux    *http.ServeMux
 	start  time.Time
 
-	requests      atomic.Int64
-	proxiedReads  atomic.Int64
-	proxiedWrites atomic.Int64
-	proxyErrors   atomic.Int64
-	fencedWrites  atomic.Int64 // 409s the fence returned for proxied writes
-	jobsRouted    atomic.Int64
-	checks        atomic.Int64
-	promotions    atomic.Int64
-	failedChecks  atomic.Int64
+	// stats is the /stats document and the storage of its counters:
+	// owners increment the fields in place.
+	stats routerStats
 
 	running  atomic.Bool
 	stopOnce sync.Once
@@ -248,7 +243,7 @@ func (rt *Router) routes() *http.ServeMux {
 }
 
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	rt.requests.Add(1)
+	rt.stats.Requests.Add(1)
 	rt.mux.ServeHTTP(w, r)
 }
 
@@ -301,7 +296,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, n *node, gen u
 	}
 	req, err := http.NewRequestWithContext(r.Context(), r.Method, target.String(), body)
 	if err != nil {
-		rt.proxyErrors.Add(1)
+		rt.stats.ProxyErrors.Add(1)
 		writeError(w, http.StatusBadGateway, "router: building upstream request: %v", err)
 		return
 	}
@@ -312,7 +307,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, n *node, gen u
 	}
 	resp, err := rt.client.Do(req)
 	if err != nil {
-		rt.proxyErrors.Add(1)
+		rt.stats.ProxyErrors.Add(1)
 		n.healthy.Store(false)
 		writeError(w, http.StatusBadGateway, "router: upstream %s: %v", n.name, err)
 		return
@@ -320,13 +315,13 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, n *node, gen u
 	defer resp.Body.Close()
 	n.healthy.Store(true)
 	if gen > 0 && resp.StatusCode == http.StatusConflict {
-		rt.fencedWrites.Add(1)
+		rt.stats.FencedWrites.Add(1)
 	}
 
 	if rewrite != nil && resp.StatusCode >= 200 && resp.StatusCode < 300 {
 		data, err := io.ReadAll(resp.Body)
 		if err != nil {
-			rt.proxyErrors.Add(1)
+			rt.stats.ProxyErrors.Add(1)
 			writeError(w, http.StatusBadGateway, "router: reading upstream response: %v", err)
 			return
 		}
@@ -378,20 +373,20 @@ func flushCopy(w http.ResponseWriter, src io.Reader) {
 func (rt *Router) handleWrite(w http.ResponseWriter, r *http.Request) {
 	g := rt.groupFor(r.PathValue("name"))
 	n, gen := g.primaryNode()
-	rt.proxiedWrites.Add(1)
+	rt.stats.ProxiedWrites.Add(1)
 	rt.forward(w, r, n, gen, nil, nil)
 }
 
 func (rt *Router) handleRead(w http.ResponseWriter, r *http.Request) {
 	g := rt.groupFor(r.PathValue("name"))
-	rt.proxiedReads.Add(1)
+	rt.stats.ProxiedReads.Add(1)
 	rt.forward(w, r, g.readNode(), 0, nil, nil)
 }
 
 // handleListGraphs fans GET /graphs across every group's read node and
 // merges the arrays, sorted by graph name for a stable composite view.
 func (rt *Router) handleListGraphs(w http.ResponseWriter, r *http.Request) {
-	rt.proxiedReads.Add(1)
+	rt.stats.ProxiedReads.Add(1)
 	type item struct {
 		name string
 		raw  json.RawMessage
@@ -401,7 +396,7 @@ func (rt *Router) handleListGraphs(w http.ResponseWriter, r *http.Request) {
 		n := g.readNode()
 		list, err := rt.fetchJSONList(r, n)
 		if err != nil {
-			rt.proxyErrors.Add(1)
+			rt.stats.ProxyErrors.Add(1)
 			writeError(w, http.StatusBadGateway, "router: listing graphs on %s: %v", n.name, err)
 			return
 		}
@@ -479,7 +474,7 @@ func (rt *Router) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	rt.proxiedReads.Add(1)
+	rt.stats.ProxiedReads.Add(1)
 	rt.forward(w, r, rt.groupFor(name).readNode(), 0, bytes.NewReader(body), nil)
 }
 
@@ -540,7 +535,7 @@ func (rt *Router) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	n := rt.groupFor(name).readNode()
-	rt.jobsRouted.Add(1)
+	rt.stats.JobsRouted.Add(1)
 	rt.forward(w, r, n, 0, bytes.NewReader(body), func(data []byte) []byte {
 		return suffixJobIDs(data, n.name)
 	})
@@ -552,7 +547,7 @@ func (rt *Router) handleJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "router: job id %q carries no known node suffix", r.PathValue("id"))
 		return
 	}
-	rt.jobsRouted.Add(1)
+	rt.stats.JobsRouted.Add(1)
 	// Rebuild the path with the node-local id.
 	r2 := r.Clone(r.Context())
 	r2.URL.Path = "/jobs/" + inner + strings.TrimPrefix(r.URL.Path, "/jobs/"+r.PathValue("id"))
@@ -581,7 +576,7 @@ func (rt *Router) handleListJobs(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	rt.jobsRouted.Add(1)
+	rt.stats.JobsRouted.Add(1)
 	writeJSON(w, http.StatusOK, out)
 }
 
@@ -636,39 +631,73 @@ func (rt *Router) handleGroups(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, rt.groupViews())
 }
 
-// routerStats is the GET /stats document.
+// routerStats is the router's one stats document: the GET /stats body
+// and, as Router.stats, the storage of its counters. A field's tags are
+// its whole declaration — `json` the /stats key, `prom` and `help` the
+// /metrics series promtext.Writer.Struct derives; a new counter is one
+// tagged field here plus a row in docs/OPERATIONS.md's metrics
+// reference. The plain fields are gauges statsSnapshot fills per read;
+// the two tagged `json:"-"` are series /stats shows only as the groups
+// array.
 type routerStats struct {
-	UptimeSeconds float64     `json:"uptimeSeconds"`
-	Requests      int64       `json:"requests"`
-	ProxiedReads  int64       `json:"proxiedReads"`
-	ProxiedWrites int64       `json:"proxiedWrites"`
-	ProxyErrors   int64       `json:"proxyErrors"`
-	FencedWrites  int64       `json:"fencedWrites"`
-	JobsRouted    int64       `json:"jobsRouted"`
-	Checks        int64       `json:"checks"`
-	FailedChecks  int64       `json:"failedChecks"`
-	Promotions    int64       `json:"promotions"`
-	Groups        []groupView `json:"groups"`
+	UptimeSeconds float64          `json:"uptimeSeconds" prom:"nucleusrouter_uptime_seconds" help:"Seconds since the router started."`
+	Requests      promtext.Counter `json:"requests" prom:"nucleusrouter_requests_total" help:"HTTP requests received."`
+	ProxiedReads  promtext.Counter `json:"proxiedReads" prom:"nucleusrouter_proxied_reads_total" help:"Read requests proxied to replicas."`
+	ProxiedWrites promtext.Counter `json:"proxiedWrites" prom:"nucleusrouter_proxied_writes_total" help:"Mutations proxied to group primaries."`
+	ProxyErrors   promtext.Counter `json:"proxyErrors" prom:"nucleusrouter_proxy_errors_total" help:"Proxied requests that failed in transit."`
+	FencedWrites  promtext.Counter `json:"fencedWrites" prom:"nucleusrouter_fenced_writes_total" help:"Proxied writes a node's generation fence rejected."`
+	JobsRouted    promtext.Counter `json:"jobsRouted" prom:"nucleusrouter_jobs_routed_total" help:"Job requests routed by node-suffixed id."`
+	Checks        promtext.Counter `json:"checks" prom:"nucleusrouter_checks_total" help:"Fleet health sweeps performed."`
+	FailedChecks  promtext.Counter `json:"failedChecks" prom:"nucleusrouter_failed_checks_total" help:"Group checks that ended degraded."`
+	Promotions    promtext.Counter `json:"promotions" prom:"nucleusrouter_promotions_total" help:"Replica promotions this router performed."`
+	GroupCount    int              `json:"-" prom:"nucleusrouter_groups" help:"Configured shard groups."`
+	NodesHealthy  int              `json:"-" prom:"nucleusrouter_nodes_healthy" help:"Fleet nodes whose last contact succeeded."`
+	Groups        []groupView      `json:"groups"`
 }
 
-func (rt *Router) statsView() routerStats {
-	return routerStats{
-		UptimeSeconds: time.Since(rt.start).Seconds(),
-		Requests:      rt.requests.Load(),
-		ProxiedReads:  rt.proxiedReads.Load(),
-		ProxiedWrites: rt.proxiedWrites.Load(),
-		ProxyErrors:   rt.proxyErrors.Load(),
-		FencedWrites:  rt.fencedWrites.Load(),
-		JobsRouted:    rt.jobsRouted.Load(),
-		Checks:        rt.checks.Load(),
-		FailedChecks:  rt.failedChecks.Load(),
-		Promotions:    rt.promotions.Load(),
-		Groups:        rt.groupViews(),
+// statsSnapshot is the one read of the stats document, behind both
+// GET /stats and GET /metrics: the counters as of now, plus the gauges.
+func (rt *Router) statsSnapshot() *routerStats {
+	st := promtext.Snapshot(&rt.stats)
+	st.UptimeSeconds = time.Since(rt.start).Seconds()
+	st.Groups = rt.groupViews()
+	st.GroupCount = len(st.Groups)
+	for _, gv := range st.Groups {
+		for _, nv := range gv.Nodes {
+			if nv.Healthy {
+				st.NodesHealthy++
+			}
+		}
 	}
+	return st
 }
 
 func (rt *Router) handleStats(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, rt.statsView())
+	writeJSON(w, http.StatusOK, rt.statsSnapshot())
+}
+
+// handleMetrics serves GET /metrics: the stats document in Prometheus
+// text format, plus the fleet topology the router believes in as
+// families labeled by group and node. A promotion shows up as
+// nucleusrouter_group_generation ticking up and the 1 moving between
+// nodes on nucleusrouter_node_primary.
+func (rt *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
+	st := rt.statsSnapshot()
+	var p promtext.Writer
+	p.Struct(st)
+	for _, gv := range st.Groups {
+		p.LabeledGauge("nucleusrouter_group_generation", "Cluster generation the router stamps on this group's writes.",
+			map[string]string{"group": gv.Name}, float64(gv.Generation))
+		for _, nv := range gv.Nodes {
+			nl := map[string]string{"group": gv.Name, "node": nv.Name}
+			p.LabeledGauge("nucleusrouter_node_healthy", "1 when the node's last probe or proxy succeeded.", nl, promtext.Bool(nv.Healthy))
+			p.LabeledGauge("nucleusrouter_node_primary", "1 for the node the router treats as the group's primary.", nl, promtext.Bool(nv.Role == replica.RolePrimary))
+			p.LabeledGauge("nucleusrouter_node_max_version", "Highest graph version the node reported on its last probe.", nl, float64(nv.MaxVersion))
+		}
+	}
+	w.Header().Set("Content-Type", promtext.ContentType)
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(p.Bytes())
 }
 
 func (rt *Router) handleCheck(w http.ResponseWriter, _ *http.Request) {

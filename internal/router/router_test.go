@@ -332,7 +332,7 @@ func TestRouterFailover(t *testing.T) {
 		t.Fatalf("read after failover: status %d", resp.StatusCode)
 	}
 	// The router's own telemetry recorded the promotion.
-	if got := rt.promotions.Load(); got != 1 {
+	if got := rt.stats.Promotions.Load(); got != 1 {
 		t.Fatalf("promotions = %d, want 1", got)
 	}
 	var gvs []groupView
@@ -399,8 +399,8 @@ func TestRouterMetricsAndStats(t *testing.T) {
 
 	var st routerStats
 	doReq(t, "GET", rts.URL+"/stats", nil, &st)
-	if st.ProxiedWrites != 1 || st.ProxiedReads != 1 {
-		t.Fatalf("stats: writes=%d reads=%d, want 1/1", st.ProxiedWrites, st.ProxiedReads)
+	if st.ProxiedWrites.Load() != 1 || st.ProxiedReads.Load() != 1 {
+		t.Fatalf("stats: writes=%d reads=%d, want 1/1", st.ProxiedWrites.Load(), st.ProxiedReads.Load())
 	}
 	if len(st.Groups) != 1 || st.Groups[0].Generation != 1 {
 		t.Fatalf("stats groups: %+v", st.Groups)

@@ -38,16 +38,20 @@ type Prediction struct {
 	Cold bool
 }
 
-// CostModelStats is the /stats snapshot of the model.
+// CostModelStats is the snapshot of the model that /stats reports under
+// scheduler.costModel and /metrics derives from (internal/promtext reads
+// the prom and help tags): how many (graph version, family, algorithm)
+// keys it has learned and how its predictions split between learned
+// (hits) and cold-prior (misses) answers.
 type CostModelStats struct {
-	Entries      int
-	Hits         int64
-	Misses       int64
-	Observations int64
+	Entries      int   `json:"entries" prom:"nucleusd_sched_cost_model_entries" help:"Keys the cost model has learned."`
+	Hits         int64 `json:"hits" prom:"nucleusd_sched_cost_model_hits_total" help:"Predictions answered from a learned key."`
+	Misses       int64 `json:"misses" prom:"nucleusd_sched_cost_model_misses_total" help:"Predictions answered from the cold-start prior."`
+	Observations int64 `json:"observations" prom:"nucleusd_sched_cost_model_observations_total" help:"Completed runs the cost model has observed."`
 	// MeanAbsErrPct is the running mean of |observed − predicted| /
 	// observed, in percent, over all observed completions (cold-start
 	// predictions included — the honest number).
-	MeanAbsErrPct float64
+	MeanAbsErrPct float64 `json:"meanAbsErrPct" prom:"nucleusd_sched_cost_model_mean_abs_err_pct" help:"Running mean absolute prediction error of the cost model, in percent."`
 }
 
 // Cost-model defaults. The cold-start prior charges priorUnitMs per

@@ -124,14 +124,19 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// TenantStats is one tenant's cumulative and live accounting.
+// TenantStats is one tenant's cumulative admission outcomes plus its live
+// queue occupancy, as /stats reports it under scheduler.perTenant.
+// Admitted counts jobs accepted into the queue; Shed counts refusals (at
+// admission or by dispatch-time deadline expiry); Degraded counts jobs
+// re-budgeted to meet their deadline. Weight is the tenant's
+// deficit-round-robin weight (1 unless configured higher).
 type TenantStats struct {
-	Admitted int64
-	Shed     int64
-	Degraded int64
-	InFlight int
-	Queued   int
-	Weight   int
+	Admitted int64 `json:"admitted"`
+	Shed     int64 `json:"shed"`
+	Degraded int64 `json:"degraded"`
+	InFlight int   `json:"inFlight"`
+	Queued   int   `json:"queued"`
+	Weight   int   `json:"weight"`
 }
 
 // Stats is a consistent snapshot of the scheduler.

@@ -189,7 +189,7 @@ func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "response writer does not support streaming")
 		return
 	}
-	s.sseStreams.Add(1)
+	s.stats.Anytime.Streams.Add(1)
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("X-Accel-Buffering", "no") // keep reverse proxies from buffering the feed
@@ -346,7 +346,7 @@ func (s *Server) handleDecompose(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.budgetedQueries.Add(1)
+	s.stats.Anytime.BudgetedQueries.Add(1)
 
 	start := time.Now()
 	if maxMs > 0 {

@@ -142,8 +142,8 @@ func TestBudgetedQueryDeadline(t *testing.T) {
 
 	var st statsResponse
 	doJSON(t, "GET", ts.URL+"/stats", nil, &st)
-	if st.Anytime.BudgetedQueries < 1 || st.Anytime.DeadlineStops < 1 {
-		t.Fatalf("anytime stats missed the deadline stop: %+v", st.Anytime)
+	if st.Anytime.BudgetedQueries.Load() < 1 || st.Anytime.DeadlineStops.Load() < 1 {
+		t.Fatalf("anytime stats missed the deadline stop: %+v", jsonString(&st.Anytime))
 	}
 }
 
@@ -256,8 +256,8 @@ func TestJobStreamSSE(t *testing.T) {
 
 	var st statsResponse
 	doJSON(t, "GET", ts.URL+"/stats", nil, &st)
-	if st.Anytime.Streams < 1 || st.Anytime.ProgressSnapshots < int64(len(maxTaus)) {
-		t.Fatalf("anytime stats undercount the stream: %+v", st.Anytime)
+	if st.Anytime.Streams.Load() < 1 || st.Anytime.ProgressSnapshots.Load() < int64(len(maxTaus)) {
+		t.Fatalf("anytime stats undercount the stream: %+v", jsonString(&st.Anytime))
 	}
 }
 
@@ -338,8 +338,8 @@ func TestCancelRunningJob(t *testing.T) {
 
 	var st statsResponse
 	doJSON(t, "GET", ts.URL+"/stats", nil, &st)
-	if st.Jobs.Cancelled != 1 {
-		t.Fatalf("stats cancelled = %d, want 1", st.Jobs.Cancelled)
+	if st.Jobs.Cancelled.Load() != 1 {
+		t.Fatalf("stats cancelled = %d, want 1", st.Jobs.Cancelled.Load())
 	}
 }
 
@@ -379,13 +379,13 @@ func TestCancelQueuedJob(t *testing.T) {
 
 	var st statsResponse
 	doJSON(t, "GET", ts.URL+"/stats", nil, &st)
-	if st.Jobs.Cancelled != 2 {
-		t.Fatalf("stats cancelled = %d, want 2", st.Jobs.Cancelled)
+	if st.Jobs.Cancelled.Load() != 2 {
+		t.Fatalf("stats cancelled = %d, want 2", st.Jobs.Cancelled.Load())
 	}
 	// The hits+misses invariant survives cancellation (both jobs resolve
 	// their deferred accounting).
-	if st.Cache.Hits+st.Cache.Misses != st.Cache.Lookups {
-		t.Fatalf("cache accounting broken: %+v", st.Cache)
+	if st.Cache.Hits.Load()+st.Cache.Misses.Load() != st.Cache.Lookups {
+		t.Fatalf("cache accounting broken: %+v", jsonString(&st.Cache))
 	}
 }
 
@@ -409,7 +409,7 @@ func TestProgressDisabled(t *testing.T) {
 	}
 	var st statsResponse
 	doJSON(t, "GET", ts.URL+"/stats", nil, &st)
-	if st.Anytime.ProgressSnapshots != 0 {
-		t.Fatalf("progress disabled but %d snapshots published", st.Anytime.ProgressSnapshots)
+	if st.Anytime.ProgressSnapshots.Load() != 0 {
+		t.Fatalf("progress disabled but %d snapshots published", st.Anytime.ProgressSnapshots.Load())
 	}
 }

@@ -80,292 +80,10 @@ func queryInt(r *http.Request, name string, def int) (int, error) {
 }
 
 // ---------------------------------------------------------------------------
-// Health and stats.
+// Health (GET /stats and GET /metrics live in stats.go).
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-type statsResponse struct {
-	UptimeSeconds float64          `json:"uptimeSeconds"`
-	Requests      int64            `json:"requests"`
-	Graphs        int              `json:"graphs"`
-	Workers       int              `json:"workers"`
-	Jobs          jobsStats        `json:"jobs"`
-	Scheduler     schedulerStats   `json:"scheduler"`
-	Cache         cacheStats       `json:"cache"`
-	Mutations     mutationStats    `json:"mutations"`
-	Index         indexStats       `json:"index"`
-	Anytime       anytimeStats     `json:"anytime"`
-	Persistence   persistenceStats `json:"persistence"`
-	Replication   replicationStats `json:"replication"`
-}
-
-// replicationStats reports the node's place in a replicated deployment
-// (see docs/REPLICATION.md). On a replica the lag/pull fields mirror
-// GET /replication/status; FencedWrites counts writes rejected by the
-// generation fence and Promotions counts replica→primary transitions
-// this process performed.
-type replicationStats struct {
-	Role       string `json:"role"`
-	Generation uint64 `json:"generation"`
-	MaxVersion uint64 `json:"maxVersion"`
-	// Replica-only pull progress (zero values elsewhere).
-	Primary            string  `json:"primary,omitempty"`
-	LagVersions        int64   `json:"lagVersions"`
-	LagMs              float64 `json:"lagMs"`
-	Pulls              int64   `json:"pulls"`
-	PullErrors         int64   `json:"pullErrors"`
-	StalePulls         int64   `json:"stalePulls"`
-	BytesPulled        int64   `json:"bytesPulled"`
-	SnapshotsInstalled int64   `json:"snapshotsInstalled"`
-	BatchesApplied     int64   `json:"batchesApplied"`
-	DuplicatesSkipped  int64   `json:"duplicatesSkipped"`
-	FencedWrites       int64   `json:"fencedWrites"`
-	Promotions         int64   `json:"promotions"`
-	LastError          string  `json:"lastError,omitempty"`
-}
-
-// replicationStats assembles the /stats replication section from the
-// node status and the fence counters.
-func (s *Server) replicationStats() replicationStats {
-	ns := s.nodeStatus()
-	return replicationStats{
-		Role:               ns.Role,
-		Generation:         ns.Generation,
-		MaxVersion:         ns.MaxVersion,
-		Primary:            ns.Primary,
-		LagVersions:        ns.LagVersions,
-		LagMs:              ns.LagMs,
-		Pulls:              ns.Pulls,
-		PullErrors:         ns.PullErrors,
-		StalePulls:         ns.StalePulls,
-		BytesPulled:        ns.BytesPulled,
-		SnapshotsInstalled: ns.SnapshotsInstalled,
-		BatchesApplied:     ns.BatchesApplied,
-		DuplicatesSkipped:  ns.DuplicatesSkipped,
-		FencedWrites:       s.fencedWrites.Load(),
-		Promotions:         s.promotions.Load(),
-		LastError:          ns.LastError,
-	}
-}
-
-// schedulerStats reports the workload-aware dispatch layer (see
-// internal/sched and docs/OPERATIONS.md). PredictedWaitMs is the cost
-// model's estimate of how long a job submitted now would queue.
-type schedulerStats struct {
-	PredictedWaitMs float64                    `json:"predictedWaitMs"`
-	PerTenant       map[string]tenantStatsView `json:"perTenant"`
-	CostModel       costModelStatsView         `json:"costModel"`
-}
-
-// tenantStatsView is one tenant's cumulative admission outcomes plus its
-// live queue occupancy. Admitted counts jobs accepted into the queue;
-// Shed counts refusals (at admission or by dispatch-time deadline
-// expiry); Degraded counts jobs re-budgeted to meet their deadline.
-// Weight is the tenant's deficit-round-robin weight (-tenant-weight; 1
-// unless configured higher).
-type tenantStatsView struct {
-	Admitted int64 `json:"admitted"`
-	Shed     int64 `json:"shed"`
-	Degraded int64 `json:"degraded"`
-	InFlight int   `json:"inFlight"`
-	Queued   int   `json:"queued"`
-	Weight   int   `json:"weight"`
-}
-
-// costModelStatsView reports the observed-cost model: how many
-// (graph version, family, algorithm) keys it has learned, how its
-// predictions split between learned (hits) and cold-prior (misses)
-// answers, and its running mean absolute prediction error.
-type costModelStatsView struct {
-	Entries       int     `json:"entries"`
-	Hits          int64   `json:"hits"`
-	Misses        int64   `json:"misses"`
-	Observations  int64   `json:"observations"`
-	MeanAbsErrPct float64 `json:"meanAbsErrPct"`
-}
-
-// anytimeStats reports the anytime serving surface (see docs/ANYTIME.md).
-// ProgressSnapshots counts copy-on-write τ snapshots published by
-// completed runs; Streams counts GET /jobs/{id}/stream connections
-// served; BudgetedQueries counts GET /graphs/{name}/decompose requests
-// admitted, and DeadlineStops how many of their runs were ended by the
-// ?maxMs= wall-clock deadline rather than by convergence or the sweep
-// budget.
-type anytimeStats struct {
-	ProgressSnapshots int64 `json:"progressSnapshots"`
-	Streams           int64 `json:"streams"`
-	BudgetedQueries   int64 `json:"budgetedQueries"`
-	DeadlineStops     int64 `json:"deadlineStops"`
-}
-
-// persistenceStats reports the durable store (see internal/store and
-// docs/OPERATIONS.md). Snapshots counts full snapshot writes (uploads,
-// generates and compactions); WALAppends/WALBytes count appended frames
-// (batch + commit) and their bytes since start. Replays is the number of
-// graphs recovered at startup and ReplayedBatches the committed WAL
-// batches re-applied for them; Compactions counts WALs folded into fresh
-// snapshots. Errors counts non-fatal persistence failures (logged; the
-// server keeps serving from memory).
-type persistenceStats struct {
-	Enabled         bool  `json:"enabled"`
-	Snapshots       int64 `json:"snapshots"`
-	WALAppends      int64 `json:"walAppends"`
-	WALBytes        int64 `json:"walBytes"`
-	Replays         int64 `json:"replays"`
-	ReplayedBatches int64 `json:"replayedBatches"`
-	Compactions     int64 `json:"compactions"`
-	Errors          int64 `json:"errors"`
-}
-
-// indexStats reports the per-(graph version, family) instance cache.
-// Builds counts flat s-clique incidence indexes materialized; Reuses
-// counts requests served by a memoized instance (no re-counting of
-// triangles/4-cliques at all); Fallbacks counts instances constructed
-// without a flat index (over budget, indexing disabled, or the core
-// family, whose CSR adjacency needs none). Bytes is the total size of all
-// indexes built since start (an upper bound on live index memory: dead
-// graph versions release theirs with the entry).
-type indexStats struct {
-	Builds    int64 `json:"builds"`
-	Reuses    int64 `json:"reuses"`
-	Fallbacks int64 `json:"fallbacks"`
-	Bytes     int64 `json:"bytes"`
-}
-
-type jobsStats struct {
-	Submitted int64 `json:"submitted"`
-	Queued    int   `json:"queued"`
-	Running   int   `json:"running"`
-	Done      int   `json:"done"`
-	Failed    int   `json:"failed"`
-	Cancelled int64 `json:"cancelled"`
-	// Shed counts jobs refused by the admission policy or expired in the
-	// queue (503 + Retry-After); Degraded counts jobs re-budgeted to a
-	// computed maxSweeps so their deadline stayed feasible.
-	Shed     int64 `json:"shed"`
-	Degraded int64 `json:"degraded"`
-}
-
-type cacheStats struct {
-	Hits   int64 `json:"hits"`
-	Misses int64 `json:"misses"`
-	// Lookups is hits + misses: the number of decomposition requests
-	// resolved against the cache (per-request accounting — a coalesced
-	// request counts as one hit).
-	Lookups  int64 `json:"lookups"`
-	Entries  int   `json:"entries"`
-	Capacity int   `json:"capacity"`
-}
-
-// mutationStats reports the mutation path and its warm-start savings.
-type mutationStats struct {
-	// Batches is the number of published edit batches; Applied/Ignored
-	// count individual edits.
-	Batches int64 `json:"batches"`
-	Applied int64 `json:"applied"`
-	Ignored int64 `json:"ignored"`
-	// WarmRuns is the number of warm-started reconvergence runs seeded
-	// from a previous version's κ; ColdRuns counts full decompositions
-	// actually executed by the engines.
-	WarmRuns int64 `json:"warmRuns"`
-	ColdRuns int64 `json:"coldRuns"`
-	// WarmSweeps is the total sweeps warm runs needed; SweepsSaved sums,
-	// per warm run, the sweeps of the cold run it was seeded from minus
-	// its own (0 when the seed came from peeling, which reports none).
-	WarmSweeps  int64 `json:"warmSweeps"`
-	SweepsSaved int64 `json:"sweepsSaved"`
-}
-
-// schedulerStats assembles the /stats scheduler section from the live
-// dispatch queue and the cost model.
-func (s *Server) schedulerStats() schedulerStats {
-	st := s.jobs.sched.Stats()
-	perTenant := make(map[string]tenantStatsView, len(st.PerTenant))
-	for name, ts := range st.PerTenant {
-		perTenant[name] = tenantStatsView{
-			Admitted: ts.Admitted,
-			Shed:     ts.Shed,
-			Degraded: ts.Degraded,
-			InFlight: ts.InFlight,
-			Queued:   ts.Queued,
-			Weight:   ts.Weight,
-		}
-	}
-	cm := s.jobs.cost.Stats()
-	return schedulerStats{
-		PredictedWaitMs: s.jobs.sched.PredictedWaitMs(),
-		PerTenant:       perTenant,
-		CostModel: costModelStatsView{
-			Entries:       cm.Entries,
-			Hits:          cm.Hits,
-			Misses:        cm.Misses,
-			Observations:  cm.Observations,
-			MeanAbsErrPct: cm.MeanAbsErrPct,
-		},
-	}
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	queued, running := s.jobs.counts()
-	hits, misses := s.cacheHits.Load(), s.cacheMisses.Load()
-	writeJSON(w, http.StatusOK, statsResponse{
-		UptimeSeconds: time.Since(s.start).Seconds(),
-		Requests:      s.requests.Load(),
-		Graphs:        s.reg.count(),
-		Workers:       s.cfg.Workers,
-		Jobs: jobsStats{
-			Submitted: s.jobs.submitted.Load(),
-			Queued:    queued,
-			Running:   running,
-			Done:      int(s.jobs.completed.Load()),
-			Failed:    int(s.jobs.failed.Load()),
-			Cancelled: s.jobs.cancelled.Load(),
-			Shed:      s.jobs.shed.Load(),
-			Degraded:  s.jobs.degraded.Load(),
-		},
-		Scheduler: s.schedulerStats(),
-		Cache: cacheStats{
-			Hits:     hits,
-			Misses:   misses,
-			Lookups:  hits + misses,
-			Entries:  s.cache.len(),
-			Capacity: s.cfg.CacheSize,
-		},
-		Mutations: mutationStats{
-			Batches:     s.mutBatches.Load(),
-			Applied:     s.mutApplied.Load(),
-			Ignored:     s.mutIgnored.Load(),
-			WarmRuns:    s.warmRuns.Load(),
-			ColdRuns:    s.coldRuns.Load(),
-			WarmSweeps:  s.warmSweeps.Load(),
-			SweepsSaved: s.sweepsSaved.Load(),
-		},
-		Index: indexStats{
-			Builds:    s.idxBuilds.Load(),
-			Reuses:    s.idxReuses.Load(),
-			Fallbacks: s.idxFallbacks.Load(),
-			Bytes:     s.idxBytes.Load(),
-		},
-		Anytime: anytimeStats{
-			ProgressSnapshots: s.progressSnaps.Load(),
-			Streams:           s.sseStreams.Load(),
-			BudgetedQueries:   s.budgetedQueries.Load(),
-			DeadlineStops:     s.deadlineStops.Load(),
-		},
-		Persistence: persistenceStats{
-			Enabled:         s.store.Durable(),
-			Snapshots:       s.snapSaves.Load(),
-			WALAppends:      s.walAppends.Load(),
-			WALBytes:        s.walBytes.Load(),
-			Replays:         s.replays.Load(),
-			ReplayedBatches: s.replayedBatches.Load(),
-			Compactions:     s.compactions.Load(),
-			Errors:          s.persistErrors.Load(),
-		},
-		Replication: s.replicationStats(),
-	})
 }
 
 // ---------------------------------------------------------------------------

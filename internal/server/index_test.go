@@ -18,13 +18,13 @@ func jsonString(v any) string {
 }
 
 // statsIndex fetches the /stats index section.
-func statsIndex(t *testing.T, base string) indexStats {
+func statsIndex(t *testing.T, base string) *indexStats {
 	t.Helper()
 	var st statsResponse
 	if resp := doJSON(t, "GET", base+"/stats", nil, &st); resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET /stats: status %d", resp.StatusCode)
 	}
-	return st.Index
+	return &st.Index
 }
 
 // TestInstanceReuseAcrossDecompositions proves the tentpole serving
@@ -41,11 +41,11 @@ func TestInstanceReuseAcrossDecompositions(t *testing.T) {
 		t.Fatalf("first job: state %s (%s)", v.State, v.Error)
 	}
 	after1 := statsIndex(t, ts.URL)
-	if after1.Builds != 1 {
-		t.Fatalf("after first truss job: builds = %d, want 1", after1.Builds)
+	if after1.Builds.Load() != 1 {
+		t.Fatalf("after first truss job: builds = %d, want 1", after1.Builds.Load())
 	}
-	if after1.Bytes <= 0 {
-		t.Fatalf("after first truss job: bytes = %d, want > 0", after1.Bytes)
+	if after1.Bytes.Load() <= 0 {
+		t.Fatalf("after first truss job: bytes = %d, want > 0", after1.Bytes.Load())
 	}
 
 	// Different algorithm + budget → different cache key → the engine runs
@@ -55,11 +55,11 @@ func TestInstanceReuseAcrossDecompositions(t *testing.T) {
 		t.Fatalf("second job: state %s (%s)", v.State, v.Error)
 	}
 	after2 := statsIndex(t, ts.URL)
-	if after2.Builds != after1.Builds {
-		t.Fatalf("second decompose rebuilt the index: builds %d → %d", after1.Builds, after2.Builds)
+	if after2.Builds.Load() != after1.Builds.Load() {
+		t.Fatalf("second decompose rebuilt the index: builds %d → %d", after1.Builds.Load(), after2.Builds.Load())
 	}
-	if after2.Reuses <= after1.Reuses {
-		t.Fatalf("second decompose did not reuse the instance: reuses %d → %d", after1.Reuses, after2.Reuses)
+	if after2.Reuses.Load() <= after1.Reuses.Load() {
+		t.Fatalf("second decompose did not reuse the instance: reuses %d → %d", after1.Reuses.Load(), after2.Reuses.Load())
 	}
 
 	// The memoized indexed instance also serves the synchronous estimate
@@ -69,8 +69,8 @@ func TestInstanceReuseAcrossDecompositions(t *testing.T) {
 		t.Fatalf("estimate: status %d", resp.StatusCode)
 	}
 	after3 := statsIndex(t, ts.URL)
-	if after3.Builds != after1.Builds || after3.Reuses <= after2.Reuses {
-		t.Fatalf("estimate path: builds %d reuses %d, want builds unchanged and reuses to grow", after3.Builds, after3.Reuses)
+	if after3.Builds.Load() != after1.Builds.Load() || after3.Reuses.Load() <= after2.Reuses.Load() {
+		t.Fatalf("estimate path: builds %d reuses %d, want builds unchanged and reuses to grow", after3.Builds.Load(), after3.Reuses.Load())
 	}
 
 	// Re-uploading the graph bumps the version: the old index dies with
@@ -81,8 +81,8 @@ func TestInstanceReuseAcrossDecompositions(t *testing.T) {
 		t.Fatalf("post-replace job: state %s (%s)", v.State, v.Error)
 	}
 	after4 := statsIndex(t, ts.URL)
-	if after4.Builds != after1.Builds+1 {
-		t.Fatalf("new graph version: builds = %d, want %d", after4.Builds, after1.Builds+1)
+	if after4.Builds.Load() != after1.Builds.Load()+1 {
+		t.Fatalf("new graph version: builds = %d, want %d", after4.Builds.Load(), after1.Builds.Load()+1)
 	}
 }
 
@@ -103,11 +103,11 @@ func TestIndexBudgetFallbackCounters(t *testing.T) {
 		t.Fatalf("core job: state %s (%s)", v.State, v.Error)
 	}
 	st := statsIndex(t, ts.URL)
-	if st.Builds != 0 || st.Bytes != 0 {
+	if st.Builds.Load() != 0 || st.Bytes.Load() != 0 {
 		t.Fatalf("disabled budget built an index: %+v", st)
 	}
-	if st.Fallbacks != 2 {
-		t.Fatalf("fallbacks = %d, want 2 (truss + core)", st.Fallbacks)
+	if st.Fallbacks.Load() != 2 {
+		t.Fatalf("fallbacks = %d, want 2 (truss + core)", st.Fallbacks.Load())
 	}
 
 	// White-box: with indexing disabled the memo must hold an on-the-fly

@@ -127,13 +127,7 @@ type jobManager struct {
 	order  []string // submission order, for GET /jobs
 	closed bool
 
-	nextID    atomic.Int64
-	submitted atomic.Int64
-	completed atomic.Int64
-	failed    atomic.Int64
-	cancelled atomic.Int64
-	shed      atomic.Int64
-	degraded  atomic.Int64
+	nextID atomic.Int64
 }
 
 func newJobManager(s *Server) *jobManager {
@@ -249,7 +243,7 @@ func (m *jobManager) submit(req jobRequest, tenant string, deadlineMs int) (*job
 				j.q.maxSweeps = budget
 				j.degraded = true
 				j.predictedMs = float64(budget) * pred.SweepMs
-				m.degraded.Add(1)
+				m.s.stats.Jobs.Degraded.Add(1)
 				if m.finishIfCached(j) {
 					return j, nil
 				}
@@ -296,7 +290,7 @@ func (m *jobManager) submit(req jobRequest, tenant string, deadlineMs int) (*job
 	}
 	m.trackLocked(j)
 	m.mu.Unlock()
-	m.submitted.Add(1)
+	m.s.stats.Jobs.Submitted.Add(1)
 	return j, nil
 }
 
@@ -314,8 +308,8 @@ func (m *jobManager) finishIfCached(j *job) bool {
 	j.result = slimResult(res)
 	j.finished = j.submitted
 	m.track(j)
-	m.submitted.Add(1)
-	m.completed.Add(1)
+	m.s.stats.Jobs.Submitted.Add(1)
+	m.s.stats.Jobs.Done.Add(1)
 	m.prune()
 	return true
 }
@@ -330,8 +324,8 @@ func (m *jobManager) shedAtSubmit(j *job, msg string) {
 	j.errMsg = msg
 	j.finished = j.submitted
 	m.track(j)
-	m.submitted.Add(1)
-	m.shed.Add(1)
+	m.s.stats.Jobs.Submitted.Add(1)
+	m.s.stats.Jobs.Shed.Add(1)
 	m.sched.RecordShed(j.tenant)
 	m.prune()
 }
@@ -356,7 +350,7 @@ func (m *jobManager) onShed(it *sched.Item) {
 		j.state = JobShed
 		j.errMsg = "shed: deadline expired before a worker was available"
 		j.finished = time.Now()
-		m.shed.Add(1)
+		m.s.stats.Jobs.Shed.Add(1)
 	}
 	// The job was admitted (counted toward submitted), so its deferred
 	// cache accounting must resolve — as a miss, like a cancelled queued
@@ -427,7 +421,7 @@ func (m *jobManager) cancel(j *job) (running bool, err error) {
 		j.state = JobCancelled
 		j.errMsg = "cancelled before start"
 		j.finished = time.Now()
-		m.cancelled.Add(1)
+		m.s.stats.Jobs.Cancelled.Add(1)
 		// Release the scheduler slot on the spot so the queue capacity is
 		// reusable immediately, not after a worker drains the tombstone.
 		// Lock order is j.mu → scheduler, here and in viewJob.
@@ -489,7 +483,7 @@ func (m *jobManager) run(it *sched.Item) {
 		j.state = JobFailed
 		j.errMsg = err.Error()
 		j.mu.Unlock()
-		m.failed.Add(1)
+		m.s.stats.Jobs.Failed.Add(1)
 		m.prune()
 		return
 	}
@@ -507,7 +501,7 @@ func (m *jobManager) run(it *sched.Item) {
 		j.errMsg = "cancelled while running"
 		j.result = slimResult(res)
 		j.mu.Unlock()
-		m.cancelled.Add(1)
+		m.s.stats.Jobs.Cancelled.Add(1)
 		m.prune()
 		return
 	}
@@ -517,7 +511,7 @@ func (m *jobManager) run(it *sched.Item) {
 	// submission and execution; surface that the worker did no work.
 	j.cached = shared
 	j.mu.Unlock()
-	m.completed.Add(1)
+	m.s.stats.Jobs.Done.Add(1)
 	m.prune()
 }
 
@@ -574,7 +568,7 @@ func (m *jobManager) close() {
 			j.state = JobFailed
 			j.errMsg = "server shut down before the job started"
 			j.finished = time.Now()
-			m.failed.Add(1)
+			m.s.stats.Jobs.Failed.Add(1)
 		}
 		// Resolve the deferred accounting even on shutdown, so the
 		// hits+misses invariant holds across Close.

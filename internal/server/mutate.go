@@ -171,10 +171,10 @@ func (s *Server) warmSeed(old, ne *graphEntry, inserts int) []string {
 // sweep-reporting local algorithm — the sweeps saved relative to that cold
 // run.
 func (s *Server) recordWarm(seed *decompResult, lr *localhi.Result) {
-	s.warmRuns.Add(1)
-	s.warmSweeps.Add(int64(lr.Sweeps))
+	s.stats.Mutations.WarmRuns.Add(1)
+	s.stats.Mutations.WarmSweeps.Add(int64(lr.Sweeps))
 	if seed != nil && seed.Sweeps > lr.Sweeps {
-		s.sweepsSaved.Add(int64(seed.Sweeps - lr.Sweeps))
+		s.stats.Mutations.SweepsSaved.Add(int64(seed.Sweeps - lr.Sweeps))
 	}
 }
 

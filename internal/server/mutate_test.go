@@ -299,17 +299,17 @@ func TestMutationWarmStartE2E(t *testing.T) {
 	// Stats: one batch, two warm runs, measurable sweep savings, and the
 	// accounting invariant.
 	st := getStats(t, ts.URL)
-	if st.Mutations.Batches != 1 || st.Mutations.Applied != 5 {
-		t.Fatalf("mutation stats: %+v", st.Mutations)
+	if st.Mutations.Batches.Load() != 1 || st.Mutations.Applied.Load() != 5 {
+		t.Fatalf("mutation stats: %+v", jsonString(&st.Mutations))
 	}
-	if st.Mutations.WarmRuns != 2 {
-		t.Fatalf("warm runs: %+v", st.Mutations)
+	if st.Mutations.WarmRuns.Load() != 2 {
+		t.Fatalf("warm runs: %+v", jsonString(&st.Mutations))
 	}
-	if st.Mutations.SweepsSaved <= 0 {
-		t.Fatalf("no sweep savings recorded: %+v", st.Mutations)
+	if st.Mutations.SweepsSaved.Load() <= 0 {
+		t.Fatalf("no sweep savings recorded: %+v", jsonString(&st.Mutations))
 	}
-	if st.Cache.Hits+st.Cache.Misses != st.Cache.Lookups {
-		t.Fatalf("cache accounting: %+v", st.Cache)
+	if st.Cache.Hits.Load()+st.Cache.Misses.Load() != st.Cache.Lookups {
+		t.Fatalf("cache accounting: %+v", jsonString(&st.Cache))
 	}
 }
 
@@ -531,15 +531,15 @@ func TestStatsCacheAccountingInvariant(t *testing.T) {
 	st := getStats(t, ts.URL)
 	wantLookups := int64(jobs + 2)
 	if st.Cache.Lookups != wantLookups {
-		t.Fatalf("lookups = %d, want %d (%+v)", st.Cache.Lookups, wantLookups, st.Cache)
+		t.Fatalf("lookups = %d, want %d (%+v)", st.Cache.Lookups, wantLookups, jsonString(&st.Cache))
 	}
-	if st.Cache.Hits+st.Cache.Misses != st.Cache.Lookups {
-		t.Fatalf("hits+misses != lookups: %+v", st.Cache)
+	if st.Cache.Hits.Load()+st.Cache.Misses.Load() != st.Cache.Lookups {
+		t.Fatalf("hits+misses != lookups: %+v", jsonString(&st.Cache))
 	}
-	if st.Cache.Misses != 1 {
-		t.Fatalf("exactly one request should have paid the computation: %+v", st.Cache)
+	if st.Cache.Misses.Load() != 1 {
+		t.Fatalf("exactly one request should have paid the computation: %+v", jsonString(&st.Cache))
 	}
-	if st.Mutations.ColdRuns != 1 {
-		t.Fatalf("exactly one cold run should have executed: %+v", st.Mutations)
+	if st.Mutations.ColdRuns.Load() != 1 {
+		t.Fatalf("exactly one cold run should have executed: %+v", jsonString(&st.Mutations))
 	}
 }

@@ -50,7 +50,7 @@ func (s *Server) recoverFromStore() {
 	names, err := s.store.List()
 	if err != nil {
 		log.Printf("nucleusd: listing persisted graphs: %v", err)
-		s.persistErrors.Add(1)
+		s.stats.Persistence.Errors.Add(1)
 		return
 	}
 	loader, _ := s.store.(store.ThreadedLoader)
@@ -69,13 +69,13 @@ func (s *Server) recoverFromStore() {
 			}
 			if err != nil {
 				log.Printf("nucleusd: recovering graph %q: %v", name, err)
-				s.persistErrors.Add(1)
+				s.stats.Persistence.Errors.Add(1)
 				continue
 			}
 			e := s.rebuildEntry(name, snap, batches)
 			s.reg.publish(e, nil)
-			s.replays.Add(1)
-			s.replayedBatches.Add(int64(len(batches)))
+			s.stats.Persistence.Replays.Add(1)
+			s.stats.Persistence.ReplayedBatches.Add(int64(len(batches)))
 			if e.coreKappa != nil {
 				s.warmRecoverCore(e, nil)
 			}
@@ -145,7 +145,7 @@ func (s *Server) persistSnapshot(e *graphEntry) error {
 		Kappa: e.coreKappa,
 	})
 	if err == nil {
-		s.snapSaves.Add(1)
+		s.stats.Persistence.Snapshots.Add(1)
 	}
 	return err
 }
@@ -218,8 +218,8 @@ func (s *Server) compactGraph(name string) {
 	}
 	if err := s.persistSnapshot(e); err != nil {
 		log.Printf("nucleusd: compacting graph %q: %v", name, err)
-		s.persistErrors.Add(1)
+		s.stats.Persistence.Errors.Add(1)
 		return
 	}
-	s.compactions.Add(1)
+	s.stats.Persistence.Compactions.Add(1)
 }

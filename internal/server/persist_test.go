@@ -155,17 +155,17 @@ func TestCrashRecoveryE2E(t *testing.T) {
 	// Stats: both graphs replayed, the three committed batches re-applied,
 	// the core family warm-seeded with ZERO cold decompositions.
 	st := getStats(t, ts2.URL)
-	if !st.Persistence.Enabled || st.Persistence.Replays != 2 {
-		t.Fatalf("persistence stats after recovery: %+v", st.Persistence)
+	if !st.Persistence.Enabled || st.Persistence.Replays.Load() != 2 {
+		t.Fatalf("persistence stats after recovery: %+v", jsonString(&st.Persistence))
 	}
-	if st.Persistence.ReplayedBatches != 3 {
-		t.Fatalf("replayed batches: %d, want 3", st.Persistence.ReplayedBatches)
+	if st.Persistence.ReplayedBatches.Load() != 3 {
+		t.Fatalf("replayed batches: %d, want 3", st.Persistence.ReplayedBatches.Load())
 	}
-	if st.Mutations.ColdRuns != 0 {
-		t.Fatalf("recovery ran %d cold decompositions, want 0", st.Mutations.ColdRuns)
+	if st.Mutations.ColdRuns.Load() != 0 {
+		t.Fatalf("recovery ran %d cold decompositions, want 0", st.Mutations.ColdRuns.Load())
 	}
-	if st.Mutations.WarmRuns < 1 {
-		t.Fatalf("recovery warm-seeded nothing: %+v", st.Mutations)
+	if st.Mutations.WarmRuns.Load() < 1 {
+		t.Fatalf("recovery warm-seeded nothing: %+v", jsonString(&st.Mutations))
 	}
 
 	// The first post-restart core request is served from the warm-seeded
@@ -182,8 +182,8 @@ func TestCrashRecoveryE2E(t *testing.T) {
 			t.Fatalf("warm-served κ(%d) = %d, want %d", v, res.Kappa[v], preKappa.CoreNumbers[v])
 		}
 	}
-	if st2 := getStats(t, ts2.URL); st2.Mutations.ColdRuns != 0 {
-		t.Fatalf("post-restart core request decomposed cold: %+v", st2.Mutations)
+	if st2 := getStats(t, ts2.URL); st2.Mutations.ColdRuns.Load() != 0 {
+		t.Fatalf("post-restart core request decomposed cold: %+v", jsonString(&st2.Mutations))
 	}
 
 	// Mutating the recovered lineage keeps working (the overlay carried
@@ -213,9 +213,9 @@ func TestCrashRecoveryCompacted(t *testing.T) {
 	}}, &mr)
 
 	deadline := time.Now().Add(10 * time.Second)
-	for getStats(t, ts1.URL).Persistence.Compactions < 1 {
+	for getStats(t, ts1.URL).Persistence.Compactions.Load() < 1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("compactor never folded the WAL: %+v", getStats(t, ts1.URL).Persistence)
+			t.Fatalf("compactor never folded the WAL: %+v", jsonString(&getStats(t, ts1.URL).Persistence))
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -227,8 +227,8 @@ func TestCrashRecoveryCompacted(t *testing.T) {
 	ts2 := httptest.NewServer(s2)
 	t.Cleanup(func() { ts2.Close(); s2.Close() })
 	st := getStats(t, ts2.URL)
-	if st.Persistence.Replays != 1 || st.Persistence.ReplayedBatches != 0 {
-		t.Fatalf("compacted recovery: %+v", st.Persistence)
+	if st.Persistence.Replays.Load() != 1 || st.Persistence.ReplayedBatches.Load() != 0 {
+		t.Fatalf("compacted recovery: %+v", jsonString(&st.Persistence))
 	}
 	var gv graphView
 	doJSON(t, "GET", ts2.URL+"/graphs/g", nil, &gv)

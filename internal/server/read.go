@@ -155,12 +155,12 @@ const (
 func (s *Server) account(o outcome) {
 	switch o {
 	case served:
-		s.cacheHits.Add(1)
+		s.stats.Cache.Hits.Add(1)
 		return
 	case ran:
-		s.coldRuns.Add(1)
+		s.stats.Mutations.ColdRuns.Add(1)
 	}
-	s.cacheMisses.Add(1)
+	s.stats.Cache.Misses.Add(1)
 }
 
 // fill caches res under key with a liveness recheck: if the graph was
@@ -236,7 +236,7 @@ func (s *Server) resolve(q query) (res *decompResult, hit bool, err error) {
 		}
 		res, err = s.runDecomposition(q, prog, stop)
 		if prog != nil {
-			s.progressSnaps.Add(prog.Published())
+			s.stats.Anytime.ProgressSnapshots.Add(prog.Published())
 			// The engine finishes the publisher on every normal exit; a
 			// panic converted to err by runDecomposition would leave
 			// subscribers hanging, so release them (no-op when finished).
@@ -245,7 +245,7 @@ func (s *Server) resolve(q query) (res *decompResult, hit bool, err error) {
 		switch {
 		case err != nil:
 		case timed && res.Stopped:
-			s.deadlineStops.Add(1)
+			s.stats.Anytime.DeadlineStops.Add(1)
 		case timed && res.Converged:
 			s.fill(q.exactKey(), res) // inside the deadline: the exact answer, for everyone
 		case !res.Stopped:

@@ -43,9 +43,9 @@ func TestDeadlineMissCountsColdRun(t *testing.T) {
 			t.Fatalf("request %d did not converge inside a generous deadline: %+v", i, out)
 		}
 		st := getStats(t, ts.URL)
-		if st.Cache.Hits != want.hits || st.Cache.Misses != want.misses || st.Mutations.ColdRuns != want.cold {
+		if st.Cache.Hits.Load() != want.hits || st.Cache.Misses.Load() != want.misses || st.Mutations.ColdRuns.Load() != want.cold {
 			t.Fatalf("request %d: hits=%d misses=%d coldRuns=%d, want %+v",
-				i, st.Cache.Hits, st.Cache.Misses, st.Mutations.ColdRuns, want)
+				i, st.Cache.Hits.Load(), st.Cache.Misses.Load(), st.Mutations.ColdRuns.Load(), want)
 		}
 	}
 }
@@ -172,15 +172,15 @@ func TestFlightOwnerRules(t *testing.T) {
 				if !o.res.Stopped || o.hit || whit || wres == o.res {
 					t.Fatalf("owner stopped=%v hit=%v, waiter hit=%v: want a stopped owner and a waiter that ran for itself", o.res.Stopped, o.hit, whit)
 				}
-				if st.Cache.Hits != 0 || st.Cache.Misses != 2 || st.Mutations.ColdRuns != 2 {
-					t.Fatalf("hits=%d misses=%d coldRuns=%d, want 0/2/2", st.Cache.Hits, st.Cache.Misses, st.Mutations.ColdRuns)
+				if st.Cache.Hits.Load() != 0 || st.Cache.Misses.Load() != 2 || st.Mutations.ColdRuns.Load() != 2 {
+					t.Fatalf("hits=%d misses=%d coldRuns=%d, want 0/2/2", st.Cache.Hits.Load(), st.Cache.Misses.Load(), st.Mutations.ColdRuns.Load())
 				}
 			} else {
 				if o.res != wres || o.hit || !whit {
 					t.Fatalf("owner hit=%v waiter hit=%v same=%v: want one shared run the waiter could not stop", o.hit, whit, o.res == wres)
 				}
-				if st.Cache.Hits != 1 || st.Cache.Misses != 1 || st.Mutations.ColdRuns != 1 {
-					t.Fatalf("hits=%d misses=%d coldRuns=%d, want 1/1/1", st.Cache.Hits, st.Cache.Misses, st.Mutations.ColdRuns)
+				if st.Cache.Hits.Load() != 1 || st.Cache.Misses.Load() != 1 || st.Mutations.ColdRuns.Load() != 1 {
+					t.Fatalf("hits=%d misses=%d coldRuns=%d, want 1/1/1", st.Cache.Hits.Load(), st.Cache.Misses.Load(), st.Mutations.ColdRuns.Load())
 				}
 			}
 		})
@@ -298,11 +298,11 @@ func TestReadRoutesOneAnswerProperty(t *testing.T) {
 					route()
 					sent++
 					st := getStats(t, ts.URL)
-					if st.Cache.Hits+st.Cache.Misses != st.Cache.Lookups || st.Cache.Lookups != sent {
-						t.Fatalf("step %d %+v: hits %d + misses %d, lookups %d, requests sent %d", step, k, st.Cache.Hits, st.Cache.Misses, st.Cache.Lookups, sent)
+					if st.Cache.Hits.Load()+st.Cache.Misses.Load() != st.Cache.Lookups || st.Cache.Lookups != sent {
+						t.Fatalf("step %d %+v: hits %d + misses %d, lookups %d, requests sent %d", step, k, st.Cache.Hits.Load(), st.Cache.Misses.Load(), st.Cache.Lookups, sent)
 					}
-					if st.Cache.Misses != misses || st.Mutations.ColdRuns != misses {
-						t.Fatalf("step %d %+v: misses %d coldRuns %d, the model computed %d keys", step, k, st.Cache.Misses, st.Mutations.ColdRuns, misses)
+					if st.Cache.Misses.Load() != misses || st.Mutations.ColdRuns.Load() != misses {
+						t.Fatalf("step %d %+v: misses %d coldRuns %d, the model computed %d keys", step, k, st.Cache.Misses.Load(), st.Mutations.ColdRuns.Load(), misses)
 					}
 				}
 			}

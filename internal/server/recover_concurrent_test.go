@@ -68,14 +68,14 @@ func TestCrashRecoveryManyGraphsConcurrent(t *testing.T) {
 	// never-decomposed lineages itself, so recovery's zero-cold-runs
 	// guarantee has to be checked before any lookups.
 	st := getStats(t, ts2.URL)
-	if st.Persistence.Replays != numGraphs {
-		t.Fatalf("replays = %d, want %d", st.Persistence.Replays, numGraphs)
+	if st.Persistence.Replays.Load() != numGraphs {
+		t.Fatalf("replays = %d, want %d", st.Persistence.Replays.Load(), numGraphs)
 	}
-	if st.Persistence.ReplayedBatches != int64(wantBatches) {
-		t.Fatalf("replayed batches = %d, want %d", st.Persistence.ReplayedBatches, wantBatches)
+	if st.Persistence.ReplayedBatches.Load() != int64(wantBatches) {
+		t.Fatalf("replayed batches = %d, want %d", st.Persistence.ReplayedBatches.Load(), wantBatches)
 	}
-	if st.Mutations.ColdRuns != 0 {
-		t.Fatalf("recovery ran %d cold decompositions, want 0", st.Mutations.ColdRuns)
+	if st.Mutations.ColdRuns.Load() != 0 {
+		t.Fatalf("recovery ran %d cold decompositions, want 0", st.Mutations.ColdRuns.Load())
 	}
 
 	for name, want := range pre {

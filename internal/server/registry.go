@@ -91,7 +91,7 @@ func (s *Server) instanceOf(e *graphEntry, dec string) nucleus.Instance {
 			// this caller's own build would have).
 			panic(f.panicVal)
 		}
-		s.idxReuses.Add(1)
+		s.stats.Index.Reuses.Add(1)
 		return f.inst
 	}
 	f := &instFlight{done: make(chan struct{})}
@@ -123,10 +123,10 @@ func (s *Server) instanceOf(e *graphEntry, dec string) nucleus.Instance {
 	}
 	inst, rep := nucleus.Build(e.g, fam, budget, s.cfg.JobThreads)
 	if rep.Indexed {
-		s.idxBuilds.Add(1)
-		s.idxBytes.Add(rep.IndexBytes)
+		s.stats.Index.Builds.Add(1)
+		s.stats.Index.Bytes.Add(rep.IndexBytes)
 	} else {
-		s.idxFallbacks.Add(1)
+		s.stats.Index.Fallbacks.Add(1)
 	}
 	f.inst = inst
 	close(f.done)

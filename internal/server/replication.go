@@ -161,7 +161,7 @@ func (s *Server) admitWrite(w http.ResponseWriter, r *http.Request) bool {
 			return false
 		}
 		if cur := s.generation.Load(); g != cur {
-			s.fencedWrites.Add(1)
+			s.stats.Replication.FencedWrites.Add(1)
 			writeError(w, http.StatusConflict,
 				"write fenced: stamped generation %d does not match node generation %d", g, cur)
 			return false
@@ -183,18 +183,7 @@ func (s *Server) nodeStatus() replica.NodeStatus {
 		Graphs:     s.reg.count(),
 	}
 	if p != nil {
-		ps := p.Status()
-		st.Primary = ps.Primary
-		st.LagVersions = ps.LagVersions
-		st.LagMs = ps.LagMs
-		st.Pulls = ps.Pulls
-		st.PullErrors = ps.Errors
-		st.StalePulls = ps.StalePulls
-		st.BytesPulled = ps.BytesPulled
-		st.SnapshotsInstalled = ps.SnapshotsInstalled
-		st.BatchesApplied = ps.BatchesApplied
-		st.DuplicatesSkipped = ps.DuplicatesSkipped
-		st.LastError = ps.LastError
+		st.Status = p.Status()
 	}
 	return st
 }
@@ -335,7 +324,7 @@ func (s *Server) handleReplPromote(w http.ResponseWriter, r *http.Request) {
 	// acknowledging so no post-200 write can be admitted under the old
 	// epoch.
 	s.raiseGeneration(req.Generation)
-	s.promotions.Add(1)
+	s.stats.Replication.Promotions.Add(1)
 	if p != nil {
 		// Detach the puller so no late pull from the deposed primary can
 		// apply state after this node started accepting writes.

@@ -136,7 +136,7 @@ func TestReplicationEndToEnd(t *testing.T) {
 	if !dec.Converged {
 		t.Fatal("replica decompose not converged")
 	}
-	if cold := getStats(t, rts.URL).Mutations.ColdRuns; cold != 0 {
+	if cold := getStats(t, rts.URL).Mutations.ColdRuns.Load(); cold != 0 {
 		t.Fatalf("replica paid %d cold decompositions; want 0", cold)
 	}
 
@@ -207,7 +207,7 @@ func TestGenerationFencing(t *testing.T) {
 	if resp := mutateStamped(t, pts.URL, "g", "bogus", [2]uint32{0, 6}); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("junk-stamped write: status %d, want 400", resp.StatusCode)
 	}
-	if fenced := getStats(t, pts.URL).Replication.FencedWrites; fenced != 2 {
+	if fenced := getStats(t, pts.URL).Replication.FencedWrites.Load(); fenced != 2 {
 		t.Fatalf("fencedWrites = %d, want 2", fenced)
 	}
 	// Fenced writes left no trace: the graph still has exactly the two
@@ -267,7 +267,7 @@ func TestPromotionAndRepoint(t *testing.T) {
 		t.Fatalf("repoint on a primary: status %d, want 409", resp.StatusCode)
 	}
 
-	if promos := getStats(t, rts.URL).Replication.Promotions; promos != 1 {
+	if promos := getStats(t, rts.URL).Replication.Promotions.Load(); promos != 1 {
 		t.Fatalf("promotions = %d, want 1", promos)
 	}
 }
@@ -440,14 +440,14 @@ func TestReplicationStatsSection(t *testing.T) {
 	doJSON(t, "POST", pts.URL+"/graphs/g", strings.NewReader("0 1\n"), nil)
 	pull(t, rts.URL, http.StatusOK)
 	st := getStats(t, rts.URL)
-	r := st.Replication
+	r := &st.Replication
 	if r.Role != replica.RoleReplica || r.Primary != pts.URL || r.Pulls == 0 {
-		t.Fatalf("replication stats: %+v", r)
+		t.Fatalf("replication stats: %+v", jsonString(r))
 	}
 	if r.Generation != 1 {
 		t.Fatalf("generation = %d, want 1", r.Generation)
 	}
 	if fmt.Sprint(r.LagVersions, r.LagMs) != "0 0" {
-		t.Fatalf("caught-up replica reports lag: %+v", r)
+		t.Fatalf("caught-up replica reports lag: %+v", jsonString(r))
 	}
 }

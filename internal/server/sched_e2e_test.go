@@ -198,17 +198,17 @@ func TestSchedulerOverloadE2E(t *testing.T) {
 
 	// /stats reconciles every outcome exactly.
 	st := getStats(t, ts.URL)
-	if st.Jobs.Submitted != 9 || st.Jobs.Done != 2 || st.Jobs.Cancelled != 1 ||
-		st.Jobs.Shed != 6 || st.Jobs.Degraded != 1 || st.Jobs.Queued != 0 || st.Jobs.Running != 0 {
-		t.Fatalf("jobs stats do not reconcile: %+v", st.Jobs)
+	if st.Jobs.Submitted.Load() != 9 || st.Jobs.Done.Load() != 2 || st.Jobs.Cancelled.Load() != 1 ||
+		st.Jobs.Shed.Load() != 6 || st.Jobs.Degraded.Load() != 1 || st.Jobs.Queued != 0 || st.Jobs.Running != 0 {
+		t.Fatalf("jobs stats do not reconcile: %+v", jsonString(&st.Jobs))
 	}
 	// Per-request cache accounting: train, blocker and the degraded job
 	// resolved (shed jobs were never admitted and resolve nothing).
-	if st.Cache.Lookups != 3 || st.Cache.Hits+st.Cache.Misses != st.Cache.Lookups {
-		t.Fatalf("cache accounting: %+v", st.Cache)
+	if st.Cache.Lookups != 3 || st.Cache.Hits.Load()+st.Cache.Misses.Load() != st.Cache.Lookups {
+		t.Fatalf("cache accounting: %+v", jsonString(&st.Cache))
 	}
 	perTenant := st.Scheduler.PerTenant
-	for tenant, want := range map[string]tenantStatsView{
+	for tenant, want := range map[string]sched.TenantStats{
 		"default": {Admitted: 1, Weight: 1},
 		"t1":      {Admitted: 1, Shed: 2, Weight: 1},
 		"t2":      {Admitted: 1, Shed: 2, Degraded: 1, Weight: 1},
@@ -226,8 +226,8 @@ func TestSchedulerOverloadE2E(t *testing.T) {
 	for _, ts := range perTenant {
 		shedSum += ts.Shed
 	}
-	if shedSum != st.Jobs.Shed {
-		t.Fatalf("per-tenant shed sum %d != jobs.shed %d", shedSum, st.Jobs.Shed)
+	if shedSum != st.Jobs.Shed.Load() {
+		t.Fatalf("per-tenant shed sum %d != jobs.shed %d", shedSum, st.Jobs.Shed.Load())
 	}
 	if st.Scheduler.CostModel.Misses == 0 || st.Scheduler.CostModel.MeanAbsErrPct < 0 {
 		t.Fatalf("cost model stats: %+v", st.Scheduler.CostModel)
@@ -295,14 +295,14 @@ func TestCancelQueuedReleasesSlot(t *testing.T) {
 	}
 
 	st = getStats(t, ts.URL)
-	if st.Jobs.Cancelled != 2 || st.Jobs.Done != 2 || st.Jobs.Queued != 0 {
-		t.Fatalf("final stats: %+v", st.Jobs)
+	if st.Jobs.Cancelled.Load() != 2 || st.Jobs.Done.Load() != 2 || st.Jobs.Queued != 0 {
+		t.Fatalf("final stats: %+v", jsonString(&st.Jobs))
 	}
 	// Every admitted request resolved exactly one hit or miss, cancelled
 	// ones included: blocker, q1, q2 and q4 (the rejected submission was
 	// never admitted and resolves nothing).
-	if st.Cache.Hits+st.Cache.Misses != st.Cache.Lookups || st.Cache.Lookups != 4 {
-		t.Fatalf("cache accounting: %+v", st.Cache)
+	if st.Cache.Hits.Load()+st.Cache.Misses.Load() != st.Cache.Lookups || st.Cache.Lookups != 4 {
+		t.Fatalf("cache accounting: %+v", jsonString(&st.Cache))
 	}
 }
 

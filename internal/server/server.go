@@ -196,51 +196,13 @@ type Server struct {
 	// bypass the worker-pool bound that gates POST /jobs.
 	syncSem chan struct{}
 
-	// Request and cache counters, surfaced by /stats. Hits and misses
-	// follow per-request accounting: every admitted decomposition request
-	// (async job or synchronous κ consumer) increments exactly one of the
-	// two — a hit when it was served from the cache or coalesced onto an
-	// in-flight computation, a miss when it paid for the computation — so
-	// hits + misses always equals the number of requests resolved.
-	requests    atomic.Int64
-	cacheHits   atomic.Int64
-	cacheMisses atomic.Int64
+	// stats is the /stats document and the storage of its counters
+	// (stats.go): owners increment the fields in place.
+	stats statsResponse
 
-	// Mutation and warm-start counters, surfaced by /stats.
-	mutBatches  atomic.Int64 // edit batches published
-	mutApplied  atomic.Int64 // edits applied (adds + removes)
-	mutIgnored  atomic.Int64 // no-op edits (dupes, absent, self-loops, out of range)
-	warmRuns    atomic.Int64 // warm-started reconvergence runs after mutations
-	coldRuns    atomic.Int64 // full cold decompositions actually executed
-	warmSweeps  atomic.Int64 // sweeps spent by warm runs
-	sweepsSaved atomic.Int64 // seed's cold sweeps minus warm sweeps, summed
-
-	// Instance-cache counters, surfaced by /stats. Every request needing
-	// an (r,s) instance either reuses the per-(graph version, family) memo
-	// (idxReuses) or constructs one: with a flat s-clique incidence index
-	// (idxBuilds) or on the fly when the budget declines it or the family
-	// needs none (idxFallbacks).
-	idxBuilds    atomic.Int64
-	idxReuses    atomic.Int64
-	idxFallbacks atomic.Int64
-	idxBytes     atomic.Int64 // total bytes of flat indexes built since start
-
-	// Anytime-serving counters, surfaced by /stats (see anytime.go and
-	// docs/ANYTIME.md).
-	progressSnaps   atomic.Int64 // τ snapshots published by completed runs
-	sseStreams      atomic.Int64 // GET /jobs/{id}/stream connections served
-	budgetedQueries atomic.Int64 // GET /graphs/{name}/decompose requests admitted
-	deadlineStops   atomic.Int64 // budgeted runs ended by their wall-clock deadline
-
-	// Persistence state and counters, surfaced by /stats (see persist.go).
-	store           store.Store
-	snapSaves       atomic.Int64 // snapshots written (uploads + compactions)
-	walAppends      atomic.Int64 // WAL frames appended (batch + commit)
-	walBytes        atomic.Int64 // WAL bytes appended since start
-	replays         atomic.Int64 // graphs recovered at startup
-	replayedBatches atomic.Int64 // committed WAL batches re-applied at startup
-	compactions     atomic.Int64 // WALs folded into fresh snapshots
-	persistErrors   atomic.Int64 // persistence failures (logged, non-fatal)
+	// store is the persistence backend (persist.go); the null store when
+	// Config.Store is nil.
+	store store.Store
 
 	// Compactor worker plumbing; compactMu also guards the closed flag so
 	// a mutation racing Close cannot send on a closed channel.
@@ -257,8 +219,6 @@ type Server struct {
 	puller        *replica.Puller
 	pullerRunning bool
 	generation    atomic.Uint64
-	fencedWrites  atomic.Int64 // writes rejected by the generation fence
-	promotions    atomic.Int64 // replica→primary transitions on this node
 }
 
 // New constructs a Server and starts its worker pool.
@@ -289,7 +249,7 @@ func New(cfg Config) *Server {
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
+	s.stats.Requests.Add(1)
 	s.mux.ServeHTTP(w, r)
 }
 

@@ -87,10 +87,10 @@ func waitForJob(t *testing.T, base, id string) jobView {
 	return jobView{}
 }
 
-func getStats(t *testing.T, base string) statsResponse {
+func getStats(t *testing.T, base string) *statsResponse {
 	t.Helper()
-	var st statsResponse
-	if resp := doJSON(t, "GET", base+"/stats", nil, &st); resp.StatusCode != http.StatusOK {
+	st := new(statsResponse)
+	if resp := doJSON(t, "GET", base+"/stats", nil, st); resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET /stats: status %d", resp.StatusCode)
 	}
 	return st
@@ -139,6 +139,18 @@ func TestGraphUploadAndInfo(t *testing.T) {
 	resp = doJSON(t, "POST", ts.URL+"/graphs/bad?format=nope", strings.NewReader(edges), nil)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad format: status %d", resp.StatusCode)
+	}
+
+	// A negative count in the header is a parse error, not a panic of the
+	// request goroutine (which the client sees as a dropped connection).
+	for format, body := range map[string]string{
+		"mm":    "%%MatrixMarket matrix coordinate pattern symmetric\n3 3 -5\n",
+		"metis": "3 -5\n",
+	} {
+		resp = doJSON(t, "POST", ts.URL+"/graphs/bad?format="+format, strings.NewReader(body), nil)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("negative count, format %s: status %d", format, resp.StatusCode)
+		}
 	}
 
 	// Delete and 404 afterwards.
@@ -233,11 +245,11 @@ func TestEndToEndFlow(t *testing.T) {
 		t.Fatalf("repeat job not served from cache: %+v", jv2)
 	}
 	after := getStats(t, ts.URL)
-	if after.Cache.Hits != before.Cache.Hits+1 {
-		t.Fatalf("cache hits: before=%d after=%d", before.Cache.Hits, after.Cache.Hits)
+	if after.Cache.Hits.Load() != before.Cache.Hits.Load()+1 {
+		t.Fatalf("cache hits: before=%d after=%d", before.Cache.Hits.Load(), after.Cache.Hits.Load())
 	}
-	if after.Jobs.Done < 2 {
-		t.Fatalf("jobs done: %d", after.Jobs.Done)
+	if after.Jobs.Done.Load() < 2 {
+		t.Fatalf("jobs done: %d", after.Jobs.Done.Load())
 	}
 }
 
@@ -418,8 +430,8 @@ func TestHierarchyNucleiDensest(t *testing.T) {
 	// The nuclei + hierarchy calls above share one cache slot (same
 	// graph/dec/alg): the second must have been a hit.
 	st := getStats(t, ts.URL)
-	if st.Cache.Hits < 1 {
-		t.Fatalf("expected a cache hit from the hierarchy endpoints: %+v", st.Cache)
+	if st.Cache.Hits.Load() < 1 {
+		t.Fatalf("expected a cache hit from the hierarchy endpoints: %+v", jsonString(&st.Cache))
 	}
 }
 
@@ -482,14 +494,14 @@ func TestConcurrentJobSubmission(t *testing.T) {
 	// at submit, cached at run, or coalesced). Per-request accounting
 	// makes this exact: hits + misses == jobs.
 	st := getStats(t, ts.URL)
-	if st.Jobs.Done != goroutines {
-		t.Fatalf("done: %d", st.Jobs.Done)
+	if st.Jobs.Done.Load() != goroutines {
+		t.Fatalf("done: %d", st.Jobs.Done.Load())
 	}
-	if st.Cache.Hits+st.Cache.Misses != goroutines {
-		t.Fatalf("cache accounting: %+v", st.Cache)
+	if st.Cache.Hits.Load()+st.Cache.Misses.Load() != goroutines {
+		t.Fatalf("cache accounting: %+v", jsonString(&st.Cache))
 	}
-	if st.Cache.Misses != 3 {
-		t.Fatalf("misses = %d, want 3 (one per distinct key): %+v", st.Cache.Misses, st.Cache)
+	if st.Cache.Misses.Load() != 3 {
+		t.Fatalf("misses = %d, want 3 (one per distinct key): %+v", st.Cache.Misses.Load(), jsonString(&st.Cache))
 	}
 }
 

@@ -44,8 +44,8 @@ var errReplaced = errors.New("was replaced concurrently; re-fetch and retry")
 // nothing and reports 0).
 func (s *Server) walAppended(n int) {
 	if n > 0 {
-		s.walAppends.Add(1)
-		s.walBytes.Add(int64(n))
+		s.stats.Persistence.WALAppends.Add(1)
+		s.stats.Persistence.WALBytes.Add(int64(n))
 	}
 }
 
@@ -68,7 +68,7 @@ func (s *Server) installGraph(e *graphEntry, at uint64) (installed bool, err err
 	}
 	if err := s.persistSnapshot(e); err != nil {
 		lock.Unlock()
-		s.persistErrors.Add(1)
+		s.stats.Persistence.Errors.Add(1)
 		return false, fmt.Errorf("persisting graph %q: %w", e.name, err)
 	}
 	s.reg.publish(e, nil)
@@ -153,7 +153,7 @@ func (s *Server) commitBatch(name string, batch *store.Batch, at uint64) (batchO
 	// failure here rejects the batch outright — nothing has been mutated.
 	n, err := s.store.BeginBatch(name, batch)
 	if err != nil {
-		s.persistErrors.Add(1)
+		s.stats.Persistence.Errors.Add(1)
 		return batchOutcome{}, fmt.Errorf("writing batch to the WAL: %w", err)
 	}
 	s.walAppended(n)
@@ -169,7 +169,7 @@ func (s *Server) commitBatch(name string, batch *store.Batch, at uint64) (batchO
 		// Keep the (possibly just-built) overlay for the next batch; e.dyn
 		// is only touched under the per-name mutation lock held here.
 		e.dyn = dyn
-		s.mutIgnored.Add(int64(ignored))
+		s.stats.Mutations.Ignored.Add(int64(ignored))
 		return out, nil
 	}
 
@@ -200,14 +200,14 @@ func (s *Server) commitBatch(name string, batch *store.Batch, at uint64) (batchO
 	// the version published), so it degrades durability, loudly: the batch
 	// may not survive a restart.
 	if n, err := s.store.CommitBatch(name, ne.version); err != nil {
-		s.persistErrors.Add(1)
+		s.stats.Persistence.Errors.Add(1)
 		log.Printf("nucleusd: WAL commit for graph %q version %d failed (batch applied in memory, may be lost on restart): %v", name, ne.version, err)
 	} else {
 		s.walAppended(n)
 	}
-	s.mutBatches.Add(1)
-	s.mutApplied.Add(int64(added + removed))
-	s.mutIgnored.Add(int64(ignored))
+	s.stats.Mutations.Batches.Add(1)
+	s.stats.Mutations.Applied.Add(int64(added + removed))
+	s.stats.Mutations.Ignored.Add(int64(ignored))
 	out.live, out.published = ne, true
 
 	// Warm-seed the new version's cache from the old version's results
@@ -242,7 +242,7 @@ func (s *Server) dropGraph(name string) error {
 	}
 	s.cache.purgeGraph(name, e.version+1)
 	if storeErr != nil {
-		s.persistErrors.Add(1)
+		s.stats.Persistence.Errors.Add(1)
 		return fmt.Errorf("graph %q removed from memory, but deleting its persisted data failed: %w", name, storeErr)
 	}
 	return nil

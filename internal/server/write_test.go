@@ -96,8 +96,8 @@ func TestUploadInvisibleUntilDurable(t *testing.T) {
 				t.Fatalf("failed upload: status %d %q, want 500 %q", resp.StatusCode, er.Error, want)
 			}
 			observe("after the failed upload")
-			if st := getStats(t, base); st.Persistence.Errors != 1 {
-				t.Fatalf("persistence.errors = %d, want 1", st.Persistence.Errors)
+			if st := getStats(t, base); st.Persistence.Errors.Load() != 1 {
+				t.Fatalf("persistence.errors = %d, want 1", st.Persistence.Errors.Load())
 			}
 			// The displaced graph is still writable, at versions above the
 			// one the failed upload burned.
@@ -185,7 +185,7 @@ func TestWritePathErrorsReachClient(t *testing.T) {
 			if resp.StatusCode != tc.wantStatus || er.Error != tc.wantError {
 				t.Fatalf("status %d %q, want %d %q", resp.StatusCode, er.Error, tc.wantStatus, tc.wantError)
 			}
-			if got := getStats(t, base).Persistence.Errors; got != tc.wantPersistErrors {
+			if got := getStats(t, base).Persistence.Errors.Load(); got != tc.wantPersistErrors {
 				t.Fatalf("persistence.errors = %d, want %d", got, tc.wantPersistErrors)
 			}
 		})
@@ -274,14 +274,14 @@ func TestThreeRoutesOneStateProperty(t *testing.T) {
 		// Re-delivery: a batch that would visibly change the graph, at the
 		// version the replica already reached and at the oldest one.
 		before, _ := rs.reg.get("rnd")
-		batches := getStats(t, rts.URL).Mutations.Batches
+		batches := getStats(t, rts.URL).Mutations.Batches.Load()
 		for _, at := range []uint64{before.version, 1} {
 			applied, err := replApplier{rs}.ApplyBatch("rnd", &store.Batch{GrowTo: before.g.N() + 3}, at)
 			if applied || err != nil {
 				t.Fatalf("batch %d: re-delivery at version %d: applied=%v err=%v", batch, at, applied, err)
 			}
 		}
-		if after, _ := rs.reg.get("rnd"); after != before || getStats(t, rts.URL).Mutations.Batches != batches {
+		if after, _ := rs.reg.get("rnd"); after != before || getStats(t, rts.URL).Mutations.Batches.Load() != batches {
 			t.Fatalf("batch %d: re-delivery changed the replica", batch)
 		}
 
@@ -294,7 +294,7 @@ func TestThreeRoutesOneStateProperty(t *testing.T) {
 				t.Fatalf("batch %d: replica core read not warm-seeded: %+v", batch, jv)
 			}
 		}
-		if cold := getStats(t, rts.URL).Mutations.ColdRuns; cold != 0 {
+		if cold := getStats(t, rts.URL).Mutations.ColdRuns.Load(); cold != 0 {
 			t.Fatalf("batch %d: replica paid %d cold runs", batch, cold)
 		}
 	}
