@@ -1,8 +1,8 @@
 // Benchmarks regenerating the computational kernel of every table and
 // figure in the paper's evaluation. Each benchmark reports domain metrics
-// (iterations, Kendall-Tau, modeled speedup) via b.ReportMetric alongside
+// (iterations, Kendall-Tau, plateau fraction) via b.ReportMetric alongside
 // the usual ns/op. The full paper-style tables are printed by
-// cmd/experiments; EXPERIMENTS.md records both.
+// cmd/experiments.
 package nucleus
 
 import (
@@ -15,7 +15,6 @@ import (
 	"nucleus/internal/metrics"
 	inucleus "nucleus/internal/nucleus"
 	"nucleus/internal/peel"
-	"nucleus/internal/sched"
 )
 
 // fbTruss returns the k-truss instance of the facebook analogue, the
@@ -42,26 +41,6 @@ func BenchmarkFig1aTrussConvergence(b *testing.B) {
 	}
 	b.ReportMetric(float64(iters), "iterations")
 	b.ReportMetric(ktAt5, "kendall-tau@5")
-}
-
-// BenchmarkFig1bScalability regenerates Figure 1b's kernel: the modeled
-// speedup of parallel local sweeps at 4 and 24 threads under dynamic
-// scheduling (see DESIGN.md §4 on the single-core substitution).
-func BenchmarkFig1bScalability(b *testing.B) {
-	inst := fbTruss()
-	deg := inst.Degrees()
-	work := make([]int64, len(deg))
-	for i, d := range deg {
-		work[i] = int64(d) + 1
-	}
-	var s4, s24 float64
-	for i := 0; i < b.N; i++ {
-		s4 = sched.Speedup(work, 4, false, 64)
-		s24 = sched.Speedup(work, 24, false, 64)
-	}
-	b.ReportMetric(s4, "speedup-4t")
-	b.ReportMetric(s24, "speedup-24t")
-	b.ReportMetric(s24/s4, "ratio-24v4")
 }
 
 // BenchmarkTable3DatasetStats regenerates Table 3's kernel: counting
@@ -212,28 +191,6 @@ func BenchmarkE12OrderAblation(b *testing.B) {
 	b.ReportMetric(float64(bwd), "reverse-order-iters")
 }
 
-// BenchmarkE13Scheduling regenerates the §4.4 scheduling study: static vs
-// dynamic makespan on a skewed work profile at 24 threads.
-func BenchmarkE13Scheduling(b *testing.B) {
-	inst := fbTruss()
-	deg := inst.Degrees()
-	work := make([]int64, len(deg))
-	// Skew: silence the second half, as the notification mechanism does
-	// once a region converges.
-	for i, d := range deg {
-		if i < len(deg)/2 {
-			work[i] = int64(d) + 1
-		}
-	}
-	var st, dy float64
-	for i := 0; i < b.N; i++ {
-		st = sched.Speedup(work, 24, true, 0)
-		dy = sched.Speedup(work, 24, false, 64)
-	}
-	b.ReportMetric(st, "static-speedup")
-	b.ReportMetric(dy, "dynamic-speedup")
-}
-
 // BenchmarkE14HIndex compares the h-index implementations of §4.4.
 func BenchmarkE14HIndexSort(b *testing.B)   { benchHIndex(b, hindex.Sort) }
 func BenchmarkE14HIndexLinear(b *testing.B) { benchHIndex(b, hindex.Linear) }
@@ -280,8 +237,9 @@ func BenchmarkHierarchyBuild(b *testing.B) {
 	b.ReportMetric(float64(nodes), "nuclei")
 }
 
-// BenchmarkParallelSweeps measures goroutine-parallel SND at several worker
-// counts (wall clock on this host; the modeled scalability is Fig 1b).
+// BenchmarkParallelSweeps measures goroutine-parallel SND at two worker
+// counts (wall clock on this host; `experiments -exp fig1b` prints the
+// measured Figure 1b table).
 func BenchmarkParallelSweeps1(b *testing.B) { benchParallel(b, 1) }
 func BenchmarkParallelSweeps4(b *testing.B) { benchParallel(b, 4) }
 

@@ -3,7 +3,7 @@
 // select one experiment:
 //
 //	experiments -exp fig1a      # truss convergence (Kendall-Tau vs iteration)
-//	experiments -exp fig1b      # scalability (modeled speedup vs threads)
+//	experiments -exp fig1b      # scalability (measured speedup vs threads)
 //	experiments -exp table3     # dataset statistics
 //	experiments -exp table4     # iterations to convergence, SND vs AND
 //	experiments -exp table5     # runtimes, peeling vs SND vs AND
@@ -12,7 +12,6 @@
 //	experiments -exp tradeoff   # accuracy/runtime trade-off
 //	experiments -exp query      # query-driven estimation
 //	experiments -exp order      # AND processing-order ablation
-//	experiments -exp sched      # static vs dynamic scheduling ablation
 //	experiments -exp density    # density of discovered subgraphs
 //	experiments -exp fig2       # the paper's Figure 2 walk-through
 //
@@ -36,7 +35,7 @@ import (
 // allExperiments is the default execution order.
 var allExperiments = []string{
 	"table3", "fig2", "fig1a", "fig1b", "table4", "table5",
-	"plateaus", "bound", "tradeoff", "query", "order", "sched", "density",
+	"plateaus", "bound", "tradeoff", "query", "order", "density",
 }
 
 func main() {
@@ -86,13 +85,12 @@ func runOne(name string, d experiments.Dec, w io.Writer) error {
 		}
 		return dataset.Keys()
 	}
-	threads := []int{1, 4, 6, 12, 24}
 
 	switch name {
 	case "fig1a":
 		experiments.Fig1aConvergence(w, d, experiments.Fig1aKeys, 0)
 	case "fig1b":
-		experiments.Fig1bScalability(w, d, experiments.Fig1bKeys, threads[1:])
+		experiments.Fig1bScalability(w, d, experiments.Fig1bKeys)
 	case "table3":
 		experiments.Table3(w, dataset.Keys())
 	case "table4":
@@ -111,8 +109,6 @@ func runOne(name string, d experiments.Dec, w io.Writer) error {
 		experiments.Query(w, "hg", 64, []int{0, 1, 2, 3, 4}, 1)
 	case "order":
 		experiments.OrderAblation(w, d, keysFor(d), 1)
-	case "sched":
-		experiments.SchedulingAblation(w, d, "fb", threads)
 	case "density":
 		experiments.DensityQuality(w, "fb", 8)
 		fmt.Fprintln(w)

@@ -40,7 +40,7 @@ func TestRunErrors(t *testing.T) {
 
 func TestRunOneCheapExperiments(t *testing.T) {
 	// Exercise the cheap drivers end to end on the core decomposition.
-	for _, name := range []string{"sched", "fig2"} {
+	for _, name := range []string{"fig2"} {
 		var sb strings.Builder
 		if err := runOne(name, experiments.Core, &sb); err != nil {
 			t.Fatalf("%s: %v", name, err)

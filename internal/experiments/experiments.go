@@ -1,14 +1,14 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§5) on the synthetic dataset registry. Each function prints a
 // paper-style table or data series to the supplied writer; cmd/experiments
-// exposes them on the command line and the repository's EXPERIMENTS.md
-// records representative output next to the paper's reported numbers.
+// exposes them on the command line.
 package experiments
 
 import (
 	"fmt"
 	"io"
 	"math/rand"
+	"runtime"
 	"sort"
 	"time"
 
@@ -20,7 +20,6 @@ import (
 	"nucleus/internal/metrics"
 	"nucleus/internal/nucleus"
 	"nucleus/internal/peel"
-	"nucleus/internal/sched"
 )
 
 // Dec identifies one of the three evaluated decompositions.
@@ -96,57 +95,47 @@ func Fig1aConvergence(w io.Writer, d Dec, keys []string, maxIter int) {
 	}
 }
 
-// Fig1bScalability prints modeled speedups of the parallel local algorithm
-// at several thread counts, against the partially-parallel peeling baseline
-// (Figure 1b). The model uses per-cell s-degrees as work weights and the
-// deterministic scheduler of internal/sched, so the series shape is
-// host-independent (see DESIGN.md §4 on the single-core substitution).
-func Fig1bScalability(w io.Writer, d Dec, keys []string, threads []int) {
-	fmt.Fprintf(w, "# Figure 1b style: %s modeled speedup vs threads (dynamic chunking)\n", d)
-	fmt.Fprintf(w, "%-6s", "thr")
-	for _, k := range keys {
-		fmt.Fprintf(w, "%10s", k)
-	}
-	fmt.Fprintln(w, "   (speedup of local sweeps; last row = modeled peeling-24t time ratio)")
-	for _, t := range threads {
-		fmt.Fprintf(w, "%-6d", t)
-		for _, key := range keys {
-			work := cellWork(d, key)
-			fmt.Fprintf(w, "%10.2f", sched.Speedup(work, t, false, 64))
-		}
-		fmt.Fprintln(w)
-	}
-	// Peeling-24t comparison: modeled local time at max threads over modeled
-	// peeling time at 24 threads (enumeration parallel, peel loop serial).
-	fmt.Fprintf(w, "%-6s", "vs-p24")
-	tMax := threads[len(threads)-1]
+// Fig1bScalability prints measured wall times of the parallel local
+// algorithm (AND with notification) and of parallel peeling at 1, 2, 4, …
+// threads up to this host's GOMAXPROCS, each with its speedup over its own
+// 1-thread time (Figure 1b). Every time is the best of three runs.
+func Fig1bScalability(w io.Writer, d Dec, keys []string) {
+	procs := runtime.GOMAXPROCS(0)
+	fmt.Fprintf(w, "# Figure 1b style: %s measured speedup vs threads (best of 3 wall times, GOMAXPROCS=%d on this host)\n", d, procs)
+	fmt.Fprintf(w, "%-6s %-12s %12s %10s %12s %10s\n", "key", "threads", "AND+notif", "speedup", "peel", "speedup")
 	for _, key := range keys {
-		work := cellWork(d, key)
-		var total int64
-		for _, v := range work {
-			total += v
+		inst := d.Instance(dataset.Get(key).Graph())
+		var and1, peel1 time.Duration
+		for t := 1; ; t *= 2 {
+			if t > procs {
+				t = procs // not a power of two: the last row is the host itself
+			}
+			andT := bestOf3(func() { localhi.And(inst, localhi.Options{Notification: true, Threads: t}) })
+			peelT := bestOf3(func() { peel.RunThreads(inst, t) })
+			if t == 1 {
+				and1, peel1 = andT, peelT
+			}
+			fmt.Fprintf(w, "%-6s threads=%-4d %12v %10.2f %12v %10.2f\n", key, t,
+				andT.Round(time.Microsecond), and1.Seconds()/andT.Seconds(),
+				peelT.Round(time.Microsecond), peel1.Seconds()/peelT.Seconds())
+			if t == procs {
+				break
+			}
 		}
-		// The local algorithms sweep ~I times over the cells; peeling visits
-		// each s-clique once after enumeration. Use measured iteration count.
-		g := dataset.Get(key).Graph()
-		inst := d.Instance(g)
-		res := localhi.And(inst, localhi.Options{Notification: true})
-		localTime := float64(res.WorkVisits) / float64(tMax)
-		peelTime := float64(sched.PeelingModel(total, total/4, 24))
-		fmt.Fprintf(w, "%10.2f", peelTime/localTime)
 	}
-	fmt.Fprintln(w)
 }
 
-func cellWork(d Dec, key string) []int64 {
-	g := dataset.Get(key).Graph()
-	inst := d.Instance(g)
-	deg := inst.Degrees()
-	work := make([]int64, len(deg))
-	for i, dg := range deg {
-		work[i] = int64(dg) + 1
+// bestOf3 returns the shortest of three wall times of f.
+func bestOf3(f func()) time.Duration {
+	var best time.Duration
+	for i := 0; i < 3; i++ {
+		t0 := time.Now()
+		f()
+		if d := time.Since(t0); i == 0 || d < best {
+			best = d
+		}
 	}
-	return work
+	return best
 }
 
 // Table3 prints dataset statistics: measured values of the synthetic
@@ -384,52 +373,5 @@ func DensityQuality(w io.Writer, key string, minV int) {
 			}
 		}
 		report(d.String(), best)
-	}
-}
-
-// SchedulingAblation prints the §4.4 scheduling study: static vs dynamic
-// makespan (modeled) on the skewed per-cell work distribution left behind
-// by the notification mechanism after the first sweeps.
-func SchedulingAblation(w io.Writer, d Dec, key string, threads []int) {
-	g := dataset.Get(key).Graph()
-	inst := d.Instance(g)
-	deg := inst.Degrees()
-
-	// Work profile of a late sweep: only cells that still change (plus
-	// their neighbors) are active; everything else was silenced by the
-	// notification mechanism. Replay SND and mark the cells updated after
-	// the midpoint sweep.
-	var snapshots [][]int32
-	localhi.Snd(inst, localhi.Options{OnSweep: func(_ int, tau []int32) {
-		snapshots = append(snapshots, append([]int32(nil), tau...))
-	}})
-	mid := len(snapshots) / 2
-	active := make([]bool, inst.NumCells())
-	if mid >= 1 {
-		for c := range active {
-			if snapshots[mid][c] != snapshots[mid-1][c] {
-				active[c] = true
-				inst.VisitNeighbors(int32(c), func(n int32) bool {
-					active[n] = true
-					return true
-				})
-			}
-		}
-	}
-	early := make([]int64, len(deg))
-	late := make([]int64, len(deg))
-	for c := range deg {
-		early[c] = int64(deg[c]) + 1
-		if active[c] {
-			late[c] = int64(deg[c]) + 1
-		}
-	}
-	fmt.Fprintf(w, "# Scheduling ablation (%s on %s): modeled speedup, early vs late sweep work\n", d, key)
-	fmt.Fprintf(w, "%-6s %14s %14s %14s %14s\n", "thr",
-		"early-static", "early-dynamic", "late-static", "late-dynamic")
-	for _, t := range threads {
-		fmt.Fprintf(w, "%-6d %14.2f %14.2f %14.2f %14.2f\n", t,
-			sched.Speedup(early, t, true, 0), sched.Speedup(early, t, false, 64),
-			sched.Speedup(late, t, true, 0), sched.Speedup(late, t, false, 64))
 	}
 }

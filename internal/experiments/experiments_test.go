@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -113,19 +114,39 @@ func TestOrderAblationOutput(t *testing.T) {
 	}
 }
 
-func TestSchedulingAblationOutput(t *testing.T) {
-	var sb strings.Builder
-	SchedulingAblation(&sb, Core, "fb", []int{4, 24})
-	if !strings.Contains(sb.String(), "late-dynamic") {
-		t.Fatalf("missing scheduling output: %q", sb.String())
-	}
-}
-
+// TestFig1bScalabilityOutput checks the shape of the measured table, not
+// its times: the 1-thread row is the baseline of both speedup columns, and
+// no row asks for more threads than the host has.
 func TestFig1bScalabilityOutput(t *testing.T) {
 	var sb strings.Builder
-	Fig1bScalability(&sb, Core, []string{"fb"}, []int{4, 24})
-	if !strings.Contains(sb.String(), "speedup") {
-		t.Fatalf("missing scalability output: %q", sb.String())
+	Fig1bScalability(&sb, Core, []string{"fb"})
+	out := sb.String()
+	procs := runtime.GOMAXPROCS(0)
+	if !strings.Contains(out, fmt.Sprintf("GOMAXPROCS=%d", procs)) {
+		t.Fatalf("header does not name the host's GOMAXPROCS=%d: %q", procs, out)
+	}
+	sawOne := false
+	for _, line := range strings.Split(strings.TrimSpace(out), "\n")[2:] {
+		fields := strings.Fields(line)
+		var threads int
+		if len(fields) != 6 {
+			t.Fatalf("bad row %q", line)
+		}
+		if _, err := fmt.Sscanf(fields[1], "threads=%d", &threads); err != nil {
+			t.Fatalf("bad row %q: %v", line, err)
+		}
+		if threads < 1 || threads > procs {
+			t.Fatalf("row %q: threads outside [1, GOMAXPROCS=%d]", line, procs)
+		}
+		if threads == 1 {
+			sawOne = true
+			if fields[3] != "1.00" || fields[5] != "1.00" {
+				t.Fatalf("threads=1 row must be its own baseline: %q", line)
+			}
+		}
+	}
+	if !sawOne {
+		t.Fatalf("no threads=1 row: %q", out)
 	}
 }
 

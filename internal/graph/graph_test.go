@@ -159,19 +159,6 @@ func TestEdgeListRoundTrip(t *testing.T) {
 	assertSameGraph(t, g, g2)
 }
 
-func TestBinaryRoundTrip(t *testing.T) {
-	g := GnM(60, 150, 4)
-	var buf bytes.Buffer
-	if err := g.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameGraph(t, g, g2)
-}
-
 func TestReadEdgeListComments(t *testing.T) {
 	in := "# comment\n% another\n\n0 1\n1 2\n"
 	g, err := ReadEdgeList(strings.NewReader(in))
@@ -189,9 +176,6 @@ func TestReadEdgeListErrors(t *testing.T) {
 	}
 	if _, err := ReadEdgeList(strings.NewReader("a b\n")); err == nil {
 		t.Error("want error for non-numeric")
-	}
-	if _, err := ReadBinary(strings.NewReader("not a graph file....")); err == nil {
-		t.Error("want error for bad magic")
 	}
 }
 

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
@@ -116,58 +115,4 @@ func (g *Graph) SaveEdgeList(path string) error {
 	}
 	defer f.Close()
 	return g.WriteEdgeList(f)
-}
-
-// binaryMagic identifies the compact binary graph format.
-const binaryMagic = uint32(0x4e55434c) // "NUCL"
-
-// WriteBinary writes a compact little-endian binary encoding:
-// magic, n, m, then m (u,v) pairs.
-func (g *Graph) WriteBinary(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	hdr := []uint64{uint64(binaryMagic), uint64(g.N()), uint64(g.m)}
-	for _, h := range hdr {
-		if err := binary.Write(bw, binary.LittleEndian, h); err != nil {
-			return err
-		}
-	}
-	for e := int64(0); e < g.m; e++ {
-		u, v := g.Edge(e)
-		if err := binary.Write(bw, binary.LittleEndian, [2]uint32{u, v}); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadBinary reads the format produced by WriteBinary.
-func ReadBinary(r io.Reader) (*Graph, error) {
-	br := bufio.NewReader(r)
-	var magic, n, m uint64
-	for _, p := range []*uint64{&magic, &n, &m} {
-		if err := binary.Read(br, binary.LittleEndian, p); err != nil {
-			return nil, err
-		}
-	}
-	if uint32(magic) != binaryMagic {
-		return nil, fmt.Errorf("graph: bad magic %#x", magic)
-	}
-	if n > 1<<32 {
-		return nil, fmt.Errorf("graph: implausible vertex count %d", n)
-	}
-	// Grow incrementally rather than trusting the header's edge count, so a
-	// corrupt header cannot trigger a huge allocation.
-	capHint := m
-	if capHint > 1<<20 {
-		capHint = 1 << 20
-	}
-	edges := make([][2]uint32, 0, capHint)
-	for i := uint64(0); i < m; i++ {
-		var e [2]uint32
-		if err := binary.Read(br, binary.LittleEndian, &e); err != nil {
-			return nil, fmt.Errorf("graph: truncated edge section: %v", err)
-		}
-		edges = append(edges, e)
-	}
-	return Build(int(n), edges), nil
 }

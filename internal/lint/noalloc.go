@@ -7,9 +7,9 @@ import (
 
 // Noalloc enforces the zero-allocation contract of the fused sweep
 // kernels: a function annotated //nucleus:noalloc must not contain any
-// heap-allocating construct. The runtime counterpart is the allocs/op==0
-// CI gate of cmd/benchsweep; this analyzer is the compile-time form, so a
-// regression is caught before a benchmark ever runs.
+// heap-allocating construct. The runtime counterparts are localhi's
+// TestFusedKernelZeroAlloc and TestGenericKernelZeroAlloc; this analyzer
+// is the compile-time form, so a regression is caught before a test runs.
 //
 // Flagged constructs: append (may grow the backing array), make and new,
 // slice/map composite literals and &-literals, capturing closures,

@@ -118,15 +118,6 @@ type Result struct {
 	SweepUpdates []int64
 }
 
-// UpdateRate returns SweepUpdates[sweep-1] divided by the cell count: the
-// fraction of cells still changing in that sweep (1-based).
-func (r *Result) UpdateRate(sweep int, cells int) float64 {
-	if sweep < 1 || sweep > len(r.SweepUpdates) || cells == 0 {
-		return 0
-	}
-	return float64(r.SweepUpdates[sweep-1]) / float64(cells)
-}
-
 func (o Options) threads() int {
 	if o.Threads <= 0 {
 		return 1

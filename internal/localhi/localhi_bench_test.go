@@ -20,11 +20,10 @@ func benchIndexedTrussInstance() nucleus.Instance {
 }
 
 // reportWork attaches the s-clique visit count as a custom benchmark
-// metric, so the benchsweep artifact can compare the paid work across
-// kernel variants. The timer stops before anything else: b.Helper() and
+// metric, so a -bench run can compare the paid work across kernel
+// variants. The timer stops before anything else: b.Helper() and
 // b.ReportMetric() both allocate, and at small -benchtime (1x) those
-// framework allocations would otherwise leak into allocs/op and trip
-// the zero-allocation gate.
+// framework allocations would otherwise leak into allocs/op.
 func reportWork(b *testing.B, visits int64) {
 	b.StopTimer()
 	b.Helper()
@@ -33,7 +32,7 @@ func reportWork(b *testing.B, visits int64) {
 
 // reportConvergence attaches the per-run sweep and τ-decrement counts —
 // the convergence metrics behind the anytime progress numbers quoted in
-// docs/PERFORMANCE.md, reproducible via cmd/benchsweep.
+// docs/PERFORMANCE.md.
 func reportConvergence(b *testing.B, sweeps int, updates int64) {
 	b.StopTimer() // idempotent; see reportWork
 	b.Helper()
@@ -120,7 +119,7 @@ func BenchmarkAndBudget3(b *testing.B) {
 
 // BenchmarkSweepKernelFused measures one steady-state fused sweep over
 // every cell: the scratch is warmed before the timer starts, so allocs/op
-// must be exactly zero (cmd/benchsweep fails CI otherwise).
+// must be exactly zero (TestFusedKernelZeroAlloc is the gate).
 func BenchmarkSweepKernelFused(b *testing.B) {
 	inst := nucleus.NewFlatTruss(benchGraph(), 1)
 	fa, ok := flatOf(inst)

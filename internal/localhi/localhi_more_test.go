@@ -79,14 +79,8 @@ func TestSweepUpdatesDecay(t *testing.T) {
 	if res.SweepUpdates[len(res.SweepUpdates)-1] != 0 {
 		t.Fatal("final sweep should have no updates")
 	}
-	if res.UpdateRate(1, inst.NumCells()) <= 0 {
-		t.Fatal("first sweep rate should be positive")
-	}
-	if res.UpdateRate(res.Sweeps, inst.NumCells()) != 0 {
-		t.Fatal("final sweep rate should be zero")
-	}
-	if res.UpdateRate(0, 10) != 0 || res.UpdateRate(999, 10) != 0 || res.UpdateRate(1, 0) != 0 {
-		t.Fatal("out-of-range rates should be zero")
+	if res.SweepUpdates[0] <= 0 {
+		t.Fatal("first sweep should have updates")
 	}
 }
 
@@ -109,7 +103,7 @@ func TestUpdateRateTracksAccuracy(t *testing.T) {
 	// By the time the update rate first drops below 1%, accuracy must
 	// already be high (>90% exact).
 	for s := 1; s <= res.Sweeps; s++ {
-		if res.UpdateRate(s, inst.NumCells()) < 0.01 {
+		if float64(res.SweepUpdates[s-1])/float64(inst.NumCells()) < 0.01 {
 			if exactAt[s-1] < 0.9 {
 				t.Fatalf("low update rate at sweep %d but only %.2f exact", s, exactAt[s-1])
 			}

@@ -207,18 +207,3 @@ func MeanRelativeError(approx, exact []int32) float64 {
 	}
 	return total / float64(len(approx))
 }
-
-// MaxAbsError returns max(|approx-exact|).
-func MaxAbsError(approx, exact []int32) int32 {
-	var m int32
-	for i := range approx {
-		d := approx[i] - exact[i]
-		if d < 0 {
-			d = -d
-		}
-		if d > m {
-			m = d
-		}
-	}
-	return m
-}

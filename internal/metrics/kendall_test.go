@@ -155,12 +155,3 @@ func TestMeanRelativeError(t *testing.T) {
 		t.Fatalf("mre with zero exact = %v", got)
 	}
 }
-
-func TestMaxAbsError(t *testing.T) {
-	if got := MaxAbsError([]int32{1, 9, 3}, []int32{1, 2, 5}); got != 7 {
-		t.Fatalf("max abs = %d", got)
-	}
-	if got := MaxAbsError(nil, nil); got != 0 {
-		t.Fatalf("empty = %d", got)
-	}
-}

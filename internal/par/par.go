@@ -1,8 +1,7 @@
 // Package par provides the shard-parallel primitives shared by every
 // parallel O(n+m) stage in the tree: grained parallel-for loops, the
 // deterministic two-pass counting-sort scatter behind the CSR builders,
-// prefix sums, order-preserving parallel gathers, and per-worker scratch
-// pools.
+// prefix sums and order-preserving parallel gathers.
 //
 // Every primitive here is *deterministic by construction*: the output is
 // bit-identical at every thread count (including 1), so callers can prove

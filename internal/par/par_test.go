@@ -230,26 +230,3 @@ func TestMaxInt32(t *testing.T) {
 		t.Fatalf("empty max = %d", got)
 	}
 }
-
-func TestScratchReuse(t *testing.T) {
-	s := par.NewScratch[int32](4)
-	if s.Workers() != 4 {
-		t.Fatalf("workers = %d", s.Workers())
-	}
-	b := s.Get(2)
-	b = append(b, 1, 2, 3)
-	s.Put(2, b)
-	b2 := s.Get(2)
-	if len(b2) != 0 || cap(b2) < 3 {
-		t.Fatalf("Get after Put: len=%d cap=%d, want 0 and >=3", len(b2), cap(b2))
-	}
-	g := s.Grow(1, 5)
-	if len(g) != 5 {
-		t.Fatalf("Grow len = %d", len(g))
-	}
-	g[0] = 9
-	g2 := s.Grow(1, 3)
-	if g2[0] != 0 {
-		t.Fatalf("Grow did not zero reused prefix: %v", g2)
-	}
-}

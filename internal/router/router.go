@@ -307,8 +307,10 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, n *node, gen u
 	}
 	resp, err := rt.client.Do(req)
 	if err != nil {
-		rt.stats.ProxyErrors.Add(1)
-		n.healthy.Store(false)
+		if !requesterGone(r) {
+			rt.stats.ProxyErrors.Add(1)
+			n.healthy.Store(false)
+		}
 		writeError(w, http.StatusBadGateway, "router: upstream %s: %v", n.name, err)
 		return
 	}
@@ -321,7 +323,9 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, n *node, gen u
 	if rewrite != nil && resp.StatusCode >= 200 && resp.StatusCode < 300 {
 		data, err := io.ReadAll(resp.Body)
 		if err != nil {
-			rt.stats.ProxyErrors.Add(1)
+			if !requesterGone(r) {
+				rt.stats.ProxyErrors.Add(1)
+			}
 			writeError(w, http.StatusBadGateway, "router: reading upstream response: %v", err)
 			return
 		}
@@ -337,6 +341,12 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, n *node, gen u
 	w.WriteHeader(resp.StatusCode)
 	flushCopy(w, resp.Body)
 }
+
+// requesterGone reports that r's own context is done — the client hung
+// up or its deadline passed. An upstream exchange that fails then says
+// nothing about the node: neither its health flag nor proxyErrors may
+// move (with the health loop off, nothing would put the node back).
+func requesterGone(r *http.Request) bool { return r.Context().Err() != nil }
 
 func copyHeader(dst, src http.Header) {
 	for k, vs := range src {
@@ -396,7 +406,9 @@ func (rt *Router) handleListGraphs(w http.ResponseWriter, r *http.Request) {
 		n := g.readNode()
 		list, err := rt.fetchJSONList(r, n)
 		if err != nil {
-			rt.stats.ProxyErrors.Add(1)
+			if !requesterGone(r) {
+				rt.stats.ProxyErrors.Add(1)
+			}
 			writeError(w, http.StatusBadGateway, "router: listing graphs on %s: %v", n.name, err)
 			return
 		}
@@ -426,7 +438,9 @@ func (rt *Router) fetchJSONList(r *http.Request, n *node) ([]json.RawMessage, er
 	}
 	resp, err := rt.client.Do(req)
 	if err != nil {
-		n.healthy.Store(false)
+		if !requesterGone(r) {
+			n.healthy.Store(false)
+		}
 		return nil, err
 	}
 	defer resp.Body.Close()

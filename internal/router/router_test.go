@@ -2,6 +2,7 @@ package router
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -442,5 +443,67 @@ func TestRouterConfigValidation(t *testing.T) {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("case %d: config %+v accepted, want error", i, cfg)
 		}
+	}
+}
+
+// TestClientHangupLeavesNodeHealthy: a requester that gives up on a
+// slow-but-alive upstream must not take that node out of rotation nor
+// count a proxy error — with the health loop off (as here, and in the
+// cluster tests) nothing would ever put it back. Covers both upstream
+// call sites: forward (GET /graphs/g) and fetchJSONList (GET /graphs).
+func TestClientHangupLeavesNodeHealthy(t *testing.T) {
+	arrived := make(chan struct{})
+	release := make(chan struct{})
+	upstream := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case arrived <- struct{}{}:
+			<-release
+		case <-release:
+		}
+		fmt.Fprint(w, "[]")
+	}))
+	defer upstream.Close()
+
+	rt, err := New(Config{Groups: []GroupConfig{{Name: "g0", Primary: upstream.URL}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Stop()
+	handled := make(chan struct{})
+	rts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rt.ServeHTTP(w, r)
+		handled <- struct{}{}
+	}))
+	defer rts.Close()
+	defer close(release) // before the servers close: they wait for their handlers
+
+	n := rt.byName["g0-p0"]
+	for _, path := range []string{"/graphs/g", "/graphs"} {
+		ctx, hangUp := context.WithCancel(context.Background())
+		req, err := http.NewRequestWithContext(ctx, "GET", rts.URL+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clientDone := make(chan error, 1)
+		go func() {
+			resp, err := http.DefaultClient.Do(req)
+			if err == nil {
+				resp.Body.Close()
+			}
+			clientDone <- err
+		}()
+		<-arrived // the upstream holds the request: now the client gives up
+		hangUp()
+		if err := <-clientDone; err == nil {
+			t.Fatalf("GET %s: the cancelled request succeeded", path)
+		}
+		<-handled // the router's handler has seen the failure and returned
+		if !n.healthy.Load() {
+			t.Errorf("GET %s: client hang-up marked %s unhealthy", path, n.name)
+		}
+		if got := rt.stats.ProxyErrors.Load(); got != 0 {
+			t.Errorf("GET %s: client hang-up counted as proxy error (proxyErrors=%d)", path, got)
+		}
+		n.healthy.Store(true) // so a failure on the first path does not mask the second
 	}
 }

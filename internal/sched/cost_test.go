@@ -123,7 +123,7 @@ func TestCostModelEntryBound(t *testing.T) {
 }
 
 // TestCostModelTraceReplay replays a recorded-trace-shaped workload over
-// the benchsweep graph families (gnm, ba, rmat at a few sizes) with
+// three generator families (gnm, ba, rmat at a few sizes) with
 // deterministic ±20% run-to-run noise and a mid-trace version bump, and
 // asserts the model's running MeanAbsErrPct — which includes its
 // cold-start guesses — stays within the 50% band the admission policy is

@@ -1,7 +1,5 @@
-// Package sched holds nucleusd's scheduling machinery: the live
-// workload-aware job scheduler behind the server's worker pool, and a
-// deterministic makespan model of parallel sweep execution used by the
-// paper-reproduction experiments (makespan.go).
+// Package sched is the workload-aware job scheduler behind nucleusd's
+// worker pool.
 //
 // The scheduler replaces the FIFO job channel with observed-cost
 // admission, deadline shedding, and deficit-round-robin tenant
@@ -605,8 +603,9 @@ func (s *Scheduler) ringRemoveAt(i int) {
 
 // ---------------------------------------------------------------------------
 // EDF heap (hand-rolled on the tenant's slice: container/heap would box
-// every push through an interface, and the dispatch hot path is gated
-// allocation-free by the benchsweep smoke).
+// every push through an interface, and TestSchedulerDispatchZeroAlloc /
+// TestSchedulerBacklogDispatchZeroAlloc hold the dispatch path at 0
+// allocations).
 
 // edfLess orders items earliest-deadline-first; the zero deadline sorts
 // after every real one, and ties (including deadline-less pairs) break

@@ -67,16 +67,16 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-func queryInt(r *http.Request, name string, def int) (int, error) {
+func queryInt[T int | int64](r *http.Request, name string, def T) (T, error) {
 	s := r.URL.Query().Get(name)
 	if s == "" {
 		return def, nil
 	}
-	v, err := strconv.Atoi(s)
-	if err != nil {
+	v, err := strconv.ParseInt(s, 10, 64)
+	if err != nil || int64(T(v)) != v {
 		return 0, fmt.Errorf("invalid %s=%q: want an integer", name, s)
 	}
-	return v, nil
+	return T(v), nil
 }
 
 // ---------------------------------------------------------------------------

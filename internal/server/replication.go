@@ -258,12 +258,12 @@ func (s *Server) handleReplWAL(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	name := r.PathValue("name")
-	offset, err := queryInt64(r, "offset", 0)
+	offset, err := queryInt[int64](r, "offset", 0)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	limit, err := queryInt64(r, "limit", 0)
+	limit, err := queryInt[int64](r, "limit", 0)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -396,18 +396,6 @@ func (s *Server) handleReplPull(w http.ResponseWriter, r *http.Request) {
 		status = http.StatusBadGateway
 	}
 	writeJSON(w, status, s.nodeStatus())
-}
-
-func queryInt64(r *http.Request, name string, def int64) (int64, error) {
-	s := r.URL.Query().Get(name)
-	if s == "" {
-		return def, nil
-	}
-	v, err := strconv.ParseInt(s, 10, 64)
-	if err != nil {
-		return 0, &strconv.NumError{Func: "ParseInt", Num: s, Err: err}
-	}
-	return v, nil
 }
 
 // ---------------------------------------------------------------------------

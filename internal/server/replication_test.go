@@ -451,3 +451,23 @@ func TestReplicationStatsSection(t *testing.T) {
 		t.Fatalf("caught-up replica reports lag: %+v", jsonString(r))
 	}
 }
+
+// TestReplWALRejectsMalformedRange: a non-integer offset/limit is a 400
+// that names the parameter and the value once (the error used to be a
+// strconv.NumError wrapped in another, with no parameter name), and a
+// negative offset is refused before the store is read.
+func TestReplWALRejectsMalformedRange(t *testing.T) {
+	pts, _ := newPrimary(t, 1)
+	for query, want := range map[string]string{
+		"offset=abc":                  `invalid offset="abc": want an integer`,
+		"limit=1e3":                   `invalid limit="1e3": want an integer`,
+		"offset=99999999999999999999": `invalid offset="99999999999999999999": want an integer`,
+		"offset=-1":                   "offset must be non-negative, got -1",
+	} {
+		var er errorResponse
+		resp := doJSON(t, "GET", pts.URL+"/replication/wal/g?"+query, nil, &er)
+		if resp.StatusCode != http.StatusBadRequest || er.Error != want {
+			t.Errorf("GET /replication/wal/g?%s: status %d, error %q; want 400, %q", query, resp.StatusCode, er.Error, want)
+		}
+	}
+}

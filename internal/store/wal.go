@@ -92,26 +92,24 @@ func encodeHeaderFrame(generation uint64) []byte {
 // truncate the file there. hasHeader=false means the file does not begin
 // with an intact header frame — it is torn at byte 0 or predates the
 // current snapshot — and nothing from it may be replayed. A torn tail is
-// not an error: it is the expected shape of a crash mid-append.
+// not an error: it is the expected shape of a crash mid-append. Frames
+// are read by scanOneFrame, the replication stream's parser; a file image
+// never grows, so its short and corrupt verdicts both mean torn here.
 func decodeFrames(data []byte) (gen uint64, hasHeader bool, batches []CommittedBatch, goodLen int) {
-	pos := 0
-	if len(data) == 0 {
-		return 0, false, nil, 0
-	}
-	h, ok := decodeOneFrame(data, &pos)
-	if !ok || h.typ != frameHeader {
+	h, st := scanOneFrame(data)
+	if st != frameOK || h.typ != frameHeader {
 		return 0, false, nil, 0
 	}
 	gen, err := decodeUvarintPayload(h.payload)
 	if err != nil {
 		return 0, false, nil, 0
 	}
-	pos = h.end
+	pos := h.end
 
 	var pending *Batch
 	for pos < len(data) {
-		b, ok := decodeOneFrame(data, &pos)
-		if !ok {
+		b, st := scanOneFrame(data[pos:])
+		if st != frameOK {
 			return gen, true, batches, pos
 		}
 		switch b.typ {
@@ -133,44 +131,17 @@ func decodeFrames(data []byte) (gen uint64, hasHeader bool, batches []CommittedB
 		default:
 			return gen, true, batches, pos
 		}
-		pos = b.end
+		pos += b.end
 	}
 	return gen, true, batches, len(data)
 }
 
+// rawFrame is one checksum-verified frame; end is the offset just past it,
+// relative to the slice it was scanned from.
 type rawFrame struct {
 	typ     byte
 	payload []byte
 	end     int
-}
-
-// decodeOneFrame reads the frame starting at *pos, verifying its checksum.
-// ok=false means the bytes from *pos on are not an intact frame.
-func decodeOneFrame(data []byte, pos *int) (rawFrame, bool) {
-	p := *pos
-	if p >= len(data) {
-		return rawFrame{}, false
-	}
-	typ := data[p]
-	plen, n := binary.Uvarint(data[p+1:])
-	if n <= 0 {
-		return rawFrame{}, false
-	}
-	payloadStart := p + 1 + n
-	if plen > uint64(len(data)-payloadStart) {
-		return rawFrame{}, false
-	}
-	payloadEnd := payloadStart + int(plen)
-	if payloadEnd+4 > len(data) {
-		return rawFrame{}, false
-	}
-	payload := data[payloadStart:payloadEnd]
-	want := binary.LittleEndian.Uint32(data[payloadEnd : payloadEnd+4])
-	got := crc32.Update(crc32.Checksum(data[p:p+1], castagnoli), castagnoli, payload)
-	if got != want {
-		return rawFrame{}, false
-	}
-	return rawFrame{typ: typ, payload: payload, end: payloadEnd + 4}, true
 }
 
 func decodeBatchPayload(payload []byte) (*Batch, error) {

@@ -3,6 +3,8 @@ package store
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -187,6 +189,83 @@ func TestWALScannerDemandsHeader(t *testing.T) {
 	sc.Feed(wal[header.end:])
 	if _, err := sc.Next(); !errors.Is(err, ErrCorruptFrame) {
 		t.Fatalf("headerless stream: err = %v, want ErrCorruptFrame", err)
+	}
+}
+
+// TestFileReplayMatchesScannerOnDamagedImages is the differential for the
+// one frame parser the two decoders share: over seeded frame sequences
+// (edits of varying size, aborted batches with no commit), cut at every
+// byte offset and with one byte flipped at every offset, file replay
+// returns exactly the committed batches the replication scanner yields
+// before it stops, and truncates at the start of the first damaged frame.
+func TestFileReplayMatchesScannerOnDamagedImages(t *testing.T) {
+	scan := func(data []byte) []CommittedBatch {
+		sc := NewWALScanner()
+		sc.Feed(data)
+		var out []CommittedBatch
+		for {
+			cb, err := sc.Next()
+			if err != nil || cb == nil {
+				return out
+			}
+			out = append(out, *cb)
+		}
+	}
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		image := encodeHeaderFrame(uint64(rng.Intn(1000)))
+		starts := []int{0} // offset of every frame, then len(image)
+		frame := func(f []byte) {
+			starts = append(starts, len(image))
+			image = append(image, f...)
+		}
+		version := uint64(rng.Intn(1000))
+		for i, n := 0, 3+rng.Intn(4); i < n; i++ {
+			b := Batch{GrowTo: rng.Intn(300)}
+			for j, m := 0, rng.Intn(5); j < m; j++ {
+				b.Edits = append(b.Edits, BatchOp{Op: OpAdd + byte(rng.Intn(2)), U: uint32(rng.Intn(1 << 20)), V: uint32(rng.Intn(200))})
+			}
+			frame(encodeBatchFrame(&b))
+			if rng.Intn(4) > 0 { // one batch in four is aborted: no commit
+				version++
+				frame(encodeCommitFrame(version))
+			}
+		}
+		starts = append(starts, len(image))
+		// frameStart is the offset of the frame holding byte i (the last
+		// boundary <= i).
+		frameStart := func(i int) int {
+			at := 0
+			for _, s := range starts {
+				if s <= i {
+					at = s
+				}
+			}
+			return at
+		}
+		intact := scan(image)
+		check := func(what string, data []byte, wantGoodLen int) {
+			t.Helper()
+			_, hasHeader, fileBatches, goodLen := decodeFrames(data)
+			if goodLen != wantGoodLen || hasHeader != (wantGoodLen > 0) {
+				t.Fatalf("seed %d, %s: goodLen=%d hasHeader=%v, want %d", seed, what, goodLen, hasHeader, wantGoodLen)
+			}
+			sameBatches(t, fileBatches, scan(data))
+			if len(fileBatches) > len(intact) {
+				t.Fatalf("seed %d, %s: %d batches out of an image that held %d", seed, what, len(fileBatches), len(intact))
+			}
+			sameBatches(t, fileBatches, intact[:len(fileBatches)])
+		}
+
+		check("intact", image, len(image))
+		for cut := 0; cut < len(image); cut++ {
+			check(fmt.Sprintf("cut at %d", cut), image[:cut], frameStart(cut))
+		}
+		for i := range image {
+			damaged := bytes.Clone(image)
+			damaged[i] ^= byte(1 + rng.Intn(255))
+			check(fmt.Sprintf("flip at %d", i), damaged, frameStart(i))
+		}
 	}
 }
 
