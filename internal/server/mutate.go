@@ -5,7 +5,6 @@ import (
 	"strconv"
 
 	"nucleus/internal/dynamic"
-	"nucleus/internal/localhi"
 	"nucleus/internal/store"
 )
 
@@ -14,27 +13,33 @@ import (
 //
 // The paper's premise (§1.2) is that κ indices depend only on local
 // structure, so an edited graph should never pay a cold full-graph
-// decomposition. The mutation path exploits that twice:
+// decomposition — nor, for core, any graph-sized recomputation at all. The
+// mutation path exploits that three times:
 //
 //   - core numbers are repaired *during* the batch by the subcore
 //     traversal of package dynamic (each edit touches only the κ=k region
-//     around the edge), keeping an exact maintained κ array;
-//   - the decomposition cache for the republished version is warm-seeded
-//     from the previous version's cached κ via the Lemma 2 warm start
-//     (old κ + insert count is a valid upper start), so the next
-//     core/truss request reconverges in a few sweeps instead of from the
-//     degrees.
+//     around the edge), over an overlay that holds the previous version's
+//     CSR plus private copies of only the rows the batch touches;
+//   - that maintained κ, exact for the new graph, is published as the new
+//     version's core answer as it stands: the (core, and, 0) cache entry,
+//     what GET /core serves and what the snapshot persists are one array
+//     (warmRecoverCore, persist.go), and no sweep re-derives it;
+//   - truss has no maintained counterpart, so its cache entry for the
+//     republished version is warm-seeded from the previous version's cached
+//     κ via the Lemma 2 warm start (old κ + insert count is a valid upper
+//     start) and reconverges in a few sweeps instead of from the degrees.
 //
-// Publication is copy-on-write: the mutable overlay is snapshotted into a
-// fresh immutable CSR graph installed under a bumped version, so jobs
-// in flight on the previous version keep their consistent snapshot.
+// Publication is copy-on-write: the overlay patches the touched rows into
+// a fresh immutable CSR (graph.Patch — bulk copies of the untouched
+// stretches, no edge-list rebuild) installed under a bumped version, so
+// jobs in flight on the previous version keep their consistent snapshot.
 //
 // Durability (package store): commitBatch (write.go) appends each batch to
 // the graph's WAL BEFORE it touches the overlay, and a commit frame carrying
 // the published version after the publish succeeds — both under the
-// per-name mutation lock, so the pair is adjacent in the log. Warm cache
-// seeding runs after the lock is released: it is reconvergence work over
-// the whole graph, and serializing it with the next batch would turn the
+// per-name mutation lock, so the pair is adjacent in the log. Cache seeding
+// runs after the lock is released: the truss reconvergence is work over the
+// whole graph, and serializing it with the next batch would turn the
 // mutation path into a decomposition queue (regression tests:
 // TestConcurrentMutatorsWarmSeed, TestWarmSeedHoldsNoMutationLock).
 
@@ -70,7 +75,8 @@ type mutateResponse struct {
 	// MaxCore is the maximum maintained core number after the batch.
 	MaxCore int32 `json:"maxCore"`
 	// WarmSeeded lists the decompositions whose cache entries for the new
-	// version were re-derived by warm-started reconvergence.
+	// version were installed without a cold run (core: the maintained κ;
+	// truss: a warm-started reconvergence).
 	WarmSeeded []string `json:"warmSeeded"`
 }
 
@@ -136,20 +142,19 @@ func (s *Server) convergedResult(e *graphEntry, dec string) *decompResult {
 	return nil
 }
 
-// warmSeed re-derives the new version's core/truss cache entries by
-// Lemma 2 warm-started reconvergence instead of letting the next request
-// pay a cold run. Seeding happens only for decompositions the previous
-// version had a cached converged result for (demonstrated interest), and
-// lands under the (dec, "and", 0) key — the warm runs ARE converged And
-// runs — which is exactly the key the default job/hierarchy path
-// consults, through fill: ne may itself be replaced or deleted while the
-// warm runs execute. Returns the seeded decomposition names.
+// warmSeed installs the new version's core/truss cache entries instead of
+// letting the next request pay a cold run. Seeding happens only for
+// decompositions the previous version had a cached converged result for
+// (demonstrated interest), and lands under the (dec, "and", 0) key — exactly
+// the key the default job/hierarchy path consults — through fill: ne may
+// itself be replaced or deleted while the truss run executes. Returns the
+// seeded decomposition names.
 //
-// Core gets the tightest possible start (warmRecoverCore): the overlay's
-// incrementally maintained κ is already exact for the NEW graph. Truss has
-// no maintained counterpart, so it starts from the previous version's κ
-// bumped by the insert count (each insertion raises truss numbers by at
-// most one).
+// Core costs nothing to seed (warmRecoverCore): the overlay's incrementally
+// maintained κ is already exact for the NEW graph and is installed as it
+// stands. Truss has no maintained counterpart, so it runs a Lemma 2 warm
+// start from the previous version's κ bumped by the insert count (each
+// insertion raises truss numbers by at most one).
 func (s *Server) warmSeed(old, ne *graphEntry, inserts int) []string {
 	seeded := []string{} // non-nil so the response field is [] rather than null
 	if seedRes := s.convergedResult(old, "core"); seedRes != nil {
@@ -159,22 +164,22 @@ func (s *Server) warmSeed(old, ne *graphEntry, inserts int) []string {
 	if seedRes := s.convergedResult(old, "truss"); seedRes != nil {
 		inst := s.instanceOf(ne, "truss")
 		lr := dynamic.WarmTrussNumbersOn(inst, ne.g, old.g, seedRes.Kappa, inserts, s.cfg.JobThreads)
-		s.recordWarm(seedRes, lr)
+		s.recordWarm(seedRes, lr.Sweeps)
 		s.fill(keyOf(ne, "truss", "and", 0), localResult(lr, inst))
 		seeded = append(seeded, "truss")
 	}
 	return seeded
 }
 
-// recordWarm updates the warm-start counters: the sweeps the warm run
-// spent, and — when there is a seed result and it came from a
-// sweep-reporting local algorithm — the sweeps saved relative to that cold
-// run.
-func (s *Server) recordWarm(seed *decompResult, lr *localhi.Result) {
+// recordWarm counts one decomposition installed for a new version without a
+// cold run: the sweeps spent on it (none for core, whose maintained κ is
+// installed as it stands) and — when the previous version's result came
+// from a sweep-reporting local algorithm — the sweeps saved relative to it.
+func (s *Server) recordWarm(seed *decompResult, sweeps int) {
 	s.stats.Mutations.WarmRuns.Add(1)
-	s.stats.Mutations.WarmSweeps.Add(int64(lr.Sweeps))
-	if seed != nil && seed.Sweeps > lr.Sweeps {
-		s.stats.Mutations.SweepsSaved.Add(int64(seed.Sweeps - lr.Sweeps))
+	s.stats.Mutations.WarmSweeps.Add(int64(sweeps))
+	if seed != nil && seed.Sweeps > sweeps {
+		s.stats.Mutations.SweepsSaved.Add(int64(seed.Sweeps - sweeps))
 	}
 }
 

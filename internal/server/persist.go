@@ -4,7 +4,6 @@ import (
 	"log"
 	"runtime"
 
-	"nucleus/internal/dynamic"
 	"nucleus/internal/par"
 	"nucleus/internal/store"
 )
@@ -27,9 +26,9 @@ import (
 //   - a background compactor folds long WALs into fresh snapshots once they
 //     cross Config.WALCompactBytes, bounding replay time;
 //   - startup replays snapshot+WAL for every persisted graph, restores the
-//     exact pre-restart versions, and warm-seeds the core κ cache via the
-//     Lemma 2 path so the first post-restart request reconverges locally
-//     instead of decomposing cold.
+//     exact pre-restart versions, and installs the persisted exact κ as the
+//     core cache entry (warmRecoverCore) so the first post-restart request
+//     is a hit instead of a cold decomposition.
 
 // recoverFromStore rebuilds the registry from the persistence backend.
 // Called from New before the listener can exist, so no request can observe
@@ -108,24 +107,27 @@ func (s *Server) rebuildEntry(name string, snap *store.Snapshot, batches []store
 		e.version = b.Version
 		e.mutations++
 	}
-	e.g = dyn.Static()
-	e.dyn = dyn
-	e.coreKappa = append([]int32(nil), dyn.CoreNumbers()...)
+	e.g, e.coreKappa = dyn.Static(), dyn.CoreNumbers()
 	return e
 }
 
-// warmRecoverCore seeds e's core cache entry by Lemma 2 warm-started
-// reconvergence from its maintained (or persisted) exact κ: the run starts
-// at the fixpoint, so it is one scan plus the certification sweep, not a
-// cold decomposition (coldRuns stays 0 across a restart) — and it doubles
-// as a convergence check of the maintained array. seed is the previous
-// version's cached result when there was one (nil after recovery or on a
-// replica), for the sweeps-saved accounting.
+// warmRecoverCore installs e's maintained (or persisted) exact κ as its
+// core cache entry, under the (core, and, 0) key the default read path
+// consults: the array is already what /core serves, what the snapshot
+// persists and what the next repair starts from, so the first read of a
+// new, recovered or shipped version is a hit and nothing re-derives it
+// (coldRuns stays 0 across a batch, a restart and a resync). Exactness is
+// asserted where a disagreement is reported — the dynamic-vs-peel property
+// and fuzz tests, the three-routes-one-state test, the benchmark's peel of
+// both nodes — not by a sweep whose result nothing read. seed is the
+// previous version's cached result when there was one (nil after recovery
+// or on a replica), for the sweeps-saved accounting.
 func (s *Server) warmRecoverCore(e *graphEntry, seed *decompResult) {
-	inst := s.instanceOf(e, "core")
-	lr := dynamic.WarmCoreNumbersOn(inst, e.g, e.coreKappa, 0, s.cfg.JobThreads)
-	s.recordWarm(seed, lr)
-	s.fill(keyOf(e, "core", "and", 0), localResult(lr, inst))
+	s.recordWarm(seed, 0)
+	s.fill(keyOf(e, "core", "and", 0), &decompResult{
+		Kappa: e.coreKappa, MaxKappa: maxOf(e.coreKappa), Converged: true,
+		Inst: s.instanceOf(e, "core"),
+	})
 }
 
 // persistSnapshot writes the entry's current state as the authoritative

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"nucleus/internal/densest"
-	"nucleus/internal/dynamic"
 	"nucleus/internal/graph"
 	"nucleus/internal/nucleus"
 )
@@ -46,15 +45,11 @@ type graphEntry struct {
 	instMu   sync.Mutex
 	instMemo map[string]*instFlight
 
-	// dyn is the mutable adjacency overlay with incrementally maintained
-	// core numbers (subcore traversal). It is created on the first edit
-	// batch and carried forward to each successor version of the same
-	// name; it is only ever touched while holding the registry's per-name
-	// mutation lock, so it is NOT safe to read from request handlers.
-	dyn *dynamic.Graph
-	// coreKappa is an immutable snapshot of the maintained core numbers
-	// taken when this version was published (nil for versions that have
-	// never been mutated). GET /graphs/{name}/core serves from it.
+	// coreKappa is the exact core numbers the edit pipeline's subcore repair
+	// left when this version was published (nil for versions that have
+	// never been mutated), immutable like g. GET /graphs/{name}/core and
+	// the version's (core, and, 0) cache entry serve it, the snapshot
+	// persists it, and the next batch's overlay starts from it.
 	coreKappa []int32
 	// mutations counts the edit batches applied to reach this version.
 	mutations int

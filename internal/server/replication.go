@@ -430,8 +430,8 @@ func (a replApplier) GraphNames() []string {
 
 // InstallSnapshot persists a shipped snapshot locally (a replica must
 // itself be crash-recoverable and promotable), publishes it at exactly its
-// Meta.Version, and warm-seeds the core cache from the shipped κ so the
-// first read decomposes warm, not cold.
+// Meta.Version, and installs the shipped κ as the core cache entry so the
+// first read is a hit, not a cold run.
 func (a replApplier) InstallSnapshot(name string, snap *store.Snapshot) error {
 	e := a.s.rebuildEntry(name, snap, nil)
 	installed, err := a.s.installGraph(e, snap.Meta.Version)
@@ -446,7 +446,7 @@ func (a replApplier) InstallSnapshot(name string, snap *store.Snapshot) error {
 // primary warm-seeds only decompositions with demonstrated interest, a
 // replica seeds core unconditionally — reads land here while writes land
 // on the primary, so the first read must not pay a cold run. The overlay's
-// maintained κ makes that a single certification sweep.
+// maintained κ is that entry as it stands (warmRecoverCore).
 func (a replApplier) ApplyBatch(name string, batch *store.Batch, version uint64) (bool, error) {
 	out, err := a.s.commitBatch(name, batch, version)
 	var oversize errOversize

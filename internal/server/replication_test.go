@@ -4,11 +4,16 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
+	"nucleus/internal/graph"
+	"nucleus/internal/nucleus"
+	"nucleus/internal/peel"
 	"nucleus/internal/replica"
 )
 
@@ -179,6 +184,54 @@ func TestReplicationEndToEnd(t *testing.T) {
 	// White-box: registry version counters stayed coherent.
 	if rv, pv := rs.reg.maxVersion(), ps.reg.maxVersion(); rv != pv {
 		t.Fatalf("maxVersion: replica %d, primary %d", rv, pv)
+	}
+}
+
+// TestCoreEntryIsMaintainedKappa: after a batch, on the primary and on the
+// replica that applied it, the (core, and, 0) cache entry of the live
+// version is the maintained κ itself — converged, equal to a cold peel of
+// the served graph — and installing it ran no decomposition.
+func TestCoreEntryIsMaintainedKappa(t *testing.T) {
+	pts, ps := newPrimary(t, 1)
+	rts, rs := newReplica(t, pts.URL, 1)
+	g := graph.PowerLawCluster(300, 4, 0.5, 11)
+	if resp := doJSON(t, "POST", pts.URL+"/graphs/g", strings.NewReader(edgeListBody(g)), nil); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("upload: status %d", resp.StatusCode)
+	}
+	// Demonstrated interest: the primary seeds core only for a lineage that
+	// had a cached result. This is its one cold run.
+	doJSON(t, "GET", pts.URL+"/graphs/g/decompose?dec=core&alg=and", nil, nil)
+	pull(t, rts.URL, http.StatusOK) // snapshot resync of the unmutated graph
+
+	rng := rand.New(rand.NewSource(3))
+	for batch := 0; batch < 4; batch++ {
+		req, edits := randomBatch(rng, g, false)
+		g = graph.ApplyEdits(g, req.GrowTo, edits)
+		var mr mutateResponse
+		if resp := postJSON(t, pts.URL+"/graphs/g/edges", req, &mr); resp.StatusCode != http.StatusOK {
+			t.Fatalf("mutate: status %d", resp.StatusCode)
+		}
+		pull(t, rts.URL, http.StatusOK)
+		for node, s := range map[string]*Server{"primary": ps, "replica": rs} {
+			e, _ := s.reg.get("g")
+			if e == nil || e.version != mr.Version {
+				t.Fatalf("%s: batch %d not live at version %d", node, batch, mr.Version)
+			}
+			res, ok := s.cache.peek(keyOf(e, "core", "and", 0))
+			if !ok || !res.Converged {
+				t.Fatalf("%s: batch %d left no converged core entry (found %v)", node, batch, ok)
+			}
+			want := peel.Run(nucleus.NewCore(e.g))
+			if !slices.Equal(res.Kappa, want.Kappa) || res.MaxKappa != want.MaxKappa {
+				t.Fatalf("%s: batch %d: core entry differs from a cold peel of the served graph", node, batch)
+			}
+		}
+	}
+	if cold := ps.stats.Mutations.ColdRuns.Load(); cold != 1 {
+		t.Fatalf("primary ran %d cold decompositions, want the 1 before the first batch", cold)
+	}
+	if cold := rs.stats.Mutations.ColdRuns.Load(); cold != 0 {
+		t.Fatalf("replica ran %d cold decompositions, want 0", cold)
 	}
 }
 

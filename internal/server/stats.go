@@ -79,16 +79,18 @@ type mutationStats struct {
 	Batches promtext.Counter `json:"batches" prom:"nucleusd_mutation_batches_total" help:"Edge-mutation batches published."`
 	Applied promtext.Counter `json:"applied" prom:"nucleusd_mutation_edits_applied_total" help:"Edge edits applied."`
 	Ignored promtext.Counter `json:"ignored" prom:"nucleusd_mutation_edits_ignored_total" help:"No-op edge edits."`
-	// WarmRuns is the number of warm-started reconvergence runs seeded
-	// from a previous version's κ; ColdRuns counts full decompositions
-	// actually executed by the engines.
-	WarmRuns promtext.Counter `json:"warmRuns" prom:"nucleusd_warm_runs_total" help:"Warm-started reconvergence runs."`
+	// WarmRuns is the number of decompositions installed for a new version
+	// without a cold run — core from the maintained κ as it stands, truss
+	// by a warm-started reconvergence from the previous version's κ;
+	// ColdRuns counts full decompositions actually executed by the engines.
+	WarmRuns promtext.Counter `json:"warmRuns" prom:"nucleusd_warm_runs_total" help:"Decompositions installed for a new version without a cold run."`
 	ColdRuns promtext.Counter `json:"coldRuns" prom:"nucleusd_cold_runs_total" help:"Cold full decompositions executed."`
-	// WarmSweeps is the total sweeps warm runs needed; SweepsSaved sums,
-	// per warm run, the sweeps of the cold run it was seeded from minus
-	// its own (0 when the seed came from peeling, which reports none).
-	WarmSweeps  promtext.Counter `json:"warmSweeps" prom:"nucleusd_warm_sweeps_total" help:"Sweeps spent by warm runs."`
-	SweepsSaved promtext.Counter `json:"sweepsSaved" prom:"nucleusd_sweeps_saved_total" help:"Sweeps saved by warm starts vs their cold seeds."`
+	// WarmSweeps is the total sweeps those installs needed (core: none;
+	// truss: its warm run's); SweepsSaved sums, per install, the sweeps of
+	// the previous version's cached run minus its own (0 when that run was
+	// a peel or itself an install, which report none).
+	WarmSweeps  promtext.Counter `json:"warmSweeps" prom:"nucleusd_warm_sweeps_total" help:"Sweeps spent installing decompositions without a cold run (truss warm runs; core spends none)."`
+	SweepsSaved promtext.Counter `json:"sweepsSaved" prom:"nucleusd_sweeps_saved_total" help:"Sweeps saved by such installs against the previous version's cached run."`
 }
 
 // indexStats reports the per-(graph version, family) instance cache.

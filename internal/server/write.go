@@ -166,23 +166,21 @@ func (s *Server) commitBatch(name string, batch *store.Batch, at uint64) (batchO
 		maxCore: maxOf(dyn.CoreNumbers()), warmSeeded: []string{},
 	}
 	if at == 0 && added == 0 && removed == 0 && dyn.N() == e.g.N() {
-		// Keep the (possibly just-built) overlay for the next batch; e.dyn
-		// is only touched under the per-name mutation lock held here.
-		e.dyn = dyn
 		s.stats.Mutations.Ignored.Add(int64(ignored))
 		return out, nil
 	}
 
-	// Copy-on-write publication: snapshot the overlay into a fresh
-	// immutable entry. In-flight work on the old version keeps its graph.
+	// Copy-on-write publication: the overlay patches the rows this batch
+	// touched into a fresh immutable CSR and hands over its κ; it is not
+	// used again, so the new entry owns both. In-flight work on the old
+	// version keeps its graph.
 	ne := &graphEntry{
 		name:      name,
 		g:         dyn.Static(),
 		version:   at,
 		source:    e.source,
 		created:   e.created,
-		dyn:       dyn,
-		coreKappa: append([]int32(nil), dyn.CoreNumbers()...),
+		coreKappa: dyn.CoreNumbers(),
 		mutations: e.mutations + 1,
 	}
 	if at == 0 {
@@ -248,18 +246,14 @@ func (s *Server) dropGraph(name string) error {
 	return nil
 }
 
-// overlayFor returns the mutable overlay batches of e's lineage are applied
-// to, building it on the lineage's first batch. The overlay needs exact
-// core numbers to repair incrementally, and takes the cheapest source that
-// has them: the overlay carried over from the previous version, the
+// overlayFor returns a mutable overlay of e for one batch (or one replay)
+// to be applied to. Over e's own CSR that costs a copy of κ, so none is kept
+// between batches; the overlay needs exact core numbers to repair
+// incrementally, and takes the cheapest source that has them: the
 // maintained or recovered κ, a cached exact decomposition, and only then a
-// cold peel. Callers hold the per-name mutation lock (or, during recovery,
-// own the entry outright).
+// cold peel.
 func (s *Server) overlayFor(e *graphEntry) *dynamic.Graph {
-	switch {
-	case e.dyn != nil:
-		return e.dyn
-	case e.coreKappa != nil:
+	if e.coreKappa != nil {
 		return dynamic.FromStaticCores(e.g, e.coreKappa)
 	}
 	if res := s.convergedResult(e, "core"); res != nil {
@@ -303,7 +297,7 @@ func applyBatch(dyn *dynamic.Graph, b *store.Batch, needN int) (added, removed, 
 		switch {
 		case ed.Op == store.OpAdd && dyn.InsertEdge(ed.U, ed.V):
 			added++
-		case ed.Op == store.OpRemove && int(ed.U) < dyn.N() && int(ed.V) < dyn.N() && dyn.RemoveEdge(ed.U, ed.V):
+		case ed.Op == store.OpRemove && dyn.RemoveEdge(ed.U, ed.V):
 			removed++
 		default:
 			ignored++
