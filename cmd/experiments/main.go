@@ -11,7 +11,7 @@
 //	experiments -exp bound      # Theorem 3 degree-level bound
 //	experiments -exp tradeoff   # accuracy/runtime trade-off
 //	experiments -exp query      # query-driven estimation
-//	experiments -exp order      # AND processing-order ablation
+//	experiments -exp order      # AND processing-order ablation: iterations and visits per order
 //	experiments -exp density    # density of discovered subgraphs
 //	experiments -exp fig2       # the paper's Figure 2 walk-through
 //

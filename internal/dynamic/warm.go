@@ -39,7 +39,6 @@ func WarmCoreNumbersOn(inst nucleus.Instance, newG *graph.Graph, oldKappa []int3
 	return localhi.And(inst, localhi.Options{
 		InitialTau:   seed,
 		Notification: true,
-		Preserve:     true,
 		Threads:      threads,
 	})
 }
@@ -72,7 +71,6 @@ func WarmTrussNumbersOn(inst nucleus.Instance, newG, oldG *graph.Graph, oldKappa
 	return localhi.And(inst, localhi.Options{
 		InitialTau:   seed,
 		Notification: true,
-		Preserve:     true,
 		Threads:      threads,
 	})
 }

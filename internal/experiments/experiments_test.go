@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -102,15 +103,24 @@ func TestQueryOutput(t *testing.T) {
 func TestOrderAblationOutput(t *testing.T) {
 	var sb strings.Builder
 	OrderAblation(&sb, Core, []string{"fb"}, 1)
-	out := sb.String()
-	if !strings.Contains(out, "peel") || !strings.Contains(out, "random") {
-		t.Fatalf("missing ablation columns: %q", out)
+	rows := map[string][]string{} // order → its row's fields
+	for _, line := range strings.Split(strings.TrimSpace(sb.String()), "\n") {
+		if f := strings.Fields(line); len(f) == 5 && f[0] == "fb" {
+			rows[f[1]] = f
+		}
 	}
-	// The peel-order column must be 1 (Theorem 4).
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	fields := strings.Fields(lines[len(lines)-1])
-	if fields[2] != "1" {
-		t.Fatalf("peel-order iterations = %s, want 1", fields[2])
+	for _, order := range []string{"natural", "degree", "peel", "rev-peel", "random"} {
+		f, ok := rows[order]
+		if !ok {
+			t.Fatalf("missing %s row: %q", order, sb.String())
+		}
+		if visits, err := strconv.Atoi(f[3]); err != nil || visits <= 0 {
+			t.Fatalf("%s row reports visits %q", order, f[3])
+		}
+	}
+	// The peel order converges in one iteration (Theorem 4).
+	if it := rows["peel"][2]; it != "1" {
+		t.Fatalf("peel-order iterations = %s, want 1", it)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"unsafe"
 
 	"nucleus/internal/par"
 )
@@ -53,6 +54,19 @@ func (g *Graph) Neighbors(u uint32) []uint32 {
 // EdgeIDs returns, for vertex u, the edge-id slice parallel to Neighbors(u).
 func (g *Graph) EdgeIDs(u uint32) []int64 {
 	return g.eid[g.offs[u]:g.offs[u+1]]
+}
+
+// CSR returns the graph's own row offsets and neighbor array, the latter
+// viewed as []int32: the form in which the nucleus instances hand a stored
+// s-clique incidence to the sweep kernels, so the (1,2) instance serves the
+// adjacency itself instead of a converted copy. This is the one place the
+// module reinterprets memory. uint32 and int32 have the same size and
+// alignment, and the view reads the very ids Neighbors does as long as
+// every vertex id is below 2³¹ — which each int32(v) cell-id conversion in
+// the module already assumes. Both slices alias the graph's storage and
+// must not be modified.
+func (g *Graph) CSR() (offs []int64, adj []int32) {
+	return g.offs, unsafe.Slice((*int32)(unsafe.Pointer(unsafe.SliceData(g.adj))), len(g.adj))
 }
 
 // HasEdge reports whether {u,v} is an edge.

@@ -5,11 +5,10 @@
 //
 //   - Sort:   the textbook O(n log n) sort-then-scan version,
 //   - Linear: the O(n) counting version (values above n are clamped to n
-//     since H can never exceed n); LinearInto is the same over a
-//     caller-owned counting array, and the only variant on a hot path.
+//     since H can never exceed n).
 //
-// The §4.4 early-exit heuristic (keep the previous τ once τ values >= τ
-// have been seen) is fused into the sweep kernels of package localhi.
+// Neither is on a hot path: the sweep kernels of package localhi compute
+// min(τ, H) in a clamped pass of their own and are tested against these.
 package hindex
 
 import "sort"
@@ -36,27 +35,11 @@ func Sort(vals []int32) int32 {
 // Linear computes H(K) in O(n) with a counting array. Values larger than
 // n are treated as n, which cannot change the result.
 func Linear(vals []int32) int32 {
-	var scratch []int32
-	return LinearInto(vals, &scratch)
-}
-
-// LinearInto is Linear over a caller-owned counting array: scratch is
-// grown (and retained across calls) as needed, so a caller that reuses it
-// — e.g. one scratch per sweep worker in the local algorithms — pays zero
-// allocations in the steady state. The scratch contents need not be
-// zeroed between calls.
-//
-//nucleus:noalloc
-func LinearInto(vals []int32, scratch *[]int32) int32 {
 	n := int32(len(vals))
 	if n == 0 {
 		return 0
 	}
-	if cap(*scratch) < int(n)+1 {
-		*scratch = make([]int32, int(n)+1) //nucleus:lint-ignore noalloc grow-once scratch resize; a reusing caller pays zero allocations in the steady state
-	}
-	cnt := (*scratch)[:n+1]
-	clear(cnt)
+	cnt := make([]int32, n+1)
 	for _, v := range vals {
 		if v < 0 {
 			continue

@@ -63,8 +63,9 @@ func TestAndNotificationRespectsSweepBudget(t *testing.T) {
 }
 
 // TestAndBudgetedPreserveStaysBounded covers the warm-start configuration
-// (InitialTau + Preserve + Notification) under a budget, the combination
-// the serving layer uses for reconvergence after edits.
+// (InitialTau + Notification, every update free to exit early and preserve
+// its index) under a budget, the combination package dynamic uses for
+// reconvergence after edits.
 func TestAndBudgetedPreserveStaysBounded(t *testing.T) {
 	g := graph.PowerLawCluster(400, 5, 0.4, 31)
 	inst := nucleus.NewCore(g)
@@ -76,7 +77,6 @@ func TestAndBudgetedPreserveStaysBounded(t *testing.T) {
 	for budget := 1; budget <= 4; budget++ {
 		res := And(inst, Options{
 			Notification: true,
-			Preserve:     true,
 			InitialTau:   seed,
 			MaxSweeps:    budget,
 		})

@@ -9,8 +9,18 @@ import (
 	"nucleus/internal/nucleus"
 )
 
-// fusedCases pairs an on-the-fly instance (generic closure path) with its
-// indexed twin (fused flat path) over the same graph.
+// hideFlat wraps an instance so that only the Instance methods show: the
+// wrapper hides FlatIncidenceArrays, so a run takes the generic kernel over
+// the very same rows.
+func hideFlat(inst nucleus.Instance) nucleus.Instance {
+	return struct{ nucleus.Instance }{inst}
+}
+
+// fusedCases pairs an instance that runs the generic closure path with a
+// twin that runs the fused flat path over the same graph: the on-the-fly
+// instance against its index for truss and (3,4), and for k-core — where
+// the graph's CSR is the stored incidence — Core against itself with the
+// flat arrays hidden.
 func fusedCases(t *testing.T) []struct {
 	name    string
 	generic nucleus.Instance
@@ -37,6 +47,11 @@ func fusedCases(t *testing.T) []struct {
 			name    string
 			generic nucleus.Instance
 			indexed nucleus.Instance
+		}{fmt.Sprintf("core/g%d", gi), hideFlat(nucleus.NewCore(g)), nucleus.NewCore(g)})
+		out = append(out, struct {
+			name    string
+			generic nucleus.Instance
+			indexed nucleus.Instance
 		}{fmt.Sprintf("truss/g%d", gi), nucleus.NewTruss(g), nucleus.NewFlatTruss(g, 2)})
 		out = append(out, struct {
 			name    string
@@ -49,21 +64,22 @@ func fusedCases(t *testing.T) []struct {
 
 // TestFusedKernelMatchesGeneric demands that the fused flat path computes
 // exactly the generic path's results — τ, convergence, and the WorkVisits
-// cost accounting — across the option space (Snd/And × Preserve ×
-// Notification × threads × bounded sweeps).
+// cost accounting — across the option space (Snd/And × Notification ×
+// threads × bounded sweeps).
 func TestFusedKernelMatchesGeneric(t *testing.T) {
 	optSets := []Options{
 		{},
-		{Preserve: true},
 		{Notification: true},
-		{Notification: true, Preserve: true},
 		{Threads: 4},
-		{Threads: 4, Notification: true, Preserve: true},
+		{Threads: 4, Notification: true},
 		{MaxSweeps: 2},
 	}
 	for _, tc := range fusedCases(t) {
-		if _, ok := tc.indexed.(nucleus.FlatIncidence); !ok {
-			t.Fatalf("%s: indexed instance does not expose flat incidence", tc.name)
+		if k := kernelFor(tc.indexed); !k.flat {
+			t.Fatalf("%s: indexed instance does not take the fused path", tc.name)
+		}
+		if k := kernelFor(tc.generic); k.flat {
+			t.Fatalf("%s: generic instance takes the fused path", tc.name)
 		}
 		for oi, opts := range optSets {
 			for algName, run := range map[string]func(nucleus.Instance, Options) *Result{
@@ -86,10 +102,9 @@ func TestFusedKernelMatchesGeneric(t *testing.T) {
 				}
 				// Deterministic runs must also agree on the visit count —
 				// the fused kernel changes the cost of a visit, never the
-				// set of visits. (Parallel And is non-deterministic, and
-				// notification skips depend on timing; compare only the
-				// sequential, notification-free configurations.)
-				if opts.Threads <= 1 && !opts.Notification && algName == "snd" {
+				// set of visits, early exits included. (Parallel And is
+				// non-deterministic; compare the sequential runs.)
+				if opts.Threads <= 1 {
 					if want.WorkVisits != got.WorkVisits {
 						t.Fatalf("%s %s opts %d: WorkVisits %d vs %d",
 							tc.name, algName, oi, want.WorkVisits, got.WorkVisits)
@@ -127,71 +142,76 @@ func TestFusedSubsetAndWarmStart(t *testing.T) {
 	}
 }
 
-// TestFusedKernelZeroAlloc proves the steady-state claim: once the
-// per-worker scratch has grown to the largest row, a full fused sweep over
-// every cell performs zero heap allocations.
+// TestFusedKernelZeroAlloc proves the claim the kernel's noalloc annotation
+// makes: a full fused sweep over every cell, and waking every cell's
+// neighbors, performs zero heap allocations — on a truss index (co-arity
+// 2, the general row loop) and on k-core (co-arity 1, the graph's own CSR).
 func TestFusedKernelZeroAlloc(t *testing.T) {
 	g := graph.PlantedCommunities(3, 14, 0.5, 40, 11)
-	inst := nucleus.NewFlatTruss(g, 1)
-	fa, ok := flatOf(inst)
-	if !ok {
-		t.Fatal("flat truss does not expose flat incidence")
-	}
-	tau := inst.Degrees()
-	sc := &sweepScratch{}
-	n := int32(inst.NumCells())
-	sweep := func(preserve bool) {
-		for c := int32(0); c < n; c++ {
-			computeTauFlat(fa, c, tau, sc, tau[c], preserve, false)
+	for name, inst := range map[string]nucleus.Instance{"truss": nucleus.NewFlatTruss(g, 1), "core": nucleus.NewCore(g)} {
+		k := kernelFor(inst)
+		if !k.flat {
+			t.Fatalf("%s does not expose flat incidence", name)
 		}
-	}
-	sweep(false) // warm the scratch to the largest row
-	for _, preserve := range []bool{false, true} {
-		if allocs := testing.AllocsPerRun(10, func() { sweep(preserve) }); allocs != 0 {
-			t.Fatalf("preserve=%v: fused sweep allocated %.1f times per run, want 0", preserve, allocs)
-		}
-	}
-}
-
-// TestGenericKernelZeroAlloc is the same claim for the generic kernel: its
-// visitor is bound to the scratch once, not built per cell. The wrapper
-// hides FlatIncidenceArrays, so the closure path runs — over Flat's
-// VisitSCliques, which itself allocates nothing, so every allocation
-// counted here would be the kernel's.
-func TestGenericKernelZeroAlloc(t *testing.T) {
-	g := graph.PlantedCommunities(3, 14, 0.5, 40, 11)
-	var inst nucleus.Instance = struct{ nucleus.Instance }{nucleus.NewFlatTruss(g, 1)}
-	if _, ok := flatOf(inst); ok {
-		t.Fatal("wrapped instance still takes the fused path")
-	}
-	tau := inst.Degrees()
-	sc := &sweepScratch{}
-	n := int32(inst.NumCells())
-	sweep := func(preserve, par bool) {
-		for c := int32(0); c < n; c++ {
-			computeTau(inst, c, tau, sc, tau[c], preserve, par)
-		}
-	}
-	sweep(false, false) // warm the scratch and bind the visitor
-	for _, preserve := range []bool{false, true} {
+		tau := inst.Degrees()
+		active := make([]int32, len(tau))
+		sc := &newScratches(1, tau)[0]
+		n := int32(inst.NumCells())
 		for _, par := range []bool{false, true} {
-			if allocs := testing.AllocsPerRun(10, func() { sweep(preserve, par) }); allocs != 0 {
-				t.Fatalf("preserve=%v par=%v: generic sweep allocated %.1f times per run, want 0", preserve, par, allocs)
+			allocs := testing.AllocsPerRun(10, func() {
+				for c := int32(0); c < n; c++ {
+					computeTauFlat(&k, c, tau, sc, tau[c], par)
+					notifyNeighborsFlat(&k, c, tau, active, 0, tau[c], par)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("%s par=%v: fused sweep allocated %.1f times per run, want 0", name, par, allocs)
 			}
 		}
 	}
 }
 
-// TestFlatOfRejectsNonFlat pins the dispatch predicate.
+// TestGenericKernelZeroAlloc is the same claim for the generic kernel: its
+// visitors are bound to the scratch once, not built per cell. The wrapper
+// hides FlatIncidenceArrays, so the closure path runs — over Flat's
+// VisitSCliques and VisitNeighbors, which themselves allocate nothing, so
+// every allocation counted here would be the kernel's.
+func TestGenericKernelZeroAlloc(t *testing.T) {
+	g := graph.PlantedCommunities(3, 14, 0.5, 40, 11)
+	k := kernelFor(hideFlat(nucleus.NewFlatTruss(g, 1)))
+	if k.flat {
+		t.Fatal("wrapped instance still takes the fused path")
+	}
+	tau := k.inst.Degrees()
+	active := make([]int32, len(tau))
+	sc := &newScratches(1, tau)[0]
+	n := int32(k.inst.NumCells())
+	sweep := func(par bool) {
+		for c := int32(0); c < n; c++ {
+			k.update(c, tau, sc, tau[c], par)
+			k.notify(c, tau, active, sc, 0, tau[c], par)
+		}
+	}
+	sweep(false) // bind the visitors
+	for _, par := range []bool{false, true} {
+		if allocs := testing.AllocsPerRun(10, func() { sweep(par) }); allocs != 0 {
+			t.Fatalf("par=%v: generic sweep allocated %.1f times per run, want 0", par, allocs)
+		}
+	}
+}
+
+// TestFlatOfRejectsNonFlat pins the dispatch predicate: every stored
+// incidence takes the fused path — the graph's own CSR included — and only
+// the instances that discover their s-cliques on the fly do not.
 func TestFlatOfRejectsNonFlat(t *testing.T) {
 	g := graph.Complete(5)
-	if _, ok := flatOf(nucleus.NewTruss(g)); ok {
+	if k := kernelFor(nucleus.NewTruss(g)); k.flat {
 		t.Fatal("on-the-fly Truss must not take the fused path")
 	}
-	if _, ok := flatOf(nucleus.NewCore(g)); ok {
-		t.Fatal("Core must not take the fused path")
+	if k := kernelFor(nucleus.NewCore(g)); !k.flat || k.co != 1 {
+		t.Fatalf("core: kernel flat=%v co=%d; want true, 1", k.flat, k.co)
 	}
-	if fa, ok := flatOf(nucleus.NewFlatTruss(g, 1)); !ok || fa.co != 2 {
-		t.Fatalf("flat truss: flatOf = %+v, %v; want co=2, true", fa, ok)
+	if k := kernelFor(nucleus.NewFlatTruss(g, 1)); !k.flat || k.co != 2 {
+		t.Fatalf("flat truss: kernel flat=%v co=%d; want true, 2", k.flat, k.co)
 	}
 }

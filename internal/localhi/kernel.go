@@ -4,197 +4,229 @@ import (
 	"math"
 	"sync/atomic"
 
-	"nucleus/internal/hindex"
 	"nucleus/internal/nucleus"
 )
 
 // The two sweep kernels. Both evaluate the update operator U for one cell
-// — H over { min τ(co-members of S) : S ∋ c } — under one contract:
-// preserve enables the §4.4 early-exit against cur (the cell's current
-// index), par uses atomic τ reads for concurrent asynchronous sweeps
-// (stale higher reads are benign: τ stays an upper bound of κ by Theorem 1
-// and later sweeps repair them), and the result is the new index plus the
-// number of s-clique visits paid.
+// — H over { ρ(S) = min τ(co-members of S) : S ∋ c } — under one contract:
+// given cur, the cell's current index, they return min(cur, H) and the
+// s-clique visits paid. Clamping is Theorem 1, not a heuristic: τ never
+// rises, so the next index is at most cur whatever H is. Knowing that
+// bound first makes the evaluation one pass with no gathered ρ list: a
+// ρ ≥ cur only needs counting (support), a smaller one lands in a counting
+// array of cur slots, and once cur s-cliques with ρ ≥ cur have been seen
+// the answer is cur and the rest of the row is never read (the §4.4 early
+// exit). A cell at cur = 0 costs nothing. par reads τ atomically for
+// concurrent asynchronous sweeps (stale higher reads are benign: τ stays
+// an upper bound of κ and later sweeps repair them).
 //
-//   - computeTauFlat, the fused kernel, serves instances that store their
-//     s-cliques (nucleus.FlatIncidence, i.e. nucleus.Flat): a pure scan
-//     of the cell's CSR row with no closure dispatch and no adjacency
-//     intersections.
+//   - computeTauFlat, the fused kernel, scans the row of a stored incidence
+//     (nucleus.FlatIncidence: Flat, and Core over the graph's own CSR at
+//     co-arity 1): no closure dispatch, no adjacency intersections.
 //   - computeTau, the generic kernel, serves the instances that discover
-//     s-cliques on the fly (Core, Truss, N34) through VisitSCliques.
+//     s-cliques on the fly (Truss, N34) through VisitSCliques.
 //
-// Neither allocates in the steady state: the ρ list and the h-index
-// counting array live in a per-worker sweepScratch that is reused across
-// cells and sweeps.
+// Both pay the same visits for the same row order, and neither allocates.
 
 // sweepScratch is one worker's state for a whole run.
 type sweepScratch struct {
-	// vals is the gathered ρ list and cnt the counting array of the linear
-	// h-index. Both grow to the longest row once and are then reused.
-	vals []int32
-	cnt  []int32
+	// cnt is the counting array of the clamped h-index: one slot per index
+	// below the run's largest starting τ, which no cur ever exceeds.
+	cnt []int32
 
-	// Tallies of the sweep in flight, added to by the owning worker once
-	// per chunk and summed and cleared by the coordinator after the join —
-	// the sweep loop itself touches no shared counter.
+	// Tallies of the sweep in flight, added to by the owning worker once per
+	// chunk, summed and cleared after the join: no shared counter in a sweep.
 	updates, visits, skipped int64
 
-	// The generic kernel's visitor state for the cell being computed.
-	// visitFn is the method value sc.visit, bound on first use: handing
-	// VisitSCliques a fresh closure per cell would allocate per cell.
+	// The generic kernel's state for the cell being computed, and for
+	// waking its neighbors once its index fell to h. visitFn and wakeFn are
+	// bound to the scratch once: a closure per cell would allocate per cell.
 	tau       []int32
-	cur       int32
-	preserve  bool
+	cur, h    int32
 	par       bool
 	support   int32
 	cellVisit int64
 	visitFn   func(others []int32) bool
+	wakeFn    func(d int32) bool
 
 	// Scratches of a run sit in one slice; the pad keeps one worker's hot
 	// fields off the cache line of the next worker's.
 	_ [64]byte
 }
 
+// newScratches returns one scratch per worker for a run that starts at tau.
+func newScratches(workers int, tau []int32) []sweepScratch {
+	var top int32
+	for _, v := range tau {
+		top = max(top, v)
+	}
+	scs := make([]sweepScratch, workers)
+	for i := range scs {
+		scs[i].cnt = make([]int32, top)
+	}
+	return scs
+}
+
+// settle finishes a cell whose row ended with atLeast < cur = len(cnt)
+// s-cliques at ρ ≥ cur: the largest h < cur with h s-cliques at ρ ≥ h.
+//
+//nucleus:noalloc
+func settle(cnt []int32, atLeast int32) int32 {
+	for h := int32(len(cnt)) - 1; h >= 1; h-- {
+		if atLeast += cnt[h]; atLeast >= h {
+			return h
+		}
+	}
+	return 0
+}
+
 // computeTau evaluates the update operator for cell c against tau through
 // the instance's VisitSCliques; see the contract at the top of the file.
-func computeTau(inst nucleus.Instance, c int32, tau []int32, sc *sweepScratch, cur int32, preserve, par bool) (int32, int64) {
-	if preserve && cur <= 0 {
+func computeTau(inst nucleus.Instance, c int32, tau []int32, sc *sweepScratch, cur int32, par bool) (int32, int64) {
+	if cur <= 0 {
 		return 0, 0
 	}
 	if sc.visitFn == nil {
 		sc.visitFn = sc.visit
 	}
-	sc.vals = sc.vals[:0]
-	sc.tau, sc.cur, sc.preserve, sc.par = tau, cur, preserve, par
+	clear(sc.cnt[:cur])
+	sc.tau, sc.cur, sc.par = tau, cur, par
 	sc.support, sc.cellVisit = 0, 0
 	inst.VisitSCliques(c, sc.visitFn)
-	if preserve && sc.support >= cur {
+	if sc.support >= cur {
 		return cur, sc.cellVisit
 	}
-	return hindex.LinearInto(sc.vals, &sc.cnt), sc.cellVisit
+	return settle(sc.cnt[:cur], sc.support), sc.cellVisit
 }
 
-// visit is the generic kernel's per-s-clique step: gather ρ, and with
-// preserve stop once cur s-cliques with ρ >= cur certify the index is kept
-// (sound because τ only decreases: H of the full list cannot exceed cur).
+// visit is the generic kernel's per-s-clique step.
 func (sc *sweepScratch) visit(others []int32) bool {
-	tau := sc.tau
+	tau, par := sc.tau, sc.par
 	rho := int32(math.MaxInt32)
 	for _, d := range others {
-		var v int32
-		if sc.par {
-			v = atomic.LoadInt32(&tau[d])
-		} else {
-			v = tau[d]
-		}
-		if v < rho {
-			rho = v
-		}
+		rho = min(rho, loadTau(par, tau, d))
 	}
 	sc.cellVisit++
-	if sc.preserve && rho >= sc.cur {
+	if rho >= sc.cur {
 		sc.support++
-		if sc.support >= sc.cur {
-			return false
-		}
+		return sc.support < sc.cur
 	}
-	sc.vals = append(sc.vals, rho)
+	if rho > 0 {
+		sc.cnt[rho]++
+	}
 	return true
 }
 
-// flatArrays caches the FlatIncidenceArrays of an instance for the
-// duration of a run.
-type flatArrays struct {
+// computeTauFlat evaluates the update operator for cell c against tau by
+// scanning the cell's stored row; at co-arity 1 (k-core) ρ is one τ read.
+//
+//nucleus:noalloc
+func computeTauFlat(k *kernel, c int32, tau []int32, sc *sweepScratch, cur int32, par bool) (int32, int64) {
+	if cur <= 0 {
+		return 0, 0
+	}
+	cnt := sc.cnt[:cur]
+	clear(cnt)
+	mem, co, lo, end := k.mem, k.co, k.offs[c], k.offs[c+1]
+	support := int32(0)
+	if co == 1 {
+		row := mem[lo:end]
+		for i, d := range row {
+			rho := loadTau(par, tau, d)
+			if rho >= cur {
+				if support++; support >= cur {
+					return cur, int64(i) + 1
+				}
+			} else if rho > 0 {
+				cnt[rho]++
+			}
+		}
+		return settle(cnt, support), int64(len(row))
+	}
+	var visits int64
+	for p := lo; p < end; p += co {
+		rho := int32(math.MaxInt32)
+		for q := p; q < p+co; q++ {
+			if v := loadTau(par, tau, mem[q]); v < rho {
+				rho = v
+			}
+		}
+		visits++
+		if rho >= cur {
+			if support++; support >= cur {
+				return cur, visits
+			}
+		} else if rho > 0 {
+			cnt[rho]++
+		}
+	}
+	return settle(cnt, support), visits
+}
+
+// wake sets d's flag if a co-member's fall from old to h can matter to d:
+// for any (r,s) only if h < τ(d) ≤ old — with τ(d) ≤ h, d still counts that
+// co-member's s-cliques at ≥ τ(d), and with τ(d) > old it never did. The
+// lower test is race-free because τ only falls; the upper one can miss a
+// wake-up when d is mid-update, the benign race And's certification sweep
+// exists for (§4.2.1). The flag is written only when it reads 0: most
+// wake-ups find it set, and an atomic store is an XCHG.
+//
+//nucleus:noalloc
+func wake(tau, active []int32, d, h, old int32, par bool) {
+	if t := loadTau(par, tau, d); t > h && t <= old && atomic.LoadInt32(&active[d]) == 0 {
+		atomic.StoreInt32(&active[d], 1)
+	}
+}
+
+// notifyNeighborsFlat wakes c's co-members off the stored row.
+//
+//nucleus:noalloc
+func notifyNeighborsFlat(k *kernel, c int32, tau, active []int32, h, old int32, par bool) {
+	for _, d := range k.mem[k.offs[c]:k.offs[c+1]] {
+		wake(tau, active, d, h, old, par)
+	}
+}
+
+// kernel is a run's choice between the two sweep kernels, made once. When
+// flat, cell c's s-cliques are mem[offs[c]:offs[c+1]], co ids each.
+type kernel struct {
+	inst nucleus.Instance
+	flat bool
 	offs []int64
 	mem  []int32
 	co   int64
 }
 
-// flatOf extracts the flat incidence arrays if the instance has them.
-func flatOf(inst nucleus.Instance) (flatArrays, bool) {
-	f, ok := inst.(nucleus.FlatIncidence)
-	if !ok {
-		return flatArrays{}, false
+func kernelFor(inst nucleus.Instance) kernel {
+	k := kernel{inst: inst}
+	if f, ok := inst.(nucleus.FlatIncidence); ok {
+		offs, mem, co := f.FlatIncidenceArrays()
+		k.offs, k.mem, k.co, k.flat = offs, mem, int64(co), co >= 1 && len(offs) > 0
 	}
-	offs, mem, co := f.FlatIncidenceArrays()
-	if co < 1 || len(offs) == 0 {
-		return flatArrays{}, false
-	}
-	return flatArrays{offs: offs, mem: mem, co: int64(co)}, true
-}
-
-// computeTauFlat evaluates the update operator for cell c against tau by
-// scanning the cell's flat incidence row: ρ-gather, the clamped counting
-// h-index and the Preserve early-exit fused into one loop. See the
-// contract at the top of the file.
-//
-//nucleus:noalloc
-func computeTauFlat(fa flatArrays, c int32, tau []int32, sc *sweepScratch, cur int32, preserve, par bool) (int32, int64) {
-	if preserve && cur <= 0 {
-		return 0, 0
-	}
-	mem := fa.mem
-	vals := sc.vals[:0]
-	var visits int64
-	support := int32(0)
-	for p, end := fa.offs[c], fa.offs[c+1]; p < end; p += fa.co {
-		rho := int32(math.MaxInt32)
-		for q := p; q < p+fa.co; q++ {
-			var v int32
-			if par {
-				v = atomic.LoadInt32(&tau[mem[q]])
-			} else {
-				v = tau[mem[q]]
-			}
-			if v < rho {
-				rho = v
-			}
-		}
-		visits++
-		if preserve && rho >= cur {
-			support++
-			if support >= cur {
-				// cur s-cliques with ρ >= cur certify the index is kept;
-				// stop without scanning the rest of the row.
-				sc.vals = vals
-				return cur, visits
-			}
-		}
-		vals = append(vals, rho) //nucleus:lint-ignore noalloc appends into per-worker scratch retained across cells; grows to the longest row once, then amortized zero
-	}
-	sc.vals = vals
-	return hindex.LinearInto(vals, &sc.cnt), visits
-}
-
-// notifyNeighborsFlat wakes every co-member cell of c's s-cliques by
-// scanning the flat row directly (the fused counterpart of the
-// VisitNeighbors closure in And's notification mechanism).
-//
-//nucleus:noalloc
-func notifyNeighborsFlat(fa flatArrays, c int32, active []int32) {
-	for _, d := range fa.mem[fa.offs[c]:fa.offs[c+1]] {
-		atomic.StoreInt32(&active[d], 1)
-	}
-}
-
-// kernel is a run's choice between the two sweep kernels, made once from
-// what the instance exposes.
-type kernel struct {
-	inst     nucleus.Instance
-	fa       flatArrays
-	flat     bool
-	preserve bool
-}
-
-func kernelFor(inst nucleus.Instance, opts Options) kernel {
-	fa, flat := flatOf(inst)
-	return kernel{inst: inst, fa: fa, flat: flat, preserve: opts.Preserve}
+	return k
 }
 
 // update evaluates the update operator for cell c with the run's kernel.
 func (k *kernel) update(c int32, tau []int32, sc *sweepScratch, cur int32, par bool) (int32, int64) {
 	if k.flat {
-		return computeTauFlat(k.fa, c, tau, sc, cur, k.preserve, par)
+		return computeTauFlat(k, c, tau, sc, cur, par)
 	}
-	return computeTau(k.inst, c, tau, sc, cur, k.preserve, par)
+	return computeTau(k.inst, c, tau, sc, cur, par)
+}
+
+// notify wakes the cells c's fall from old to h can affect; it follows the
+// update call that computed h on the same scratch.
+func (k *kernel) notify(c int32, tau, active []int32, sc *sweepScratch, h, old int32, par bool) {
+	if k.flat {
+		notifyNeighborsFlat(k, c, tau, active, h, old, par)
+		return
+	}
+	if sc.wakeFn == nil { // active is the run's: one array for the scratch's whole life
+		sc.wakeFn = func(d int32) bool {
+			wake(sc.tau, active, d, sc.h, sc.cur, sc.par)
+			return true
+		}
+	}
+	sc.h = h
+	k.inst.VisitNeighbors(c, sc.wakeFn)
 }

@@ -7,14 +7,15 @@
 // The algorithms work against any nucleus.Instance, so the same code
 // computes k-core (1,2), k-truss (2,3), the (3,4) nucleus and any generic
 // (r,s). There are two sweep kernels, one per side of the paper's §5 fork:
-// instances that store their s-cliques as flat CSR arrays
-// (nucleus.FlatIncidence, i.e. nucleus.Flat) run the fused kernel — pure
-// array scans — and instances that discover them on the fly run the
-// generic kernel through VisitSCliques; both reuse per-worker scratch and
-// allocate nothing in the steady state (see kernel.go and
-// docs/PERFORMANCE.md). Both algorithms are parallel: idle workers claim
-// the next 64 cells off a shared cursor (par.ForEachWorker), the dynamic
-// scheduling §4.4 recommends against notification-induced load imbalance.
+// stored s-cliques (nucleus.FlatIncidence: Flat, and Core — the CSR *is*
+// the flat incidence and is served as one) run the fused kernel, pure array
+// scans, and instances that discover them on the fly (Truss, N34) run the
+// generic kernel through VisitSCliques. Both compute min(τ, H) in one
+// clamped pass that stops once the current index is certified and allocate
+// nothing while sweeping (see kernel.go and docs/PERFORMANCE.md). Both
+// algorithms are parallel: idle workers claim the next 64 cells off a
+// shared cursor (par.ForEachWorker), the dynamic scheduling §4.4 recommends
+// against notification-induced load imbalance.
 //
 // A converged run yields the exact decomposition (Result.Converged);
 // bounding Options.MaxSweeps yields an anytime approximation with the
@@ -29,6 +30,7 @@
 package localhi
 
 import (
+	"fmt"
 	"runtime"
 	"sync/atomic"
 
@@ -50,7 +52,8 @@ type Options struct {
 	// Order is the cell processing order for And; nil means 0..n-1.
 	// Per Theorem 4, processing in the peeling order (non-decreasing final
 	// κ with peeling tie-breaks, e.g. peel.Result.Order) converges in a
-	// single iteration.
+	// single iteration. It must be a permutation of [0, NumCells): a run
+	// panics rather than report a partial sweep as Converged.
 	Order []int32
 	// Notification enables the plateau-skipping wakeup mechanism (§4.2.1);
 	// only meaningful for And.
@@ -63,22 +66,17 @@ type Options struct {
 	// (query-driven processing, §1.2); all other cells keep τ = their
 	// s-degree.
 	Subset []int32
-	// Preserve enables the §4.4 early-exit heuristic: while recomputing a
-	// cell, stop enumerating s-cliques as soon as τ of them have ρ >= τ —
-	// the current index is then certainly preserved. Sound because τ only
-	// decreases: H of the full list can never exceed the current τ.
-	Preserve bool
-	// InitialTau, when non-nil, seeds τ instead of the s-degrees. Lemma 2
-	// holds for any start that is pointwise >= κ, so a tight warm start
-	// (e.g. the κ of a slightly older version of the graph, bumped by the
-	// number of edits) converges in far fewer sweeps. The slice is copied.
-	// Values above a cell's s-degree are clamped to it (H can never exceed
-	// the s-clique count, so the clamp is free and keeps Preserve sound).
+	// InitialTau, when non-nil, seeds τ instead of the s-degrees: any start
+	// ≥ κ; the run is the iteration τ ← min(τ, U(τ)), so τ never rises and
+	// Lemma 2 takes it to κ. A tight start (e.g. the κ of a slightly older
+	// version of the graph, bumped by the number of edits) converges in far
+	// fewer sweeps. The slice is copied. Values above a cell's s-degree are
+	// clamped to it (H can never exceed the s-clique count).
 	InitialTau []int32
 	// Progress, when non-nil, receives a copy-on-write snapshot of τ plus
 	// per-sweep convergence metrics after every sweep, and a Final snapshot
 	// when the run ends (see Progress). Publishing runs between sweeps on
-	// the coordinating goroutine, so the fused kernels stay untouched.
+	// the coordinating goroutine, so the sweep kernels stay untouched.
 	Progress *Progress
 	// Stop, when non-nil, is polled between sweeps; once it returns true
 	// the run ends after the current sweep and returns the intermediate τ
@@ -118,12 +116,7 @@ type Result struct {
 	SweepUpdates []int64
 }
 
-func (o Options) threads() int {
-	if o.Threads <= 0 {
-		return 1
-	}
-	return o.Threads
-}
+func (o Options) threads() int { return max(o.Threads, 1) }
 
 // Snd runs the synchronous algorithm: every sweep computes τ_{t+1} for all
 // cells from the frozen τ_t of the previous sweep (Jacobi iteration).
@@ -133,8 +126,8 @@ func Snd(inst nucleus.Instance, opts Options) *Result {
 	prev := make([]int32, n)
 	res := &Result{}
 	cells := sweepCells(n, opts)
-	k := kernelFor(inst, opts)
-	scs := make([]sweepScratch, opts.threads())
+	k := kernelFor(inst)
+	scs := newScratches(opts.threads(), tau)
 	body := func(chunk []int32, sc *sweepScratch) {
 		var upd, vis int64
 		for _, c := range chunk {
@@ -151,20 +144,7 @@ func Snd(inst nucleus.Instance, opts Options) *Result {
 
 	for {
 		copy(prev, tau)
-		updates, visits, _ := sweep(cells, scs, body)
-		res.Sweeps++
-		res.WorkVisits += visits
-		res.SweepUpdates = append(res.SweepUpdates, updates)
-		if updates > 0 {
-			res.Iterations++
-			res.Updates += updates
-		}
-		if opts.OnSweep != nil {
-			opts.OnSweep(res.Sweeps, tau)
-		}
-		if opts.Progress != nil {
-			opts.Progress.observe(res.Sweeps, tau, updates, false, false)
-		}
+		updates := res.sweep(opts, tau, cells, scs, body)
 		if updates == 0 {
 			res.Converged = true
 			break
@@ -193,8 +173,8 @@ func And(inst nucleus.Instance, opts Options) *Result {
 	res := &Result{}
 	cells := sweepCells(n, opts)
 	concurrent := opts.threads() > 1
-	k := kernelFor(inst, opts)
-	scs := make([]sweepScratch, opts.threads())
+	k := kernelFor(inst)
+	scs := newScratches(opts.threads(), tau)
 
 	var active []int32
 	if opts.Notification {
@@ -203,11 +183,6 @@ func And(inst nucleus.Instance, opts Options) *Result {
 			active[c] = 1
 		}
 	}
-	wake := func(d int32) bool {
-		atomic.StoreInt32(&active[d], 1)
-		return true
-	}
-
 	ignoreFlags := false
 	body := func(chunk []int32, sc *sweepScratch) {
 		var upd, vis, skip int64
@@ -223,20 +198,15 @@ func And(inst nucleus.Instance, opts Options) *Result {
 				atomic.StoreInt32(&active[c], 0)
 			}
 			// Only the worker that claimed c writes tau[c], so one read
-			// serves as both the Preserve threshold and the old value.
+			// serves as both the kernel's clamp and the old value.
 			old := loadTau(concurrent, tau, c)
 			h, v := k.update(c, tau, sc, old, concurrent)
 			vis += v
 			if h < old {
 				storeTau(concurrent, tau, c, h)
 				upd++
-				if active == nil {
-					continue
-				}
-				if k.flat {
-					notifyNeighborsFlat(k.fa, c, active)
-				} else {
-					inst.VisitNeighbors(c, wake)
+				if active != nil {
+					k.notify(c, tau, active, sc, h, old, concurrent)
 				}
 			}
 		}
@@ -247,22 +217,7 @@ func And(inst nucleus.Instance, opts Options) *Result {
 
 	runSweep := func(certify bool) int64 {
 		ignoreFlags = certify
-		updates, visits, skipped := sweep(cells, scs, body)
-		res.Sweeps++
-		res.WorkVisits += visits
-		res.SkippedCells += skipped
-		res.SweepUpdates = append(res.SweepUpdates, updates)
-		if updates > 0 {
-			res.Iterations++
-			res.Updates += updates
-		}
-		if opts.OnSweep != nil {
-			opts.OnSweep(res.Sweeps, tau)
-		}
-		if opts.Progress != nil {
-			opts.Progress.observe(res.Sweeps, tau, updates, false, false)
-		}
-		return updates
+		return res.sweep(opts, tau, cells, scs, body)
 	}
 
 	// Every sweep — notification, certification and repair alike — counts
@@ -310,6 +265,9 @@ func And(inst nucleus.Instance, opts Options) *Result {
 	return res
 }
 
+// loadTau reads τ(c), atomically when other workers may be writing τ.
+//
+//nucleus:noalloc
 func loadTau(concurrent bool, tau []int32, c int32) int32 {
 	if concurrent {
 		return atomic.LoadInt32(&tau[c])
@@ -349,6 +307,7 @@ func sweepCells(n int, opts Options) []int32 {
 		return opts.Subset
 	}
 	if opts.Order != nil {
+		checkPermutation(opts.Order, n)
 		return opts.Order
 	}
 	cells := make([]int32, n)
@@ -358,22 +317,49 @@ func sweepCells(n int, opts Options) []int32 {
 	return cells
 }
 
+// checkPermutation panics unless order lists every cell of [0, n) once.
+func checkPermutation(order []int32, n int) {
+	seen := make([]bool, n)
+	for _, c := range order {
+		if c < 0 || int(c) >= n || seen[c] {
+			panic(fmt.Sprintf("localhi: Order is not a permutation of [0, %d): cell %d is out of range or listed twice", n, c))
+		}
+		seen[c] = true
+	}
+	if len(order) != n {
+		panic(fmt.Sprintf("localhi: Order is not a permutation of [0, %d): it lists %d cells", n, len(order)))
+	}
+}
+
 // sweep runs body over the cells in grain-sized chunks claimed dynamically
-// by up to len(scs) workers, each with its own scratch, and returns the
-// tallies the workers left there. A single worker runs inline on the
-// calling goroutine.
-func sweep(cells []int32, scs []sweepScratch, body func(chunk []int32, sc *sweepScratch)) (updates, visits, skipped int64) {
+// by up to len(scs) workers, each with its own scratch (a single worker
+// runs inline), books the tallies they left there into res, shows the
+// sweep to the run's observers and returns its update count.
+func (res *Result) sweep(opts Options, tau, cells []int32, scs []sweepScratch, body func(chunk []int32, sc *sweepScratch)) int64 {
 	par.ForEachWorker(len(cells), sweepGrain, len(scs), func(w, lo, hi int) {
 		body(cells[lo:hi], &scs[w])
 	})
+	var updates int64
 	for i := range scs {
 		sc := &scs[i]
 		updates += sc.updates
-		visits += sc.visits
-		skipped += sc.skipped
+		res.WorkVisits += sc.visits
+		res.SkippedCells += sc.skipped
 		sc.updates, sc.visits, sc.skipped = 0, 0, 0
 	}
-	return updates, visits, skipped
+	res.Sweeps++
+	res.SweepUpdates = append(res.SweepUpdates, updates)
+	if updates > 0 {
+		res.Iterations++
+		res.Updates += updates
+	}
+	if opts.OnSweep != nil {
+		opts.OnSweep(res.Sweeps, tau)
+	}
+	if opts.Progress != nil {
+		opts.Progress.observe(res.Sweeps, tau, updates, false, false)
+	}
+	return updates
 }
 
 // DefaultThreads returns a sensible worker count for parallel runs.

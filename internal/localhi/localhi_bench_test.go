@@ -85,12 +85,8 @@ func BenchmarkAndTrussNotification(b *testing.B) {
 	benchAnd(b, benchTrussInstance(), Options{Notification: true})
 }
 
-func BenchmarkAndTrussNotifPreserve(b *testing.B) {
-	benchAnd(b, benchTrussInstance(), Options{Notification: true, Preserve: true})
-}
-
-func BenchmarkAndTrussNotifPreserveIndexed(b *testing.B) {
-	benchAnd(b, benchIndexedTrussInstance(), Options{Notification: true, Preserve: true})
+func BenchmarkAndTrussNotificationIndexed(b *testing.B) {
+	benchAnd(b, benchIndexedTrussInstance(), Options{Notification: true})
 }
 
 func BenchmarkPeelTruss(b *testing.B) {
@@ -117,32 +113,29 @@ func BenchmarkAndBudget3(b *testing.B) {
 	}
 }
 
-// BenchmarkSweepKernelFused measures one steady-state fused sweep over
-// every cell: the scratch is warmed before the timer starts, so allocs/op
-// must be exactly zero (TestFusedKernelZeroAlloc is the gate).
-func BenchmarkSweepKernelFused(b *testing.B) {
-	inst := nucleus.NewFlatTruss(benchGraph(), 1)
-	fa, ok := flatOf(inst)
-	if !ok {
-		b.Fatal("flat truss does not expose flat incidence")
-	}
+// benchKernel measures one first sweep (τ = s-degrees) over every cell
+// through the kernel a run on inst would pick; allocs/op must be exactly
+// zero (Test{Fused,Generic}KernelZeroAlloc are the gates).
+func benchKernel(b *testing.B, inst nucleus.Instance) {
+	b.Helper()
+	k := kernelFor(inst)
 	tau := inst.Degrees()
-	sc := &sweepScratch{}
+	sc := &newScratches(1, tau)[0]
 	n := int32(inst.NumCells())
 	var visits int64
-	for c := int32(0); c < n; c++ { // warm the scratch
-		computeTauFlat(fa, c, tau, sc, tau[c], false, false)
-	}
+	k.update(0, tau, sc, tau[0], false) // bind the generic kernel's visitor
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for c := int32(0); c < n; c++ {
-			_, v := computeTauFlat(fa, c, tau, sc, tau[c], false, false)
+			_, v := k.update(c, tau, sc, tau[c], false)
 			visits += v
 		}
 	}
 	reportWork(b, visits)
 }
+
+func BenchmarkSweepKernelFused(b *testing.B) { benchKernel(b, benchIndexedTrussInstance()) }
 
 // BenchmarkSweepKernelGeneric is the same single sweep over the same rows
 // through the generic kernel: the wrapper hides FlatIncidenceArrays, so the
@@ -150,21 +143,5 @@ func BenchmarkSweepKernelFused(b *testing.B) {
 // s-clique against the fused row scan), and Flat's VisitSCliques allocates
 // nothing, so allocs/op is the kernel's own and must be zero as well.
 func BenchmarkSweepKernelGeneric(b *testing.B) {
-	var inst nucleus.Instance = struct{ nucleus.Instance }{benchIndexedTrussInstance()}
-	tau := inst.Degrees()
-	sc := &sweepScratch{}
-	n := int32(inst.NumCells())
-	var visits int64
-	for c := int32(0); c < n; c++ { // warm the scratch
-		computeTau(inst, c, tau, sc, tau[c], false, false)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for c := int32(0); c < n; c++ {
-			_, v := computeTau(inst, c, tau, sc, tau[c], false, false)
-			visits += v
-		}
-	}
-	reportWork(b, visits)
+	benchKernel(b, hideFlat(benchIndexedTrussInstance()))
 }

@@ -9,11 +9,12 @@ import (
 	"nucleus/internal/par"
 )
 
-// FlatIncidence is implemented by instances whose s-clique incidence is
-// materialized as flat CSR arrays. Algorithms that iterate VisitSCliques
-// many times (the localhi sweep kernels) detect this interface and run a
-// fused array-scan fast path instead of the closure-per-s-clique generic
-// path.
+// FlatIncidence is implemented by instances whose s-clique incidence
+// exists as flat CSR arrays: Flat, which materializes it, and Core, for
+// which the graph's adjacency already is it. Algorithms that iterate
+// VisitSCliques many times (the localhi sweep kernels) detect this
+// interface and run a fused array-scan fast path instead of the
+// closure-per-s-clique generic path.
 type FlatIncidence interface {
 	Instance
 	// FlatIncidenceArrays exposes the index: for cell c,

@@ -274,7 +274,7 @@ func assertSameInstance(t *testing.T, gi int, ref, flat nucleus.Instance) {
 		"peel": func(i nucleus.Instance) []int32 { return peel.Run(i).Kappa },
 		"snd":  func(i nucleus.Instance) []int32 { return localhi.Snd(i, localhi.Options{}).Tau },
 		"and": func(i nucleus.Instance) []int32 {
-			return localhi.And(i, localhi.Options{Notification: true, Preserve: true}).Tau
+			return localhi.And(i, localhi.Options{Notification: true}).Tau
 		},
 		"and-par": func(i nucleus.Instance) []int32 {
 			return localhi.And(i, localhi.Options{Threads: 4, Notification: true}).Tau

@@ -11,8 +11,9 @@
 // There are four instances, split along the paper's one real fork (§5:
 // discover the s-cliques on the fly, or store them):
 //
-//	Core  — (1,2): cells are vertices, s-cliques are edges; the CSR
-//	        adjacency already is the incidence, so there is nothing to store
+//	Core  — (1,2): cells are vertices, s-cliques are edges; the CSR *is*
+//	        the flat incidence and is served as one (FlatIncidence at
+//	        co-arity 1 over the graph's own arrays), so nothing is stored
 //	Truss — (2,3) on the fly: triangles found by adjacency intersection
 //	N34   — (3,4) on the fly: 4-cliques found over a triangle index
 //	Flat  — any (r,s) stored: a flat CSR of co-member cell ids, built from
@@ -69,6 +70,14 @@ func (c *Core) S() int        { return 2 }
 func (c *Core) NumCells() int { return c.G.N() }
 
 func (c *Core) Degrees() []int32 { return c.G.Degrees() }
+
+// FlatIncidenceArrays implements FlatIncidence at co-arity 1 over the
+// graph's own CSR: the co-members of u's edges are u's neighbors, so the
+// adjacency already is the stored incidence and nothing is copied.
+func (c *Core) FlatIncidenceArrays() ([]int64, []int32, int) {
+	offs, adj := c.G.CSR()
+	return offs, adj, 1
+}
 
 func (c *Core) VisitSCliques(u int32, fn func(others []int32) bool) {
 	var buf [1]int32

@@ -96,7 +96,9 @@ type Options struct {
 	// Notification enables AND's plateau-skipping wakeup mechanism.
 	// Defaults to on for AND; set DisableNotification to turn it off.
 	DisableNotification bool
-	// Order overrides AND's processing order (cell ids).
+	// Order overrides AND's processing order. It must be a permutation of
+	// the cell ids [0, number of cells) — every cell once; Decompose
+	// panics on anything else rather than report a partial run as exact.
 	Order []int32
 	// OnSweep is invoked after each local sweep with the current τ.
 	OnSweep func(sweep int, tau []int32)
