@@ -59,15 +59,15 @@ var (
 // ---------------------------------------------------------------------------
 // Hierarchy.
 
-// Forest is the nucleus hierarchy: a forest whose nodes are k-(r,s) nuclei,
-// children nested inside parents.
+// Forest is the nucleus hierarchy: k-(r,s) nuclei as nodes, children nested
+// inside parents, listed by descending K, then ascending smallest own cell.
 type Forest = hierarchy.Forest
 
-// HierarchyNode is one nucleus in a Forest.
+// HierarchyNode identifies one nucleus in a Forest.
 type HierarchyNode = hierarchy.Node
 
-// BuildHierarchy materializes the nucleus forest of a decomposition from
-// its κ indices.
+// BuildHierarchy materializes the nucleus forest of a decomposition from its
+// κ indices; a wrong length or a negative label is a "hierarchy:" panic.
 func BuildHierarchy(g *Graph, dec Decomposition, kappa []int32) *Forest {
 	return hierarchy.Build(instanceFor(g, dec, 1), kappa)
 }

@@ -47,10 +47,10 @@ func ExampleBuildHierarchy() {
 	g := figure2()
 	res := nucleus.Decompose(g, nucleus.KCore, nucleus.Options{})
 	forest := nucleus.BuildHierarchy(g, nucleus.KCore, res.Kappa)
-	root := forest.Roots[0]
-	fmt.Printf("root: k=%d cells=%d\n", root.K, root.SubtreeCells)
-	child := root.Children[0]
-	fmt.Printf("child: k=%d vertices=%v\n", child.K, forest.Vertices(child))
+	root := forest.Roots()[0]
+	fmt.Printf("root: k=%d cells=%d\n", forest.K[root], forest.SubtreeCells(root))
+	child := forest.Children(root)[0]
+	fmt.Printf("child: k=%d vertices=%v\n", forest.K[child], forest.Vertices(child))
 	// Output:
 	// root: k=1 cells=6
 	// child: k=2 vertices=[1 2 3]

@@ -25,28 +25,12 @@ func main() {
 		// Show nuclei with at least 40 cells: the interesting dense parts.
 		forest.Print(os.Stdout, g, 40)
 
-		// Report the leaves: the densest discovered subgraphs.
-		var leaves int
-		var walk func(n *nucleus.HierarchyNode)
-		var deepest *nucleus.HierarchyNode
-		walk = func(n *nucleus.HierarchyNode) {
-			if len(n.Children) == 0 {
-				leaves++
-				if deepest == nil || n.K > deepest.K {
-					deepest = n
-				}
-			}
-			for _, c := range n.Children {
-				walk(c)
-			}
-		}
-		for _, r := range forest.Roots {
-			walk(r)
-		}
-		if deepest != nil {
-			vs := forest.Vertices(deepest)
-			fmt.Printf("deepest nucleus: k=%d, %d vertices, density %.2f\n\n",
-				deepest.K, len(vs), forest.Density(g, deepest))
+		// Report the leaves — the densest discovered subgraphs. Node ids
+		// run from the largest k down, so the first leaf is the deepest.
+		if leaves := forest.Leaves(); len(leaves) > 0 {
+			deepest := leaves[0]
+			fmt.Printf("%d leaves; deepest nucleus: k=%d, %d vertices, density %.2f\n\n",
+				len(leaves), forest.K[deepest], len(forest.Vertices(deepest)), forest.Stats(g).Density(deepest))
 		}
 	}
 }

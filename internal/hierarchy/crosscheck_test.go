@@ -95,27 +95,27 @@ func forestGroups(f *Forest, k int32, n int) []int32 {
 		out[i] = -1
 	}
 	next := int32(0)
-	var assign func(nd *Node, group int32)
-	assign = func(nd *Node, group int32) {
-		for _, c := range nd.Cells {
+	var assign func(nd Node, group int32)
+	assign = func(nd Node, group int32) {
+		for _, c := range f.Cells(nd) {
 			out[c] = group
 		}
-		for _, ch := range nd.Children {
+		for _, ch := range f.Children(nd) {
 			assign(ch, group)
 		}
 	}
-	var walk func(nd *Node)
-	walk = func(nd *Node) {
-		if nd.K >= k {
+	var walk func(nd Node)
+	walk = func(nd Node) {
+		if f.K[nd] >= k {
 			assign(nd, next)
 			next++
 			return
 		}
-		for _, ch := range nd.Children {
+		for _, ch := range f.Children(nd) {
 			walk(ch)
 		}
 	}
-	for _, r := range f.Roots {
+	for _, r := range f.Roots() {
 		walk(r)
 	}
 	return out

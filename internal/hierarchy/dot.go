@@ -16,30 +16,17 @@ func (f *Forest) WriteDOT(w io.Writer, g *graph.Graph, minSize int) error {
 		return err
 	}
 	fmt.Fprintln(w, `  node [shape=box, fontname="Helvetica"];`)
-	id := 0
-	var walk func(n *Node) (int, bool)
-	walk = func(n *Node) (int, bool) {
-		if n.SubtreeCells < minSize {
-			return 0, false
-		}
-		my := id
-		id++
-		label := fmt.Sprintf("k=%d\\ncells=%d", n.K, n.SubtreeCells)
+	st := f.Stats(g)
+	f.walk(minSize, func(n Node, depth int) {
+		label := fmt.Sprintf("k=%d\\ncells=%d", f.K[n], f.SubtreeCells(n))
 		if g != nil {
-			label += fmt.Sprintf("\\ndensity=%.2f", f.Density(g, n))
+			label += fmt.Sprintf("\\ndensity=%.2f", st.Density(n))
 		}
-		fmt.Fprintf(w, "  n%d [label=\"%s\"];\n", my, label)
-		for _, c := range n.Children {
-			child, ok := walk(c)
-			if ok {
-				fmt.Fprintf(w, "  n%d -> n%d;\n", my, child)
-			}
+		fmt.Fprintf(w, "  n%d [label=\"%s\"];\n", n, label)
+		if depth > 0 {
+			fmt.Fprintf(w, "  n%d -> n%d;\n", f.Parent[n], n)
 		}
-		return my, true
-	}
-	for _, r := range f.Roots {
-		walk(r)
-	}
+	})
 	_, err := fmt.Fprintln(w, "}")
 	return err
 }

@@ -11,106 +11,64 @@ import (
 type jsonNode struct {
 	K        int32      `json:"k"`
 	Cells    int        `json:"cells"`
-	Vertices int        `json:"vertices"`
+	Vertices int32      `json:"vertices"`
 	Density  float64    `json:"density,omitempty"`
 	Children []jsonNode `json:"children,omitempty"`
 }
 
-// WriteJSON serializes the forest as nested JSON. When g is non-nil, each
-// node also carries the density of its induced subgraph.
+// WriteJSON serializes the forest as nested JSON, roots and children in id
+// order. When g is non-nil, each node also carries the density of its
+// induced subgraph.
 func (f *Forest) WriteJSON(w io.Writer, g *graph.Graph) error {
-	var conv func(n *Node) jsonNode
-	conv = func(n *Node) jsonNode {
-		jn := jsonNode{
-			K:        n.K,
-			Cells:    n.SubtreeCells,
-			Vertices: len(f.Vertices(n)),
+	st := f.Stats(g)
+	nodes := make([]jsonNode, len(f.K))
+	nest := func(ids []Node) []jsonNode {
+		out := make([]jsonNode, len(ids))
+		for i, n := range ids {
+			out[i] = nodes[n]
 		}
-		if g != nil {
-			jn.Density = f.Density(g, n)
-		}
-		for _, c := range n.Children {
-			jn.Children = append(jn.Children, conv(c))
-		}
-		return jn
+		return out
 	}
-	roots := make([]jsonNode, 0, len(f.Roots))
-	for _, r := range f.Roots {
-		roots = append(roots, conv(r))
+	for id := range nodes { // children have lower ids: they are complete
+		n := Node(id)
+		nodes[id] = jsonNode{
+			K:        f.K[n],
+			Cells:    f.SubtreeCells(n),
+			Vertices: st.Vertices[n],
+			Density:  st.Density(n),
+			Children: nest(f.Children(n)),
+		}
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(roots)
+	return enc.Encode(nest(f.Roots()))
 }
 
-// Subgraph extracts the subgraph of g induced by the vertices of the
-// nucleus rooted at n, along with the old→new vertex mapping.
-func (f *Forest) Subgraph(g *graph.Graph, n *Node) (*graph.Graph, []int32) {
+// Subgraph extracts the subgraph of g induced by the vertices of nucleus
+// n, along with the old→new vertex mapping.
+func (f *Forest) Subgraph(g *graph.Graph, n Node) (*graph.Graph, []int32) {
 	return g.InducedSubgraph(f.Vertices(n))
 }
 
-// NodesAtLevel returns every nucleus with exactly the given K.
-func (f *Forest) NodesAtLevel(k int32) []*Node {
-	var out []*Node
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		if n.K == k {
-			out = append(out, n)
+// NodesAtLevel returns every nucleus with exactly the given K, in id order.
+func (f *Forest) NodesAtLevel(k int32) []Node {
+	var out []Node
+	for id, nk := range f.K {
+		if nk == k {
+			out = append(out, Node(id))
 		}
-		for _, c := range n.Children {
-			walk(c)
-		}
-	}
-	for _, r := range f.Roots {
-		walk(r)
 	}
 	return out
 }
 
-// Leaves returns the maximal-K nuclei (nodes without children): the
-// densest discovered subgraphs.
-func (f *Forest) Leaves() []*Node {
-	var out []*Node
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		if len(n.Children) == 0 {
-			out = append(out, n)
-			return
+// Leaves returns the maximal-K nuclei (nodes without children), in id
+// order: the densest discovered subgraphs.
+func (f *Forest) Leaves() []Node {
+	var out []Node
+	for id := range f.K {
+		if len(f.Children(Node(id))) == 0 {
+			out = append(out, Node(id))
 		}
-		for _, c := range n.Children {
-			walk(c)
-		}
-	}
-	for _, r := range f.Roots {
-		walk(r)
 	}
 	return out
-}
-
-// Find returns the deepest nucleus containing the given cell, or nil.
-func (f *Forest) Find(cell int32) *Node {
-	var best *Node
-	var walk func(n *Node) bool
-	walk = func(n *Node) bool {
-		for _, c := range n.Cells {
-			if c == cell {
-				best = n
-				return true
-			}
-		}
-		for _, ch := range n.Children {
-			if walk(ch) {
-				// The cell lives in a descendant; the deepest node holding
-				// it directly was already recorded.
-				return true
-			}
-		}
-		return false
-	}
-	for _, r := range f.Roots {
-		if walk(r) {
-			break
-		}
-	}
-	return best
 }

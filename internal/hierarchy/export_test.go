@@ -87,15 +87,15 @@ func TestFind(t *testing.T) {
 	_, f := hubForest(t)
 	// The hub (cell 15) has κ=3 and lives directly in the root.
 	n := f.Find(15)
-	if n == nil || n.K != 3 {
+	if n == None || f.K[n] != 3 {
 		t.Fatalf("Find(hub) = %v", n)
 	}
 	// A clique vertex lives in a κ=4 leaf.
 	n = f.Find(0)
-	if n == nil || n.K != 4 {
+	if n == None || f.K[n] != 4 {
 		t.Fatalf("Find(clique vertex) = %v", n)
 	}
-	if f.Find(9999) != nil {
+	if f.Find(9999) != None || f.Find(-1) != None {
 		t.Fatal("found nonexistent cell")
 	}
 }

@@ -1,107 +1,59 @@
 package hierarchy
 
 import (
-	"sort"
+	"slices"
 
 	"nucleus/internal/graph"
 	"nucleus/internal/nucleus"
 )
 
-// MaxNucleusOf returns the cells of the maximum nucleus of the given cell:
-// the maximal S-connected set of cells with κ at least κ(cell) reachable
-// from it (§2 of the paper: "maximum core of a vertex is the maximal
-// subgraph around it that contains vertices with equal or larger core
-// numbers", generalized to any instance). The result is sorted and
-// includes the cell itself.
+// MaxNucleusOf returns the cells, ascending, of the maximum nucleus of the
+// given cell: the maximal S-connected set of cells with κ >= κ(cell) around
+// it (§2 of the paper, "maximum core of a vertex", generalized to any
+// instance) — the subtree of the node holding the cell in the forest of κ.
 func MaxNucleusOf(inst nucleus.Instance, kappa []int32, cell int32) []int32 {
-	k := kappa[cell]
-	seen := map[int32]struct{}{cell: {}}
-	stack := []int32{cell}
-	var out []int32
-	for len(stack) > 0 {
-		c := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		out = append(out, c)
-		// Move only through s-cliques whose every member has κ >= k: those
-		// are the s-cliques that survive inside the k-nucleus, so the
-		// traversal respects S-connectedness.
-		inst.VisitSCliques(c, func(others []int32) bool {
-			for _, d := range others {
-				if kappa[d] < k {
-					return true
-				}
-			}
-			for _, d := range others {
-				if _, ok := seen[d]; !ok {
-					seen[d] = struct{}{}
-					stack = append(stack, d)
-				}
-			}
-			return true
-		})
+	f := Build(inst, kappa)
+	return f.sortedCells(f.Find(cell))
+}
+
+// sortedCells returns a copy of nucleus n's cells, ascending.
+func (f *Forest) sortedCells(n Node) []int32 {
+	cells := slices.Clone(f.Subtree(n))
+	slices.Sort(cells)
+	return cells
+}
+
+// NucleiAt returns the k-(r,s) nuclei, the S-connected components of the
+// cells with κ >= k: the nodes with K >= k whose parent's is below, in id order.
+func (f *Forest) NucleiAt(k int32) []Node {
+	var out []Node
+	for id, p := range f.Parent {
+		if f.K[id] >= k && (p == None || f.K[p] < k) {
+			out = append(out, Node(id))
+		}
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
 	return out
 }
 
-// KNucleusSubgraphs returns the cell sets of all k-(r,s) nuclei for the
-// given threshold k: the S-connected components of the cells with κ >= k.
+// KNucleusSubgraphs returns the cell sets, each ascending, of all k-(r,s)
+// nuclei for the given threshold k: NucleiAt on the forest of κ.
 func KNucleusSubgraphs(inst nucleus.Instance, kappa []int32, k int32) [][]int32 {
-	n := inst.NumCells()
-	comp := make([]int32, n)
-	for i := range comp {
-		comp[i] = -1
-	}
+	f := Build(inst, kappa)
 	var groups [][]int32
-	for s := int32(0); s < int32(n); s++ {
-		if kappa[s] < k || comp[s] >= 0 {
-			continue
-		}
-		id := int32(len(groups))
-		comp[s] = id
-		stack := []int32{s}
-		var cells []int32
-		for len(stack) > 0 {
-			c := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			cells = append(cells, c)
-			inst.VisitSCliques(c, func(others []int32) bool {
-				for _, d := range others {
-					if kappa[d] < k {
-						return true
-					}
-				}
-				for _, d := range others {
-					if comp[d] < 0 {
-						comp[d] = id
-						stack = append(stack, d)
-					}
-				}
-				return true
-			})
-		}
-		sort.Slice(cells, func(a, b int) bool { return cells[a] < cells[b] })
-		groups = append(groups, cells)
+	for _, n := range f.NucleiAt(k) {
+		groups = append(groups, f.sortedCells(n))
 	}
 	return groups
 }
 
 // CellsToVertices maps a cell set to its sorted distinct vertex set.
 func CellsToVertices(inst nucleus.Instance, cells []int32) []uint32 {
-	set := make(map[uint32]struct{})
-	var buf []uint32
+	out := make([]uint32, 0, len(cells)*inst.R())
 	for _, c := range cells {
-		buf = inst.CellVertices(c, buf[:0])
-		for _, v := range buf {
-			set[v] = struct{}{}
-		}
+		out = inst.CellVertices(c, out)
 	}
-	out := make([]uint32, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // KCoreSubgraph extracts the induced subgraph of the classic k-core: all

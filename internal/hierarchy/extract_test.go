@@ -2,6 +2,7 @@ package hierarchy
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -73,7 +74,18 @@ func TestMaxNucleusInvariants(t *testing.T) {
 				return false
 			}
 		}
-		// It must coincide with the k-nucleus component containing cell.
+		// It must coincide with the k-nucleus component containing cell: by
+		// the independent reference, and as KNucleusSubgraphs lists it.
+		ref := peelComponents(inst, kappa, k)
+		var want []int32
+		for c, id := range ref {
+			if id == ref[cell] {
+				want = append(want, int32(c))
+			}
+		}
+		if !slices.Equal(got, want) {
+			return false
+		}
 		for _, comp := range KNucleusSubgraphs(inst, kappa, k) {
 			for _, c := range comp {
 				if c == cell {

@@ -20,12 +20,12 @@ func coreForest(g *graph.Graph) (*Forest, []int32) {
 func TestSingleClique(t *testing.T) {
 	g := graph.Complete(5)
 	f, _ := coreForest(g)
-	if len(f.Roots) != 1 {
-		t.Fatalf("roots = %d", len(f.Roots))
+	if len(f.Roots()) != 1 {
+		t.Fatalf("roots = %d", len(f.Roots()))
 	}
-	r := f.Roots[0]
-	if r.K != 4 || r.SubtreeCells != 5 || len(r.Children) != 0 {
-		t.Fatalf("root = {K:%d cells:%d children:%d}", r.K, r.SubtreeCells, len(r.Children))
+	r := f.Roots()[0]
+	if f.K[r] != 4 || f.SubtreeCells(r) != 5 || len(f.Children(r)) != 0 {
+		t.Fatalf("root = {K:%d cells:%d children:%d}", f.K[r], f.SubtreeCells(r), len(f.Children(r)))
 	}
 }
 
@@ -34,12 +34,12 @@ func TestCliqueChainHierarchy(t *testing.T) {
 	// graph is one 4-core: a single flat root.
 	g := graph.CliqueChain(3, 5)
 	f, _ := coreForest(g)
-	if len(f.Roots) != 1 {
-		t.Fatalf("roots = %d", len(f.Roots))
+	if len(f.Roots()) != 1 {
+		t.Fatalf("roots = %d", len(f.Roots()))
 	}
-	root := f.Roots[0]
-	if root.K != 4 || root.SubtreeCells != 15 || len(root.Children) != 0 {
-		t.Fatalf("root = {K:%d cells:%d children:%d}", root.K, root.SubtreeCells, len(root.Children))
+	root := f.Roots()[0]
+	if f.K[root] != 4 || f.SubtreeCells(root) != 15 || len(f.Children(root)) != 0 {
+		t.Fatalf("root = {K:%d cells:%d children:%d}", f.K[root], f.SubtreeCells(root), len(f.Children(root)))
 	}
 }
 
@@ -62,19 +62,19 @@ func TestHubAndCliquesHierarchy(t *testing.T) {
 	if kappa[hub] != 3 {
 		t.Fatalf("hub κ = %d, want 3", kappa[hub])
 	}
-	if len(f.Roots) != 1 {
-		t.Fatalf("roots = %d", len(f.Roots))
+	if len(f.Roots()) != 1 {
+		t.Fatalf("roots = %d", len(f.Roots()))
 	}
-	root := f.Roots[0]
-	if root.K != 3 {
-		t.Fatalf("root K = %d, want 3", root.K)
+	root := f.Roots()[0]
+	if f.K[root] != 3 {
+		t.Fatalf("root K = %d, want 3", f.K[root])
 	}
-	if len(root.Children) != 3 {
-		t.Fatalf("root children = %d, want 3", len(root.Children))
+	if len(f.Children(root)) != 3 {
+		t.Fatalf("root children = %d, want 3", len(f.Children(root)))
 	}
-	for _, c := range root.Children {
-		if c.K != 4 || c.SubtreeCells != 5 {
-			t.Fatalf("child = {K:%d cells:%d}", c.K, c.SubtreeCells)
+	for _, c := range f.Children(root) {
+		if f.K[c] != 4 || f.SubtreeCells(c) != 5 || f.Parent[c] != root {
+			t.Fatalf("child = {K:%d cells:%d parent:%d}", f.K[c], f.SubtreeCells(c), f.Parent[c])
 		}
 	}
 	if f.NumNodes() != 4 {
@@ -86,12 +86,12 @@ func TestDisconnectedComponents(t *testing.T) {
 	// Two disjoint triangles: two roots, each a 2-core of 3 cells.
 	g := graph.Build(6, [][2]uint32{{0, 1}, {1, 2}, {0, 2}, {3, 4}, {4, 5}, {3, 5}})
 	f, _ := coreForest(g)
-	if len(f.Roots) != 2 {
-		t.Fatalf("roots = %d, want 2", len(f.Roots))
+	if len(f.Roots()) != 2 {
+		t.Fatalf("roots = %d, want 2", len(f.Roots()))
 	}
-	for _, r := range f.Roots {
-		if r.K != 2 || r.SubtreeCells != 3 {
-			t.Fatalf("root = {K:%d cells:%d}", r.K, r.SubtreeCells)
+	for _, r := range f.Roots() {
+		if f.K[r] != 2 || f.SubtreeCells(r) != 3 || f.Parent[r] != None {
+			t.Fatalf("root = {K:%d cells:%d parent:%d}", f.K[r], f.SubtreeCells(r), f.Parent[r])
 		}
 	}
 }
@@ -101,16 +101,16 @@ func TestFigure2Hierarchy(t *testing.T) {
 	// 2-core child.
 	g := graph.Figure2()
 	f, _ := coreForest(g)
-	if len(f.Roots) != 1 {
-		t.Fatalf("roots = %d", len(f.Roots))
+	if len(f.Roots()) != 1 {
+		t.Fatalf("roots = %d", len(f.Roots()))
 	}
-	root := f.Roots[0]
-	if root.K != 1 || root.SubtreeCells != 6 || len(root.Children) != 1 {
-		t.Fatalf("root = {K:%d cells:%d children:%d}", root.K, root.SubtreeCells, len(root.Children))
+	root := f.Roots()[0]
+	if f.K[root] != 1 || f.SubtreeCells(root) != 6 || len(f.Children(root)) != 1 {
+		t.Fatalf("root = {K:%d cells:%d children:%d}", f.K[root], f.SubtreeCells(root), len(f.Children(root)))
 	}
-	child := root.Children[0]
-	if child.K != 2 || child.SubtreeCells != 3 {
-		t.Fatalf("child = {K:%d cells:%d}", child.K, child.SubtreeCells)
+	child := f.Children(root)[0]
+	if f.K[child] != 2 || f.SubtreeCells(child) != 3 {
+		t.Fatalf("child = {K:%d cells:%d}", f.K[child], f.SubtreeCells(child))
 	}
 	vs := f.Vertices(child)
 	if len(vs) != 3 || vs[0] != 1 || vs[1] != 2 || vs[2] != 3 {
@@ -128,22 +128,22 @@ func TestNestingInvariant(t *testing.T) {
 		f := Build(inst, kappa)
 		seen := make(map[int32]bool)
 		ok := true
-		var walk func(n *Node, parentK int32)
-		walk = func(n *Node, parentK int32) {
-			if n.K <= parentK {
+		var walk func(n Node, parentK int32)
+		walk = func(n Node, parentK int32) {
+			if f.K[n] <= parentK {
 				ok = false
 			}
-			for _, c := range n.Cells {
-				if seen[c] || kappa[c] != n.K {
+			for _, c := range f.Cells(n) {
+				if seen[c] || kappa[c] != f.K[n] || f.Find(c) != n {
 					ok = false
 				}
 				seen[c] = true
 			}
-			for _, ch := range n.Children {
-				walk(ch, n.K)
+			for _, ch := range f.Children(n) {
+				walk(ch, f.K[n])
 			}
 		}
-		for _, r := range f.Roots {
+		for _, r := range f.Roots() {
 			walk(r, -1)
 		}
 		return ok && len(seen) == inst.NumCells()
@@ -157,7 +157,7 @@ func TestComponentsInvariant(t *testing.T) {
 	quickGraphs(t, func(g *graph.Graph) bool {
 		f, _ := coreForest(g)
 		_, count := g.ConnectedComponents()
-		return len(f.Roots) == count
+		return len(f.Roots()) == count
 	})
 }
 
@@ -170,29 +170,25 @@ func TestTrussHierarchy(t *testing.T) {
 	inst := nucleus.NewTruss(g)
 	kappa := peel.Run(inst).Kappa
 	f := Build(inst, kappa)
-	if len(f.Roots) != 2 {
-		t.Fatalf("roots = %d, want 2", len(f.Roots))
+	if len(f.Roots()) != 2 {
+		t.Fatalf("roots = %d, want 2", len(f.Roots()))
 	}
-	// Roots are sorted by K ascending: gh singleton first.
-	if f.Roots[0].K != 0 || f.Roots[0].SubtreeCells != 1 {
-		t.Fatalf("pendant root = {K:%d cells:%d}", f.Roots[0].K, f.Roots[0].SubtreeCells)
+	// Roots come in id order, largest K first: the blocks, then gh.
+	blocks, pendant := f.Roots()[0], f.Roots()[1]
+	if f.K[pendant] != 0 || f.SubtreeCells(pendant) != 1 {
+		t.Fatalf("pendant root = {K:%d cells:%d}", f.K[pendant], f.SubtreeCells(pendant))
 	}
-	if f.Roots[1].K != 2 {
-		t.Fatalf("block root K = %d, want 2", f.Roots[1].K)
+	if f.K[blocks] != 2 {
+		t.Fatalf("block root K = %d, want 2", f.K[blocks])
 	}
-	// Walk to the deepest node; it must be the K5 block's edges.
-	deepest := f.Roots[1]
-	for len(deepest.Children) > 0 {
-		best := deepest.Children[0]
-		for _, c := range deepest.Children {
-			if c.K > best.K {
-				best = c
-			}
-		}
-		deepest = best
+	// Walk to the deepest node (a node's first child has its largest K);
+	// it must be the K5 block's edges.
+	deepest := blocks
+	for len(f.Children(deepest)) > 0 {
+		deepest = f.Children(deepest)[0]
 	}
-	if deepest.K != 3 {
-		t.Fatalf("deepest truss K = %d, want 3", deepest.K)
+	if f.K[deepest] != 3 {
+		t.Fatalf("deepest truss K = %d, want 3", f.K[deepest])
 	}
 	vs := f.Vertices(deepest)
 	want := []uint32{2, 3, 4, 5, 7} // c,d,e,f,h
@@ -213,37 +209,10 @@ func TestN34HierarchySeparateNuclei(t *testing.T) {
 	inst := nucleus.NewN34(g)
 	kappa := peel.Run(inst).Kappa
 	f := Build(inst, kappa)
-	// Count nodes with K >= 1: the K4 block (κ=1) and the K5 block's
-	// nucleus chain (κ=2).
-	var k1Plus []*Node
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		if n.K >= 1 {
-			k1Plus = append(k1Plus, n)
-		}
-		for _, c := range n.Children {
-			walk(c)
-		}
-	}
-	for _, r := range f.Roots {
-		walk(r)
-	}
-	// The two blocks must appear under different K>=1 subtrees: collect the
-	// top-level K>=1 nodes (those whose parent is K=0 or a root).
-	var tops []*Node
-	var walkTop func(n *Node)
-	walkTop = func(n *Node) {
-		if n.K >= 1 {
-			tops = append(tops, n)
-			return
-		}
-		for _, c := range n.Children {
-			walkTop(c)
-		}
-	}
-	for _, r := range f.Roots {
-		walkTop(r)
-	}
+	// The K4 block (κ=1) and the K5 block's nucleus chain (κ=2) must
+	// appear under different K>=1 subtrees: collect the top-level K>=1
+	// nodes (those whose parent is K=0 or a root).
+	tops := f.NucleiAt(1)
 	if len(tops) != 2 {
 		t.Fatalf("top-level (3,4) nuclei = %d, want 2 (separate blocks)", len(tops))
 	}
@@ -252,13 +221,13 @@ func TestN34HierarchySeparateNuclei(t *testing.T) {
 func TestDensityIncreasesWithDepth(t *testing.T) {
 	g := graph.CliqueChain(3, 6)
 	f, _ := coreForest(g)
-	root := f.Roots[0]
-	rootDensity := f.Density(g, root)
-	for _, c := range root.Children {
-		if d := f.Density(g, c); d <= rootDensity {
-			t.Fatalf("child density %.3f <= root %.3f", d, rootDensity)
+	root := f.Roots()[0]
+	st := f.Stats(g)
+	for _, c := range f.Children(root) {
+		if d := st.Density(c); d <= st.Density(root) {
+			t.Fatalf("child density %.3f <= root %.3f", d, st.Density(root))
 		}
-		if d := f.Density(g, c); d != 1.0 {
+		if d := st.Density(c); d != 1.0 {
 			t.Fatalf("K6 block density = %.3f, want 1.0", d)
 		}
 	}
@@ -284,7 +253,7 @@ func TestDensityEdgeCases(t *testing.T) {
 	g := graph.Build(2, [][2]uint32{{0, 1}})
 	inst := nucleus.NewCore(g)
 	f := Build(inst, peel.Run(inst).Kappa)
-	if d := f.Density(g, f.Roots[0]); d != 1.0 {
+	if d := f.Stats(g).Density(f.Roots()[0]); d != 1.0 {
 		t.Fatalf("single edge density = %v", d)
 	}
 }

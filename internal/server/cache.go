@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"sync"
 
+	"nucleus/internal/hierarchy"
 	"nucleus/internal/nucleus"
 )
 
@@ -21,7 +22,7 @@ type cacheKey struct {
 }
 
 // decompResult is a completed decomposition, shared between the job store
-// and the cache. Immutable after creation.
+// and the cache. Immutable after creation, but for the memo behind hier.
 type decompResult struct {
 	Kappa      []int32
 	MaxKappa   int32
@@ -43,6 +44,18 @@ type decompResult struct {
 	// hierarchy/nuclei endpoints reuse the (often expensive) s-clique
 	// enumeration instead of rebuilding it per request.
 	Inst nucleus.Instance
+	// hier is what /hierarchy and /nuclei read: a function of (Inst, Kappa),
+	// it lives and dies with this result, under no key of its own.
+	hier *forestMemo
+}
+
+// forestMemo is the nucleus forest of one decompResult and its encoded
+// /hierarchy body, derived by the first read that asks (Server.forestOf).
+type forestMemo struct {
+	once   sync.Once
+	forest *hierarchy.Forest
+	body   []byte
+	err    error
 }
 
 // stability is the ground-truth-free convergence signal of a finished run:

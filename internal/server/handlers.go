@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -495,14 +496,34 @@ func (s *Server) handleHierarchy(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	res, _, err := s.resolve(q)
+	if err == nil {
+		err = s.forestOf(q, res).err
+	}
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	forest := hierarchy.Build(res.Inst, res.Kappa)
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(res.hier.body)))
 	w.WriteHeader(http.StatusOK)
-	_ = forest.WriteJSON(w, q.entry.g)
+	_, _ = w.Write(res.hier.body) // a failed write is the client's hang-up
+}
+
+// forestOf returns the forest of a resolved κ and its /hierarchy body. The
+// first read of the result derives them: single-flighted by the once, and
+// under a slot of its own — resolve's is taken on a κ miss only.
+func (s *Server) forestOf(q query, res *decompResult) *forestMemo {
+	m := res.hier
+	m.once.Do(func() {
+		s.acquireSync()
+		defer s.releaseSync()
+		s.stats.Cache.ForestBuilds.Add(1)
+		m.forest = hierarchy.Build(res.Inst, res.Kappa)
+		var body bytes.Buffer
+		m.err = m.forest.WriteJSON(&body, q.entry.g)
+		m.body = body.Bytes()
+	})
+	return m
 }
 
 type nucleusView struct {
@@ -540,14 +561,10 @@ func (s *Server) handleNuclei(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	inst := res.Inst
-	cellSets := hierarchy.KNucleusSubgraphs(inst, res.Kappa, int32(k))
+	forest := s.forestOf(q, res).forest
 	out := nucleiResponse{Graph: q.entry.name, Decomposition: q.dec, K: k, Nuclei: []nucleusView{}}
-	for _, cells := range cellSets {
-		out.Nuclei = append(out.Nuclei, nucleusView{
-			Cells:    len(cells),
-			Vertices: hierarchy.CellsToVertices(inst, cells),
-		})
+	for _, n := range forest.NucleiAt(int32(k)) {
+		out.Nuclei = append(out.Nuclei, nucleusView{Cells: forest.SubtreeCells(n), Vertices: forest.Vertices(n)})
 	}
 	writeJSON(w, http.StatusOK, out)
 }

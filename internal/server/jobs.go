@@ -515,12 +515,12 @@ func (m *jobManager) run(it *sched.Item) {
 	m.prune()
 }
 
-// slimResult strips the Inst reference for storage on a job: the history
-// cap should bound κ-array memory, not pin s-clique indices (which live
-// in the LRU cache and the per-graph memo instead).
+// slimResult strips the Inst reference and the forest for storage on a
+// job: the history cap should bound κ-array memory, not pin s-clique
+// indices (which live in the LRU cache and the per-graph memo instead).
 func slimResult(res *decompResult) *decompResult {
 	slim := *res
-	slim.Inst = nil
+	slim.Inst, slim.hier = nil, nil
 	return &slim
 }
 
@@ -619,7 +619,7 @@ func (s *Server) runDecomposition(q query, prog *localhi.Progress, stop func() b
 	switch q.alg {
 	case "peel":
 		pr := peel.RunThreads(inst, q.threads)
-		return &decompResult{Kappa: pr.Kappa, MaxKappa: pr.MaxKappa, Converged: true, Inst: inst}, nil
+		return &decompResult{Kappa: pr.Kappa, MaxKappa: pr.MaxKappa, Converged: true, Inst: inst, hier: new(forestMemo)}, nil
 	case "snd":
 		lr := localhi.Snd(inst, localhi.Options{Threads: q.threads, MaxSweeps: q.maxSweeps, Progress: prog, Stop: stop})
 		return localResult(lr, inst), nil
@@ -640,6 +640,7 @@ func localResult(lr *localhi.Result, inst inucleus.Instance) *decompResult {
 		Updates:    lr.Updates,
 		MaxKappa:   maxOf(lr.Tau),
 		Inst:       inst,
+		hier:       new(forestMemo),
 	}
 	if n := len(lr.SweepUpdates); n > 0 {
 		res.LastSweepUpdates = lr.SweepUpdates[n-1]

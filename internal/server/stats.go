@@ -62,13 +62,15 @@ type schedulerStats struct {
 // exactly one of Hits and Misses — a hit when it was served from the
 // cache or coalesced onto an in-flight computation, a miss when it paid
 // for the computation — so Lookups, their sum, is the number of requests
-// resolved (and has no series of its own).
+// resolved (and has no series of its own). ForestBuilds counts the
+// /hierarchy and /nuclei reads that had to derive their result's forest.
 type cacheStats struct {
-	Hits     promtext.Counter `json:"hits" prom:"nucleusd_cache_hits_total" help:"Decomposition cache hits (including coalesced requests)."`
-	Misses   promtext.Counter `json:"misses" prom:"nucleusd_cache_misses_total" help:"Decomposition cache misses."`
-	Lookups  int64            `json:"lookups"`
-	Entries  int              `json:"entries" prom:"nucleusd_cache_entries" help:"Decomposition cache entries."`
-	Capacity int              `json:"capacity" prom:"nucleusd_cache_capacity" help:"Decomposition cache capacity, in entries."`
+	Hits         promtext.Counter `json:"hits" prom:"nucleusd_cache_hits_total" help:"Decomposition cache hits (including coalesced requests)."`
+	Misses       promtext.Counter `json:"misses" prom:"nucleusd_cache_misses_total" help:"Decomposition cache misses."`
+	Lookups      int64            `json:"lookups"`
+	Entries      int              `json:"entries" prom:"nucleusd_cache_entries" help:"Decomposition cache entries."`
+	Capacity     int              `json:"capacity" prom:"nucleusd_cache_capacity" help:"Decomposition cache capacity, in entries."`
+	ForestBuilds promtext.Counter `json:"forestBuilds" prom:"nucleusd_cache_forest_builds_total" help:"Nucleus forests derived from a cached decomposition."`
 }
 
 // mutationStats reports the mutation path and its warm-start savings.

@@ -75,7 +75,8 @@ func runJobAs(t *testing.T, base, graphName, tenant string) {
 // (uptime masked), and the families are PR 16's 59 plus the six series
 // the derivation added for leaves that had none (cache capacity and the
 // cost model). The help texts of warm_runs, warm_sweeps and sweeps_saved
-// were reworded when the core seed stopped sweeping (PR 19).
+// were reworded when the core seed stopped sweeping (PR 19);
+// cache.forestBuilds and its series came with the forest memo.
 func TestStatsCompatibilityGoldens(t *testing.T) {
 	ts, s := testServerWith(t, Config{})
 	checkGolden(t, "stats_fresh.golden", scrape(t, s, "/stats"))

@@ -107,7 +107,7 @@ func TestBuildHierarchyAPI(t *testing.T) {
 	g := figure2()
 	res := Decompose(g, KCore, Options{})
 	f := BuildHierarchy(g, KCore, res.Kappa)
-	if len(f.Roots) != 1 || f.Roots[0].K != 1 {
+	if len(f.Roots()) != 1 || f.K[f.Roots()[0]] != 1 {
 		t.Fatalf("unexpected forest shape")
 	}
 }
