@@ -3,7 +3,7 @@
 // select one experiment:
 //
 //	experiments -exp fig1a      # truss convergence (Kendall-Tau vs iteration)
-//	experiments -exp fig1b      # scalability (measured speedup vs threads)
+//	experiments -exp fig1b      # scalability (sequential peel vs AND at 1..P threads, measured)
 //	experiments -exp table3     # dataset statistics
 //	experiments -exp table4     # iterations to convergence, SND vs AND
 //	experiments -exp table5     # runtimes, peeling vs SND vs AND

@@ -95,32 +95,41 @@ func Fig1aConvergence(w io.Writer, d Dec, keys []string, maxIter int) {
 	}
 }
 
-// Fig1bScalability prints measured wall times of the parallel local
-// algorithm (AND with notification) and of parallel peeling at 1, 2, 4, …
-// threads up to this host's GOMAXPROCS, each with its speedup over its own
-// 1-thread time (Figure 1b). Every time is the best of three runs.
+// Fig1bScalability prints what the paper's Figure 1b compares, measured on
+// this host: the sequential peel, then AND with notification at 1, 2, 4, …
+// threads up to GOMAXPROCS, each with its speedup over the peel. A family
+// whose s-cliques are discovered on the fly adds the ladder of the frontier
+// peel peel.RunThreads runs there; over stored rows RunThreads is the
+// sequential peel at every thread count. Times are the best of three runs.
 func Fig1bScalability(w io.Writer, d Dec, keys []string) {
 	procs := runtime.GOMAXPROCS(0)
-	fmt.Fprintf(w, "# Figure 1b style: %s measured speedup vs threads (best of 3 wall times, GOMAXPROCS=%d on this host)\n", d, procs)
-	fmt.Fprintf(w, "%-6s %-12s %12s %10s %12s %10s\n", "key", "threads", "AND+notif", "speedup", "peel", "speedup")
-	for _, key := range keys {
+	var ladder []int // 1, 2, 4, … and, last, the host itself
+	for t := 1; t < procs; t *= 2 {
+		ladder = append(ladder, t)
+	}
+	ladder = append(ladder, procs)
+	for i, key := range keys {
 		inst := d.Instance(dataset.Get(key).Graph())
-		var and1, peel1 time.Duration
-		for t := 1; ; t *= 2 {
-			if t > procs {
-				t = procs // not a power of two: the last row is the host itself
-			}
-			andT := bestOf3(func() { localhi.And(inst, localhi.Options{Notification: true, Threads: t}) })
-			peelT := bestOf3(func() { peel.RunThreads(inst, t) })
-			if t == 1 {
-				and1, peel1 = andT, peelT
-			}
-			fmt.Fprintf(w, "%-6s threads=%-4d %12v %10.2f %12v %10.2f\n", key, t,
-				andT.Round(time.Microsecond), and1.Seconds()/andT.Seconds(),
-				peelT.Round(time.Microsecond), peel1.Seconds()/peelT.Seconds())
-			if t == procs {
-				break
-			}
+		_, stored := nucleus.RowsOf(inst)
+		if i == 0 { // the kind is the family's, the same for every dataset
+			kind := map[bool]string{true: "stored rows", false: "s-cliques found on the fly"}[stored]
+			fmt.Fprintf(w, "# Figure 1b style: %s, %s: sequential peel vs AND at 1..P threads (best of 3 wall times, GOMAXPROCS=%d on this host)\n", d, kind, procs)
+			fmt.Fprintf(w, "%-6s %-14s %-12s %12s %10s\n", "key", "engine", "threads", "time", "vs peel")
+		}
+		peelT := bestOf3(func() { peel.Run(inst) })
+		row := func(engine string, t int, took time.Duration) {
+			fmt.Fprintf(w, "%-6s %-14s threads=%-4d %12v %10.2f\n", key, engine, t,
+				took.Round(time.Microsecond), peelT.Seconds()/took.Seconds())
+		}
+		row("peel", 1, peelT)
+		for _, t := range ladder {
+			row("AND+notif", t, bestOf3(func() { localhi.And(inst, localhi.Options{Notification: true, Threads: t}) }))
+		}
+		if stored {
+			continue // RunThreads is that same peel at every thread count
+		}
+		for _, t := range ladder {
+			row("frontier-peel", t, bestOf3(func() { peel.RunThreads(inst, t) }))
 		}
 	}
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -125,38 +126,54 @@ func TestOrderAblationOutput(t *testing.T) {
 }
 
 // TestFig1bScalabilityOutput checks the shape of the measured table, not
-// its times: the 1-thread row is the baseline of both speedup columns, and
-// no row asks for more threads than the host has.
+// its times: per dataset the sequential peel comes first and is the
+// baseline of the last column, AND follows at 1 thread and up to the
+// host's, and only a family discovered on the fly carries the frontier
+// peel's ladder.
 func TestFig1bScalabilityOutput(t *testing.T) {
-	var sb strings.Builder
-	Fig1bScalability(&sb, Core, []string{"fb"})
-	out := sb.String()
 	procs := runtime.GOMAXPROCS(0)
-	if !strings.Contains(out, fmt.Sprintf("GOMAXPROCS=%d", procs)) {
-		t.Fatalf("header does not name the host's GOMAXPROCS=%d: %q", procs, out)
-	}
-	sawOne := false
-	for _, line := range strings.Split(strings.TrimSpace(out), "\n")[2:] {
-		fields := strings.Fields(line)
-		var threads int
-		if len(fields) != 6 {
-			t.Fatalf("bad row %q", line)
-		}
-		if _, err := fmt.Sscanf(fields[1], "threads=%d", &threads); err != nil {
-			t.Fatalf("bad row %q: %v", line, err)
-		}
-		if threads < 1 || threads > procs {
-			t.Fatalf("row %q: threads outside [1, GOMAXPROCS=%d]", line, procs)
-		}
-		if threads == 1 {
-			sawOne = true
-			if fields[3] != "1.00" || fields[5] != "1.00" {
-				t.Fatalf("threads=1 row must be its own baseline: %q", line)
+	for _, tc := range []struct {
+		dec      Dec
+		kind     string
+		frontier bool
+	}{
+		{Core, "stored rows", false},
+		{Truss, "on the fly", true},
+	} {
+		var sb strings.Builder
+		Fig1bScalability(&sb, tc.dec, []string{"fb"})
+		out := sb.String()
+		lines := strings.Split(strings.TrimSpace(out), "\n")
+		for _, want := range []string{fmt.Sprintf("GOMAXPROCS=%d", procs), tc.kind, tc.dec.String()} {
+			if !strings.Contains(lines[0], want) {
+				t.Fatalf("%s: header does not name %q: %q", tc.dec, want, lines[0])
 			}
 		}
-	}
-	if !sawOne {
-		t.Fatalf("no threads=1 row: %q", out)
+		seen := map[string][]int{}
+		for i, line := range lines[2:] {
+			fields := strings.Fields(line)
+			var threads int
+			if len(fields) != 5 {
+				t.Fatalf("%s: bad row %q", tc.dec, line)
+			}
+			if _, err := fmt.Sscanf(fields[2], "threads=%d", &threads); err != nil {
+				t.Fatalf("%s: bad row %q: %v", tc.dec, line, err)
+			}
+			if threads < 1 || threads > procs {
+				t.Fatalf("%s: row %q: threads outside [1, GOMAXPROCS=%d]", tc.dec, line, procs)
+			}
+			if (i == 0) != (fields[1] == "peel") || fields[1] == "peel" && (threads != 1 || fields[4] != "1.00") {
+				t.Fatalf("%s: the sequential peel must be the first row and its own baseline: %q", tc.dec, line)
+			}
+			seen[fields[1]] = append(seen[fields[1]], threads)
+		}
+		and := seen["AND+notif"]
+		if len(and) == 0 || and[0] != 1 || and[len(and)-1] != procs {
+			t.Fatalf("%s: AND rows at threads %v, want 1 … %d: %q", tc.dec, and, procs, out)
+		}
+		if got := seen["frontier-peel"]; (len(got) > 0) != tc.frontier || tc.frontier && !slices.Equal(got, and) {
+			t.Fatalf("%s: frontier-peel rows at threads %v, AND at %v, want a ladder: %v", tc.dec, got, and, tc.frontier)
+		}
 	}
 }
 

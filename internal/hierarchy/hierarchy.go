@@ -110,17 +110,13 @@ func Build(inst nucleus.Instance, kappa []int32) *Forest {
 	// then parent threads the list of nodes displaced at the current level.
 	rep, parent, displaced := make([]int32, 0, n), make([]Node, 0, n), None
 
-	// A stored incidence is scanned row by row, as internal/localhi's sweep
-	// kernels do; only the on-the-fly instances go through VisitSCliques.
-	// Either way cur, the cell being activated, merges only through
-	// s-cliques whose members are all active (S-connectedness); one with a
-	// member still to come is processed when its last one activates.
-	var offs []int64
-	var mem []int32
-	co := 0
-	if fi, ok := inst.(nucleus.FlatIncidence); ok {
-		offs, mem, co = fi.FlatIncidenceArrays()
-	}
+	// Stored rows are scanned in place; only an instance without them goes
+	// through VisitSCliques. Either way cur, the cell being activated,
+	// merges only through s-cliques whose members are all active
+	// (S-connectedness); one with a member still to come is processed when
+	// its last one activates.
+	rows, stored := nucleus.RowsOf(inst)
+	co := rows.Co
 	var cur int32
 	visit := func(others []int32) bool {
 		for _, d := range others {
@@ -147,11 +143,11 @@ func Build(inst nucleus.Instance, kappa []int32) *Forest {
 		lo = start[k]
 		for _, c := range level {
 			uf[c], cur = c, c
-			if co < 1 {
+			if !stored {
 				inst.VisitSCliques(c, visit)
 				continue
 			}
-			for row := mem[offs[c]:offs[c+1]]; len(row) >= co; row = row[co:] {
+			for row := rows.Row(c); len(row) >= co; row = row[co:] {
 				visit(row[:co])
 			}
 		}

@@ -10,7 +10,7 @@ import (
 )
 
 // hideFlat wraps an instance so that only the Instance methods show: the
-// wrapper hides FlatIncidenceArrays, so a run takes the generic kernel over
+// wrapper hides FlatIncidence, so a run takes the generic kernel over
 // the very same rows.
 func hideFlat(inst nucleus.Instance) nucleus.Instance {
 	return struct{ nucleus.Instance }{inst}
@@ -173,7 +173,7 @@ func TestFusedKernelZeroAlloc(t *testing.T) {
 
 // TestGenericKernelZeroAlloc is the same claim for the generic kernel: its
 // visitors are bound to the scratch once, not built per cell. The wrapper
-// hides FlatIncidenceArrays, so the closure path runs — over Flat's
+// hides FlatIncidence, so the closure path runs — over Flat's
 // VisitSCliques and VisitNeighbors, which themselves allocate nothing, so
 // every allocation counted here would be the kernel's.
 func TestGenericKernelZeroAlloc(t *testing.T) {
@@ -208,10 +208,10 @@ func TestFlatOfRejectsNonFlat(t *testing.T) {
 	if k := kernelFor(nucleus.NewTruss(g)); k.flat {
 		t.Fatal("on-the-fly Truss must not take the fused path")
 	}
-	if k := kernelFor(nucleus.NewCore(g)); !k.flat || k.co != 1 {
-		t.Fatalf("core: kernel flat=%v co=%d; want true, 1", k.flat, k.co)
+	if k := kernelFor(nucleus.NewCore(g)); !k.flat || k.rows.Co != 1 {
+		t.Fatalf("core: kernel flat=%v co=%d; want true, 1", k.flat, k.rows.Co)
 	}
-	if k := kernelFor(nucleus.NewFlatTruss(g, 1)); !k.flat || k.co != 2 {
-		t.Fatalf("flat truss: kernel flat=%v co=%d; want true, 2", k.flat, k.co)
+	if k := kernelFor(nucleus.NewFlatTruss(g, 1)); !k.flat || k.rows.Co != 2 {
+		t.Fatalf("flat truss: kernel flat=%v co=%d; want true, 2", k.flat, k.rows.Co)
 	}
 }

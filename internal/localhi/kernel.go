@@ -21,7 +21,7 @@ import (
 // an upper bound of κ and later sweeps repair them).
 //
 //   - computeTauFlat, the fused kernel, scans the row of a stored incidence
-//     (nucleus.FlatIncidence: Flat, and Core over the graph's own CSR at
+//     (nucleus.RowsOf: Flat, and Core over the graph's own CSR at
 //     co-arity 1): no closure dispatch, no adjacency intersections.
 //   - computeTau, the generic kernel, serves the instances that discover
 //     s-cliques on the fly (Truss, N34) through VisitSCliques.
@@ -127,10 +127,9 @@ func computeTauFlat(k *kernel, c int32, tau []int32, sc *sweepScratch, cur int32
 	}
 	cnt := sc.cnt[:cur]
 	clear(cnt)
-	mem, co, lo, end := k.mem, k.co, k.offs[c], k.offs[c+1]
+	row, co := k.rows.Row(c), k.rows.Co
 	support := int32(0)
 	if co == 1 {
-		row := mem[lo:end]
 		for i, d := range row {
 			rho := loadTau(par, tau, d)
 			if rho >= cur {
@@ -144,10 +143,10 @@ func computeTauFlat(k *kernel, c int32, tau []int32, sc *sweepScratch, cur int32
 		return settle(cnt, support), int64(len(row))
 	}
 	var visits int64
-	for p := lo; p < end; p += co {
+	for ; len(row) >= co; row = row[co:] {
 		rho := int32(math.MaxInt32)
-		for q := p; q < p+co; q++ {
-			if v := loadTau(par, tau, mem[q]); v < rho {
+		for _, d := range row[:co] {
+			if v := loadTau(par, tau, d); v < rho {
 				rho = v
 			}
 		}
@@ -182,28 +181,22 @@ func wake(tau, active []int32, d, h, old int32, par bool) {
 //
 //nucleus:noalloc
 func notifyNeighborsFlat(k *kernel, c int32, tau, active []int32, h, old int32, par bool) {
-	for _, d := range k.mem[k.offs[c]:k.offs[c+1]] {
+	for _, d := range k.rows.Row(c) {
 		wake(tau, active, d, h, old, par)
 	}
 }
 
-// kernel is a run's choice between the two sweep kernels, made once. When
-// flat, cell c's s-cliques are mem[offs[c]:offs[c+1]], co ids each.
+// kernel is a run's choice between the two sweep kernels, made once: the
+// fused one when the instance has stored rows (nucleus.RowsOf).
 type kernel struct {
 	inst nucleus.Instance
+	rows nucleus.Rows
 	flat bool
-	offs []int64
-	mem  []int32
-	co   int64
 }
 
 func kernelFor(inst nucleus.Instance) kernel {
-	k := kernel{inst: inst}
-	if f, ok := inst.(nucleus.FlatIncidence); ok {
-		offs, mem, co := f.FlatIncidenceArrays()
-		k.offs, k.mem, k.co, k.flat = offs, mem, int64(co), co >= 1 && len(offs) > 0
-	}
-	return k
+	rows, flat := nucleus.RowsOf(inst)
+	return kernel{inst: inst, rows: rows, flat: flat}
 }
 
 // update evaluates the update operator for cell c with the run's kernel.

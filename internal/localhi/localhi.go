@@ -7,15 +7,20 @@
 // The algorithms work against any nucleus.Instance, so the same code
 // computes k-core (1,2), k-truss (2,3), the (3,4) nucleus and any generic
 // (r,s). There are two sweep kernels, one per side of the paper's §5 fork:
-// stored s-cliques (nucleus.FlatIncidence: Flat, and Core — the CSR *is*
-// the flat incidence and is served as one) run the fused kernel, pure array
-// scans, and instances that discover them on the fly (Truss, N34) run the
-// generic kernel through VisitSCliques. Both compute min(τ, H) in one
-// clamped pass that stops once the current index is certified and allocate
-// nothing while sweeping (see kernel.go and docs/PERFORMANCE.md). Both
-// algorithms are parallel: idle workers claim the next 64 cells off a
-// shared cursor (par.ForEachWorker), the dynamic scheduling §4.4 recommends
-// against notification-induced load imbalance.
+// an instance with stored rows (nucleus.RowsOf: Flat, and Core — the CSR
+// *is* the incidence) runs the fused kernel, pure array scans, and one that
+// discovers its s-cliques on the fly (Truss, N34) runs the generic kernel
+// through VisitSCliques. Both compute min(τ, H) in one clamped pass that
+// stops once the current index is certified and allocate nothing while
+// sweeping (see kernel.go). Both algorithms are parallel: idle workers
+// claim the next 64 cells off a shared cursor (par.ForEachWorker), the
+// dynamic scheduling §4.4 recommends against notification-induced load
+// imbalance.
+//
+// What the paper claims for them is a good approximation after few sweeps,
+// an answer at any time and thread scaling, which peeling lacks — not a
+// faster exact κ on few cores: on k-core at two threads the sequential peel
+// is about 3× ahead of AND (docs/PERFORMANCE.md "Scaling").
 //
 // A converged run yields the exact decomposition (Result.Converged);
 // bounding Options.MaxSweeps yields an anytime approximation with the

@@ -138,7 +138,7 @@ func benchKernel(b *testing.B, inst nucleus.Instance) {
 func BenchmarkSweepKernelFused(b *testing.B) { benchKernel(b, benchIndexedTrussInstance()) }
 
 // BenchmarkSweepKernelGeneric is the same single sweep over the same rows
-// through the generic kernel: the wrapper hides FlatIncidenceArrays, so the
+// through the generic kernel: the wrapper hides FlatIncidence, so the
 // two benchmarks differ in the kernel alone (VisitSCliques dispatch per
 // s-clique against the fused row scan), and Flat's VisitSCliques allocates
 // nothing, so allocs/op is the kernel's own and must be zero as well.

@@ -11,19 +11,38 @@ import (
 
 // FlatIncidence is implemented by instances whose s-clique incidence
 // exists as flat CSR arrays: Flat, which materializes it, and Core, for
-// which the graph's adjacency already is it. Algorithms that iterate
-// VisitSCliques many times (the localhi sweep kernels) detect this
-// interface and run a fused array-scan fast path instead of the
-// closure-per-s-clique generic path.
+// which the graph's adjacency already is it. Algorithms call RowsOf.
 type FlatIncidence interface {
 	Instance
-	// FlatIncidenceArrays exposes the index: for cell c,
-	// members[offs[c]:offs[c+1]] holds the co-member cell ids of its
-	// s-cliques, coArity (= the co-member count of one s-clique, e.g. 2
-	// for (2,3), 3 for (3,4)) consecutive ids per s-clique. The arrays are
-	// immutable and shared; callers must not modify them.
-	FlatIncidenceArrays() (offs []int64, members []int32, coArity int)
+	Rows() Rows
 }
+
+// Rows is a stored s-clique incidence: cell c's s-cliques are Row(c), Co
+// consecutive co-member cell ids per s-clique (1 for (1,2), 2 for (2,3),
+// 3 for (3,4)). The arrays are immutable and shared with the instance.
+type Rows struct {
+	Offs []int64
+	Mem  []int32
+	Co   int
+}
+
+// RowsOf is the one way to ask an instance for its stored rows: the sweep
+// kernels (internal/localhi), the peel (internal/peel) and the forest
+// (internal/hierarchy) scan them in place of a closure per s-clique. One
+// without them (Truss, N34, a wrapper hiding FlatIncidence) reports false.
+func RowsOf(inst Instance) (Rows, bool) {
+	f, ok := inst.(FlatIncidence)
+	if !ok {
+		return Rows{}, false
+	}
+	r := f.Rows()
+	return r, r.Co >= 1 && len(r.Offs) > 0
+}
+
+// Row returns the co-members of cell c's s-cliques, Co ids per s-clique.
+//
+//nucleus:noalloc
+func (r Rows) Row(c int32) []int32 { return r.Mem[r.Offs[c]:r.Offs[c+1]] }
 
 // Flat is the stored-s-cliques instance of any (r,s) decomposition — the
 // other side of the paper's §5 fork from the on-the-fly Truss and N34:
@@ -190,9 +209,7 @@ func (f *Flat) CellVertices(c int32, buf []uint32) []uint32 { return f.verts(c, 
 
 func (f *Flat) CellLabel(c int32) string { return cellLabel(f.verts(c, nil)) }
 
-func (f *Flat) FlatIncidenceArrays() ([]int64, []int32, int) {
-	return f.offs, f.members, f.coArity
-}
+func (f *Flat) Rows() Rows { return Rows{f.offs, f.members, f.coArity} }
 
 // IndexBytes returns the memory held by the flat incidence arrays.
 func (f *Flat) IndexBytes() int64 {

@@ -175,10 +175,9 @@ func TestFlatRSCellID(t *testing.T) {
 func TestFlatRSBuildDeterministicAcrossThreads(t *testing.T) {
 	g := graph.PowerLawCluster(120, 6, 0.5, 3)
 	for _, tc := range flatCases {
-		refOffs, refMembers, _ := tc.build(g, 1).FlatIncidenceArrays()
+		ref := tc.build(g, 1).Rows()
 		for _, threads := range []int{2, 4, 8} {
-			offs, members, _ := tc.build(g, threads).FlatIncidenceArrays()
-			if !reflect.DeepEqual(offs, refOffs) || !reflect.DeepEqual(members, refMembers) {
+			if rows := tc.build(g, threads).Rows(); !reflect.DeepEqual(rows, ref) {
 				t.Fatalf("%s threads=%d: arrays differ from sequential build", tc.name, threads)
 			}
 		}
@@ -192,7 +191,7 @@ func TestFlatIncidenceArrays(t *testing.T) {
 	want := map[[2]int]int{{1, 2}: 1, {1, 3}: 2, {1, 4}: 3, {2, 3}: 2, {2, 4}: 5, {3, 4}: 3}
 	for _, tc := range flatCases {
 		var fi nucleus.FlatIncidence = tc.build(g, 1)
-		if _, _, co := fi.FlatIncidenceArrays(); co != want[[2]int{tc.r, tc.s}] {
+		if co := fi.Rows().Co; co != want[[2]int{tc.r, tc.s}] {
 			t.Fatalf("%s: coArity %d, want %d", tc.name, co, want[[2]int{tc.r, tc.s}])
 		}
 	}
@@ -205,7 +204,8 @@ func TestFlatRSFlatIncidenceContract(t *testing.T) {
 	g := graph.PlantedCommunities(3, 12, 0.5, 20, 9)
 	for _, tc := range flatCases {
 		f := tc.build(g, 2)
-		offs, members, co := f.FlatIncidenceArrays()
+		rows := f.Rows()
+		offs, members, co := rows.Offs, rows.Mem, rows.Co
 		if len(offs) != f.NumCells()+1 || offs[f.NumCells()] != int64(len(members)) {
 			t.Fatalf("%s: %d offsets ending at %d for %d cells and %d members",
 				tc.name, len(offs), offs[len(offs)-1], f.NumCells(), len(members))
@@ -253,8 +253,8 @@ func assertSameInstance(t *testing.T, gi int, ref, flat nucleus.Instance) {
 	if _, ok := flat.(*nucleus.Flat); !ok {
 		t.Fatalf("graph %d: Build returned %T, want *Flat", gi, flat)
 	}
-	if _, ok := ref.(nucleus.FlatIncidence); ok {
-		t.Fatalf("graph %d: budget 0 returned the flat instance %T", gi, ref)
+	if _, ok := nucleus.RowsOf(ref); ok {
+		t.Fatalf("graph %d: budget 0 returned %T, an instance with stored rows", gi, ref)
 	}
 	if !reflect.DeepEqual(ref.Degrees(), flat.Degrees()) {
 		t.Fatalf("graph %d: degrees differ", gi)

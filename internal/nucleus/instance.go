@@ -71,12 +71,12 @@ func (c *Core) NumCells() int { return c.G.N() }
 
 func (c *Core) Degrees() []int32 { return c.G.Degrees() }
 
-// FlatIncidenceArrays implements FlatIncidence at co-arity 1 over the
-// graph's own CSR: the co-members of u's edges are u's neighbors, so the
-// adjacency already is the stored incidence and nothing is copied.
-func (c *Core) FlatIncidenceArrays() ([]int64, []int32, int) {
+// Rows implements FlatIncidence at co-arity 1 over the graph's own CSR:
+// the co-members of u's edges are u's neighbors, so the adjacency already
+// is the stored incidence and nothing is copied.
+func (c *Core) Rows() Rows {
 	offs, adj := c.G.CSR()
-	return offs, adj, 1
+	return Rows{offs, adj, 1}
 }
 
 func (c *Core) VisitSCliques(u int32, fn func(others []int32) bool) {

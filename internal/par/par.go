@@ -290,31 +290,3 @@ func Collect[T any](n, grain, threads int, emit func(i int, out []T) []T) []T {
 	})
 	return out
 }
-
-// MaxInt32 returns the maximum of a (0 for an empty slice), reduced in
-// parallel over contiguous ranges.
-func MaxInt32(a []int32, threads int) int32 {
-	if len(a) == 0 {
-		return 0
-	}
-	if threads < 1 {
-		threads = 1
-	}
-	partial := make([]int32, threads)
-	workers := Ranges(len(a), threads, func(w, lo, hi int) {
-		m := a[lo]
-		for _, v := range a[lo+1 : hi] {
-			if v > m {
-				m = v
-			}
-		}
-		partial[w] = m
-	})
-	m := partial[0]
-	for _, v := range partial[1:workers] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}

@@ -3,6 +3,7 @@ package par_test
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -163,7 +164,7 @@ func TestCountingCSRMatchesSequentialOnDegreeFamilies(t *testing.T) {
 	for _, fam := range degreeFamilies {
 		g := fam.mk()
 		keys := g.Degrees()
-		numKeys := int(par.MaxInt32(keys, 1)) + 1
+		numKeys := int(slices.Max(keys)) + 1
 		checkScatterMatches(t, fam.name, len(keys), numKeys, func(i int, emit func(int, int32)) {
 			emit(int(keys[i]), int32(i))
 		})
@@ -208,25 +209,5 @@ func TestCollectMatchesSequential(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestMaxInt32(t *testing.T) {
-	for _, fam := range degreeFamilies {
-		deg := fam.mk().Degrees()
-		want := int32(0)
-		for _, d := range deg {
-			if d > want {
-				want = d
-			}
-		}
-		for _, threads := range parThreads {
-			if got := par.MaxInt32(deg, threads); got != want {
-				t.Fatalf("%s threads=%d: max %d, want %d", fam.name, threads, got, want)
-			}
-		}
-	}
-	if got := par.MaxInt32(nil, 4); got != 0 {
-		t.Fatalf("empty max = %d", got)
 	}
 }

@@ -1,11 +1,14 @@
 package peel
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"nucleus/internal/graph"
 	"nucleus/internal/localhi"
 	"nucleus/internal/nucleus"
+	"nucleus/internal/nucleustest"
 )
 
 // diffThreads is the worker-count axis of the differential suite.
@@ -30,7 +33,7 @@ var diffFamilies = []struct {
 
 // diffInstances are the cell families differentiated per graph: the three
 // first-class families (on-the-fly and flat-indexed) plus generic (r,s)
-// pairs over the flat CSR incidence.
+// pairs, over the flat CSR incidence and over the explicit hypergraph.
 var diffInstances = []struct {
 	name string
 	mk   func(g *graph.Graph) nucleus.Instance
@@ -42,15 +45,16 @@ var diffInstances = []struct {
 	{"n34Indexed", func(g *graph.Graph) nucleus.Instance { return nucleus.NewFlatN34(g, 2) }},
 	{"rs13", func(g *graph.Graph) nucleus.Instance { return nucleus.NewFlat(g, 1, 3, 2) }},
 	{"rs24", func(g *graph.Graph) nucleus.Instance { return nucleus.NewFlat(g, 2, 4, 2) }},
+	{"rs24Hyper", func(g *graph.Graph) nucleus.Instance { return nucleustest.NewHyper(g, 2, 4) }},
 }
 
 // TestDifferentialParallelPeel is the differential property suite of the
-// parallel peeling engine: for every generator family, cell family and
+// peel's two entry points: for every generator family, cell family and
 // thread count,
 //
-//	parallel peel κ == sequential peel κ == converged local τ (AND and SND),
+//	RunThreads κ == Run κ == reference peel κ == converged local τ (AND and SND),
 //
-// with the parallel Order additionally bit-identical across thread counts.
+// with RunThreads' Order additionally bit-identical across thread counts.
 // The suite runs under -race in CI, which is what makes the "no subtle
 // nondeterminism" claim a tested property rather than a hope.
 func TestDifferentialParallelPeel(t *testing.T) {
@@ -59,29 +63,19 @@ func TestDifferentialParallelPeel(t *testing.T) {
 		for _, instKind := range diffInstances {
 			t.Run(fam.name+"/"+instKind.name, func(t *testing.T) {
 				inst := instKind.mk(g)
-				seq := Run(inst)
+				seq := refPeel(inst)
+				run := Run(inst)
+				checkKappa(t, "Run", inst, run, seq)
+				checkValidOrder(t, inst, run)
 				var refOrder []int32
 				for _, threads := range diffThreads {
 					par := RunThreads(inst, threads)
-					if par.MaxKappa != seq.MaxKappa {
-						t.Fatalf("threads=%d: MaxKappa %d, sequential %d", threads, par.MaxKappa, seq.MaxKappa)
-					}
-					for c := range seq.Kappa {
-						if par.Kappa[c] != seq.Kappa[c] {
-							t.Fatalf("threads=%d: κ(%s) = %d, sequential %d",
-								threads, inst.CellLabel(int32(c)), par.Kappa[c], seq.Kappa[c])
-						}
-					}
+					checkKappa(t, fmt.Sprintf("threads=%d", threads), inst, par, seq)
 					if refOrder == nil {
 						refOrder = par.Order
-						checkValidOrder(t, par)
-					} else {
-						for i := range refOrder {
-							if par.Order[i] != refOrder[i] {
-								t.Fatalf("threads=%d: order[%d] = %d, threads=1 order %d",
-									threads, i, par.Order[i], refOrder[i])
-							}
-						}
+						checkValidOrder(t, inst, par)
+					} else if !slices.Equal(par.Order, refOrder) {
+						t.Fatalf("threads=%d: order differs from the threads=1 order", threads)
 					}
 
 					// Converged local algorithms must land on the same κ.

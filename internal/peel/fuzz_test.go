@@ -1,10 +1,13 @@
 package peel
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"nucleus/internal/graph"
 	"nucleus/internal/nucleus"
+	"nucleus/internal/nucleustest"
 )
 
 // edgesFromBytes decodes fuzz data into an edge list: consecutive byte
@@ -48,11 +51,37 @@ func familySeeds() [][]byte {
 	return out
 }
 
-// FuzzPeelFrontier differentially fuzzes the parallel frontier engine
-// against the sequential bucket queue: for arbitrary graphs, cell families
-// and thread counts, κ and MaxKappa must match exactly, and the parallel
-// Order must be a valid peeling order that is identical at every worker
-// count.
+// fuzzInstance decodes the fuzzer's family selector: the instance to peel
+// and, where the family has both kinds under one cell numbering, its twin
+// on the other side of the stored / on-the-fly fork.
+func fuzzInstance(g *graph.Graph, famSel uint8) (inst, twin nucleus.Instance) {
+	switch famSel % 8 {
+	case 0:
+		return nucleus.NewCore(g), nucleustest.NewHyper(g, 1, 2)
+	case 1:
+		return nucleus.NewTruss(g), nucleus.NewFlatTruss(g, 2)
+	case 2:
+		return nucleus.NewFlatTruss(g, 2), nucleus.NewTruss(g)
+	case 3:
+		return nucleus.NewN34(g), nucleus.NewFlatN34(g, 2)
+	case 4:
+		return nucleus.NewFlatN34(g, 2), nucleus.NewN34(g)
+	case 5:
+		return nucleus.NewFlat(g, 2, 4, 2), nil
+	case 6:
+		return nucleustest.NewHyper(g, 2, 3), nil
+	default:
+		return nucleustest.NewHyper(g, 1, 3), nil
+	}
+}
+
+// FuzzPeelFrontier differentially fuzzes both peel entry points against
+// the reference peel (refPeel: closures and a lazy-deletion queue, neither
+// of which either engine uses): for arbitrary graphs, cell families —
+// stored rows, on the fly, and the explicit hypergraph — and thread
+// counts, κ and MaxKappa must match exactly, every Order must replay as a
+// valid peeling order, RunThreads' must be identical at every worker
+// count, and the two kinds of one family must agree on κ.
 func FuzzPeelFrontier(f *testing.F) {
 	for _, seed := range familySeeds() {
 		f.Add(seed, uint8(4), uint8(1))
@@ -61,34 +90,21 @@ func FuzzPeelFrontier(f *testing.F) {
 	f.Add([]byte{}, uint8(8), uint8(2))
 	f.Fuzz(func(t *testing.T, data []byte, threads, famSel uint8) {
 		g := graph.Build(-1, edgesFromBytes(data))
-		var inst nucleus.Instance
-		switch famSel % 4 {
-		case 0:
-			inst = nucleus.NewCore(g)
-		case 1:
-			inst = nucleus.NewTruss(g)
-		case 2:
-			inst = nucleus.NewFlatTruss(g, 2)
-		default:
-			inst = nucleus.NewN34(g)
-		}
+		inst, twin := fuzzInstance(g, famSel)
+		want := refPeel(inst)
 		seq := Run(inst)
+		checkKappa(t, "Run", inst, seq, want)
+		checkValidOrder(t, inst, seq)
 		nThreads := 1 + int(threads%8)
 		par := RunThreads(inst, nThreads)
-		if par.MaxKappa != seq.MaxKappa {
-			t.Fatalf("threads=%d: MaxKappa %d, sequential %d", nThreads, par.MaxKappa, seq.MaxKappa)
+		checkKappa(t, fmt.Sprintf("threads=%d", nThreads), inst, par, want)
+		checkValidOrder(t, inst, par)
+		if one := RunThreads(inst, 1); !slices.Equal(par.Order, one.Order) {
+			t.Fatalf("threads=%d: order differs from the 1-worker order", nThreads)
 		}
-		for c := range seq.Kappa {
-			if par.Kappa[c] != seq.Kappa[c] {
-				t.Fatalf("threads=%d: κ(%d) = %d, sequential %d", nThreads, c, par.Kappa[c], seq.Kappa[c])
-			}
-		}
-		checkValidOrder(t, par)
-		ref := RunThreads(inst, 1)
-		for i := range ref.Order {
-			if par.Order[i] != ref.Order[i] {
-				t.Fatalf("threads=%d: order[%d] = %d, 1-worker order %d", nThreads, i, par.Order[i], ref.Order[i])
-			}
+		if twin != nil {
+			checkKappa(t, "the family's other kind, Run", inst, Run(twin), want)
+			checkKappa(t, "the family's other kind, RunThreads", inst, RunThreads(twin, nThreads), want)
 		}
 	})
 }

@@ -1,8 +1,6 @@
 package peel
 
-import (
-	"nucleus/internal/nucleus"
-)
+import "nucleus/internal/nucleus"
 
 // LevelsResult describes the degree levels of Definition 7.
 type LevelsResult struct {
@@ -19,58 +17,55 @@ type LevelsResult struct {
 // s-degree; L_i is the set of cells of minimum s-degree once all earlier
 // levels (and the s-cliques touching them) are removed. All cells of a
 // level are removed simultaneously.
+//
+// It runs on Run's arrays: a level is the whole front bucket,
+// vert[start:end]. Degrees are not clamped here (Definition 7 recomputes
+// the minimum), so the bins a level empties are collapsed onto its end
+// before its s-cliques are scanned and a survivor may sink through them.
+// O(cells + incidences + the levels' minimum degrees).
 func Levels(inst nucleus.Instance) *LevelsResult {
-	n := inst.NumCells()
 	deg := inst.Degrees()
-	level := make([]int32, n)
-	for i := range level {
-		level[i] = -1
-	}
-	remaining := n
-	res := &LevelsResult{Level: level}
-	cur := make([]int32, 0, n)
-	for remaining > 0 {
-		// Find the minimum degree among remaining cells.
-		min := int32(-1)
-		for c := 0; c < n; c++ {
-			if level[c] < 0 && (min < 0 || deg[c] < min) {
-				min = deg[c]
-			}
-		}
-		cur = cur[:0]
-		for c := 0; c < n; c++ {
-			if level[c] < 0 && deg[c] == min {
-				cur = append(cur, int32(c))
-			}
-		}
-		li := int32(res.Count)
-		for _, c := range cur {
-			level[c] = li
-		}
-		// Remove the level: an s-clique dies when its first member leaves.
-		// Attribute each dying s-clique to exactly one of its members in
-		// this level — the one with the smallest cell id — so surviving
-		// members are decremented exactly once per s-clique.
-		for _, c := range cur {
-			inst.VisitSCliques(c, func(others []int32) bool {
-				for _, d := range others {
-					if level[d] >= 0 && level[d] < li {
-						return true // already destroyed by an earlier level
-					}
-					if level[d] == li && d < c {
-						return true // attributed to the smaller member
-					}
-				}
-				for _, d := range others {
-					if level[d] < 0 {
-						deg[d]--
-					}
-				}
+	vert, pos, bin := sortByDegree(deg)
+	n := int32(len(vert))
+	res := &LevelsResult{Level: make([]int32, n)}
+	rows, stored := nucleus.RowsOf(inst)
+	co := rows.Co
+
+	// An s-clique dies with its front-most member: one with a member before
+	// the cell being scanned is either gone with an earlier level or
+	// attributed to that member, so each survivor is decremented once.
+	var at, end int32
+	visit := func(others []int32) bool {
+		for _, d := range others {
+			if pos[d] < at {
 				return true
-			})
+			}
 		}
-		res.Sizes = append(res.Sizes, len(cur))
-		remaining -= len(cur)
+		for _, d := range others {
+			if pos[d] >= end {
+				lower(deg, vert, pos, bin, d)
+			}
+		}
+		return true
+	}
+	for start := int32(0); start < n; start = end {
+		m := deg[vert[start]]
+		end = bin[m+1]
+		for d := range bin[:m+1] {
+			bin[d] = end
+		}
+		for at = start; at < end; at++ {
+			c := vert[at]
+			res.Level[c] = int32(res.Count)
+			if !stored {
+				inst.VisitSCliques(c, visit)
+				continue
+			}
+			for row := rows.Row(c); len(row) >= co; row = row[co:] {
+				visit(row[:co])
+			}
+		}
+		res.Sizes = append(res.Sizes, int(end-start))
 		res.Count++
 	}
 	return res

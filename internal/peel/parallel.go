@@ -1,6 +1,7 @@
 package peel
 
 import (
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -8,8 +9,15 @@ import (
 	"nucleus/internal/par"
 )
 
-// RunThreads peels the instance with round-synchronous frontier
-// parallelism, the bucketed (Julienne-style) formulation of Algorithm 1:
+// RunThreads peels the instance for a caller that has a thread count. The
+// engine depends on the kind of instance only, never on threads, so Kappa,
+// MaxKappa and Order are a pure function of the instance. One with stored
+// rows (nucleus.RowsOf: Core, Flat) goes to Run: on rows the frontier
+// engine does not scale from one thread to two and is 3–5× behind. One that
+// discovers its s-cliques on the fly (Truss, N34), where a cell's work is
+// an adjacency intersection worth splitting, is peeled with
+// round-synchronous frontier parallelism, the bucketed (Julienne-style)
+// formulation of Algorithm 1:
 //
 //	level k:   extract every unprocessed cell of current minimum degree k
 //	           (the whole min bucket) as the frontier
@@ -23,28 +31,16 @@ import (
 //	           sub-round's frontier, cells still above k move buckets
 //
 // The merge is a sum of commutative atomic increments and every frontier is
-// sorted before it is recorded, so Kappa, MaxKappa and Order are all
-// bit-identical across thread counts (and to a 1-worker run). Kappa and
-// MaxKappa also match the sequential Run exactly — κ is unique — while
-// Order is a different (still valid: non-decreasing κ, each cell minimum
-// within the remainder) peeling order, since Run pops one cell at a time
-// where RunThreads peels whole levels.
-//
-// Buckets are a flat counting-sort CSR (par.CountingCSR over the initial
-// degrees) instead of a ragged [][]int32: one offsets array plus one cells
-// array, built in parallel. Cells only ever move to *higher* buckets after
-// construction (merges clamp at the current level, so a cell's new degree
-// is either the level — peeled next sub-round — or strictly above it), so
-// moved cells go to an append-only spill chain per bucket and both static
-// row and chain are validated lazily (stamp < 0 && deg == cur) at
-// extraction. Level extraction shards the static row across the worker
-// pool; the steady-state barrier merge is allocation-free (mergeTouched is
-// //nucleus:noalloc).
-//
-// threads <= 1 runs the same engine on the calling goroutine. Small
-// frontiers are always processed inline: a barrier per sub-round only pays
-// for itself when there is enough frontier work to split.
+// sorted before it is recorded, so the results are bit-identical across
+// thread counts. Kappa and MaxKappa match Run's exactly — κ is unique —
+// while Order is a different valid peeling order: whole levels, not single
+// cells. threads <= 1 runs the same engine on the calling goroutine, and
+// small frontiers are always processed inline: a barrier per sub-round
+// only pays for itself when there is enough frontier work to split.
 func RunThreads(inst nucleus.Instance, threads int) *Result {
+	if _, stored := nucleus.RowsOf(inst); stored {
+		return Run(inst)
+	}
 	if threads < 1 {
 		threads = 1
 	}
@@ -55,7 +51,7 @@ func RunThreads(inst nucleus.Instance, threads int) *Result {
 	}
 
 	deg := inst.Degrees()
-	maxD := par.MaxInt32(deg, threads)
+	maxD := slices.Max(deg)
 	boffs, bcells := par.CountingCSR(deg, int(maxD)+1, threads)
 
 	p := &parPeeler{
@@ -65,7 +61,6 @@ func RunThreads(inst nucleus.Instance, threads int) *Result {
 		stamp:     make([]int32, n),
 		threads:   threads,
 		touched:   make([][]int32, threads),
-		levelBufs: make([][]int32, threads),
 		boffs:     boffs,
 		bcells:    bcells,
 		spillHead: make([]int32, int(maxD)+1),
@@ -102,8 +97,8 @@ func RunThreads(inst nucleus.Instance, threads int) *Result {
 		k = cur
 
 		for len(frontier) > 0 {
-			// Sort for determinism: bucket extraction and the per-worker
-			// touched lists both yield scheduling-dependent orders.
+			// Sort for determinism: the per-worker touched lists yield a
+			// scheduling-dependent order (and a spill chain is newest-first).
 			sort.Slice(frontier, func(i, j int) bool { return frontier[i] < frontier[j] })
 			for _, c := range frontier {
 				p.stamp[c] = sr
@@ -143,12 +138,11 @@ type parPeeler struct {
 	// touched[w] is worker w's list of cells it claimed (first decrement
 	// wins) during the current sub-round.
 	touched [][]int32
-	// levelBufs[w] collects worker w's still-valid cells during a sharded
-	// level extraction; drained into the frontier after the join.
-	levelBufs [][]int32
 	// boffs/bcells is the static counting-sort bucket CSR over the initial
 	// degrees: bucket d's cells are bcells[boffs[d]:boffs[d+1]]. Entries are
-	// validated lazily at extraction, never deleted.
+	// validated lazily (stamp < 0 && deg == cur) at extraction, never
+	// deleted: after construction a cell only moves to a higher bucket (a
+	// merge leaves it at the level, peeled next sub-round, or above it).
 	boffs  []int64
 	bcells []int32
 	// spillHead/spillCell/spillNext hold cells moved to higher buckets by
@@ -160,30 +154,15 @@ type parPeeler struct {
 	spillNext []int32
 }
 
-// levelGrain is the number of static-bucket entries per chunk when a level
-// extraction is sharded across the worker pool.
-const levelGrain = 2048
-
 // extractLevel appends every still-valid cell of bucket cur — unprocessed
-// and still at degree cur — to frontier. The static CSR row shards across
-// the pool (stamps and degrees are only written at barriers, so the scan
-// just reads); the spill chain is walked inline and reset. Extraction
-// order is scheduling-dependent, which is fine: every sub-round sorts its
-// frontier before recording it.
+// and still at degree cur — to frontier: the static CSR row, then the spill
+// chain, which is reset. (The engine serves on-the-fly instances only, whose
+// per-cell clique searches dwarf this scan: it is not sharded.)
 func (p *parPeeler) extractLevel(cur int32, frontier []int32) []int32 {
-	row := p.bcells[p.boffs[cur]:p.boffs[cur+1]]
-	par.ForEachWorker(len(row), levelGrain, p.threads, func(w, lo, hi int) {
-		buf := p.levelBufs[w]
-		for _, c := range row[lo:hi] {
-			if p.stamp[c] < 0 && p.deg[c] == cur {
-				buf = append(buf, c)
-			}
+	for _, c := range p.bcells[p.boffs[cur]:p.boffs[cur+1]] {
+		if p.stamp[c] < 0 && p.deg[c] == cur {
+			frontier = append(frontier, c)
 		}
-		p.levelBufs[w] = buf
-	})
-	for w := range p.levelBufs {
-		frontier = append(frontier, p.levelBufs[w]...)
-		p.levelBufs[w] = p.levelBufs[w][:0]
 	}
 	for i := p.spillHead[cur]; i >= 0; i = p.spillNext[i] {
 		c := p.spillCell[i]

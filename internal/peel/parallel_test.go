@@ -1,69 +1,34 @@
 package peel
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"nucleus/internal/graph"
 	"nucleus/internal/nucleus"
 )
 
-// checkParallelMatches asserts RunThreads reproduces the sequential κ at
-// every thread count and that its Order is a valid peeling order that does
-// not depend on the worker count.
+// checkParallelMatches asserts both entry points reproduce the reference
+// peel's κ — Run, and RunThreads at every thread count — that each Order is
+// a valid peeling order, and that RunThreads' does not depend on the
+// worker count.
 func checkParallelMatches(t *testing.T, inst nucleus.Instance) {
 	t.Helper()
+	want := refPeel(inst)
 	seq := Run(inst)
+	checkKappa(t, "Run", inst, seq, want)
+	checkValidOrder(t, inst, seq)
 	ref := RunThreads(inst, 1)
-	if ref.MaxKappa != seq.MaxKappa {
-		t.Fatalf("RunThreads(1) MaxKappa = %d, want %d", ref.MaxKappa, seq.MaxKappa)
-	}
-	for c := range seq.Kappa {
-		if ref.Kappa[c] != seq.Kappa[c] {
-			t.Fatalf("RunThreads(1) κ(%d) = %d, want %d", c, ref.Kappa[c], seq.Kappa[c])
-		}
-	}
-	checkValidOrder(t, ref)
+	checkKappa(t, "RunThreads(1)", inst, ref, want)
+	checkValidOrder(t, inst, ref)
 	for _, threads := range []int{2, 3, 4, 8} {
 		par := RunThreads(inst, threads)
-		if par.MaxKappa != seq.MaxKappa {
-			t.Fatalf("threads=%d: MaxKappa = %d, want %d", threads, par.MaxKappa, seq.MaxKappa)
+		checkKappa(t, fmt.Sprintf("threads=%d", threads), inst, par, want)
+		if !slices.Equal(par.Order, ref.Order) {
+			t.Fatalf("threads=%d: order differs from the 1-worker order", threads)
 		}
-		for c := range seq.Kappa {
-			if par.Kappa[c] != seq.Kappa[c] {
-				t.Fatalf("threads=%d: κ(%d) = %d, want %d", threads, c, par.Kappa[c], seq.Kappa[c])
-			}
-		}
-		// Order must be bit-identical across thread counts.
-		if len(par.Order) != len(ref.Order) {
-			t.Fatalf("threads=%d: order length %d, want %d", threads, len(par.Order), len(ref.Order))
-		}
-		for i := range ref.Order {
-			if par.Order[i] != ref.Order[i] {
-				t.Fatalf("threads=%d: order[%d] = %d, want %d", threads, i, par.Order[i], ref.Order[i])
-			}
-		}
-	}
-}
-
-// checkValidOrder asserts Order is a permutation of all cells with
-// non-decreasing κ.
-func checkValidOrder(t *testing.T, res *Result) {
-	t.Helper()
-	if len(res.Order) != len(res.Kappa) {
-		t.Fatalf("order lists %d cells, want %d", len(res.Order), len(res.Kappa))
-	}
-	seen := make([]bool, len(res.Kappa))
-	last := int32(0)
-	for i, c := range res.Order {
-		if seen[c] {
-			t.Fatalf("cell %d peeled twice", c)
-		}
-		seen[c] = true
-		if res.Kappa[c] < last {
-			t.Fatalf("order[%d]: κ decreased %d -> %d", i, last, res.Kappa[c])
-		}
-		last = res.Kappa[c]
 	}
 }
 

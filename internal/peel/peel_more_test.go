@@ -2,6 +2,7 @@ package peel
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -177,12 +178,92 @@ func TestLevelsEmptyInstance(t *testing.T) {
 	}
 }
 
+// TestLevelsMatchesReference holds Levels to Definition 7 read literally
+// (refLevels), cell by cell, on every family and cell kind of the
+// differential suite and on the shape that made the rescanning version
+// quadratic: a path, whose level count is half its length.
+func TestLevelsMatchesReference(t *testing.T) {
+	check := func(name string, inst nucleus.Instance) {
+		t.Helper()
+		got, want := Levels(inst), refLevels(inst)
+		if got.Count != want.Count || !slices.Equal(got.Sizes, want.Sizes) || !slices.Equal(got.Level, want.Level) {
+			t.Fatalf("%s: %d levels of sizes %v, reference %d of %v (or a cell's level differs)",
+				name, got.Count, got.Sizes, want.Count, want.Sizes)
+		}
+	}
+	for _, fam := range diffFamilies {
+		g := fam.mk()
+		for _, kind := range diffInstances {
+			check(fam.name+"/"+kind.name, kind.mk(g))
+		}
+	}
+	path := make([][2]uint32, 2000)
+	for i := range path {
+		path[i] = [2]uint32{uint32(i), uint32(i + 1)}
+	}
+	inst := nucleus.NewCore(graph.Build(-1, path))
+	check("path", inst)
+	if lv := Levels(inst); lv.Count != 1001 {
+		t.Fatalf("path on 2001 vertices: %d levels, want 1001", lv.Count)
+	}
+}
+
+// TestRunAllocsIndependentOfInstance is the gate a time assertion would
+// be: Run allocates its result, the degree copy it turns into κ, and the
+// three bucket arrays — the same handful for a small graph, a larger one
+// and a stored truss. A queue that grows per bucket or per decrement fails
+// it by orders of magnitude.
+func TestRunAllocsIndependentOfInstance(t *testing.T) {
+	const limit = 8
+	var first float64
+	for i, tc := range []struct {
+		name string
+		inst nucleus.Instance
+	}{
+		{"core/rmat8", nucleus.NewCore(graph.RMAT(8, 8, 0.57, 0.19, 0.19, 1))},
+		{"core/rmat12", nucleus.NewCore(graph.RMAT(12, 8, 0.57, 0.19, 0.19, 1))},
+		{"flatTruss", nucleus.NewFlatTruss(graph.PlantedCommunities(6, 40, 0.3, 300, 1), 1)},
+	} {
+		got := testing.AllocsPerRun(5, func() { Run(tc.inst) })
+		if i == 0 {
+			first = got
+		}
+		if got != first || got > limit {
+			t.Errorf("%s: Run allocates %.0f times, want the first instance's %.0f and <= %d", tc.name, got, first, limit)
+		}
+	}
+}
+
+// peelBenchInputs are the instances of docs/PERFORMANCE.md's "Which peel
+// serves which instance" table: bench/'s lib_core graph and lib_nucleus'
+// planted communities, stored and on the fly.
+func peelBenchInputs() (rmat, planted *graph.Graph) {
+	return graph.RMAT(14, 8, 0.57, 0.19, 0.19, 1), graph.PlantedCommunities(12, 80, 0.3, 1200, 1)
+}
+
+// BenchmarkPeelCore times the sequential engine, Run — over stored rows,
+// and through closures on the instances the frontier engine serves, whose
+// BenchmarkPeelScaling figures it is read against:
+// `go test -run '^$' -bench Peel -cpu 1,2 ./internal/peel` is the table.
 func BenchmarkPeelCore(b *testing.B) {
-	g := graph.PowerLawCluster(5000, 6, 0.4, 83)
-	inst := nucleus.NewCore(g)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Run(inst)
+	rmat, planted := peelBenchInputs()
+	for _, tc := range []struct {
+		name string
+		inst nucleus.Instance
+	}{
+		{"coreRMAT14", nucleus.NewCore(rmat)},
+		{"flatTruss", nucleus.NewFlatTruss(planted, 2)},
+		{"flatN34", nucleus.NewFlatN34(planted, 2)},
+		{"trussOnTheFly", nucleus.NewTruss(planted)},
+		{"n34OnTheFly", nucleus.NewN34(planted)},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			checkKappa(b, "Run", tc.inst, Run(tc.inst), refPeel(tc.inst))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				Run(tc.inst)
+			}
+		})
 	}
 }
 

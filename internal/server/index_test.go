@@ -116,8 +116,8 @@ func TestIndexBudgetFallbackCounters(t *testing.T) {
 	if !ok {
 		t.Fatal("graph g missing")
 	}
-	if _, isIndexed := s.instanceOf(e, "truss").(nucleus.FlatIncidence); isIndexed {
-		t.Fatal("disabled budget produced a flat-incidence instance")
+	if _, isIndexed := nucleus.RowsOf(s.instanceOf(e, "truss")); isIndexed {
+		t.Fatal("disabled budget produced an instance with stored rows")
 	}
 }
 

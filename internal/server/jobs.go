@@ -59,8 +59,8 @@ type job struct {
 	// q is the job's read-pipeline query (read.go), fixed at submit. Its
 	// threads is the effective intra-job worker count (request value, else
 	// the server default, clamped to the host) surfaced in the job status;
-	// all engines honor it — the local algorithms split sweeps across
-	// workers and peel runs the parallel bucket engine.
+	// the local algorithms split sweeps across that many workers, and peel
+	// uses them only where s-cliques are found on the fly (peel.RunThreads).
 	q query
 	// Scheduler state, fixed at submit: the submitting tenant, the
 	// requested relative deadline (0 = none), its absolute form, the cost

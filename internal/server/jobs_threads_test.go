@@ -8,7 +8,7 @@ import (
 
 // TestPeelJobHonorsThreads is the regression test for peel jobs dropping
 // the request's threads parameter: the effective worker count must be
-// resolved at submit time, drive the parallel peel engine, and be surfaced
+// resolved at submit time, be handed to peel.RunThreads, and be surfaced
 // in the job status — for explicit requests, the server default, and
 // host-clamped values alike.
 func TestPeelJobHonorsThreads(t *testing.T) {

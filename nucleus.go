@@ -85,10 +85,10 @@ type Options struct {
 	// Algorithm selects AND (default), SND or Peel.
 	Algorithm Algorithm
 	// Threads is the worker count; <=1 runs sequentially. The local
-	// algorithms split sweeps across workers; Peel runs the parallel
-	// bucket engine, peeling each minimum-degree frontier across workers
-	// with a deterministic barrier merge (results are bit-identical at
-	// every thread count).
+	// algorithms split sweeps across workers. Peel is one sequential array
+	// peel over a stored incidence and uses the workers only where
+	// s-cliques are found on the fly (a frontier-parallel engine); its
+	// result is bit-identical at every thread count.
 	Threads int
 	// MaxSweeps bounds local iterations; 0 runs to convergence. A bounded
 	// run returns an approximation: τ ≥ κ pointwise.
@@ -146,10 +146,9 @@ func Decompose(g *Graph, dec Decomposition, opts Options) *Result {
 // (vertices, edge ids, triangle ids) and the flat s-clique incidence index
 // is built in parallel over Options.Threads. Any other pair materializes a
 // flat CSR incidence over the enumerated r-/s-cliques, so generic (r,s)
-// runs the exact same engines: the fused sweep kernel of the local
-// algorithms and the parallel peeling frontier. Enumeration keeps the
-// generic path practical for small-to-medium graphs only. Panics if
-// r >= s or r < 1.
+// runs the exact same engines: the fused sweep kernel and the array peel.
+// Enumeration keeps the generic path practical for small-to-medium graphs
+// only. Panics if r >= s or r < 1.
 func DecomposeRS(g *Graph, r, s int, opts Options) *Result {
 	threads := opts.Threads
 	if threads < 1 {
