@@ -17,11 +17,17 @@ import (
 // Graph construction and IO.
 
 // BuildGraph constructs a graph from an edge list. Self-loops are removed
-// and duplicate edges collapsed. Pass n = -1 to infer the vertex count.
+// and duplicate edges collapsed. Pass n = -1 to infer the vertex count;
+// with n >= 0, an edge with an endpoint at or past n panics on the calling
+// goroutine with "graph: edge {u,v} out of range (n=…)". Dense edge ids
+// (the cells of k-truss) are assigned on first use, so a graph only ever
+// decomposed by k-core never pays for them.
 func BuildGraph(n int, edges [][2]uint32) *Graph { return graph.Build(n, edges) }
 
 // BuildGraphThreads is BuildGraph with up to threads workers. The result is
-// bit-identical to BuildGraph at every thread count.
+// bit-identical to BuildGraph at every thread count, and an out-of-range
+// edge panics on the caller's goroutine, never inside a worker, at every
+// thread count too.
 func BuildGraphThreads(n int, edges [][2]uint32, threads int) *Graph {
 	return graph.BuildThreads(n, edges, threads)
 }

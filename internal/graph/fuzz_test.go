@@ -3,6 +3,7 @@ package graph
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"fmt"
 	"io"
 	"strconv"
@@ -143,38 +144,36 @@ func FuzzBuild(f *testing.F) {
 		if undirected != g.M() {
 			t.Fatalf("edge count mismatch: %d vs %d", undirected, g.M())
 		}
-		// The parallel builder must be bit-identical to the sequential one.
-		for _, threads := range []int{2, 4, 8} {
-			gp := BuildThreads(-1, edges, threads)
-			if err := sameGraph(g, gp); err != nil {
-				t.Fatalf("BuildThreads(%d) diverges: %v", threads, err)
+		// The builder must be bit-identical to the sort-based reference, ids
+		// (numbered on this first read) included, at every thread count.
+		for _, threads := range []int{1, 2, 4, 8} {
+			if err := sameGraph(refBuild(-1, edges, threads), BuildThreads(-1, edges, threads)); err != nil {
+				t.Fatalf("BuildThreads(%d) diverges from refBuild: %v", threads, err)
 			}
 		}
 	})
 }
 
 // sameGraph reports the first structural difference between two graphs,
-// including edge-id assignment and endpoint tables.
+// including edge-id assignment and endpoint tables, which it forces on both.
 func sameGraph(a, b *Graph) error {
 	if a.N() != b.N() || a.M() != b.M() {
 		return fmt.Errorf("shape: n %d vs %d, m %d vs %d", a.N(), b.N(), a.M(), b.M())
 	}
-	for u := 0; u <= a.N(); u++ {
-		if a.offs[u] != b.offs[u] {
-			return fmt.Errorf("offs[%d]: %d vs %d", u, a.offs[u], b.offs[u])
-		}
+	a.ids()
+	b.ids()
+	return cmp.Or(
+		firstDiff("offs", a.offs, b.offs), firstDiff("adj", a.adj, b.adj), firstDiff("eid", a.eid, b.eid),
+		firstDiff("edgeU", a.edgeU, b.edgeU), firstDiff("edgeV", a.edgeV, b.edgeV))
+}
+
+func firstDiff[T comparable](name string, a, b []T) error {
+	if len(a) != len(b) {
+		return fmt.Errorf("len(%s): %d vs %d", name, len(a), len(b))
 	}
-	for i := range a.adj {
-		if a.adj[i] != b.adj[i] {
-			return fmt.Errorf("adj[%d]: %d vs %d", i, a.adj[i], b.adj[i])
-		}
-		if a.eid[i] != b.eid[i] {
-			return fmt.Errorf("eid[%d]: %d vs %d", i, a.eid[i], b.eid[i])
-		}
-	}
-	for e := int64(0); e < a.m; e++ {
-		if a.edgeU[e] != b.edgeU[e] || a.edgeV[e] != b.edgeV[e] {
-			return fmt.Errorf("edge %d endpoints: (%d,%d) vs (%d,%d)", e, a.edgeU[e], a.edgeV[e], b.edgeU[e], b.edgeV[e])
+	for i := range a {
+		if a[i] != b[i] {
+			return fmt.Errorf("%s[%d]: %v vs %v", name, i, a[i], b[i])
 		}
 	}
 	return nil

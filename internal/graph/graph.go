@@ -4,31 +4,38 @@
 //
 // Vertices are dense integers in [0, N). Neighbor lists are sorted in
 // increasing order, contain no duplicates and no self-loops. Each undirected
-// edge {u,v} additionally has a dense edge id in [0, M) assigned in the order
-// edges appear in the CSR rows of their lower endpoint (u < v); edge ids are
-// the cell ids of the (2,3) (k-truss) decomposition.
+// edge {u,v} additionally has a dense edge id in [0, M), the cell id of the
+// (2,3) (k-truss) decomposition. Ids are assigned on first use, in the order
+// edges appear in the CSR rows of their lower endpoint (u < v): a graph only
+// ever read through its rows (k-core, the core hierarchy, a core-only
+// publish) never numbers its edges.
 package graph
 
 import (
 	"fmt"
 	"slices"
-	"sort"
+	"sync"
 	"unsafe"
 
 	"nucleus/internal/par"
 )
 
-// Graph is an immutable undirected simple graph in CSR form.
+// Graph is an immutable undirected simple graph in CSR form. It is safe for
+// concurrent use — the first call that reads an edge id numbers the edges
+// exactly once, and every caller sees the finished tables — and, holding a
+// sync.Once, must not be copied by value.
 type Graph struct {
 	// offs has length N+1; the neighbors of u are adj[offs[u]:offs[u+1]].
 	offs []int64
 	// adj holds concatenated sorted neighbor lists.
 	adj []uint32
+
+	// The three tables below are written once by numberEdges, behind
+	// numbered, and read only through ids().
+	numbered sync.Once
 	// eid[i] is the dense edge id of the undirected edge {u, adj[i]} where u
 	// owns position i. Both directions of an edge carry the same id.
 	eid []int64
-	// m is the number of undirected edges.
-	m int64
 	// edge endpoint tables, indexed by edge id; edgeU[e] < edgeV[e].
 	edgeU []uint32
 	edgeV []uint32
@@ -38,7 +45,7 @@ type Graph struct {
 func (g *Graph) N() int { return len(g.offs) - 1 }
 
 // M returns the number of undirected edges.
-func (g *Graph) M() int64 { return g.m }
+func (g *Graph) M() int64 { return int64(len(g.adj) / 2) }
 
 // Degree returns the degree of vertex u.
 func (g *Graph) Degree(u uint32) int {
@@ -51,9 +58,15 @@ func (g *Graph) Neighbors(u uint32) []uint32 {
 	return g.adj[g.offs[u]:g.offs[u+1]]
 }
 
+// ids returns g with its edges numbered, numbering them on the first call.
+func (g *Graph) ids() *Graph {
+	g.numbered.Do(g.numberEdges)
+	return g
+}
+
 // EdgeIDs returns, for vertex u, the edge-id slice parallel to Neighbors(u).
 func (g *Graph) EdgeIDs(u uint32) []int64 {
-	return g.eid[g.offs[u]:g.offs[u+1]]
+	return g.ids().eid[g.offs[u]:g.offs[u+1]]
 }
 
 // CSR returns the graph's own row offsets and neighbor array, the latter
@@ -69,48 +82,53 @@ func (g *Graph) CSR() (offs []int64, adj []int32) {
 	return g.offs, unsafe.Slice((*int32)(unsafe.Pointer(unsafe.SliceData(g.adj))), len(g.adj))
 }
 
-// HasEdge reports whether {u,v} is an edge.
-func (g *Graph) HasEdge(u, v uint32) bool {
-	_, ok := g.EdgeID(u, v)
-	return ok
-}
-
-// EdgeID returns the dense id of edge {u,v} if present.
-func (g *Graph) EdgeID(u, v uint32) (int64, bool) {
-	if u == v {
-		return 0, false
-	}
-	// Search the smaller adjacency list.
+// find returns the position in adj of v in the shorter of the two rows of
+// {u,v}, or -1 if {u,v} is not an edge. It reads no edge id.
+func (g *Graph) find(u, v uint32) int64 {
 	if g.Degree(u) > g.Degree(v) {
 		u, v = v, u
 	}
-	ns := g.Neighbors(u)
-	i := sort.Search(len(ns), func(i int) bool { return ns[i] >= v })
-	if i < len(ns) && ns[i] == v {
-		return g.eid[g.offs[u]+int64(i)], true
+	if i, ok := slices.BinarySearch(g.Neighbors(u), v); ok {
+		return g.offs[u] + int64(i)
+	}
+	return -1
+}
+
+// HasEdge reports whether {u,v} is an edge.
+func (g *Graph) HasEdge(u, v uint32) bool { return g.find(u, v) >= 0 }
+
+// EdgeID returns the dense id of edge {u,v} if present.
+func (g *Graph) EdgeID(u, v uint32) (int64, bool) {
+	if i := g.find(u, v); i >= 0 {
+		return g.ids().eid[i], true
 	}
 	return 0, false
 }
 
 // Edge returns the endpoints (u < v) of the edge with dense id e.
-// It is O(1) using the edge endpoint table built at construction.
+// It is O(1) using the edge endpoint tables.
 func (g *Graph) Edge(e int64) (u, v uint32) {
+	g.ids()
 	return g.edgeU[e], g.edgeV[e]
 }
 
 // Build constructs a Graph from an edge list. Self-loops are dropped and
-// duplicate edges collapsed. n must be at least max(endpoint)+1; pass n = -1
-// to infer it from the edges. Build is BuildThreads with a single thread.
+// duplicate edges collapsed. n must be at least max(endpoint)+1 — an edge
+// with an endpoint at or past n panics on the calling goroutine, naming the
+// edge — or pass n = -1 to infer it from the edges. Build is BuildThreads
+// with a single thread.
 func Build(n int, edges [][2]uint32) *Graph {
 	return BuildThreads(n, edges, 1)
 }
 
-// BuildThreads is Build with up to threads workers. The result is
-// bit-identical to Build at every thread count: the CSR scatter assigns
-// every entry the slot a sequential stable counting sort would (contiguous
-// per-worker edge ranges merged vertex-major, worker-minor), rows are then
-// normalized by sort/dedup, and edge ids are numbered by a per-row prefix
-// sum that reproduces the sequential row walk.
+// BuildThreads is Build with up to threads workers. The result is a pure
+// function of the edge set, bit-identical to Build at every thread count,
+// and nothing in it sorts or searches: a parallel count and scatter lay
+// both directions of every edge into rows of arbitrary order, and one
+// transposition sorts them — walking the scattered rows v = 0…n−1 and
+// appending v to row u of the output for each u in row v leaves every
+// output row ascending, with a duplicate always equal to the row's last
+// entry, where it is dropped on the spot.
 //
 // When n == -1 the max-endpoint inference rides along in the degree pass
 // (per-worker growable count arrays plus a per-worker running max), so the
@@ -126,32 +144,30 @@ func BuildThreads(n int, edges [][2]uint32, threads int) *Graph {
 
 	// Pass 1: per-worker degree counts over contiguous edge ranges. Self-loop
 	// endpoints still raise the inferred max (Build(-1, [(7,7)]) has n = 8)
-	// but contribute no degree.
+	// but contribute no degree. A worker that meets an endpoint outside a
+	// given n stops and leaves the edge's index for the caller to report.
 	counts := make([][]int64, threads)
 	maxVs := make([]uint32, threads)
+	outOfRange := make([]int, threads)
 	workers := par.Ranges(ne, threads, func(w, lo, hi int) {
 		var c []int64
 		if n >= 0 {
 			c = make([]int64, n)
 		}
 		var maxV uint32
-		for _, e := range edges[lo:hi] {
+		outOfRange[w] = -1
+		for i, e := range edges[lo:hi] {
 			u, v := e[0], e[1]
-			if u > maxV {
-				maxV = u
-			}
-			if v > maxV {
-				maxV = v
-			}
+			maxV = max(maxV, u, v)
 			if u == v {
 				continue
 			}
-			if n < 0 && int(maxV) >= len(c) {
-				want := int(maxV) + 1
-				if grow := 2 * len(c); grow > want {
-					want = grow
+			if int(max(u, v)) >= len(c) {
+				if n >= 0 {
+					outOfRange[w] = lo + i
+					break
 				}
-				nc := make([]int64, want)
+				nc := make([]int64, max(int(maxV)+1, 2*len(c)))
 				copy(nc, c)
 				c = nc
 			}
@@ -161,26 +177,22 @@ func BuildThreads(n int, edges [][2]uint32, threads int) *Graph {
 		counts[w], maxVs[w] = c, maxV
 	})
 	counts = counts[:workers]
+	for _, i := range outOfRange[:workers] {
+		if i >= 0 {
+			panic(fmt.Sprintf("graph: edge {%d,%d} out of range (n=%d)", edges[i][0], edges[i][1], n))
+		}
+	}
 	if n < 0 {
 		n = 0
 		if ne > 0 {
-			m := maxVs[0]
-			for _, v := range maxVs[1:workers] {
-				if v > m {
-					m = v
-				}
-			}
-			n = int(m) + 1
+			n = int(slices.Max(maxVs[:workers])) + 1
 		}
 	}
 	for w, c := range counts {
 		if len(c) < n {
-			nc := make([]int64, n)
-			copy(nc, c)
-			counts[w] = nc
-		} else {
-			counts[w] = c[:n]
+			c = append(c, make([]int64, n-len(c))...)
 		}
+		counts[w] = c[:n]
 	}
 
 	// Vertex-major, worker-minor merge: offs becomes the CSR offset array and
@@ -212,7 +224,7 @@ func BuildThreads(n int, edges [][2]uint32, threads int) *Graph {
 
 	// Pass 2: scatter both directions. Ranges re-derives the identical
 	// per-worker split, so each worker's cursors cover exactly its entries.
-	adj := make([]uint32, offs[n])
+	scat := make([]uint32, offs[n])
 	par.Ranges(ne, threads, func(w, lo, hi int) {
 		c := counts[w]
 		for _, e := range edges[lo:hi] {
@@ -220,114 +232,74 @@ func BuildThreads(n int, edges [][2]uint32, threads int) *Graph {
 			if u == v {
 				continue
 			}
-			adj[c[u]] = v
+			scat[c[u]] = v
 			c[u]++
-			adj[c[v]] = u
+			scat[c[v]] = u
 			c[v]++
 		}
 	})
 
-	// Sort and dedup every row independently, then compact via prefix sum.
-	rowLen := make([]int64, n+1)
-	par.ForEach(n, 256, threads, func(lo, hi int) {
-		for u := lo; u < hi; u++ {
-			row := adj[offs[u]:offs[u+1]]
-			slices.Sort(row)
-			k := 0
-			for _, v := range row {
-				if k > 0 && v == row[k-1] {
-					continue
-				}
-				row[k] = v
-				k++
-			}
-			rowLen[u] = int64(k)
-		}
-	})
-	par.PrefixSum(rowLen) // rowLen is now the compacted offset array
-	newAdj := make([]uint32, rowLen[n])
-	par.ForEach(n, 256, threads, func(lo, hi int) {
-		for u := lo; u < hi; u++ {
-			copy(newAdj[rowLen[u]:rowLen[u+1]], adj[offs[u]:])
-		}
-	})
-
-	g := &Graph{offs: rowLen, adj: newAdj}
-	g.assignEdgeIDs(threads)
-	return g
-}
-
-// assignEdgeIDs numbers each edge {u,v} (u<v) at its first appearance in a
-// row walk in vertex order, mirroring the id onto the (v,u) direction. The
-// sequential walk parallelizes exactly: per-row upper-neighbor counts merge
-// into per-row id bases by prefix sum, so every id is independent of the
-// thread count.
-func (g *Graph) assignEdgeIDs(threads int) {
-	n := g.N()
-	g.eid = make([]int64, len(g.adj))
-	base := make([]int64, n+1)
-	par.ForEach(n, 256, threads, func(lo, hi int) {
-		for u := lo; u < hi; u++ {
-			uu := uint32(u)
-			var cnt int64
-			ns := g.Neighbors(uu)
-			for i := len(ns) - 1; i >= 0 && ns[i] > uu; i-- {
-				cnt++
-			}
-			base[u] = cnt
-		}
-	})
-	g.m = par.PrefixSum(base)
-	g.edgeU = make([]uint32, g.m)
-	g.edgeV = make([]uint32, g.m)
-	par.ForEach(n, 256, threads, func(lo, hi int) {
-		for u := lo; u < hi; u++ {
-			uu := uint32(u)
-			next := base[u]
-			off := g.offs[u]
-			for i, v := range g.Neighbors(uu) {
-				if v > uu {
-					g.eid[off+int64(i)] = next
-					g.edgeU[next] = uu
-					g.edgeV[next] = v
-					next++
-				}
+	// Transpose. The scattered multigraph is symmetric, so row u of the
+	// output has room for exactly the entries row u of the scatter holds;
+	// end[u] is its next free slot.
+	adj := make([]uint32, len(scat))
+	end := slices.Clone(offs[:n])
+	kept := 0
+	for v := range end {
+		for _, u := range scat[offs[v]:offs[v+1]] {
+			if e := end[u]; e == offs[u] || adj[e-1] != uint32(v) {
+				adj[e] = uint32(v)
+				end[u] = e + 1
+				kept++
 			}
 		}
-	})
-	// Mirror ids onto the lower-triangle direction. Every upper id is
-	// assigned before the barrier above returns, so the lookups only read.
-	par.ForEach(n, 256, threads, func(lo, hi int) {
-		for u := lo; u < hi; u++ {
-			uu := uint32(u)
-			off := g.offs[u]
-			for i, v := range g.Neighbors(uu) {
-				if v >= uu {
-					break // rows are sorted: lower neighbors form a prefix
-				}
-				id, ok := g.lookupAssigned(v, uu)
-				if !ok {
-					panic("graph: missing mirrored edge")
-				}
-				g.eid[off+int64(i)] = id
-			}
-		}
-	})
-}
-
-func (g *Graph) lookupAssigned(u, v uint32) (int64, bool) {
-	ns := g.Neighbors(u)
-	i := sort.Search(len(ns), func(i int) bool { return ns[i] >= v })
-	if i < len(ns) && ns[i] == v {
-		return g.eid[g.offs[u]+int64(i)], true
 	}
-	return 0, false
+	if kept == len(adj) {
+		return &Graph{offs: offs, adj: adj}
+	}
+	// Duplicates were dropped: close the gaps they left.
+	dense := make([]int64, n+1)
+	for u, e := range end {
+		dense[u+1] = dense[u] + e - offs[u]
+	}
+	packed := make([]uint32, dense[n])
+	par.ForEach(n, 256, threads, func(lo, hi int) {
+		for u := lo; u < hi; u++ {
+			copy(packed[dense[u]:dense[u+1]], adj[offs[u]:])
+		}
+	})
+	return &Graph{offs: dense, adj: packed}
+}
+
+// numberEdges assigns the dense edge ids, in the order edges appear in the
+// rows of their lower endpoint, with no search: rows are walked in order,
+// an upper entry (u, v>u) takes the next id and mirrors it into the next
+// unfilled slot of row v. Row v's lower neighbors are sorted, so that slot
+// is u's, and when the walk reaches a row its cursor has already passed
+// every lower entry.
+func (g *Graph) numberEdges() {
+	offs, adj := g.offs, g.adj
+	eid := make([]int64, len(adj))
+	edgeU, edgeV := make([]uint32, g.M()), make([]uint32, g.M())
+	cursor := slices.Clone(offs[:g.N()])
+	var id int64
+	for u := range cursor {
+		for i := cursor[u]; i < offs[u+1]; i++ {
+			v := adj[i]
+			eid[i], edgeU[id], edgeV[id] = id, uint32(u), v
+			eid[cursor[v]] = id
+			cursor[v]++
+			id++
+		}
+	}
+	g.eid, g.edgeU, g.edgeV = eid, edgeU, edgeV
 }
 
 // Edges returns the edge list with u < v, indexed by edge id.
 func (g *Graph) Edges() [][2]uint32 {
-	out := make([][2]uint32, g.m)
-	for e := int64(0); e < g.m; e++ {
+	g.ids()
+	out := make([][2]uint32, len(g.edgeU))
+	for e := range out {
 		out[e] = [2]uint32{g.edgeU[e], g.edgeV[e]}
 	}
 	return out

@@ -98,7 +98,7 @@ func LoadEdgeList(path string) (*Graph, error) {
 // WriteEdgeList writes the graph as "u v" lines with u < v.
 func (g *Graph) WriteEdgeList(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	for e := int64(0); e < g.m; e++ {
+	for e := range g.M() {
 		u, v := g.Edge(e)
 		if _, err := fmt.Fprintf(bw, "%d %d\n", u, v); err != nil {
 			return err

@@ -1,6 +1,9 @@
 package graph
 
-import "slices"
+import (
+	"fmt"
+	"slices"
+)
 
 // Patch returns g grown to n vertices (n >= g.N()) with the rows named by
 // rows replaced: the CSR a publish of an edited graph needs, built from the
@@ -11,13 +14,11 @@ import "slices"
 // have no entry are isolated. g and the rows are only read; the result
 // shares no storage with either.
 //
-// The result is bit-identical to Build(n, edges) of the same edge set, edge
-// ids included, with no sort and no search: a degree prefix sum, one bulk
-// copy per untouched stretch of rows, and one ascending row walk in which an
-// upper entry (u, v>u) takes the next edge id and mirrors it into the next
-// unfilled lower slot of row v. Rows are walked in order and row v's lower
-// neighbors are sorted, so that slot is u's, and when the walk reaches a
-// row its cursor has already passed every lower entry.
+// The result is bit-identical to Build(n, edges) of the same edge set —
+// edge ids, numbered on first use like Build's, included — from a degree
+// prefix sum and one bulk copy per untouched stretch of rows. The rows are
+// checked here, at call time, against the rows they replace: a row that is
+// unsorted, or a set that is not symmetric, panics.
 func (g *Graph) Patch(n int, rows map[uint32][]uint32) *Graph {
 	baseN := g.N()
 	if n < baseN {
@@ -33,6 +34,7 @@ func (g *Graph) Patch(n int, rows map[uint32][]uint32) *Graph {
 		}
 	}
 	slices.Sort(touched)
+	checkSymmetric(g, rows, touched)
 
 	offs := make([]int64, n+1)
 	adj := make([]uint32, total)
@@ -59,23 +61,47 @@ func (g *Graph) Patch(n int, rows map[uint32][]uint32) *Graph {
 	}
 	keep(next, n)
 
-	out := &Graph{
-		offs: offs, adj: adj, eid: make([]int64, total), m: total / 2,
-		edgeU: make([]uint32, total/2), edgeV: make([]uint32, total/2),
+	return &Graph{offs: offs, adj: adj}
+}
+
+// checkSymmetric panics unless replacing g's rows by rows keeps the graph
+// simple and symmetric. g is, so only what changed can break it: every
+// entry a touched row u gained or lost — the ascending merge of its old and
+// new content finds them — must name a touched row v that gained or lost u.
+// Each change {u,v} is therefore met twice, once from either side: none may
+// be left met an odd number of times.
+func checkSymmetric(g *Graph, rows map[uint32][]uint32, touched []uint32) {
+	odd := map[[2]uint32]bool{}
+	flip := func(u, v uint32) {
+		key := [2]uint32{min(u, v), max(u, v)}
+		odd[key] = !odd[key]
 	}
-	cursor := slices.Clone(offs[:n])
-	var id int64
-	for u := 0; u < n; u++ {
-		for i := cursor[u]; i < offs[u+1]; i++ {
-			v := adj[i]
-			out.eid[i], out.edgeU[id], out.edgeV[id] = id, uint32(u), v
-			out.eid[cursor[v]] = id
-			cursor[v]++
-			id++
+	for _, u := range touched {
+		var was []uint32
+		if int(u) < g.N() {
+			was = g.Neighbors(u)
+		}
+		for i, v := range rows[u] {
+			if v == u || i > 0 && rows[u][i-1] >= v {
+				panic(fmt.Sprintf("graph: Patch row %d is not a sorted simple row", u))
+			}
+			for len(was) > 0 && was[0] < v {
+				flip(u, was[0])
+				was = was[1:]
+			}
+			if len(was) > 0 && was[0] == v {
+				was = was[1:]
+			} else {
+				flip(u, v)
+			}
+		}
+		for _, v := range was {
+			flip(u, v)
 		}
 	}
-	if id != out.m {
-		panic("graph: Patch rows are not symmetric")
+	for _, unmatched := range odd {
+		if unmatched {
+			panic("graph: Patch rows are not symmetric")
+		}
 	}
-	return out
 }

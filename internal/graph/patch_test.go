@@ -29,7 +29,8 @@ func TestPatchMatchesApplyEdits(t *testing.T) {
 				}
 			}
 		}
-		if got := g.Patch(want.N(), rows); !reflect.DeepEqual(got, want) {
+		// Both number their edges here, on first use, and must agree on that too.
+		if got := g.Patch(want.N(), rows); !reflect.DeepEqual(got.ids(), want.ids()) {
 			t.Fatalf("seed %d: Patch differs from ApplyEdits (n=%d m=%d vs n=%d m=%d)", seed, got.N(), got.M(), want.N(), want.M())
 		}
 	}
@@ -40,6 +41,11 @@ func TestPatchRejectsWhatItCannotBuild(t *testing.T) {
 	for name, call := range map[string]func(){
 		"shrink":     func() { g.Patch(2, nil) },
 		"asymmetric": func() { g.Patch(3, map[uint32][]uint32{2: {0}}) },
+		"oneSided":   func() { g.Patch(3, map[uint32][]uint32{2: {0}, 0: {1}}) },
+		"lostHalf":   func() { g.Patch(3, map[uint32][]uint32{0: {}}) },
+		"unsorted":   func() { g.Patch(3, map[uint32][]uint32{0: {2, 1}, 2: {0}}) },
+		"selfLoop":   func() { g.Patch(3, map[uint32][]uint32{2: {2}}) },
+		"duplicate":  func() { g.Patch(3, map[uint32][]uint32{0: {1, 2, 2}, 2: {0}}) },
 	} {
 		func() {
 			defer func() {

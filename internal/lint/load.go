@@ -25,6 +25,7 @@ import (
 // listPkg is the subset of `go list -json` output the loader consumes.
 type listPkg struct {
 	ImportPath   string
+	ForTest      string // for a test variant "p [t.test]": t
 	Dir          string
 	Standard     bool
 	Name         string
@@ -38,6 +39,9 @@ type listPkg struct {
 // are listed under.
 type universe struct {
 	pkgs map[string]*types.Package
+	// base, if set, resolves what pkgs does not: a test's universe holds
+	// only the packages rebuilt for that test, over the plain one.
+	base *universe
 }
 
 func (u *universe) Import(path string) (*types.Package, error) {
@@ -49,6 +53,9 @@ func (u *universe) Import(path string) (*types.Package, error) {
 	}
 	if p, ok := u.pkgs["vendor/"+path]; ok {
 		return p, nil
+	}
+	if u.base != nil {
+		return u.base.Import(path)
 	}
 	return nil, fmt.Errorf("package %q not loaded", path)
 }
@@ -86,6 +93,21 @@ type loader struct {
 	fset  *token.FileSet
 	uni   *universe
 	files map[string]*ast.File // absolute path -> parsed file
+	// rebuilt lists, per package under test and in topological order, the
+	// packages `go list -test` rebuilds for its external test: those that
+	// import it, which must see the declarations its in-package test files
+	// add (the export_test.go idiom) under the same type identities.
+	rebuilt map[string][]*listPkg
+}
+
+func newLoader(dir string) *loader {
+	return &loader{
+		dir:     dir,
+		fset:    token.NewFileSet(),
+		uni:     &universe{pkgs: map[string]*types.Package{}},
+		files:   map[string]*ast.File{},
+		rebuilt: map[string][]*listPkg{},
+	}
 }
 
 func (l *loader) parse(dir string, names []string) ([]*ast.File, error) {
@@ -116,11 +138,11 @@ func newInfo() *types.Info {
 	}
 }
 
-// check type-checks one file set as package path, recording it in the
-// universe when record is set.
-func (l *loader) check(path string, files []*ast.File, info *types.Info, record bool) (*types.Package, error) {
+// check type-checks one file set as package path against the packages of
+// uni, recording it there when record is set.
+func (l *loader) check(uni *universe, path string, files []*ast.File, info *types.Info, record bool) (*types.Package, error) {
 	conf := types.Config{
-		Importer: l.uni,
+		Importer: uni,
 		// Tolerate recoverable errors in the standard library (e.g.
 		// platform-specific declarations the pure-Go file set omits);
 		// module packages must check cleanly, enforced by the caller.
@@ -128,7 +150,7 @@ func (l *loader) check(path string, files []*ast.File, info *types.Info, record 
 	}
 	pkg, err := conf.Check(path, l.fset, files, info)
 	if record && pkg != nil {
-		l.uni.pkgs[path] = pkg
+		uni.pkgs[path] = pkg
 	}
 	return pkg, err
 }
@@ -137,7 +159,7 @@ func (l *loader) check(path string, files []*ast.File, info *types.Info, record 
 // type-checks every plain package in topological order.
 func (l *loader) universeOf(patterns []string) error {
 	args := append([]string{"-deps", "-test",
-		"-json=ImportPath,Dir,Standard,Name,GoFiles,TestGoFiles,XTestGoFiles"}, patterns...)
+		"-json=ImportPath,ForTest,Dir,Standard,Name,GoFiles,TestGoFiles,XTestGoFiles"}, patterns...)
 	pkgs, err := goList(l.dir, args...)
 	if err != nil {
 		return err
@@ -145,8 +167,13 @@ func (l *loader) universeOf(patterns []string) error {
 	for _, p := range pkgs {
 		// Skip test variants ("pkg [pkg.test]", "pkg.test"): the plain
 		// package is what import resolution needs, and target packages are
-		// re-checked with their test files separately.
-		if strings.Contains(p.ImportPath, " [") || strings.HasSuffix(p.ImportPath, ".test") {
+		// re-checked with their test files separately. The importers of a
+		// package under test are kept aside for testUniverse.
+		if path, _, variant := strings.Cut(p.ImportPath, " ["); variant || strings.HasSuffix(p.ImportPath, ".test") {
+			if variant && path != p.ForTest && path != p.ForTest+"_test" {
+				p.ImportPath = path
+				l.rebuilt[p.ForTest] = append(l.rebuilt[p.ForTest], p)
+			}
 			continue
 		}
 		if p.ImportPath == "unsafe" {
@@ -159,11 +186,29 @@ func (l *loader) universeOf(patterns []string) error {
 		if err != nil {
 			return fmt.Errorf("parsing %s: %v", p.ImportPath, err)
 		}
-		if _, err := l.check(p.ImportPath, files, nil, true); err != nil && !p.Standard {
+		if _, err := l.check(l.uni, p.ImportPath, files, nil, true); err != nil && !p.Standard {
 			return fmt.Errorf("type-checking %s: %v", p.ImportPath, err)
 		}
 	}
 	return nil
+}
+
+// testUniverse returns the universe the external test of path is checked
+// in: withTests — the package with its in-package test files — in place of
+// the plain package, and every package that imports it checked again on top
+// of that, as the go command builds them for the test.
+func (l *loader) testUniverse(path string, withTests *types.Package) (*universe, error) {
+	uni := &universe{pkgs: map[string]*types.Package{path: withTests}, base: l.uni}
+	for _, p := range l.rebuilt[path] {
+		files, err := l.parse(p.Dir, p.GoFiles)
+		if err != nil {
+			return nil, fmt.Errorf("parsing %s: %v", p.ImportPath, err)
+		}
+		if _, err := l.check(uni, p.ImportPath, files, nil, true); err != nil {
+			return nil, fmt.Errorf("type-checking %s: %v", p.ImportPath, err)
+		}
+	}
+	return uni, nil
 }
 
 // Load type-checks the packages matching patterns (and their whole
@@ -171,12 +216,7 @@ func (l *loader) universeOf(patterns []string) error {
 // In-package test files are folded into their package; external test
 // packages are returned as separate entries with a "_test" path suffix.
 func Load(dir string, patterns []string) (*Program, error) {
-	l := &loader{
-		dir:   dir,
-		fset:  token.NewFileSet(),
-		uni:   &universe{pkgs: map[string]*types.Package{}},
-		files: map[string]*ast.File{},
-	}
+	l := newLoader(dir)
 	if err := l.universeOf(patterns); err != nil {
 		return nil, err
 	}
@@ -206,7 +246,7 @@ func Load(dir string, patterns []string) (*Program, error) {
 			return nil, fmt.Errorf("parsing %s: %v", t.ImportPath, err)
 		}
 		info := newInfo()
-		pkg, err := l.check(t.ImportPath, files, info, false)
+		pkg, err := l.check(l.uni, t.ImportPath, files, info, false)
 		if err != nil {
 			return nil, fmt.Errorf("type-checking %s (with test files): %v", t.ImportPath, err)
 		}
@@ -217,8 +257,14 @@ func Load(dir string, patterns []string) (*Program, error) {
 			if err != nil {
 				return nil, fmt.Errorf("parsing %s external tests: %v", t.ImportPath, err)
 			}
+			uni := l.uni
+			if len(t.TestGoFiles) > 0 {
+				if uni, err = l.testUniverse(t.ImportPath, pkg); err != nil {
+					return nil, fmt.Errorf("for %s external tests: %v", t.ImportPath, err)
+				}
+			}
 			xinfo := newInfo()
-			xpkg, err := l.check(t.ImportPath+"_test", xfiles, xinfo, false)
+			xpkg, err := l.check(uni, t.ImportPath+"_test", xfiles, xinfo, false)
 			if err != nil {
 				return nil, fmt.Errorf("type-checking %s external tests: %v", t.ImportPath, err)
 			}
@@ -247,12 +293,7 @@ func LoadAdHoc(dir string) (*Program, error) {
 	if len(names) == 0 {
 		return nil, fmt.Errorf("no .go files in %s", dir)
 	}
-	l := &loader{
-		dir:   dir,
-		fset:  token.NewFileSet(),
-		uni:   &universe{pkgs: map[string]*types.Package{}},
-		files: map[string]*ast.File{},
-	}
+	l := newLoader(dir)
 	files, err := l.parse(dir, names)
 	if err != nil {
 		return nil, err
@@ -275,7 +316,7 @@ func LoadAdHoc(dir string) (*Program, error) {
 	}
 	path := filepath.Base(dir)
 	info := newInfo()
-	pkg, err := l.check(path, files, info, false)
+	pkg, err := l.check(l.uni, path, files, info, false)
 	if err != nil {
 		return nil, fmt.Errorf("type-checking %s: %v", dir, err)
 	}

@@ -177,7 +177,9 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 // large snapshots — fanned across threads. The varint parse itself is
 // inherently sequential (each delta's position depends on the previous
 // one). The result is bit-identical to DecodeSnapshot at every thread
-// count, because graph.BuildThreads is.
+// count, because graph.BuildThreads is — a pure function of the edge set —
+// and, like every built graph, it numbers its edges on first use: loading
+// a snapshot that only core reads will ever touch never pays for edge ids.
 func DecodeSnapshotThreads(data []byte, threads int) (*Snapshot, error) {
 	if len(data) < len(snapMagic)+1+4 {
 		return nil, fmt.Errorf("store: snapshot too short (%d bytes)", len(data))
