@@ -1,6 +1,7 @@
 package cliques
 
 import (
+	"fmt"
 	"testing"
 
 	"nucleus/internal/graph"
@@ -42,6 +43,43 @@ func BenchmarkK4DegreePerTriangle(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		idx.K4DegreePerTriangle(g)
+	}
+}
+
+// nucleusBenchGraph is the bench's lib_nucleus input (12 × 80 planted
+// communities, round 0 of seed 1).
+func nucleusBenchGraph() *graph.Graph {
+	return graph.PlantedCommunities(12, 80, 0.3, 1200, 1_000_003)
+}
+
+// BenchmarkK4Count times the count pass (K4DegreePerTriangleParallel) on
+// the lib_nucleus input at one and two threads.
+func BenchmarkK4Count(b *testing.B) {
+	g := nucleusBenchGraph()
+	ti := BuildTriangleIndex(g)
+	for _, p := range []int{1, 2} {
+		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				ti.K4DegreePerTriangleParallel(g, p)
+			}
+		})
+	}
+}
+
+// BenchmarkBuildK4Incidence times the group pass and scatter, degrees
+// given, on the lib_nucleus input at one and two threads.
+func BenchmarkBuildK4Incidence(b *testing.B) {
+	g := nucleusBenchGraph()
+	ti := BuildTriangleIndex(g)
+	deg := ti.K4DegreePerTriangle(g)
+	for _, p := range []int{1, 2} {
+		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				BuildK4Incidence(g, ti, deg, p)
+			}
+		})
 	}
 }
 

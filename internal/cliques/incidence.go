@@ -121,34 +121,57 @@ func K4IncidenceBytes(t, sumDeg int64) int64 {
 	return 8*(t+1) + 12*sumDeg
 }
 
-// BuildK4Incidence builds the flat 4-clique incidence over an existing
-// triangle index: count (pass the per-triangle 4-clique degrees as deg, or
-// nil to recount), prefix sum, parallel fill. Each triangle's row is
-// written exactly once by the worker owning the triangle, so workers never
-// contend. The triangle-id lookups that the on-the-fly instance pays on
-// every sweep are paid here once, at build time.
+// BuildK4Incidence builds the flat 4-clique incidence over a triangle index
+// of g (deg: the K4 degrees, or nil to count them). Each 4-clique is found
+// once, as its four triangle ids, gathered in root order and laid out by
+// ScatterGroups: rows list 4-cliques in that order, bit-identical at every
+// thread count.
 func BuildK4Incidence(g *graph.Graph, ti *TriangleIndex, deg []int32, threads int) *K4Incidence {
 	if deg == nil {
 		deg = ti.K4DegreePerTriangleParallel(g, threads)
 	}
-	t := int64(ti.Len())
-	inc := &K4Incidence{Offs: make([]int64, t+1)}
-	for i := int64(0); i < t; i++ {
-		inc.Offs[i+1] = inc.Offs[i] + 3*int64(deg[i])
-	}
-	inc.Triples = make([]int32, inc.Offs[t])
+	groups := par.Collect(len(ti.rank), 64, threads, func(u int, buf []int32) []int32 {
+		ti.k4OfRoot(uint32(u), func(t1, t2, t3, t4 int32) {
+			buf = append(buf, t1, t2, t3, t4)
+		})
+		return buf
+	})
+	offs, triples := ScatterGroups(groups, 4, deg, threads)
+	return &K4Incidence{Offs: offs, Triples: triples}
+}
 
-	par.Ranges(ti.Len(), threads, func(_, lo, hi int) {
-		for tr := lo; tr < hi; tr++ {
-			pos := inc.Offs[tr]
-			ti.ForEachK4OfTriangle(g, int32(tr), func(_ uint32, t1, t2, t3 int32) bool {
-				inc.Triples[pos] = t1
-				inc.Triples[pos+1] = t2
-				inc.Triples[pos+2] = t3
-				pos += 3
-				return true
-			})
+// ScatterGroups lays out a flat incidence from its s-cliques: groups holds
+// size member cells per s-clique, cell c is in deg[c] of them, and row c
+// lists each such group's other members, in group order. Prefix sum, slots
+// assigned in group order, parallel scatter: bit-identical at every thread
+// count.
+func ScatterGroups(groups []int32, size int, deg []int32, threads int) (offs []int64, mem []int32) {
+	co := int64(size - 1)
+	n := len(deg)
+	offs = make([]int64, n+1)
+	for c, d := range deg {
+		offs[c+1] = offs[c] + int64(d)*co
+	}
+	cursor := append([]int64(nil), offs[:n]...)
+	slots := make([]int64, len(groups))
+	for i, c := range groups {
+		slots[i] = cursor[c]
+		cursor[c] += co
+	}
+	mem = make([]int32, offs[n])
+	par.ForEach(len(groups)/size, 512, threads, func(lo, hi int) {
+		for gi := lo; gi < hi; gi++ {
+			grp := groups[gi*size : (gi+1)*size]
+			for j := range grp {
+				w := slots[gi*size+j]
+				for m, d := range grp {
+					if m != j {
+						mem[w] = d
+						w++
+					}
+				}
+			}
 		}
 	})
-	return inc
+	return offs, mem
 }

@@ -1,6 +1,7 @@
 package cliques
 
 import (
+	"slices"
 	"testing"
 
 	"nucleus/internal/graph"
@@ -47,7 +48,8 @@ func TestEdgeIncidenceMatchesOnTheFly(t *testing.T) {
 }
 
 // TestK4IncidenceMatchesOnTheFly checks the flat 4-clique rows against
-// ForEachK4OfTriangle.
+// ForEachK4OfTriangle, as canonical rows: a stored row lists 4-cliques in
+// emission order, the on-the-fly walk by apex id.
 func TestK4IncidenceMatchesOnTheFly(t *testing.T) {
 	for gi, g := range incidenceTestGraphs() {
 		ti := BuildTriangleIndex(g)
@@ -62,13 +64,8 @@ func TestK4IncidenceMatchesOnTheFly(t *testing.T) {
 				return true
 			})
 			got := inc.Triples[inc.Offs[tr]:inc.Offs[tr+1]]
-			if len(got) != len(want) {
-				t.Fatalf("graph %d triangle %d: row length %d, want %d", gi, tr, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("graph %d triangle %d entry %d: %d, want %d", gi, tr, i, got[i], want[i])
-				}
+			if !slices.Equal(canonicalRow(got), canonicalRow(want)) {
+				t.Fatalf("graph %d triangle %d: row %v, want %v as a multiset", gi, tr, got, want)
 			}
 		}
 	}
@@ -159,4 +156,17 @@ func int64sEqual(a, b []int64) bool {
 		}
 	}
 	return true
+}
+
+// canonicalRow renders a (3,4) incidence row independently of 4-clique and
+// co-member order: its triples, each sorted, in sorted order.
+func canonicalRow(row []int32) [][3]int32 {
+	out := make([][3]int32, len(row)/3)
+	for i := range out {
+		tr := [3]int32{row[3*i], row[3*i+1], row[3*i+2]}
+		slices.Sort(tr[:])
+		out[i] = tr
+	}
+	slices.SortFunc(out, func(a, b [3]int32) int { return slices.Compare(a[:], b[:]) })
+	return out
 }

@@ -1,6 +1,10 @@
 package cliques
 
 import (
+	"fmt"
+	"math"
+	"slices"
+
 	"nucleus/internal/graph"
 	"nucleus/internal/par"
 )
@@ -8,10 +12,17 @@ import (
 // TriangleIndex assigns dense ids to every triangle of a graph and supports
 // id lookup by vertex triple. It is the cell index for the (3,4) nucleus
 // decomposition.
+//
+// Ids are positions, not hash keys: over the degree-oriented CSR, oriented
+// edge k = (u→v) owns the triangle row apex[tOff[k]:tOff[k+1]] = out(u) ∩
+// out(v), in id order, and triangle {u, v, apex[i]} has id i. That is the
+// order ForEach emits triangles in, so List[i] is triangle i.
 type TriangleIndex struct {
 	// List holds triangles by id, each sorted ascending.
-	List  []Triangle
-	byKey map[Triangle]int32
+	List []Triangle
+	oriented
+	tOff []int32
+	apex []uint32
 }
 
 // BuildTriangleIndex enumerates all triangles and indexes them. It is
@@ -20,33 +31,89 @@ func BuildTriangleIndex(g *graph.Graph) *TriangleIndex {
 	return BuildTriangleIndexThreads(g, 1)
 }
 
-// BuildTriangleIndexThreads is BuildTriangleIndex with the enumeration
-// fanned out across threads. Triangle ids are bit-identical at every thread
-// count: the list comes from the chunk-ordered parallel enumeration, which
-// reproduces ForEach's sequential order, and ids are positions in it. Only
-// the map insert loop stays serial.
+// BuildTriangleIndexThreads is BuildTriangleIndex fanned out across threads
+// by root vertex; rows are gathered in root order, so ids are bit-identical
+// at every thread count. Panics if int32 cell ids cannot number them all.
 func BuildTriangleIndexThreads(g *graph.Graph, threads int) *TriangleIndex {
-	list := Triangles(g, threads)
-	idx := &TriangleIndex{List: list, byKey: make(map[Triangle]int32, len(list))}
-	for i, t := range list {
-		idx.byKey[t] = int32(i)
+	ti := &TriangleIndex{oriented: orient(g, g.DegreeOrder(), threads)}
+	m := len(ti.adj)
+	ti.tOff = make([]int32, m+1)
+	ti.apex = par.Collect(g.N(), 64, threads, func(u int, buf []uint32) []uint32 {
+		ou := ti.out(uint32(u))
+		for i, v := range ou {
+			before := len(buf)
+			buf = appendCommon(buf, ou, ti.out(v))
+			ti.tOff[ti.off[u]+int64(i)+1] = int32(len(buf) - before)
+		}
+		return buf
+	})
+	var total int64
+	for k := 1; k <= m; k++ {
+		total += int64(ti.tOff[k])
+		ti.tOff[k] = int32(total)
 	}
-	return idx
+	checkCellIDs(total)
+
+	ti.List = make([]Triangle, len(ti.apex))
+	par.ForEach(g.N(), 256, threads, func(lo, hi int) {
+		for u := lo; u < hi; u++ {
+			for k := ti.off[u]; k < ti.off[u+1]; k++ {
+				v := ti.adj[k]
+				for t := ti.tOff[k]; t < ti.tOff[k+1]; t++ {
+					ti.List[t] = sortedTriple(uint32(u), v, ti.apex[t])
+				}
+			}
+		}
+	})
+	return ti
+}
+
+// checkCellIDs panics if int32 cell ids cannot number n triangles.
+func checkCellIDs(n int64) {
+	if n > math.MaxInt32 {
+		panic(fmt.Sprintf("cliques: %d triangles exceed int32 cell ids", n))
+	}
 }
 
 // Len returns the number of triangles.
 func (ti *TriangleIndex) Len() int { return len(ti.List) }
 
-// ID returns the dense id of the triangle on vertices {a,b,c}, which need
-// not be sorted.
+// ID returns the dense id of the triangle on vertices {a,b,c}, in any
+// order: ranked u < v < w, w's slot in the row of u→v, by binary search in
+// out(u) and in the row. False for a vertex out of range, a repeated vertex
+// (no row holds its own endpoint) or a non-triangle.
 func (ti *TriangleIndex) ID(a, b, c uint32) (int32, bool) {
-	id, ok := ti.byKey[sortedTriple(a, b, c)]
-	return id, ok
+	if n := uint32(len(ti.rank)); a >= n || b >= n || c >= n {
+		return 0, false
+	}
+	r := ti.rank
+	if r[a] > r[b] {
+		a, b = b, a
+	}
+	if r[b] > r[c] {
+		b, c = c, b
+	}
+	if r[a] > r[b] {
+		a, b = b, a
+	}
+	if i, ok := slices.BinarySearch(ti.out(a), b); ok {
+		lo, row := ti.row(ti.off[a] + int64(i))
+		if j, ok := slices.BinarySearch(row, c); ok {
+			return lo + int32(j), true
+		}
+	}
+	return 0, false
+}
+
+// row returns oriented edge k's first triangle id and its row of apexes.
+func (ti *TriangleIndex) row(k int64) (int32, []uint32) {
+	return ti.tOff[k], ti.apex[ti.tOff[k]:ti.tOff[k+1]]
 }
 
 // ForEachK4OfTriangle calls fn for every 4-clique containing triangle t,
 // passing the apex vertex x and the ids of the three other triangles of the
 // 4-clique: {u,v,x}, {u,w,x}, {v,w,x}. Iteration stops if fn returns false.
+// This is the on-the-fly discovery; the builds use k4OfRoot instead.
 func (ti *TriangleIndex) ForEachK4OfTriangle(g *graph.Graph, t int32, fn func(x uint32, t1, t2, t3 int32) bool) {
 	tri := ti.List[t]
 	u, v, w := tri[0], tri[1], tri[2]
@@ -63,48 +130,88 @@ func (ti *TriangleIndex) ForEachK4OfTriangle(g *graph.Graph, t int32, fn func(x 
 	})
 }
 
+// k4OfRoot calls fn once for every 4-clique whose lowest-rank vertex is u,
+// with the ids of its four triangles: for rank(u) < rank(v) < rank(w) <
+// rank(x), {u,v,w}, {u,v,x}, {u,w,x} and {v,w,x}. For v ∈ out(u), the row
+// W of u→v holds every w and x; for each w ∈ W, cursors advance to w's slot
+// in out(u) and out(v), and a merge of the rows of u→w and v→w — whose
+// intersection lies inside W — yields every x, with the four ids read off
+// the merge positions: no search, no map, no full-adjacency intersection.
+func (ti *TriangleIndex) k4OfRoot(u uint32, fn func(tuvw, tuvx, tuwx, tvwx int32)) {
+	ou := ti.out(u)
+	for i, v := range ou {
+		base, row := ti.row(ti.off[u] + int64(i))
+		ov := ti.out(v)
+		cu, cv := 0, 0
+		for p, w := range row {
+			for ou[cu] < w {
+				cu++
+			}
+			for ov[cv] < w {
+				cv++
+			}
+			bu, a := ti.row(ti.off[u] + int64(cu))
+			bv, b := ti.row(ti.off[v] + int64(cv))
+			x, y, z := 0, 0, 0
+			for y < len(a) && z < len(b) {
+				switch {
+				case a[y] < b[z]:
+					y++
+				case a[y] > b[z]:
+					z++
+				default:
+					for row[x] < a[y] {
+						x++
+					}
+					fn(base+int32(p), base+int32(x), bu+int32(y), bv+int32(z))
+					y++
+					z++
+				}
+			}
+		}
+	}
+}
+
 // K4DegreePerTriangle returns the number of 4-cliques containing each
 // triangle, indexed by triangle id.
 func (ti *TriangleIndex) K4DegreePerTriangle(g *graph.Graph) []int32 {
 	return ti.K4DegreePerTriangleParallel(g, 1)
 }
 
-// K4DegreePerTriangleParallel is K4DegreePerTriangle with the triangle
-// rows split across the given number of workers: the per-cell degree
-// initialization of the (3,4) instance is embarrassingly parallel (each
-// triangle's count is written by exactly one worker), mirroring
-// CountPerEdgeParallel for the (2,3) instance.
-func (ti *TriangleIndex) K4DegreePerTriangleParallel(g *graph.Graph, threads int) []int32 {
-	deg := make([]int32, ti.Len())
-	par.Ranges(ti.Len(), threads, func(_, lo, hi int) {
-		for t := lo; t < hi; t++ {
-			tri := ti.List[t]
-			c := 0
-			commonNeighbors3(g, tri[0], tri[1], tri[2], func(uint32) bool {
-				c++
-				return true
+// K4DegreePerTriangleParallel is K4DegreePerTriangle across workers: a
+// count-only pass of k4OfRoot, each worker adding into its own array, the
+// arrays summed. It reads only the index (built from the graph given).
+func (ti *TriangleIndex) K4DegreePerTriangleParallel(_ *graph.Graph, threads int) []int32 {
+	perWorker := make([][]int32, max(threads, 1))
+	par.ForEachWorker(len(ti.rank), 64, threads, func(w, lo, hi int) {
+		if perWorker[w] == nil {
+			perWorker[w] = make([]int32, ti.Len())
+		}
+		deg := perWorker[w]
+		for u := lo; u < hi; u++ {
+			ti.k4OfRoot(uint32(u), func(t1, t2, t3, t4 int32) {
+				deg[t1]++
+				deg[t2]++
+				deg[t3]++
+				deg[t4]++
 			})
-			deg[t] = int32(c)
 		}
 	})
+	deg := make([]int32, ti.Len())
+	for _, d := range perWorker {
+		for t, c := range d {
+			deg[t] += c
+		}
+	}
 	return deg
 }
 
 // CountK4 returns the total number of 4-cliques (each counted once).
 func CountK4(g *graph.Graph) int64 {
-	var total int64
 	ti := BuildTriangleIndex(g)
-	for t := range ti.List {
-		tri := ti.List[t]
-		// Count apexes x greater than the max vertex of the triangle so
-		// each K4 is counted exactly once, from its lexicographically
-		// smallest triangle.
-		commonNeighbors3(g, tri[0], tri[1], tri[2], func(x uint32) bool {
-			if x > tri[2] {
-				total++
-			}
-			return true
-		})
+	var total int64
+	for u := range uint32(g.N()) {
+		ti.k4OfRoot(u, func(int32, int32, int32, int32) { total++ })
 	}
 	return total
 }

@@ -1,6 +1,7 @@
 package cliques
 
 import (
+	"slices"
 	"sync"
 
 	"nucleus/internal/graph"
@@ -8,30 +9,35 @@ import (
 )
 
 // kcliqueEnum is the shared read-only state of a k-clique enumeration: the
-// degeneracy rank and the rank-sorted oriented adjacency. Roots are
-// independent given this state, which is what lets KCliquesFlat fan the
-// recursion out across threads.
+// oriented CSR over the degeneracy rank, which bounds every row by the
+// degeneracy. Roots are independent given this state, which is what lets
+// KCliquesFlat fan the recursion out across threads.
 type kcliqueEnum struct {
-	k    int
-	rank []int32
-	// Oriented adjacency sorted by rank: with candidates kept in rank order,
-	// every later candidate has higher rank than the current pick v, so the
-	// candidates adjacent to v are exactly those in out[v].
-	out [][]uint32
+	k int
+	oriented
 }
 
 func newKCliqueEnum(g *graph.Graph, k, threads int) *kcliqueEnum {
 	rank, _ := g.DegeneracyOrder()
-	return &kcliqueEnum{k: k, rank: rank, out: orientedAdjacencyRankSorted(g, rank, threads)}
+	return &kcliqueEnum{k: k, oriented: orient(g, rank, threads)}
+}
+
+// kcScratch is one walker's state, reused across roots: the clique being
+// grown, its sorted copy (the slice fn sees) and a candidate row per depth.
+type kcScratch struct {
+	clique, sorted []uint32
+	cands          [][]uint32
+}
+
+func newKCScratch(k int) *kcScratch {
+	return &kcScratch{make([]uint32, 0, k), make([]uint32, k), make([][]uint32, k)}
 }
 
 // visitRoot calls fn with every k-clique whose lowest-rank vertex is u, in
-// the fixed recursion order over the orientation. clique (cap >= k) and
-// sorted (len k) are caller scratch reused across roots; the slice passed
-// to fn is sorted ascending and reused between calls. Returns false if fn
-// stopped the enumeration.
-func (e *kcliqueEnum) visitRoot(u uint32, clique, sorted []uint32, fn func(members []uint32) bool) bool {
-	k := e.k
+// the fixed recursion order, its members sorted ascending in a slice reused
+// between calls. Returns false if fn stopped the enumeration.
+func (e *kcliqueEnum) visitRoot(u uint32, s *kcScratch, fn func(members []uint32) bool) bool {
+	k, clique, sorted, cands := e.k, s.clique, s.sorted, s.cands
 	if k == 1 {
 		sorted[0] = u
 		return fn(sorted)
@@ -42,18 +48,21 @@ func (e *kcliqueEnum) visitRoot(u uint32, clique, sorted []uint32, fn func(membe
 	// orientation) to every current member.
 	var extend func(cand []uint32)
 	extend = func(cand []uint32) {
-		need := k - len(clique)
-		for i := 0; i+need <= len(cand); i++ {
-			v := cand[i]
+		if len(clique)+len(cand) < k {
+			return
+		}
+		for _, v := range cand {
 			clique = append(clique, v)
-			if need == 1 {
+			if len(clique) == k {
 				copy(sorted, clique)
-				insertionSort(sorted)
-				if !fn(sorted) {
-					stopped = true
-				}
+				slices.Sort(sorted)
+				stopped = !fn(sorted)
 			} else {
-				extend(intersectByRank(cand[i+1:], e.out[v], e.rank))
+				// out(v) holds only vertices ranked above v, so each clique
+				// is grown once, in rank order.
+				d := len(clique)
+				cands[d] = appendCommon(cands[d][:0], cand, e.out(v))
+				extend(cands[d])
 			}
 			clique = clique[:len(clique)-1]
 			if stopped {
@@ -61,7 +70,7 @@ func (e *kcliqueEnum) visitRoot(u uint32, clique, sorted []uint32, fn func(membe
 			}
 		}
 	}
-	extend(e.out[u])
+	extend(e.out(u))
 	return !stopped
 }
 
@@ -75,11 +84,9 @@ func ForEachKClique(g *graph.Graph, k int, fn func(members []uint32) bool) {
 		return
 	}
 	n := g.N()
-	e := newKCliqueEnum(g, k, 1)
-	clique := make([]uint32, 0, k)
-	sorted := make([]uint32, k)
+	e, s := newKCliqueEnum(g, k, 1), newKCScratch(k)
 	for u := 0; u < n; u++ {
-		if !e.visitRoot(uint32(u), clique, sorted, fn) {
+		if !e.visitRoot(uint32(u), s, fn) {
 			return
 		}
 	}
@@ -105,13 +112,10 @@ func KCliquesFlat(g *graph.Graph, k, threads int) []uint32 {
 		return out
 	}
 	e := newKCliqueEnum(g, k, threads)
-	type scratch struct{ clique, sorted []uint32 }
-	pool := sync.Pool{New: func() any {
-		return &scratch{clique: make([]uint32, 0, k), sorted: make([]uint32, k)}
-	}}
+	pool := sync.Pool{New: func() any { return newKCScratch(k) }}
 	return par.Collect(n, 64, threads, func(u int, buf []uint32) []uint32 {
-		s := pool.Get().(*scratch)
-		e.visitRoot(uint32(u), s.clique, s.sorted, func(members []uint32) bool {
+		s := pool.Get().(*kcScratch)
+		e.visitRoot(uint32(u), s, func(members []uint32) bool {
 			buf = append(buf, members...)
 			return true
 		})
@@ -128,64 +132,4 @@ func CountKCliques(g *graph.Graph, k int) int64 {
 		return true
 	})
 	return total
-}
-
-// orientedAdjacencyRankSorted returns, for each vertex, its higher-rank
-// neighbors sorted by rank. Rows are independent, so the pass shards
-// across threads.
-func orientedAdjacencyRankSorted(g *graph.Graph, rank []int32, threads int) [][]uint32 {
-	n := g.N()
-	out := make([][]uint32, n)
-	par.ForEach(n, 256, threads, func(lo, hi int) {
-		for u := lo; u < hi; u++ {
-			var row []uint32
-			for _, v := range g.Neighbors(uint32(u)) {
-				if rank[v] > rank[u] {
-					row = append(row, v)
-				}
-			}
-			// Sort by rank (insertion sort on rank keys; rows are short).
-			for i := 1; i < len(row); i++ {
-				for j := i; j > 0 && rank[row[j]] < rank[row[j-1]]; j-- {
-					row[j], row[j-1] = row[j-1], row[j]
-				}
-			}
-			out[u] = row
-		}
-	})
-	return out
-}
-
-// intersectByRank returns a ∩ b for slices sorted by rank.
-func intersectByRank(a, b []uint32, rank []int32) []uint32 {
-	out := make([]uint32, 0, min(len(a), len(b)))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case rank[a[i]] < rank[b[j]]:
-			i++
-		case rank[a[i]] > rank[b[j]]:
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
-}
-
-func insertionSort(a []uint32) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -19,9 +19,8 @@ func enumFamilies() map[string]*graph.Graph {
 	}
 }
 
-// TestTrianglesParallelBitIdentical proves the parallel triangle
-// enumeration emits the exact sequence ForEach does — and hence that
-// BuildTriangleIndexThreads assigns identical triangle ids — at every
+// TestTrianglesParallelBitIdentical proves the parallel triangle index
+// lists the exact sequence ForEach emits, and assigns those ids, at every
 // thread count.
 func TestTrianglesParallelBitIdentical(t *testing.T) {
 	for name, g := range enumFamilies() {
@@ -31,7 +30,8 @@ func TestTrianglesParallelBitIdentical(t *testing.T) {
 			return true
 		})
 		for _, threads := range []int{1, 2, 4, 8} {
-			got := Triangles(g, threads)
+			idx := BuildTriangleIndexThreads(g, threads)
+			got := idx.List
 			if len(got) != len(want) {
 				t.Fatalf("%s threads=%d: %d triangles, want %d", name, threads, len(got), len(want))
 			}
@@ -40,7 +40,6 @@ func TestTrianglesParallelBitIdentical(t *testing.T) {
 					t.Fatalf("%s threads=%d: triangle %d = %v, want %v", name, threads, i, got[i], want[i])
 				}
 			}
-			idx := BuildTriangleIndexThreads(g, threads)
 			for i, tr := range want {
 				if id, ok := idx.ID(tr[0], tr[1], tr[2]); !ok || id != int32(i) {
 					t.Fatalf("%s threads=%d: id(%v) = %d/%v, want %d", name, threads, tr, id, ok, i)

@@ -3,6 +3,10 @@
 // (2,3) (k-truss) and (3,4) nucleus decompositions: edges are the cells of
 // the former with triangles as their s-cliques, and triangles are the cells
 // of the latter with 4-cliques as their s-cliques.
+//
+// Cliques are found over one oriented CSR, each once, from its lowest-rank
+// vertex. A triangle's id is its position in that enumeration, so it is
+// found by search in short rows, never hashed (TriangleIndex).
 package cliques
 
 import (
@@ -14,31 +18,10 @@ import (
 type Triangle [3]uint32
 
 // CountPerEdge returns the number of triangles containing each edge,
-// indexed by dense edge id. It intersects sorted adjacency lists along the
-// lower-degree endpoint of each edge.
-func CountPerEdge(g *graph.Graph) []int32 {
-	counts := make([]int32, g.M())
-	n := g.N()
-	for u := 0; u < n; u++ {
-		uu := uint32(u)
-		ns := g.Neighbors(uu)
-		eids := g.EdgeIDs(uu)
-		for i, v := range ns {
-			if v <= uu {
-				continue
-			}
-			e := eids[i]
-			// Count common neighbors w with w > v to count each triangle
-			// once per edge... each triangle {u,v,w} must increment all
-			// three of its edges, so instead count all common neighbors and
-			// rely on visiting each edge exactly once from its lower
-			// endpoint: common(u,v) counts triangles through edge {u,v}
-			// regardless of w's position.
-			counts[e] = int32(intersectCount(ns, g.Neighbors(v)))
-		}
-	}
-	return counts
-}
+// indexed by dense edge id: |N(u) ∩ N(v)| for every edge {u,v}, visited
+// once from its lower endpoint. It is CountPerEdgeParallel with a single
+// thread.
+func CountPerEdge(g *graph.Graph) []int32 { return CountPerEdgeParallel(g, 1) }
 
 // CountPerEdgeParallel is CountPerEdge with the per-vertex rows split
 // across the given number of workers. This is the parallelizable degree
@@ -46,9 +29,6 @@ func CountPerEdge(g *graph.Graph) []int32 {
 // Peeling-24t): counting is embarrassingly parallel even though the
 // peeling loop itself is not.
 func CountPerEdgeParallel(g *graph.Graph, threads int) []int32 {
-	if threads <= 1 {
-		return CountPerEdge(g)
-	}
 	counts := make([]int32, g.M())
 	par.Ranges(g.N(), threads, func(_, lo, hi int) {
 		for u := lo; u < hi; u++ {
@@ -110,101 +90,77 @@ func ForEachTriangleOfEdge(g *graph.Graph, e int64, fn func(w uint32, euw, evw i
 	}
 }
 
-// Count returns the total number of triangles using a degeneracy-oriented
-// enumeration (each triangle counted exactly once).
-func Count(g *graph.Graph) int64 {
-	var total int64
-	ForEach(g, func(Triangle) bool {
-		total++
-		return true
-	})
-	return total
-}
+// Count returns the total number of triangles.
+func Count(g *graph.Graph) int64 { return int64(BuildTriangleIndex(g).Len()) }
 
-// ForEach enumerates every triangle exactly once, sorted ascending within
-// the triple, using the degree orientation (edges point from lower to
-// higher (degree, id) rank). Iteration stops early if fn returns false.
+// ForEach calls fn for every triangle exactly once, sorted ascending within
+// the triple, in triangle-id order (TriangleIndex). Iteration stops early if
+// fn returns false.
 func ForEach(g *graph.Graph, fn func(Triangle) bool) {
-	rank := g.DegreeOrder()
-	n := g.N()
-	// out[u] = oriented out-neighbors of u, sorted by vertex id.
-	out := orientedAdjacency(g, rank, 1)
-	for u := 0; u < n; u++ {
-		if !trianglesOfRoot(out, u, fn) {
+	for _, t := range BuildTriangleIndex(g).List {
+		if !fn(t) {
 			return
 		}
 	}
 }
 
-// Triangles returns every triangle exactly once, in the exact order ForEach
-// emits them, with the enumeration fanned out across threads by root
-// vertex. The chunk-ordered gather keeps the list bit-identical to the
-// sequential enumeration at every thread count, which is what makes the
-// triangle ids handed out by BuildTriangleIndexThreads deterministic.
-func Triangles(g *graph.Graph, threads int) []Triangle {
-	rank := g.DegreeOrder()
-	out := orientedAdjacency(g, rank, threads)
-	return par.Collect(g.N(), 64, threads, func(u int, buf []Triangle) []Triangle {
-		trianglesOfRoot(out, u, func(t Triangle) bool {
-			buf = append(buf, t)
-			return true
-		})
-		return buf
-	})
+// oriented is a graph's CSR oriented by a vertex rank — (degree, id) for
+// triangles and 4-cliques, degeneracy for k-cliques: out(u) =
+// adj[off[u]:off[u+1]] holds u's higher-ranked neighbours in id order, and
+// slot k is oriented edge k = (u→adj[k]).
+type oriented struct {
+	rank []int32
+	off  []int64
+	adj  []uint32
 }
 
-// trianglesOfRoot emits the triangles whose lowest-rank vertex is u:
-// intersect out(u) with out(v) for each v in out(u) — every common w closes
-// a triangle {u,v,w} with rank(u) < rank(v) < rank(w), so each triangle is
-// emitted exactly once across roots. Returns false if fn stopped.
-func trianglesOfRoot(out [][]uint32, u int, fn func(Triangle) bool) bool {
-	ou := out[u]
-	for _, v := range ou {
-		ov := out[v]
-		x, y := 0, 0
-		for x < len(ou) && y < len(ov) {
-			switch {
-			case ou[x] < ov[y]:
-				x++
-			case ou[x] > ov[y]:
-				y++
-			default:
-				if !fn(sortedTriple(uint32(u), v, ou[x])) {
-					return false
+// orient builds it: parallel count, prefix sum, parallel fill.
+func orient(g *graph.Graph, rank []int32, threads int) oriented {
+	n := g.N()
+	o := oriented{rank: rank, off: make([]int64, n+1)}
+	par.ForEach(n, 1024, threads, func(lo, hi int) {
+		for u := lo; u < hi; u++ {
+			for _, v := range g.Neighbors(uint32(u)) {
+				if rank[v] > rank[u] {
+					o.off[u]++
 				}
-				x++
-				y++
 			}
+		}
+	})
+	par.PrefixSum(o.off)
+	o.adj = make([]uint32, o.off[n])
+	par.ForEach(n, 1024, threads, func(lo, hi int) {
+		for u := lo; u < hi; u++ {
+			k := o.off[u]
+			for _, v := range g.Neighbors(uint32(u)) {
+				if rank[v] > rank[u] {
+					o.adj[k] = v
+					k++
+				}
+			}
+		}
+	})
+	return o
+}
+
+func (o *oriented) out(u uint32) []uint32 { return o.adj[o.off[u]:o.off[u+1]] }
+
+// appendCommon appends a ∩ b, both id-sorted, to dst.
+func appendCommon(dst, a, b []uint32) []uint32 {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			dst = append(dst, a[i])
+			i++
+			j++
 		}
 	}
-	return true
-}
-
-// orientedAdjacency returns, for each vertex, its neighbors of higher rank,
-// sorted by vertex id. Rows are independent, so both the sizing and fill
-// passes shard across threads.
-func orientedAdjacency(g *graph.Graph, rank []int32, threads int) [][]uint32 {
-	n := g.N()
-	out := make([][]uint32, n)
-	par.ForEach(n, 256, threads, func(lo, hi int) {
-		for u := lo; u < hi; u++ {
-			size := 0
-			for _, v := range g.Neighbors(uint32(u)) {
-				if rank[v] > rank[u] {
-					size++
-				}
-			}
-			row := make([]uint32, 0, size)
-			for _, v := range g.Neighbors(uint32(u)) {
-				if rank[v] > rank[u] {
-					row = append(row, v)
-				}
-			}
-			// Neighbors are id-sorted already, and we preserved order.
-			out[u] = row
-		}
-	})
-	return out
+	return dst
 }
 
 func sortedTriple(a, b, c uint32) Triangle {

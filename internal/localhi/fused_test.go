@@ -18,9 +18,12 @@ func hideFlat(inst nucleus.Instance) nucleus.Instance {
 
 // fusedCases pairs an instance that runs the generic closure path with a
 // twin that runs the fused flat path over the same graph: the on-the-fly
-// instance against its index for truss and (3,4), and for k-core — where
-// the graph's CSR is the stored incidence — Core against itself with the
-// flat arrays hidden.
+// instance against its index for truss, whose rows list triangles in the
+// order the on-the-fly instance finds them; for (3,4), whose rows list
+// 4-cliques in emission order instead, and for k-core, where the graph's
+// CSR is the stored incidence, the stored instance against itself with the
+// flat arrays hidden. (Stored == on-the-fly for (3,4) is
+// TestIndexedN34MatchesN34 in internal/nucleus.)
 func fusedCases(t *testing.T) []struct {
 	name    string
 	generic nucleus.Instance
@@ -57,7 +60,7 @@ func fusedCases(t *testing.T) []struct {
 			name    string
 			generic nucleus.Instance
 			indexed nucleus.Instance
-		}{fmt.Sprintf("n34/g%d", gi), nucleus.NewN34(g), nucleus.NewFlatN34(g, 2)})
+		}{fmt.Sprintf("n34/g%d", gi), hideFlat(nucleus.NewFlatN34(g, 2)), nucleus.NewFlatN34(g, 2)})
 	}
 	return out
 }

@@ -80,8 +80,8 @@ func flatTruss(t *Truss, threads int) *Flat {
 	return &Flat{r: 2, s: 3, offs: inc.Offs, members: inc.Pairs, coArity: 2, deg: t.deg, verts: t.CellVertices}
 }
 
-// NewFlatN34 enumerates and indexes all triangles, counts 4-cliques per
-// triangle and materializes the flat (3,4) incidence, all in parallel.
+// NewFlatN34 indexes all triangles, counts 4-cliques per triangle and
+// materializes the flat (3,4) incidence (cliques.BuildK4Incidence).
 func NewFlatN34(g *graph.Graph, threads int) *Flat {
 	return flatN34(newN34(g, threads), threads)
 }
@@ -145,39 +145,9 @@ func NewFlat(g *graph.Graph, r, s, threads int) *Flat {
 		f.deg[id]++
 	}
 
-	// Pass 2: prefix-sum the degrees into CSR offsets and record each
-	// membership's write slot. Slot assignment follows enumeration order,
-	// so the built arrays are byte-identical at every thread count.
-	f.offs = make([]int64, n+1)
-	for c := 0; c < n; c++ {
-		f.offs[c+1] = f.offs[c] + int64(f.deg[c])*int64(f.coArity)
-	}
-	cursor := append([]int64(nil), f.offs[:n]...)
-	slots := make([]int64, len(groups))
-	for i, c := range groups {
-		slots[i] = cursor[c]
-		cursor[c] += int64(f.coArity)
-	}
-
-	// Pass 3: scatter every group's co-members into its recorded slots,
-	// in parallel over s-cliques (disjoint writes).
-	f.members = make([]int32, f.offs[n])
-	numGroups := len(groups) / groupSize
-	par.ForEach(numGroups, 512, threads, func(lo, hi int) {
-		for gi := lo; gi < hi; gi++ {
-			grp := groups[gi*groupSize : (gi+1)*groupSize]
-			for j := range grp {
-				w := slots[gi*groupSize+j]
-				for m, d := range grp {
-					if m == j {
-						continue
-					}
-					f.members[w] = d
-					w++
-				}
-			}
-		}
-	})
+	// Passes 2–3, shared with the (3,4) builder: slots in enumeration
+	// order, so the arrays are byte-identical at every thread count.
+	f.offs, f.members = cliques.ScatterGroups(groups, groupSize, f.deg, threads)
 	return f
 }
 

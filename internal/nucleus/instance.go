@@ -15,7 +15,8 @@
 //	        the flat incidence and is served as one (FlatIncidence at
 //	        co-arity 1 over the graph's own arrays), so nothing is stored
 //	Truss — (2,3) on the fly: triangles found by adjacency intersection
-//	N34   — (3,4) on the fly: 4-cliques found over a triangle index
+//	N34   — (3,4) on the fly: 4-cliques found by adjacency intersection,
+//	        triangle ids looked up by position (cliques.TriangleIndex)
 //	Flat  — any (r,s) stored: a flat CSR of co-member cell ids, built from
 //	        the edge incidence, the 4-clique incidence, or by enumeration
 //

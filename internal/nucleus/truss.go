@@ -68,10 +68,9 @@ type N34 struct {
 // Build(g, FamilyN34, 0, threads) parallelizes it.
 func NewN34(g *graph.Graph) *N34 { return newN34(g, 1) }
 
-// newN34 splits both the triangle enumeration and the per-triangle
-// 4-clique count across the given number of workers. Triangle ids stay
-// identical to the sequential build: the parallel enumeration reproduces
-// the sequential emission order.
+// newN34 builds the triangle index and runs the 4-clique count pass across
+// threads; it allocates nothing proportional to the 4-clique count, so
+// Build checks the memory budget before flatN34's group pass.
 func newN34(g *graph.Graph, threads int) *N34 {
 	idx := cliques.BuildTriangleIndexThreads(g, threads)
 	return &N34{G: g, Idx: idx, deg: idx.K4DegreePerTriangleParallel(g, threads)}
