@@ -3,10 +3,12 @@ package nucleus
 import (
 	"io"
 
+	"nucleus/internal/cliques"
 	"nucleus/internal/graph"
 	"nucleus/internal/hierarchy"
 	"nucleus/internal/localhi"
 	"nucleus/internal/metrics"
+	inucleus "nucleus/internal/nucleus"
 	"nucleus/internal/query"
 	"nucleus/internal/replica"
 	"nucleus/internal/server"
@@ -75,26 +77,33 @@ type HierarchyNode = hierarchy.Node
 // BuildHierarchy materializes the nucleus forest of a decomposition from its
 // κ indices; a wrong length or a negative label is a "hierarchy:" panic.
 func BuildHierarchy(g *Graph, dec Decomposition, kappa []int32) *Forest {
-	return hierarchy.Build(instanceFor(g, dec, 1), kappa)
+	return hierarchy.Build(newInstance(g, dec, libraryIndexBudget, 1), kappa)
 }
 
 // MaxNucleusCells returns the cells of the maximum nucleus of the given
 // cell: the maximal S-connected set of cells with κ >= κ(cell) around it
 // (the paper's "maximum core of a vertex", generalized).
 func MaxNucleusCells(g *Graph, dec Decomposition, kappa []int32, cell int32) []int32 {
-	return hierarchy.MaxNucleusOf(instanceFor(g, dec, 1), kappa, cell)
+	return hierarchy.MaxNucleusOf(newInstance(g, dec, libraryIndexBudget, 1), kappa, cell)
 }
 
 // NucleiAt returns the cell sets of all k-(r,s) nuclei at threshold k: the
 // S-connected components of the cells with κ >= k.
 func NucleiAt(g *Graph, dec Decomposition, kappa []int32, k int32) [][]int32 {
-	return hierarchy.KNucleusSubgraphs(instanceFor(g, dec, 1), kappa, k)
+	return hierarchy.KNucleusSubgraphs(newInstance(g, dec, libraryIndexBudget, 1), kappa, k)
 }
 
 // CellsToVertices maps a cell set of the given decomposition to its sorted
-// distinct vertex set.
+// distinct vertex set. It counts no s-cliques: truss and (3,4) cells are
+// read off instances built without s-degrees, which CellVertices never reads.
 func CellsToVertices(g *Graph, dec Decomposition, cells []int32) []uint32 {
-	return hierarchy.CellsToVertices(instanceFor(g, dec, 1), cells)
+	switch dec {
+	case KTruss:
+		return hierarchy.CellsToVertices(&inucleus.Truss{G: g}, cells)
+	case Nucleus34:
+		return hierarchy.CellsToVertices(&inucleus.N34{G: g, Idx: cliques.BuildTriangleIndex(g)}, cells)
+	}
+	return hierarchy.CellsToVertices(newInstance(g, dec, libraryIndexBudget, 1), cells)
 }
 
 // KCoreSubgraph extracts the induced subgraph of the classic k-core (all

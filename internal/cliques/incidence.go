@@ -41,61 +41,28 @@ func EdgeIncidenceBytes(m, sumDeg int64) int64 {
 	return 8*(m+1) + 8*sumDeg
 }
 
-// BuildEdgeIncidence builds the flat triangle incidence with the classic
-// two-pass CSR construction: count (the caller usually already has the
-// per-edge triangle counts — pass them as deg, or nil to recount), prefix
-// sum, then a parallel fill. Each edge's row is written exactly once, by
-// the worker owning the edge's lower endpoint, so workers never contend.
-// Panics if the graph has more than MaxInt32 edges (cell ids are int32).
-func BuildEdgeIncidence(g *graph.Graph, deg []int32, threads int) *EdgeIncidence {
-	if g.M() > math.MaxInt32 {
+// BuildEdgeIncidence builds the flat triangle incidence over an orientation
+// of the graph (deg: the per-edge triangle counts, or nil to count them).
+// Each triangle is found once, as its three edge ids, gathered in root
+// order and laid out by ScatterGroups: rows list triangles in that order,
+// bit-identical at every thread count. Panics if the graph has more than
+// MaxInt32 edges (cell ids are int32).
+func BuildEdgeIncidence(o *OrientedEdges, deg []int32, threads int) *EdgeIncidence {
+	if len(o.adj) > math.MaxInt32 {
 		panic("cliques: graph too large for int32 edge cells")
 	}
 	if deg == nil {
-		deg = CountPerEdgeParallel(g, threads)
+		deg = o.CountPerEdge(threads)
 	}
-	m := g.M()
-	inc := &EdgeIncidence{Offs: make([]int64, m+1)}
-	for e := int64(0); e < m; e++ {
-		inc.Offs[e+1] = inc.Offs[e] + 2*int64(deg[e])
-	}
-	inc.Pairs = make([]int32, inc.Offs[m])
-
-	par.Ranges(g.N(), threads, func(_, lo, hi int) {
-		for u := lo; u < hi; u++ {
-			uu := uint32(u)
-			ns := g.Neighbors(uu)
-			eids := g.EdgeIDs(uu)
-			for i, v := range ns {
-				if v <= uu {
-					continue
-				}
-				// Merge N(u) and N(v); every common neighbor w closes the
-				// triangle {u,v,w}, whose co-member edges are {u,w} (id on
-				// u's row) and {v,w} (id on v's row) — the same order
-				// ForEachTriangleOfEdge emits.
-				pos := inc.Offs[eids[i]]
-				nv := g.Neighbors(v)
-				ev := g.EdgeIDs(v)
-				x, y := 0, 0
-				for x < len(ns) && y < len(nv) {
-					switch {
-					case ns[x] < nv[y]:
-						x++
-					case ns[x] > nv[y]:
-						y++
-					default:
-						inc.Pairs[pos] = int32(eids[x])
-						inc.Pairs[pos+1] = int32(ev[y])
-						pos += 2
-						x++
-						y++
-					}
-				}
-			}
-		}
+	marks := make([][]int32, max(threads, 1))
+	groups := par.Collect(len(o.rank), 64, threads, func(w, u int, buf []int32) []int32 {
+		o.trianglesOfRoot(uint32(u), scratch(marks, w, len(o.rank)), func(uv, uw, vw int64) {
+			buf = append(buf, int32(o.eid[uv]), int32(o.eid[uw]), int32(o.eid[vw]))
+		})
+		return buf
 	})
-	return inc
+	offs, pairs := ScatterGroups(groups, 3, deg, threads)
+	return &EdgeIncidence{Offs: offs, Pairs: pairs}
 }
 
 // K4Incidence is the flat 4-clique incidence of a graph's triangles: for
@@ -130,7 +97,7 @@ func BuildK4Incidence(g *graph.Graph, ti *TriangleIndex, deg []int32, threads in
 	if deg == nil {
 		deg = ti.K4DegreePerTriangleParallel(g, threads)
 	}
-	groups := par.Collect(len(ti.rank), 64, threads, func(u int, buf []int32) []int32 {
+	groups := par.Collect(len(ti.rank), 64, threads, func(_, u int, buf []int32) []int32 {
 		ti.k4OfRoot(uint32(u), func(t1, t2, t3, t4 int32) {
 			buf = append(buf, t1, t2, t3, t4)
 		})

@@ -32,19 +32,19 @@ func BuildTriangleIndex(g *graph.Graph) *TriangleIndex {
 }
 
 // BuildTriangleIndexThreads is BuildTriangleIndex fanned out across threads
-// by root vertex; rows are gathered in root order, so ids are bit-identical
-// at every thread count. Panics if int32 cell ids cannot number them all.
+// by root vertex (trianglesOfRoot); rows are gathered in root order, so ids
+// are bit-identical at every thread count. Panics if int32 cell ids cannot
+// number them all.
 func BuildTriangleIndexThreads(g *graph.Graph, threads int) *TriangleIndex {
-	ti := &TriangleIndex{oriented: orient(g, g.DegreeOrder(), threads)}
+	ti := &TriangleIndex{oriented: orient(g, g.DegreeOrder(), false, threads)}
 	m := len(ti.adj)
 	ti.tOff = make([]int32, m+1)
-	ti.apex = par.Collect(g.N(), 64, threads, func(u int, buf []uint32) []uint32 {
-		ou := ti.out(uint32(u))
-		for i, v := range ou {
-			before := len(buf)
-			buf = appendCommon(buf, ou, ti.out(v))
-			ti.tOff[ti.off[u]+int64(i)+1] = int32(len(buf) - before)
-		}
+	marks := make([][]int32, max(threads, 1))
+	ti.apex = par.Collect(g.N(), 64, threads, func(w, u int, buf []uint32) []uint32 {
+		ti.trianglesOfRoot(uint32(u), scratch(marks, w, g.N()), func(uv, _, vw int64) {
+			buf = append(buf, ti.adj[vw])
+			ti.tOff[uv+1]++
+		})
 		return buf
 	})
 	var total int64
@@ -182,12 +182,9 @@ func (ti *TriangleIndex) K4DegreePerTriangle(g *graph.Graph) []int32 {
 // count-only pass of k4OfRoot, each worker adding into its own array, the
 // arrays summed. It reads only the index (built from the graph given).
 func (ti *TriangleIndex) K4DegreePerTriangleParallel(_ *graph.Graph, threads int) []int32 {
-	perWorker := make([][]int32, max(threads, 1))
+	degs := make([][]int32, max(threads, 1))
 	par.ForEachWorker(len(ti.rank), 64, threads, func(w, lo, hi int) {
-		if perWorker[w] == nil {
-			perWorker[w] = make([]int32, ti.Len())
-		}
-		deg := perWorker[w]
+		deg := scratch(degs, w, ti.Len())
 		for u := lo; u < hi; u++ {
 			ti.k4OfRoot(uint32(u), func(t1, t2, t3, t4 int32) {
 				deg[t1]++
@@ -197,13 +194,7 @@ func (ti *TriangleIndex) K4DegreePerTriangleParallel(_ *graph.Graph, threads int
 			})
 		}
 	})
-	deg := make([]int32, ti.Len())
-	for _, d := range perWorker {
-		for t, c := range d {
-			deg[t] += c
-		}
-	}
-	return deg
+	return sumWorkers(degs, ti.Len())
 }
 
 // CountK4 returns the total number of 4-cliques (each counted once).

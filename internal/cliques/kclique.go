@@ -2,7 +2,6 @@ package cliques
 
 import (
 	"slices"
-	"sync"
 
 	"nucleus/internal/graph"
 	"nucleus/internal/par"
@@ -19,7 +18,7 @@ type kcliqueEnum struct {
 
 func newKCliqueEnum(g *graph.Graph, k, threads int) *kcliqueEnum {
 	rank, _ := g.DegeneracyOrder()
-	return &kcliqueEnum{k: k, oriented: orient(g, rank, threads)}
+	return &kcliqueEnum{k: k, oriented: orient(g, rank, false, threads)}
 }
 
 // kcScratch is one walker's state, reused across roots: the clique being
@@ -112,14 +111,15 @@ func KCliquesFlat(g *graph.Graph, k, threads int) []uint32 {
 		return out
 	}
 	e := newKCliqueEnum(g, k, threads)
-	pool := sync.Pool{New: func() any { return newKCScratch(k) }}
-	return par.Collect(n, 64, threads, func(u int, buf []uint32) []uint32 {
-		s := pool.Get().(*kcScratch)
-		e.visitRoot(uint32(u), s, func(members []uint32) bool {
+	walkers := make([]*kcScratch, max(threads, 1))
+	return par.Collect(n, 64, threads, func(w, u int, buf []uint32) []uint32 {
+		if walkers[w] == nil {
+			walkers[w] = newKCScratch(k)
+		}
+		e.visitRoot(uint32(u), walkers[w], func(members []uint32) bool {
 			buf = append(buf, members...)
 			return true
 		})
-		pool.Put(s)
 		return buf
 	})
 }

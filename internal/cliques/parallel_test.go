@@ -16,7 +16,7 @@ func TestCountPerEdgeParallelMatches(t *testing.T) {
 	} {
 		want := CountPerEdge(g)
 		for _, threads := range []int{1, 2, 3, 8, 100} {
-			got := CountPerEdgeParallel(g, threads)
+			got := OrientEdges(g, threads).CountPerEdge(threads)
 			if len(got) != len(want) {
 				t.Fatalf("threads=%d: length mismatch", threads)
 			}
@@ -33,6 +33,6 @@ func BenchmarkCountPerEdgeParallel4(b *testing.B) {
 	g := graph.PlantedCommunities(20, 80, 0.35, 1500, 42)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		CountPerEdgeParallel(g, 4)
+		OrientEdges(g, 4).CountPerEdge(4)
 	}
 }

@@ -1,16 +1,113 @@
 package cliques
 
 import (
+	"math"
+
 	"nucleus/internal/graph"
 	"nucleus/internal/par"
 )
 
-// This file keeps the map-based (3,4) substrate the positional index
-// replaced, verbatim up to names, as the oracle the index is held to: the
-// triangle list from per-vertex oriented rows, a map from sorted triple to
-// id, a full-adjacency three-way intersection per triangle for the
-// 4-clique degrees, and the same intersection again, resolved through
-// three map lookups per 4-clique, for the incidence.
+// This file keeps the substrates the oriented enumerators replaced,
+// verbatim up to names, as the oracles they are held to.
+//
+// (2,3): per edge {u,v}, owned by its lower endpoint, a merge of the full
+// adjacencies N(u) and N(v) — once to count, once more to fill the row at
+// the edge's offset, co-member pairs in apex order.
+//
+// (3,4): the map-based index — the triangle list from per-vertex oriented
+// rows, a map from sorted triple to id, a full-adjacency three-way
+// intersection per triangle for the 4-clique degrees, and the same
+// intersection again, resolved through three map lookups per 4-clique, for
+// the incidence.
+
+func refCountPerEdge(g *graph.Graph, threads int) []int32 {
+	counts := make([]int32, g.M())
+	par.Ranges(g.N(), threads, func(_, lo, hi int) {
+		for u := lo; u < hi; u++ {
+			uu := uint32(u)
+			ns := g.Neighbors(uu)
+			eids := g.EdgeIDs(uu)
+			for i, v := range ns {
+				if v <= uu {
+					continue
+				}
+				// Each edge is owned by its lower endpoint, so writes to
+				// counts are disjoint across workers.
+				counts[eids[i]] = int32(refIntersectCount(ns, g.Neighbors(v)))
+			}
+		}
+	})
+	return counts
+}
+
+// refIntersectCount returns |a ∩ b| for sorted slices.
+func refIntersectCount(a, b []uint32) int {
+	i, j, c := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			c++
+			i++
+			j++
+		}
+	}
+	return c
+}
+
+func refEdgeIncidence(g *graph.Graph, deg []int32, threads int) *EdgeIncidence {
+	if g.M() > math.MaxInt32 {
+		panic("cliques: graph too large for int32 edge cells")
+	}
+	if deg == nil {
+		deg = refCountPerEdge(g, threads)
+	}
+	m := g.M()
+	inc := &EdgeIncidence{Offs: make([]int64, m+1)}
+	for e := int64(0); e < m; e++ {
+		inc.Offs[e+1] = inc.Offs[e] + 2*int64(deg[e])
+	}
+	inc.Pairs = make([]int32, inc.Offs[m])
+
+	par.Ranges(g.N(), threads, func(_, lo, hi int) {
+		for u := lo; u < hi; u++ {
+			uu := uint32(u)
+			ns := g.Neighbors(uu)
+			eids := g.EdgeIDs(uu)
+			for i, v := range ns {
+				if v <= uu {
+					continue
+				}
+				// Merge N(u) and N(v); every common neighbor w closes the
+				// triangle {u,v,w}, whose co-member edges are {u,w} (id on
+				// u's row) and {v,w} (id on v's row) — the same order
+				// ForEachTriangleOfEdge emits.
+				pos := inc.Offs[eids[i]]
+				nv := g.Neighbors(v)
+				ev := g.EdgeIDs(v)
+				x, y := 0, 0
+				for x < len(ns) && y < len(nv) {
+					switch {
+					case ns[x] < nv[y]:
+						x++
+					case ns[x] > nv[y]:
+						y++
+					default:
+						inc.Pairs[pos] = int32(eids[x])
+						inc.Pairs[pos+1] = int32(ev[y])
+						pos += 2
+						x++
+						y++
+					}
+				}
+			}
+		}
+	})
+	return inc
+}
 
 type refTriangleIndex struct {
 	List  []Triangle

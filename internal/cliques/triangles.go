@@ -18,57 +18,65 @@ import (
 type Triangle [3]uint32
 
 // CountPerEdge returns the number of triangles containing each edge,
-// indexed by dense edge id: |N(u) ∩ N(v)| for every edge {u,v}, visited
-// once from its lower endpoint. It is CountPerEdgeParallel with a single
-// thread.
-func CountPerEdge(g *graph.Graph) []int32 { return CountPerEdgeParallel(g, 1) }
+// indexed by dense edge id: the count pass over OrientEdges(g, 1).
+func CountPerEdge(g *graph.Graph) []int32 { return OrientEdges(g, 1).CountPerEdge(1) }
 
-// CountPerEdgeParallel is CountPerEdge with the per-vertex rows split
-// across the given number of workers. This is the parallelizable degree
-// initialization of the "partially parallel peeling" baseline (Figure 1b's
-// Peeling-24t): counting is embarrassingly parallel even though the
-// peeling loop itself is not.
-func CountPerEdgeParallel(g *graph.Graph, threads int) []int32 {
-	counts := make([]int32, g.M())
-	par.Ranges(g.N(), threads, func(_, lo, hi int) {
-		for u := lo; u < hi; u++ {
-			uu := uint32(u)
-			ns := g.Neighbors(uu)
-			eids := g.EdgeIDs(uu)
-			for i, v := range ns {
-				if v <= uu {
-					continue
-				}
-				// Each edge is owned by its lower endpoint, so writes to
-				// counts are disjoint across workers.
-				counts[eids[i]] = int32(intersectCount(ns, g.Neighbors(v)))
-			}
-		}
-	})
-	return counts
+// OrientedEdges is the substrate of every stored (2,3) pass: the
+// degree-oriented CSR with each slot's dense edge id, over which each
+// triangle is found once, from its lowest-rank vertex (trianglesOfRoot).
+type OrientedEdges struct{ oriented }
+
+// OrientEdges orients g by degree rank, numbering g's edges if nothing has
+// read an edge id yet.
+func OrientEdges(g *graph.Graph, threads int) *OrientedEdges {
+	return &OrientedEdges{orient(g, g.DegreeOrder(), true, threads)}
 }
 
-// intersectCount returns |a ∩ b| for sorted slices.
-func intersectCount(a, b []uint32) int {
-	i, j, c := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			c++
-			i++
-			j++
+// CountPerEdge is the count-only pass, the parallelizable degree
+// initialization of the "partially parallel peeling" baseline (Figure 1b's
+// Peeling-24t): every triangle adds one to each of its three edges, each
+// worker into its own array, the arrays summed.
+func (o *OrientedEdges) CountPerEdge(threads int) []int32 {
+	degs, marks := make([][]int32, max(threads, 1)), make([][]int32, max(threads, 1))
+	par.ForEachWorker(len(o.rank), 64, threads, func(w, lo, hi int) {
+		deg, mark, eid := scratch(degs, w, len(o.adj)), scratch(marks, w, len(o.rank)), o.eid
+		for u := lo; u < hi; u++ {
+			o.trianglesOfRoot(uint32(u), mark, func(uv, uw, vw int64) {
+				deg[eid[uv]]++
+				deg[eid[uw]]++
+				deg[eid[vw]]++
+			})
+		}
+	})
+	return sumWorkers(degs, len(o.adj))
+}
+
+// scratch returns worker w's array of length n, allocating it zeroed on
+// the worker's first use.
+func scratch(per [][]int32, w, n int) []int32 {
+	if per[w] == nil {
+		per[w] = make([]int32, n)
+	}
+	return per[w]
+}
+
+// sumWorkers adds per-worker count arrays (nil for a worker that ran
+// nothing) into one of length n.
+func sumWorkers(per [][]int32, n int) []int32 {
+	sum := make([]int32, n)
+	for _, d := range per {
+		for c, k := range d {
+			sum[c] += k
 		}
 	}
-	return c
+	return sum
 }
 
 // ForEachTriangleOfEdge calls fn for every triangle containing edge e =
 // {u,v}, passing the apex vertex w and the dense ids of the two other edges
-// {u,w} and {v,w}. Iteration stops early if fn returns false.
+// {u,w} and {v,w}. Iteration stops early if fn returns false. This is the
+// on-the-fly Truss's discovery, an adjacency merge per call; the stored
+// passes enumerate over OrientedEdges instead.
 func ForEachTriangleOfEdge(g *graph.Graph, e int64, fn func(w uint32, euw, evw int64) bool) {
 	u, v := g.Edge(e)
 	nu, nv := g.Neighbors(u), g.Neighbors(v)
@@ -107,15 +115,17 @@ func ForEach(g *graph.Graph, fn func(Triangle) bool) {
 // oriented is a graph's CSR oriented by a vertex rank — (degree, id) for
 // triangles and 4-cliques, degeneracy for k-cliques: out(u) =
 // adj[off[u]:off[u+1]] holds u's higher-ranked neighbours in id order, and
-// slot k is oriented edge k = (u→adj[k]).
+// slot k is oriented edge k = (u→adj[k]), whose dense edge id is eid[k]
+// when the orientation was asked for ids.
 type oriented struct {
 	rank []int32
 	off  []int64
 	adj  []uint32
+	eid  []int64
 }
 
 // orient builds it: parallel count, prefix sum, parallel fill.
-func orient(g *graph.Graph, rank []int32, threads int) oriented {
+func orient(g *graph.Graph, rank []int32, ids bool, threads int) oriented {
 	n := g.N()
 	o := oriented{rank: rank, off: make([]int64, n+1)}
 	par.ForEach(n, 1024, threads, func(lo, hi int) {
@@ -129,12 +139,18 @@ func orient(g *graph.Graph, rank []int32, threads int) oriented {
 	})
 	par.PrefixSum(o.off)
 	o.adj = make([]uint32, o.off[n])
+	if ids {
+		o.eid = make([]int64, o.off[n])
+	}
 	par.ForEach(n, 1024, threads, func(lo, hi int) {
 		for u := lo; u < hi; u++ {
 			k := o.off[u]
-			for _, v := range g.Neighbors(uint32(u)) {
+			for i, v := range g.Neighbors(uint32(u)) {
 				if rank[v] > rank[u] {
 					o.adj[k] = v
+					if ids {
+						o.eid[k] = g.EdgeIDs(uint32(u))[i]
+					}
 					k++
 				}
 			}
@@ -144,6 +160,35 @@ func orient(g *graph.Graph, rank []int32, threads int) oriented {
 }
 
 func (o *oriented) out(u uint32) []uint32 { return o.adj[o.off[u]:o.off[u+1]] }
+
+// trianglesOfRoot calls fn once for every triangle whose lowest-rank vertex
+// is u, with its three oriented slots: for rank(u) < rank(v) < rank(w), u→v,
+// u→w and v→w. mark stamps each w ∈ out(u) with its position; then for each
+// v ∈ out(u), in order, a scan of out(v) meets every marked w in id order —
+// the order out(u) ∩ out(v) lists them — and reads all three slots off the
+// rows: no search, no merge of full adjacencies. mark is the caller's,
+// zero over every vertex on entry and again on return.
+func (o *oriented) trianglesOfRoot(u uint32, mark []int32, fn func(uv, uw, vw int64)) {
+	lo := o.off[u]
+	ou := o.out(u)
+	if len(ou) < 2 {
+		return
+	}
+	for j, w := range ou {
+		mark[w] = int32(j) + 1
+	}
+	last := ou[len(ou)-1] // no w past out(u)'s largest id closes a triangle
+	for i, v := range ou {
+		for k := o.off[v]; k < o.off[v+1] && o.adj[k] <= last; k++ {
+			if j := mark[o.adj[k]]; j != 0 {
+				fn(lo+int64(i), lo+int64(j-1), k)
+			}
+		}
+	}
+	for _, w := range ou {
+		mark[w] = 0
+	}
+}
 
 // appendCommon appends a ∩ b, both id-sorted, to dst.
 func appendCommon(dst, a, b []uint32) []uint32 {

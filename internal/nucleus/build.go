@@ -67,8 +67,10 @@ type BuildReport struct {
 // could still serve). memBudget is in bytes: 0 never indexes, a negative
 // budget is unlimited. The s-degree counting pass — needed by flat and
 // on-the-fly instances alike — runs on the given thread count either way,
-// and its counts are reused as the exact index-size estimate, so deciding
-// costs nothing beyond what instance construction already pays.
+// over the orientation (truss) or triangle index ((3,4)) the flat build
+// then enumerates again, and its counts are the exact index-size estimate:
+// the budget is checked before anything proportional to the s-cliques is
+// allocated, and deciding costs nothing beyond what construction pays.
 func Build(g *graph.Graph, fam Family, memBudget int64, threads int) (Instance, BuildReport) {
 	rep := BuildReport{Family: fam}
 	switch fam {
@@ -76,7 +78,8 @@ func Build(g *graph.Graph, fam Family, memBudget int64, threads int) (Instance, 
 		rep.Reason = "core needs no index: CSR adjacency already is the (1,2) incidence"
 		return NewCore(g), rep
 	case FamilyTruss:
-		t := newTruss(g, threads)
+		o := cliques.OrientEdges(g, threads)
+		t := &Truss{G: g, deg: o.CountPerEdge(threads)}
 		if g.M() > math.MaxInt32 {
 			rep.Reason = "graph exceeds int32 edge cells"
 			return t, rep
@@ -85,7 +88,7 @@ func Build(g *graph.Graph, fam Family, memBudget int64, threads int) (Instance, 
 		if !rep.fits(memBudget) {
 			return t, rep
 		}
-		f := flatTruss(t, threads)
+		f := flatTruss(t, o, threads)
 		rep.Indexed, rep.IndexBytes = true, f.IndexBytes()
 		return f, rep
 	case FamilyN34:

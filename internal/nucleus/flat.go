@@ -2,7 +2,6 @@ package nucleus
 
 import (
 	"fmt"
-	"sync"
 
 	"nucleus/internal/cliques"
 	"nucleus/internal/graph"
@@ -68,15 +67,18 @@ type Flat struct {
 	verts func(c int32, buf []uint32) []uint32
 }
 
-// NewFlatTruss counts triangles per edge and materializes the flat (2,3)
-// incidence, both in parallel over the given thread count. Panics if the
-// graph has more than MaxInt32 edges.
+// NewFlatTruss orients g, counts triangles per edge and materializes the
+// flat (2,3) incidence, each in parallel over the given thread count.
+// Panics if the graph has more than MaxInt32 edges.
 func NewFlatTruss(g *graph.Graph, threads int) *Flat {
-	return flatTruss(&Truss{G: g, deg: cliques.CountPerEdgeParallel(g, threads)}, threads)
+	o := cliques.OrientEdges(g, threads)
+	return flatTruss(&Truss{G: g, deg: o.CountPerEdge(threads)}, o, threads)
 }
 
-func flatTruss(t *Truss, threads int) *Flat {
-	inc := cliques.BuildEdgeIncidence(t.G, t.deg, threads)
+// flatTruss stores t's incidence, enumerating over the orientation its
+// degrees were counted on.
+func flatTruss(t *Truss, o *cliques.OrientedEdges, threads int) *Flat {
+	inc := cliques.BuildEdgeIncidence(o, t.deg, threads)
 	return &Flat{r: 2, s: 3, offs: inc.Offs, members: inc.Pairs, coArity: 2, deg: t.deg, verts: t.CellVertices}
 }
 
@@ -125,12 +127,12 @@ func NewFlat(g *graph.Graph, r, s, threads int) *Flat {
 	groupSize := f.coArity + 1
 	sFlat := cliques.KCliquesFlat(g, s, threads)
 	numS := len(sFlat) / s
-	var subPool = sync.Pool{New: func() any {
-		b := make([]uint32, r)
-		return &b
-	}}
-	groups := par.Collect(numS, 256, threads, func(si int, buf []int32) []int32 {
-		sub := *subPool.Get().(*[]uint32)
+	subs := make([][]uint32, threads)
+	groups := par.Collect(numS, 256, threads, func(w, si int, buf []int32) []int32 {
+		if subs[w] == nil {
+			subs[w] = make([]uint32, r)
+		}
+		sub := subs[w]
 		forEachSubset(sFlat[si*s:(si+1)*s], r, sub, func() {
 			id, ok := idOf[cliqueKey(sub)]
 			if !ok {
@@ -138,7 +140,6 @@ func NewFlat(g *graph.Graph, r, s, threads int) *Flat {
 			}
 			buf = append(buf, id)
 		})
-		subPool.Put(&sub)
 		return buf
 	})
 	for _, id := range groups {

@@ -16,14 +16,9 @@ type Truss struct {
 }
 
 // NewTruss returns the (2,3) instance of g with sequential degree
-// initialization; Build(g, FamilyTruss, 0, threads) parallelizes it.
-func NewTruss(g *graph.Graph) *Truss { return newTruss(g, 1) }
-
-// newTruss splits the per-edge triangle count — the instance's only
-// up-front cost — across the given number of workers.
-func newTruss(g *graph.Graph, threads int) *Truss {
-	return &Truss{G: g, deg: cliques.CountPerEdgeParallel(g, threads)}
-}
+// initialization; Build(g, FamilyTruss, 0, threads) parallelizes it. The
+// per-edge triangle count is the instance's only up-front cost.
+func NewTruss(g *graph.Graph) *Truss { return &Truss{G: g, deg: cliques.CountPerEdge(g)} }
 
 func (t *Truss) R() int        { return 2 }
 func (t *Truss) S() int        { return 3 }

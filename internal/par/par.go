@@ -241,12 +241,14 @@ func CountingCSR(keys []int32, numKeys, threads int) (offs []int64, items []int3
 }
 
 // Collect gathers the emissions of a loop over [0, n) in parallel while
-// preserving the sequential emission order: emit(i, out) must append
+// preserving the sequential emission order: emit(w, i, out) must append
 // index i's outputs to out and return it, chunks of grain indices are
 // claimed dynamically, and the per-chunk buffers are concatenated in
 // chunk order. The result is bit-identical to running emit sequentially
-// for i = 0..n-1 with a single shared buffer, at every thread count.
-func Collect[T any](n, grain, threads int, emit func(i int, out []T) []T) []T {
+// for i = 0..n-1 with a single shared buffer, at every thread count. w is
+// the worker running the call, dense in [0, max(threads, 1)), for callers
+// that keep per-worker scratch.
+func Collect[T any](n, grain, threads int, emit func(w, i int, out []T) []T) []T {
 	if n <= 0 {
 		return nil
 	}
@@ -257,13 +259,13 @@ func Collect[T any](n, grain, threads int, emit func(i int, out []T) []T) []T {
 	if workers == 1 {
 		var out []T
 		for i := 0; i < n; i++ {
-			out = emit(i, out)
+			out = emit(0, i, out)
 		}
 		return out
 	}
 	chunks := (n + grain - 1) / grain
 	bufs := make([][]T, chunks)
-	ForEach(chunks, 1, workers, func(clo, chi int) {
+	ForEachWorker(chunks, 1, workers, func(w, clo, chi int) {
 		for c := clo; c < chi; c++ {
 			lo, hi := c*grain, (c+1)*grain
 			if hi > n {
@@ -271,7 +273,7 @@ func Collect[T any](n, grain, threads int, emit func(i int, out []T) []T) []T {
 			}
 			var buf []T
 			for i := lo; i < hi; i++ {
-				buf = emit(i, buf)
+				buf = emit(w, i, buf)
 			}
 			bufs[c] = buf
 		}

@@ -1,6 +1,7 @@
 package par_test
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -199,7 +200,12 @@ func TestCollectMatchesSequential(t *testing.T) {
 	}
 	for _, threads := range parThreads {
 		for _, grain := range []int{1, 8, 64, 1024} {
-			got := par.Collect(n, grain, threads, emit)
+			got := par.Collect(n, grain, threads, func(w, i int, out []int32) []int32 {
+				if w < 0 || w >= max(threads, 1) {
+					panic(fmt.Sprintf("threads=%d: worker index %d", threads, w))
+				}
+				return emit(i, out)
+			})
 			if len(got) != len(want) {
 				t.Fatalf("threads=%d grain=%d: len %d, want %d", threads, grain, len(got), len(want))
 			}

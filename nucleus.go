@@ -16,6 +16,8 @@
 // (3,4) over triangles and 4-clique counts — the paper's recommended sweet
 // spot for dense subgraph quality. DecomposeRS supports any r < s via a
 // flat clique-incidence index (practical for small graphs).
+// Every entry point taking a Decomposition runs on one instance: the stored
+// s-clique incidence if it fits 1 GiB, else the on-the-fly one.
 package nucleus
 
 import (
@@ -84,11 +86,11 @@ func (a Algorithm) String() string {
 type Options struct {
 	// Algorithm selects AND (default), SND or Peel.
 	Algorithm Algorithm
-	// Threads is the worker count; <=1 runs sequentially. The local
-	// algorithms split sweeps across workers. Peel is one sequential array
-	// peel over a stored incidence and uses the workers only where
-	// s-cliques are found on the fly (a frontier-parallel engine); its
-	// result is bit-identical at every thread count.
+	// Threads is the worker count; <=1 runs sequentially. The instance
+	// build and the local algorithms' sweeps split across workers. Peel is
+	// one sequential array peel, frontier-parallel only over the index
+	// budget, where s-cliques are found on the fly; its result is
+	// bit-identical at every thread count.
 	Threads int
 	// MaxSweeps bounds local iterations; 0 runs to convergence. A bounded
 	// run returns an approximation: τ ≥ κ pointwise.
@@ -137,39 +139,34 @@ type Result struct {
 
 // Decompose computes the selected decomposition of g.
 func Decompose(g *Graph, dec Decomposition, opts Options) *Result {
-	return decomposeInstance(instanceFor(g, dec, opts.Threads), dec, opts)
+	return decomposeInstance(newInstance(g, dec, libraryIndexBudget, opts.Threads), dec, opts)
 }
 
 // DecomposeRS computes the generic (r,s) decomposition (r < s). The
-// first-class pairs (1,2), (2,3) and (3,4) route to the same instances
-// Decompose uses — cells are numbered by the family's canonical ids
-// (vertices, edge ids, triangle ids) and the flat s-clique incidence index
-// is built in parallel over Options.Threads. Any other pair materializes a
-// flat CSR incidence over the enumerated r-/s-cliques, so generic (r,s)
-// runs the exact same engines: the fused sweep kernel and the array peel.
+// first-class pairs (1,2), (2,3) and (3,4) build the instance Decompose
+// builds for KCore, KTruss and Nucleus34 — cells numbered by the family's
+// canonical ids (vertices, edge ids, triangle ids), the incidence stored
+// in parallel over Options.Threads. Any other pair materializes a flat CSR
+// incidence over the enumerated r-/s-cliques, so generic (r,s) runs the
+// exact same engines: the fused sweep kernel and the array peel.
 // Enumeration keeps the generic path practical for small-to-medium graphs
 // only. Panics if r >= s or r < 1.
 func DecomposeRS(g *Graph, r, s int, opts Options) *Result {
-	threads := opts.Threads
-	if threads < 1 {
-		threads = 1
+	if 1 <= r && r <= 3 && s == r+1 { // KCore, KTruss, Nucleus34
+		return decomposeInstance(newInstance(g, Decomposition(r-1), libraryIndexBudget, opts.Threads), -1, opts)
 	}
-	var inst inucleus.Instance
-	switch {
-	case r == 1 && s == 2:
-		inst = inucleus.NewCore(g)
-	case r == 2 && s == 3:
-		inst, _ = inucleus.Build(g, inucleus.FamilyTruss, -1, threads)
-	case r == 3 && s == 4:
-		inst, _ = inucleus.Build(g, inucleus.FamilyN34, -1, threads)
-	default:
-		inst = inucleus.NewFlat(g, r, s, threads)
-	}
-	return decomposeInstance(inst, Decomposition(-1), opts)
+	return decomposeInstance(inucleus.NewFlat(g, r, s, max(opts.Threads, 1)), -1, opts)
 }
 
 func decomposeInstance(inst inucleus.Instance, dec Decomposition, opts Options) *Result {
 	res := &Result{Decomposition: dec, inst: inst}
+	local := localhi.Options{
+		Threads:   opts.Threads,
+		MaxSweeps: opts.MaxSweeps,
+		OnSweep:   opts.OnSweep,
+		Progress:  opts.Progress,
+		Stop:      opts.Stop,
+	}
 	switch opts.Algorithm {
 	case Peel:
 		pr := peel.RunThreads(inst, opts.Threads)
@@ -177,25 +174,10 @@ func decomposeInstance(inst inucleus.Instance, dec Decomposition, opts Options) 
 		res.MaxKappa = pr.MaxKappa
 		res.Converged = true
 	case SND:
-		lr := localhi.Snd(inst, localhi.Options{
-			Threads:   opts.Threads,
-			MaxSweeps: opts.MaxSweeps,
-			OnSweep:   opts.OnSweep,
-			Progress:  opts.Progress,
-			Stop:      opts.Stop,
-		})
-		fillLocal(res, lr)
+		fillLocal(res, localhi.Snd(inst, local))
 	default: // AND
-		lr := localhi.And(inst, localhi.Options{
-			Threads:      opts.Threads,
-			MaxSweeps:    opts.MaxSweeps,
-			Order:        opts.Order,
-			Notification: !opts.DisableNotification,
-			OnSweep:      opts.OnSweep,
-			Progress:     opts.Progress,
-			Stop:         opts.Stop,
-		})
-		fillLocal(res, lr)
+		local.Order, local.Notification = opts.Order, !opts.DisableNotification
+		fillLocal(res, localhi.And(inst, local))
 	}
 	return res
 }
@@ -219,13 +201,18 @@ var families = [...]inucleus.Family{
 	KCore: inucleus.FamilyCore, KTruss: inucleus.FamilyTruss, Nucleus34: inucleus.FamilyN34,
 }
 
-// instanceFor builds the on-the-fly instance of a decomposition (memory
-// budget 0: never index), counting s-degrees on the given thread count.
-func instanceFor(g *Graph, dec Decomposition, threads int) inucleus.Instance {
+// libraryIndexBudget caps, in bytes, the estimated size of the s-clique
+// incidence a library call stores for KTruss and Nucleus34, as the server's
+// default -index-mem-budget does; over it, the call runs on the on-the-fly
+// instance (the paper's §5 fork).
+const libraryIndexBudget = 1 << 30 // 1 GiB
+
+// newInstance is every library entry point's one constructor.
+func newInstance(g *Graph, dec Decomposition, budget int64, threads int) inucleus.Instance {
 	if dec < 0 || int(dec) >= len(families) {
 		panic(fmt.Sprintf("nucleus: unknown decomposition %d", dec))
 	}
-	inst, _ := inucleus.Build(g, families[dec], 0, threads)
+	inst, _ := inucleus.Build(g, families[dec], budget, threads)
 	return inst
 }
 

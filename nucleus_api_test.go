@@ -40,22 +40,33 @@ func TestKCoreSubgraphAPI(t *testing.T) {
 	}
 }
 
-// TestDecomposeThreadsBuildTheInstance: Decompose now builds its instance
-// through Build with Options.Threads (the s-degree count used to run on one
-// thread whatever it said); that must not change which instance it runs on
-// — the on-the-fly one, budget 0 — or what it computes.
+// TestDecomposeThreadsBuildTheInstance: Decompose builds its instance
+// through newInstance with Options.Threads; under libraryIndexBudget that
+// is the stored incidence (the graph's own CSR for k-core) at every thread
+// count, and over a budget the on-the-fly instance — with the same κ.
 func TestDecomposeThreadsBuildTheInstance(t *testing.T) {
 	g := PowerLawCluster(200, 4, 0.5, 59)
-	for dec, wantInst := range map[Decomposition]string{
-		KCore: "*nucleus.Core", KTruss: "*nucleus.Truss", Nucleus34: "*nucleus.N34",
+	for dec, want := range map[Decomposition][2]string{
+		KCore:     {"*nucleus.Core", "*nucleus.Core"},
+		KTruss:    {"*nucleus.Flat", "*nucleus.Truss"},
+		Nucleus34: {"*nucleus.Flat", "*nucleus.N34"},
 	} {
 		one := Decompose(g, dec, Options{Algorithm: Peel, Threads: 1})
 		four := Decompose(g, dec, Options{Algorithm: Peel, Threads: 4})
-		if got := fmt.Sprintf("%T", four.inst); got != wantInst {
-			t.Fatalf("%v: Decompose ran on %s, want the on-the-fly %s", dec, got, wantInst)
+		for _, res := range []*Result{one, four} {
+			if got := fmt.Sprintf("%T", res.inst); got != want[0] {
+				t.Fatalf("%v: Decompose ran on %s, want the stored %s", dec, got, want[0])
+			}
 		}
 		if ExactFraction(four.Kappa, one.Kappa) != 1 {
 			t.Fatalf("%v: κ differs between 1 and 4 threads", dec)
+		}
+		over := newInstance(g, dec, 16, 4)
+		if got := fmt.Sprintf("%T", over); got != want[1] {
+			t.Fatalf("%v: over budget, newInstance built %s, want the on-the-fly %s", dec, got, want[1])
+		}
+		if res := decomposeInstance(over, dec, Options{Algorithm: Peel, Threads: 4}); ExactFraction(res.Kappa, one.Kappa) != 1 {
+			t.Fatalf("%v: κ differs between the stored and the on-the-fly instance", dec)
 		}
 	}
 }
