@@ -289,8 +289,9 @@ type accuracyView struct {
 	ExactFraction float64 `json:"exactFraction"`
 }
 
-// decomposeResponse is the body of GET /graphs/{name}/decompose.
-type decomposeResponse struct {
+// decomposeView is GET /graphs/{name}/decompose's body up to its tail: then
+// histogram[k], the cells with τ exactly k, and with ?tau=true the τ array.
+type decomposeView struct {
 	Graph         string `json:"graph"`
 	Version       uint64 `json:"version"`
 	Decomposition string `json:"decomposition"`
@@ -314,11 +315,6 @@ type decomposeResponse struct {
 	// Accuracy compares the partial τ to a cached converged κ when one
 	// exists for this graph version; absent otherwise.
 	Accuracy *accuracyView `json:"accuracy,omitempty"`
-	// Histogram[k] is the number of cells with τ exactly k.
-	Histogram []int64 `json:"histogram"`
-	// Tau is the full per-cell τ array; only with ?tau=true (alias
-	// ?kappa=true).
-	Tau []int32 `json:"tau,omitempty"`
 }
 
 // queryIntAny reads the first present query parameter among names.
@@ -366,7 +362,7 @@ func (s *Server) handleDecompose(w http.ResponseWriter, r *http.Request) {
 	}
 
 	n := len(res.Kappa)
-	out := decomposeResponse{
+	out := decomposeView{
 		Graph:         q.entry.name,
 		Version:       q.entry.version,
 		Decomposition: q.dec,
@@ -407,9 +403,9 @@ func (s *Server) handleDecompose(w http.ResponseWriter, r *http.Request) {
 			out.Accuracy = acc
 		}
 	}
-	out.Histogram = res.histogram()
+	cells := ""
 	if v := r.URL.Query(); v.Get("tau") == "true" || v.Get("kappa") == "true" {
-		out.Tau = res.Kappa
+		cells = `,"tau":`
 	}
-	writeJSON(w, http.StatusOK, out)
+	writeWithTail(w, out, res, cells)
 }

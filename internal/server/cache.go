@@ -2,6 +2,7 @@ package server
 
 import (
 	"container/list"
+	"strconv"
 	"sync"
 
 	"nucleus/internal/hierarchy"
@@ -47,6 +48,9 @@ type decompResult struct {
 	// hier is what /hierarchy and /nuclei read: a function of (Inst, Kappa),
 	// it lives and dies with this result, under no key of its own.
 	hier *forestMemo
+	// tail is what /decompose and /jobs/{id}/result splice after their
+	// per-request head: a function of Kappa, so a job's slim copy shares it.
+	tail *tailMemo
 }
 
 // forestMemo is the nucleus forest of one decompResult and its encoded
@@ -58,6 +62,14 @@ type forestMemo struct {
 	err    error
 }
 
+// tailMemo is the JSON of one decompResult's histogram and of its cell
+// array, encoded by the first read that asks (decompResult.encoded).
+type tailMemo struct {
+	once      sync.Once
+	histogram []byte
+	cells     []byte
+}
+
 // stability is the ground-truth-free convergence signal of a finished run:
 // the fraction of cells its last sweep still changed, and the complement.
 func (res *decompResult) stability() (updateRate, fractionStable float64) {
@@ -67,13 +79,37 @@ func (res *decompResult) stability() (updateRate, fractionStable float64) {
 	return updateRate, 1 - updateRate
 }
 
-// histogram counts the cells at each κ (or τ) value.
-func (res *decompResult) histogram() []int64 {
-	hist := make([]int64, res.MaxKappa+1)
-	for _, k := range res.Kappa {
-		hist[k]++
+// encoded returns res's tail memo, counting the cells at each κ (or τ)
+// value and encoding both arrays on first use.
+func (res *decompResult) encoded() *tailMemo {
+	m := res.tail
+	m.once.Do(func() {
+		hist := make([]int64, res.MaxKappa+1)
+		for _, k := range res.Kappa {
+			hist[k]++
+		}
+		m.histogram = appendInts(hist)
+		m.cells = appendInts(res.Kappa)
+	})
+	return m
+}
+
+// appendInts returns xs as json.Marshal writes a non-nil slice of them:
+// strconv.AppendInt into a buffer allocated at the exact length.
+func appendInts[T int32 | int64](xs []T) []byte {
+	var digits [20]byte
+	size := max(len(xs), 1) + 1 // brackets and commas
+	for _, x := range xs {
+		size += len(strconv.AppendInt(digits[:0], int64(x), 10))
 	}
-	return hist
+	buf := append(make([]byte, 0, size), '[')
+	for i, x := range xs {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = strconv.AppendInt(buf, int64(x), 10)
+	}
+	return append(buf, ']')
 }
 
 // lruCache is a fixed-capacity LRU map from cacheKey to *decompResult.

@@ -34,6 +34,37 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
+// writeBody answers 200 with an encoded JSON body in one Write.
+func writeBody(w http.ResponseWriter, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body) // a failed write is the client's hang-up
+}
+
+// writeWithTail answers 200 with what writeJSON gives head plus two trailing
+// fields, "histogram" and, when cellsField (`,"name":`) is set and the
+// result has cells, the cell array. Only head is encoded per request; the
+// tail is copied from the result's memo.
+func writeWithTail(w http.ResponseWriter, head any, res *decompResult, cellsField string) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(head); err != nil {
+		writeError(w, http.StatusInternalServerError, "encoding the response: %v", err)
+		return
+	}
+	open := buf.Bytes()[:buf.Len()-len("}\n")]
+	m := res.encoded()
+	cells := m.cells
+	if cellsField == "" || len(res.Kappa) == 0 { // omitempty
+		cellsField, cells = "", nil
+	}
+	body := make([]byte, 0, len(open)+len(`,"histogram":`)+len(m.histogram)+len(cellsField)+len(cells)+len("}\n"))
+	body = append(append(append(body, open...), `,"histogram":`...), m.histogram...)
+	writeBody(w, append(append(append(body, cellsField...), cells...), "}\n"...))
+}
+
 // writeStatus maps a write-pipeline error to its HTTP status; anything
 // untyped is a store failure.
 func writeStatus(err error) int {
@@ -329,14 +360,8 @@ func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, viewJob(j))
 }
 
-type jobResultResponse struct {
-	jobView
-	// Histogram[k] is the number of cells with κ index exactly k.
-	Histogram []int64 `json:"histogram"`
-	// Kappa is the full per-cell κ array; only with ?kappa=true.
-	Kappa []int32 `json:"kappa,omitempty"`
-}
-
+// handleJobResult answers the job's view with histogram[k], the number of
+// cells with κ index exactly k, and with ?kappa=true the κ array.
 func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.jobs.get(r.PathValue("id"))
 	if !ok {
@@ -363,11 +388,11 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	j.mu.Lock()
 	res := j.result
 	j.mu.Unlock()
-	out := jobResultResponse{jobView: v, Histogram: res.histogram()}
+	cells := ""
 	if r.URL.Query().Get("kappa") == "true" {
-		out.Kappa = res.Kappa
+		cells = `,"kappa":`
 	}
-	writeJSON(w, http.StatusOK, out)
+	writeWithTail(w, v, res, cells)
 }
 
 // ---------------------------------------------------------------------------
@@ -503,10 +528,7 @@ func (s *Server) handleHierarchy(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(res.hier.body)))
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(res.hier.body) // a failed write is the client's hang-up
+	writeBody(w, res.hier.body)
 }
 
 // forestOf returns the forest of a resolved κ and its /hierarchy body. The

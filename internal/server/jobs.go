@@ -518,6 +518,7 @@ func (m *jobManager) run(it *sched.Item) {
 // slimResult strips the Inst reference and the forest for storage on a
 // job: the history cap should bound κ-array memory, not pin s-clique
 // indices (which live in the LRU cache and the per-graph memo instead).
+// The tail memo stays shared: it encodes the same κ slice.
 func slimResult(res *decompResult) *decompResult {
 	slim := *res
 	slim.Inst, slim.hier = nil, nil
@@ -619,7 +620,7 @@ func (s *Server) runDecomposition(q query, prog *localhi.Progress, stop func() b
 	switch q.alg {
 	case "peel":
 		pr := peel.RunThreads(inst, q.threads)
-		return &decompResult{Kappa: pr.Kappa, MaxKappa: pr.MaxKappa, Converged: true, Inst: inst, hier: new(forestMemo)}, nil
+		return &decompResult{Kappa: pr.Kappa, MaxKappa: pr.MaxKappa, Converged: true, Inst: inst, hier: new(forestMemo), tail: new(tailMemo)}, nil
 	case "snd":
 		lr := localhi.Snd(inst, localhi.Options{Threads: q.threads, MaxSweeps: q.maxSweeps, Progress: prog, Stop: stop})
 		return localResult(lr, inst), nil
@@ -641,6 +642,7 @@ func localResult(lr *localhi.Result, inst inucleus.Instance) *decompResult {
 		MaxKappa:   maxOf(lr.Tau),
 		Inst:       inst,
 		hier:       new(forestMemo),
+		tail:       new(tailMemo),
 	}
 	if n := len(lr.SweepUpdates); n > 0 {
 		res.LastSweepUpdates = lr.SweepUpdates[n-1]

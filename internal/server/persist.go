@@ -126,7 +126,7 @@ func (s *Server) warmRecoverCore(e *graphEntry, seed *decompResult) {
 	s.recordWarm(seed, 0)
 	s.fill(keyOf(e, "core", "and", 0), &decompResult{
 		Kappa: e.coreKappa, MaxKappa: maxOf(e.coreKappa), Converged: true,
-		Inst: s.instanceOf(e, "core"), hier: new(forestMemo),
+		Inst: s.instanceOf(e, "core"), hier: new(forestMemo), tail: new(tailMemo),
 	})
 }
 
