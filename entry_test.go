@@ -10,6 +10,7 @@ import (
 
 	"nucleus/internal/graph"
 	"nucleus/internal/hierarchy"
+	inucleus "nucleus/internal/nucleus"
 	"nucleus/internal/peel"
 )
 
@@ -72,6 +73,46 @@ func TestEntryPointsMatchOnTheFly(t *testing.T) {
 	}
 }
 
+// TestEntryPointsShareOneInstance: whichever entry point is the first to
+// touch a graph builds the one instance per family every later call on that
+// graph reaches — Decompose, DecomposeRS and BuildHierarchy hand back that
+// very pointer, and the memo reports it as already built — while a budget-0
+// call gets an on-the-fly instance of its own.
+func TestEntryPointsShareOneInstance(t *testing.T) {
+	mk := func() *Graph { return PlantedCommunities(3, 20, 0.5, 30, 3) }
+	for _, dec := range []Decomposition{KCore, KTruss, Nucleus34} {
+		kappa := Decompose(mk(), dec, Options{Algorithm: Peel}).Kappa
+		k := slices.Max(kappa) / 2
+		for name, first := range map[string]func(g *Graph){
+			"Decompose":       func(g *Graph) { Decompose(g, dec, Options{Threads: 2}) },
+			"DecomposeRS":     func(g *Graph) { DecomposeRS(g, int(dec)+1, int(dec)+2, Options{Algorithm: SND}) },
+			"BuildHierarchy":  func(g *Graph) { BuildHierarchy(g, dec, kappa) },
+			"NucleiAt":        func(g *Graph) { NucleiAt(g, dec, kappa, k) },
+			"MaxNucleusCells": func(g *Graph) { MaxNucleusCells(g, dec, kappa, 0) },
+		} {
+			g := mk()
+			first(g)
+			inst, _, built := inucleus.For(g, families[dec], libraryIndexBudget, 1)
+			if built {
+				t.Fatalf("%v: %s left no instance in the graph's memo", dec, name)
+			}
+			reached := map[string]inucleus.Instance{
+				"Decompose":      Decompose(g, dec, Options{Algorithm: Peel, Threads: 4}).inst,
+				"DecomposeRS":    DecomposeRS(g, int(dec)+1, int(dec)+2, Options{}).inst,
+				"BuildHierarchy": BuildHierarchy(g, dec, kappa).Inst,
+			}
+			for by, got := range reached {
+				if got != inst {
+					t.Fatalf("%v after %s: %s ran on %T %p, want the memoized %T %p", dec, name, by, got, got, inst, inst)
+				}
+			}
+			if own := newInstance(g, dec, 0, 1); own == inst {
+				t.Fatalf("%v: a budget-0 call reused the budgeted instance", dec)
+			}
+		}
+	}
+}
+
 // TestCellsToVerticesMatchesInstance: CellsToVertices, which builds no
 // s-degrees, answers what the instance's own CellVertices gives, on all
 // three families; for KTruss it allocates only its answer and the instance
@@ -109,25 +150,32 @@ func TestCellsToVerticesMatchesInstance(t *testing.T) {
 	}
 }
 
-// BenchmarkBuildHierarchyTruss times the truss forest as lib_nucleus/aux
-// asks for it — instance build plus forest over its stored rows — on that
-// workload's input (round 0 of seed 1): P=1 is BuildHierarchy itself, P=2
-// the same build through newInstance at two threads.
+// BenchmarkBuildHierarchyTruss times the truss forest on lib_nucleus/aux's
+// input (round 0 of seed 1). cold/P=1 is BuildHierarchy on a graph nothing
+// has decomposed yet — instance build at one thread plus the forest over
+// its stored rows — and cold/P=2 the same build at two threads; warm is
+// BuildHierarchy after Decompose(KTruss) on the same graph, as lib_nucleus
+// asks for it: the forest over the instance the decomposition built.
 func BenchmarkBuildHierarchyTruss(b *testing.B) {
 	g := PlantedCommunities(12, 80, 0.3, 1200, 1_000_003)
-	kappa := peel.Run(newInstance(g, KTruss, 0, 1)).Kappa
+	kappa := Decompose(g, KTruss, Options{Algorithm: Peel}).Kappa
 	for _, p := range []int{1, 2} {
-		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
-			build := func() *Forest { return BuildHierarchy(g, KTruss, kappa) }
-			if p > 1 {
-				build = func() *Forest { return hierarchy.Build(newInstance(g, KTruss, libraryIndexBudget, p), kappa) }
-			}
+		b.Run(fmt.Sprintf("cold/P=%d", p), func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
-				if build().NumNodes() == 0 {
+				inst, _ := inucleus.Build(g, inucleus.FamilyTruss, libraryIndexBudget, p)
+				if hierarchy.Build(inst, kappa).NumNodes() == 0 {
 					b.Fatal("empty truss hierarchy")
 				}
 			}
 		})
 	}
+	b.Run("warm", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			if BuildHierarchy(g, KTruss, kappa).NumNodes() == 0 {
+				b.Fatal("empty truss hierarchy")
+			}
+		}
+	})
 }

@@ -23,7 +23,7 @@ import (
 // Graph is an immutable undirected simple graph in CSR form. It is safe for
 // concurrent use — the first call that reads an edge id numbers the edges
 // exactly once, and every caller sees the finished tables — and, holding a
-// sync.Once, must not be copied by value.
+// sync.Once and the sync.Map of its Memo, must not be copied by value.
 type Graph struct {
 	// offs has length N+1; the neighbors of u are adj[offs[u]:offs[u+1]].
 	offs []int64
@@ -39,6 +39,9 @@ type Graph struct {
 	// edge endpoint tables, indexed by edge id; edgeU[e] < edgeV[e].
 	edgeU []uint32
 	edgeV []uint32
+
+	// memo maps a Memo key to its *flight.
+	memo sync.Map
 }
 
 // N returns the number of vertices.

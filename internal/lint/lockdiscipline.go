@@ -31,9 +31,9 @@ import (
 // only), defer Unlock holds to function end, and calls to same-package
 // functions carry their transitively computed effects (a fixpoint over
 // the package's call graph). Function literals launched via go run with
-// an empty held set. Deliberate exceptions (e.g. the densest-subgraph
-// memo lock single-flighting its computation) carry lint-ignore
-// suppressions with written justifications.
+// an empty held set. Deliberate exceptions (e.g. commitBatch taking a
+// sync slot under the mutation lock) carry lint-ignore suppressions with
+// written justifications.
 var LockDiscipline = &Analyzer{
 	Name: "lockdiscipline",
 	Doc:  "no blocking call while holding a registry or per-name mutex",
@@ -337,8 +337,8 @@ func (ld *lockChecker) lockOp(call *ast.CallExpr) (key, op string, ok bool) {
 }
 
 // exprKey renders a canonical key for a lock expression: the root
-// object's identity plus the selector path, so e.instMu and f.instMu are
-// distinct while two mentions of e.instMu agree.
+// object's identity plus the selector path, so e.mu and f.mu are distinct
+// while two mentions of e.mu agree.
 func (ld *lockChecker) exprKey(e ast.Expr) string {
 	switch e := ast.Unparen(e).(type) {
 	case *ast.Ident:

@@ -104,6 +104,28 @@ func Build(g *graph.Graph, fam Family, memBudget int64, threads int) (Instance, 
 	panic(fmt.Sprintf("nucleus: unknown family %d", int(fam)))
 }
 
+// instanceKey keys the instances memoized on a graph.
+type instanceKey struct {
+	fam    Family
+	budget int64
+}
+
+// For returns g's one instance of fam under memBudget with Build's report:
+// built on the first call for the pair — at that caller's threads, as
+// instances are bit-identical at every thread count — and memoized on g
+// (graph.Memo) while g lives. built is true only for the call that built it.
+func For(g *graph.Graph, fam Family, memBudget int64, threads int) (inst Instance, rep BuildReport, built bool) {
+	type memoized struct {
+		inst Instance
+		rep  BuildReport
+	}
+	m, built := graph.Memo(g, instanceKey{fam, memBudget}, func() (m memoized) {
+		m.inst, m.rep = Build(g, fam, memBudget, threads)
+		return m
+	})
+	return m.inst, m.rep, built
+}
+
 // fits reports whether the estimated index size is within the budget,
 // recording the reason when it is not.
 func (rep *BuildReport) fits(budget int64) bool {

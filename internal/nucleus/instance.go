@@ -21,7 +21,8 @@
 //	        the edge incidence, the 4-clique incidence, or by enumeration
 //
 // Build picks between a family's Flat and on-the-fly instance under a
-// memory budget; every library entry point calls it with 1 GiB, so the
+// memory budget, and For memoizes its instance on the graph; every library
+// entry point and the server call For, the library with 1 GiB, so the
 // on-the-fly instances serve only over budget. The explicit-hypergraph
 // oracle the instances are tested against lives in internal/nucleustest.
 package nucleus

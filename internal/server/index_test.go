@@ -4,7 +4,10 @@ import (
 	"encoding/json"
 	"net/http"
 	"testing"
+	"time"
 
+	"nucleus/internal/densest"
+	"nucleus/internal/graph"
 	"nucleus/internal/nucleus"
 )
 
@@ -118,6 +121,49 @@ func TestIndexBudgetFallbackCounters(t *testing.T) {
 	}
 	if _, isIndexed := nucleus.RowsOf(s.instanceOf(e, "truss")); isIndexed {
 		t.Fatal("disabled budget produced an instance with stored rows")
+	}
+}
+
+// TestOpenBuildBlocksOnlyItsKey: an entry's instances and densest subgraphs
+// share its graph's one memo. A densest build held open on it makes a
+// request for the same method wait and then get that build's result, but
+// blocks neither an instance lookup (or build) of any family nor the other
+// method.
+func TestOpenBuildBlocksOnlyItsKey(t *testing.T) {
+	ts, s := testServerWith(t, Config{Workers: 1})
+	postJSON(t, ts.URL+"/graphs/g/generate", map[string]any{"generator": "complete", "n": 8}, nil)
+	e, ok := s.reg.get("g")
+	if !ok {
+		t.Fatal("graph g missing")
+	}
+	release, started := make(chan struct{}), make(chan struct{})
+	held := &densest.Result{Edges: 42}
+	go graph.Memo(e.g, densestKey("approx"), func() *densest.Result { close(started); <-release; return held })
+	<-started
+	waiter := make(chan *densest.Result, 1)
+	go func() { waiter <- e.densestFor("approx") }()
+
+	others := make(chan struct{})
+	go func() {
+		defer close(others)
+		for _, dec := range []string{"core", "truss", "n34"} {
+			s.instanceOf(e, dec)
+		}
+		e.densestFor("maxcore")
+	}()
+	select {
+	case <-others:
+	case <-time.After(10 * time.Second):
+		t.Fatal("instance and maxcore lookups waited on the open approx build")
+	}
+	select {
+	case <-waiter:
+		t.Fatal("a request for the open key did not wait for its build")
+	default:
+	}
+	close(release)
+	if got := <-waiter; got != held {
+		t.Fatalf("the waiting request got %+v, want the open build's result", got)
 	}
 }
 

@@ -25,26 +25,6 @@ type graphEntry struct {
 	source  string
 	created time.Time
 
-	// Densest-subgraph results, memoized per method: the graph is
-	// immutable, so they never go stale, and holding the mutex across
-	// the computation single-flights concurrent requests.
-	densestMu   sync.Mutex
-	densestMemo map[string]*densest.Result
-
-	// (r,s) instances, memoized per decomposition for the same reason.
-	// Building a Truss/N34 instance runs a global triangle / 4-clique
-	// count (and, budget permitting, materializes the flat s-clique
-	// incidence index); memoizing it makes repeated estimation,
-	// decomposition, hierarchy and warm-seed requests pay it once per
-	// graph version. Entries are single-flight handles so the expensive
-	// build runs outside instMu (a long n34 build must not block a
-	// request for an already-memoized core instance). The memo dies with
-	// the entry, so replacing or deleting a graph evicts its indexes
-	// along with the version (modulo results in the LRU cache that still
-	// pin their instance).
-	instMu   sync.Mutex
-	instMemo map[string]*instFlight
-
 	// coreKappa is the exact core numbers the edit pipeline's subcore repair
 	// left when this version was published (nil for versions that have
 	// never been mutated), immutable like g. GET /graphs/{name}/core and
@@ -55,101 +35,46 @@ type graphEntry struct {
 	mutations int
 }
 
-// instFlight is one memoized-or-in-progress instance build. done is
-// closed once inst (or panicVal, for a build that blew up) is set.
-type instFlight struct {
-	done     chan struct{}
-	inst     nucleus.Instance
-	panicVal any
-}
-
 // instanceOf returns the entry's (r,s) instance for the normalized
-// decomposition name, building it on first use via the budget-aware
-// adaptive constructor (nucleus.Build): a flat incidence index when it
-// fits Config.IndexMemBudget, the on-the-fly instance otherwise.
-// Instances are read-only after construction, so sharing across requests
-// is safe. Builds are single-flighted per (entry, dec) but run outside
-// instMu, so a slow n34 build never blocks a caller fetching an
-// already-memoized instance of another family. The /stats index counters
-// account every call: memo/flight hit → reuse, index built → build, no
-// index → fallback.
+// decomposition name: its graph's one instance of the family under
+// Config.IndexMemBudget (nucleus.For) — stored when the index fits, on the
+// fly otherwise — shared by every request on the version and dying with it.
+// A panicking build panics every caller that waited on it (a failed job, or
+// net/http's per-connection recover) and the next request builds again. The
+// /stats index counters account every call: reused → reuse, index built →
+// build, no index → fallback.
 func (s *Server) instanceOf(e *graphEntry, dec string) nucleus.Instance {
-	e.instMu.Lock()
-	if f, ok := e.instMemo[dec]; ok {
-		e.instMu.Unlock()
-		<-f.done
-		if f.panicVal != nil {
-			// The build this caller coalesced onto failed; surface the same
-			// panic the builder saw (runDecomposition converts it to a
-			// failed job; on the synchronous handler paths it propagates to
-			// net/http's per-connection recover, exactly as a panic from
-			// this caller's own build would have).
-			panic(f.panicVal)
-		}
-		s.stats.Index.Reuses.Add(1)
-		return f.inst
-	}
-	f := &instFlight{done: make(chan struct{})}
-	if e.instMemo == nil {
-		e.instMemo = make(map[string]*instFlight, 3)
-	}
-	e.instMemo[dec] = f
-	e.instMu.Unlock()
-
-	defer func() {
-		if r := recover(); r != nil {
-			// Record the failure for coalesced waiters, forget the flight so
-			// a later request can retry, and propagate to this caller.
-			f.panicVal = r
-			e.instMu.Lock()
-			delete(e.instMemo, dec)
-			e.instMu.Unlock()
-			close(f.done)
-			panic(r)
-		}
-	}()
 	fam, err := nucleus.ParseFamily(dec)
 	if err != nil {
 		panic(fmt.Sprintf("server: unnormalized decomposition %q", dec))
 	}
-	budget := s.cfg.IndexMemBudget
-	if budget < 0 {
-		budget = 0 // nucleus.Build: 0 = never index
-	}
-	inst, rep := nucleus.Build(e.g, fam, budget, s.cfg.JobThreads)
-	if rep.Indexed {
+	budget := max(s.cfg.IndexMemBudget, 0) // negative disables; nucleus.Build: 0 = never index
+	inst, rep, built := nucleus.For(e.g, fam, budget, s.cfg.JobThreads)
+	switch {
+	case !built:
+		s.stats.Index.Reuses.Add(1)
+	case rep.Indexed:
 		s.stats.Index.Builds.Add(1)
 		s.stats.Index.Bytes.Add(rep.IndexBytes)
-	} else {
+	default:
 		s.stats.Index.Fallbacks.Add(1)
 	}
-	f.inst = inst
-	close(f.done)
 	return inst
 }
 
-// densestFor computes (once) and returns the densest subgraph of the
-// entry under the given method ("approx" or "maxcore").
+// densestKey keys the entry graph's memoized densest subgraphs by method.
+type densestKey string
+
+// densestFor computes (once per graph, single-flight) and returns the
+// densest subgraph of the entry under the given method ("approx" or
+// "maxcore").
 func (e *graphEntry) densestFor(method string) *densest.Result {
-	e.densestMu.Lock()
-	defer e.densestMu.Unlock()
-	if r, ok := e.densestMemo[method]; ok {
-		return r
-	}
-	// The memo mutex deliberately single-flights the computation: a second
-	// request for the same method must wait for the first result, not
-	// duplicate graph-sized work. The lock is per-entry and per-use, never
-	// taken by the registry or mutation paths, so nothing else queues on it.
-	var r *densest.Result
-	if method == "maxcore" {
-		r = densest.MaxCore(e.g) //nucleus:lint-ignore lockdiscipline densestMu exists to single-flight exactly this call; no other code path takes it
-	} else {
-		r = densest.Approx(e.g) //nucleus:lint-ignore lockdiscipline densestMu exists to single-flight exactly this call; no other code path takes it
-	}
-	if e.densestMemo == nil {
-		e.densestMemo = make(map[string]*densest.Result, 2)
-	}
-	e.densestMemo[method] = r
+	r, _ := graph.Memo(e.g, densestKey(method), func() *densest.Result {
+		if method == "maxcore" {
+			return densest.MaxCore(e.g)
+		}
+		return densest.Approx(e.g)
+	})
 	return r
 }
 

@@ -17,7 +17,8 @@
 // spot for dense subgraph quality. DecomposeRS supports any r < s via a
 // flat clique-incidence index (practical for small graphs).
 // Every entry point taking a Decomposition runs on one instance: the stored
-// s-clique incidence if it fits 1 GiB, else the on-the-fly one.
+// s-clique incidence if it fits 1 GiB, else the on-the-fly one, built once
+// per graph and shared by every later call on that graph.
 package nucleus
 
 import (
@@ -207,12 +208,13 @@ var families = [...]inucleus.Family{
 // instance (the paper's §5 fork).
 const libraryIndexBudget = 1 << 30 // 1 GiB
 
-// newInstance is every library entry point's one constructor.
+// newInstance is every library entry point's one constructor: g's one
+// instance of dec under budget, memoized on g (inucleus.For).
 func newInstance(g *Graph, dec Decomposition, budget int64, threads int) inucleus.Instance {
 	if dec < 0 || int(dec) >= len(families) {
 		panic(fmt.Sprintf("nucleus: unknown decomposition %d", dec))
 	}
-	inst, _ := inucleus.Build(g, families[dec], budget, threads)
+	inst, _, _ := inucleus.For(g, families[dec], budget, threads)
 	return inst
 }
 

@@ -43,16 +43,20 @@ func TestKCoreSubgraphAPI(t *testing.T) {
 // TestDecomposeThreadsBuildTheInstance: Decompose builds its instance
 // through newInstance with Options.Threads; under libraryIndexBudget that
 // is the stored incidence (the graph's own CSR for k-core) at every thread
-// count, and over a budget the on-the-fly instance — with the same κ.
+// count, and over a budget the on-the-fly instance — with the same κ. Each
+// side runs on a copy of its own, since a graph builds its instance once.
 func TestDecomposeThreadsBuildTheInstance(t *testing.T) {
-	g := PowerLawCluster(200, 4, 0.5, 59)
+	mk := func() *Graph { return PowerLawCluster(200, 4, 0.5, 59) }
 	for dec, want := range map[Decomposition][2]string{
 		KCore:     {"*nucleus.Core", "*nucleus.Core"},
 		KTruss:    {"*nucleus.Flat", "*nucleus.Truss"},
 		Nucleus34: {"*nucleus.Flat", "*nucleus.N34"},
 	} {
-		one := Decompose(g, dec, Options{Algorithm: Peel, Threads: 1})
-		four := Decompose(g, dec, Options{Algorithm: Peel, Threads: 4})
+		one := Decompose(mk(), dec, Options{Algorithm: Peel, Threads: 1})
+		four := Decompose(mk(), dec, Options{Algorithm: Peel, Threads: 4})
+		if one.inst == four.inst {
+			t.Fatalf("%v: the two copies share one instance", dec)
+		}
 		for _, res := range []*Result{one, four} {
 			if got := fmt.Sprintf("%T", res.inst); got != want[0] {
 				t.Fatalf("%v: Decompose ran on %s, want the stored %s", dec, got, want[0])
@@ -61,7 +65,7 @@ func TestDecomposeThreadsBuildTheInstance(t *testing.T) {
 		if ExactFraction(four.Kappa, one.Kappa) != 1 {
 			t.Fatalf("%v: κ differs between 1 and 4 threads", dec)
 		}
-		over := newInstance(g, dec, 16, 4)
+		over := newInstance(mk(), dec, 16, 4)
 		if got := fmt.Sprintf("%T", over); got != want[1] {
 			t.Fatalf("%v: over budget, newInstance built %s, want the on-the-fly %s", dec, got, want[1])
 		}
