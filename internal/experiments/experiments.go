@@ -330,8 +330,9 @@ func Query(w io.Writer, key string, nQueries int, hopsList []int, seed int64) {
 // OrderAblation prints, for AND under different processing orders, the
 // iterations to convergence (Theorem 4 and the paper's worst-case
 // conjecture) beside the s-clique visits paid — sequential, notification
-// on, the configuration Decompose runs. degree is ascending s-degree: the
-// one order here that needs no decomposition to compute.
+// on, the configuration Decompose runs. natural is id order; degree is
+// ascending s-degree, And's default: the one order here that needs no
+// decomposition to compute.
 func OrderAblation(w io.Writer, d Dec, keys []string, seed int64) {
 	fmt.Fprintf(w, "# AND processing-order ablation, %s: iterations to convergence, s-clique visits paid\n", d)
 	fmt.Fprintf(w, "%-6s %-9s %10s %12s %11s\n", "key", "order", "iterations", "visits", "vs-natural")
@@ -343,6 +344,10 @@ func OrderAblation(w io.Writer, d Dec, keys []string, seed int64) {
 		for i, c := range pr.Order {
 			rev[len(rev)-1-i] = c
 		}
+		ids := make([]int32, len(pr.Order))
+		for i := range ids {
+			ids[i] = int32(i)
+		}
 		rnd := append([]int32(nil), pr.Order...)
 		rng := rand.New(rand.NewSource(seed))
 		rng.Shuffle(len(rnd), func(i, j int) { rnd[i], rnd[j] = rnd[j], rnd[i] })
@@ -351,39 +356,17 @@ func OrderAblation(w io.Writer, d Dec, keys []string, seed int64) {
 			name  string
 			order []int32
 		}{
-			{"natural", nil}, {"degree", ascendingOrder(inst.Degrees())},
+			{"natural", ids}, {"degree", localhi.AscendingOrder(inst.Degrees())},
 			{"peel", pr.Order}, {"rev-peel", rev}, {"random", rnd},
 		} {
 			res := localhi.And(inst, localhi.Options{Order: o.order, Notification: true})
-			if o.order == nil {
+			if o.name == "natural" {
 				natural = res.WorkVisits
 			}
 			fmt.Fprintf(w, "%-6s %-9s %10d %12d %11.2f\n", key, o.name, res.Iterations, res.WorkVisits,
 				float64(res.WorkVisits)/float64(max(natural, 1)))
 		}
 	}
-}
-
-// ascendingOrder returns the cell ids sorted by (key, id) ascending with one
-// counting sort.
-func ascendingOrder(keys []int32) []int32 {
-	var top int32
-	for _, k := range keys {
-		top = max(top, k)
-	}
-	next := make([]int32, top+2)
-	for _, k := range keys {
-		next[k+1]++
-	}
-	for k := 1; k < len(next); k++ {
-		next[k] += next[k-1]
-	}
-	order := make([]int32, len(keys))
-	for c, k := range keys {
-		order[next[k]] = int32(c)
-		next[k]++
-	}
-	return order
 }
 
 // DensityQuality reproduces the framing claim of §2 (from the nucleus

@@ -8,17 +8,14 @@ import (
 	"nucleus/internal/peel"
 )
 
-// TestAndNotificationRespectsSweepBudget is the regression test for the
-// certification-sweep budget overrun: And with Notification used to run
-// the certifying sweep (and the subsequent repair loop) without consulting
-// MaxSweeps, so a bounded run could report Sweeps > MaxSweeps. Every
-// bounded run must stay within budget and still return a valid
-// approximation (τ ≥ κ pointwise).
+// TestAndNotificationRespectsSweepBudget: every sweep of And with
+// Notification counts against MaxSweeps, so a bounded run never reports
+// Sweeps > MaxSweeps, and it still returns a valid approximation (τ ≥ κ
+// pointwise).
 func TestAndNotificationRespectsSweepBudget(t *testing.T) {
 	graphs := map[string]*graph.Graph{
-		// K6: τ starts at the degrees = κ, so the very first sweep is the
-		// no-update plateau and the old code immediately overran a budget
-		// of 1 with the certification sweep.
+		// K6: τ starts at the degrees = κ, so the very first sweep updates
+		// nothing and ends the run.
 		"k6":  graph.Complete(6),
 		"plc": graph.PowerLawCluster(300, 4, 0.5, 23),
 		"gnm": graph.GnM(200, 900, 11),

@@ -147,11 +147,15 @@ func TestFusedSubsetAndWarmStart(t *testing.T) {
 
 // TestFusedKernelZeroAlloc proves the claim the kernel's noalloc annotation
 // makes: a full fused sweep over every cell, and waking every cell's
-// neighbors, performs zero heap allocations — on a truss index (co-arity
-// 2, the general row loop) and on k-core (co-arity 1, the graph's own CSR).
+// neighbors, performs zero heap allocations — on truss and (3,4) indexes
+// (co-arity 2 and 3, the general row loop) and on k-core (co-arity 1, the
+// graph's own CSR), with the neighbors' flags in each of the three states
+// wake tells apart.
 func TestFusedKernelZeroAlloc(t *testing.T) {
 	g := graph.PlantedCommunities(3, 14, 0.5, 40, 11)
-	for name, inst := range map[string]nucleus.Instance{"truss": nucleus.NewFlatTruss(g, 1), "core": nucleus.NewCore(g)} {
+	for name, inst := range map[string]nucleus.Instance{
+		"truss": nucleus.NewFlatTruss(g, 1), "n34": nucleus.NewFlatN34(g, 1), "core": nucleus.NewCore(g),
+	} {
 		k := kernelFor(inst)
 		if !k.flat {
 			t.Fatalf("%s does not expose flat incidence", name)
@@ -161,14 +165,19 @@ func TestFusedKernelZeroAlloc(t *testing.T) {
 		sc := &newScratches(1, tau)[0]
 		n := int32(inst.NumCells())
 		for _, par := range []bool{false, true} {
-			allocs := testing.AllocsPerRun(10, func() {
-				for c := int32(0); c < n; c++ {
-					computeTauFlat(&k, c, tau, sc, tau[c], par)
-					notifyNeighborsFlat(&k, c, tau, active, 0, tau[c], par)
+			for _, flag := range []int32{flagIdle, flagActive, flagInProgress} {
+				allocs := testing.AllocsPerRun(10, func() {
+					for c := int32(0); c < n; c++ {
+						active[c] = flag
+					}
+					for c := int32(0); c < n; c++ {
+						computeTauFlat(&k, c, tau, sc, tau[c], par)
+						notifyNeighborsFlat(&k, c, tau, active, 0, tau[c], par)
+					}
+				})
+				if allocs != 0 {
+					t.Fatalf("%s par=%v flag=%d: fused sweep allocated %.1f times per run, want 0", name, par, flag, allocs)
 				}
-			})
-			if allocs != 0 {
-				t.Fatalf("%s par=%v: fused sweep allocated %.1f times per run, want 0", name, par, allocs)
 			}
 		}
 	}

@@ -2,7 +2,6 @@ package localhi
 
 import (
 	"math"
-	"sync/atomic"
 
 	"nucleus/internal/nucleus"
 )
@@ -17,8 +16,9 @@ import (
 // array of cur slots, and once cur s-cliques with ρ ≥ cur have been seen
 // the answer is cur and the rest of the row is never read (the §4.4 early
 // exit). A cell at cur = 0 costs nothing. par reads τ atomically for
-// concurrent asynchronous sweeps (stale higher reads are benign: τ stays
-// an upper bound of κ and later sweeps repair them).
+// concurrent asynchronous sweeps (a stale higher read is repaired: the
+// reading cell is in progress, so the fall it missed wakes it again, and
+// without notification every cell is evaluated again in the next sweep).
 //
 //   - computeTauFlat, the fused kernel, scans the row of a stored incidence
 //     (nucleus.RowsOf: Flat, and Core over the graph's own CSR at
@@ -104,7 +104,7 @@ func (sc *sweepScratch) visit(others []int32) bool {
 	tau, par := sc.tau, sc.par
 	rho := int32(math.MaxInt32)
 	for _, d := range others {
-		rho = min(rho, loadTau(par, tau, d))
+		rho = min(rho, load(par, tau, d))
 	}
 	sc.cellVisit++
 	if rho >= sc.cur {
@@ -131,7 +131,7 @@ func computeTauFlat(k *kernel, c int32, tau []int32, sc *sweepScratch, cur int32
 	support := int32(0)
 	if co == 1 {
 		for i, d := range row {
-			rho := loadTau(par, tau, d)
+			rho := load(par, tau, d)
 			if rho >= cur {
 				if support++; support >= cur {
 					return cur, int64(i) + 1
@@ -146,7 +146,7 @@ func computeTauFlat(k *kernel, c int32, tau []int32, sc *sweepScratch, cur int32
 	for ; len(row) >= co; row = row[co:] {
 		rho := int32(math.MaxInt32)
 		for _, d := range row[:co] {
-			if v := loadTau(par, tau, d); v < rho {
+			if v := load(par, tau, d); v < rho {
 				rho = v
 			}
 		}
@@ -162,19 +162,45 @@ func computeTauFlat(k *kernel, c int32, tau []int32, sc *sweepScratch, cur int32
 	return settle(cnt, support), visits
 }
 
-// wake sets d's flag if a co-member's fall from old to h can matter to d:
-// for any (r,s) only if h < τ(d) ≤ old — with τ(d) ≤ h, d still counts that
-// co-member's s-cliques at ≥ τ(d), and with τ(d) > old it never did. The
-// lower test is race-free because τ only falls; the upper one can miss a
-// wake-up when d is mid-update, the benign race And's certification sweep
-// exists for (§4.2.1). The flag is written only when it reads 0: most
-// wake-ups find it set, and an atomic store is an XCHG.
+// The states of And's per-cell active flag. A sequential run uses only the
+// first two; a concurrent one marks the cell it claimed in progress until
+// its τ is stored, so a co-member's fall in between is never lost.
+const (
+	flagIdle       int32 = iota // nothing changed since the cell's last update
+	flagActive                  // a co-member fell: evaluate it when a sweep next reaches it
+	flagInProgress              // claimed: a worker is evaluating it now
+)
+
+// wake sets d's flag if a co-member's fall from old to h can matter to d,
+// given t, the τ(d) the caller read and found above h. That lower test is
+// the row loop's, so the common τ(d) ≤ h costs one load; it is race-free
+// because τ only falls: with τ(d) ≤ h, d still counts the co-member's
+// s-cliques at ≥ τ(d), whatever d's state. The upper test τ(d) ≤ old (with
+// τ(d) > old, d never counted them) holds only for an idle d, whose last
+// update has finished:
+//   - active: d will be evaluated anyway; nothing is written.
+//   - in progress: d may have read the old value and its τ may still fall,
+//     so it is woken on the lower test alone.
+//   - idle: woken if t ≤ old. A t above old may be a read from before d's
+//     last update finished, so τ(d) is read again, after the flag, and d is
+//     woken only if h < τ(d) ≤ old.
+//
+// For any (r,s) this wakes every cell that can still fall, so a sweep that
+// updates nothing is the fixpoint.
 //
 //nucleus:noalloc
-func wake(tau, active []int32, d, h, old int32, par bool) {
-	if t := loadTau(par, tau, d); t > h && t <= old && atomic.LoadInt32(&active[d]) == 0 {
-		atomic.StoreInt32(&active[d], 1)
+func wake(tau, active []int32, d, t, h, old int32, par bool) {
+	switch load(par, active, d) {
+	case flagActive:
+		return
+	case flagIdle:
+		if t > old {
+			if t = load(par, tau, d); t <= h || t > old {
+				return
+			}
+		}
 	}
+	store(par, active, d, flagActive)
 }
 
 // notifyNeighborsFlat wakes c's co-members off the stored row.
@@ -182,7 +208,9 @@ func wake(tau, active []int32, d, h, old int32, par bool) {
 //nucleus:noalloc
 func notifyNeighborsFlat(k *kernel, c int32, tau, active []int32, h, old int32, par bool) {
 	for _, d := range k.rows.Row(c) {
-		wake(tau, active, d, h, old, par)
+		if t := load(par, tau, d); t > h {
+			wake(tau, active, d, t, h, old, par)
+		}
 	}
 }
 
@@ -216,7 +244,9 @@ func (k *kernel) notify(c int32, tau, active []int32, sc *sweepScratch, h, old i
 	}
 	if sc.wakeFn == nil { // active is the run's: one array for the scratch's whole life
 		sc.wakeFn = func(d int32) bool {
-			wake(sc.tau, active, d, sc.h, sc.cur, sc.par)
+			if t := load(sc.par, sc.tau, d); t > sc.h {
+				wake(sc.tau, active, d, t, sc.h, sc.cur, sc.par)
+			}
 			return true
 		}
 	}

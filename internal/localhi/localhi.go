@@ -54,11 +54,13 @@ type Options struct {
 	// A bounded run returns the intermediate τ, which is a valid
 	// approximation (Theorem 1: τ ≥ κ pointwise, non-increasing).
 	MaxSweeps int
-	// Order is the cell processing order for And; nil means 0..n-1.
-	// Per Theorem 4, processing in the peeling order (non-decreasing final
-	// κ with peeling tie-breaks, e.g. peel.Result.Order) converges in a
-	// single iteration. It must be a permutation of [0, NumCells): a run
-	// panics rather than report a partial sweep as Converged.
+	// Order is the cell processing order for And; nil means ascending
+	// s-degree, ties by id (AscendingOrder of the instance's Degrees, also
+	// on a warm start): the cheap stand-in for the peeling order, which per
+	// Theorem 4 (non-decreasing final κ with peeling tie-breaks, e.g.
+	// peel.Result.Order) converges in a single iteration. It must be a
+	// permutation of [0, NumCells): a run panics rather than report a
+	// partial sweep as Converged.
 	Order []int32
 	// Notification enables the plateau-skipping wakeup mechanism (§4.2.1);
 	// only meaningful for And.
@@ -99,7 +101,7 @@ type Result struct {
 	// graph takes 2 iterations).
 	Iterations int
 	// Sweeps counts all sweeps performed, including the final no-change
-	// sweep that detects convergence and any verification sweeps.
+	// sweep that detects convergence.
 	Sweeps int
 	// Converged reports whether τ = κ was certified.
 	Converged bool
@@ -127,10 +129,10 @@ func (o Options) threads() int { return max(o.Threads, 1) }
 // cells from the frozen τ_t of the previous sweep (Jacobi iteration).
 func Snd(inst nucleus.Instance, opts Options) *Result {
 	n := inst.NumCells()
-	tau := initialTau(inst, opts)
+	tau := initialTau(inst.Degrees(), opts)
 	prev := make([]int32, n)
 	res := &Result{}
-	cells := sweepCells(n, opts)
+	cells := sweepCells(n, opts, nil)
 	k := kernelFor(inst)
 	scs := newScratches(opts.threads(), tau)
 	body := func(chunk []int32, sc *sweepScratch) {
@@ -172,11 +174,17 @@ func Snd(inst nucleus.Instance, opts Options) *Result {
 // And runs the asynchronous algorithm: cells read the freshest available τ
 // values (Gauss–Seidel iteration), optionally skipping cells whose
 // neighborhood is unchanged (notification mechanism).
+//
+// With notification the wake-ups are exact at every thread count (wake):
+// a cell left idle cannot fall, so a sweep that updates nothing is the
+// fixpoint, and the run ends on its first one, as it does without
+// notification.
 func And(inst nucleus.Instance, opts Options) *Result {
 	n := inst.NumCells()
-	tau := initialTau(inst, opts)
+	deg := inst.Degrees()
+	cells := sweepCells(n, opts, deg) // before initialTau clamps deg into τ
+	tau := initialTau(deg, opts)
 	res := &Result{}
-	cells := sweepCells(n, opts)
 	concurrent := opts.threads() > 1
 	k := kernelFor(inst)
 	scs := newScratches(opts.threads(), tau)
@@ -185,34 +193,41 @@ func And(inst nucleus.Instance, opts Options) *Result {
 	if opts.Notification {
 		active = make([]int32, n)
 		for _, c := range cells {
-			active[c] = 1
+			active[c] = flagActive
 		}
 	}
-	ignoreFlags := false
+	// A sequential run clears the flag of the cell it claims; a concurrent
+	// one marks it in progress, before any co-member is read.
+	claimed := flagIdle
+	if concurrent {
+		claimed = flagInProgress
+	}
 	body := func(chunk []int32, sc *sweepScratch) {
 		var upd, vis, skip int64
 		for _, c := range chunk {
-			if active != nil && !ignoreFlags {
-				if atomic.LoadInt32(&active[c]) == 0 {
+			if active != nil {
+				if load(concurrent, active, c) == flagIdle {
 					skip++
 					continue
 				}
-				// Clear before computing: a notification that arrives
-				// mid-compute is preserved for the next sweep, so no
-				// wakeup is lost.
-				atomic.StoreInt32(&active[c], 0)
+				store(concurrent, active, c, claimed)
 			}
 			// Only the worker that claimed c writes tau[c], so one read
 			// serves as both the kernel's clamp and the old value.
-			old := loadTau(concurrent, tau, c)
+			old := load(concurrent, tau, c)
 			h, v := k.update(c, tau, sc, old, concurrent)
 			vis += v
 			if h < old {
-				storeTau(concurrent, tau, c, h)
+				store(concurrent, tau, c, h)
 				upd++
 				if active != nil {
 					k.notify(c, tau, active, sc, h, old, concurrent)
 				}
+			}
+			if active != nil && concurrent {
+				// Back to idle, unless a wake arrived while c was in
+				// progress: then c stays active for the next sweep.
+				atomic.CompareAndSwapInt32(&active[c], flagInProgress, flagIdle)
 			}
 		}
 		sc.updates += upd
@@ -220,16 +235,11 @@ func And(inst nucleus.Instance, opts Options) *Result {
 		sc.skipped += skip
 	}
 
-	runSweep := func(certify bool) int64 {
-		ignoreFlags = certify
-		return res.sweep(opts, tau, cells, scs, body)
-	}
-
-	// Every sweep — notification, certification and repair alike — counts
-	// against the budget, so a bounded run can never report
-	// Sweeps > MaxSweeps. The check sits at the loop head: when the budget
-	// is exhausted the run stops uncertified and returns the intermediate
-	// τ, which is still a valid approximation (τ ≥ κ, Theorem 1).
+	// Every sweep counts against the budget, so a bounded run can never
+	// report Sweeps > MaxSweeps. The check sits at the loop head: when the
+	// budget is exhausted the run stops unconverged and returns the
+	// intermediate τ, which is still a valid approximation (τ ≥ κ,
+	// Theorem 1).
 	for {
 		if opts.MaxSweeps > 0 && res.Sweeps >= opts.MaxSweeps {
 			break
@@ -241,26 +251,9 @@ func And(inst nucleus.Instance, opts Options) *Result {
 			res.Stopped = true
 			break
 		}
-		updates := runSweep(false)
-		if updates == 0 {
-			if active == nil {
-				res.Converged = true
-				break
-			}
-			if opts.MaxSweeps > 0 && res.Sweeps >= opts.MaxSweeps {
-				// No budget left for certification: the plateau is very
-				// likely the fixpoint, but without the certifying sweep we
-				// must not claim convergence.
-				break
-			}
-			// Certify the fixpoint with one full sweep that ignores the
-			// notification flags; in the benign-race worst case this
-			// degenerates to a synchronous sweep (§4.2.1). A non-zero
-			// certification sweep re-enters the loop (and the budget check).
-			if runSweep(true) == 0 {
-				res.Converged = true
-				break
-			}
+		if res.sweep(opts, tau, cells, scs, body) == 0 {
+			res.Converged = true
+			break
 		}
 	}
 	res.Tau = tau
@@ -270,28 +263,33 @@ func And(inst nucleus.Instance, opts Options) *Result {
 	return res
 }
 
-// loadTau reads τ(c), atomically when other workers may be writing τ.
+// load reads a[i], a τ or a flag, atomically when other workers may be
+// writing it.
 //
 //nucleus:noalloc
-func loadTau(concurrent bool, tau []int32, c int32) int32 {
+func load(concurrent bool, a []int32, i int32) int32 {
 	if concurrent {
-		return atomic.LoadInt32(&tau[c])
+		return atomic.LoadInt32(&a[i])
 	}
-	return tau[c]
+	return a[i]
 }
 
-func storeTau(concurrent bool, tau []int32, c int32, v int32) {
+// store writes a[i], a τ or a flag, atomically when other workers may be
+// reading it.
+//
+//nucleus:noalloc
+func store(concurrent bool, a []int32, i int32, v int32) {
 	if concurrent {
-		atomic.StoreInt32(&tau[c], v)
+		atomic.StoreInt32(&a[i], v)
 		return
 	}
-	tau[c] = v
+	a[i] = v
 }
 
-// initialTau builds the starting τ array: the s-degrees, or the caller's
-// warm start clamped to them.
-func initialTau(inst nucleus.Instance, opts Options) []int32 {
-	tau := inst.Degrees()
+// initialTau builds the starting τ array in place of the s-degrees deg:
+// the degrees themselves, or the caller's warm start clamped to them.
+func initialTau(deg []int32, opts Options) []int32 {
+	tau := deg
 	if opts.InitialTau == nil {
 		return tau
 	}
@@ -306,8 +304,10 @@ func initialTau(inst nucleus.Instance, opts Options) []int32 {
 	return tau
 }
 
-// sweepCells resolves the cell visit order for a run.
-func sweepCells(n int, opts Options) []int32 {
+// sweepCells resolves the cell visit order for a run: the caller's Subset
+// or Order, else ascending deg when the run passes the s-degrees (And),
+// else id order.
+func sweepCells(n int, opts Options, deg []int32) []int32 {
 	if opts.Subset != nil {
 		return opts.Subset
 	}
@@ -315,11 +315,36 @@ func sweepCells(n int, opts Options) []int32 {
 		checkPermutation(opts.Order, n)
 		return opts.Order
 	}
+	if deg != nil {
+		return AscendingOrder(deg)
+	}
 	cells := make([]int32, n)
 	for i := range cells {
 		cells[i] = int32(i)
 	}
 	return cells
+}
+
+// AscendingOrder returns the cell ids sorted by (key, id) ascending with one
+// counting sort; keys must be non-negative.
+func AscendingOrder(keys []int32) []int32 {
+	var top int32
+	for _, k := range keys {
+		top = max(top, k)
+	}
+	next := make([]int32, top+2)
+	for _, k := range keys {
+		next[k+1]++
+	}
+	for k := 1; k < len(next); k++ {
+		next[k] += next[k-1]
+	}
+	order := make([]int32, len(keys))
+	for c, k := range keys {
+		order[next[k]] = int32(c)
+		next[k]++
+	}
+	return order
 }
 
 // checkPermutation panics unless order lists every cell of [0, n) once.

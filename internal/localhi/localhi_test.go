@@ -56,10 +56,11 @@ func TestFigure2Snd(t *testing.T) {
 
 // TestFigure2AndAlphabetical: processing {a,b,c,d,e,f} in alphabetical
 // (id) order also needs two iterations, exactly as the paper notes:
-// τ1(a) = H({τ0(e), τ0(b)}) = 2, fixed to 1 only in the second sweep.
+// τ1(a) = H({τ0(e), τ0(b)}) = 2, fixed to 1 only in the second sweep. The
+// order is explicit: And's default is ascending s-degree.
 func TestFigure2AndAlphabetical(t *testing.T) {
 	g := graph.Figure2()
-	res := And(nucleus.NewCore(g), Options{})
+	res := And(nucleus.NewCore(g), Options{Order: []int32{0, 1, 2, 3, 4, 5}})
 	if !res.Converged {
 		t.Fatal("did not converge")
 	}
@@ -241,8 +242,8 @@ func TestNotificationSkipsWork(t *testing.T) {
 	if notif.SkippedCells == 0 {
 		t.Error("notification mechanism never skipped a cell")
 	}
-	// The notified run should do fewer s-clique visits despite the final
-	// verification sweep.
+	// The notified run should do fewer s-clique visits: it evaluates only
+	// the cells a co-member's fall woke.
 	if notif.WorkVisits >= plain.WorkVisits {
 		t.Errorf("notification did not save work: %d vs %d visits",
 			notif.WorkVisits, plain.WorkVisits)

@@ -329,7 +329,7 @@ func queryIntAny(r *http.Request, def int, names ...string) (int, error) {
 
 // handleDecompose is the budget-bounded synchronous decomposition: the
 // caller trades exactness for a response-time guarantee via ?maxSweeps=
-// (deterministic, cacheable) and/or ?maxMs= (wall-clock deadline,
+// (clock-free, cacheable) and/or ?maxMs= (wall-clock deadline,
 // checked between sweeps, never cached). Without budgets it behaves like
 // the other synchronous consumers: full decomposition through the cache.
 func (s *Server) handleDecompose(w http.ResponseWriter, r *http.Request) {

@@ -166,11 +166,14 @@ func TestSchedulerOverloadE2E(t *testing.T) {
 	// Overload degradation: a deadline the job can start but not finish a
 	// full run within. The deadline is placed a quarter of the predicted
 	// full cost past the current wait, so admission must re-budget the job
-	// rather than shed it or accept it whole.
-	degKey := s.jobs.cost.Predict(costKeyFor(s, "slow", "core", "and"), pathSize(40001))
+	// rather than shed it or accept it whole. The job is SND, whose Jacobi
+	// cascade along the path needs ~n/2 sweeps: the ~2 sweeps this deadline
+	// buys leave it unconverged whatever a run's overhead (AND converges on
+	// a path in two).
+	degKey := s.jobs.cost.Predict(costKeyFor(s, "slow", "core", "snd"), pathSize(40001))
 	wait = s.jobs.sched.PredictedWaitMs()
 	deadlineMs := int(wait+degKey.Ms/4) + 1
-	deg, resp := submitTenantJob(t, ts.URL, "t2", deadlineMs, jobRequest{Graph: "slow", Decomposition: "core", Algorithm: "and"})
+	deg, resp := submitTenantJob(t, ts.URL, "t2", deadlineMs, jobRequest{Graph: "slow", Decomposition: "core", Algorithm: "snd"})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("degraded submit: status %d (deadline %dms, wait %.1fms, pred %.1fms)",
 			resp.StatusCode, deadlineMs, wait, degKey.Ms)
