@@ -1,7 +1,7 @@
 // Command nucleuslint is the project's static gate: it fronts `go vet`
-// and then runs the nucleus analyzer suite (noalloc, lockdiscipline,
-// syncerr, atomicfield, ctxstop) over the requested packages, exiting
-// nonzero if either stage reports anything.
+// and then runs the nucleus analyzer suite (lockdiscipline, syncerr) over
+// the requested packages, exiting nonzero if either stage reports
+// anything.
 //
 // Usage:
 //

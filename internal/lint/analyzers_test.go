@@ -8,24 +8,12 @@ import (
 	"nucleus/internal/lint/linttest"
 )
 
-func TestNoalloc(t *testing.T) {
-	linttest.Run(t, lint.Noalloc, "testdata/noalloc")
-}
-
 func TestLockDiscipline(t *testing.T) {
 	linttest.Run(t, lint.LockDiscipline, "testdata/lockdiscipline")
 }
 
 func TestSyncErr(t *testing.T) {
 	linttest.Run(t, lint.SyncErr, "testdata/syncerr")
-}
-
-func TestAtomicField(t *testing.T) {
-	linttest.Run(t, lint.AtomicField, "testdata/atomicfield")
-}
-
-func TestCtxStop(t *testing.T) {
-	linttest.Run(t, lint.CtxStop, "testdata/ctxstop")
 }
 
 // TestSuppressionProblems exercises the mechanism findings directly:

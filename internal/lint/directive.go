@@ -9,9 +9,6 @@ import (
 // Directive names. All project annotations share the "//nucleus:" prefix
 // so a grep for `nucleus:` finds every machine-read comment in the tree.
 const (
-	// dirNoalloc marks a function whose body must not heap-allocate
-	// (attached to the function's doc comment).
-	dirNoalloc = "noalloc"
 	// dirLintIgnore suppresses one analyzer on one line:
 	//   //nucleus:lint-ignore <analyzer> <justification>
 	dirLintIgnore = "lint-ignore"
@@ -39,20 +36,6 @@ func parseDirective(c *ast.Comment) (directive, bool) {
 	}
 	name, args, _ := strings.Cut(text, " ")
 	return directive{name: strings.TrimSpace(name), args: strings.TrimSpace(args), pos: c.Pos()}, true
-}
-
-// hasDirective reports whether a doc comment group carries the named
-// directive.
-func hasDirective(doc *ast.CommentGroup, name string) bool {
-	if doc == nil {
-		return false
-	}
-	for _, c := range doc.List {
-		if d, ok := parseDirective(c); ok && d.name == name {
-			return true
-		}
-	}
-	return false
 }
 
 // fileDirectives collects every //nucleus: directive of a file, resolving

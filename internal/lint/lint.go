@@ -6,10 +6,13 @@
 // so the linter builds and runs in the same sandbox as the code it
 // checks.
 //
-// The analyzers themselves (noalloc, lockdiscipline, syncerr,
-// atomicfield, ctxstop) encode invariants this codebase's correctness
-// arguments rest on — documented in docs/DEVELOPMENT.md — and are wired
-// into CI via cmd/nucleuslint. Findings are suppressed per line with
+// The analyzers themselves encode the two invariants no runtime test covers
+// in full: lockdiscipline (no blocking work under a server lock) and
+// syncerr (no discarded Sync/Close/Flush error on the durability path).
+// The invariants a test does hold — zero-allocation sweeps, a stoppable
+// anytime run, atomic access to shared counters — are left to those tests
+// (docs/DEVELOPMENT.md). The suite is wired into CI via cmd/nucleuslint.
+// Findings are suppressed per line with
 //
 //	//nucleus:lint-ignore <analyzer> <justification>
 //
@@ -64,8 +67,7 @@ type Pass struct {
 	Path string
 	Pkg  *types.Package
 	Info *types.Info
-	// Prog is the enclosing load: shared annotation indexes and module
-	// metadata.
+	// Prog is the enclosing load: its packages and module metadata.
 	Prog *Program
 
 	diags []Diagnostic
@@ -80,16 +82,11 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// Program is one loaded set of packages plus the cross-package annotation
-// indexes analyzers consult.
+// Program is one loaded set of packages.
 type Program struct {
 	Fset       *token.FileSet
 	ModulePath string
 	Pkgs       []*Package
-	// NoallocFuncs marks functions annotated //nucleus:noalloc, keyed by
-	// FuncKey. Built across every loaded package so a noalloc function may
-	// call an annotated function in another package.
-	NoallocFuncs map[string]bool
 }
 
 // Package is one package ready for analysis.
@@ -98,46 +95,6 @@ type Package struct {
 	Files []*ast.File
 	Pkg   *types.Package
 	Info  *types.Info
-}
-
-// FuncKey names a function for cross-package annotation lookups:
-// "pkgpath.Func" for package-level functions, "pkgpath.Recv.Method" for
-// methods (pointer receivers are stripped).
-func FuncKey(fn *types.Func) string {
-	if fn == nil || fn.Pkg() == nil {
-		return ""
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if ok && sig.Recv() != nil {
-		t := sig.Recv().Type()
-		if p, isPtr := t.(*types.Pointer); isPtr {
-			t = p.Elem()
-		}
-		if named, isNamed := t.(*types.Named); isNamed {
-			return fn.Pkg().Path() + "." + named.Obj().Name() + "." + fn.Name()
-		}
-	}
-	return fn.Pkg().Path() + "." + fn.Name()
-}
-
-// funcDeclKey is FuncKey for a declaration in pkgPath (syntax-side
-// counterpart, used while building the annotation index).
-func funcDeclKey(pkgPath string, fd *ast.FuncDecl) string {
-	if fd.Recv != nil && len(fd.Recv.List) > 0 {
-		t := fd.Recv.List[0].Type
-		if star, ok := t.(*ast.StarExpr); ok {
-			t = star.X
-		}
-		switch tt := t.(type) {
-		case *ast.Ident:
-			return pkgPath + "." + tt.Name + "." + fd.Name.Name
-		case *ast.IndexExpr: // generic receiver T[P]
-			if id, ok := tt.X.(*ast.Ident); ok {
-				return pkgPath + "." + id.Name + "." + fd.Name.Name
-			}
-		}
-	}
-	return pkgPath + "." + fd.Name.Name
 }
 
 // sortDiagnostics orders findings by file, line, column, analyzer.

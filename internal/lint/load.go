@@ -226,11 +226,7 @@ func Load(dir string, patterns []string) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	prog := &Program{
-		Fset:         l.fset,
-		ModulePath:   modulePath(dir),
-		NoallocFuncs: map[string]bool{},
-	}
+	prog := &Program{Fset: l.fset, ModulePath: modulePath(dir)}
 
 	for _, t := range targets {
 		if t.Standard {
@@ -272,7 +268,6 @@ func Load(dir string, patterns []string) (*Program, error) {
 		}
 	}
 
-	indexNoalloc(prog)
 	return prog, nil
 }
 
@@ -320,14 +315,11 @@ func LoadAdHoc(dir string) (*Program, error) {
 	if err != nil {
 		return nil, fmt.Errorf("type-checking %s: %v", dir, err)
 	}
-	prog := &Program{
-		Fset:         l.fset,
-		ModulePath:   path, // same-package calls resolve as module-internal
-		Pkgs:         []*Package{{Path: path, Files: files, Pkg: pkg, Info: info}},
-		NoallocFuncs: map[string]bool{},
-	}
-	indexNoalloc(prog)
-	return prog, nil
+	return &Program{
+		Fset:       l.fset,
+		ModulePath: path, // the testdata package is a module of its own
+		Pkgs:       []*Package{{Path: path, Files: files, Pkg: pkg, Info: info}},
+	}, nil
 }
 
 // modulePath reads the module directive of dir's go.mod.
@@ -343,22 +335,4 @@ func modulePath(dir string) string {
 		}
 	}
 	return ""
-}
-
-// indexNoalloc records every function annotated //nucleus:noalloc across
-// the loaded packages.
-func indexNoalloc(prog *Program) {
-	for _, pkg := range prog.Pkgs {
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok {
-					continue
-				}
-				if hasDirective(fd.Doc, dirNoalloc) {
-					prog.NoallocFuncs[funcDeclKey(pkg.Path, fd)] = true
-				}
-			}
-		}
-	}
 }

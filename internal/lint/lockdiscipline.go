@@ -197,6 +197,22 @@ func (ld *lockChecker) bodyEffects(body ast.Node) effect {
 	return e
 }
 
+// calleeFunc resolves the static callee of a call, nil for builtins,
+// conversions and calls through function values.
+func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		if f, ok := info.Uses[fun].(*types.Func); ok {
+			return f
+		}
+	case *ast.SelectorExpr:
+		if f, ok := info.Uses[fun.Sel].(*types.Func); ok {
+			return f
+		}
+	}
+	return nil
+}
+
 // callEffect classifies one call expression.
 func (ld *lockChecker) callEffect(call *ast.CallExpr) effect {
 	fn := calleeFunc(ld.pass.Info, call)

@@ -48,11 +48,5 @@ func Run(prog *Program, analyzers []*Analyzer, opts RunOptions) ([]Diagnostic, e
 
 // All returns the full analyzer suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{
-		Noalloc,
-		LockDiscipline,
-		SyncErr,
-		AtomicField,
-		CtxStop,
-	}
+	return []*Analyzer{LockDiscipline, SyncErr}
 }

@@ -3,6 +3,7 @@ package localhi
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"nucleus/internal/graph"
@@ -145,12 +146,28 @@ func TestFusedSubsetAndWarmStart(t *testing.T) {
 	}
 }
 
-// TestFusedKernelZeroAlloc proves the claim the kernel's noalloc annotation
-// makes: a full fused sweep over every cell, and waking every cell's
-// neighbors, performs zero heap allocations — on truss and (3,4) indexes
-// (co-arity 2 and 3, the general row loop) and on k-core (co-arity 1, the
-// graph's own CSR), with the neighbors' flags in each of the three states
-// wake tells apart.
+// mallocs runs body once to warm up, then returns the heap allocations of
+// ten more runs in total. Unlike testing.AllocsPerRun it neither averages
+// nor truncates, so a single allocation in ten runs — a slice that grows
+// now and then — is reported. As in AllocsPerRun, GOMAXPROCS is 1
+// meanwhile, so no other goroutine runs beside the body.
+func mallocs(body func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	body()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 10; i++ {
+		body()
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestFusedKernelZeroAlloc proves that a full fused sweep over every cell,
+// and waking every cell's neighbors, performs zero heap allocations — on
+// truss and (3,4) indexes (co-arity 2 and 3, the general row loop) and on
+// k-core (co-arity 1, the graph's own CSR), with the neighbors' flags in
+// each of the three states wake tells apart.
 func TestFusedKernelZeroAlloc(t *testing.T) {
 	g := graph.PlantedCommunities(3, 14, 0.5, 40, 11)
 	for name, inst := range map[string]nucleus.Instance{
@@ -166,7 +183,7 @@ func TestFusedKernelZeroAlloc(t *testing.T) {
 		n := int32(inst.NumCells())
 		for _, par := range []bool{false, true} {
 			for _, flag := range []int32{flagIdle, flagActive, flagInProgress} {
-				allocs := testing.AllocsPerRun(10, func() {
+				allocs := mallocs(func() {
 					for c := int32(0); c < n; c++ {
 						active[c] = flag
 					}
@@ -176,7 +193,7 @@ func TestFusedKernelZeroAlloc(t *testing.T) {
 					}
 				})
 				if allocs != 0 {
-					t.Fatalf("%s par=%v flag=%d: fused sweep allocated %.1f times per run, want 0", name, par, flag, allocs)
+					t.Fatalf("%s par=%v flag=%d: fused sweep allocated %d times in 10 runs, want 0", name, par, flag, allocs)
 				}
 			}
 		}
@@ -186,8 +203,8 @@ func TestFusedKernelZeroAlloc(t *testing.T) {
 // TestGenericKernelZeroAlloc is the same claim for the generic kernel: its
 // visitors are bound to the scratch once, not built per cell. The wrapper
 // hides FlatIncidence, so the closure path runs — over Flat's
-// VisitSCliques and VisitNeighbors, which themselves allocate nothing, so
-// every allocation counted here would be the kernel's.
+// VisitSCliques, which itself allocates nothing, so every allocation
+// counted here would be the kernel's.
 func TestGenericKernelZeroAlloc(t *testing.T) {
 	g := graph.PlantedCommunities(3, 14, 0.5, 40, 11)
 	k := kernelFor(hideFlat(nucleus.NewFlatTruss(g, 1)))
@@ -204,10 +221,9 @@ func TestGenericKernelZeroAlloc(t *testing.T) {
 			k.notify(c, tau, active, sc, 0, tau[c], par)
 		}
 	}
-	sweep(false) // bind the visitors
 	for _, par := range []bool{false, true} {
-		if allocs := testing.AllocsPerRun(10, func() { sweep(par) }); allocs != 0 {
-			t.Fatalf("par=%v: generic sweep allocated %.1f times per run, want 0", par, allocs)
+		if allocs := mallocs(func() { sweep(par) }); allocs != 0 {
+			t.Fatalf("par=%v: generic sweep allocated %d times in 10 runs, want 0", par, allocs)
 		}
 	}
 }

@@ -47,7 +47,7 @@ type sweepScratch struct {
 	support   int32
 	cellVisit int64
 	visitFn   func(others []int32) bool
-	wakeFn    func(d int32) bool
+	wakeFn    func(others []int32) bool
 
 	// Scratches of a run sit in one slice; the pad keeps one worker's hot
 	// fields off the cache line of the next worker's.
@@ -69,8 +69,6 @@ func newScratches(workers int, tau []int32) []sweepScratch {
 
 // settle finishes a cell whose row ended with atLeast < cur = len(cnt)
 // s-cliques at ρ ≥ cur: the largest h < cur with h s-cliques at ρ ≥ h.
-//
-//nucleus:noalloc
 func settle(cnt []int32, atLeast int32) int32 {
 	for h := int32(len(cnt)) - 1; h >= 1; h-- {
 		if atLeast += cnt[h]; atLeast >= h {
@@ -119,8 +117,6 @@ func (sc *sweepScratch) visit(others []int32) bool {
 
 // computeTauFlat evaluates the update operator for cell c against tau by
 // scanning the cell's stored row; at co-arity 1 (k-core) ρ is one τ read.
-//
-//nucleus:noalloc
 func computeTauFlat(k *kernel, c int32, tau []int32, sc *sweepScratch, cur int32, par bool) (int32, int64) {
 	if cur <= 0 {
 		return 0, 0
@@ -187,8 +183,6 @@ const (
 //
 // For any (r,s) this wakes every cell that can still fall, so a sweep that
 // updates nothing is the fixpoint.
-//
-//nucleus:noalloc
 func wake(tau, active []int32, d, t, h, old int32, par bool) {
 	switch load(par, active, d) {
 	case flagActive:
@@ -204,8 +198,6 @@ func wake(tau, active []int32, d, t, h, old int32, par bool) {
 }
 
 // notifyNeighborsFlat wakes c's co-members off the stored row.
-//
-//nucleus:noalloc
 func notifyNeighborsFlat(k *kernel, c int32, tau, active []int32, h, old int32, par bool) {
 	for _, d := range k.rows.Row(c) {
 		if t := load(par, tau, d); t > h {
@@ -243,13 +235,15 @@ func (k *kernel) notify(c int32, tau, active []int32, sc *sweepScratch, h, old i
 		return
 	}
 	if sc.wakeFn == nil { // active is the run's: one array for the scratch's whole life
-		sc.wakeFn = func(d int32) bool {
-			if t := load(sc.par, sc.tau, d); t > sc.h {
-				wake(sc.tau, active, d, t, sc.h, sc.cur, sc.par)
+		sc.wakeFn = func(others []int32) bool {
+			for _, d := range others {
+				if t := load(sc.par, sc.tau, d); t > sc.h {
+					wake(sc.tau, active, d, t, sc.h, sc.cur, sc.par)
+				}
 			}
 			return true
 		}
 	}
 	sc.h = h
-	k.inst.VisitNeighbors(c, sc.wakeFn)
+	k.inst.VisitSCliques(c, sc.wakeFn)
 }

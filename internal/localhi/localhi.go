@@ -265,8 +265,6 @@ func And(inst nucleus.Instance, opts Options) *Result {
 
 // load reads a[i], a τ or a flag, atomically when other workers may be
 // writing it.
-//
-//nucleus:noalloc
 func load(concurrent bool, a []int32, i int32) int32 {
 	if concurrent {
 		return atomic.LoadInt32(&a[i])
@@ -276,8 +274,6 @@ func load(concurrent bool, a []int32, i int32) int32 {
 
 // store writes a[i], a τ or a flag, atomically when other workers may be
 // reading it.
-//
-//nucleus:noalloc
 func store(concurrent bool, a []int32, i int32, v int32) {
 	if concurrent {
 		atomic.StoreInt32(&a[i], v)

@@ -20,27 +20,6 @@ func TestEarlyStopAllInstances(t *testing.T) {
 		if count != 1 {
 			t.Errorf("(%d,%d): VisitSCliques early stop visited %d", inst.R(), inst.S(), count)
 		}
-		count = 0
-		inst.VisitNeighbors(0, func(int32) bool {
-			count++
-			return false
-		})
-		if count != 1 {
-			t.Errorf("(%d,%d): VisitNeighbors early stop visited %d", inst.R(), inst.S(), count)
-		}
-	}
-}
-
-func TestTrussVisitNeighborsStopOnSecond(t *testing.T) {
-	g := graph.Complete(4)
-	inst := NewTruss(g)
-	count := 0
-	inst.VisitNeighbors(0, func(int32) bool {
-		count++
-		return count < 2 // stop on the second co-edge of the first triangle
-	})
-	if count != 2 {
-		t.Fatalf("visited %d, want 2", count)
 	}
 }
 
@@ -87,10 +66,6 @@ func TestHyperDisconnectedSmallS(t *testing.T) {
 	}
 	h.VisitSCliques(0, func([]int32) bool {
 		t.Fatal("visited s-clique in triangle-free graph")
-		return false
-	})
-	h.VisitNeighbors(0, func(int32) bool {
-		t.Fatal("visited neighbor in triangle-free graph")
 		return false
 	})
 }

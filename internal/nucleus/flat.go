@@ -39,8 +39,6 @@ func RowsOf(inst Instance) (Rows, bool) {
 }
 
 // Row returns the co-members of cell c's s-cliques, Co ids per s-clique.
-//
-//nucleus:noalloc
 func (r Rows) Row(c int32) []int32 { return r.Mem[r.Offs[c]:r.Offs[c+1]] }
 
 // Flat is the stored-s-cliques instance of any (r,s) decomposition — the
@@ -163,14 +161,6 @@ func (f *Flat) VisitSCliques(c int32, fn func(others []int32) bool) {
 	ca := f.coArity
 	for i := 0; i+ca <= len(row); i += ca {
 		if !fn(row[i : i+ca : i+ca]) {
-			return
-		}
-	}
-}
-
-func (f *Flat) VisitNeighbors(c int32, fn func(int32) bool) {
-	for _, d := range f.members[f.offs[c]:f.offs[c+1]] {
-		if !fn(d) {
 			return
 		}
 	}

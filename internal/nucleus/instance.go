@@ -5,8 +5,8 @@
 // ("cell") the largest k such that the cell belongs to a k-(r,s) nucleus.
 // All algorithms (peeling, SND, AND) are written against the Instance
 // interface below, which exposes exactly the local structure they need:
-// the s-degree of every cell, iteration over the s-cliques containing a
-// cell (with the co-member cells), and iteration over neighboring cells.
+// the s-degree of every cell and iteration over the s-cliques containing a
+// cell (with the co-member cells).
 //
 // There are four instances, split along the paper's one real fork (§5:
 // discover the s-cliques on the fly, or store them):
@@ -46,10 +46,6 @@ type Instance interface {
 	// the ids of the other member cells. The slice is reused across calls;
 	// fn must not retain it. Iteration stops early when fn returns false.
 	VisitSCliques(c int32, fn func(others []int32) bool)
-	// VisitNeighbors calls fn for every cell that shares at least one
-	// s-clique with c. Cells may be visited more than once. Iteration
-	// stops early when fn returns false.
-	VisitNeighbors(c int32, fn func(d int32) bool)
 	// CellVertices appends the vertices of cell c to buf and returns it.
 	CellVertices(c int32, buf []uint32) []uint32
 	// CellLabel formats cell c for diagnostics.
@@ -87,14 +83,6 @@ func (c *Core) VisitSCliques(u int32, fn func(others []int32) bool) {
 	for _, v := range c.G.Neighbors(uint32(u)) {
 		buf[0] = int32(v)
 		if !fn(buf[:]) {
-			return
-		}
-	}
-}
-
-func (c *Core) VisitNeighbors(u int32, fn func(int32) bool) {
-	for _, v := range c.G.Neighbors(uint32(u)) {
-		if !fn(int32(v)) {
 			return
 		}
 	}

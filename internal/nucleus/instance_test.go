@@ -157,27 +157,6 @@ func TestHyperInvalidArgs(t *testing.T) {
 	}
 }
 
-func TestVisitNeighborsSymmetryCore(t *testing.T) {
-	g := graph.GnM(30, 90, 11)
-	inst := NewCore(g)
-	for c := int32(0); c < int32(inst.NumCells()); c++ {
-		inst.VisitNeighbors(c, func(d int32) bool {
-			found := false
-			inst.VisitNeighbors(d, func(e int32) bool {
-				if e == c {
-					found = true
-					return false
-				}
-				return true
-			})
-			if !found {
-				t.Fatalf("neighbor relation asymmetric: %d -> %d", c, d)
-			}
-			return true
-		})
-	}
-}
-
 func TestVisitSCliquesCountMatchesDegree(t *testing.T) {
 	g := graph.PlantedCommunities(2, 12, 0.6, 10, 5)
 	for _, inst := range []Instance{NewCore(g), NewTruss(g), NewN34(g), nucleustest.NewHyper(g, 2, 3)} {

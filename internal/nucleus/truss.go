@@ -36,12 +36,6 @@ func (t *Truss) VisitSCliques(e int32, fn func(others []int32) bool) {
 	})
 }
 
-func (t *Truss) VisitNeighbors(e int32, fn func(int32) bool) {
-	cliques.ForEachTriangleOfEdge(t.G, int64(e), func(_ uint32, euw, evw int64) bool {
-		return fn(int32(euw)) && fn(int32(evw))
-	})
-}
-
 func (t *Truss) CellVertices(e int32, buf []uint32) []uint32 {
 	u, v := t.G.Edge(int64(e))
 	return append(buf, u, v)
@@ -84,12 +78,6 @@ func (n *N34) VisitSCliques(t int32, fn func(others []int32) bool) {
 	n.Idx.ForEachK4OfTriangle(n.G, t, func(_ uint32, t1, t2, t3 int32) bool {
 		buf[0], buf[1], buf[2] = t1, t2, t3
 		return fn(buf[:])
-	})
-}
-
-func (n *N34) VisitNeighbors(t int32, fn func(int32) bool) {
-	n.Idx.ForEachK4OfTriangle(n.G, t, func(_ uint32, t1, t2, t3 int32) bool {
-		return fn(t1) && fn(t2) && fn(t3)
 	})
 }
 

@@ -95,14 +95,6 @@ func (h *Hyper) VisitSCliques(c int32, fn func(others []int32) bool) {
 	}
 }
 
-func (h *Hyper) VisitNeighbors(c int32, fn func(int32) bool) {
-	for _, d := range h.memberships[c] {
-		if !fn(d) {
-			return
-		}
-	}
-}
-
 func (h *Hyper) CellVertices(c int32, buf []uint32) []uint32 {
 	return append(buf, h.cells[c]...)
 }

@@ -178,21 +178,25 @@ func (p *parPeeler) extractLevel(cur int32, frontier []int32) []int32 {
 // decrements of the sub-round, clamped at the level k (the sequential
 // algorithm never decrements a cell below k — it is about to be peeled at
 // k anyway), and route each touched cell to the next frontier or its new
-// bucket's spill chain. All workers joined before the call, so the delta
-// reads and resets race with nothing.
+// bucket's spill chain. All workers joined before the call, so every atomic
+// add to delta happens-before the plain reads and resets here, and no worker
+// adds again until the next frontier is published.
 //
-//nucleus:noalloc
+// The appends stay within capacity after warm-up: next is preallocated to
+// cap n and each unprocessed cell is appended at most once per merge; the
+// spill pushes are bounded by the total s-clique decrements, so spillCell
+// and spillNext (in lockstep) grow to that bound once.
 func (p *parPeeler) mergeTouched(k int32, next []int32) []int32 {
 	for w := range p.touched {
 		for _, d := range p.touched[w] {
-			nd := p.deg[d] - p.delta[d] //nucleus:lint-ignore atomicfield barrier merge: all workers joined before this read, every atomic add happens-before it
-			p.delta[d] = 0              //nucleus:lint-ignore atomicfield same barrier: workers are parked until the next frontier is published, no concurrent adds
+			nd := p.deg[d] - p.delta[d]
+			p.delta[d] = 0
 			if nd <= k {
 				nd = k
-				next = append(next, d) //nucleus:lint-ignore noalloc next is preallocated to cap n and each unprocessed cell is appended at most once per merge
+				next = append(next, d)
 			} else {
-				p.spillCell = append(p.spillCell, d)               //nucleus:lint-ignore noalloc spill push: total pushes are bounded by total s-clique decrements, the array grows to that bound once
-				p.spillNext = append(p.spillNext, p.spillHead[nd]) //nucleus:lint-ignore noalloc same bound: spillNext grows in lockstep with spillCell
+				p.spillCell = append(p.spillCell, d)
+				p.spillNext = append(p.spillNext, p.spillHead[nd])
 				p.spillHead[nd] = int32(len(p.spillCell) - 1)
 			}
 			p.deg[d] = nd

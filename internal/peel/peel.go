@@ -54,8 +54,6 @@ func sortByDegree(deg []int32) (vert, pos, bin []int32) {
 
 // lower decrements the degree of cell u, which sits behind the front: u
 // swaps with the first cell of its bin and the bin's start moves past it.
-//
-//nucleus:noalloc
 func lower(deg, vert, pos, bin []int32, u int32) {
 	du, pu := deg[u], pos[u]
 	pw := bin[du]
@@ -90,8 +88,6 @@ func Run(inst nucleus.Instance) *Result {
 // k = its degree. An s-clique is intact iff no member sits before i; at
 // co-arity 1 the clamp is that test, since a cell already gone kept its
 // κ <= k — so k-core is the textbook loop.
-//
-//nucleus:noalloc
 func peelRows(deg, vert, pos, bin []int32, rows nucleus.Rows) {
 	co := rows.Co
 	for i := int32(0); int(i) < len(vert); i++ {

@@ -139,7 +139,11 @@ func TestDecomposeBodyMatchesEncoder(t *testing.T) {
 	cached := func(name, dec, alg string, maxSweeps int) func(decomposeResponse) []int32 {
 		return func(decomposeResponse) []int32 {
 			e, _ := s.reg.get(name)
-			res, ok := s.cache.peek(keyOf(e, dec, alg, maxSweeps))
+			q, err := s.newQuery(e, dec, alg, maxSweeps, 0) // the read's own key: a budgeted AND's carries its threads
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, ok := s.cache.peek(q.key())
 			if !ok {
 				t.Fatalf("%s %s/%s/%d is not cached", name, dec, alg, maxSweeps)
 			}

@@ -13,13 +13,16 @@ import (
 // entry to a specific registry entry, so re-uploading a graph under the
 // same name invalidates prior results implicitly. MaxSweeps is part of the
 // key because a bounded run returns an approximation (τ ≥ κ), not the same
-// array a converged run would.
+// array a converged run would. Threads is set only for a bounded AND, the
+// one run whose τ depends on the worker count (a concurrent sweep reads
+// what other workers already wrote); it is 0 in every other key.
 type cacheKey struct {
 	graph     string
 	version   uint64
 	dec       string
 	alg       string
 	maxSweeps int
+	threads   int
 }
 
 // decompResult is a completed decomposition, shared between the job store

@@ -474,7 +474,7 @@ func TestMutationIsolatesInFlightVersion(t *testing.T) {
 
 	// A computation that was in flight for the pre-mutation version
 	// finishes now: the liveness recheck must keep it out of the cache.
-	key := cacheKey{e1.name, e1.version, "core", "and", 0}
+	key := keyOf(e1, "core", "and", 0)
 	res := resolvePooled(t, s, e1, "core")
 	if res == nil {
 		t.FailNow()

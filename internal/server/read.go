@@ -40,8 +40,9 @@ import (
 type query struct {
 	entry *graphEntry
 	// dec, alg and maxSweeps are normalized by newQuery and, with the
-	// entry's name and version, are the cache key: equivalent requests share
-	// one slot. maxSweeps 0 runs to convergence.
+	// entry's name and version (and threads, for a budgeted AND), are the
+	// cache key: equivalent requests share one slot. maxSweeps 0 runs to
+	// convergence.
 	dec, alg  string
 	maxSweeps int
 	// threads is the effective intra-run worker count.
@@ -114,10 +115,20 @@ func normalizeAlg(s string) (string, error) {
 
 // keyOf is the cache slot of (e, dec, alg, maxSweeps), all normalized.
 func keyOf(e *graphEntry, dec, alg string, maxSweeps int) cacheKey {
-	return cacheKey{e.name, e.version, dec, alg, maxSweeps}
+	return cacheKey{graph: e.name, version: e.version, dec: dec, alg: alg, maxSweeps: maxSweeps}
 }
 
-func (q query) key() cacheKey      { return keyOf(q.entry, q.dec, q.alg, q.maxSweeps) }
+// key is q's cache slot. A budgeted AND's τ depends on its worker count,
+// so its key carries q.threads: a one-thread request is never served a
+// concurrent run's τ.
+func (q query) key() cacheKey {
+	k := keyOf(q.entry, q.dec, q.alg, q.maxSweeps)
+	if q.alg == "and" && q.maxSweeps > 0 {
+		k.threads = q.threads
+	}
+	return k
+}
+
 func (q query) exactKey() cacheKey { return keyOf(q.entry, q.dec, q.alg, 0) }
 
 // flight is one in-progress decomposition that concurrent callers wait

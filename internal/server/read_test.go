@@ -6,10 +6,12 @@ import (
 	"go/token"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strconv"
 	"testing"
 	"time"
 
+	"nucleus/internal/localhi"
 	"nucleus/internal/peel"
 )
 
@@ -47,6 +49,46 @@ func TestDeadlineMissCountsColdRun(t *testing.T) {
 			t.Fatalf("request %d: hits=%d misses=%d coldRuns=%d, want %+v",
 				i, st.Cache.Hits.Load(), st.Cache.Misses.Load(), st.Mutations.ColdRuns.Load(), want)
 		}
+	}
+}
+
+// TestBudgetedAndKeyedByThreads: a budgeted AND's τ depends on its worker
+// count, so a one-thread request after a two-thread run of the same budget
+// on the same graph version is a miss that computes the one-thread τ. A
+// budgeted SND repeats at any thread count and keeps one entry.
+func TestBudgetedAndKeyedByThreads(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0)))) // newQuery clamps threads to it
+	ts, s := testServerWith(t, Config{})
+	postJSON(t, ts.URL+"/graphs/g/generate", map[string]any{"generator": "rmat", "scale": 8, "edgeFactor": 8, "seed": 7}, nil)
+	e, _ := s.reg.get("g")
+	ask := func(alg string, threads int) (*decompResult, bool) {
+		q, err := s.newQuery(e, "truss", alg, 1, threads)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q.pooled = true
+		res, hit, err := s.resolve(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, hit
+	}
+	if _, hit := ask("and", 2); hit {
+		t.Fatal("the first budgeted AND was a hit")
+	}
+	res, hit := ask("and", 1)
+	if hit {
+		t.Fatal("a one-thread budgeted AND was served the two-thread run's τ")
+	}
+	want := localhi.And(s.instanceOf(e, "truss"), localhi.Options{Threads: 1, MaxSweeps: 1, Notification: true}).Tau
+	if !reflect.DeepEqual(res.Kappa, want) {
+		t.Fatal("the one-thread budgeted AND's τ differs from localhi.And at one thread")
+	}
+	if _, hit := ask("snd", 1); hit {
+		t.Fatal("the first budgeted SND was a hit")
+	}
+	if _, hit := ask("snd", 2); !hit {
+		t.Fatal("a two-thread budgeted SND missed the one-thread entry")
 	}
 }
 
