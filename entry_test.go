@@ -150,6 +150,20 @@ func TestCellsToVerticesMatchesInstance(t *testing.T) {
 	}
 }
 
+// BenchmarkBuildHierarchyCore times the core forest on lib_core/aux's input
+// (round 0 of seed 1): BuildHierarchy after Decompose(KCore) on the same
+// graph, as lib_core asks for it — the forest over the graph's own CSR.
+func BenchmarkBuildHierarchyCore(b *testing.B) {
+	g := RMAT(14, 8, 0.57, 0.19, 0.19, 1_000_003)
+	kappa := Decompose(g, KCore, Options{Algorithm: Peel}).Kappa
+	b.ReportAllocs()
+	for b.Loop() {
+		if BuildHierarchy(g, KCore, kappa).NumNodes() == 0 {
+			b.Fatal("empty core hierarchy")
+		}
+	}
+}
+
 // BenchmarkBuildHierarchyTruss times the truss forest on lib_nucleus/aux's
 // input (round 0 of seed 1). cold/P=1 is BuildHierarchy on a graph nothing
 // has decomposed yet — instance build at one thread plus the forest over

@@ -3,14 +3,17 @@ package hierarchy
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"reflect"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
 	"testing"
 
 	"nucleus/internal/graph"
+	"nucleus/internal/localhi"
 	"nucleus/internal/nucleus"
 	"nucleus/internal/peel"
 )
@@ -89,10 +92,14 @@ func forestJSON(t *testing.T, f *Forest, g *graph.Graph) []byte {
 // checkForest holds one forest to everything the package promises: the
 // array layout, the documented order, the partition at every threshold
 // against peelComponents, the measurements against the brute-force
-// recount, and equality with the forest of the family's other instance.
+// recount, equality with the forest of the family's other instance, and
+// equality, field for field, with refBuild's forest.
 func checkForest(t *testing.T, g *graph.Graph, inst, twin nucleus.Instance, labels []int32) {
 	t.Helper()
 	f := Build(inst, labels)
+	if ref := refBuild(inst, labels); !reflect.DeepEqual(f, ref) {
+		t.Fatalf("Build and refBuild differ:\n%+v\n%+v", f, ref)
+	}
 	nn := f.NumNodes()
 
 	perm := slices.Clone(f.cells)
@@ -233,6 +240,42 @@ func TestForestInvariants(t *testing.T) {
 	}
 }
 
+// TestBuildMatchesRefOnFamilies: over nine generator families, on Core,
+// the stored truss, the stored (3,4) and the on-the-fly Truss instance,
+// Build's forest equals refBuild's field for field, for the peeled κ and
+// for a budgeted τ (two SND sweeps, and one AND sweep).
+func TestBuildMatchesRefOnFamilies(t *testing.T) {
+	graphs := map[string]*graph.Graph{
+		"gnm":      graph.GnM(300, 1500, 1),
+		"ba":       graph.BarabasiAlbert(300, 4, 2),
+		"rmat":     graph.RMAT(9, 8, 0.57, 0.19, 0.19, 3),
+		"ws":       graph.WattsStrogatz(300, 6, 0.1, 4),
+		"planted":  graph.PlantedCommunities(6, 25, 0.5, 60, 5),
+		"powerlaw": graph.PowerLawCluster(300, 5, 0.5, 6),
+		"lognorm":  graph.LogNormalDegrees(300, 1.5, 0.8, 7),
+		"chain":    graph.CliqueChain(4, 6),
+		"turan":    graph.Turan(20, 4),
+	}
+	for gname, g := range graphs {
+		for iname, inst := range map[string]nucleus.Instance{
+			"core":         nucleus.NewCore(g),
+			"stored truss": nucleus.NewFlatTruss(g, 1),
+			"stored (3,4)": nucleus.NewFlatN34(g, 1),
+			"truss":        nucleus.NewTruss(g),
+		} {
+			for lname, labels := range map[string][]int32{
+				"κ":     peel.Run(inst).Kappa,
+				"SND τ": localhi.Snd(inst, localhi.Options{MaxSweeps: 2}).Tau,
+				"AND τ": localhi.And(inst, localhi.Options{MaxSweeps: 1}).Tau,
+			} {
+				if f, ref := Build(inst, labels), refBuild(inst, labels); !reflect.DeepEqual(f, ref) {
+					t.Errorf("%s, %s, %s: Build and refBuild differ:\n%+v\n%+v", gname, iname, lname, f, ref)
+				}
+			}
+		}
+	}
+}
+
 // canonical decodes a WriteJSON body and re-encodes it with every sibling
 // group (the roots included) sorted, so two bodies compare equal exactly
 // when they describe the same forest.
@@ -340,5 +383,32 @@ func TestBuildRejectsBadLabels(t *testing.T) {
 			}()
 			Build(inst, labels)
 		}()
+	}
+}
+
+// TestBuildHugeLabels: labels far above the cell count — 2³⁰, the largest
+// int32 — build the forest of small labels in the same order, with the
+// labels themselves as K, in under 1 MiB.
+func TestBuildHugeLabels(t *testing.T) {
+	inst := nucleus.NewCore(graph.Complete(3))
+	for _, c := range []struct{ huge, small []int32 }{
+		{[]int32{0, 1 << 30, 2}, []int32{0, 2, 1}},
+		{[]int32{math.MaxInt32, 0, math.MaxInt32}, []int32{1, 0, 1}},
+		{[]int32{math.MaxInt32, math.MaxInt32, math.MaxInt32}, []int32{0, 0, 0}},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f := Build(inst, c.huge)
+		runtime.ReadMemStats(&after)
+		if bytes := after.TotalAlloc - before.TotalAlloc; bytes >= 1<<20 {
+			t.Errorf("labels %v: Build allocated %d bytes on %d cells", c.huge, bytes, len(c.huge))
+		}
+		want := Build(inst, c.small)
+		for n := range want.K {
+			want.K[n] = c.huge[want.Cells(Node(n))[0]]
+		}
+		if !reflect.DeepEqual(f, want) {
+			t.Errorf("labels %v: forest\n%+v\nwant that of %v\n%+v", c.huge, f, c.small, want)
+		}
 	}
 }

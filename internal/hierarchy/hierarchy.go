@@ -3,7 +3,8 @@
 // component of the cells with κ >= k, and nuclei nest — each (k+1)-nucleus
 // is contained in exactly one k-nucleus. The forest is built bottom-up with
 // a union-find over cells, activating cells in decreasing κ order, the way
-// the traversal algorithms of the nucleus decomposition papers do.
+// the traversal algorithms of the nucleus decomposition papers do, linking
+// by component size and halving paths.
 //
 // The forest is flat: a nucleus is a Node id, its attributes are parallel
 // arrays, its cells one slice of a single permutation of all cells. Ids
@@ -24,6 +25,7 @@ package hierarchy
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"nucleus/internal/graph"
 	"nucleus/internal/nucleus"
@@ -71,14 +73,16 @@ func find(uf []int32, x int32) int32 {
 // labelling, such as a budgeted τ. Cells are activated in decreasing κ
 // order; cells sharing an s-clique whose members are all active merge, and
 // every merge or first appearance at level k puts a node with K = k above
-// the merged components. It panics with a "hierarchy:" message if
-// len(kappa) is not the instance's cell count or a label is negative.
+// the merged components. The union-find links the smaller component under
+// the larger and halves paths (Tarjan 1975), and every array it allocates
+// is at most the cell count long, whatever the labels' magnitude. It
+// panics with a "hierarchy:" message if len(kappa) is not the instance's
+// cell count or a label is negative.
 func Build(inst nucleus.Instance, kappa []int32) *Forest {
 	n := inst.NumCells()
 	if n != len(kappa) {
 		panic("hierarchy: kappa length mismatch")
 	}
-	// Counting sort, descending κ and ascending cell id within a level.
 	maxK := int32(0)
 	for c, k := range kappa {
 		if k < 0 {
@@ -86,8 +90,24 @@ func Build(inst nucleus.Instance, kappa []int32) *Forest {
 		}
 		maxK = max(maxK, k)
 	}
+	// Counting sort, descending key and ascending cell id within a level. A
+	// cell's key is its label, or, once the largest label reaches the cell
+	// count, the label's rank among the distinct labels: then only the
+	// levels that occur are walked, and K still reads the labels.
+	key := kappa
+	if int(maxK) >= n {
+		vals := slices.Clone(kappa)
+		slices.Sort(vals)
+		vals = slices.Compact(vals)
+		key = make([]int32, n)
+		for c, k := range kappa {
+			i, _ := slices.BinarySearch(vals, k)
+			key[c] = int32(i)
+		}
+		maxK = int32(len(vals)) - 1
+	}
 	start := make([]int32, maxK+1)
-	for _, k := range kappa {
+	for _, k := range key {
 		start[k]++
 	}
 	sum := int32(0)
@@ -95,13 +115,14 @@ func Build(inst nucleus.Instance, kappa []int32) *Forest {
 		start[k], sum = sum, sum+start[k]
 	}
 	order := make([]int32, n)
-	for c, k := range kappa {
+	for c, k := range key {
 		order[start[k]] = int32(c)
 		start[k]++
 	}
 
-	uf := make([]int32, n) // union-find parent, -1 until the cell is activated
-	top := make([]Node, n) // at a union-find root, the node wrapping its component
+	uf := make([]int32, n)   // union-find parent, -1 until the cell is activated
+	size := make([]int32, n) // at a union-find root, its component's cell count
+	top := make([]Node, n)   // at a union-find root, the node wrapping its component
 	nodeOf := make([]Node, n)
 	for c := range uf {
 		uf[c], top[c] = -1, None
@@ -110,14 +131,30 @@ func Build(inst nucleus.Instance, kappa []int32) *Forest {
 	// then parent threads the list of nodes displaced at the current level.
 	rep, parent, displaced := make([]int32, 0, n), make([]Node, 0, n), None
 
-	// Stored rows are scanned in place; only an instance without them goes
-	// through VisitSCliques. Either way cur, the cell being activated,
-	// merges only through s-cliques whose members are all active
-	// (S-connectedness); one with a member still to come is processed when
-	// its last one activates.
+	// rc is the root of the component of the cell being activated. Its top
+	// is None: the component holds a cell of this level, whose node the
+	// level's close creates. So a merge displaces only the node that
+	// wrapped r's component, to hang under that one, and whichever root
+	// survives the merge has no node either.
+	var rc int32
+	union := func(r int32) {
+		if t := top[r]; t != None {
+			parent[t], displaced, top[r] = displaced, t, None
+		}
+		if size[r] > size[rc] {
+			r, rc = rc, r
+		}
+		uf[r] = rc
+		size[rc] += size[r]
+	}
+	// Stored rows are scanned in place, a co-arity-1 row (Core over the
+	// CSR) without a call per s-clique; only an instance without them goes
+	// through VisitSCliques. Either way the activated cell merges only
+	// through s-cliques whose members are all active (S-connectedness);
+	// one with a member still to come is processed when its last one
+	// activates.
 	rows, stored := nucleus.RowsOf(inst)
 	co := rows.Co
-	var cur int32
 	visit := func(others []int32) bool {
 		for _, d := range others {
 			if uf[d] < 0 {
@@ -125,14 +162,8 @@ func Build(inst nucleus.Instance, kappa []int32) *Forest {
 			}
 		}
 		for _, d := range others {
-			// cur stays the root of everything it merges, so it needs no
-			// find and wraps no node; the node that wrapped d's component
-			// is displaced, to hang under the one the level's close creates.
-			if r := find(uf, d); r != cur {
-				if t := top[r]; t != None {
-					parent[t], displaced = displaced, t
-				}
-				uf[r] = cur
+			if r := find(uf, d); r != rc {
+				union(r)
 			}
 		}
 		return true
@@ -142,13 +173,22 @@ func Build(inst nucleus.Instance, kappa []int32) *Forest {
 		level := order[lo:start[k]] // start[k] has moved to the level's end
 		lo = start[k]
 		for _, c := range level {
-			uf[c], cur = c, c
-			if !stored {
+			uf[c], size[c], rc = c, 1, c
+			switch {
+			case !stored:
 				inst.VisitSCliques(c, visit)
-				continue
-			}
-			for row := rows.Row(c); len(row) >= co; row = row[co:] {
-				visit(row[:co])
+			case co == 1:
+				for _, d := range rows.Row(c) {
+					if uf[d] >= 0 {
+						if r := find(uf, d); r != rc {
+							union(r)
+						}
+					}
+				}
+			default:
+				for row := rows.Row(c); len(row) >= co; row = row[co:] {
+					visit(row[:co])
+				}
 			}
 		}
 
