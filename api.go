@@ -77,20 +77,20 @@ type HierarchyNode = hierarchy.Node
 // BuildHierarchy materializes the nucleus forest of a decomposition from its
 // κ indices; a wrong length or a negative label is a "hierarchy:" panic.
 func BuildHierarchy(g *Graph, dec Decomposition, kappa []int32) *Forest {
-	return hierarchy.Build(newInstance(g, dec, libraryIndexBudget, 1), kappa)
+	return hierarchy.Build(newInstance(g, dec, inucleus.LibraryIndexBudget, 1), kappa)
 }
 
 // MaxNucleusCells returns the cells of the maximum nucleus of the given
 // cell: the maximal S-connected set of cells with κ >= κ(cell) around it
 // (the paper's "maximum core of a vertex", generalized).
 func MaxNucleusCells(g *Graph, dec Decomposition, kappa []int32, cell int32) []int32 {
-	return hierarchy.MaxNucleusOf(newInstance(g, dec, libraryIndexBudget, 1), kappa, cell)
+	return hierarchy.MaxNucleusOf(newInstance(g, dec, inucleus.LibraryIndexBudget, 1), kappa, cell)
 }
 
 // NucleiAt returns the cell sets of all k-(r,s) nuclei at threshold k: the
 // S-connected components of the cells with κ >= k.
 func NucleiAt(g *Graph, dec Decomposition, kappa []int32, k int32) [][]int32 {
-	return hierarchy.KNucleusSubgraphs(newInstance(g, dec, libraryIndexBudget, 1), kappa, k)
+	return hierarchy.KNucleusSubgraphs(newInstance(g, dec, inucleus.LibraryIndexBudget, 1), kappa, k)
 }
 
 // CellsToVertices maps a cell set of the given decomposition to its sorted
@@ -103,7 +103,7 @@ func CellsToVertices(g *Graph, dec Decomposition, cells []int32) []uint32 {
 	case Nucleus34:
 		return hierarchy.CellsToVertices(&inucleus.N34{G: g, Idx: cliques.BuildTriangleIndex(g)}, cells)
 	}
-	return hierarchy.CellsToVertices(newInstance(g, dec, libraryIndexBudget, 1), cells)
+	return hierarchy.CellsToVertices(newInstance(g, dec, inucleus.LibraryIndexBudget, 1), cells)
 }
 
 // KCoreSubgraph extracts the induced subgraph of the classic k-core (all

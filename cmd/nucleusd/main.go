@@ -26,6 +26,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"net/http"
 	"os"
 	"os/signal"
@@ -131,6 +132,21 @@ func run(args []string) error {
 	}
 	if *walCompact < 0 {
 		return fmt.Errorf("-wal-compact-threshold must be >= 0 MiB (got %d; 0 disables compaction)", *walCompact)
+	}
+	// The MiB flags are shifted into bytes below: a value the shift would
+	// overflow must fail here, not wrap to a negative or zero byte count
+	// that silently selects a default or disables the feature.
+	for _, f := range []struct {
+		name  string
+		value int64
+	}{
+		{"max-upload-mb", *maxUpload},
+		{"index-mem-budget", *indexMem},
+		{"wal-compact-threshold", *walCompact},
+	} {
+		if f.value > math.MaxInt64>>20 {
+			return fmt.Errorf("-%s must be at most %d MiB (got %d)", f.name, int64(math.MaxInt64>>20), f.value)
+		}
 	}
 	if *progEvery < 0 {
 		return fmt.Errorf("-progress-every must be >= 0 (got %d; 0 disables progress publishing)", *progEvery)

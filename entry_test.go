@@ -77,22 +77,31 @@ func TestEntryPointsMatchOnTheFly(t *testing.T) {
 // touch a graph builds the one instance per family every later call on that
 // graph reaches — Decompose, DecomposeRS and BuildHierarchy hand back that
 // very pointer, and the memo reports it as already built — while a budget-0
-// call gets an on-the-fly instance of its own.
+// call gets an on-the-fly instance of its own. The truss query and warm
+// start are entry points too: neither counts the triangles again.
 func TestEntryPointsShareOneInstance(t *testing.T) {
 	mk := func() *Graph { return PlantedCommunities(3, 20, 0.5, 30, 3) }
 	for _, dec := range []Decomposition{KCore, KTruss, Nucleus34} {
 		kappa := Decompose(mk(), dec, Options{Algorithm: Peel}).Kappa
 		k := slices.Max(kappa) / 2
-		for name, first := range map[string]func(g *Graph){
+		entries := map[string]func(g *Graph){
 			"Decompose":       func(g *Graph) { Decompose(g, dec, Options{Threads: 2}) },
 			"DecomposeRS":     func(g *Graph) { DecomposeRS(g, int(dec)+1, int(dec)+2, Options{Algorithm: SND}) },
 			"BuildHierarchy":  func(g *Graph) { BuildHierarchy(g, dec, kappa) },
 			"NucleiAt":        func(g *Graph) { NucleiAt(g, dec, kappa, k) },
 			"MaxNucleusCells": func(g *Graph) { MaxNucleusCells(g, dec, kappa, 0) },
-		} {
+		}
+		if dec == KTruss {
+			entries["EstimateTrussNumbers"] = func(g *Graph) {
+				u, v := g.Edge(0)
+				EstimateTrussNumbers(g, [][2]uint32{{u, v}}, 1, 0)
+			}
+			entries["WarmTrussNumbers"] = func(g *Graph) { WarmTrussNumbers(g, g, kappa, 0) }
+		}
+		for name, first := range entries {
 			g := mk()
 			first(g)
-			inst, _, built := inucleus.For(g, families[dec], libraryIndexBudget, 1)
+			inst, _, built := inucleus.For(g, families[dec], inucleus.LibraryIndexBudget, 1)
 			if built {
 				t.Fatalf("%v: %s left no instance in the graph's memo", dec, name)
 			}
@@ -177,7 +186,7 @@ func BenchmarkBuildHierarchyTruss(b *testing.B) {
 		b.Run(fmt.Sprintf("cold/P=%d", p), func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
-				inst, _ := inucleus.Build(g, inucleus.FamilyTruss, libraryIndexBudget, p)
+				inst, _ := inucleus.Build(g, inucleus.FamilyTruss, inucleus.LibraryIndexBudget, p)
 				if hierarchy.Build(inst, kappa).NumNodes() == 0 {
 					b.Fatal("empty truss hierarchy")
 				}

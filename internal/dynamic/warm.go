@@ -48,7 +48,8 @@ func WarmCoreNumbersOn(inst nucleus.Instance, newG *graph.Graph, oldKappa []int3
 // edges surviving from oldG start at their old κ plus the insert count;
 // new edges start cold at their triangle count.
 func WarmTrussNumbers(newG, oldG *graph.Graph, oldKappa []int32, inserts int) *localhi.Result {
-	return WarmTrussNumbersOn(nucleus.NewTruss(newG), newG, oldG, oldKappa, inserts, 1)
+	inst, _, _ := nucleus.For(newG, nucleus.FamilyTruss, nucleus.LibraryIndexBudget, 1)
+	return WarmTrussNumbersOn(inst, newG, oldG, oldKappa, inserts, 1)
 }
 
 // WarmTrussNumbersOn is WarmTrussNumbers against a caller-supplied (2,3)

@@ -42,15 +42,12 @@ func (d Dec) String() string {
 	return "(3,4)"
 }
 
-// Instance builds the nucleus instance of d over g.
+// Instance returns the nucleus instance of d over g the library runs on:
+// g's memoized one under the library's index budget (nucleus.For).
 func (d Dec) Instance(g *graph.Graph) nucleus.Instance {
-	switch d {
-	case Core:
-		return nucleus.NewCore(g)
-	case Truss:
-		return nucleus.NewTruss(g)
-	}
-	return nucleus.NewN34(g)
+	fam := [...]nucleus.Family{Core: nucleus.FamilyCore, Truss: nucleus.FamilyTruss, N34: nucleus.FamilyN34}[d]
+	inst, _, _ := nucleus.For(g, fam, nucleus.LibraryIndexBudget, runtime.GOMAXPROCS(0))
+	return inst
 }
 
 // Fig1aKeys are the five datasets of the paper's Figure 1a.
@@ -97,10 +94,8 @@ func Fig1aConvergence(w io.Writer, d Dec, keys []string, maxIter int) {
 
 // Fig1bScalability prints what the paper's Figure 1b compares, measured on
 // this host: the sequential peel, then AND with notification at 1, 2, 4, …
-// threads up to GOMAXPROCS, each with its speedup over the peel. A family
-// whose s-cliques are discovered on the fly adds the ladder of the frontier
-// peel peel.RunThreads runs there; over stored rows RunThreads is the
-// sequential peel at every thread count. Times are the best of three runs.
+// threads up to GOMAXPROCS, each with its speedup over the peel. Times are
+// the best of three runs.
 func Fig1bScalability(w io.Writer, d Dec, keys []string) {
 	procs := runtime.GOMAXPROCS(0)
 	var ladder []int // 1, 2, 4, … and, last, the host itself
@@ -110,10 +105,8 @@ func Fig1bScalability(w io.Writer, d Dec, keys []string) {
 	ladder = append(ladder, procs)
 	for i, key := range keys {
 		inst := d.Instance(dataset.Get(key).Graph())
-		_, stored := nucleus.RowsOf(inst)
-		if i == 0 { // the kind is the family's, the same for every dataset
-			kind := map[bool]string{true: "stored rows", false: "s-cliques found on the fly"}[stored]
-			fmt.Fprintf(w, "# Figure 1b style: %s, %s: sequential peel vs AND at 1..P threads (best of 3 wall times, GOMAXPROCS=%d on this host)\n", d, kind, procs)
+		if i == 0 {
+			fmt.Fprintf(w, "# Figure 1b style: %s: sequential peel vs AND at 1..P threads (best of 3 wall times, GOMAXPROCS=%d on this host)\n", d, procs)
 			fmt.Fprintf(w, "%-6s %-14s %-12s %12s %10s\n", "key", "engine", "threads", "time", "vs peel")
 		}
 		peelT := bestOf3(func() { peel.Run(inst) })
@@ -124,12 +117,6 @@ func Fig1bScalability(w io.Writer, d Dec, keys []string) {
 		row("peel", 1, peelT)
 		for _, t := range ladder {
 			row("AND+notif", t, bestOf3(func() { localhi.And(inst, localhi.Options{Notification: true, Threads: t}) }))
-		}
-		if stored {
-			continue // RunThreads is that same peel at every thread count
-		}
-		for _, t := range ladder {
-			row("frontier-peel", t, bestOf3(func() { peel.RunThreads(inst, t) }))
 		}
 	}
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"runtime"
-	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -127,26 +126,18 @@ func TestOrderAblationOutput(t *testing.T) {
 
 // TestFig1bScalabilityOutput checks the shape of the measured table, not
 // its times: per dataset the sequential peel comes first and is the
-// baseline of the last column, AND follows at 1 thread and up to the
-// host's, and only a family discovered on the fly carries the frontier
-// peel's ladder.
+// baseline of the last column, and AND follows at 1 thread and up to the
+// host's; nothing else is timed.
 func TestFig1bScalabilityOutput(t *testing.T) {
 	procs := runtime.GOMAXPROCS(0)
-	for _, tc := range []struct {
-		dec      Dec
-		kind     string
-		frontier bool
-	}{
-		{Core, "stored rows", false},
-		{Truss, "on the fly", true},
-	} {
+	for _, dec := range []Dec{Core, Truss} {
 		var sb strings.Builder
-		Fig1bScalability(&sb, tc.dec, []string{"fb"})
+		Fig1bScalability(&sb, dec, []string{"fb"})
 		out := sb.String()
 		lines := strings.Split(strings.TrimSpace(out), "\n")
-		for _, want := range []string{fmt.Sprintf("GOMAXPROCS=%d", procs), tc.kind, tc.dec.String()} {
+		for _, want := range []string{fmt.Sprintf("GOMAXPROCS=%d", procs), dec.String()} {
 			if !strings.Contains(lines[0], want) {
-				t.Fatalf("%s: header does not name %q: %q", tc.dec, want, lines[0])
+				t.Fatalf("%s: header does not name %q: %q", dec, want, lines[0])
 			}
 		}
 		seen := map[string][]int{}
@@ -154,25 +145,25 @@ func TestFig1bScalabilityOutput(t *testing.T) {
 			fields := strings.Fields(line)
 			var threads int
 			if len(fields) != 5 {
-				t.Fatalf("%s: bad row %q", tc.dec, line)
+				t.Fatalf("%s: bad row %q", dec, line)
 			}
 			if _, err := fmt.Sscanf(fields[2], "threads=%d", &threads); err != nil {
-				t.Fatalf("%s: bad row %q: %v", tc.dec, line, err)
+				t.Fatalf("%s: bad row %q: %v", dec, line, err)
 			}
 			if threads < 1 || threads > procs {
-				t.Fatalf("%s: row %q: threads outside [1, GOMAXPROCS=%d]", tc.dec, line, procs)
+				t.Fatalf("%s: row %q: threads outside [1, GOMAXPROCS=%d]", dec, line, procs)
 			}
 			if (i == 0) != (fields[1] == "peel") || fields[1] == "peel" && (threads != 1 || fields[4] != "1.00") {
-				t.Fatalf("%s: the sequential peel must be the first row and its own baseline: %q", tc.dec, line)
+				t.Fatalf("%s: the sequential peel must be the first row and its own baseline: %q", dec, line)
 			}
 			seen[fields[1]] = append(seen[fields[1]], threads)
 		}
 		and := seen["AND+notif"]
 		if len(and) == 0 || and[0] != 1 || and[len(and)-1] != procs {
-			t.Fatalf("%s: AND rows at threads %v, want 1 … %d: %q", tc.dec, and, procs, out)
+			t.Fatalf("%s: AND rows at threads %v, want 1 … %d: %q", dec, and, procs, out)
 		}
-		if got := seen["frontier-peel"]; (len(got) > 0) != tc.frontier || tc.frontier && !slices.Equal(got, and) {
-			t.Fatalf("%s: frontier-peel rows at threads %v, AND at %v, want a ladder: %v", tc.dec, got, and, tc.frontier)
+		if len(seen) != 2 {
+			t.Fatalf("%s: engines %v, want only peel and AND+notif", dec, seen)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"nucleus/internal/graph"
 	"nucleus/internal/nucleus"
+	"nucleus/internal/nucleustest"
 	"nucleus/internal/peel"
 )
 
@@ -67,10 +68,11 @@ func peelComponents(inst nucleus.Instance, kappa []int32, k int32) []int32 {
 		for len(stack) > 0 {
 			c := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			inst.VisitSCliques(c, func(others []int32) bool {
+		scliques:
+			for _, others := range nucleustest.Groups(inst, c) {
 				for _, d := range others {
 					if kappa[d] < k {
-						return true
+						continue scliques
 					}
 				}
 				for _, d := range others {
@@ -79,8 +81,7 @@ func peelComponents(inst nucleus.Instance, kappa []int32, k int32) []int32 {
 						stack = append(stack, d)
 					}
 				}
-				return true
-			})
+			}
 		}
 		next++
 	}

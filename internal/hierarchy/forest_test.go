@@ -15,18 +15,16 @@ import (
 	"nucleus/internal/graph"
 	"nucleus/internal/localhi"
 	"nucleus/internal/nucleus"
+	"nucleus/internal/nucleustest"
 	"nucleus/internal/peel"
 )
 
-// hideFlat wraps an instance so that it no longer satisfies FlatIncidence:
-// Build then takes the VisitSCliques path.
-func hideFlat(inst nucleus.Instance) nucleus.Instance { return struct{ nucleus.Instance }{inst} }
-
-// family returns the stored and the on-the-fly instance of one family.
+// family returns the instance of one family with stored rows and one with
+// discovered rows: the on-the-fly instance, or for core the CSR discovered.
 func family(g *graph.Graph, sel int) (stored, onTheFly nucleus.Instance) {
 	switch sel % 3 {
 	case 0:
-		return nucleus.NewCore(g), hideFlat(nucleus.NewCore(g))
+		return nucleus.NewCore(g), nucleustest.Discovered(nucleus.NewCore(g))
 	case 1:
 		return nucleus.NewFlatTruss(g, 1), nucleus.NewTruss(g)
 	}

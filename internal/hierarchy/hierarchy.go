@@ -147,47 +147,40 @@ func Build(inst nucleus.Instance, kappa []int32) *Forest {
 		uf[r] = rc
 		size[rc] += size[r]
 	}
-	// Stored rows are scanned in place, a co-arity-1 row (Core over the
-	// CSR) without a call per s-clique; only an instance without them goes
-	// through VisitSCliques. Either way the activated cell merges only
-	// through s-cliques whose members are all active (S-connectedness);
-	// one with a member still to come is processed when its last one
-	// activates.
-	rows, stored := nucleus.RowsOf(inst)
+	// The activated cell merges only through s-cliques whose members are
+	// all active (S-connectedness); one with a member still to come is
+	// processed when its last one activates. At co-arity 1 (Core over the
+	// CSR) the one co-member is the s-clique.
+	rows := inst.Rows()
 	co := rows.Co
-	visit := func(others []int32) bool {
-		for _, d := range others {
-			if uf[d] < 0 {
-				return true
-			}
-		}
-		for _, d := range others {
-			if r := find(uf, d); r != rc {
-				union(r)
-			}
-		}
-		return true
-	}
-
+	var buf []int32
 	for k, lo := maxK, int32(0); k >= 0; k-- {
 		level := order[lo:start[k]] // start[k] has moved to the level's end
 		lo = start[k]
 		for _, c := range level {
 			uf[c], size[c], rc = c, 1, c
-			switch {
-			case !stored:
-				inst.VisitSCliques(c, visit)
-			case co == 1:
-				for _, d := range rows.Row(c) {
+			row := rows.Row(c, &buf)
+			if co == 1 {
+				for _, d := range row {
 					if uf[d] >= 0 {
 						if r := find(uf, d); r != rc {
 							union(r)
 						}
 					}
 				}
-			default:
-				for row := rows.Row(c); len(row) >= co; row = row[co:] {
-					visit(row[:co])
+				continue
+			}
+		scliques:
+			for ; len(row) >= co; row = row[co:] {
+				for _, d := range row[:co] {
+					if uf[d] < 0 {
+						continue scliques
+					}
+				}
+				for _, d := range row[:co] {
+					if r := find(uf, d); r != rc {
+						union(r)
+					}
 				}
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"nucleus/internal/nucleus"
+	"nucleus/internal/nucleustest"
 )
 
 // refBuild is the builder Build replaced, verbatim but for its name: the
@@ -47,13 +48,10 @@ func refBuild(inst nucleus.Instance, kappa []int32) *Forest {
 	// then parent threads the list of nodes displaced at the current level.
 	rep, parent, displaced := make([]int32, 0, n), make([]Node, 0, n), None
 
-	// Stored rows are scanned in place; only an instance without them goes
-	// through VisitSCliques. Either way cur, the cell being activated,
-	// merges only through s-cliques whose members are all active
-	// (S-connectedness); one with a member still to come is processed when
-	// its last one activates.
-	rows, stored := nucleus.RowsOf(inst)
-	co := rows.Co
+	// The rows are read one s-clique at a time (nucleustest.Groups): cur,
+	// the cell being activated, merges only through s-cliques whose members
+	// are all active (S-connectedness); one with a member still to come is
+	// processed when its last one activates.
 	var cur int32
 	visit := func(others []int32) bool {
 		for _, d := range others {
@@ -80,12 +78,8 @@ func refBuild(inst nucleus.Instance, kappa []int32) *Forest {
 		lo = start[k]
 		for _, c := range level {
 			uf[c], cur = c, c
-			if !stored {
-				inst.VisitSCliques(c, visit)
-				continue
-			}
-			for row := rows.Row(c); len(row) >= co; row = row[co:] {
-				visit(row[:co])
+			for _, others := range nucleustest.Groups(inst, c) {
+				visit(others)
 			}
 		}
 

@@ -6,6 +6,7 @@ import (
 
 	"nucleus/internal/graph"
 	"nucleus/internal/nucleus"
+	"nucleus/internal/nucleustest"
 	"nucleus/internal/peel"
 )
 
@@ -53,8 +54,8 @@ func checkLocalRuns(t *testing.T, name string, inst nucleus.Instance, kappa, sta
 	}
 }
 
-// TestWarmStartNeverRaisesTau: from any start in [κ, s-degree], on either
-// kernel and at any thread count, no sweep raises any τ and the run lands
+// TestWarmStartNeverRaisesTau: from any start in [κ, s-degree], over
+// stored or discovered rows and at any thread count, no sweep raises any τ and the run lands
 // on κ. An unclamped τ ← H from such a start does raise some.
 func TestWarmStartNeverRaisesTau(t *testing.T) {
 	seeds := 300
@@ -75,12 +76,13 @@ func TestWarmStartNeverRaisesTau(t *testing.T) {
 	}
 }
 
-// FuzzLocalKernels drives both kernels over arbitrary small graphs: bytes
-// become an edge list, sel picks the family (core, truss, (3,4)), the
-// stored or the on-the-fly instance, and 1 or 4 threads, and warm seeds
-// the start in [κ, s-degree]. Every run must satisfy checkLocalRuns, and
-// sequential Snd must pay the same visits through the fused and the
-// generic kernel over the same rows.
+// FuzzLocalKernels drives the sweep kernel over arbitrary small graphs:
+// bytes become an edge list, sel picks the family (core, truss, (3,4)),
+// stored or discovered rows (the on-the-fly instance; for core the CSR
+// discovered), and 1 or 4 threads, and warm seeds the start in
+// [κ, s-degree]. Every run must satisfy checkLocalRuns, and sequential Snd
+// must pay the same visits over stored rows and over the same rows
+// discovered.
 func FuzzLocalKernels(f *testing.F) {
 	f.Add([]byte{0, 1, 1, 2, 2, 0, 2, 3, 3, 4}, uint8(0), int64(1)) // triangle with a tail
 	f.Add([]byte{0, 1, 0, 2, 0, 3, 1, 2, 1, 3, 2, 3, 3, 4, 4, 5, 5, 3}, uint8(3), int64(2))
@@ -97,7 +99,7 @@ func FuzzLocalKernels(f *testing.F) {
 		var stored, onTheFly nucleus.Instance
 		switch sel % 3 {
 		case 0:
-			stored, onTheFly = nucleus.NewCore(g), hideFlat(nucleus.NewCore(g))
+			stored, onTheFly = nucleus.NewCore(g), nucleustest.Discovered(nucleus.NewCore(g))
 		case 1:
 			stored, onTheFly = nucleus.NewFlatTruss(g, 1), nucleus.NewTruss(g)
 		default:
@@ -113,11 +115,11 @@ func FuzzLocalKernels(f *testing.F) {
 		start := warmStart(inst, kappa, rand.New(rand.NewSource(warm)))
 		checkLocalRuns(t, name, inst, kappa, start, threads)
 
-		fused := Snd(stored, Options{InitialTau: start})
-		generic := Snd(hideFlat(stored), Options{InitialTau: start})
-		if fused.WorkVisits != generic.WorkVisits || fused.Sweeps != generic.Sweeps {
-			t.Fatalf("(%d,%d) sequential Snd: fused %d visits in %d sweeps, generic %d in %d",
-				inst.R(), inst.S(), fused.WorkVisits, fused.Sweeps, generic.WorkVisits, generic.Sweeps)
+		fromStore := Snd(stored, Options{InitialTau: start})
+		found := Snd(nucleustest.Discovered(stored), Options{InitialTau: start})
+		if fromStore.WorkVisits != found.WorkVisits || fromStore.Sweeps != found.Sweeps {
+			t.Fatalf("(%d,%d) sequential Snd: stored rows %d visits in %d sweeps, discovered %d in %d",
+				inst.R(), inst.S(), fromStore.WorkVisits, fromStore.Sweeps, found.WorkVisits, found.Sweeps)
 		}
 	})
 }

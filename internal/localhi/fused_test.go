@@ -8,27 +8,22 @@ import (
 
 	"nucleus/internal/graph"
 	"nucleus/internal/nucleus"
+	"nucleus/internal/nucleustest"
 )
 
-// hideFlat wraps an instance so that only the Instance methods show: the
-// wrapper hides FlatIncidence, so a run takes the generic kernel over
-// the very same rows.
-func hideFlat(inst nucleus.Instance) nucleus.Instance {
-	return struct{ nucleus.Instance }{inst}
-}
-
-// fusedCases pairs an instance that runs the generic closure path with a
-// twin that runs the fused flat path over the same rows: the stored
-// instance against itself with the flat arrays hidden. Stored truss and
-// (3,4) rows list triangles / 4-cliques in emission order, not in the order
-// the on-the-fly instances find them, so visits are comparable only over
-// the same rows; for k-core the graph's CSR is the stored incidence.
-// (Stored == on-the-fly is TestIndexedTrussMatchesTruss and
-// TestIndexedN34MatchesN34 in internal/nucleus.)
-func fusedCases(t *testing.T) []struct {
-	name    string
-	generic nucleus.Instance
-	indexed nucleus.Instance
+// discoveredCases pairs each stored instance with its twin that hands out
+// the very same rows as discovered ones, copied into the worker's buffer
+// (nucleustest.Discovered): the two sides of the §5 fork over one row
+// order, so runs must agree visit for visit. Stored truss and (3,4) rows
+// list triangles / 4-cliques in emission order, not in the order the
+// on-the-fly instances find them, so visits are comparable only over the
+// same rows; for k-core the graph's CSR is the stored incidence. (Truss
+// and N34 rows == Flat's is TestDiscoveredRowsMatchStored in
+// internal/nucleus.)
+func discoveredCases(t *testing.T) []struct {
+	name       string
+	discovered nucleus.Instance
+	stored     nucleus.Instance
 } {
 	t.Helper()
 	gs := []*graph.Graph{
@@ -42,35 +37,29 @@ func fusedCases(t *testing.T) []struct {
 		gs = append(gs, graph.GnM(n, 4*n, rng.Int63()))
 	}
 	var out []struct {
-		name    string
-		generic nucleus.Instance
-		indexed nucleus.Instance
+		name       string
+		discovered nucleus.Instance
+		stored     nucleus.Instance
 	}
 	for gi, g := range gs {
-		out = append(out, struct {
-			name    string
-			generic nucleus.Instance
-			indexed nucleus.Instance
-		}{fmt.Sprintf("core/g%d", gi), hideFlat(nucleus.NewCore(g)), nucleus.NewCore(g)})
-		out = append(out, struct {
-			name    string
-			generic nucleus.Instance
-			indexed nucleus.Instance
-		}{fmt.Sprintf("truss/g%d", gi), hideFlat(nucleus.NewFlatTruss(g, 2)), nucleus.NewFlatTruss(g, 2)})
-		out = append(out, struct {
-			name    string
-			generic nucleus.Instance
-			indexed nucleus.Instance
-		}{fmt.Sprintf("n34/g%d", gi), hideFlat(nucleus.NewFlatN34(g, 2)), nucleus.NewFlatN34(g, 2)})
+		for fam, stored := range map[string]nucleus.Instance{
+			"core": nucleus.NewCore(g), "truss": nucleus.NewFlatTruss(g, 2), "n34": nucleus.NewFlatN34(g, 2),
+		} {
+			out = append(out, struct {
+				name       string
+				discovered nucleus.Instance
+				stored     nucleus.Instance
+			}{fmt.Sprintf("%s/g%d", fam, gi), nucleustest.Discovered(stored), stored})
+		}
 	}
 	return out
 }
 
-// TestFusedKernelMatchesGeneric demands that the fused flat path computes
-// exactly the generic path's results — τ, convergence, and the WorkVisits
-// cost accounting — across the option space (Snd/And × Notification ×
-// threads × bounded sweeps).
-func TestFusedKernelMatchesGeneric(t *testing.T) {
+// TestDiscoveredRowsMatchStored demands that a run over discovered rows
+// computes exactly what one over the same rows stored does — τ,
+// convergence, and the WorkVisits cost accounting — across the option
+// space (Snd/And × Notification × threads × bounded sweeps).
+func TestDiscoveredRowsMatchStored(t *testing.T) {
 	optSets := []Options{
 		{},
 		{Notification: true},
@@ -78,19 +67,13 @@ func TestFusedKernelMatchesGeneric(t *testing.T) {
 		{Threads: 4, Notification: true},
 		{MaxSweeps: 2},
 	}
-	for _, tc := range fusedCases(t) {
-		if k := kernelFor(tc.indexed); !k.flat {
-			t.Fatalf("%s: indexed instance does not take the fused path", tc.name)
-		}
-		if k := kernelFor(tc.generic); k.flat {
-			t.Fatalf("%s: generic instance takes the fused path", tc.name)
-		}
+	for _, tc := range discoveredCases(t) {
 		for oi, opts := range optSets {
 			for algName, run := range map[string]func(nucleus.Instance, Options) *Result{
 				"snd": Snd, "and": And,
 			} {
-				want := run(tc.generic, opts)
-				got := run(tc.indexed, opts)
+				want := run(tc.stored, opts)
+				got := run(tc.discovered, opts)
 				if len(want.Tau) != len(got.Tau) {
 					t.Fatalf("%s %s opts %d: τ lengths differ", tc.name, algName, oi)
 				}
@@ -104,9 +87,9 @@ func TestFusedKernelMatchesGeneric(t *testing.T) {
 					t.Fatalf("%s %s opts %d: converged %v vs %v",
 						tc.name, algName, oi, want.Converged, got.Converged)
 				}
-				// Deterministic runs must also agree on the visit count —
-				// the fused kernel changes the cost of a visit, never the
-				// set of visits, early exits included. (Parallel And is
+				// Deterministic runs must also agree on the visit count:
+				// discovering a row changes its cost, never the set of
+				// visits, early exits included. (Parallel And is
 				// non-deterministic; compare the sequential runs.)
 				if opts.Threads <= 1 {
 					if want.WorkVisits != got.WorkVisits {
@@ -120,7 +103,7 @@ func TestFusedKernelMatchesGeneric(t *testing.T) {
 }
 
 // TestFusedSubsetAndWarmStart covers the query-driven Subset path and the
-// InitialTau warm start over the fused kernel.
+// InitialTau warm start over stored rows against discovered ones.
 func TestFusedSubsetAndWarmStart(t *testing.T) {
 	g := graph.PlantedCommunities(3, 14, 0.5, 40, 11)
 	generic, indexed := nucleus.NewTruss(g), nucleus.NewFlatTruss(g, 2)
@@ -163,83 +146,57 @@ func mallocs(body func()) uint64 {
 	return after.Mallocs - before.Mallocs
 }
 
-// TestFusedKernelZeroAlloc proves that a full fused sweep over every cell,
-// and waking every cell's neighbors, performs zero heap allocations — on
-// truss and (3,4) indexes (co-arity 2 and 3, the general row loop) and on
-// k-core (co-arity 1, the graph's own CSR), with the neighbors' flags in
-// each of the three states wake tells apart.
-func TestFusedKernelZeroAlloc(t *testing.T) {
-	g := graph.PlantedCommunities(3, 14, 0.5, 40, 11)
-	for name, inst := range map[string]nucleus.Instance{
-		"truss": nucleus.NewFlatTruss(g, 1), "n34": nucleus.NewFlatN34(g, 1), "core": nucleus.NewCore(g),
-	} {
-		k := kernelFor(inst)
-		if !k.flat {
-			t.Fatalf("%s does not expose flat incidence", name)
-		}
-		tau := inst.Degrees()
-		active := make([]int32, len(tau))
-		sc := &newScratches(1, tau)[0]
-		n := int32(inst.NumCells())
-		for _, par := range []bool{false, true} {
-			for _, flag := range []int32{flagIdle, flagActive, flagInProgress} {
-				allocs := mallocs(func() {
-					for c := int32(0); c < n; c++ {
-						active[c] = flag
-					}
-					for c := int32(0); c < n; c++ {
-						computeTauFlat(&k, c, tau, sc, tau[c], par)
-						notifyNeighborsFlat(&k, c, tau, active, 0, tau[c], par)
-					}
-				})
-				if allocs != 0 {
-					t.Fatalf("%s par=%v flag=%d: fused sweep allocated %d times in 10 runs, want 0", name, par, flag, allocs)
+// sweepAllocs runs one sweep over every cell of inst, and wakes every
+// cell's neighbors, with the neighbors' flags in each of the three states
+// wake tells apart, and fails if any of them allocates: once the worker's
+// row buffer has grown, which the warm-up run of mallocs does.
+func sweepAllocs(t *testing.T, name string, inst nucleus.Instance) {
+	t.Helper()
+	rows := inst.Rows()
+	tau := inst.Degrees()
+	active := make([]int32, len(tau))
+	sc := &newScratches(1, tau)[0]
+	n := int32(inst.NumCells())
+	for _, par := range []bool{false, true} {
+		for _, flag := range []int32{flagIdle, flagActive, flagInProgress} {
+			allocs := mallocs(func() {
+				for c := int32(0); c < n; c++ {
+					active[c] = flag
 				}
+				for c := int32(0); c < n; c++ {
+					_, _, row := update(&rows, c, tau, sc, tau[c], par)
+					notify(row, tau, active, 0, tau[c], par)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("%s par=%v flag=%d: sweep allocated %d times in 10 runs, want 0", name, par, flag, allocs)
 			}
 		}
 	}
 }
 
-// TestGenericKernelZeroAlloc is the same claim for the generic kernel: its
-// visitors are bound to the scratch once, not built per cell. The wrapper
-// hides FlatIncidence, so the closure path runs — over Flat's
-// VisitSCliques, which itself allocates nothing, so every allocation
-// counted here would be the kernel's.
-func TestGenericKernelZeroAlloc(t *testing.T) {
+// TestFusedKernelZeroAlloc proves that a full sweep over stored rows, and
+// waking every cell's neighbors, performs zero heap allocations — on truss
+// and (3,4) indexes (co-arity 2 and 3, the general row loop) and on k-core
+// (co-arity 1, the graph's own CSR).
+func TestFusedKernelZeroAlloc(t *testing.T) {
 	g := graph.PlantedCommunities(3, 14, 0.5, 40, 11)
-	k := kernelFor(hideFlat(nucleus.NewFlatTruss(g, 1)))
-	if k.flat {
-		t.Fatal("wrapped instance still takes the fused path")
-	}
-	tau := k.inst.Degrees()
-	active := make([]int32, len(tau))
-	sc := &newScratches(1, tau)[0]
-	n := int32(k.inst.NumCells())
-	sweep := func(par bool) {
-		for c := int32(0); c < n; c++ {
-			k.update(c, tau, sc, tau[c], par)
-			k.notify(c, tau, active, sc, 0, tau[c], par)
-		}
-	}
-	for _, par := range []bool{false, true} {
-		if allocs := mallocs(func() { sweep(par) }); allocs != 0 {
-			t.Fatalf("par=%v: generic sweep allocated %d times in 10 runs, want 0", par, allocs)
-		}
+	for name, inst := range map[string]nucleus.Instance{
+		"truss": nucleus.NewFlatTruss(g, 1), "n34": nucleus.NewFlatN34(g, 1), "core": nucleus.NewCore(g),
+	} {
+		sweepAllocs(t, name, inst)
 	}
 }
 
-// TestFlatOfRejectsNonFlat pins the dispatch predicate: every stored
-// incidence takes the fused path — the graph's own CSR included — and only
-// the instances that discover their s-cliques on the fly do not.
-func TestFlatOfRejectsNonFlat(t *testing.T) {
-	g := graph.Complete(5)
-	if k := kernelFor(nucleus.NewTruss(g)); k.flat {
-		t.Fatal("on-the-fly Truss must not take the fused path")
-	}
-	if k := kernelFor(nucleus.NewCore(g)); !k.flat || k.rows.Co != 1 {
-		t.Fatalf("core: kernel flat=%v co=%d; want true, 1", k.flat, k.rows.Co)
-	}
-	if k := kernelFor(nucleus.NewFlatTruss(g, 1)); !k.flat || k.rows.Co != 2 {
-		t.Fatalf("flat truss: kernel flat=%v co=%d; want true, 2", k.flat, k.rows.Co)
+// TestDiscoveredRowsZeroAlloc is the same claim for discovered rows, after
+// warm-up: Truss and N34 find each row into the worker's buffer, which
+// stops growing once it holds the longest row, and neither the discovery
+// nor the kernel allocates per call.
+func TestDiscoveredRowsZeroAlloc(t *testing.T) {
+	g := graph.PlantedCommunities(3, 14, 0.5, 40, 11)
+	for name, inst := range map[string]nucleus.Instance{
+		"truss": nucleus.NewTruss(g), "n34": nucleus.NewN34(g), "hyper(2,4)": nucleustest.NewHyper(g, 2, 4),
+	} {
+		sweepAllocs(t, name, inst)
 	}
 }

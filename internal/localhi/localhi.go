@@ -6,13 +6,12 @@
 //
 // The algorithms work against any nucleus.Instance, so the same code
 // computes k-core (1,2), k-truss (2,3), the (3,4) nucleus and any generic
-// (r,s). There are two sweep kernels, one per side of the paper's §5 fork:
-// an instance with stored rows (nucleus.RowsOf: Flat, and Core — the CSR
-// *is* the incidence) runs the fused kernel, pure array scans, and one that
-// discovers its s-cliques on the fly (Truss, N34) runs the generic kernel
-// through VisitSCliques. Both compute min(τ, H) in one clamped pass that
-// stops once the current index is certified and allocate nothing while
-// sweeping (see kernel.go). Both algorithms are parallel: idle workers
+// (r,s). One sweep kernel serves both sides of the paper's §5 fork: it
+// scans the cell's row, stored (Flat, and Core — the CSR *is* the
+// incidence) or discovered into the worker's buffer (Truss, N34), computes
+// min(τ, H) in one clamped pass that stops once the current index is
+// certified, and allocates nothing while sweeping (see kernel.go). Both
+// algorithms are parallel: idle workers
 // claim the next 64 cells off a shared cursor (par.ForEachWorker), the
 // dynamic scheduling §4.4 recommends against notification-induced load
 // imbalance.
@@ -133,12 +132,12 @@ func Snd(inst nucleus.Instance, opts Options) *Result {
 	prev := make([]int32, n)
 	res := &Result{}
 	cells := sweepCells(n, opts, nil)
-	k := kernelFor(inst)
+	rows := inst.Rows()
 	scs := newScratches(opts.threads(), tau)
 	body := func(chunk []int32, sc *sweepScratch) {
 		var upd, vis int64
 		for _, c := range chunk {
-			h, v := k.update(c, prev, sc, prev[c], false)
+			h, v, _ := update(&rows, c, prev, sc, prev[c], false)
 			vis += v
 			if h != prev[c] {
 				upd++
@@ -186,7 +185,7 @@ func And(inst nucleus.Instance, opts Options) *Result {
 	tau := initialTau(deg, opts)
 	res := &Result{}
 	concurrent := opts.threads() > 1
-	k := kernelFor(inst)
+	rows := inst.Rows()
 	scs := newScratches(opts.threads(), tau)
 
 	var active []int32
@@ -215,13 +214,13 @@ func And(inst nucleus.Instance, opts Options) *Result {
 			// Only the worker that claimed c writes tau[c], so one read
 			// serves as both the kernel's clamp and the old value.
 			old := load(concurrent, tau, c)
-			h, v := k.update(c, tau, sc, old, concurrent)
+			h, v, row := update(&rows, c, tau, sc, old, concurrent)
 			vis += v
 			if h < old {
 				store(concurrent, tau, c, h)
 				upd++
 				if active != nil {
-					k.notify(c, tau, active, sc, h, old, concurrent)
+					notify(row, tau, active, h, old, concurrent)
 				}
 			}
 			if active != nil && concurrent {

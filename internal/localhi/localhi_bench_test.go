@@ -6,6 +6,7 @@ import (
 	"nucleus/internal/dataset"
 	"nucleus/internal/graph"
 	"nucleus/internal/nucleus"
+	"nucleus/internal/nucleustest"
 	"nucleus/internal/peel"
 )
 
@@ -70,11 +71,11 @@ func benchAnd(b *testing.B, inst nucleus.Instance, opts Options) {
 	reportConvergence(b, sweeps, updates)
 }
 
-// SND on the on-the-fly instance (sorted-merge intersection per triangle
-// per sweep): the baseline the flat index is measured against.
+// SND on the on-the-fly instance (each swept row rediscovered by a sorted
+// merge): the baseline the flat index is measured against.
 func BenchmarkSndTruss(b *testing.B) { benchSnd(b, benchTrussInstance(), Options{}) }
 
-// SND on the flat-indexed instance (fused array-scan kernel).
+// SND on the flat-indexed instance (stored rows, scanned in place).
 func BenchmarkSndTrussIndexed(b *testing.B) { benchSnd(b, benchIndexedTrussInstance(), Options{}) }
 
 func BenchmarkAndTruss(b *testing.B) { benchAnd(b, benchTrussInstance(), Options{}) }
@@ -113,22 +114,25 @@ func BenchmarkAndBudget3(b *testing.B) {
 	}
 }
 
-// benchKernel measures one first sweep (τ = s-degrees) over every cell
-// through the kernel a run on inst would pick; allocs/op must be exactly
-// zero (Test{Fused,Generic}KernelZeroAlloc are the gates).
+// benchKernel measures one first sweep (τ = s-degrees) over every cell of
+// inst's rows; allocs/op must be exactly zero once the row buffer has
+// grown (TestFusedKernelZeroAlloc and TestDiscoveredRowsZeroAlloc are the
+// gates).
 func benchKernel(b *testing.B, inst nucleus.Instance) {
 	b.Helper()
-	k := kernelFor(inst)
+	rows := inst.Rows()
 	tau := inst.Degrees()
 	sc := &newScratches(1, tau)[0]
 	n := int32(inst.NumCells())
 	var visits int64
-	k.update(0, tau, sc, tau[0], false) // bind the generic kernel's visitor
+	for c := int32(0); c < n; c++ { // grow the row buffer
+		update(&rows, c, tau, sc, tau[c], false)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for c := int32(0); c < n; c++ {
-			_, v := k.update(c, tau, sc, tau[c], false)
+			_, v, _ := update(&rows, c, tau, sc, tau[c], false)
 			visits += v
 		}
 	}
@@ -137,11 +141,9 @@ func benchKernel(b *testing.B, inst nucleus.Instance) {
 
 func BenchmarkSweepKernelFused(b *testing.B) { benchKernel(b, benchIndexedTrussInstance()) }
 
-// BenchmarkSweepKernelGeneric is the same single sweep over the same rows
-// through the generic kernel: the wrapper hides FlatIncidence, so the
-// two benchmarks differ in the kernel alone (VisitSCliques dispatch per
-// s-clique against the fused row scan), and Flat's VisitSCliques allocates
-// nothing, so allocs/op is the kernel's own and must be zero as well.
-func BenchmarkSweepKernelGeneric(b *testing.B) {
-	benchKernel(b, hideFlat(benchIndexedTrussInstance()))
+// BenchmarkSweepKernelDiscovered is the same single sweep over the same
+// rows handed out as discovered ones, copied into the worker's buffer: the
+// two benchmarks differ in the row source alone.
+func BenchmarkSweepKernelDiscovered(b *testing.B) {
+	benchKernel(b, nucleustest.Discovered(benchIndexedTrussInstance()))
 }

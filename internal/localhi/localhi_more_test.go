@@ -7,6 +7,7 @@ import (
 
 	"nucleus/internal/graph"
 	"nucleus/internal/nucleus"
+	"nucleus/internal/nucleustest"
 	"nucleus/internal/peel"
 )
 
@@ -26,14 +27,9 @@ func TestTrussToyFirstSweep(t *testing.T) {
 	}
 	// Manual Definition 6 for ab against τ0 = triangle counts.
 	var want []int32
-	inst.VisitSCliques(int32(ab), func(others []int32) bool {
-		rho := deg[others[0]]
-		if deg[others[1]] < rho {
-			rho = deg[others[1]]
-		}
-		want = append(want, rho)
-		return true
-	})
+	for _, others := range nucleustest.Groups(inst, int32(ab)) {
+		want = append(want, min(deg[others[0]], deg[others[1]]))
+	}
 	if len(want) != 4 {
 		t.Fatalf("ab has %d s-cliques", len(want))
 	}

@@ -7,19 +7,21 @@ import (
 	"nucleus/internal/graph"
 	"nucleus/internal/hindex"
 	"nucleus/internal/nucleus"
+	"nucleus/internal/nucleustest"
 	"nucleus/internal/peel"
 )
 
 // The §4.4 early exit — stop reading a cell's s-cliques once cur of them
 // have ρ ≥ cur, which preserves the current index — is part of the kernel
 // contract (kernel.go), not an option. These tests pin the contract on the
-// kernels themselves.
+// kernel itself.
 
-// TestPreserveExactness: for any τ array and any cur, both kernels return
+// TestPreserveExactness: for any τ array and any cur, the kernel returns
 // exactly min(cur, H(ρ list)) — H computed by hindex.Linear over the ρ list
-// gathered through VisitSCliques — and pay the same visits, never more
-// than the row holds. One scratch serves every call, so the counting array
-// is as dirty as a sweep leaves it.
+// gathered from the cell's row (nucleustest.Groups) — over stored rows and
+// over the same rows discovered, and pays the same visits on both, never
+// more than the row holds. One scratch per side serves every call, so the
+// counting array is as dirty as a sweep leaves it.
 func TestPreserveExactness(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	for round := 0; round < 12; round++ {
@@ -33,30 +35,29 @@ func TestPreserveExactness(t *testing.T) {
 				tau[c] = int32(rng.Intn(int(d) + 2)) // any value, not only a valid τ
 				maxDeg = max(maxDeg, d)
 			}
-			fused, generic := kernelFor(inst), kernelFor(hideFlat(inst))
+			stored, discovered := inst.Rows(), nucleustest.Discovered(inst).Rows()
 			top := []int32{maxDeg + 2} // the largest cur asked below sizes the scratch
-			scF, scG := &newScratches(1, top)[0], &newScratches(1, top)[0]
+			scS, scD := &newScratches(1, top)[0], &newScratches(1, top)[0]
 			for c := int32(0); c < int32(len(deg)); c++ {
 				var rhos []int32
-				inst.VisitSCliques(c, func(others []int32) bool {
+				for _, others := range nucleustest.Groups(inst, c) {
 					rho := tau[others[0]]
 					for _, d := range others[1:] {
 						rho = min(rho, tau[d])
 					}
 					rhos = append(rhos, rho)
-					return true
-				})
+				}
 				h := hindex.Linear(rhos)
 				for cur := int32(0); cur <= maxDeg+2; cur++ {
-					gotF, visF := fused.update(c, tau, scF, cur, false)
-					gotG, visG := generic.update(c, tau, scG, cur, true)
-					if want := min(cur, h); gotF != want || gotG != want {
-						t.Fatalf("(%d,%d) cell %d cur %d: fused %d, generic %d, want min(cur, H=%d)",
-							inst.R(), inst.S(), c, cur, gotF, gotG, h)
+					gotS, visS, _ := update(&stored, c, tau, scS, cur, false)
+					gotD, visD, _ := update(&discovered, c, tau, scD, cur, true)
+					if want := min(cur, h); gotS != want || gotD != want {
+						t.Fatalf("(%d,%d) cell %d cur %d: stored %d, discovered %d, want min(cur, H=%d)",
+							inst.R(), inst.S(), c, cur, gotS, gotD, h)
 					}
-					if visF != visG || visF > int64(len(rhos)) || (visF < int64(len(rhos)) && gotF != cur) {
-						t.Fatalf("(%d,%d) cell %d cur %d: visits fused %d, generic %d, row %d, result %d",
-							inst.R(), inst.S(), c, cur, visF, visG, len(rhos), gotF)
+					if visS != visD || visS > int64(len(rhos)) || (visS < int64(len(rhos)) && gotS != cur) {
+						t.Fatalf("(%d,%d) cell %d cur %d: visits stored %d, discovered %d, row %d, result %d",
+							inst.R(), inst.S(), c, cur, visS, visD, len(rhos), gotS)
 					}
 				}
 			}

@@ -15,7 +15,7 @@ import (
 // unchanged, update rate, max τ) and hands immutable snapshots to any
 // number of concurrent readers — pollers via Latest, streamers via
 // Subscribe — without ever blocking the sweep workers or touching the
-// zero-allocation fused kernels (publishing happens between sweeps, on
+// zero-allocation sweep kernel (publishing happens between sweeps, on
 // the coordinating goroutine).
 
 // Snapshot is one immutable progress observation, taken after a sweep.

@@ -29,15 +29,15 @@ func collectSnapshots(t *testing.T, alg func(nucleus.Instance, Options) *Result,
 }
 
 // TestProgressSnapshotsMonotone is the anytime property test: across
-// Snd and And, on both the generic closure path and the fused flat path,
+// Snd and And, over both stored and discovered rows,
 // the streamed τ snapshots are pointwise monotonically non-increasing,
 // max τ never rises, and the Final snapshot of a converged run equals the
 // exact κ from peeling.
 func TestProgressSnapshotsMonotone(t *testing.T) {
-	for _, tc := range fusedCases(t) {
-		exact := peel.Run(tc.generic)
+	for _, tc := range discoveredCases(t) {
+		exact := peel.Run(tc.discovered)
 		for pathName, inst := range map[string]nucleus.Instance{
-			"generic": tc.generic, "indexed": tc.indexed,
+			"discovered": tc.discovered, "stored": tc.stored,
 		} {
 			for algName, run := range map[string]func(nucleus.Instance, Options) *Result{
 				"snd": Snd, "and": And,

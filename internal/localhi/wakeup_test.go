@@ -56,7 +56,7 @@ func TestNarrowWakeupsStress(t *testing.T) {
 // flag is idle again, so τ(d) is read anew and the narrow test decides.
 func TestWakeInProgress(t *testing.T) {
 	const h, old = 2, 5
-	k := kernelFor(nucleus.NewCore(graph.Path(2))) // cell 0's row is {1}
+	row := []int32{1} // cell 0's row: its one co-member is cell 1
 	for _, tc := range []struct {
 		flag, tau, want int32
 	}{
@@ -75,7 +75,7 @@ func TestWakeInProgress(t *testing.T) {
 	} {
 		for _, par := range []bool{false, true} {
 			tau, active := []int32{h, tc.tau}, []int32{flagIdle, tc.flag}
-			notifyNeighborsFlat(&k, 0, tau, active, h, old, par)
+			notify(row, tau, active, h, old, par)
 			if active[1] != tc.want || active[0] != flagIdle || tau[1] != tc.tau {
 				t.Errorf("flag %d τ(d) %d par=%v: flags %v τ %v after the wake, want d's flag %d, τ untouched",
 					tc.flag, tc.tau, par, active, tau, tc.want)

@@ -104,6 +104,14 @@ func Build(g *graph.Graph, fam Family, memBudget int64, threads int) (Instance, 
 	panic(fmt.Sprintf("nucleus: unknown family %d", int(fam)))
 }
 
+// LibraryIndexBudget caps, in bytes, the estimated size of the s-clique
+// incidence a library call stores for the truss and (3,4) families, as the
+// server's default -index-mem-budget does; over it, the call runs on the
+// on-the-fly instance (the paper's §5 fork). Every library entry point —
+// the root package's, query's and dynamic's — builds under it through For,
+// so they share one instance per graph.
+const LibraryIndexBudget = 1 << 30 // 1 GiB
+
 // instanceKey keys the instances memoized on a graph.
 type instanceKey struct {
 	fam    Family

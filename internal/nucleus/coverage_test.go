@@ -1,42 +1,27 @@
-package nucleus
+package nucleus_test
 
 import (
 	"testing"
 
 	"nucleus/internal/graph"
+	"nucleus/internal/nucleus"
 	"nucleus/internal/nucleustest"
 )
-
-// Exercise the early-stop paths of every instance's visitors.
-
-func TestEarlyStopAllInstances(t *testing.T) {
-	g := graph.Complete(6)
-	for _, inst := range []Instance{NewCore(g), NewTruss(g), NewN34(g), nucleustest.NewHyper(g, 2, 3), NewFlatTruss(g, 1), NewFlatN34(g, 1), NewFlat(g, 2, 4, 1)} {
-		count := 0
-		inst.VisitSCliques(0, func([]int32) bool {
-			count++
-			return false
-		})
-		if count != 1 {
-			t.Errorf("(%d,%d): VisitSCliques early stop visited %d", inst.R(), inst.S(), count)
-		}
-	}
-}
 
 func TestCellVerticesAllInstances(t *testing.T) {
 	g := graph.Complete(5)
 	wantLens := map[string]int{}
 	for _, tc := range []struct {
-		inst Instance
+		inst nucleus.Instance
 		want int
 	}{
-		{NewCore(g), 1},
-		{NewTruss(g), 2},
-		{NewN34(g), 3},
+		{nucleus.NewCore(g), 1},
+		{nucleus.NewTruss(g), 2},
+		{nucleus.NewN34(g), 3},
 		{nucleustest.NewHyper(g, 4, 5), 4},
-		{NewFlatTruss(g, 1), 2},
-		{NewFlatN34(g, 1), 3},
-		{NewFlat(g, 4, 5, 1), 4},
+		{nucleus.NewFlatTruss(g, 1), 2},
+		{nucleus.NewFlatN34(g, 1), 3},
+		{nucleus.NewFlat(g, 4, 5, 1), 4},
 	} {
 		vs := tc.inst.CellVertices(0, nil)
 		if len(vs) != tc.want {
@@ -64,15 +49,14 @@ func TestHyperDisconnectedSmallS(t *testing.T) {
 			t.Fatalf("degrees = %v", h.Degrees())
 		}
 	}
-	h.VisitSCliques(0, func([]int32) bool {
-		t.Fatal("visited s-clique in triangle-free graph")
-		return false
-	})
+	if groups := nucleustest.Groups(h, 0); len(groups) != 0 {
+		t.Fatalf("s-cliques %v in a triangle-free graph", groups)
+	}
 }
 
 func TestCoreDegreesCopied(t *testing.T) {
 	g := graph.Complete(4)
-	for _, inst := range []Instance{NewTruss(g), NewN34(g), nucleustest.NewHyper(g, 1, 2), NewFlatTruss(g, 1), NewFlat(g, 1, 2, 1)} {
+	for _, inst := range []nucleus.Instance{nucleus.NewTruss(g), nucleus.NewN34(g), nucleustest.NewHyper(g, 1, 2), nucleus.NewFlatTruss(g, 1), nucleus.NewFlat(g, 1, 2, 1)} {
 		d1 := inst.Degrees()
 		orig := d1[0]
 		d1[0] = 77

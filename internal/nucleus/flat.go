@@ -8,45 +8,10 @@ import (
 	"nucleus/internal/par"
 )
 
-// FlatIncidence is implemented by instances whose s-clique incidence
-// exists as flat CSR arrays: Flat, which materializes it, and Core, for
-// which the graph's adjacency already is it. Algorithms call RowsOf.
-type FlatIncidence interface {
-	Instance
-	Rows() Rows
-}
-
-// Rows is a stored s-clique incidence: cell c's s-cliques are Row(c), Co
-// consecutive co-member cell ids per s-clique (1 for (1,2), 2 for (2,3),
-// 3 for (3,4)). The arrays are immutable and shared with the instance.
-type Rows struct {
-	Offs []int64
-	Mem  []int32
-	Co   int
-}
-
-// RowsOf is the one way to ask an instance for its stored rows: the sweep
-// kernels (internal/localhi), the peel (internal/peel) and the forest
-// (internal/hierarchy) scan them in place of a closure per s-clique. One
-// without them (Truss, N34, a wrapper hiding FlatIncidence) reports false.
-func RowsOf(inst Instance) (Rows, bool) {
-	f, ok := inst.(FlatIncidence)
-	if !ok {
-		return Rows{}, false
-	}
-	r := f.Rows()
-	return r, r.Co >= 1 && len(r.Offs) > 0
-}
-
-// Row returns the co-members of cell c's s-cliques, Co ids per s-clique.
-func (r Rows) Row(c int32) []int32 { return r.Mem[r.Offs[c]:r.Offs[c+1]] }
-
 // Flat is the stored-s-cliques instance of any (r,s) decomposition — the
 // other side of the paper's §5 fork from the on-the-fly Truss and N34:
-// every VisitSCliques is a contiguous scan of a CSR row instead of an
-// adjacency intersection. It implements FlatIncidence, so the fused
-// zero-allocation sweep kernel of internal/localhi applies to every
-// family. Three builders feed it: NewFlatTruss (edge incidence, cells
+// every row is a contiguous slice of a CSR instead of an adjacency
+// intersection. Three builders feed it: NewFlatTruss (edge incidence, cells
 // numbered by edge id), NewFlatN34 (4-clique incidence, cells numbered by
 // triangle id) and NewFlat (any r < s, by clique enumeration); Build picks
 // between a family's flat and on-the-fly instance under a memory budget.
@@ -156,21 +121,11 @@ func (f *Flat) NumCells() int { return len(f.deg) }
 
 func (f *Flat) Degrees() []int32 { return append([]int32(nil), f.deg...) }
 
-func (f *Flat) VisitSCliques(c int32, fn func(others []int32) bool) {
-	row := f.members[f.offs[c]:f.offs[c+1]]
-	ca := f.coArity
-	for i := 0; i+ca <= len(row); i += ca {
-		if !fn(row[i : i+ca : i+ca]) {
-			return
-		}
-	}
-}
-
 func (f *Flat) CellVertices(c int32, buf []uint32) []uint32 { return f.verts(c, buf) }
 
 func (f *Flat) CellLabel(c int32) string { return cellLabel(f.verts(c, nil)) }
 
-func (f *Flat) Rows() Rows { return Rows{f.offs, f.members, f.coArity} }
+func (f *Flat) Rows() Rows { return Rows{Offs: f.offs, Mem: f.members, Co: f.coArity} }
 
 // IndexBytes returns the memory held by the flat incidence arrays.
 func (f *Flat) IndexBytes() int64 {

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -87,15 +88,14 @@ func byVertexSet(inst nucleus.Instance) map[string][]string {
 	out := make(map[string][]string, inst.NumCells())
 	for c := int32(0); c < int32(inst.NumCells()); c++ {
 		groups := []string{}
-		inst.VisitSCliques(c, func(others []int32) bool {
+		for _, others := range nucleustest.Groups(inst, c) {
 			keys := make([]string, len(others))
 			for i, d := range others {
 				keys[i] = vertexKey(inst, d)
 			}
 			sort.Strings(keys)
 			groups = append(groups, fmt.Sprint(keys))
-			return true
-		})
+		}
 		sort.Strings(groups)
 		out[vertexKey(inst, c)] = groups
 	}
@@ -184,23 +184,22 @@ func TestFlatRSBuildDeterministicAcrossThreads(t *testing.T) {
 	}
 }
 
-// TestFlatIncidenceArrays pins the co-arity each builder reports: an
+// TestFlatRowsCoArity pins the co-arity each builder reports: an
 // s-clique has C(s,r) member cells, one of which is the cell itself.
-func TestFlatIncidenceArrays(t *testing.T) {
+func TestFlatRowsCoArity(t *testing.T) {
 	g := graph.Complete(6)
 	want := map[[2]int]int{{1, 2}: 1, {1, 3}: 2, {1, 4}: 3, {2, 3}: 2, {2, 4}: 5, {3, 4}: 3}
 	for _, tc := range flatCases {
-		var fi nucleus.FlatIncidence = tc.build(g, 1)
-		if co := fi.Rows().Co; co != want[[2]int{tc.r, tc.s}] {
+		if co := tc.build(g, 1).Rows().Co; co != want[[2]int{tc.r, tc.s}] {
 			t.Fatalf("%s: coArity %d, want %d", tc.name, co, want[[2]int{tc.r, tc.s}])
 		}
 	}
 }
 
-// TestFlatRSFlatIncidenceContract pins what the localhi fused kernel
-// relies on: rows are contiguous, co-arity sized, as long as the degree
-// says, and the very slices VisitSCliques hands out.
-func TestFlatRSFlatIncidenceContract(t *testing.T) {
+// TestFlatRSRowsContract pins what the row loops rely on: rows are
+// contiguous, co-arity sized, as long as the degree says, and Row hands
+// out the very slices of the arrays, leaving the buffer untouched.
+func TestFlatRSRowsContract(t *testing.T) {
 	g := graph.PlantedCommunities(3, 12, 0.5, 20, 9)
 	for _, tc := range flatCases {
 		f := tc.build(g, 2)
@@ -219,13 +218,9 @@ func TestFlatRSFlatIncidenceContract(t *testing.T) {
 			if len(row) != co*int(deg[c]) {
 				t.Fatalf("%s cell %d: row length %d, want %d", tc.name, c, len(row), co*int(deg[c]))
 			}
-			var visited []int32
-			f.VisitSCliques(int32(c), func(others []int32) bool {
-				visited = append(visited, others...)
-				return true
-			})
-			if !reflect.DeepEqual(visited, append([]int32(nil), row...)) {
-				t.Fatalf("%s cell %d: VisitSCliques %v, row %v", tc.name, c, visited, row)
+			var buf []int32
+			if got := rows.Row(int32(c), &buf); len(row) > 0 && &got[0] != &row[0] || len(got) != len(row) || buf != nil {
+				t.Fatalf("%s cell %d: Row %v (buffer %v), want the stored row %v in place", tc.name, c, got, buf, row)
 			}
 		}
 	}
@@ -246,14 +241,13 @@ func TestFlatRSInvalidPanics(t *testing.T) {
 
 // assertSameInstance demands that a family's stored (Flat) and on-the-fly
 // instances are interchangeable: same cell ids, degrees, s-cliques, labels
-// and vertices, and the same κ under every engine, including the fused
-// kernel the flat instance triggers inside localhi.
+// and vertices, and the same κ under every engine.
 func assertSameInstance(t *testing.T, gi int, ref, flat nucleus.Instance) {
 	t.Helper()
 	if _, ok := flat.(*nucleus.Flat); !ok {
 		t.Fatalf("graph %d: Build returned %T, want *Flat", gi, flat)
 	}
-	if _, ok := nucleus.RowsOf(ref); ok {
+	if ref.Rows().Offs != nil {
 		t.Fatalf("graph %d: budget 0 returned %T, an instance with stored rows", gi, ref)
 	}
 	if !reflect.DeepEqual(ref.Degrees(), flat.Degrees()) {
@@ -295,6 +289,56 @@ func testFlatMatchesOnTheFly(t *testing.T, fam nucleus.Family) {
 }
 
 func TestIndexedTrussMatchesTruss(t *testing.T) { testFlatMatchesOnTheFly(t, nucleus.FamilyTruss) }
+
+// TestDiscoveredRowsMatchStored covers every cell of the on-the-fly Truss
+// and N34 on the generator families: each discovered row equals Flat's
+// stored row of the same cell, and Hyper's row of the same vertex set, as
+// a multiset of sorted co-member groups — whatever order the discovery
+// finds the s-cliques in. The rows are read through one buffer, reused
+// from cell to cell.
+func TestDiscoveredRowsMatchStored(t *testing.T) {
+	gs := map[string]*graph.Graph{
+		"complete":           graph.Complete(8),
+		"cliqueChain":        graph.CliqueChain(3, 5),
+		"gnm":                graph.GnM(60, 240, 1),
+		"barabasiAlbert":     graph.BarabasiAlbert(60, 4, 2),
+		"rmat":               graph.RMAT(6, 4, 0.45, 0.22, 0.22, 3),
+		"wattsStrogatz":      graph.WattsStrogatz(48, 6, 0.2, 4),
+		"plantedCommunities": graph.PlantedCommunities(3, 10, 0.5, 12, 5),
+		"powerLawCluster":    graph.PowerLawCluster(50, 4, 0.5, 6),
+	}
+	// groups renders a row as its sorted multiset of sorted groups.
+	groups := func(row []int32, co int) []string {
+		var out []string
+		for ; len(row) >= co; row = row[co:] {
+			grp := slices.Clone(row[:co])
+			slices.Sort(grp)
+			out = append(out, fmt.Sprint(grp))
+		}
+		sort.Strings(out)
+		return out
+	}
+	for name, g := range gs {
+		for _, fam := range []nucleus.Family{nucleus.FamilyTruss, nucleus.FamilyN34} {
+			found, _ := nucleus.Build(g, fam, 0, 2)
+			stored, _ := nucleus.Build(g, fam, -1, 2)
+			fr, sr := found.Rows(), stored.Rows()
+			if fr.Offs != nil || fr.Co != sr.Co {
+				t.Fatalf("%s %v: discovered rows have arrays %v or co-arity %d against %d", name, fam, fr.Offs != nil, fr.Co, sr.Co)
+			}
+			var buf, none []int32
+			for c := int32(0); c < int32(found.NumCells()); c++ {
+				if got, want := groups(fr.Row(c, &buf), fr.Co), groups(sr.Row(c, &none), sr.Co); !slices.Equal(got, want) {
+					t.Fatalf("%s %v cell %s: discovered row %v, stored %v", name, fam, found.CellLabel(c), got, want)
+				}
+			}
+			h := nucleustest.NewHyper(g, int(fam)+1, int(fam)+2)
+			if !reflect.DeepEqual(byVertexSet(found), byVertexSet(h)) {
+				t.Fatalf("%s %v: discovered rows differ from the hypergraph's", name, fam)
+			}
+		}
+	}
+}
 
 func TestIndexedN34MatchesN34(t *testing.T) { testFlatMatchesOnTheFly(t, nucleus.FamilyN34) }
 

@@ -1,4 +1,4 @@
-package nucleus
+package nucleus_test
 
 import (
 	"fmt"
@@ -9,12 +9,13 @@ import (
 
 	"nucleus/internal/cliques"
 	"nucleus/internal/graph"
+	"nucleus/internal/nucleus"
 	"nucleus/internal/nucleustest"
 )
 
 func TestCoreInstanceBasics(t *testing.T) {
 	g := graph.Figure2()
-	inst := NewCore(g)
+	inst := nucleus.NewCore(g)
 	if inst.R() != 1 || inst.S() != 2 {
 		t.Fatal("wrong (r,s)")
 	}
@@ -28,23 +29,17 @@ func TestCoreInstanceBasics(t *testing.T) {
 			t.Fatalf("deg = %v, want %v", deg, want)
 		}
 	}
-	// Visiting s-cliques of b (id 1) yields its 3 neighbors one at a time.
-	var others []int32
-	inst.VisitSCliques(1, func(o []int32) bool {
-		if len(o) != 1 {
-			t.Fatalf("core s-clique has %d co-members", len(o))
-		}
-		others = append(others, o[0])
-		return true
-	})
-	if len(others) != 3 {
-		t.Fatalf("b has %d incident edges", len(others))
+	// The row of b (id 1) holds its 3 neighbors, one per s-clique.
+	rows := inst.Rows()
+	var buf []int32
+	if rows.Co != 1 || len(rows.Row(1, &buf)) != 3 {
+		t.Fatalf("b: co-arity %d, row %v; want 1 and its 3 neighbors", rows.Co, rows.Row(1, &buf))
 	}
 }
 
 func TestTrussInstanceBasics(t *testing.T) {
 	g := graph.Complete(5)
-	inst := NewTruss(g)
+	inst := nucleus.NewTruss(g)
 	if inst.R() != 2 || inst.S() != 3 {
 		t.Fatal("wrong (r,s)")
 	}
@@ -56,19 +51,15 @@ func TestTrussInstanceBasics(t *testing.T) {
 			t.Fatalf("K5 edge triangle count = %d", d)
 		}
 	}
-	// Each s-clique visit passes exactly two co-member edges that share an
-	// endpoint with the cell edge.
-	inst.VisitSCliques(0, func(o []int32) bool {
-		if len(o) != 2 {
-			t.Fatalf("truss s-clique has %d co-members", len(o))
-		}
-		return true
-	})
+	// Each s-clique holds exactly two co-member edges.
+	if co := inst.Rows().Co; co != 2 {
+		t.Fatalf("truss s-clique has %d co-members", co)
+	}
 }
 
 func TestN34InstanceBasics(t *testing.T) {
 	g := graph.Complete(6)
-	inst := NewN34(g)
+	inst := nucleus.NewN34(g)
 	if inst.R() != 3 || inst.S() != 4 {
 		t.Fatal("wrong (r,s)")
 	}
@@ -80,12 +71,9 @@ func TestN34InstanceBasics(t *testing.T) {
 			t.Fatalf("K6 triangle K4 count = %d", d)
 		}
 	}
-	inst.VisitSCliques(0, func(o []int32) bool {
-		if len(o) != 3 {
-			t.Fatalf("(3,4) s-clique has %d co-members", len(o))
-		}
-		return true
-	})
+	if co := inst.Rows().Co; co != 3 {
+		t.Fatalf("(3,4) s-clique has %d co-members", co)
+	}
 }
 
 func TestHyperMatchesSpecializedDegrees(t *testing.T) {
@@ -93,7 +81,7 @@ func TestHyperMatchesSpecializedDegrees(t *testing.T) {
 		// (1,2): Hyper degrees equal vertex degrees (cells are single
 		// vertices; order matches because 1-cliques enumerate in id order).
 		h12 := nucleustest.NewHyper(g, 1, 2)
-		core := NewCore(g)
+		core := nucleus.NewCore(g)
 		if h12.NumCells() != core.NumCells() {
 			return false
 		}
@@ -105,7 +93,7 @@ func TestHyperMatchesSpecializedDegrees(t *testing.T) {
 		}
 		// (2,3): compare triangle counts via vertex-set keys.
 		h23 := nucleustest.NewHyper(g, 2, 3)
-		truss := NewTruss(g)
+		truss := nucleus.NewTruss(g)
 		if h23.NumCells() != truss.NumCells() {
 			return false
 		}
@@ -124,7 +112,7 @@ func TestHyperMatchesSpecializedDegrees(t *testing.T) {
 func TestHyper34MatchesN34(t *testing.T) {
 	g := graph.PlantedCommunities(2, 10, 0.7, 5, 3)
 	h := nucleustest.NewHyper(g, 3, 4)
-	n34 := NewN34(g)
+	n34 := nucleus.NewN34(g)
 	if h.NumCells() != n34.NumCells() {
 		t.Fatalf("cell counts differ: %d vs %d", h.NumCells(), n34.NumCells())
 	}
@@ -132,10 +120,10 @@ func TestHyper34MatchesN34(t *testing.T) {
 	nd := n34.Degrees()
 	byKey := make(map[string]int32)
 	for c := 0; c < n34.NumCells(); c++ {
-		byKey[vertexKey(n34.CellVertices(int32(c), nil))] = nd[c]
+		byKey[sortedKey(n34.CellVertices(int32(c), nil))] = nd[c]
 	}
 	for c := 0; c < h.NumCells(); c++ {
-		key := vertexKey(h.CellVertices(int32(c), nil))
+		key := sortedKey(h.CellVertices(int32(c), nil))
 		want, ok := byKey[key]
 		if !ok || hd[c] != want {
 			t.Fatalf("cell %s: hyper deg %d, n34 deg %d (found=%v)", key, hd[c], want, ok)
@@ -157,19 +145,19 @@ func TestHyperInvalidArgs(t *testing.T) {
 	}
 }
 
-func TestVisitSCliquesCountMatchesDegree(t *testing.T) {
+// TestRowLengthMatchesDegree: every instance's row of a cell holds Co ids
+// per s-clique, as many s-cliques as the cell's s-degree — stored rows and
+// discovered ones alike, the buffer reused from cell to cell.
+func TestRowLengthMatchesDegree(t *testing.T) {
 	g := graph.PlantedCommunities(2, 12, 0.6, 10, 5)
-	for _, inst := range []Instance{NewCore(g), NewTruss(g), NewN34(g), nucleustest.NewHyper(g, 2, 3)} {
+	for _, inst := range []nucleus.Instance{nucleus.NewCore(g), nucleus.NewTruss(g), nucleus.NewN34(g), nucleustest.NewHyper(g, 2, 3), nucleus.NewFlatTruss(g, 1)} {
 		deg := inst.Degrees()
+		rows := inst.Rows()
+		var buf []int32
 		for c := int32(0); c < int32(inst.NumCells()); c++ {
-			count := int32(0)
-			inst.VisitSCliques(c, func([]int32) bool {
-				count++
-				return true
-			})
-			if count != deg[c] {
-				t.Fatalf("(%d,%d) cell %d: %d s-cliques visited, degree %d",
-					inst.R(), inst.S(), c, count, deg[c])
+			if n := len(rows.Row(c, &buf)); n != rows.Co*int(deg[c]) {
+				t.Fatalf("(%d,%d) cell %d: row of %d ids at co-arity %d, degree %d",
+					inst.R(), inst.S(), c, n, rows.Co, deg[c])
 			}
 		}
 	}
@@ -177,14 +165,14 @@ func TestVisitSCliquesCountMatchesDegree(t *testing.T) {
 
 func TestCellLabels(t *testing.T) {
 	g := graph.Complete(4)
-	if got := NewCore(g).CellLabel(2); got != "v2" {
+	if got := nucleus.NewCore(g).CellLabel(2); got != "v2" {
 		t.Errorf("core label = %q", got)
 	}
-	truss := NewTruss(g)
+	truss := nucleus.NewTruss(g)
 	if got := truss.CellLabel(0); got == "" {
 		t.Errorf("empty truss label")
 	}
-	n34 := NewN34(g)
+	n34 := nucleus.NewN34(g)
 	if got := n34.CellLabel(0); got == "" {
 		t.Errorf("empty n34 label")
 	}
@@ -213,7 +201,7 @@ func TestHyperCellID(t *testing.T) {
 
 func TestTrussDegreesMatchCliquePackage(t *testing.T) {
 	g := graph.PowerLawCluster(150, 4, 0.5, 9)
-	inst := NewTruss(g)
+	inst := nucleus.NewTruss(g)
 	want := cliques.CountPerEdge(g)
 	got := inst.Degrees()
 	for e := range want {
@@ -223,7 +211,7 @@ func TestTrussDegreesMatchCliquePackage(t *testing.T) {
 	}
 }
 
-func vertexKey(vs []uint32) string {
+func sortedKey(vs []uint32) string {
 	sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
 	return fmt.Sprint(vs)
 }

@@ -28,11 +28,15 @@ func (t *Truss) Degrees() []int32 {
 	return append([]int32(nil), t.deg...)
 }
 
-func (t *Truss) VisitSCliques(e int32, fn func(others []int32) bool) {
-	var buf [2]int32
-	cliques.ForEachTriangleOfEdge(t.G, int64(e), func(_ uint32, euw, evw int64) bool {
-		buf[0], buf[1] = int32(euw), int32(evw)
-		return fn(buf[:])
+// Rows discovers edge e's row by one merge of its endpoints' adjacency:
+// the two other edges of each triangle on e.
+func (t *Truss) Rows() Rows {
+	return DiscoveredRows(2, func(e int32, buf []int32) []int32 {
+		cliques.ForEachTriangleOfEdge(t.G, int64(e), func(_ uint32, euw, evw int64) bool {
+			buf = append(buf, int32(euw), int32(evw))
+			return true
+		})
+		return buf
 	})
 }
 
@@ -73,11 +77,15 @@ func (n *N34) Degrees() []int32 {
 	return append([]int32(nil), n.deg...)
 }
 
-func (n *N34) VisitSCliques(t int32, fn func(others []int32) bool) {
-	var buf [3]int32
-	n.Idx.ForEachK4OfTriangle(n.G, t, func(_ uint32, t1, t2, t3 int32) bool {
-		buf[0], buf[1], buf[2] = t1, t2, t3
-		return fn(buf[:])
+// Rows discovers triangle t's row by a three-way adjacency intersection:
+// the three other triangles of each 4-clique on t.
+func (n *N34) Rows() Rows {
+	return DiscoveredRows(3, func(t int32, buf []int32) []int32 {
+		n.Idx.ForEachK4OfTriangle(n.G, t, func(_ uint32, t1, t2, t3 int32) bool {
+			buf = append(buf, t1, t2, t3)
+			return true
+		})
+		return buf
 	})
 }
 

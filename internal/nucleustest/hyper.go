@@ -1,9 +1,10 @@
 // Package nucleustest is test support for the nucleus instances: Hyper,
 // the explicit-hypergraph (r,s) instance every production instance is
-// checked against. It is imported from _test.go files only — CI fails if
-// it shows up in `go list -deps . ./cmd/...` — and deliberately shares no
-// code with internal/nucleus, so the oracle cannot inherit a bug from the
-// instances it checks.
+// checked against, and the helpers that read any instance's rows. It is
+// imported from _test.go files only — CI fails if it shows up in
+// `go list -deps . ./cmd/...` — and shares nothing with internal/nucleus
+// but the Rows type its instances hand out, so the oracle cannot inherit a
+// bug from the instances it checks.
 package nucleustest
 
 import (
@@ -12,6 +13,7 @@ import (
 
 	"nucleus/internal/cliques"
 	"nucleus/internal/graph"
+	"nucleus/internal/nucleus"
 )
 
 // Hyper is the explicit-hypergraph instance for an arbitrary (r,s) nucleus
@@ -22,7 +24,8 @@ import (
 // The paper notes (§5) that materialization is infeasible for large
 // networks; Hyper is deliberately the naive ragged-slice construction, kept
 // as the correctness oracle for the production instances (it satisfies
-// nucleus.Instance, so every engine runs on it unchanged).
+// nucleus.Instance, so every engine runs on it unchanged). Its rows are
+// handed out as discovered ones, copied into the caller's buffer.
 type Hyper struct {
 	r, s int
 	// cells[i] is the sorted vertex set of r-clique i.
@@ -85,14 +88,10 @@ func (h *Hyper) NumCells() int { return len(h.cells) }
 
 func (h *Hyper) Degrees() []int32 { return append([]int32(nil), h.degrees...) }
 
-func (h *Hyper) VisitSCliques(c int32, fn func(others []int32) bool) {
-	mem := h.memberships[c]
-	gs := h.groupSize
-	for i := 0; i+gs <= len(mem); i += gs {
-		if !fn(mem[i : i+gs]) {
-			return
-		}
-	}
+func (h *Hyper) Rows() nucleus.Rows {
+	return nucleus.DiscoveredRows(h.groupSize, func(c int32, buf []int32) []int32 {
+		return append(buf, h.memberships[c]...)
+	})
 }
 
 func (h *Hyper) CellVertices(c int32, buf []uint32) []uint32 {

@@ -1,22 +1,15 @@
 // Package par provides the shard-parallel primitives shared by every
-// parallel O(n+m) stage in the tree: grained parallel-for loops, the
-// deterministic two-pass counting-sort scatter behind the CSR builders,
-// prefix sums and order-preserving parallel gathers.
+// parallel O(n+m) stage in the tree: grained parallel-for loops, fixed
+// per-worker ranges, prefix sums and order-preserving parallel gathers.
 //
 // Every primitive here is *deterministic by construction*: the output is
 // bit-identical at every thread count (including 1), so callers can prove
 // parallel == sequential with a differential test instead of reasoning
-// about schedules. The two tricks that make that cheap:
-//
-//   - Two-pass counting-sort scatter (ScatterByKey, CountingCSR): a count
-//     pass over contiguous per-worker source ranges, a prefix sum over
-//     (key-major, worker-minor) counts, then a scatter pass in which every
-//     entry's slot is a pure function of its source position — exactly the
-//     slot a sequential stable counting sort would assign.
-//   - Chunk-ordered gathers (Collect): dynamically scheduled chunks each
-//     append to their own buffer, and buffers are concatenated in chunk
-//     order, reproducing the sequential emission order regardless of which
-//     worker ran which chunk when.
+// about schedules. Ranges splits by the worker count alone, so per-worker
+// results merge in a fixed order, and Collect gathers in chunk order:
+// dynamically scheduled chunks each append to their own buffer, and
+// buffers are concatenated in chunk order, reproducing the sequential
+// emission order regardless of which worker ran which chunk when.
 //
 // Workers are plain goroutines claiming grain-sized chunks off an atomic
 // cursor; there are no pools or channels to manage, and a threads <= 1
@@ -96,7 +89,7 @@ func ForEachWorker(n, grain, threads int, body func(w, lo, hi int)) {
 // Ranges splits [0, n) into one contiguous range per worker and calls
 // body(w, lo, hi) for each. The split depends only on n and the clamped
 // worker count, so per-worker results indexed by w can be merged in a
-// deterministic order (the basis of the two-pass scatter). Returns the
+// deterministic order (the basis of the two-pass CSR scatters). Returns the
 // worker count used. threads <= 1 runs body(0, 0, n) inline.
 func Ranges(n, threads int, body func(w, lo, hi int)) int {
 	if n <= 0 {
@@ -145,99 +138,6 @@ func PrefixSum(a []int64) int64 {
 		sum += v
 	}
 	return sum
-}
-
-// ScatterByKey is the deterministic two-pass counting-sort scatter: visit
-// is called for every source index i in [0, n) and may emit any number of
-// (key, value) entries with keys in [0, numKeys); the result groups values
-// by key into a flat CSR — values of key k are items[offs[k]:offs[k+1]] —
-// ordered within a group by (source index, emission order). That is
-// exactly the order a sequential loop appending to per-key slices would
-// produce, at every thread count.
-//
-// visit runs twice per source index (count pass, scatter pass) and must
-// emit the identical sequence both times; it runs concurrently on
-// disjoint contiguous source ranges.
-func ScatterByKey[T any](n, numKeys, threads int, visit func(i int, emit func(key int, v T))) (offs []int64, items []T) {
-	offs = make([]int64, numKeys+1)
-	if n <= 0 || numKeys <= 0 {
-		return offs, nil
-	}
-	if threads < 1 {
-		threads = 1
-	}
-	if threads > n {
-		threads = n
-	}
-
-	// Pass 1: per-worker counts over contiguous source ranges.
-	counts := make([][]int64, threads)
-	workers := Ranges(n, threads, func(w, lo, hi int) {
-		c := make([]int64, numKeys)
-		counts[w] = c
-		for i := lo; i < hi; i++ {
-			visit(i, func(key int, _ T) { c[key]++ })
-		}
-	})
-	counts = counts[:workers]
-
-	// Key-major, worker-minor prefix sum: counts[w][k] becomes the first
-	// slot for worker w's entries of key k, and offs becomes the CSR
-	// offsets. Worker-minor order is what pins every entry to the slot a
-	// sequential scan would give it. The totals pass parallelizes over
-	// keys; the running sum itself is one serial O(numKeys) walk.
-	tot := offs[1:]
-	ForEach(numKeys, 4096, threads, func(lo, hi int) {
-		for k := lo; k < hi; k++ {
-			var t int64
-			for _, c := range counts {
-				t += c[k]
-			}
-			tot[k] = t
-		}
-	})
-	// Inclusive scan over the counts sitting at offs[1:]: with offs[0] = 0
-	// this turns offs into the standard CSR offset array (offs[k] = first
-	// slot of key k). Then convert counts to cursors.
-	for k := 1; k <= numKeys; k++ {
-		offs[k] += offs[k-1]
-	}
-	total := offs[numKeys]
-	ForEach(numKeys, 4096, threads, func(lo, hi int) {
-		for k := lo; k < hi; k++ {
-			cur := offs[k]
-			for _, c := range counts {
-				n := c[k]
-				c[k] = cur
-				cur += n
-			}
-		}
-	})
-
-	// Pass 2: scatter. Each worker re-scans its exact pass-1 range, so its
-	// cursors cover precisely its own entries; slots are disjoint across
-	// workers by construction.
-	items = make([]T, total)
-	Ranges(n, threads, func(w, lo, hi int) {
-		cur := counts[w]
-		for i := lo; i < hi; i++ {
-			visit(i, func(key int, v T) {
-				items[cur[key]] = v
-				cur[key]++
-			})
-		}
-	})
-	return offs, items
-}
-
-// CountingCSR buckets the indices [0, len(keys)) by their key: index i
-// lands in group keys[i], and groups are returned as a flat CSR with
-// indices ascending within each group — the stable counting sort every
-// bucket structure in the tree starts from. Keys must lie in [0, numKeys).
-func CountingCSR(keys []int32, numKeys, threads int) (offs []int64, items []int32) {
-	return ScatterByKey(len(keys), numKeys, threads, func(i int, emit func(int, int32)) {
-		emit(int(keys[i]), int32(i))
-	})
 }
 
 // Collect gathers the emissions of a loop over [0, n) in parallel while

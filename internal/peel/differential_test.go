@@ -1,8 +1,6 @@
 package peel
 
 import (
-	"fmt"
-	"slices"
 	"testing"
 
 	"nucleus/internal/graph"
@@ -49,14 +47,14 @@ var diffInstances = []struct {
 }
 
 // TestDifferentialParallelPeel is the differential property suite of the
-// peel's two entry points: for every generator family, cell family and
-// thread count,
+// peel against the parallel local algorithms: for every generator family,
+// cell family (stored, discovered and hypergraph rows) and thread count,
 //
-//	RunThreads κ == Run κ == reference peel κ == converged local τ (AND and SND),
+//	Run κ == reference peel κ == converged local τ (AND and SND),
 //
-// with RunThreads' Order additionally bit-identical across thread counts.
-// The suite runs under -race in CI, which is what makes the "no subtle
-// nondeterminism" claim a tested property rather than a hope.
+// with Run's Order a valid peeling order. The suite runs under -race in
+// CI, which is what makes the "no subtle nondeterminism" claim a tested
+// property rather than a hope.
 func TestDifferentialParallelPeel(t *testing.T) {
 	for _, fam := range diffFamilies {
 		g := fam.mk()
@@ -67,17 +65,7 @@ func TestDifferentialParallelPeel(t *testing.T) {
 				run := Run(inst)
 				checkKappa(t, "Run", inst, run, seq)
 				checkValidOrder(t, inst, run)
-				var refOrder []int32
 				for _, threads := range diffThreads {
-					par := RunThreads(inst, threads)
-					checkKappa(t, fmt.Sprintf("threads=%d", threads), inst, par, seq)
-					if refOrder == nil {
-						refOrder = par.Order
-						checkValidOrder(t, inst, par)
-					} else if !slices.Equal(par.Order, refOrder) {
-						t.Fatalf("threads=%d: order differs from the threads=1 order", threads)
-					}
-
 					// Converged local algorithms must land on the same κ.
 					for _, alg := range []struct {
 						name string
@@ -108,13 +96,13 @@ func TestDifferentialParallelPeel(t *testing.T) {
 }
 
 // TestDifferentialLevelsBound spot-checks Theorem 3 glue across the
-// families: the parallel peel κ of every cell is bounded by its s-degree
-// and the level structure partitions all cells.
+// families: the peel κ of every cell is bounded by its s-degree and the
+// level structure partitions all cells.
 func TestDifferentialLevelsBound(t *testing.T) {
 	for _, fam := range diffFamilies {
 		g := fam.mk()
 		inst := nucleus.NewCore(g)
-		par := RunThreads(inst, 4)
+		par := Run(inst)
 		lv := Levels(inst)
 		deg := inst.Degrees()
 		total := 0

@@ -1,8 +1,6 @@
 package peel
 
 import (
-	"fmt"
-	"slices"
 	"testing"
 
 	"nucleus/internal/graph"
@@ -53,7 +51,7 @@ func familySeeds() [][]byte {
 
 // fuzzInstance decodes the fuzzer's family selector: the instance to peel
 // and, where the family has both kinds under one cell numbering, its twin
-// on the other side of the stored / on-the-fly fork.
+// on the other side of the stored / discovered fork.
 func fuzzInstance(g *graph.Graph, famSel uint8) (inst, twin nucleus.Instance) {
 	switch famSel % 8 {
 	case 0:
@@ -67,7 +65,8 @@ func fuzzInstance(g *graph.Graph, famSel uint8) (inst, twin nucleus.Instance) {
 	case 4:
 		return nucleus.NewFlatN34(g, 2), nucleus.NewN34(g)
 	case 5:
-		return nucleus.NewFlat(g, 2, 4, 2), nil
+		f := nucleus.NewFlat(g, 2, 4, 2)
+		return f, nucleustest.Discovered(f)
 	case 6:
 		return nucleustest.NewHyper(g, 2, 3), nil
 	default:
@@ -75,36 +74,27 @@ func fuzzInstance(g *graph.Graph, famSel uint8) (inst, twin nucleus.Instance) {
 	}
 }
 
-// FuzzPeelFrontier differentially fuzzes both peel entry points against
-// the reference peel (refPeel: closures and a lazy-deletion queue, neither
-// of which either engine uses): for arbitrary graphs, cell families —
-// stored rows, on the fly, and the explicit hypergraph — and thread
-// counts, κ and MaxKappa must match exactly, every Order must replay as a
-// valid peeling order, RunThreads' must be identical at every worker
-// count, and the two kinds of one family must agree on κ.
-func FuzzPeelFrontier(f *testing.F) {
+// FuzzPeel differentially fuzzes Run against the reference peel
+// (refPeel: a lazy-deletion queue over nucleustest.Groups, which Run does
+// not use): for arbitrary graphs and cell families — stored rows,
+// discovered rows, and the explicit hypergraph — κ and MaxKappa must match
+// exactly, the Order must replay as a valid peeling order, and the two
+// kinds of one family must agree on κ.
+func FuzzPeel(f *testing.F) {
 	for _, seed := range familySeeds() {
-		f.Add(seed, uint8(4), uint8(1))
+		f.Add(seed, uint8(4))
 	}
-	f.Add([]byte{0, 1, 1, 2, 2, 0}, uint8(2), uint8(0))
-	f.Add([]byte{}, uint8(8), uint8(2))
-	f.Fuzz(func(t *testing.T, data []byte, threads, famSel uint8) {
+	f.Add([]byte{0, 1, 1, 2, 2, 0}, uint8(0))
+	f.Add([]byte{}, uint8(2))
+	f.Fuzz(func(t *testing.T, data []byte, famSel uint8) {
 		g := graph.Build(-1, edgesFromBytes(data))
 		inst, twin := fuzzInstance(g, famSel)
 		want := refPeel(inst)
-		seq := Run(inst)
-		checkKappa(t, "Run", inst, seq, want)
-		checkValidOrder(t, inst, seq)
-		nThreads := 1 + int(threads%8)
-		par := RunThreads(inst, nThreads)
-		checkKappa(t, fmt.Sprintf("threads=%d", nThreads), inst, par, want)
-		checkValidOrder(t, inst, par)
-		if one := RunThreads(inst, 1); !slices.Equal(par.Order, one.Order) {
-			t.Fatalf("threads=%d: order differs from the 1-worker order", nThreads)
-		}
+		res := Run(inst)
+		checkKappa(t, "Run", inst, res, want)
+		checkValidOrder(t, inst, res)
 		if twin != nil {
-			checkKappa(t, "the family's other kind, Run", inst, Run(twin), want)
-			checkKappa(t, "the family's other kind, RunThreads", inst, RunThreads(twin, nThreads), want)
+			checkKappa(t, "the family's other kind", inst, Run(twin), want)
 		}
 	})
 }

@@ -28,41 +28,35 @@ func Levels(inst nucleus.Instance) *LevelsResult {
 	vert, pos, bin := sortByDegree(deg)
 	n := int32(len(vert))
 	res := &LevelsResult{Level: make([]int32, n)}
-	rows, stored := nucleus.RowsOf(inst)
+	rows := inst.Rows()
 	co := rows.Co
+	var buf []int32
 
 	// An s-clique dies with its front-most member: one with a member before
 	// the cell being scanned is either gone with an earlier level or
 	// attributed to that member, so each survivor is decremented once.
-	var at, end int32
-	visit := func(others []int32) bool {
-		for _, d := range others {
-			if pos[d] < at {
-				return true
-			}
-		}
-		for _, d := range others {
-			if pos[d] >= end {
-				lower(deg, vert, pos, bin, d)
-			}
-		}
-		return true
-	}
+	var end int32
 	for start := int32(0); start < n; start = end {
 		m := deg[vert[start]]
 		end = bin[m+1]
 		for d := range bin[:m+1] {
 			bin[d] = end
 		}
-		for at = start; at < end; at++ {
+		for at := start; at < end; at++ {
 			c := vert[at]
 			res.Level[c] = int32(res.Count)
-			if !stored {
-				inst.VisitSCliques(c, visit)
-				continue
-			}
-			for row := rows.Row(c); len(row) >= co; row = row[co:] {
-				visit(row[:co])
+		scliques:
+			for row := rows.Row(c, &buf); len(row) >= co; row = row[co:] {
+				for _, d := range row[:co] {
+					if pos[d] < at {
+						continue scliques
+					}
+				}
+				for _, d := range row[:co] {
+					if pos[d] >= end {
+						lower(deg, vert, pos, bin, d)
+					}
+				}
 			}
 		}
 		res.Sizes = append(res.Sizes, int(end-start))

@@ -13,7 +13,7 @@ import (
 // checkParallelMatches asserts both entry points reproduce the reference
 // peel's κ — Run, and RunThreads at every thread count — that each Order is
 // a valid peeling order, and that RunThreads' does not depend on the
-// worker count.
+// thread count it is handed.
 func checkParallelMatches(t *testing.T, inst nucleus.Instance) {
 	t.Helper()
 	want := refPeel(inst)
@@ -105,9 +105,8 @@ func TestParallelTrussAndN34Quick(t *testing.T) {
 	}
 }
 
-// TestParallelLargeFrontier exercises the multi-worker path: a graph whose
-// min-degree bucket holds thousands of cells so sub-rounds actually split
-// across workers (the inline small-frontier shortcut is bypassed).
+// TestParallelLargeFrontier peels a graph whose min-degree bucket holds
+// thousands of cells at once.
 func TestParallelLargeFrontier(t *testing.T) {
 	g := graph.GnM(4000, 16000, 5)
 	checkParallelMatches(t, nucleus.NewCore(g))

@@ -3,10 +3,10 @@
 // (r,s) nucleus instance, generalizing Batagelj–Zaversnik k-core peeling
 // and the k-truss peeling of Cohen. It also computes the degree levels of
 // Definition 7, whose count upper-bounds the iteration count of the local
-// algorithms (Theorem 3). Run, the one sequential engine, and Levels work
-// on Batagelj–Zaversnik's in-place arrays over the instance's stored rows
-// (nucleus.RowsOf), or through VisitSCliques where there are none;
-// RunThreads adds a frontier-parallel engine for those instances only.
+// algorithms (Theorem 3). Run, the one engine, and Levels work on
+// Batagelj–Zaversnik's in-place arrays over the instance's rows, stored or
+// discovered (nucleus.Rows). The peel is sequential: the local algorithms
+// are the parallel ones.
 package peel
 
 import "nucleus/internal/nucleus"
@@ -17,8 +17,7 @@ type Result struct {
 	Kappa []int32
 	// Order lists cells in the order they were peeled: each had minimum
 	// clamped s-degree among those still present, so κ never decreases along
-	// it. It is a pure function of the instance, the same at every thread
-	// count; which valid order it is (the tie-breaks) changes with the engine.
+	// it. It is a pure function of the instance's degrees and rows.
 	Order []int32
 	// MaxKappa is the largest κ index (the degeneracy of the instance).
 	MaxKappa int32
@@ -71,11 +70,7 @@ func lower(deg, vert, pos, bin []int32, u int32) {
 func Run(inst nucleus.Instance) *Result {
 	deg := inst.Degrees()
 	vert, pos, bin := sortByDegree(deg)
-	if rows, ok := nucleus.RowsOf(inst); ok {
-		peelRows(deg, vert, pos, bin, rows)
-	} else {
-		peelVisits(deg, vert, pos, bin, inst)
-	}
+	peelRows(deg, vert, pos, bin, inst.Rows())
 	// The clamp leaves every cell at the degree it was taken at.
 	res := &Result{Kappa: deg, Order: vert}
 	if n := len(vert); n > 0 {
@@ -84,15 +79,16 @@ func Run(inst nucleus.Instance) *Result {
 	return res
 }
 
-// peelRows is the peel over stored rows. The cell at position i goes at
+// peelRows is the peel over the instance's rows. The cell at position i goes at
 // k = its degree. An s-clique is intact iff no member sits before i; at
 // co-arity 1 the clamp is that test, since a cell already gone kept its
 // κ <= k — so k-core is the textbook loop.
 func peelRows(deg, vert, pos, bin []int32, rows nucleus.Rows) {
 	co := rows.Co
+	var buf []int32
 	for i := int32(0); int(i) < len(vert); i++ {
 		c := vert[i]
-		k, row := deg[c], rows.Row(c)
+		k, row := deg[c], rows.Row(c, &buf)
 		if co == 1 {
 			for _, d := range row {
 				if deg[d] > k {
@@ -117,25 +113,6 @@ func peelRows(deg, vert, pos, bin []int32, rows nucleus.Rows) {
 	}
 }
 
-// peelVisits is the same peel where s-cliques are discovered on the fly:
-// one closure, bound once, handed to VisitSCliques for every cell.
-func peelVisits(deg, vert, pos, bin []int32, inst nucleus.Instance) {
-	var i, k int32
-	visit := func(others []int32) bool {
-		for _, d := range others {
-			if pos[d] < i {
-				return true
-			}
-		}
-		for _, d := range others {
-			if deg[d] > k {
-				lower(deg, vert, pos, bin, d)
-			}
-		}
-		return true
-	}
-	for ; int(i) < len(vert); i++ {
-		k = deg[vert[i]]
-		inst.VisitSCliques(vert[i], visit)
-	}
-}
+// RunThreads is Run, for callers that hold a thread count: the peel is
+// sequential at every one.
+func RunThreads(inst nucleus.Instance, _ int) *Result { return Run(inst) }

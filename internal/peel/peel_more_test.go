@@ -241,9 +241,8 @@ func peelBenchInputs() (rmat, planted *graph.Graph) {
 	return graph.RMAT(14, 8, 0.57, 0.19, 0.19, 1), graph.PlantedCommunities(12, 80, 0.3, 1200, 1)
 }
 
-// BenchmarkPeelCore times the sequential engine, Run — over stored rows,
-// and through closures on the instances the frontier engine serves, whose
-// BenchmarkPeelScaling figures it is read against:
+// BenchmarkPeelCore times the one engine, Run — over stored rows, and over
+// the discovered rows of the on-the-fly instances:
 // `go test -run '^$' -bench Peel -cpu 1,2 ./internal/peel` is the table.
 func BenchmarkPeelCore(b *testing.B) {
 	rmat, planted := peelBenchInputs()

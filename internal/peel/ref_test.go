@@ -5,12 +5,13 @@ import (
 	"testing"
 
 	"nucleus/internal/nucleus"
+	"nucleus/internal/nucleustest"
 )
 
 // The references the engines are compared with: the closure-and-lazy-queue
 // peel and the rescanning Levels that were the production code until the
-// array peel replaced them. Both go through VisitSCliques only, so they
-// also cross-check an instance's stored rows against its closures.
+// array peel replaced them. Both read an instance's rows one s-clique at a
+// time through nucleustest.Groups.
 
 // refPeel is Algorithm 1 over a lazy-deletion bucket queue.
 func refPeel(inst nucleus.Instance) *Result {
@@ -29,10 +30,11 @@ func refPeel(inst nucleus.Instance) *Result {
 		res.Kappa[c] = k
 		processed[c] = true
 		res.Order = append(res.Order, c)
-		inst.VisitSCliques(c, func(others []int32) bool {
+	scliques:
+		for _, others := range nucleustest.Groups(inst, c) {
 			for _, d := range others {
 				if processed[d] {
-					return true // this s-clique was already destroyed
+					continue scliques // this s-clique was already destroyed
 				}
 			}
 			for _, d := range others {
@@ -41,8 +43,7 @@ func refPeel(inst nucleus.Instance) *Result {
 					q.decrease(d, deg[d])
 				}
 			}
-			return true
-		})
+		}
 	}
 	res.MaxKappa = k
 	return res
@@ -127,10 +128,11 @@ func refLevels(inst nucleus.Instance) *LevelsResult {
 		// An s-clique dies when its first member leaves; one with several
 		// members in this level is attributed to the smallest cell id.
 		for _, c := range cur {
-			inst.VisitSCliques(c, func(others []int32) bool {
+		scliques:
+			for _, others := range nucleustest.Groups(inst, c) {
 				for _, d := range others {
 					if level[d] >= 0 && (level[d] < li || d < c) {
-						return true
+						continue scliques
 					}
 				}
 				for _, d := range others {
@@ -138,8 +140,7 @@ func refLevels(inst nucleus.Instance) *LevelsResult {
 						deg[d]--
 					}
 				}
-				return true
-			})
+			}
 		}
 		res.Sizes = append(res.Sizes, len(cur))
 		remaining -= len(cur)
@@ -190,12 +191,11 @@ func checkValidOrder(t testing.TB, inst nucleus.Instance, res *Result) {
 			t.Fatalf("order[%d] = %d: out of range or peeled twice", i, c)
 		}
 		recount := int32(0)
-		inst.VisitSCliques(c, func(others []int32) bool {
+		for _, others := range nucleustest.Groups(inst, c) {
 			if intact(others) {
 				recount++
 			}
-			return true
-		})
+		}
 		if recount != live[c] {
 			t.Fatalf("order[%d]: replay holds cell %d at degree %d, a recount gives %d", i, c, live[c], recount)
 		}
@@ -212,13 +212,12 @@ func checkValidOrder(t testing.TB, inst nucleus.Instance, res *Result) {
 			t.Fatalf("order[%d]: κ(%d) = %d, the replay peels it at %d", i, c, res.Kappa[c], k)
 		}
 		gone[c] = true
-		inst.VisitSCliques(c, func(others []int32) bool {
+		for _, others := range nucleustest.Groups(inst, c) {
 			if intact(others) {
 				for _, d := range others {
 					live[d]--
 				}
 			}
-			return true
-		})
+		}
 	}
 }

@@ -73,7 +73,8 @@ func CoreNumbersOn(inst nucleus.Instance, g *graph.Graph, queries []uint32, hops
 // using all edges within `hops` hops of either endpoint and at most
 // maxSweeps local iterations.
 func TrussNumbers(g *graph.Graph, queryEdges [][2]uint32, hops, maxSweeps int) *Estimate {
-	return TrussNumbersOn(nucleus.NewTruss(g), g, queryEdges, hops, maxSweeps)
+	inst, _, _ := nucleus.For(g, nucleus.FamilyTruss, nucleus.LibraryIndexBudget, 1)
+	return TrussNumbersOn(inst, g, queryEdges, hops, maxSweeps)
 }
 
 // TrussNumbersOn is TrussNumbers over a caller-supplied (2,3) instance of

@@ -8,7 +8,6 @@ import (
 
 	"nucleus/internal/densest"
 	"nucleus/internal/graph"
-	"nucleus/internal/nucleus"
 )
 
 // jsonString canonicalizes a decoded JSON value for comparison.
@@ -119,7 +118,7 @@ func TestIndexBudgetFallbackCounters(t *testing.T) {
 	if !ok {
 		t.Fatal("graph g missing")
 	}
-	if _, isIndexed := nucleus.RowsOf(s.instanceOf(e, "truss")); isIndexed {
+	if s.instanceOf(e, "truss").Rows().Offs != nil {
 		t.Fatal("disabled budget produced an instance with stored rows")
 	}
 }

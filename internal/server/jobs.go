@@ -44,9 +44,9 @@ type jobRequest struct {
 	Decomposition string `json:"decomposition"`
 	// Algorithm is and (default), snd or peel.
 	Algorithm string `json:"algorithm"`
-	// Threads is the in-job worker count, honored by every algorithm
-	// (local sweeps and parallel peeling alike); 0 uses the server
-	// default. The effective value is surfaced in the job status.
+	// Threads is the in-job worker count of the local algorithms' sweeps
+	// (peel is sequential); 0 uses the server default. The effective value
+	// is surfaced in the job status.
 	Threads int `json:"threads"`
 	// MaxSweeps bounds local iterations; 0 runs to convergence.
 	MaxSweeps int `json:"maxSweeps"`
@@ -59,8 +59,8 @@ type job struct {
 	// q is the job's read-pipeline query (read.go), fixed at submit. Its
 	// threads is the effective intra-job worker count (request value, else
 	// the server default, clamped to the host) surfaced in the job status;
-	// the local algorithms split sweeps across that many workers, and peel
-	// uses them only where s-cliques are found on the fly (peel.RunThreads).
+	// the local algorithms split sweeps across that many workers, while
+	// peel is sequential.
 	q query
 	// Scheduler state, fixed at submit: the submitting tenant, the
 	// requested relative deadline (0 = none), its absolute form, the cost
@@ -619,7 +619,7 @@ func (s *Server) runDecomposition(q query, prog *localhi.Progress, stop func() b
 	inst := s.instanceOf(q.entry, q.dec)
 	switch q.alg {
 	case "peel":
-		pr := peel.RunThreads(inst, q.threads)
+		pr := peel.Run(inst)
 		return &decompResult{Kappa: pr.Kappa, MaxKappa: pr.MaxKappa, Converged: true, Inst: inst, hier: new(forestMemo), tail: new(tailMemo)}, nil
 	case "snd":
 		lr := localhi.Snd(inst, localhi.Options{Threads: q.threads, MaxSweeps: q.maxSweeps, Progress: prog, Stop: stop})

@@ -8,9 +8,9 @@ import (
 
 // TestPeelJobHonorsThreads is the regression test for peel jobs dropping
 // the request's threads parameter: the effective worker count must be
-// resolved at submit time, be handed to peel.RunThreads, and be surfaced
-// in the job status — for explicit requests, the server default, and
-// host-clamped values alike.
+// resolved at submit time and surfaced in the job status — for explicit
+// requests, the server default, and host-clamped values alike — though the
+// peel itself is sequential.
 func TestPeelJobHonorsThreads(t *testing.T) {
 	ts := testServer(t, Config{JobThreads: 2})
 	postJSON(t, ts.URL+"/graphs/g/generate", map[string]any{"generator": "complete", "n": 8}, nil)

@@ -89,9 +89,7 @@ type Options struct {
 	Algorithm Algorithm
 	// Threads is the worker count; <=1 runs sequentially. The instance
 	// build and the local algorithms' sweeps split across workers. Peel is
-	// one sequential array peel, frontier-parallel only over the index
-	// budget, where s-cliques are found on the fly; its result is
-	// bit-identical at every thread count.
+	// sequential whatever Threads says.
 	Threads int
 	// MaxSweeps bounds local iterations; 0 runs to convergence. A bounded
 	// run returns an approximation: τ ≥ κ pointwise.
@@ -141,7 +139,7 @@ type Result struct {
 
 // Decompose computes the selected decomposition of g.
 func Decompose(g *Graph, dec Decomposition, opts Options) *Result {
-	return decomposeInstance(newInstance(g, dec, libraryIndexBudget, opts.Threads), dec, opts)
+	return decomposeInstance(newInstance(g, dec, inucleus.LibraryIndexBudget, opts.Threads), dec, opts)
 }
 
 // DecomposeRS computes the generic (r,s) decomposition (r < s). The
@@ -150,12 +148,12 @@ func Decompose(g *Graph, dec Decomposition, opts Options) *Result {
 // canonical ids (vertices, edge ids, triangle ids), the incidence stored
 // in parallel over Options.Threads. Any other pair materializes a flat CSR
 // incidence over the enumerated r-/s-cliques, so generic (r,s) runs the
-// exact same engines: the fused sweep kernel and the array peel.
+// exact same engines: the row sweep kernel and the array peel.
 // Enumeration keeps the generic path practical for small-to-medium graphs
 // only. Panics if r >= s or r < 1.
 func DecomposeRS(g *Graph, r, s int, opts Options) *Result {
 	if 1 <= r && r <= 3 && s == r+1 { // KCore, KTruss, Nucleus34
-		return decomposeInstance(newInstance(g, Decomposition(r-1), libraryIndexBudget, opts.Threads), -1, opts)
+		return decomposeInstance(newInstance(g, Decomposition(r-1), inucleus.LibraryIndexBudget, opts.Threads), -1, opts)
 	}
 	return decomposeInstance(inucleus.NewFlat(g, r, s, max(opts.Threads, 1)), -1, opts)
 }
@@ -171,7 +169,7 @@ func decomposeInstance(inst inucleus.Instance, dec Decomposition, opts Options) 
 	}
 	switch opts.Algorithm {
 	case Peel:
-		pr := peel.RunThreads(inst, opts.Threads)
+		pr := peel.Run(inst)
 		res.Kappa = pr.Kappa
 		res.MaxKappa = pr.MaxKappa
 		res.Converged = true
@@ -202,12 +200,6 @@ func fillLocal(res *Result, lr *localhi.Result) {
 var families = [...]inucleus.Family{
 	KCore: inucleus.FamilyCore, KTruss: inucleus.FamilyTruss, Nucleus34: inucleus.FamilyN34,
 }
-
-// libraryIndexBudget caps, in bytes, the estimated size of the s-clique
-// incidence a library call stores for KTruss and Nucleus34, as the server's
-// default -index-mem-budget does; over it, the call runs on the on-the-fly
-// instance (the paper's §5 fork).
-const libraryIndexBudget = 1 << 30 // 1 GiB
 
 // newInstance is every library entry point's one constructor: g's one
 // instance of dec under budget, memoized on g (inucleus.For).

@@ -41,7 +41,7 @@ func TestKCoreSubgraphAPI(t *testing.T) {
 }
 
 // TestDecomposeThreadsBuildTheInstance: Decompose builds its instance
-// through newInstance with Options.Threads; under libraryIndexBudget that
+// through newInstance with Options.Threads; under inucleus.LibraryIndexBudget that
 // is the stored incidence (the graph's own CSR for k-core) at every thread
 // count, and over a budget the on-the-fly instance — with the same κ. Each
 // side runs on a copy of its own, since a graph builds its instance once.
