@@ -2,6 +2,7 @@ package cliques
 
 import (
 	"math"
+	"sync/atomic"
 
 	"nucleus/internal/graph"
 	"nucleus/internal/par"
@@ -14,9 +15,11 @@ import (
 // intersection on every sweep of the local algorithms; the flat index pays
 // that discovery cost exactly once and turns each subsequent sweep into a
 // pure array scan. The trade-off is the paper's §5 memory stance: the
-// index stores every s-clique membership, so callers must check the
-// *Bytes estimate against a budget before building (package nucleus's
-// Build does).
+// index stores every s-clique membership, so a build must stay within a
+// budget: the *Within builders price the s-cliques as they collect them
+// (the *Bytes estimate) and give up once the price exceeds it, before
+// anything proportional to the index is laid out (package nucleus's Build
+// calls them).
 
 // EdgeIncidence is the flat triangle incidence of a graph's edges: for
 // edge e, Pairs[Offs[e]:Offs[e+1]] holds, per triangle containing e, the
@@ -27,6 +30,8 @@ type EdgeIncidence struct {
 	Offs []int64
 	// Pairs holds the concatenated co-member edge-id pairs.
 	Pairs []int32
+	// Deg holds the per-edge triangle counts the rows were laid out by.
+	Deg []int32
 }
 
 // Bytes returns the memory held by the index arrays.
@@ -42,27 +47,42 @@ func EdgeIncidenceBytes(m, sumDeg int64) int64 {
 }
 
 // BuildEdgeIncidence builds the flat triangle incidence over an orientation
-// of the graph (deg: the per-edge triangle counts, or nil to count them).
-// Each triangle is found once, as its three edge ids, gathered in root
-// order and laid out by ScatterGroups: rows list triangles in that order,
-// bit-identical at every thread count. Panics if the graph has more than
-// MaxInt32 edges (cell ids are int32).
+// of the graph (deg: the per-edge triangle counts, or nil to count them off
+// the triangles the pass collects). Each triangle is found once, as its
+// three edge ids, gathered in root order and laid out by ScatterGroups:
+// rows list triangles in that order, bit-identical at every thread count.
+// Panics if the graph has more than MaxInt32 edges (cell ids are int32).
 func BuildEdgeIncidence(o *OrientedEdges, deg []int32, threads int) *EdgeIncidence {
+	return o.incidence(deg, -1, threads)
+}
+
+// EdgeIncidenceWithin is BuildEdgeIncidence with the degrees counted off
+// the triangles, under a memory budget in bytes (negative: unlimited): nil
+// once the EdgeIncidenceBytes of the triangles collected so far exceeds
+// it, before anything is laid out (collectGroups).
+func EdgeIncidenceWithin(o *OrientedEdges, budget int64, threads int) *EdgeIncidence {
+	return o.incidence(nil, budget, threads)
+}
+
+func (o *OrientedEdges) incidence(deg []int32, budget int64, threads int) *EdgeIncidence {
 	if len(o.adj) > math.MaxInt32 {
 		panic("cliques: graph too large for int32 edge cells")
 	}
-	if deg == nil {
-		deg = o.CountPerEdge(threads)
-	}
+	m := int64(len(o.adj))
 	marks := make([][]int32, max(threads, 1))
-	groups := par.Collect(len(o.rank), 64, threads, func(w, u int, buf []int32) []int32 {
-		o.trianglesOfRoot(uint32(u), scratch(marks, w, len(o.rank)), func(uv, uw, vw int64) {
-			buf = append(buf, int32(o.eid[uv]), int32(o.eid[uw]), int32(o.eid[vw]))
+	groups, ok := collectGroups(len(o.rank), threads, budget, func(k int64) int64 { return EdgeIncidenceBytes(m, k) },
+		func(w, u int, buf []int32) []int32 {
+			o.trianglesOfRoot(uint32(u), scratch(marks, w, len(o.rank)), func(uv, uw, vw int64) {
+				buf = append(buf, int32(o.eid[uv]), int32(o.eid[uw]), int32(o.eid[vw]))
+			})
+			return buf
 		})
-		return buf
-	})
-	offs, pairs := ScatterGroups(groups, 3, deg, threads)
-	return &EdgeIncidence{Offs: offs, Pairs: pairs}
+	if !ok {
+		return nil
+	}
+	inc := &EdgeIncidence{}
+	inc.Offs, inc.Pairs, inc.Deg = scatter(groups, 3, int(m), deg, threads)
+	return inc
 }
 
 // K4Incidence is the flat 4-clique incidence of a graph's triangles: for
@@ -74,6 +94,8 @@ type K4Incidence struct {
 	Offs []int64
 	// Triples holds the concatenated co-member triangle-id triples.
 	Triples []int32
+	// Deg holds the per-triangle 4-clique counts the rows were laid out by.
+	Deg []int32
 }
 
 // Bytes returns the memory held by the index arrays.
@@ -89,22 +111,77 @@ func K4IncidenceBytes(t, sumDeg int64) int64 {
 }
 
 // BuildK4Incidence builds the flat 4-clique incidence over a triangle index
-// of g (deg: the K4 degrees, or nil to count them). Each 4-clique is found
-// once, as its four triangle ids, gathered in root order and laid out by
-// ScatterGroups: rows list 4-cliques in that order, bit-identical at every
-// thread count.
-func BuildK4Incidence(g *graph.Graph, ti *TriangleIndex, deg []int32, threads int) *K4Incidence {
-	if deg == nil {
-		deg = ti.K4DegreePerTriangleParallel(g, threads)
-	}
-	groups := par.Collect(len(ti.rank), 64, threads, func(_, u int, buf []int32) []int32 {
-		ti.k4OfRoot(uint32(u), func(t1, t2, t3, t4 int32) {
-			buf = append(buf, t1, t2, t3, t4)
+// of g (deg: the K4 degrees, or nil to count them off the 4-cliques the
+// pass collects). Each 4-clique is found once, as its four triangle ids,
+// gathered in root order and laid out by ScatterGroups: rows list
+// 4-cliques in that order, bit-identical at every thread count.
+func BuildK4Incidence(_ *graph.Graph, ti *TriangleIndex, deg []int32, threads int) *K4Incidence {
+	return ti.incidence(deg, -1, threads)
+}
+
+// K4IncidenceWithin is BuildK4Incidence with the degrees counted off the
+// 4-cliques, under a memory budget in bytes (negative: unlimited): nil
+// once the K4IncidenceBytes of the 4-cliques collected so far exceeds it,
+// before anything is laid out (collectGroups).
+func K4IncidenceWithin(ti *TriangleIndex, budget int64, threads int) *K4Incidence {
+	return ti.incidence(nil, budget, threads)
+}
+
+func (ti *TriangleIndex) incidence(deg []int32, budget int64, threads int) *K4Incidence {
+	t := int64(ti.Len())
+	groups, ok := collectGroups(len(ti.rank), threads, budget, func(k int64) int64 { return K4IncidenceBytes(t, k) },
+		func(_, u int, buf []int32) []int32 {
+			ti.k4OfRoot(uint32(u), func(t1, t2, t3, t4 int32) {
+				buf = append(buf, t1, t2, t3, t4)
+			})
+			return buf
 		})
+	if !ok {
+		return nil
+	}
+	inc := &K4Incidence{}
+	inc.Offs, inc.Triples, inc.Deg = scatter(groups, 4, int(t), deg, threads)
+	return inc
+}
+
+// collectGroups is the group pass of a stored build: root appends the
+// s-cliques found from root vertex u to the worker's buffer, member cells
+// only, and par.Collect concatenates the buffers in root order. Under a
+// budget ≥ 0 a running total of the members collected — one atomic add per
+// root that found any — is priced by bytes, and once that exceeds the
+// budget no root appends any more: ok is false and the groups are partial.
+// A completed pass's price is the exact index size, so ok is the budget
+// check Build would make on the counted degrees, at no count pass.
+func collectGroups(roots, threads int, budget int64, bytes func(members int64) int64, root func(w, u int, buf []int32) []int32) (groups []int32, ok bool) {
+	if budget < 0 {
+		return par.Collect(roots, 64, threads, root), true
+	}
+	var members atomic.Int64
+	groups = par.Collect(roots, 64, threads, func(w, u int, buf []int32) []int32 {
+		if bytes(members.Load()) > budget {
+			return buf
+		}
+		k := len(buf)
+		if buf = root(w, u, buf); len(buf) > k {
+			members.Add(int64(len(buf) - k))
+		}
 		return buf
 	})
-	offs, triples := ScatterGroups(groups, 4, deg, threads)
-	return &K4Incidence{Offs: offs, Triples: triples}
+	return groups, bytes(members.Load()) <= budget
+}
+
+// scatter lays out groups of size cells over n cells with ScatterGroups,
+// first counting the s-degrees off the groups when deg is nil: one
+// enumeration serves both.
+func scatter(groups []int32, size, n int, deg []int32, threads int) ([]int64, []int32, []int32) {
+	if deg == nil {
+		deg = make([]int32, n)
+		for _, c := range groups {
+			deg[c]++
+		}
+	}
+	offs, mem := ScatterGroups(groups, size, deg, threads)
+	return offs, mem, deg
 }
 
 // ScatterGroups lays out a flat incidence from its s-cliques: groups holds

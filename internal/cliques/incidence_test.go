@@ -2,6 +2,7 @@ package cliques
 
 import (
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"nucleus/internal/graph"
@@ -47,18 +48,33 @@ func TestEdgeIncidenceMatchesOnTheFly(t *testing.T) {
 // full-adjacency reference (ref_test.go) on g, at every thread count: the
 // same per-edge degrees and Offs, every row equal as a multiset of
 // co-member pairs, the arrays bit-identical across thread counts, and the
-// degrees summing to three per triangle of the index.
+// degrees summing to three per triangle of the index. The one-pass build
+// (degrees counted off the triangles) is bit-identical to the two-pass one
+// (count pass first), also at a budget of exactly its size, and gives up
+// one byte below it.
 func checkEdgesAgainstRef(t testing.TB, g *graph.Graph) {
 	t.Helper()
 	refDeg := refCountPerEdge(g, 2)
 	refInc := refEdgeIncidence(g, nil, 2)
 	var first *EdgeIncidence
-	for _, threads := range []int{1, 2, 3, 8, 100} {
+	for _, threads := range []int{1, 2, 3, 4, 8, 100} {
 		o := OrientEdges(g, threads)
-		if deg := o.CountPerEdge(threads); !slices.Equal(deg, refDeg) {
+		deg := o.CountPerEdge(threads)
+		if !slices.Equal(deg, refDeg) {
 			t.Fatalf("threads %d: per-edge triangle counts differ from the reference", threads)
 		}
 		inc := BuildEdgeIncidence(o, nil, threads)
+		two := BuildEdgeIncidence(o, deg, threads)
+		if !slices.Equal(inc.Deg, deg) || !slices.Equal(inc.Offs, two.Offs) || !slices.Equal(inc.Pairs, two.Pairs) {
+			t.Fatalf("threads %d: one-pass edge incidence differs from the two-pass build", threads)
+		}
+		size := EdgeIncidenceBytes(g.M(), sum32(deg))
+		if at := EdgeIncidenceWithin(o, size, threads); at == nil || !slices.Equal(at.Pairs, two.Pairs) || at.Bytes() != size {
+			t.Fatalf("threads %d: no identical index within a budget of its size %d", threads, size)
+		}
+		if EdgeIncidenceWithin(o, size-1, threads) != nil {
+			t.Fatalf("threads %d: an index of %d bytes built within %d", threads, size, size-1)
+		}
 		if first != nil {
 			if !slices.Equal(inc.Offs, first.Offs) || !slices.Equal(inc.Pairs, first.Pairs) {
 				t.Fatalf("threads %d: edge incidence differs from the one-thread build", threads)
@@ -185,6 +201,27 @@ func TestK4DegreeParallelMatches(t *testing.T) {
 	}
 }
 
+// TestBudgetZeroCollectsNothing: the group pass prices an empty index at
+// its offsets alone, so under budget 0 no root is enumerated and no group
+// collected, and neither builder lays anything out.
+func TestBudgetZeroCollectsNothing(t *testing.T) {
+	g := graph.PlantedCommunities(4, 16, 0.5, 40, 3)
+	for _, threads := range []int{1, 4} {
+		var roots atomic.Int64
+		groups, ok := collectGroups(g.N(), threads, 0, func(k int64) int64 { return EdgeIncidenceBytes(g.M(), k) },
+			func(_, _ int, buf []int32) []int32 {
+				roots.Add(1)
+				return append(buf, 0, 1, 2)
+			})
+		if ok || len(groups) != 0 || roots.Load() != 0 {
+			t.Fatalf("threads %d: ok=%v, %d members collected from %d roots, want none", threads, ok, len(groups), roots.Load())
+		}
+		if EdgeIncidenceWithin(OrientEdges(g, threads), 0, threads) != nil || K4IncidenceWithin(BuildTriangleIndex(g), 0, threads) != nil {
+			t.Fatalf("threads %d: an index built within budget 0", threads)
+		}
+	}
+}
+
 // TestIncidenceBytesEstimates checks that the pre-build estimates equal
 // the bytes actually held (the estimate is exact: counts are known before
 // allocation).
@@ -209,6 +246,14 @@ func TestIncidenceBytesEstimates(t *testing.T) {
 	if est := K4IncidenceBytes(int64(ti.Len()), sum); est != kinc.Bytes() {
 		t.Fatalf("K4 estimate %d != actual %d", est, kinc.Bytes())
 	}
+}
+
+func sum32(a []int32) int64 {
+	var s int64
+	for _, v := range a {
+		s += int64(v)
+	}
+	return s
 }
 
 func int32sEqual(a, b []int32) bool {

@@ -16,14 +16,16 @@ import (
 // same K4 degrees and Offs, every row equal as a multiset of co-member
 // triples, arrays bit-identical across thread counts, and ID on random
 // triples — out of range and repeated vertices included — equal to the
-// reference's answer.
+// reference's answer. The one-pass incidence (degrees counted off the
+// 4-cliques) is bit-identical to the two-pass one (count pass first), also
+// at a budget of exactly its size, and gives up one byte below it.
 func checkAgainstRef(t testing.TB, g *graph.Graph, rng *rand.Rand) {
 	t.Helper()
 	ref := newRefTriangleIndex(g)
 	refDeg := ref.K4DegreePerTriangle(g)
 	refInc := refK4Incidence(g, ref, 2)
 	var first *K4Incidence
-	for _, threads := range []int{1, 2, 3, 8, 100} {
+	for _, threads := range []int{1, 2, 3, 4, 8, 100} {
 		ti := BuildTriangleIndexThreads(g, threads)
 		if !slices.Equal(ti.List, ref.List) {
 			t.Fatalf("threads %d: triangle list differs from the reference", threads)
@@ -36,10 +38,22 @@ func checkAgainstRef(t testing.TB, g *graph.Graph, rng *rand.Rand) {
 				}
 			}
 		}
-		if deg := ti.K4DegreePerTriangleParallel(g, threads); !slices.Equal(deg, refDeg) {
+		deg := ti.K4DegreePerTriangleParallel(g, threads)
+		if !slices.Equal(deg, refDeg) {
 			t.Fatalf("threads %d: K4 degrees differ from the reference", threads)
 		}
 		inc := BuildK4Incidence(g, ti, nil, threads)
+		two := BuildK4Incidence(g, ti, deg, threads)
+		if !slices.Equal(inc.Deg, deg) || !slices.Equal(inc.Offs, two.Offs) || !slices.Equal(inc.Triples, two.Triples) {
+			t.Fatalf("threads %d: one-pass K4 incidence differs from the two-pass build", threads)
+		}
+		size := K4IncidenceBytes(int64(ti.Len()), sum32(deg))
+		if at := K4IncidenceWithin(ti, size, threads); at == nil || !slices.Equal(at.Triples, two.Triples) || at.Bytes() != size {
+			t.Fatalf("threads %d: no identical index within a budget of its size %d", threads, size)
+		}
+		if K4IncidenceWithin(ti, size-1, threads) != nil {
+			t.Fatalf("threads %d: an index of %d bytes built within %d", threads, size, size-1)
+		}
 		if first == nil {
 			first = inc
 			if !slices.Equal(inc.Offs, refInc.Offs) {

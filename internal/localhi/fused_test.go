@@ -146,39 +146,52 @@ func mallocs(body func()) uint64 {
 	return after.Mallocs - before.Mallocs
 }
 
-// sweepAllocs runs one sweep over every cell of inst, and wakes every
-// cell's neighbors, with the neighbors' flags in each of the three states
-// wake tells apart, and fails if any of them allocates: once the worker's
-// row buffer has grown, which the warm-up run of mallocs does.
+// sweepAllocs runs AND's first sweep with notification over every cell of
+// inst — each fall wakes the cell's co-members through the s-cliques the
+// kernel recorded above it — with the co-members' flags in each of the
+// three states wake tells apart, and fails if any of it allocates: once
+// the worker's row buffer has grown, which the warm-up run of mallocs
+// does. The scratch is AND's, its rho buffer sized once for the run.
 func sweepAllocs(t *testing.T, name string, inst nucleus.Instance) {
 	t.Helper()
 	rows := inst.Rows()
 	tau := inst.Degrees()
 	active := make([]int32, len(tau))
-	sc := &newScratches(1, tau)[0]
+	var longest int32
+	if rows.Co > 1 {
+		longest = maxOf(tau)
+	}
+	sc := &newScratches(1, tau, longest)[0]
 	n := int32(inst.NumCells())
+	falls := 0
 	for _, par := range []bool{false, true} {
 		for _, flag := range []int32{flagIdle, flagActive, flagInProgress} {
 			allocs := mallocs(func() {
 				for c := int32(0); c < n; c++ {
 					active[c] = flag
 				}
+				falls = 0
 				for c := int32(0); c < n; c++ {
-					_, _, row := update(&rows, c, tau, sc, tau[c], par)
-					notify(row, tau, active, 0, tau[c], par)
+					if h, _, row := update(&rows, c, tau, sc, tau[c], par); h < tau[c] {
+						notify(row, sc.rho, rows.Co, tau, active, h, tau[c], par)
+						falls++
+					}
 				}
 			})
 			if allocs != 0 {
 				t.Fatalf("%s par=%v flag=%d: sweep allocated %d times in 10 runs, want 0", name, par, flag, allocs)
+			}
+			if falls == 0 {
+				t.Fatalf("%s: no cell fell in the first sweep, so no wake-up was exercised", name)
 			}
 		}
 	}
 }
 
 // TestFusedKernelZeroAlloc proves that a full sweep over stored rows, and
-// waking every cell's neighbors, performs zero heap allocations — on truss
-// and (3,4) indexes (co-arity 2 and 3, the general row loop) and on k-core
-// (co-arity 1, the graph's own CSR).
+// the wake-ups of its falls, performs zero heap allocations — on truss and
+// (3,4) indexes (co-arity 2 and 3, the general row loop, which records ρ
+// per s-clique) and on k-core (co-arity 1, the graph's own CSR).
 func TestFusedKernelZeroAlloc(t *testing.T) {
 	g := graph.PlantedCommunities(3, 14, 0.5, 40, 11)
 	for name, inst := range map[string]nucleus.Instance{

@@ -12,16 +12,23 @@ import (
 // cur, the cell's current index, it returns min(cur, H) and the s-clique
 // visits paid. Clamping is Theorem 1, not a heuristic: τ never rises, so
 // the next index is at most cur whatever H is. Knowing that bound first
-// makes the evaluation one pass with no gathered ρ list: a ρ ≥ cur only
-// needs counting (support), a smaller one lands in a counting array of cur
-// slots, and once cur s-cliques with ρ ≥ cur have been seen the answer is
-// cur and the rest of the row is never read (the §4.4 early exit). A cell
-// at cur = 0 costs nothing, not even its row. par reads τ atomically for
-// concurrent asynchronous sweeps (a stale higher read is repaired: the
-// reading cell is in progress, so the fall it missed wakes it again, and
-// without notification every cell is evaluated again in the next sweep).
-// At co-arity 1 (k-core) ρ is one τ read. Nothing allocates once a
-// worker's row buffer has grown to the longest discovered row.
+// makes the evaluation one pass: a ρ ≥ cur only needs counting (support),
+// a smaller one lands in a counting array of cur slots, and once cur
+// s-cliques with ρ ≥ cur have been seen the answer is cur and the rest of
+// the row is never read (the §4.4 early exit). AND with notification at
+// co-arity ≥ 2 also writes each s-clique's ρ into the worker's rho buffer,
+// so that a fall to h wakes co-members only through the s-cliques whose ρ
+// is above h (notify). One at or below h cannot pass the fall on: a member
+// that reads it later sees it at ≤ h anyway, and one that read it before
+// is reached by the fall that brought it to ≤ h (the argument in full is
+// at wake). A cell at cur = 0 costs nothing, not even its row. par reads τ
+// atomically for concurrent asynchronous sweeps (a stale higher read is
+// repaired: the reading cell is in progress, so the fall it missed wakes it
+// again, and without notification every cell is evaluated again in the
+// next sweep).
+// At co-arity 1 (k-core) ρ is one τ read, and nothing is recorded.
+// Nothing allocates once a worker's row buffer has grown to the longest
+// discovered row; the rho buffer is sized once per run, to the longest row.
 
 // sweepScratch is one worker's state for a whole run.
 type sweepScratch struct {
@@ -30,6 +37,10 @@ type sweepScratch struct {
 	cnt []int32
 	// row is the worker's buffer for discovered rows.
 	row []int32
+	// rho, for AND with notification at co-arity ≥ 2, receives the ρ of
+	// each s-clique of the row in flight, one slot per s-clique of the
+	// longest row; nil otherwise.
+	rho []int32
 
 	// Tallies of the sweep in flight, added to by the owning worker once per
 	// chunk, summed and cleared after the join: no shared counter in a sweep.
@@ -40,17 +51,27 @@ type sweepScratch struct {
 	_ [64]byte
 }
 
-// newScratches returns one scratch per worker for a run that starts at tau.
-func newScratches(workers int, tau []int32) []sweepScratch {
-	var top int32
-	for _, v := range tau {
-		top = max(top, v)
-	}
+// newScratches returns one scratch per worker for a run that starts at tau,
+// each with a rho buffer of longest slots when longest > 0.
+func newScratches(workers int, tau []int32, longest int32) []sweepScratch {
+	top := maxOf(tau)
 	scs := make([]sweepScratch, workers)
 	for i := range scs {
 		scs[i].cnt = make([]int32, top)
+		if longest > 0 {
+			scs[i].rho = make([]int32, longest)
+		}
 	}
 	return scs
+}
+
+// maxOf returns the largest of a, 0 if it is empty or all negative.
+func maxOf(a []int32) int32 {
+	var top int32
+	for _, v := range a {
+		top = max(top, v)
+	}
+	return top
 }
 
 // settle finishes a cell whose row ended with atLeast < cur = len(cnt)
@@ -72,13 +93,14 @@ func update(rows *nucleus.Rows, c int32, tau []int32, sc *sweepScratch, cur int3
 		return 0, 0, nil
 	}
 	row := rows.Row(c, &sc.row)
-	h, visits := rowTau(row, rows.Co, tau, sc.cnt[:cur], par)
+	h, visits := rowTau(row, rows.Co, tau, sc.cnt[:cur], sc.rho, par)
 	return h, visits, row
 }
 
 // rowTau is the kernel: min(cur, H) over one row, cur = len(cnt), and the
-// visits paid; see the contract at the top of the file.
-func rowTau(row []int32, co int, tau, cnt []int32, par bool) (int32, int64) {
+// visits paid; see the contract at the top of the file. At co-arity ≥ 2 a
+// non-nil rhos receives the ρ of each s-clique visited, in row order.
+func rowTau(row []int32, co int, tau, cnt, rhos []int32, par bool) (int32, int64) {
 	cur := int32(len(cnt))
 	clear(cnt)
 	support := int32(0)
@@ -102,6 +124,9 @@ func rowTau(row []int32, co int, tau, cnt []int32, par bool) (int32, int64) {
 			if v := load(par, tau, d); v < rho {
 				rho = v
 			}
+		}
+		if rhos != nil {
+			rhos[visits] = rho
 		}
 		visits++
 		if rho >= cur {
@@ -138,6 +163,17 @@ const (
 //     last update finished, so τ(d) is read again, after the flag, and d is
 //     woken only if h < τ(d) ≤ old.
 //
+// The fall of c reaches wake only through the s-cliques S of its row
+// whose ρ — the least τ of S's other members, as c's kernel read it — is
+// above h (notify); skipping the rest is safe at every thread count.
+// Suppose c read some co-member o of S at τ(o) ≤ h. If another member d
+// reads o after that, it sees S at ≤ τ(o) ≤ h, and c's fall from old to h
+// leaves that minimum unchanged. If d read o earlier, o's own fall to
+// τ(o) is responsible for S: it was stored before c read o, and o either
+// processed S — ran this test on d — or skipped it by the same rule, on a
+// member read at ≤ τ(o) after a strictly earlier store. So the chain ends
+// at a fall that processed S, or at one that d already saw.
+//
 // For any (r,s) this wakes every cell that can still fall, so a sweep that
 // updates nothing is the fixpoint.
 func wake(tau, active []int32, d, t, h, old int32, par bool) {
@@ -155,11 +191,26 @@ func wake(tau, active []int32, d, t, h, old int32, par bool) {
 }
 
 // notify wakes the co-members of a cell, read off its row, that its fall
-// from old to h can affect.
-func notify(row, tau, active []int32, h, old int32, par bool) {
-	for _, d := range row {
-		if t := load(par, tau, d); t > h {
-			wake(tau, active, d, t, h, old, par)
+// from old to h can affect, through the s-cliques whose ρ is above h
+// (wake): at co-arity 1 ρ is the co-member's τ, read here; above it, rhos
+// holds the ρ the kernel read for each s-clique of the row.
+func notify(row, rhos []int32, co int, tau, active []int32, h, old int32, par bool) {
+	if co == 1 {
+		for _, d := range row {
+			if t := load(par, tau, d); t > h {
+				wake(tau, active, d, t, h, old, par)
+			}
+		}
+		return
+	}
+	for i := 0; len(row) >= co; i, row = i+1, row[co:] {
+		if rhos[i] <= h {
+			continue
+		}
+		for _, d := range row[:co] {
+			if t := load(par, tau, d); t > h {
+				wake(tau, active, d, t, h, old, par)
+			}
 		}
 	}
 }

@@ -133,7 +133,7 @@ func Snd(inst nucleus.Instance, opts Options) *Result {
 	res := &Result{}
 	cells := sweepCells(n, opts, nil)
 	rows := inst.Rows()
-	scs := newScratches(opts.threads(), tau)
+	scs := newScratches(opts.threads(), tau, 0)
 	body := func(chunk []int32, sc *sweepScratch) {
 		var upd, vis int64
 		for _, c := range chunk {
@@ -178,15 +178,28 @@ func Snd(inst nucleus.Instance, opts Options) *Result {
 // a cell left idle cannot fall, so a sweep that updates nothing is the
 // fixpoint, and the run ends on its first one, as it does without
 // notification.
-func And(inst nucleus.Instance, opts Options) *Result {
+func And(inst nucleus.Instance, opts Options) *Result { return and(inst, opts, notify) }
+
+// notifier is the wake-up pass of a fall: notify (the tests run And with
+// the full-row pass it replaced, as the reference).
+type notifier func(row, rhos []int32, co int, tau, active []int32, h, old int32, par bool)
+
+func and(inst nucleus.Instance, opts Options, notify notifier) *Result {
 	n := inst.NumCells()
 	deg := inst.Degrees()
 	cells := sweepCells(n, opts, deg) // before initialTau clamps deg into τ
+	rows := inst.Rows()
+	// Notification at co-arity ≥ 2 records ρ per s-clique: as many slots as
+	// the longest row has s-cliques, the largest s-degree, read before
+	// initialTau clamps deg into τ.
+	var longest int32
+	if opts.Notification && rows.Co > 1 {
+		longest = maxOf(deg)
+	}
 	tau := initialTau(deg, opts)
 	res := &Result{}
 	concurrent := opts.threads() > 1
-	rows := inst.Rows()
-	scs := newScratches(opts.threads(), tau)
+	scs := newScratches(opts.threads(), tau, longest)
 
 	var active []int32
 	if opts.Notification {
@@ -220,7 +233,7 @@ func And(inst nucleus.Instance, opts Options) *Result {
 				store(concurrent, tau, c, h)
 				upd++
 				if active != nil {
-					notify(row, tau, active, h, old, concurrent)
+					notify(row, sc.rho, rows.Co, tau, active, h, old, concurrent)
 				}
 			}
 			if active != nil && concurrent {

@@ -90,6 +90,13 @@ func BenchmarkAndTrussNotificationIndexed(b *testing.B) {
 	benchAnd(b, benchIndexedTrussInstance(), Options{Notification: true})
 }
 
+// BenchmarkAndN34Indexed is AND with notification on the stored (3,4)
+// rows of the same graph: co-arity 3, where a fall wakes co-members only
+// through the 4-cliques the kernel read above its new index.
+func BenchmarkAndN34Indexed(b *testing.B) {
+	benchAnd(b, nucleus.NewFlatN34(benchGraph(), 1), Options{Notification: true})
+}
+
 func BenchmarkPeelTruss(b *testing.B) {
 	inst := benchTrussInstance()
 	b.ResetTimer()
@@ -122,7 +129,7 @@ func benchKernel(b *testing.B, inst nucleus.Instance) {
 	b.Helper()
 	rows := inst.Rows()
 	tau := inst.Degrees()
-	sc := &newScratches(1, tau)[0]
+	sc := &newScratches(1, tau, 0)[0]
 	n := int32(inst.NumCells())
 	var visits int64
 	for c := int32(0); c < n; c++ { // grow the row buffer

@@ -37,7 +37,7 @@ func TestPreserveExactness(t *testing.T) {
 			}
 			stored, discovered := inst.Rows(), nucleustest.Discovered(inst).Rows()
 			top := []int32{maxDeg + 2} // the largest cur asked below sizes the scratch
-			scS, scD := &newScratches(1, top)[0], &newScratches(1, top)[0]
+			scS, scD := &newScratches(1, top, 0)[0], &newScratches(1, top, 0)[0]
 			for c := int32(0); c < int32(len(deg)); c++ {
 				var rhos []int32
 				for _, others := range nucleustest.Groups(inst, c) {

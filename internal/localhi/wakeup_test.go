@@ -9,18 +9,22 @@ import (
 )
 
 // TestNarrowWakeupsStress hunts the wake-up a concurrent run could lose: a
-// co-member that is mid-update when its neighbor's index falls (kernel.go,
-// wake). Heavy-tailed graphs at 2, 4 and 8 workers make that race as likely
+// co-member that is mid-update when its neighbor's index falls, or one
+// that only an s-clique the fall skipped could reach (kernel.go, wake).
+// Heavy-tailed graphs at 2, 4 and 8 workers make the first race as likely
 // as this package can, on the graph's own CSR (co-arity 1) and on the
-// stored truss and (3,4) rows. Wake-ups are exact, so no sweep certifies
-// anything: every run must end on its first zero-update sweep, with τ equal
-// to peeling's κ. Run repeatedly under -race in CI.
+// stored truss and (3,4) rows; planted communities, whose dense blocks
+// leave most s-cliques of a falling cell at or below its new index, do the
+// same for the second. Wake-ups are exact, so no sweep certifies anything:
+// every run must end on its first zero-update sweep, with τ equal to
+// peeling's κ. Run repeatedly under -race in CI.
 func TestNarrowWakeupsStress(t *testing.T) {
 	seeds := 6
 	if testing.Short() {
 		seeds = 3
 	}
 	rmat := func(scale int, seed int64) *graph.Graph { return graph.RMAT(scale, 8, 0.57, 0.19, 0.19, seed) }
+	planted := func(seed int64) *graph.Graph { return graph.PlantedCommunities(6, 40, 0.3, 240, seed) }
 	for seed := int64(1); seed <= int64(seeds); seed++ {
 		for _, tc := range []struct {
 			name string
@@ -29,6 +33,8 @@ func TestNarrowWakeupsStress(t *testing.T) {
 			{"core", nucleus.NewCore(rmat(12, seed))},
 			{"truss", nucleus.NewFlatTruss(rmat(10, seed), 1)},
 			{"n34", nucleus.NewFlatN34(rmat(9, seed), 1)},
+			{"planted truss", nucleus.NewFlatTruss(planted(seed), 1)},
+			{"planted n34", nucleus.NewFlatN34(planted(seed), 1)},
 		} {
 			want := peel.Run(tc.inst).Kappa
 			for _, threads := range []int{2, 4, 8} {
@@ -75,7 +81,7 @@ func TestWakeInProgress(t *testing.T) {
 	} {
 		for _, par := range []bool{false, true} {
 			tau, active := []int32{h, tc.tau}, []int32{flagIdle, tc.flag}
-			notify(row, tau, active, h, old, par)
+			notify(row, nil, 1, tau, active, h, old, par)
 			if active[1] != tc.want || active[0] != flagIdle || tau[1] != tc.tau {
 				t.Errorf("flag %d τ(d) %d par=%v: flags %v τ %v after the wake, want d's flag %d, τ untouched",
 					tc.flag, tc.tau, par, active, tau, tc.want)

@@ -61,16 +61,17 @@ type BuildReport struct {
 }
 
 // Build constructs the instance for a family, materializing the flat
-// s-clique incidence index when its estimated size fits the memory budget
-// and falling back to the on-the-fly instance otherwise (the paper's §5
+// s-clique incidence index when its size fits the memory budget and
+// falling back to the on-the-fly instance otherwise (the paper's §5
 // stance: never let the index OOM what the intersection-based instance
 // could still serve). memBudget is in bytes: 0 never indexes, a negative
-// budget is unlimited. The s-degree counting pass — needed by flat and
-// on-the-fly instances alike — runs on the given thread count either way,
-// over the orientation (truss) or triangle index ((3,4)) the flat build
-// then enumerates again, and its counts are the exact index-size estimate:
-// the budget is checked before anything proportional to the s-cliques is
-// allocated, and deciding costs nothing beyond what construction pays.
+// budget is unlimited. Each s-clique is enumerated once: the group pass
+// prices what it has collected as it goes and stops once that exceeds the
+// budget (cliques.EdgeIncidenceWithin, K4IncidenceWithin), so nothing
+// proportional to the index is laid out over budget, and a completed pass
+// counts the s-degrees off its groups. Only a rejected index pays the
+// count-only pass, for the on-the-fly instance's degrees and the exact
+// estimate in the report. Every pass runs on the given thread count.
 func Build(g *graph.Graph, fam Family, memBudget int64, threads int) (Instance, BuildReport) {
 	rep := BuildReport{Family: fam}
 	switch fam {
@@ -79,27 +80,30 @@ func Build(g *graph.Graph, fam Family, memBudget int64, threads int) (Instance, 
 		return NewCore(g), rep
 	case FamilyTruss:
 		o := cliques.OrientEdges(g, threads)
-		t := &Truss{G: g, deg: o.CountPerEdge(threads)}
+		t := &Truss{G: g}
 		if g.M() > math.MaxInt32 {
+			t.deg = o.CountPerEdge(threads)
 			rep.Reason = "graph exceeds int32 edge cells"
 			return t, rep
 		}
-		rep.EstimatedBytes = cliques.EdgeIncidenceBytes(g.M(), sumInt32(t.deg))
-		if !rep.fits(memBudget) {
-			return t, rep
+		if memBudget != 0 {
+			if inc := cliques.EdgeIncidenceWithin(o, memBudget, threads); inc != nil {
+				return rep.stored(&Flat{r: 2, s: 3, offs: inc.Offs, members: inc.Pairs, coArity: 2, deg: inc.Deg, verts: t.CellVertices})
+			}
 		}
-		f := flatTruss(t, o, threads)
-		rep.Indexed, rep.IndexBytes = true, f.IndexBytes()
-		return f, rep
+		t.deg = o.CountPerEdge(threads)
+		rep.reject(cliques.EdgeIncidenceBytes(g.M(), sumInt32(t.deg)), memBudget)
+		return t, rep
 	case FamilyN34:
-		n := newN34(g, threads)
-		rep.EstimatedBytes = cliques.K4IncidenceBytes(int64(n.NumCells()), sumInt32(n.deg))
-		if !rep.fits(memBudget) {
-			return n, rep
+		n := &N34{G: g, Idx: cliques.BuildTriangleIndexThreads(g, threads)}
+		if memBudget != 0 {
+			if inc := cliques.K4IncidenceWithin(n.Idx, memBudget, threads); inc != nil {
+				return rep.stored(&Flat{r: 3, s: 4, offs: inc.Offs, members: inc.Triples, coArity: 3, deg: inc.Deg, verts: n.CellVertices})
+			}
 		}
-		f := flatN34(n, threads)
-		rep.Indexed, rep.IndexBytes = true, f.IndexBytes()
-		return f, rep
+		n.deg = n.Idx.K4DegreePerTriangleParallel(g, threads)
+		rep.reject(cliques.K4IncidenceBytes(int64(n.NumCells()), sumInt32(n.deg)), memBudget)
+		return n, rep
 	}
 	panic(fmt.Sprintf("nucleus: unknown family %d", int(fam)))
 }
@@ -134,18 +138,23 @@ func For(g *graph.Graph, fam Family, memBudget int64, threads int) (inst Instanc
 	return m.inst, m.rep, built
 }
 
-// fits reports whether the estimated index size is within the budget,
-// recording the reason when it is not.
-func (rep *BuildReport) fits(budget int64) bool {
-	switch {
-	case budget < 0 || (budget > 0 && rep.EstimatedBytes <= budget):
-		return true
-	case budget == 0:
+// stored reports a built index: the price of a completed group pass is
+// the exact size, so the estimate is the bytes held.
+func (rep BuildReport) stored(f *Flat) (Instance, BuildReport) {
+	rep.Indexed, rep.IndexBytes = true, f.IndexBytes()
+	rep.EstimatedBytes = rep.IndexBytes
+	return f, rep
+}
+
+// reject records why no index was built: est is its exact size, from the
+// count pass.
+func (rep *BuildReport) reject(est, budget int64) {
+	rep.EstimatedBytes = est
+	if budget == 0 {
 		rep.Reason = "indexing disabled (budget 0)"
-	default:
-		rep.Reason = fmt.Sprintf("estimated index size %d exceeds budget %d", rep.EstimatedBytes, budget)
+	} else {
+		rep.Reason = fmt.Sprintf("estimated index size %d exceeds budget %d", est, budget)
 	}
-	return false
 }
 
 func sumInt32(vals []int32) int64 {

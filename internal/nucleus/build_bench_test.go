@@ -25,13 +25,13 @@ func benchBuild(b *testing.B, fam Family, budget int64) {
 	}
 }
 
-// BenchmarkBuildN34 times the stored (3,4) instance: triangle index,
-// 4-clique count, group pass and scatter.
+// BenchmarkBuildN34 times the stored (3,4) instance: triangle index, group
+// pass, degrees counted off the groups, and scatter.
 func BenchmarkBuildN34(b *testing.B) { benchBuild(b, FamilyN34, -1) }
 
-// BenchmarkBuildTruss times the stored (2,3) instance — orientation,
-// triangle count, group pass and scatter — and, at budget 0, the
-// on-the-fly one, which stops after the count.
+// BenchmarkBuildTruss times the stored (2,3) instance — orientation, group
+// pass, degrees counted off the groups, and scatter — and, at budget 0,
+// the on-the-fly one: orientation and the count-only pass.
 func BenchmarkBuildTruss(b *testing.B) {
 	b.Run("stored", func(b *testing.B) { benchBuild(b, FamilyTruss, -1) })
 	b.Run("budget0", func(b *testing.B) { benchBuild(b, FamilyTruss, 0) })

@@ -30,30 +30,21 @@ type Flat struct {
 	verts func(c int32, buf []uint32) []uint32
 }
 
-// NewFlatTruss orients g, counts triangles per edge and materializes the
-// flat (2,3) incidence, each in parallel over the given thread count.
+// NewFlatTruss is Build's stored (2,3) instance with no budget: g
+// oriented, each triangle enumerated once, in parallel over the given
+// thread count, the edge incidence laid out (cliques.EdgeIncidenceWithin).
 // Panics if the graph has more than MaxInt32 edges.
 func NewFlatTruss(g *graph.Graph, threads int) *Flat {
-	o := cliques.OrientEdges(g, threads)
-	return flatTruss(&Truss{G: g, deg: o.CountPerEdge(threads)}, o, threads)
+	inst, _ := Build(g, FamilyTruss, -1, threads)
+	return inst.(*Flat)
 }
 
-// flatTruss stores t's incidence, enumerating over the orientation its
-// degrees were counted on.
-func flatTruss(t *Truss, o *cliques.OrientedEdges, threads int) *Flat {
-	inc := cliques.BuildEdgeIncidence(o, t.deg, threads)
-	return &Flat{r: 2, s: 3, offs: inc.Offs, members: inc.Pairs, coArity: 2, deg: t.deg, verts: t.CellVertices}
-}
-
-// NewFlatN34 indexes all triangles, counts 4-cliques per triangle and
-// materializes the flat (3,4) incidence (cliques.BuildK4Incidence).
+// NewFlatN34 is Build's stored (3,4) instance with no budget: all
+// triangles indexed, each 4-clique enumerated once, the 4-clique incidence
+// laid out (cliques.K4IncidenceWithin).
 func NewFlatN34(g *graph.Graph, threads int) *Flat {
-	return flatN34(newN34(g, threads), threads)
-}
-
-func flatN34(n *N34, threads int) *Flat {
-	inc := cliques.BuildK4Incidence(n.G, n.Idx, n.deg, threads)
-	return &Flat{r: 3, s: 4, offs: inc.Offs, members: inc.Triples, coArity: 3, deg: n.deg, verts: n.CellVertices}
+	inst, _ := Build(g, FamilyN34, -1, threads)
+	return inst.(*Flat)
 }
 
 // NewFlat enumerates the r-cliques and s-cliques of g (r < s) and builds

@@ -12,6 +12,7 @@ import (
 	"sort"
 	"testing"
 
+	"nucleus/internal/cliques"
 	"nucleus/internal/graph"
 	"nucleus/internal/localhi"
 	"nucleus/internal/nucleus"
@@ -378,6 +379,67 @@ func TestBuildBudgetAdaptivity(t *testing.T) {
 	inst, rep = nucleus.Build(g, nucleus.FamilyCore, -1, 2)
 	if _, ok := inst.(*nucleus.Core); !ok || rep.Indexed {
 		t.Fatalf("core: got %T (indexed=%v), want *Core", inst, rep.Indexed)
+	}
+}
+
+// twoPass builds fam's stored rows the way Build did before it enumerated
+// each s-clique once: the count pass, then the group pass laid out by the
+// counted degrees.
+func twoPass(g *graph.Graph, fam nucleus.Family, threads int) (offs []int64, mem, deg []int32) {
+	if fam == nucleus.FamilyTruss {
+		o := cliques.OrientEdges(g, threads)
+		deg = o.CountPerEdge(threads)
+		inc := cliques.BuildEdgeIncidence(o, deg, threads)
+		return inc.Offs, inc.Pairs, deg
+	}
+	ti := cliques.BuildTriangleIndexThreads(g, threads)
+	deg = ti.K4DegreePerTriangleParallel(g, threads)
+	inc := cliques.BuildK4Incidence(g, ti, deg, threads)
+	return inc.Offs, inc.Triples, deg
+}
+
+// TestBuildOnePassBudgetBoundary: Build's stored truss and (3,4) rows,
+// their degrees counted off the one enumeration, are bit-identical to the
+// two-pass build at every thread count. A budget of exactly the index size
+// still indexes; one byte less falls back to the on-the-fly instance with
+// the exact estimate and the over-budget reason, and budget 0 with the
+// disabled reason.
+func TestBuildOnePassBudgetBoundary(t *testing.T) {
+	for gi, g := range []*graph.Graph{
+		graph.PlantedCommunities(3, 12, 0.6, 30, 5),
+		graph.RMAT(8, 8, 0.57, 0.19, 0.19, 3),
+		graph.Complete(7),
+		graph.Path(6),
+	} {
+		for _, fam := range []nucleus.Family{nucleus.FamilyTruss, nucleus.FamilyN34} {
+			for _, threads := range []int{1, 2, 4, 8} {
+				name := fmt.Sprintf("g%d %s threads %d", gi, fam, threads)
+				offs, mem, deg := twoPass(g, fam, threads)
+				size := 8*int64(len(offs)) + 4*int64(len(mem))
+				inst, rep := nucleus.Build(g, fam, size, threads)
+				f, ok := inst.(*nucleus.Flat)
+				if !ok || !rep.Indexed || rep.IndexBytes != size || rep.EstimatedBytes != size {
+					t.Fatalf("%s: budget = size %d: got %T %+v, want the index", name, size, inst, rep)
+				}
+				rows := f.Rows()
+				if !slices.Equal(rows.Offs, offs) || !slices.Equal(rows.Mem, mem) || !slices.Equal(f.Degrees(), deg) {
+					t.Fatalf("%s: one-pass rows differ from the two-pass build", name)
+				}
+				for budget, reason := range map[int64]string{
+					size - 1: fmt.Sprintf("estimated index size %d exceeds budget %d", size, size-1),
+					0:        "indexing disabled (budget 0)",
+				} {
+					inst, rep := nucleus.Build(g, fam, budget, threads)
+					if _, ok := inst.(*nucleus.Flat); ok || rep.Indexed || rep.EstimatedBytes != size || rep.Reason != reason {
+						t.Fatalf("%s: budget %d: got %T %+v, want the on-the-fly instance, estimate %d, reason %q",
+							name, budget, inst, rep, size, reason)
+					}
+					if !slices.Equal(inst.Degrees(), deg) {
+						t.Fatalf("%s: budget %d: on-the-fly degrees differ from the counted ones", name, budget)
+					}
+				}
+			}
+		}
 	}
 }
 

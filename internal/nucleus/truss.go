@@ -59,14 +59,9 @@ type N34 struct {
 // NewN34 returns the (3,4) instance of g, enumerating and indexing all
 // triangles, with sequential degree initialization;
 // Build(g, FamilyN34, 0, threads) parallelizes it.
-func NewN34(g *graph.Graph) *N34 { return newN34(g, 1) }
-
-// newN34 builds the triangle index and runs the 4-clique count pass across
-// threads; it allocates nothing proportional to the 4-clique count, so
-// Build checks the memory budget before flatN34's group pass.
-func newN34(g *graph.Graph, threads int) *N34 {
-	idx := cliques.BuildTriangleIndexThreads(g, threads)
-	return &N34{G: g, Idx: idx, deg: idx.K4DegreePerTriangleParallel(g, threads)}
+func NewN34(g *graph.Graph) *N34 {
+	inst, _ := Build(g, FamilyN34, 0, 1)
+	return inst.(*N34)
 }
 
 func (n *N34) R() int        { return 3 }
