@@ -46,22 +46,24 @@ func EdgeIncidenceBytes(m, sumDeg int64) int64 {
 	return 8*(m+1) + 8*sumDeg
 }
 
-// BuildEdgeIncidence builds the flat triangle incidence over an orientation
-// of the graph (deg: the per-edge triangle counts, or nil to count them off
-// the triangles the pass collects). Each triangle is found once, as its
-// three edge ids, gathered in root order and laid out by ScatterGroups:
-// rows list triangles in that order, bit-identical at every thread count.
-// Panics if the graph has more than MaxInt32 edges (cell ids are int32).
-func BuildEdgeIncidence(o *OrientedEdges, deg []int32, threads int) *EdgeIncidence {
-	return o.incidence(deg, -1, threads)
-}
-
-// EdgeIncidenceWithin is BuildEdgeIncidence with the degrees counted off
-// the triangles, under a memory budget in bytes (negative: unlimited): nil
-// once the EdgeIncidenceBytes of the triangles collected so far exceeds
-// it, before anything is laid out (collectGroups).
+// EdgeIncidenceWithin builds the flat triangle incidence over an
+// orientation of the graph under a memory budget in bytes (negative:
+// unlimited), or returns nil once the EdgeIncidenceBytes of the triangles
+// collected so far exceeds it, before anything is laid out
+// (collectGroups). Each triangle is found once, as its three edge ids,
+// gathered in root order; the per-edge counts are taken off them and
+// ScatterGroups lays the rows out: rows list triangles in that order,
+// bit-identical at every thread count. Panics if the graph has more than
+// MaxInt32 edges (cell ids are int32).
 func EdgeIncidenceWithin(o *OrientedEdges, budget int64, threads int) *EdgeIncidence {
 	return o.incidence(nil, budget, threads)
+}
+
+// BuildEdgeIncidence is the two-pass form of EdgeIncidenceWithin, the
+// reference the tests hold it to: the same group pass, unlimited, laid out
+// by deg, the per-edge triangle counts of a count-only pass (CountPerEdge).
+func BuildEdgeIncidence(o *OrientedEdges, deg []int32, threads int) *EdgeIncidence {
+	return o.incidence(deg, -1, threads)
 }
 
 func (o *OrientedEdges) incidence(deg []int32, budget int64, threads int) *EdgeIncidence {
@@ -110,21 +112,23 @@ func K4IncidenceBytes(t, sumDeg int64) int64 {
 	return 8*(t+1) + 12*sumDeg
 }
 
-// BuildK4Incidence builds the flat 4-clique incidence over a triangle index
-// of g (deg: the K4 degrees, or nil to count them off the 4-cliques the
-// pass collects). Each 4-clique is found once, as its four triangle ids,
-// gathered in root order and laid out by ScatterGroups: rows list
+// K4IncidenceWithin builds the flat 4-clique incidence over a triangle
+// index under a memory budget in bytes (negative: unlimited), or returns
+// nil once the K4IncidenceBytes of the 4-cliques collected so far exceeds
+// it, before anything is laid out (collectGroups). Each 4-clique is found
+// once, as its four triangle ids, gathered in root order; the K4 degrees
+// are taken off them and ScatterGroups lays the rows out: rows list
 // 4-cliques in that order, bit-identical at every thread count.
-func BuildK4Incidence(_ *graph.Graph, ti *TriangleIndex, deg []int32, threads int) *K4Incidence {
-	return ti.incidence(deg, -1, threads)
-}
-
-// K4IncidenceWithin is BuildK4Incidence with the degrees counted off the
-// 4-cliques, under a memory budget in bytes (negative: unlimited): nil
-// once the K4IncidenceBytes of the 4-cliques collected so far exceeds it,
-// before anything is laid out (collectGroups).
 func K4IncidenceWithin(ti *TriangleIndex, budget int64, threads int) *K4Incidence {
 	return ti.incidence(nil, budget, threads)
+}
+
+// BuildK4Incidence is the two-pass form of K4IncidenceWithin, the
+// reference the tests hold it to and the group pass bench times: the same
+// pass, unlimited, laid out by deg, the K4 degrees of a count-only pass
+// (K4DegreePerTriangleParallel).
+func BuildK4Incidence(_ *graph.Graph, ti *TriangleIndex, deg []int32, threads int) *K4Incidence {
+	return ti.incidence(deg, -1, threads)
 }
 
 func (ti *TriangleIndex) incidence(deg []int32, budget int64, threads int) *K4Incidence {
@@ -146,20 +150,21 @@ func (ti *TriangleIndex) incidence(deg []int32, budget int64, threads int) *K4In
 
 // collectGroups is the group pass of a stored build: root appends the
 // s-cliques found from root vertex u to the worker's buffer, member cells
-// only, and par.Collect concatenates the buffers in root order. Under a
-// budget ≥ 0 a running total of the members collected — one atomic add per
-// root that found any — is priced by bytes, and once that exceeds the
-// budget no root appends any more: ok is false and the groups are partial.
-// A completed pass's price is the exact index size, so ok is the budget
-// check Build would make on the counted degrees, at no count pass.
+// only, and par.Collect concatenates the buffers in root order. A running
+// total of the members collected — one atomic add per root that found
+// any — is priced by bytes; once that exceeds the budget (negative:
+// unlimited) every later root drops its chunk's buffer and appends
+// nothing, so only the chunks finished before then reach the copy, and ok
+// is false. A completed pass's price is the exact index size, so ok is the
+// budget check Build would make on the counted degrees, at no count pass.
 func collectGroups(roots, threads int, budget int64, bytes func(members int64) int64, root func(w, u int, buf []int32) []int32) (groups []int32, ok bool) {
 	if budget < 0 {
-		return par.Collect(roots, 64, threads, root), true
+		budget = math.MaxInt64
 	}
 	var members atomic.Int64
 	groups = par.Collect(roots, 64, threads, func(w, u int, buf []int32) []int32 {
 		if bytes(members.Load()) > budget {
-			return buf
+			return nil
 		}
 		k := len(buf)
 		if buf = root(w, u, buf); len(buf) > k {

@@ -26,7 +26,7 @@ func incidenceTestGraphs() []*graph.Graph {
 // apex id.
 func TestEdgeIncidenceMatchesOnTheFly(t *testing.T) {
 	for gi, g := range incidenceTestGraphs() {
-		inc := BuildEdgeIncidence(OrientEdges(g, 1), nil, 1)
+		inc := EdgeIncidenceWithin(OrientEdges(g, 1), -1, 1)
 		if len(inc.Offs) != int(g.M())+1 {
 			t.Fatalf("graph %d: offs length %d, want %d", gi, len(inc.Offs), g.M()+1)
 		}
@@ -63,7 +63,7 @@ func checkEdgesAgainstRef(t testing.TB, g *graph.Graph) {
 		if !slices.Equal(deg, refDeg) {
 			t.Fatalf("threads %d: per-edge triangle counts differ from the reference", threads)
 		}
-		inc := BuildEdgeIncidence(o, nil, threads)
+		inc := EdgeIncidenceWithin(o, -1, threads)
 		two := BuildEdgeIncidence(o, deg, threads)
 		if !slices.Equal(inc.Deg, deg) || !slices.Equal(inc.Offs, two.Offs) || !slices.Equal(inc.Pairs, two.Pairs) {
 			t.Fatalf("threads %d: one-pass edge incidence differs from the two-pass build", threads)
@@ -146,7 +146,7 @@ func FuzzEdgeIncidence(f *testing.F) {
 func TestK4IncidenceMatchesOnTheFly(t *testing.T) {
 	for gi, g := range incidenceTestGraphs() {
 		ti := BuildTriangleIndex(g)
-		inc := BuildK4Incidence(g, ti, nil, 1)
+		inc := K4IncidenceWithin(ti, -1, 1)
 		if len(inc.Offs) != ti.Len()+1 {
 			t.Fatalf("graph %d: offs length %d, want %d", gi, len(inc.Offs), ti.Len()+1)
 		}
@@ -170,15 +170,15 @@ func TestK4IncidenceMatchesOnTheFly(t *testing.T) {
 // data-race-free).
 func TestIncidenceParallelMatchesSequential(t *testing.T) {
 	for gi, g := range incidenceTestGraphs() {
-		seqE := BuildEdgeIncidence(OrientEdges(g, 1), nil, 1)
+		seqE := EdgeIncidenceWithin(OrientEdges(g, 1), -1, 1)
 		ti := BuildTriangleIndex(g)
-		seqK := BuildK4Incidence(g, ti, nil, 1)
+		seqK := K4IncidenceWithin(ti, -1, 1)
 		for _, threads := range []int{2, 3, 8, 100} {
-			parE := BuildEdgeIncidence(OrientEdges(g, threads), nil, threads)
+			parE := EdgeIncidenceWithin(OrientEdges(g, threads), -1, threads)
 			if !int64sEqual(seqE.Offs, parE.Offs) || !int32sEqual(seqE.Pairs, parE.Pairs) {
 				t.Fatalf("graph %d threads %d: edge incidence differs from sequential", gi, threads)
 			}
-			parK := BuildK4Incidence(g, ti, nil, threads)
+			parK := K4IncidenceWithin(ti, -1, threads)
 			if !int64sEqual(seqK.Offs, parK.Offs) || !int32sEqual(seqK.Triples, parK.Triples) {
 				t.Fatalf("graph %d threads %d: K4 incidence differs from sequential", gi, threads)
 			}
@@ -218,6 +218,31 @@ func TestBudgetZeroCollectsNothing(t *testing.T) {
 		}
 		if EdgeIncidenceWithin(OrientEdges(g, threads), 0, threads) != nil || K4IncidenceWithin(BuildTriangleIndex(g), 0, threads) != nil {
 			t.Fatalf("threads %d: an index built within budget 0", threads)
+		}
+	}
+}
+
+// TestOverBudgetDropsGroups: once the price of what the group pass has
+// collected exceeds the budget, later roots drop their chunk's buffer, so
+// at one worker nothing is left to concatenate, and at more only the
+// chunks finished before the crossing survive: at most the budget's worth
+// of members plus one root in flight per worker.
+func TestOverBudgetDropsGroups(t *testing.T) {
+	const roots, perRoot = 10_000, 3
+	bytes := func(k int64) int64 { return 8 * k }
+	budget := bytes(roots * perRoot / 2)
+	for _, threads := range []int{1, 2, 4, 8} {
+		groups, ok := collectGroups(roots, threads, budget, bytes, func(_, u int, buf []int32) []int32 {
+			return append(buf, int32(u), int32(u), int32(u))
+		})
+		if ok {
+			t.Fatalf("threads %d: a pass of %d bytes within %d", threads, bytes(roots*perRoot), budget)
+		}
+		if threads == 1 && groups != nil {
+			t.Fatalf("threads 1: %d members left after the budget was crossed", len(groups))
+		}
+		if bytes(int64(len(groups)-threads*perRoot)) > budget {
+			t.Fatalf("threads %d: %d members left, over the budget of %d bytes", threads, len(groups), budget)
 		}
 	}
 }

@@ -42,7 +42,7 @@ func checkAgainstRef(t testing.TB, g *graph.Graph, rng *rand.Rand) {
 		if !slices.Equal(deg, refDeg) {
 			t.Fatalf("threads %d: K4 degrees differ from the reference", threads)
 		}
-		inc := BuildK4Incidence(g, ti, nil, threads)
+		inc := K4IncidenceWithin(ti, -1, threads)
 		two := BuildK4Incidence(g, ti, deg, threads)
 		if !slices.Equal(inc.Deg, deg) || !slices.Equal(inc.Offs, two.Offs) || !slices.Equal(inc.Triples, two.Triples) {
 			t.Fatalf("threads %d: one-pass K4 incidence differs from the two-pass build", threads)
