@@ -15,8 +15,8 @@
 //	experiments -exp density    # density of discovered subgraphs
 //	experiments -exp fig2       # the paper's Figure 2 walk-through
 //
-// The -dec flag selects the decomposition (core, truss, 34) where
-// applicable.
+// The -dec flag selects the decomposition where applicable: core, truss or
+// n34, or any alias nucleusd accepts (docs/API.md).
 package main
 
 import (
@@ -40,7 +40,7 @@ var allExperiments = []string{
 
 func main() {
 	exp := flag.String("exp", "all", "experiment to run (see command doc; 'all' runs everything)")
-	dec := flag.String("dec", "truss", "decomposition (core, truss, 34)")
+	dec := flag.String("dec", "truss", "decomposition: core, truss or n34 (aliases as in docs/API.md)")
 	flag.Parse()
 
 	if err := run(*exp, *dec, os.Stdout); err != nil {
@@ -50,16 +50,9 @@ func main() {
 }
 
 func run(exp, dec string, w io.Writer) error {
-	var d experiments.Dec
-	switch dec {
-	case "core":
-		d = experiments.Core
-	case "truss":
-		d = experiments.Truss
-	case "34":
-		d = experiments.N34
-	default:
-		return fmt.Errorf("unknown decomposition %q", dec)
+	d, err := nucleus.ParseFamily(dec)
+	if err != nil {
+		return err
 	}
 	if exp == "all" {
 		for _, name := range allExperiments {
@@ -72,11 +65,11 @@ func run(exp, dec string, w io.Writer) error {
 	return runOne(exp, d, w)
 }
 
-func runOne(name string, d experiments.Dec, w io.Writer) error {
+func runOne(name string, d nucleus.Family, w io.Writer) error {
 	// The (3,4) instance is the most expensive (as in the paper); restrict
 	// it to the datasets flagged affordable.
-	keysFor := func(d experiments.Dec) []string {
-		if d == experiments.N34 {
+	keysFor := func(d nucleus.Family) []string {
+		if d == nucleus.FamilyN34 {
 			var keys []string
 			for _, ds := range dataset.Small34() {
 				keys = append(keys, ds.Key)
@@ -124,8 +117,8 @@ func runOne(name string, d experiments.Dec, w io.Writer) error {
 
 // boundKeys limits the degree-level computation (quadratic scan per level)
 // to moderate datasets.
-func boundKeys(d experiments.Dec) []string {
-	if d == experiments.N34 {
+func boundKeys(d nucleus.Family) []string {
+	if d == nucleus.FamilyN34 {
 		return []string{"fb", "tw"}
 	}
 	return []string{"fb", "tw", "sse", "wn"}

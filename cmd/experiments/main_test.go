@@ -1,10 +1,11 @@
 package main
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
-	"nucleus/internal/experiments"
+	"nucleus/internal/nucleus"
 )
 
 func TestRunFig2(t *testing.T) {
@@ -38,11 +39,33 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// TestRunDecSpellings: -dec takes exactly ParseFamily's spellings, each
+// selecting its own (r,s).
+func TestRunDecSpellings(t *testing.T) {
+	for _, f := range []nucleus.Family{nucleus.FamilyCore, nucleus.FamilyTruss, nucleus.FamilyN34} {
+		r, s := f.RS()
+		for _, dec := range f.Spellings() {
+			var sb strings.Builder
+			if err := run("tradeoff", dec, &sb); err != nil {
+				t.Fatalf("-dec %s: %v", dec, err)
+			}
+			if want := fmt.Sprintf("trade-off: (%d,%d) on", r, s); !strings.Contains(sb.String(), want) {
+				t.Fatalf("-dec %s: header is not %q: %q", dec, want, sb.String())
+			}
+		}
+	}
+	for _, dec := range []string{"bogus", "Core", "3,4"} {
+		if err := run("fig2", dec, new(strings.Builder)); err == nil {
+			t.Errorf("-dec %q: no error", dec)
+		}
+	}
+}
+
 func TestRunOneCheapExperiments(t *testing.T) {
 	// Exercise the cheap drivers end to end on the core decomposition.
 	for _, name := range []string{"fig2"} {
 		var sb strings.Builder
-		if err := runOne(name, experiments.Core, &sb); err != nil {
+		if err := runOne(name, nucleus.FamilyCore, &sb); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if sb.Len() == 0 {
@@ -52,7 +75,7 @@ func TestRunOneCheapExperiments(t *testing.T) {
 }
 
 func TestBoundKeys(t *testing.T) {
-	if len(boundKeys(experiments.N34)) >= len(boundKeys(experiments.Core)) {
+	if len(boundKeys(nucleus.FamilyN34)) >= len(boundKeys(nucleus.FamilyCore)) {
 		t.Error("(3,4) bound keys should be the smaller set")
 	}
 }

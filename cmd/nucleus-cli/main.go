@@ -22,6 +22,8 @@ import (
 
 	root "nucleus"
 
+	"nucleus/internal/localhi"
+	"nucleus/internal/nucleus"
 	"nucleus/internal/store"
 )
 
@@ -45,8 +47,8 @@ func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("nucleus-cli", flag.ContinueOnError)
 	var (
 		graphPath = fs.String("graph", "", "edge-list file (required)")
-		decName   = fs.String("dec", "core", "decomposition: core, truss, 34")
-		algName   = fs.String("alg", "and", "algorithm: peel, snd, and")
+		decName   = fs.String("dec", "core", "decomposition: core, truss or n34 (aliases as in docs/API.md)")
+		algName   = fs.String("alg", "and", "algorithm: and, snd or peel")
 		threads   = fs.Int("threads", 1, "worker threads for local algorithms")
 		maxSweeps = fs.Int("max-sweeps", 0, "iteration budget (0 = to convergence)")
 		hier      = fs.Bool("hierarchy", false, "print the nucleus hierarchy")
@@ -65,42 +67,30 @@ func run(args []string, w io.Writer) error {
 	if generic && (*rFlag < 1 || *rFlag >= *sFlag) {
 		return fmt.Errorf("generic (r,s) needs both -r and -s with 1 <= r < s, got -r %d -s %d", *rFlag, *sFlag)
 	}
+	fam, err := nucleus.ParseFamily(*decName)
+	if err != nil && !generic {
+		return err
+	}
+	ialg, err := localhi.ParseAlgorithm(*algName)
+	if err != nil {
+		return err
+	}
+	// The root package numbers its decompositions and algorithms as the
+	// internal families and engines.
+	dec, alg := root.Decomposition(fam), root.Algorithm(ialg)
 	g, err := root.LoadEdgeList(*graphPath)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "loaded graph: n=%d m=%d\n", g.N(), g.M())
-
-	var alg root.Algorithm
-	switch *algName {
-	case "peel":
-		alg = root.Peel
-	case "snd":
-		alg = root.SND
-	case "and":
-		alg = root.AND
-	default:
-		return fmt.Errorf("unknown algorithm %q", *algName)
-	}
 	opts := root.Options{Algorithm: alg, Threads: *threads, MaxSweeps: *maxSweeps}
 
 	start := time.Now()
 	var res *root.Result
-	var dec root.Decomposition
 	if generic {
 		res = root.DecomposeRS(g, *rFlag, *sFlag, opts)
 		fmt.Fprintf(w, "generic (%d,%d) decomposition", *rFlag, *sFlag)
 	} else {
-		switch *decName {
-		case "core":
-			dec = root.KCore
-		case "truss":
-			dec = root.KTruss
-		case "34":
-			dec = root.Nucleus34
-		default:
-			return fmt.Errorf("unknown decomposition %q", *decName)
-		}
 		res = root.Decompose(g, dec, opts)
 		fmt.Fprintf(w, "%v decomposition", dec)
 	}

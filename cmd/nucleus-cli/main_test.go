@@ -1,13 +1,18 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	root "nucleus"
+
 	"nucleus/internal/graph"
+	"nucleus/internal/localhi"
+	"nucleus/internal/nucleus"
 	"nucleus/internal/store"
 )
 
@@ -39,13 +44,27 @@ func TestRunCore(t *testing.T) {
 	}
 }
 
+// TestRunAllDecompositionsAndAlgorithms: -dec and -alg take exactly the
+// spellings nucleus.ParseFamily and localhi.ParseAlgorithm take, the empty
+// one for the default, and each selects its own decomposition and engine.
 func TestRunAllDecompositionsAndAlgorithms(t *testing.T) {
 	path := writeTestGraph(t)
-	for _, dec := range []string{"core", "truss", "34"} {
-		for _, alg := range []string{"peel", "snd", "and"} {
-			var sb strings.Builder
-			if err := run([]string{"-graph", path, "-dec", dec, "-alg", alg}, &sb); err != nil {
-				t.Fatalf("%s/%s: %v", dec, alg, err)
+	for _, f := range []nucleus.Family{nucleus.FamilyCore, nucleus.FamilyTruss, nucleus.FamilyN34} {
+		decs := f.Spellings()
+		if f == nucleus.FamilyCore {
+			decs = append(decs, "")
+		}
+		for _, dec := range decs {
+			for _, alg := range []string{"peel", "snd", "and", ""} {
+				var sb strings.Builder
+				if err := run([]string{"-graph", path, "-dec", dec, "-alg", alg}, &sb); err != nil {
+					t.Fatalf("%s/%s: %v", dec, alg, err)
+				}
+				ialg, _ := localhi.ParseAlgorithm(alg)
+				want := fmt.Sprintf("%v decomposition via %v:", root.Decomposition(f), root.Algorithm(ialg))
+				if r, s := f.RS(); !strings.Contains(sb.String(), want) || !strings.Contains(want, fmt.Sprintf("(%d,%d)", r, s)) {
+					t.Fatalf("%s/%s: output does not say %q: %q", dec, alg, want, sb.String())
+				}
 			}
 		}
 	}
@@ -106,6 +125,8 @@ func TestRunErrors(t *testing.T) {
 		{"-graph", "/does/not/exist"},
 		{"-graph", path, "-alg", "bogus"},
 		{"-graph", path, "-dec", "bogus"},
+		{"-graph", path, "-dec", "Core"},
+		{"-graph", path, "-alg", "AND"},
 		{"-bogus-flag"},
 		{"-graph", path, "-r", "3", "-s", "2"}, // used to panic out of the library
 		{"-graph", path, "-r", "2"},            // used to be ignored and run k-core

@@ -10,6 +10,9 @@ import (
 	"net/http"
 	"strings"
 	"time"
+
+	"nucleus/internal/localhi"
+	"nucleus/internal/nucleus"
 )
 
 // runWatch handles the `watch` subcommand: it attaches to a nucleusd
@@ -27,8 +30,8 @@ func runWatch(args []string, w io.Writer) error {
 		server    = fs.String("server", "http://localhost:8080", "nucleusd base URL")
 		jobID     = fs.String("job", "", "existing job id to watch")
 		graphName = fs.String("graph", "", "graph name: submit a new job on it, then watch")
-		decName   = fs.String("dec", "core", "decomposition for -graph: core, truss, n34")
-		algName   = fs.String("alg", "and", "algorithm for -graph: and, snd")
+		decName   = fs.String("dec", "core", "decomposition for -graph: core, truss or n34 (aliases as in docs/API.md)")
+		algName   = fs.String("alg", "and", "algorithm for -graph: and, snd or peel")
 		threads   = fs.Int("threads", 0, "job threads for -graph (0 = server default)")
 		maxSweeps = fs.Int("max-sweeps", 0, "sweep budget for -graph (0 = to convergence)")
 		tenant    = fs.String("tenant", "", "tenant name for -graph, sent as the X-Nucleus-Tenant header (empty = the server's default tenant)")
@@ -43,8 +46,17 @@ func runWatch(args []string, w io.Writer) error {
 
 	id := *jobID
 	if *graphName != "" {
-		var err error
-		if id, err = submitJob(base, *graphName, *decName, *algName, *tenant, *threads, *maxSweeps); err != nil {
+		// Parsed here, as the server parses them: a bad name fails before
+		// anything is sent.
+		dec, err := nucleus.ParseFamily(*decName)
+		if err != nil {
+			return err
+		}
+		alg, err := localhi.ParseAlgorithm(*algName)
+		if err != nil {
+			return err
+		}
+		if id, err = submitJob(base, *graphName, dec.String(), alg.String(), *tenant, *threads, *maxSweeps); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "submitted job %s (%s %s on %q)\n", id, *algName, *decName, *graphName)

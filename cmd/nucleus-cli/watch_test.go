@@ -91,6 +91,29 @@ func TestWatchSubmitUnknownGraph(t *testing.T) {
 	}
 }
 
+// TestWatchSubmitSpellings: watch takes the -dec and -alg spellings the
+// one-shot command takes, and rejects any other before it sends anything.
+func TestWatchSubmitSpellings(t *testing.T) {
+	ts := watchServer(t, 41)
+	for _, args := range [][]string{{"-dec", "n34", "-alg", "peel"}, {"-dec", "12", "-alg", ""}, {"-dec", "ktruss", "-alg", "snd"}} {
+		var sb strings.Builder
+		if err := run(append([]string{"watch", "-server", ts.URL, "-graph", "p"}, args...), &sb); err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		if !strings.Contains(sb.String(), "job done") {
+			t.Fatalf("%v: no terminal summary: %q", args, sb.String())
+		}
+	}
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close()
+	for flag, want := range map[string]string{"-dec": "unknown decomposition", "-alg": "unknown algorithm"} {
+		err := run([]string{"watch", "-server", dead.URL, "-graph", "p", flag, "bogus"}, &strings.Builder{})
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s bogus: %v, want %q before any request", flag, err, want)
+		}
+	}
+}
+
 // sseServer serves a canned byte stream on /jobs/j1/stream, so the
 // mid-run failure modes (connection cut before the done event, malformed
 // event payloads) are reproducible without racing a real job.

@@ -101,7 +101,7 @@ func TestEntryPointsShareOneInstance(t *testing.T) {
 		for name, first := range entries {
 			g := mk()
 			first(g)
-			inst, _, built := inucleus.For(g, families[dec], inucleus.LibraryIndexBudget, 1)
+			inst, _, built := inucleus.For(g, inucleus.Family(dec), inucleus.LibraryIndexBudget, 1)
 			if built {
 				t.Fatalf("%v: %s left no instance in the graph's memo", dec, name)
 			}

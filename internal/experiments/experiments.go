@@ -22,31 +22,16 @@ import (
 	"nucleus/internal/peel"
 )
 
-// Dec identifies one of the three evaluated decompositions.
-type Dec int
-
-// The three instances evaluated in the paper.
-const (
-	Core Dec = iota
-	Truss
-	N34
-)
-
-func (d Dec) String() string {
-	switch d {
-	case Core:
-		return "(1,2)"
-	case Truss:
-		return "(2,3)"
-	}
-	return "(3,4)"
+// label is f's (r,s) as the paper's tables name it, e.g. "(2,3)".
+func label(f nucleus.Family) string {
+	r, s := f.RS()
+	return fmt.Sprintf("(%d,%d)", r, s)
 }
 
-// Instance returns the nucleus instance of d over g the library runs on:
+// instance returns the nucleus instance of f over g the library runs on:
 // g's memoized one under the library's index budget (nucleus.For).
-func (d Dec) Instance(g *graph.Graph) nucleus.Instance {
-	fam := [...]nucleus.Family{Core: nucleus.FamilyCore, Truss: nucleus.FamilyTruss, N34: nucleus.FamilyN34}[d]
-	inst, _, _ := nucleus.For(g, fam, nucleus.LibraryIndexBudget, runtime.GOMAXPROCS(0))
+func instance(g *graph.Graph, f nucleus.Family) nucleus.Instance {
+	inst, _, _ := nucleus.For(g, f, nucleus.LibraryIndexBudget, runtime.GOMAXPROCS(0))
 	return inst
 }
 
@@ -59,8 +44,8 @@ var Fig1bKeys = []string{"ask", "fri", "hg", "ork", "slj", "wiki"}
 // Fig1aConvergence prints the Kendall-Tau similarity between the
 // intermediate τ of SND and the exact κ, per iteration (Figure 1a; also the
 // per-decomposition convergence-rate figures of §5).
-func Fig1aConvergence(w io.Writer, d Dec, keys []string, maxIter int) {
-	fmt.Fprintf(w, "# Figure 1a style: %s convergence, Kendall-Tau of tau_t vs exact kappa\n", d)
+func Fig1aConvergence(w io.Writer, d nucleus.Family, keys []string, maxIter int) {
+	fmt.Fprintf(w, "# Figure 1a style: %s convergence, Kendall-Tau of tau_t vs exact kappa\n", label(d))
 	fmt.Fprintf(w, "%-6s", "iter")
 	for _, k := range keys {
 		fmt.Fprintf(w, "%10s", k)
@@ -70,7 +55,7 @@ func Fig1aConvergence(w io.Writer, d Dec, keys []string, maxIter int) {
 	maxLen := 0
 	for i, key := range keys {
 		g := dataset.Get(key).Graph()
-		inst := d.Instance(g)
+		inst := instance(g, d)
 		exact := peel.Run(inst).Kappa
 		localhi.Snd(inst, localhi.Options{MaxSweeps: maxIter, OnSweep: func(_ int, tau []int32) {
 			series[i] = append(series[i], metrics.KendallTauB(tau, exact))
@@ -96,7 +81,7 @@ func Fig1aConvergence(w io.Writer, d Dec, keys []string, maxIter int) {
 // this host: the sequential peel, then AND with notification at 1, 2, 4, …
 // threads up to GOMAXPROCS, each with its speedup over the peel. Times are
 // the best of three runs.
-func Fig1bScalability(w io.Writer, d Dec, keys []string) {
+func Fig1bScalability(w io.Writer, d nucleus.Family, keys []string) {
 	procs := runtime.GOMAXPROCS(0)
 	var ladder []int // 1, 2, 4, … and, last, the host itself
 	for t := 1; t < procs; t *= 2 {
@@ -104,9 +89,9 @@ func Fig1bScalability(w io.Writer, d Dec, keys []string) {
 	}
 	ladder = append(ladder, procs)
 	for i, key := range keys {
-		inst := d.Instance(dataset.Get(key).Graph())
+		inst := instance(dataset.Get(key).Graph(), d)
 		if i == 0 {
-			fmt.Fprintf(w, "# Figure 1b style: %s: sequential peel vs AND at 1..P threads (best of 3 wall times, GOMAXPROCS=%d on this host)\n", d, procs)
+			fmt.Fprintf(w, "# Figure 1b style: %s: sequential peel vs AND at 1..P threads (best of 3 wall times, GOMAXPROCS=%d on this host)\n", label(d), procs)
 			fmt.Fprintf(w, "%-6s %-14s %-12s %12s %10s\n", "key", "engine", "threads", "time", "vs peel")
 		}
 		peelT := bestOf3(func() { peel.Run(inst) })
@@ -152,12 +137,12 @@ func Table3(w io.Writer, keys []string) {
 // Table4Iterations prints the number of iterations SND and AND need to
 // converge (the paper's iteration table; AND converges in roughly half the
 // iterations of SND).
-func Table4Iterations(w io.Writer, d Dec, keys []string) {
-	fmt.Fprintf(w, "# Table 4 style: %s iterations to convergence\n", d)
+func Table4Iterations(w io.Writer, d nucleus.Family, keys []string) {
+	fmt.Fprintf(w, "# Table 4 style: %s iterations to convergence\n", label(d))
 	fmt.Fprintf(w, "%-6s %10s %10s %10s %12s\n", "key", "SND", "AND", "AND-notif", "levels-bound")
 	for _, key := range keys {
 		g := dataset.Get(key).Graph()
-		inst := d.Instance(g)
+		inst := instance(g, d)
 		snd := localhi.Snd(inst, localhi.Options{})
 		and := localhi.And(inst, localhi.Options{})
 		andN := localhi.And(inst, localhi.Options{Notification: true})
@@ -170,13 +155,13 @@ func Table4Iterations(w io.Writer, d Dec, keys []string) {
 // Table5Runtimes prints wall-clock runtimes of peeling, SND and AND
 // (sequential on this host) plus AND's s-clique visit counts with and
 // without notification — the work the notification mechanism saves.
-func Table5Runtimes(w io.Writer, d Dec, keys []string) {
-	fmt.Fprintf(w, "# Table 5 style: %s runtimes (sequential wall clock on this host)\n", d)
+func Table5Runtimes(w io.Writer, d nucleus.Family, keys []string) {
+	fmt.Fprintf(w, "# Table 5 style: %s runtimes (sequential wall clock on this host)\n", label(d))
 	fmt.Fprintf(w, "%-6s %12s %12s %12s %14s %14s\n",
 		"key", "peel", "SND", "AND+notif", "visits(AND)", "visits(notif)")
 	for _, key := range keys {
 		g := dataset.Get(key).Graph()
-		inst := d.Instance(g)
+		inst := instance(g, d)
 
 		t0 := time.Now()
 		peel.Run(inst)
@@ -200,9 +185,9 @@ func Table5Runtimes(w io.Writer, d Dec, keys []string) {
 // Plateaus prints the τ trajectory of the `track` highest-degree cells
 // across SND iterations (the paper's Figure 5: wide plateaus during
 // convergence).
-func Plateaus(w io.Writer, d Dec, key string, track int) {
+func Plateaus(w io.Writer, d nucleus.Family, key string, track int) {
 	g := dataset.Get(key).Graph()
-	inst := d.Instance(g)
+	inst := instance(g, d)
 	deg := inst.Degrees()
 	// Track the highest-degree cells: they travel farthest and plateau.
 	ids := make([]int32, len(deg))
@@ -214,7 +199,7 @@ func Plateaus(w io.Writer, d Dec, key string, track int) {
 		track = len(ids)
 	}
 	tracked := ids[:track]
-	fmt.Fprintf(w, "# Figure 5 style: tau trajectories of %d highest-degree %s cells on %s\n", track, d, key)
+	fmt.Fprintf(w, "# Figure 5 style: tau trajectories of %d highest-degree %s cells on %s\n", track, label(d), key)
 	fmt.Fprintf(w, "%-6s", "iter")
 	for _, c := range tracked {
 		fmt.Fprintf(w, "%8s", inst.CellLabel(c))
@@ -237,12 +222,12 @@ func Plateaus(w io.Writer, d Dec, key string, track int) {
 // PlateauStats quantifies Figure 5: the fraction of cell-sweeps that are
 // plateaus (no change), which is exactly the work the notification
 // mechanism can skip.
-func PlateauStats(w io.Writer, d Dec, keys []string) {
-	fmt.Fprintf(w, "# Plateau statistics for %s: fraction of cell-sweeps with unchanged tau\n", d)
+func PlateauStats(w io.Writer, d nucleus.Family, keys []string) {
+	fmt.Fprintf(w, "# Plateau statistics for %s: fraction of cell-sweeps with unchanged tau\n", label(d))
 	fmt.Fprintf(w, "%-6s %10s %14s %14s %10s\n", "key", "sweeps", "cell-sweeps", "updates", "plateau%")
 	for _, key := range keys {
 		g := dataset.Get(key).Graph()
-		inst := d.Instance(g)
+		inst := instance(g, d)
 		res := localhi.Snd(inst, localhi.Options{})
 		cellSweeps := int64(res.Sweeps) * int64(inst.NumCells())
 		plateau := 100 * float64(cellSweeps-res.Updates) / float64(cellSweeps)
@@ -253,12 +238,12 @@ func PlateauStats(w io.Writer, d Dec, keys []string) {
 
 // Bound compares the degree-level upper bound of Theorem 3 with observed
 // SND iterations and the trivial bound |R| (§3.1).
-func Bound(w io.Writer, d Dec, keys []string) {
-	fmt.Fprintf(w, "# Theorem 3: convergence bound via degree levels, %s\n", d)
+func Bound(w io.Writer, d nucleus.Family, keys []string) {
+	fmt.Fprintf(w, "# Theorem 3: convergence bound via degree levels, %s\n", label(d))
 	fmt.Fprintf(w, "%-6s %10s %10s %12s\n", "key", "cells", "levels", "SND-iters")
 	for _, key := range keys {
 		g := dataset.Get(key).Graph()
-		inst := d.Instance(g)
+		inst := instance(g, d)
 		lv := peel.Levels(inst)
 		res := localhi.Snd(inst, localhi.Options{})
 		fmt.Fprintf(w, "%-6s %10d %10d %12d\n", key, inst.NumCells(), lv.Count, res.Iterations)
@@ -267,11 +252,11 @@ func Bound(w io.Writer, d Dec, keys []string) {
 
 // Tradeoff prints the accuracy/runtime trade-off (§5): Kendall-Tau, exact
 // fraction and cumulative time after every iteration of SND.
-func Tradeoff(w io.Writer, d Dec, key string) {
+func Tradeoff(w io.Writer, d nucleus.Family, key string) {
 	g := dataset.Get(key).Graph()
-	inst := d.Instance(g)
+	inst := instance(g, d)
 	exact := peel.Run(inst).Kappa
-	fmt.Fprintf(w, "# Accuracy/runtime trade-off: %s on %s\n", d, key)
+	fmt.Fprintf(w, "# Accuracy/runtime trade-off: %s on %s\n", label(d), key)
 	fmt.Fprintf(w, "%-6s %12s %12s %12s\n", "iter", "kendall", "exact-frac", "cum-time")
 	start := time.Now()
 	localhi.Snd(inst, localhi.Options{OnSweep: func(s int, tau []int32) {
@@ -320,12 +305,12 @@ func Query(w io.Writer, key string, nQueries int, hopsList []int, seed int64) {
 // on, the configuration Decompose runs. natural is id order; degree is
 // ascending s-degree, And's default: the one order here that needs no
 // decomposition to compute.
-func OrderAblation(w io.Writer, d Dec, keys []string, seed int64) {
-	fmt.Fprintf(w, "# AND processing-order ablation, %s: iterations to convergence, s-clique visits paid\n", d)
+func OrderAblation(w io.Writer, d nucleus.Family, keys []string, seed int64) {
+	fmt.Fprintf(w, "# AND processing-order ablation, %s: iterations to convergence, s-clique visits paid\n", label(d))
 	fmt.Fprintf(w, "%-6s %-9s %10s %12s %11s\n", "key", "order", "iterations", "visits", "vs-natural")
 	for _, key := range keys {
 		g := dataset.Get(key).Graph()
-		inst := d.Instance(g)
+		inst := instance(g, d)
 		pr := peel.Run(inst)
 		rev := make([]int32, len(pr.Order))
 		for i, c := range pr.Order {
@@ -371,8 +356,8 @@ func DensityQuality(w io.Writer, key string, minV int) {
 	}
 	report("charikar", densest.Approx(g))
 	report("max-core", densest.MaxCore(g))
-	for _, d := range []Dec{Core, Truss, N34} {
-		inst := d.Instance(g)
+	for _, d := range []nucleus.Family{nucleus.FamilyCore, nucleus.FamilyTruss, nucleus.FamilyN34} {
+		inst := instance(g, d)
 		kappa := peel.Run(inst).Kappa
 		f := hierarchy.Build(inst, kappa)
 		best := &densest.Result{}
@@ -386,6 +371,6 @@ func DensityQuality(w io.Writer, key string, minV int) {
 				best = r
 			}
 		}
-		report(d.String(), best)
+		report(label(d), best)
 	}
 }

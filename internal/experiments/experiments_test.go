@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"nucleus/internal/nucleus"
 )
 
 // The experiment drivers are exercised on the cheapest dataset ("fb") to
@@ -13,7 +15,7 @@ import (
 
 func TestFig1aConvergenceOutput(t *testing.T) {
 	var sb strings.Builder
-	Fig1aConvergence(&sb, Core, []string{"fb"}, 4)
+	Fig1aConvergence(&sb, nucleus.FamilyCore, []string{"fb"}, 4)
 	out := sb.String()
 	if !strings.Contains(out, "iter") || !strings.Contains(out, "fb") {
 		t.Fatalf("missing header: %q", out)
@@ -47,7 +49,7 @@ func TestTable3Output(t *testing.T) {
 
 func TestTable4Output(t *testing.T) {
 	var sb strings.Builder
-	Table4Iterations(&sb, Core, []string{"fb"})
+	Table4Iterations(&sb, nucleus.FamilyCore, []string{"fb"})
 	out := sb.String()
 	if !strings.Contains(out, "SND") || !strings.Contains(out, "levels-bound") {
 		t.Fatalf("missing columns: %q", out)
@@ -56,7 +58,7 @@ func TestTable4Output(t *testing.T) {
 
 func TestTable5Output(t *testing.T) {
 	var sb strings.Builder
-	Table5Runtimes(&sb, Core, []string{"fb"})
+	Table5Runtimes(&sb, nucleus.FamilyCore, []string{"fb"})
 	if !strings.Contains(sb.String(), "peel") {
 		t.Fatalf("missing runtimes: %q", sb.String())
 	}
@@ -64,13 +66,13 @@ func TestTable5Output(t *testing.T) {
 
 func TestPlateausOutput(t *testing.T) {
 	var sb strings.Builder
-	Plateaus(&sb, Core, "fb", 4)
+	Plateaus(&sb, nucleus.FamilyCore, "fb", 4)
 	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
 	if len(lines) < 4 {
 		t.Fatalf("too few trajectory rows: %q", sb.String())
 	}
 	var sb2 strings.Builder
-	PlateauStats(&sb2, Core, []string{"fb"})
+	PlateauStats(&sb2, nucleus.FamilyCore, []string{"fb"})
 	if !strings.Contains(sb2.String(), "plateau") {
 		t.Fatalf("missing plateau stats: %q", sb2.String())
 	}
@@ -78,7 +80,7 @@ func TestPlateausOutput(t *testing.T) {
 
 func TestBoundOutput(t *testing.T) {
 	var sb strings.Builder
-	Bound(&sb, Core, []string{"fb"})
+	Bound(&sb, nucleus.FamilyCore, []string{"fb"})
 	if !strings.Contains(sb.String(), "levels") {
 		t.Fatalf("missing bound output: %q", sb.String())
 	}
@@ -86,7 +88,7 @@ func TestBoundOutput(t *testing.T) {
 
 func TestTradeoffOutput(t *testing.T) {
 	var sb strings.Builder
-	Tradeoff(&sb, Core, "fb")
+	Tradeoff(&sb, nucleus.FamilyCore, "fb")
 	if !strings.Contains(sb.String(), "kendall") {
 		t.Fatalf("missing tradeoff output: %q", sb.String())
 	}
@@ -102,7 +104,7 @@ func TestQueryOutput(t *testing.T) {
 
 func TestOrderAblationOutput(t *testing.T) {
 	var sb strings.Builder
-	OrderAblation(&sb, Core, []string{"fb"}, 1)
+	OrderAblation(&sb, nucleus.FamilyCore, []string{"fb"}, 1)
 	rows := map[string][]string{} // order → its row's fields
 	for _, line := range strings.Split(strings.TrimSpace(sb.String()), "\n") {
 		if f := strings.Fields(line); len(f) == 5 && f[0] == "fb" {
@@ -130,12 +132,12 @@ func TestOrderAblationOutput(t *testing.T) {
 // host's; nothing else is timed.
 func TestFig1bScalabilityOutput(t *testing.T) {
 	procs := runtime.GOMAXPROCS(0)
-	for _, dec := range []Dec{Core, Truss} {
+	for _, dec := range []nucleus.Family{nucleus.FamilyCore, nucleus.FamilyTruss} {
 		var sb strings.Builder
 		Fig1bScalability(&sb, dec, []string{"fb"})
 		out := sb.String()
 		lines := strings.Split(strings.TrimSpace(out), "\n")
-		for _, want := range []string{fmt.Sprintf("GOMAXPROCS=%d", procs), dec.String()} {
+		for _, want := range []string{fmt.Sprintf("GOMAXPROCS=%d", procs), label(dec)} {
 			if !strings.Contains(lines[0], want) {
 				t.Fatalf("%s: header does not name %q: %q", dec, want, lines[0])
 			}
@@ -168,9 +170,10 @@ func TestFig1bScalabilityOutput(t *testing.T) {
 	}
 }
 
+// TestDecString: the tables name each decomposition by its (r,s).
 func TestDecString(t *testing.T) {
-	if Core.String() != "(1,2)" || Truss.String() != "(2,3)" || N34.String() != "(3,4)" {
-		t.Fatal("bad Dec names")
+	if label(nucleus.FamilyCore) != "(1,2)" || label(nucleus.FamilyTruss) != "(2,3)" || label(nucleus.FamilyN34) != "(3,4)" {
+		t.Fatal("bad (r,s) labels")
 	}
 }
 

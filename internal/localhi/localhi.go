@@ -36,10 +36,12 @@ package localhi
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync/atomic"
 
 	"nucleus/internal/nucleus"
 	"nucleus/internal/par"
+	"nucleus/internal/peel"
 )
 
 // sweepGrain is the number of cells a worker claims at a time.
@@ -123,6 +125,53 @@ type Result struct {
 }
 
 func (o Options) threads() int { return max(o.Threads, 1) }
+
+// Algorithm is one of the paper's three ways to a decomposition. The
+// numbering is the root package's nucleus.Algorithm.
+type Algorithm int
+
+// The paper's Algorithms 3, 2 and 1.
+const (
+	AND  Algorithm = iota // asynchronous local, the default (And)
+	SND                   // synchronous local (Snd)
+	Peel                  // global peeling (peel.Run)
+)
+
+// algorithmNames are the wire names, as ParseAlgorithm accepts them.
+var algorithmNames = [...]string{AND: "and", SND: "snd", Peel: "peel"}
+
+func (a Algorithm) String() string {
+	if a >= 0 && int(a) < len(algorithmNames) {
+		return algorithmNames[a]
+	}
+	return fmt.Sprintf("Algorithm(%d)", int(a))
+}
+
+// ParseAlgorithm is the one parser of algorithm names, for the server and
+// the CLIs alike: the wire names, and the empty string for AND, the default.
+func ParseAlgorithm(s string) (Algorithm, error) {
+	if s == "" {
+		return AND, nil
+	}
+	if a := slices.Index(algorithmNames[:], s); a >= 0 {
+		return Algorithm(a), nil
+	}
+	return 0, fmt.Errorf("unknown algorithm %q (want and, snd or peel)", s)
+}
+
+// Run is the one dispatch to the engines: And or Snd with opts, or the
+// peel, which ignores opts and reports κ as a converged τ.
+func Run(inst nucleus.Instance, alg Algorithm, opts Options) *Result {
+	switch alg {
+	case AND:
+		return And(inst, opts)
+	case SND:
+		return Snd(inst, opts)
+	case Peel:
+		return &Result{Tau: peel.Run(inst).Kappa, Converged: true}
+	}
+	panic(fmt.Sprintf("localhi: unknown algorithm %d", int(alg)))
+}
 
 // Snd runs the synchronous algorithm: every sweep computes τ_{t+1} for all
 // cells from the frozen τ_t of the previous sweep (Jacobi iteration).

@@ -22,17 +22,23 @@ func refNotify(row, _ []int32, _ int, tau, active []int32, h, old int32, par boo
 	}
 }
 
-// tauHashes runs AND with notification at one thread, with the given
-// wake-up pass, and returns the run and the hash of τ after every sweep.
-func tauHashes(inst nucleus.Instance, notify notifier) (*Result, []uint64) {
-	var sums []uint64
-	res := and(inst, Options{Notification: true, OnSweep: func(_ int, tau []int32) {
+// hashSweeps is an OnSweep that appends the hash of τ after every sweep
+// to sums.
+func hashSweeps(sums *[]uint64) func(int, []int32) {
+	return func(_ int, tau []int32) {
 		h := fnv.New64a()
 		for _, v := range tau {
 			h.Write([]byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)})
 		}
-		sums = append(sums, h.Sum64())
-	}}, notify)
+		*sums = append(*sums, h.Sum64())
+	}
+}
+
+// tauHashes runs AND with notification at one thread, with the given
+// wake-up pass, and returns the run and the hash of τ after every sweep.
+func tauHashes(inst nucleus.Instance, notify notifier) (*Result, []uint64) {
+	var sums []uint64
+	res := and(inst, Options{Notification: true, OnSweep: hashSweeps(&sums)}, notify)
 	return res, sums
 }
 

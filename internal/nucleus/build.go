@@ -3,6 +3,7 @@ package nucleus
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"nucleus/internal/cliques"
 	"nucleus/internal/graph"
@@ -18,30 +19,41 @@ const (
 	FamilyN34                 // (3,4): cells are triangles
 )
 
+// familyNames lists every spelling ParseFamily accepts for each family, the
+// canonical name first: the name String returns, and the one the server
+// reports in every body.
+var familyNames = [...][]string{
+	FamilyCore:  {"core", "kcore", "12"},
+	FamilyTruss: {"truss", "ktruss", "23"},
+	FamilyN34:   {"n34", "34", "nucleus34"},
+}
+
 func (f Family) String() string {
-	switch f {
-	case FamilyCore:
-		return "core"
-	case FamilyTruss:
-		return "truss"
-	case FamilyN34:
-		return "n34"
+	if f >= 0 && int(f) < len(familyNames) {
+		return familyNames[f][0]
 	}
 	return fmt.Sprintf("Family(%d)", int(f))
 }
 
-// ParseFamily maps the normalized decomposition names used across the
-// library ("core", "truss", "n34") to a Family.
+// RS returns the family's (r,s): cells are r-cliques, rows list s-cliques.
+func (f Family) RS() (r, s int) { return int(f) + 1, int(f) + 2 }
+
+// Spellings returns every name ParseFamily accepts for f, canonical first.
+func (f Family) Spellings() []string { return append([]string(nil), familyNames[f]...) }
+
+// ParseFamily is the one parser of decomposition names, for the server, the
+// CLIs and the experiments alike: the Spellings of each family, and the
+// empty string for core, the default.
 func ParseFamily(s string) (Family, error) {
-	switch s {
-	case "core":
+	if s == "" {
 		return FamilyCore, nil
-	case "truss":
-		return FamilyTruss, nil
-	case "n34":
-		return FamilyN34, nil
 	}
-	return 0, fmt.Errorf("nucleus: unknown family %q (want core, truss or n34)", s)
+	for f, names := range familyNames {
+		if slices.Contains(names, s) {
+			return Family(f), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown decomposition %q (want core, truss or n34)", s)
 }
 
 // BuildReport describes what Build constructed.

@@ -445,17 +445,27 @@ func TestBuildOnePassBudgetBoundary(t *testing.T) {
 
 func TestParseFamily(t *testing.T) {
 	for s, want := range map[string]nucleus.Family{
-		"core": nucleus.FamilyCore, "truss": nucleus.FamilyTruss, "n34": nucleus.FamilyN34,
+		"": nucleus.FamilyCore, "core": nucleus.FamilyCore, "kcore": nucleus.FamilyCore, "12": nucleus.FamilyCore,
+		"truss": nucleus.FamilyTruss, "ktruss": nucleus.FamilyTruss, "23": nucleus.FamilyTruss,
+		"n34": nucleus.FamilyN34, "34": nucleus.FamilyN34, "nucleus34": nucleus.FamilyN34,
 	} {
 		got, err := nucleus.ParseFamily(s)
 		if err != nil || got != want {
 			t.Fatalf("ParseFamily(%q) = %v, %v", s, got, err)
 		}
-		if got.String() != s {
-			t.Fatalf("Family(%q).String() = %q", s, got.String())
+		if s != "" && !slices.Contains(got.Spellings(), s) {
+			t.Fatalf("%v.Spellings() = %q, missing %q", got, got.Spellings(), s)
 		}
 	}
-	if _, err := nucleus.ParseFamily("quux"); err == nil {
-		t.Fatal("ParseFamily(quux): want error")
+	for f, rs := range map[nucleus.Family][3]any{
+		nucleus.FamilyCore: {"core", 1, 2}, nucleus.FamilyTruss: {"truss", 2, 3}, nucleus.FamilyN34: {"n34", 3, 4},
+	} {
+		if r, s := f.RS(); f.String() != rs[0] || r != rs[1] || s != rs[2] {
+			t.Fatalf("Family %d: String %q, RS (%d,%d), want %v", int(f), f.String(), r, s, rs)
+		}
+	}
+	_, err := nucleus.ParseFamily("quux")
+	if want := `unknown decomposition "quux" (want core, truss or n34)`; err == nil || err.Error() != want {
+		t.Fatalf("ParseFamily(quux) = %v, want %q", err, want)
 	}
 }

@@ -1,50 +1,15 @@
-package peel
+package peel_test
 
 import (
 	"testing"
 
-	"nucleus/internal/graph"
 	"nucleus/internal/localhi"
 	"nucleus/internal/nucleus"
-	"nucleus/internal/nucleustest"
+	"nucleus/internal/peel"
 )
 
 // diffThreads is the worker-count axis of the differential suite.
 var diffThreads = []int{1, 2, 4, 8}
-
-// diffFamilies are the 8 generator families the differential suite runs
-// over. Sizes are kept modest so the full cross product (families ×
-// instances × thread counts × three engines) stays fast under -race.
-var diffFamilies = []struct {
-	name string
-	mk   func() *graph.Graph
-}{
-	{"complete", func() *graph.Graph { return graph.Complete(10) }},
-	{"cliqueChain", func() *graph.Graph { return graph.CliqueChain(4, 6) }},
-	{"gnm", func() *graph.Graph { return graph.GnM(220, 800, 1) }},
-	{"barabasiAlbert", func() *graph.Graph { return graph.BarabasiAlbert(200, 5, 2) }},
-	{"rmat", func() *graph.Graph { return graph.RMAT(8, 4, 0.45, 0.22, 0.22, 3) }},
-	{"wattsStrogatz", func() *graph.Graph { return graph.WattsStrogatz(180, 6, 0.1, 4) }},
-	{"plantedCommunities", func() *graph.Graph { return graph.PlantedCommunities(5, 18, 0.45, 50, 5) }},
-	{"powerLawCluster", func() *graph.Graph { return graph.PowerLawCluster(200, 6, 0.45, 6) }},
-}
-
-// diffInstances are the cell families differentiated per graph: the three
-// first-class families (on-the-fly and flat-indexed) plus generic (r,s)
-// pairs, over the flat CSR incidence and over the explicit hypergraph.
-var diffInstances = []struct {
-	name string
-	mk   func(g *graph.Graph) nucleus.Instance
-}{
-	{"core", func(g *graph.Graph) nucleus.Instance { return nucleus.NewCore(g) }},
-	{"truss", func(g *graph.Graph) nucleus.Instance { return nucleus.NewTruss(g) }},
-	{"trussIndexed", func(g *graph.Graph) nucleus.Instance { return nucleus.NewFlatTruss(g, 2) }},
-	{"n34", func(g *graph.Graph) nucleus.Instance { return nucleus.NewN34(g) }},
-	{"n34Indexed", func(g *graph.Graph) nucleus.Instance { return nucleus.NewFlatN34(g, 2) }},
-	{"rs13", func(g *graph.Graph) nucleus.Instance { return nucleus.NewFlat(g, 1, 3, 2) }},
-	{"rs24", func(g *graph.Graph) nucleus.Instance { return nucleus.NewFlat(g, 2, 4, 2) }},
-	{"rs24Hyper", func(g *graph.Graph) nucleus.Instance { return nucleustest.NewHyper(g, 2, 4) }},
-}
 
 // TestDifferentialParallelPeel is the differential property suite of the
 // peel against the parallel local algorithms: for every generator family,
@@ -56,15 +21,15 @@ var diffInstances = []struct {
 // CI, which is what makes the "no subtle nondeterminism" claim a tested
 // property rather than a hope.
 func TestDifferentialParallelPeel(t *testing.T) {
-	for _, fam := range diffFamilies {
-		g := fam.mk()
-		for _, instKind := range diffInstances {
-			t.Run(fam.name+"/"+instKind.name, func(t *testing.T) {
-				inst := instKind.mk(g)
-				seq := refPeel(inst)
-				run := Run(inst)
-				checkKappa(t, "Run", inst, run, seq)
-				checkValidOrder(t, inst, run)
+	for _, fam := range peel.DiffFamilies {
+		g := fam.Mk()
+		for _, instKind := range peel.DiffInstances {
+			t.Run(fam.Name+"/"+instKind.Name, func(t *testing.T) {
+				inst := instKind.Mk(g)
+				seq := peel.RefPeel(inst)
+				run := peel.Run(inst)
+				peel.CheckKappa(t, "Run", inst, run, seq)
+				peel.CheckValidOrder(t, inst, run)
 				for _, threads := range diffThreads {
 					// Converged local algorithms must land on the same κ.
 					for _, alg := range []struct {
@@ -99,22 +64,22 @@ func TestDifferentialParallelPeel(t *testing.T) {
 // families: the peel κ of every cell is bounded by its s-degree and the
 // level structure partitions all cells.
 func TestDifferentialLevelsBound(t *testing.T) {
-	for _, fam := range diffFamilies {
-		g := fam.mk()
+	for _, fam := range peel.DiffFamilies {
+		g := fam.Mk()
 		inst := nucleus.NewCore(g)
-		par := Run(inst)
-		lv := Levels(inst)
+		par := peel.Run(inst)
+		lv := peel.Levels(inst)
 		deg := inst.Degrees()
 		total := 0
 		for _, sz := range lv.Sizes {
 			total += sz
 		}
 		if total != len(par.Kappa) {
-			t.Fatalf("%s: levels cover %d cells, want %d", fam.name, total, len(par.Kappa))
+			t.Fatalf("%s: levels cover %d cells, want %d", fam.Name, total, len(par.Kappa))
 		}
 		for c, k := range par.Kappa {
 			if k > deg[c] {
-				t.Fatalf("%s: κ(%d) = %d exceeds degree %d", fam.name, c, k, deg[c])
+				t.Fatalf("%s: κ(%d) = %d exceeds degree %d", fam.Name, c, k, deg[c])
 			}
 		}
 	}

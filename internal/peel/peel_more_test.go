@@ -192,9 +192,9 @@ func TestLevelsMatchesReference(t *testing.T) {
 		}
 	}
 	for _, fam := range diffFamilies {
-		g := fam.mk()
+		g := fam.Mk()
 		for _, kind := range diffInstances {
-			check(fam.name+"/"+kind.name, kind.mk(g))
+			check(fam.Name+"/"+kind.Name, kind.Mk(g))
 		}
 	}
 	path := make([][2]uint32, 2000)

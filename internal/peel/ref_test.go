@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"nucleus/internal/graph"
 	"nucleus/internal/nucleus"
 	"nucleus/internal/nucleustest"
 )
@@ -220,4 +221,38 @@ func checkValidOrder(t testing.TB, inst nucleus.Instance, res *Result) {
 			}
 		}
 	}
+}
+
+// diffFamilies are the 8 generator families the differential suite runs
+// over. Sizes are kept modest so the full cross product (families ×
+// instances × thread counts × three engines) stays fast under -race.
+var diffFamilies = []struct {
+	Name string
+	Mk   func() *graph.Graph
+}{
+	{"complete", func() *graph.Graph { return graph.Complete(10) }},
+	{"cliqueChain", func() *graph.Graph { return graph.CliqueChain(4, 6) }},
+	{"gnm", func() *graph.Graph { return graph.GnM(220, 800, 1) }},
+	{"barabasiAlbert", func() *graph.Graph { return graph.BarabasiAlbert(200, 5, 2) }},
+	{"rmat", func() *graph.Graph { return graph.RMAT(8, 4, 0.45, 0.22, 0.22, 3) }},
+	{"wattsStrogatz", func() *graph.Graph { return graph.WattsStrogatz(180, 6, 0.1, 4) }},
+	{"plantedCommunities", func() *graph.Graph { return graph.PlantedCommunities(5, 18, 0.45, 50, 5) }},
+	{"powerLawCluster", func() *graph.Graph { return graph.PowerLawCluster(200, 6, 0.45, 6) }},
+}
+
+// diffInstances are the cell families differentiated per graph: the three
+// first-class families (on-the-fly and flat-indexed) plus generic (r,s)
+// pairs, over the flat CSR incidence and over the explicit hypergraph.
+var diffInstances = []struct {
+	Name string
+	Mk   func(g *graph.Graph) nucleus.Instance
+}{
+	{"core", func(g *graph.Graph) nucleus.Instance { return nucleus.NewCore(g) }},
+	{"truss", func(g *graph.Graph) nucleus.Instance { return nucleus.NewTruss(g) }},
+	{"trussIndexed", func(g *graph.Graph) nucleus.Instance { return nucleus.NewFlatTruss(g, 2) }},
+	{"n34", func(g *graph.Graph) nucleus.Instance { return nucleus.NewN34(g) }},
+	{"n34Indexed", func(g *graph.Graph) nucleus.Instance { return nucleus.NewFlatN34(g, 2) }},
+	{"rs13", func(g *graph.Graph) nucleus.Instance { return nucleus.NewFlat(g, 1, 3, 2) }},
+	{"rs24", func(g *graph.Graph) nucleus.Instance { return nucleus.NewFlat(g, 2, 4, 2) }},
+	{"rs24Hyper", func(g *graph.Graph) nucleus.Instance { return nucleustest.NewHyper(g, 2, 4) }},
 }

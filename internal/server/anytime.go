@@ -365,8 +365,8 @@ func (s *Server) handleDecompose(w http.ResponseWriter, r *http.Request) {
 	out := decomposeView{
 		Graph:         q.entry.name,
 		Version:       q.entry.version,
-		Decomposition: q.dec,
-		Algorithm:     q.alg,
+		Decomposition: q.dec.String(),
+		Algorithm:     q.alg.String(),
 		MaxSweeps:     max(asked, 0),
 		MaxMs:         max(maxMs, 0),
 		Cells:         n,

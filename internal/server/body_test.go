@@ -12,6 +12,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"nucleus/internal/localhi"
+	"nucleus/internal/nucleus"
 )
 
 // decomposeResponse and jobResultResponse are the two result bodies as the
@@ -294,7 +297,7 @@ func hitFixture(tb testing.TB) (*Server, *discardWriter, *http.Request, *decompR
 	r := httptest.NewRequest("GET", "/graphs/g/decompose?dec=truss&alg=and&tau=true", nil)
 	s.ServeHTTP(w, r)
 	e, _ := s.reg.get("g")
-	res, ok := s.cache.peek(keyOf(e, "truss", "and", 0))
+	res, ok := s.cache.peek(keyOf(e, nucleus.FamilyTruss, localhi.AND, 0))
 	if !ok {
 		tb.Fatal("the first read left no cached result")
 	}

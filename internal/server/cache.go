@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"nucleus/internal/hierarchy"
+	"nucleus/internal/localhi"
 	"nucleus/internal/nucleus"
 )
 
@@ -19,8 +20,8 @@ import (
 type cacheKey struct {
 	graph     string
 	version   uint64
-	dec       string
-	alg       string
+	dec       nucleus.Family
+	alg       localhi.Algorithm
 	maxSweeps int
 	threads   int
 }

@@ -3,10 +3,13 @@ package server
 import (
 	"os"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 
+	"nucleus/internal/localhi"
+	"nucleus/internal/nucleus"
 	"nucleus/internal/promtext"
 )
 
@@ -68,6 +71,64 @@ func TestDocsRoutesConsistency(t *testing.T) {
 	if len(stale) > 0 {
 		t.Errorf("routes documented in docs/API.md but not registered in internal/server:\n  %s",
 			strings.Join(stale, "\n  "))
+	}
+}
+
+// TestDocsDecompositionNames is the drift gate between the names the
+// parsers accept and the "Shared parameter vocabularies" of docs/API.md: the
+// decomposition bullet lists exactly nucleus.ParseFamily's spellings, each
+// alias under the family it parses to, and the algorithm bullet lists
+// exactly localhi.ParseAlgorithm's.
+func TestDocsDecompositionNames(t *testing.T) {
+	doc, err := os.ReadFile("../../docs/API.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bullet := func(name string) string {
+		m := regexp.MustCompile(`(?s)\n- \*\*` + name + `\*\* — (.*?)\n(?:- |\n)`).FindSubmatch(doc)
+		if m == nil {
+			t.Fatalf("docs/API.md has no %q vocabulary bullet", name)
+		}
+		return strings.Join(strings.Fields(string(m[1])), " ")
+	}
+	ticked := regexp.MustCompile("`([^`]+)`")
+	names := func(text string) (out []string) {
+		for _, m := range ticked.FindAllStringSubmatch(text, -1) {
+			out = append(out, m[1])
+		}
+		sort.Strings(out)
+		return out
+	}
+
+	dec := bullet("decomposition")
+	var want []string
+	for f := nucleus.FamilyCore; f <= nucleus.FamilyN34; f++ {
+		want = append(want, f.Spellings()...)
+	}
+	sort.Strings(want)
+	if got := names(dec); !slices.Equal(got, want) {
+		t.Errorf("docs/API.md lists the decompositions %q; nucleus.ParseFamily accepts %q", got, want)
+	}
+	_, aliases, ok := strings.Cut(dec, "Aliases:")
+	groups := regexp.MustCompile("((?:`[^`]+`(?:, | and )?)+) for ([a-z0-9]+)").FindAllStringSubmatch(aliases, -1)
+	if !ok || len(groups) == 0 {
+		t.Fatalf("docs/API.md's decomposition bullet has no \"Aliases: `x` for y\" list: %q", dec)
+	}
+	for _, g := range groups {
+		for _, alias := range names(g[1]) {
+			if f, err := nucleus.ParseFamily(alias); err != nil || f.String() != g[2] {
+				t.Errorf("docs/API.md lists %q as an alias of %s; it parses to %v (%v)", alias, g[2], f, err)
+			}
+		}
+	}
+
+	want = want[:0]
+	for a := localhi.AND; a <= localhi.Peel; a++ {
+		want = append(want, a.String())
+	}
+	sort.Strings(want)
+	if got := names(bullet("algorithm")); !slices.Equal(got, want) {
+		t.Errorf("docs/API.md lists the algorithms %q; localhi.ParseAlgorithm accepts %q", got, want)
 	}
 }
 

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"nucleus/internal/nucleus"
 )
 
 // getBody reads one 200 response whole and holds it to its Content-Length.
@@ -60,7 +62,7 @@ func TestForestDerivedOncePerVersion(t *testing.T) {
 	}
 
 	old, _ := s.reg.get("g")
-	oldMemo := s.convergedResult(old, "truss").hier
+	oldMemo := s.convergedResult(old, nucleus.FamilyTruss).hier
 	postJSON(t, url+"/graphs/g/edges", map[string]any{"edits": []map[string]any{{"op": "add", "u": 0, "v": 95}}}, nil)
 	if builds() != 1 {
 		t.Fatalf("a write derived a forest: %d builds", builds())

@@ -12,6 +12,7 @@ import (
 
 	"nucleus/internal/graph"
 	"nucleus/internal/hierarchy"
+	"nucleus/internal/nucleus"
 	iquery "nucleus/internal/query"
 )
 
@@ -269,13 +270,14 @@ type jobView struct {
 }
 
 func viewJob(j *job) jobView {
+	dec, alg := j.q.dec.String(), j.q.alg.String() // fixed at submit: no lock
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	v := jobView{
 		ID:              j.id,
 		Graph:           j.q.entry.name,
-		Decomposition:   j.q.dec,
-		Algorithm:       j.q.alg,
+		Decomposition:   dec,
+		Algorithm:       alg,
 		MaxSweeps:       j.q.maxSweeps,
 		Threads:         j.q.threads,
 		State:           j.state,
@@ -443,7 +445,7 @@ func (s *Server) handleEstimateCore(w http.ResponseWriter, r *http.Request) {
 	}
 	s.acquireSync()
 	defer s.releaseSync() // defer: an engine panic must not leak the slot
-	est := iquery.CoreNumbersOn(s.instanceOf(e, "core"), e.g, req.Vertices, req.Hops, req.MaxSweeps)
+	est := iquery.CoreNumbersOn(s.instanceOf(e, nucleus.FamilyCore), e.g, req.Vertices, req.Hops, req.MaxSweeps)
 	writeJSON(w, http.StatusOK, estimateResponse{
 		Graph:       req.Graph,
 		Estimates:   est.Tau,
@@ -482,7 +484,7 @@ func (s *Server) handleEstimateTruss(w http.ResponseWriter, r *http.Request) {
 	}
 	s.acquireSync()
 	defer s.releaseSync()
-	est := iquery.TrussNumbersOn(s.instanceOf(e, "truss"), e.g, req.Edges, req.Hops, req.MaxSweeps)
+	est := iquery.TrussNumbersOn(s.instanceOf(e, nucleus.FamilyTruss), e.g, req.Edges, req.Hops, req.MaxSweeps)
 	writeJSON(w, http.StatusOK, estimateResponse{
 		Graph:       req.Graph,
 		Estimates:   est.Tau,
@@ -584,7 +586,7 @@ func (s *Server) handleNuclei(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	forest := s.forestOf(q, res).forest
-	out := nucleiResponse{Graph: q.entry.name, Decomposition: q.dec, K: k, Nuclei: []nucleusView{}}
+	out := nucleiResponse{Graph: q.entry.name, Decomposition: q.dec.String(), K: k, Nuclei: []nucleusView{}}
 	for _, n := range forest.NucleiAt(int32(k)) {
 		out.Nuclei = append(out.Nuclei, nucleusView{Cells: forest.SubtreeCells(n), Vertices: forest.Vertices(n)})
 	}

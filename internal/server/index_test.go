@@ -8,6 +8,7 @@ import (
 
 	"nucleus/internal/densest"
 	"nucleus/internal/graph"
+	"nucleus/internal/nucleus"
 )
 
 // jsonString canonicalizes a decoded JSON value for comparison.
@@ -118,7 +119,7 @@ func TestIndexBudgetFallbackCounters(t *testing.T) {
 	if !ok {
 		t.Fatal("graph g missing")
 	}
-	if s.instanceOf(e, "truss").Rows().Offs != nil {
+	if s.instanceOf(e, nucleus.FamilyTruss).Rows().Offs != nil {
 		t.Fatal("disabled budget produced an instance with stored rows")
 	}
 }
@@ -145,7 +146,7 @@ func TestOpenBuildBlocksOnlyItsKey(t *testing.T) {
 	others := make(chan struct{})
 	go func() {
 		defer close(others)
-		for _, dec := range []string{"core", "truss", "n34"} {
+		for _, dec := range []nucleus.Family{nucleus.FamilyCore, nucleus.FamilyTruss, nucleus.FamilyN34} {
 			s.instanceOf(e, dec)
 		}
 		e.densestFor("maxcore")

@@ -8,8 +8,7 @@ import (
 	"time"
 
 	"nucleus/internal/localhi"
-	inucleus "nucleus/internal/nucleus"
-	"nucleus/internal/peel"
+	"nucleus/internal/nucleus"
 	"nucleus/internal/sched"
 )
 
@@ -40,9 +39,10 @@ const defaultTenant = "default"
 type jobRequest struct {
 	// Graph names a registered graph.
 	Graph string `json:"graph"`
-	// Decomposition is core, truss or n34 (aliases: 12, 23, 34).
+	// Decomposition is core (default), truss or n34, or an alias of one
+	// (nucleus.ParseFamily).
 	Decomposition string `json:"decomposition"`
-	// Algorithm is and (default), snd or peel.
+	// Algorithm is and (default), snd or peel (localhi.ParseAlgorithm).
 	Algorithm string `json:"algorithm"`
 	// Threads is the in-job worker count of the local algorithms' sweeps
 	// (peel is sequential); 0 uses the server default. The effective value
@@ -202,7 +202,7 @@ func (m *jobManager) submit(req jobRequest, tenant string, deadlineMs int) (*job
 		j.prog = f.prog
 		j.mu.Unlock()
 	}
-	j.costKey = sched.CostKey{Graph: entry.name, Version: entry.version, Dec: q.dec, Alg: q.alg}
+	j.costKey = sched.CostKey{Graph: entry.name, Version: entry.version, Dec: q.dec.String(), Alg: q.alg.String()}
 	j.size = int64(entry.g.N()) + entry.g.M()
 
 	if m.finishIfCached(j) {
@@ -230,7 +230,7 @@ func (m *jobManager) submit(req jobRequest, tenant string, deadlineMs int) (*job
 				"shed at admission: predicted queue wait %.0fms exceeds deadline %dms", wait, deadlineMs))
 			return j, nil
 		}
-		if q.alg != "peel" && wait+j.predictedMs > float64(deadlineMs) {
+		if q.alg != localhi.Peel && wait+j.predictedMs > float64(deadlineMs) {
 			// The job can start before its deadline but not finish a full
 			// run: degrade to the anytime budget that fits the slack
 			// (PR 5 machinery), re-keying the cache slot for the budgeted
@@ -602,11 +602,11 @@ func (m *jobManager) counts() (queued, running int) {
 // ---------------------------------------------------------------------------
 // Decomposition engine glue.
 
-// runDecomposition executes one decomposition with the selected engine,
-// reusing the entry's memoized (possibly flat-indexed) instance. prog
-// (anytime progress publishing) and stop (cooperative cancellation /
-// deadlines) apply to the local algorithms only; peeling is all-or-nothing
-// and ignores both.
+// runDecomposition executes one decomposition with the selected engine
+// (localhi.Run), reusing the entry's memoized (possibly flat-indexed)
+// instance. prog (anytime progress publishing) and stop (cooperative
+// cancellation / deadlines) apply to the local algorithms only; peeling is
+// all-or-nothing and ignores both.
 func (s *Server) runDecomposition(q query, prog *localhi.Progress, stop func() bool) (res *decompResult, err error) {
 	// A decomposition touches every cell of a user-supplied graph;
 	// convert engine panics (e.g. from a hostile input that slipped past
@@ -617,21 +617,11 @@ func (s *Server) runDecomposition(q query, prog *localhi.Progress, stop func() b
 		}
 	}()
 	inst := s.instanceOf(q.entry, q.dec)
-	switch q.alg {
-	case "peel":
-		pr := peel.Run(inst)
-		return &decompResult{Kappa: pr.Kappa, MaxKappa: pr.MaxKappa, Converged: true, Inst: inst, hier: new(forestMemo), tail: new(tailMemo)}, nil
-	case "snd":
-		lr := localhi.Snd(inst, localhi.Options{Threads: q.threads, MaxSweeps: q.maxSweeps, Progress: prog, Stop: stop})
-		return localResult(lr, inst), nil
-	case "and":
-		lr := localhi.And(inst, localhi.Options{Threads: q.threads, MaxSweeps: q.maxSweeps, Notification: true, Progress: prog, Stop: stop})
-		return localResult(lr, inst), nil
-	}
-	return nil, fmt.Errorf("unknown algorithm %q", q.alg)
+	opts := localhi.Options{Threads: q.threads, MaxSweeps: q.maxSweeps, Notification: q.alg == localhi.AND, Progress: prog, Stop: stop}
+	return localResult(localhi.Run(inst, q.alg, opts), inst), nil
 }
 
-func localResult(lr *localhi.Result, inst inucleus.Instance) *decompResult {
+func localResult(lr *localhi.Result, inst nucleus.Instance) *decompResult {
 	res := &decompResult{
 		Kappa:      lr.Tau,
 		Converged:  lr.Converged,

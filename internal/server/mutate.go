@@ -5,6 +5,8 @@ import (
 	"strconv"
 
 	"nucleus/internal/dynamic"
+	"nucleus/internal/localhi"
+	"nucleus/internal/nucleus"
 	"nucleus/internal/store"
 )
 
@@ -133,8 +135,8 @@ func (s *Server) handleMutateGraph(w http.ResponseWriter, r *http.Request) {
 // the entry for dec under any algorithm, preferring the local algorithms
 // (whose Sweeps field makes the warm saving measurable). peek, not get: an
 // internal scan must not reorder the LRU the way client traffic does.
-func (s *Server) convergedResult(e *graphEntry, dec string) *decompResult {
-	for _, alg := range []string{"and", "snd", "peel"} {
+func (s *Server) convergedResult(e *graphEntry, dec nucleus.Family) *decompResult {
+	for _, alg := range []localhi.Algorithm{localhi.AND, localhi.SND, localhi.Peel} {
 		if res, ok := s.cache.peek(keyOf(e, dec, alg, 0)); ok && res.Converged {
 			return res
 		}
@@ -157,16 +159,16 @@ func (s *Server) convergedResult(e *graphEntry, dec string) *decompResult {
 // insertion raises truss numbers by at most one).
 func (s *Server) warmSeed(old, ne *graphEntry, inserts int) []string {
 	seeded := []string{} // non-nil so the response field is [] rather than null
-	if seedRes := s.convergedResult(old, "core"); seedRes != nil {
+	if seedRes := s.convergedResult(old, nucleus.FamilyCore); seedRes != nil {
 		s.warmRecoverCore(ne, seedRes)
-		seeded = append(seeded, "core")
+		seeded = append(seeded, nucleus.FamilyCore.String())
 	}
-	if seedRes := s.convergedResult(old, "truss"); seedRes != nil {
-		inst := s.instanceOf(ne, "truss")
+	if seedRes := s.convergedResult(old, nucleus.FamilyTruss); seedRes != nil {
+		inst := s.instanceOf(ne, nucleus.FamilyTruss)
 		lr := dynamic.WarmTrussNumbersOn(inst, ne.g, old.g, seedRes.Kappa, inserts, s.cfg.JobThreads)
 		s.recordWarm(seedRes, lr.Sweeps)
-		s.fill(keyOf(ne, "truss", "and", 0), localResult(lr, inst))
-		seeded = append(seeded, "truss")
+		s.fill(keyOf(ne, nucleus.FamilyTruss, localhi.AND, 0), localResult(lr, inst))
+		seeded = append(seeded, nucleus.FamilyTruss.String())
 	}
 	return seeded
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"nucleus/internal/graph"
+	"nucleus/internal/localhi"
 	"nucleus/internal/nucleus"
 	"nucleus/internal/peel"
 )
@@ -474,7 +475,7 @@ func TestMutationIsolatesInFlightVersion(t *testing.T) {
 
 	// A computation that was in flight for the pre-mutation version
 	// finishes now: the liveness recheck must keep it out of the cache.
-	key := keyOf(e1, "core", "and", 0)
+	key := keyOf(e1, nucleus.FamilyCore, localhi.AND, 0)
 	res := resolvePooled(t, s, e1, "core")
 	if res == nil {
 		t.FailNow()

@@ -4,6 +4,8 @@ import (
 	"log"
 	"runtime"
 
+	"nucleus/internal/localhi"
+	"nucleus/internal/nucleus"
 	"nucleus/internal/par"
 	"nucleus/internal/store"
 )
@@ -124,9 +126,9 @@ func (s *Server) rebuildEntry(name string, snap *store.Snapshot, batches []store
 // or on a replica), for the sweeps-saved accounting.
 func (s *Server) warmRecoverCore(e *graphEntry, seed *decompResult) {
 	s.recordWarm(seed, 0)
-	s.fill(keyOf(e, "core", "and", 0), &decompResult{
+	s.fill(keyOf(e, nucleus.FamilyCore, localhi.AND, 0), &decompResult{
 		Kappa: e.coreKappa, MaxKappa: maxOf(e.coreKappa), Converged: true,
-		Inst: s.instanceOf(e, "core"), hier: new(forestMemo), tail: new(tailMemo),
+		Inst: s.instanceOf(e, nucleus.FamilyCore), hier: new(forestMemo), tail: new(tailMemo),
 	})
 }
 

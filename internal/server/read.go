@@ -1,11 +1,11 @@
 package server
 
 import (
-	"fmt"
 	"runtime"
 	"time"
 
 	"nucleus/internal/localhi"
+	"nucleus/internal/nucleus"
 )
 
 // ---------------------------------------------------------------------------
@@ -39,11 +39,12 @@ import (
 // query is one request for a κ (or τ) array.
 type query struct {
 	entry *graphEntry
-	// dec, alg and maxSweeps are normalized by newQuery and, with the
-	// entry's name and version (and threads, for a budgeted AND), are the
-	// cache key: equivalent requests share one slot. maxSweeps 0 runs to
-	// convergence.
-	dec, alg  string
+	// dec, alg and maxSweeps are parsed and normalized by newQuery and,
+	// with the entry's name and version (and threads, for a budgeted AND),
+	// are the cache key: equivalent requests share one slot. maxSweeps 0
+	// runs to convergence.
+	dec       nucleus.Family
+	alg       localhi.Algorithm
 	maxSweeps int
 	// threads is the effective intra-run worker count.
 	threads int
@@ -62,17 +63,18 @@ type query struct {
 	onFlight func(*flight)
 }
 
-// newQuery validates and normalizes a request's parameters. threads <= 0
-// selects the server default. e is stored, not read: a caller may validate
-// the parameters before it reports an unknown graph.
+// newQuery parses and normalizes a request's parameters, every spelling
+// of a name through its one parser. threads <= 0 selects the server
+// default. e is stored, not read: a caller may validate the parameters
+// before it reports an unknown graph.
 func (s *Server) newQuery(e *graphEntry, dec, alg string, maxSweeps, threads int) (q query, err error) {
-	if q.dec, err = normalizeDec(dec); err != nil {
+	if q.dec, err = nucleus.ParseFamily(dec); err != nil {
 		return q, err
 	}
-	if q.alg, err = normalizeAlg(alg); err != nil {
+	if q.alg, err = localhi.ParseAlgorithm(alg); err != nil {
 		return q, err
 	}
-	if q.alg == "peel" || maxSweeps < 0 {
+	if q.alg == localhi.Peel || maxSweeps < 0 {
 		// Peeling is exact and ignores the sweep budget, and the local
 		// algorithms treat any non-positive budget as "run to convergence".
 		maxSweeps = 0
@@ -89,32 +91,9 @@ func (s *Server) newQuery(e *graphEntry, dec, alg string, maxSweeps, threads int
 	return q, nil
 }
 
-func normalizeDec(s string) (string, error) {
-	switch s {
-	case "", "core", "kcore", "12":
-		return "core", nil
-	case "truss", "ktruss", "23":
-		return "truss", nil
-	case "n34", "34", "nucleus34":
-		return "n34", nil
-	}
-	return "", fmt.Errorf("unknown decomposition %q (want core, truss or n34)", s)
-}
-
-func normalizeAlg(s string) (string, error) {
-	switch s {
-	case "", "and":
-		return "and", nil
-	case "snd":
-		return "snd", nil
-	case "peel":
-		return "peel", nil
-	}
-	return "", fmt.Errorf("unknown algorithm %q (want and, snd or peel)", s)
-}
-
-// keyOf is the cache slot of (e, dec, alg, maxSweeps), all normalized.
-func keyOf(e *graphEntry, dec, alg string, maxSweeps int) cacheKey {
+// keyOf is the cache slot of (e, dec, alg, maxSweeps), maxSweeps
+// normalized.
+func keyOf(e *graphEntry, dec nucleus.Family, alg localhi.Algorithm, maxSweeps int) cacheKey {
 	return cacheKey{graph: e.name, version: e.version, dec: dec, alg: alg, maxSweeps: maxSweeps}
 }
 
@@ -123,7 +102,7 @@ func keyOf(e *graphEntry, dec, alg string, maxSweeps int) cacheKey {
 // concurrent run's τ.
 func (q query) key() cacheKey {
 	k := keyOf(q.entry, q.dec, q.alg, q.maxSweeps)
-	if q.alg == "and" && q.maxSweeps > 0 {
+	if q.alg == localhi.AND && q.maxSweeps > 0 {
 		k.threads = q.threads
 	}
 	return k
@@ -193,7 +172,7 @@ func (s *Server) join(q query, key cacheKey) (f *flight, owner bool) {
 	f, ok := s.inflight[key]
 	if !ok {
 		f = &flight{done: make(chan struct{})}
-		if q.alg != "peel" && s.cfg.ProgressEvery > 0 {
+		if q.alg != localhi.Peel && s.cfg.ProgressEvery > 0 {
 			f.prog = localhi.NewProgress(s.cfg.ProgressEvery)
 		}
 		s.inflight[key] = f

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"nucleus/internal/localhi"
+	"nucleus/internal/nucleus"
 	"nucleus/internal/peel"
 )
 
@@ -80,7 +81,7 @@ func TestBudgetedAndKeyedByThreads(t *testing.T) {
 	if hit {
 		t.Fatal("a one-thread budgeted AND was served the two-thread run's τ")
 	}
-	want := localhi.And(s.instanceOf(e, "truss"), localhi.Options{Threads: 1, MaxSweeps: 1, Notification: true}).Tau
+	want := localhi.And(s.instanceOf(e, nucleus.FamilyTruss), localhi.Options{Threads: 1, MaxSweeps: 1, Notification: true}).Tau
 	if !reflect.DeepEqual(res.Kappa, want) {
 		t.Fatal("the one-thread budgeted AND's τ differs from localhi.And at one thread")
 	}
@@ -134,7 +135,7 @@ func TestFillDropsDeadVersion(t *testing.T) {
 	postJSON(t, ts.URL+"/graphs/g/edges", map[string]any{"edits": []map[string]any{{"op": "add", "u": 0, "v": 1}}}, nil)
 
 	before := s.cache.len()
-	s.fill(keyOf(dead, "core", "and", 0), &decompResult{})
+	s.fill(keyOf(dead, nucleus.FamilyCore, localhi.AND, 0), &decompResult{})
 	s.warmRecoverCore(dead, nil)
 	if s.cache.len() != before {
 		t.Fatalf("a fill for a superseded version stayed cached: %d entries, want %d", s.cache.len(), before)
@@ -252,8 +253,8 @@ func TestReadRoutesOneAnswerProperty(t *testing.T) {
 			postJSON(t, ts.URL+"/graphs/g/generate", gen, nil)
 			e, _ := s.reg.get("g")
 			exact := map[string][]int32{}
-			for _, dec := range []string{"core", "truss", "n34"} {
-				exact[dec] = peel.Run(s.instanceOf(e, dec)).Kappa
+			for _, dec := range []nucleus.Family{nucleus.FamilyCore, nucleus.FamilyTruss, nucleus.FamilyN34} {
+				exact[dec.String()] = peel.Run(s.instanceOf(e, dec)).Kappa
 			}
 
 			rng := rand.New(rand.NewSource(77))
@@ -352,5 +353,43 @@ func TestReadRoutesOneAnswerProperty(t *testing.T) {
 				t.Fatalf("workload too thin: %d requests, %d misses, %d deadline reads served the exact κ", sent, misses, exactServed)
 			}
 		})
+	}
+}
+
+// TestSpellingsShareOneCacheEntry: every spelling of a decomposition or an
+// algorithm names one cache key. Per family, a job under the canonical
+// names fills the entry; a job and a /decompose read under each other
+// spelling are hits on it, and their bodies report the canonical names.
+func TestSpellingsShareOneCacheEntry(t *testing.T) {
+	ts, s := testServerWith(t, Config{Workers: 1})
+	postJSON(t, ts.URL+"/graphs/g/generate", map[string]any{"generator": "complete", "n": 8}, nil)
+	for _, f := range []nucleus.Family{nucleus.FamilyCore, nucleus.FamilyTruss, nucleus.FamilyN34} {
+		var first jobView
+		postJSON(t, ts.URL+"/jobs", jobRequest{Graph: "g", Decomposition: f.String(), Algorithm: "and"}, &first)
+		if v := waitForJob(t, ts.URL, first.ID); v.State != JobDone || v.Cached {
+			t.Fatalf("%v: first job %s, cached=%v", f, v.State, v.Cached)
+		}
+		others := f.Spellings()[1:]
+		if f == nucleus.FamilyCore {
+			others = append(others, "")
+		}
+		for _, dec := range others {
+			for _, alg := range []string{"and", ""} {
+				hits := s.stats.Cache.Hits.Load()
+				var jv jobView
+				postJSON(t, ts.URL+"/jobs", jobRequest{Graph: "g", Decomposition: dec, Algorithm: alg}, &jv)
+				if !jv.Cached || jv.Decomposition != f.String() || jv.Algorithm != "and" {
+					t.Fatalf("job %q/%q: cached=%v, reports %q/%q, want a hit as %v/and", dec, alg, jv.Cached, jv.Decomposition, jv.Algorithm, f)
+				}
+				var out decomposeResponse
+				doJSON(t, "GET", fmt.Sprintf("%s/graphs/g/decompose?dec=%s&alg=%s", ts.URL, dec, alg), nil, &out)
+				if out.Decomposition != f.String() || out.Algorithm != "and" {
+					t.Fatalf("/decompose %q/%q reports %q/%q, want %v/and", dec, alg, out.Decomposition, out.Algorithm, f)
+				}
+				if got := s.stats.Cache.Hits.Load() - hits; got != 2 {
+					t.Fatalf("%q/%q: %d cache hits, want 2", dec, alg, got)
+				}
+			}
+		}
 	}
 }

@@ -35,19 +35,15 @@ type graphEntry struct {
 	mutations int
 }
 
-// instanceOf returns the entry's (r,s) instance for the normalized
-// decomposition name: its graph's one instance of the family under
+// instanceOf returns the entry's (r,s) instance of fam: its graph's one
+// instance of the family under
 // Config.IndexMemBudget (nucleus.For) — stored when the index fits, on the
 // fly otherwise — shared by every request on the version and dying with it.
 // A panicking build panics every caller that waited on it (a failed job, or
 // net/http's per-connection recover) and the next request builds again. The
 // /stats index counters account every call: reused → reuse, index built →
 // build, no index → fallback.
-func (s *Server) instanceOf(e *graphEntry, dec string) nucleus.Instance {
-	fam, err := nucleus.ParseFamily(dec)
-	if err != nil {
-		panic(fmt.Sprintf("server: unnormalized decomposition %q", dec))
-	}
+func (s *Server) instanceOf(e *graphEntry, fam nucleus.Family) nucleus.Instance {
 	budget := max(s.cfg.IndexMemBudget, 0) // negative disables; nucleus.Build: 0 = never index
 	inst, rep, built := nucleus.For(e.g, fam, budget, s.cfg.JobThreads)
 	switch {

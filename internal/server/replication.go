@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"time"
 
+	"nucleus/internal/nucleus"
 	"nucleus/internal/replica"
 	"nucleus/internal/sched"
 	"nucleus/internal/store"
@@ -460,7 +461,7 @@ func (a replApplier) ApplyBatch(name string, batch *store.Batch, version uint64)
 	case err != nil:
 		return false, err
 	}
-	if out.published && !slices.Contains(out.warmSeeded, "core") {
+	if out.published && !slices.Contains(out.warmSeeded, nucleus.FamilyCore.String()) {
 		a.s.warmRecoverCore(out.live, nil)
 	}
 	return out.published, nil

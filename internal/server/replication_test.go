@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"nucleus/internal/graph"
+	"nucleus/internal/localhi"
 	"nucleus/internal/nucleus"
 	"nucleus/internal/peel"
 	"nucleus/internal/replica"
@@ -217,7 +218,7 @@ func TestCoreEntryIsMaintainedKappa(t *testing.T) {
 			if e == nil || e.version != mr.Version {
 				t.Fatalf("%s: batch %d not live at version %d", node, batch, mr.Version)
 			}
-			res, ok := s.cache.peek(keyOf(e, "core", "and", 0))
+			res, ok := s.cache.peek(keyOf(e, nucleus.FamilyCore, localhi.AND, 0))
 			if !ok || !res.Converged {
 				t.Fatalf("%s: batch %d left no converged core entry (found %v)", node, batch, ok)
 			}

@@ -13,6 +13,8 @@ import (
 	"time"
 
 	"nucleus/internal/graph"
+	"nucleus/internal/localhi"
+	"nucleus/internal/nucleus"
 )
 
 // testServerWith spins up a Server behind httptest and tears both down
@@ -757,7 +759,7 @@ func TestStaleResultNotCachedAfterReplace(t *testing.T) {
 
 	// A computation that was in flight for the dead version finishes now:
 	// the liveness recheck must take its insert back out of the cache.
-	key := keyOf(e1, "core", "and", 0)
+	key := keyOf(e1, nucleus.FamilyCore, localhi.AND, 0)
 	resolvePooled(t, s, e1, "core")
 	if _, ok := s.cache.get(key); ok {
 		t.Fatal("stale-version result remained cached after replacement")
@@ -765,7 +767,7 @@ func TestStaleResultNotCachedAfterReplace(t *testing.T) {
 
 	// The live version caches normally.
 	e2, _ := s.reg.get("g")
-	live := keyOf(e2, "core", "and", 0)
+	live := keyOf(e2, nucleus.FamilyCore, localhi.AND, 0)
 	resolvePooled(t, s, e2, "core")
 	if _, ok := s.cache.get(live); !ok {
 		t.Fatal("live-version result was not cached")

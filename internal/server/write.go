@@ -6,6 +6,7 @@ import (
 	"log"
 
 	"nucleus/internal/dynamic"
+	"nucleus/internal/nucleus"
 	"nucleus/internal/store"
 )
 
@@ -256,7 +257,7 @@ func (s *Server) overlayFor(e *graphEntry) *dynamic.Graph {
 	if e.coreKappa != nil {
 		return dynamic.FromStaticCores(e.g, e.coreKappa)
 	}
-	if res := s.convergedResult(e, "core"); res != nil {
+	if res := s.convergedResult(e, nucleus.FamilyCore); res != nil {
 		return dynamic.FromStaticCores(e.g, res.Kappa)
 	}
 	return dynamic.FromStatic(e.g)

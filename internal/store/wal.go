@@ -92,48 +92,22 @@ func encodeHeaderFrame(generation uint64) []byte {
 // truncate the file there. hasHeader=false means the file does not begin
 // with an intact header frame — it is torn at byte 0 or predates the
 // current snapshot — and nothing from it may be replayed. A torn tail is
-// not an error: it is the expected shape of a crash mid-append. Frames
-// are read by scanOneFrame, the replication stream's parser; a file image
-// never grows, so its short and corrupt verdicts both mean torn here.
+// not an error: it is the expected shape of a crash mid-append. The image
+// is read by WALScanner, the replication stream's decoder, over data
+// itself (no copy); a file image never grows, so the scanner's "more bytes
+// needed" and corrupt verdicts both mean torn here, and the bytes it
+// consumed are the good prefix.
 func decodeFrames(data []byte) (gen uint64, hasHeader bool, batches []CommittedBatch, goodLen int) {
-	h, st := scanOneFrame(data)
-	if st != frameOK || h.typ != frameHeader {
-		return 0, false, nil, 0
-	}
-	gen, err := decodeUvarintPayload(h.payload)
-	if err != nil {
-		return 0, false, nil, 0
-	}
-	pos := h.end
-
-	var pending *Batch
-	for pos < len(data) {
-		b, st := scanOneFrame(data[pos:])
-		if st != frameOK {
-			return gen, true, batches, pos
+	sc := &WALScanner{buf: data}
+	for {
+		b, err := sc.Next()
+		if b == nil || err != nil {
+			break
 		}
-		switch b.typ {
-		case frameBatch:
-			batch, err := decodeBatchPayload(b.payload)
-			if err != nil {
-				return gen, true, batches, pos // checksummed but malformed: treat as torn
-			}
-			// An earlier pending batch had no commit: aborted or never
-			// acknowledged, drop it.
-			pending = batch
-		case frameCommit:
-			version, err := decodeUvarintPayload(b.payload)
-			if err != nil || pending == nil {
-				return gen, true, batches, pos
-			}
-			batches = append(batches, CommittedBatch{Batch: *pending, Version: version})
-			pending = nil
-		default:
-			return gen, true, batches, pos
-		}
-		pos += b.end
+		batches = append(batches, *b)
 	}
-	return gen, true, batches, len(data)
+	gen, hasHeader = sc.Generation()
+	return gen, hasHeader, batches, len(data) - len(sc.buf)
 }
 
 // rawFrame is one checksum-verified frame; end is the offset just past it,

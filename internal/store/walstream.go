@@ -6,15 +6,15 @@ import (
 	"hash/crc32"
 )
 
-// WALScanner is the incremental form of the WAL replay decoder: frames
-// arrive in arbitrary chunks (a replica pulling byte ranges of the
-// primary's log over HTTP) instead of as one complete file image.
+// WALScanner is the one WAL decoder. A replica feeds it frames in
+// arbitrary chunks (byte ranges of the primary's log pulled over HTTP);
+// file replay (decodeFrames) runs it once over a complete file image.
 // Feed appends received bytes; Next yields each committed batch as soon
 // as its batch+commit frame pair is complete, and (nil, nil) when the
 // buffered bytes end mid-frame — the replication analogue of a torn
 // tail, resolved by feeding more bytes rather than truncating.
 //
-// Unlike file replay, a frame that is fully present but fails its
+// Unlike in file replay, a frame that is fully present but fails its
 // checksum is NOT a tolerable crash artifact here: the primary serves
 // WAL reads under the append lock, so a corrupt frame means the bytes
 // were damaged in flight or the offsets have diverged. Next reports it

@@ -27,7 +27,6 @@ import (
 	"nucleus/internal/graph"
 	"nucleus/internal/localhi"
 	inucleus "nucleus/internal/nucleus"
-	"nucleus/internal/peel"
 )
 
 // Graph is the undirected simple graph type of the library.
@@ -159,7 +158,6 @@ func DecomposeRS(g *Graph, r, s int, opts Options) *Result {
 }
 
 func decomposeInstance(inst inucleus.Instance, dec Decomposition, opts Options) *Result {
-	res := &Result{Decomposition: dec, inst: inst}
 	local := localhi.Options{
 		Threads:   opts.Threads,
 		MaxSweeps: opts.MaxSweeps,
@@ -167,47 +165,33 @@ func decomposeInstance(inst inucleus.Instance, dec Decomposition, opts Options) 
 		Progress:  opts.Progress,
 		Stop:      opts.Stop,
 	}
-	switch opts.Algorithm {
-	case Peel:
-		pr := peel.Run(inst)
-		res.Kappa = pr.Kappa
-		res.MaxKappa = pr.MaxKappa
-		res.Converged = true
-	case SND:
-		fillLocal(res, localhi.Snd(inst, local))
-	default: // AND
+	if opts.Algorithm == AND {
 		local.Order, local.Notification = opts.Order, !opts.DisableNotification
-		fillLocal(res, localhi.And(inst, local))
+	}
+	lr := localhi.Run(inst, localhi.Algorithm(opts.Algorithm), local)
+	res := &Result{
+		Decomposition: dec,
+		Kappa:         lr.Tau,
+		Converged:     lr.Converged,
+		Stopped:       lr.Stopped,
+		Iterations:    lr.Iterations,
+		Sweeps:        lr.Sweeps,
+		inst:          inst,
+	}
+	for _, k := range lr.Tau {
+		res.MaxKappa = max(res.MaxKappa, k)
 	}
 	return res
 }
 
-func fillLocal(res *Result, lr *localhi.Result) {
-	res.Kappa = lr.Tau
-	res.Converged = lr.Converged
-	res.Stopped = lr.Stopped
-	res.Iterations = lr.Iterations
-	res.Sweeps = lr.Sweeps
-	for _, k := range lr.Tau {
-		if k > res.MaxKappa {
-			res.MaxKappa = k
-		}
-	}
-}
-
-// families maps each Decomposition to the internal cell family of the same
-// (r,s).
-var families = [...]inucleus.Family{
-	KCore: inucleus.FamilyCore, KTruss: inucleus.FamilyTruss, Nucleus34: inucleus.FamilyN34,
-}
-
 // newInstance is every library entry point's one constructor: g's one
-// instance of dec under budget, memoized on g (inucleus.For).
+// instance of dec under budget, memoized on g (inucleus.For). A
+// Decomposition is the internal Family of the same (r,s), by number.
 func newInstance(g *Graph, dec Decomposition, budget int64, threads int) inucleus.Instance {
-	if dec < 0 || int(dec) >= len(families) {
+	if dec < KCore || dec > Nucleus34 {
 		panic(fmt.Sprintf("nucleus: unknown decomposition %d", dec))
 	}
-	inst, _, _ := inucleus.For(g, families[dec], budget, threads)
+	inst, _, _ := inucleus.For(g, inucleus.Family(dec), budget, threads)
 	return inst
 }
 

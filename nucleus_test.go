@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"nucleus/internal/graph"
+	"nucleus/internal/localhi"
+	inucleus "nucleus/internal/nucleus"
 )
 
 func figure2() *Graph { return graph.Figure2() }
@@ -150,6 +152,22 @@ func TestStringers(t *testing.T) {
 	}
 	if Decomposition(99).String() == "" || Algorithm(99).String() == "" {
 		t.Error("unknown values should still format")
+	}
+}
+
+// TestNumberingMatchesInternal pins the conversions by number: a
+// Decomposition is the internal Family of the same (r,s), an Algorithm the
+// internal engine of the same name.
+func TestNumberingMatchesInternal(t *testing.T) {
+	for dec, rs := range map[Decomposition][2]int{KCore: {1, 2}, KTruss: {2, 3}, Nucleus34: {3, 4}} {
+		if r, s := inucleus.Family(dec).RS(); r != rs[0] || s != rs[1] {
+			t.Errorf("%v converts to the (%d,%d) family", dec, r, s)
+		}
+	}
+	for _, alg := range []Algorithm{AND, SND, Peel} {
+		if got := localhi.Algorithm(alg).String(); got != strings.ToLower(alg.String()) {
+			t.Errorf("%v converts to the %q engine", alg, got)
+		}
 	}
 }
 
