@@ -32,7 +32,7 @@ import (
 	"nucleus/internal/router"
 )
 
-// Slow-client bounds (ROADMAP 5d): a connection must deliver its request
+// Slow-client bounds: a connection must deliver its request
 // headers within readHeaderTimeout and an idle keep-alive connection is
 // closed after idleTimeout, so stalled clients cannot pin connections
 // forever. Constants, not flags: no deployment needs another value. There

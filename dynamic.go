@@ -6,10 +6,11 @@ import (
 
 // DynamicGraph is a mutable graph that maintains its k-core decomposition
 // incrementally: each edge insertion or removal repairs the core numbers by
-// traversing only the affected subcore (the κ=k region around the edge),
-// never the whole graph. This pairs with the query-driven scenario of the
-// local algorithms: both exploit that κ indices depend only on local
-// structure.
+// visiting only the vertices whose κ can change — on an insert, the κ=k
+// vertices around the edge with enough neighbors to rise; on a remove, the
+// ones that fall — never the whole graph. This pairs with the query-driven
+// scenario of the local algorithms: both exploit that κ indices depend only
+// on local structure.
 type DynamicGraph = dynamic.Graph
 
 // NewDynamicGraph creates a dynamic graph with n isolated vertices.

@@ -1,12 +1,11 @@
 // Package dynamic maintains a k-core decomposition under edge insertions
-// and removals, using the subcore traversal algorithm of Sarıyüce et al.
-// ("Streaming Algorithms for k-Core Decomposition", VLDB 2013) — the same
-// authors' earlier work that the local-algorithms paper builds on. The key
-// theorem: inserting or removing one edge changes core numbers only inside
-// the affected subcore (the κ=k S-connected region around the edge, for
-// k = min of the endpoint core numbers), and by at most one. The repair is
-// therefore local, complementing the query-driven scenario of the local
-// algorithms paper.
+// and removals, after the subcore algorithms of Sarıyüce et al. ("Streaming
+// Algorithms for k-Core Decomposition", VLDB 2013), the same authors'
+// earlier work that the local-algorithms paper builds on: one edit changes
+// κ by at most one, and only of κ = k vertices (k the smaller endpoint κ)
+// that reach the edge through vertices that change too. The repair visits
+// only vertices that can rise or fall, on a count array every edit reuses:
+// local, complementing the query-driven scenario of the local algorithms.
 //
 // The storage keeps the rest of a write as local as the repair (see Graph),
 // and the maintained κ is exact after every edit — the property and fuzz
@@ -40,6 +39,12 @@ type Graph struct {
 	own   map[uint32][]uint32
 	kappa []int32 // len(kappa) is the vertex count
 	edges int64
+
+	// The repair's scratch, reused by every edit: a count per vertex the
+	// edit touched (listed in touched; untouched otherwise), and the queue
+	// of the vertices it sheds.
+	cnt            []int32
+	touched, queue []uint32
 }
 
 // New creates a dynamic graph with n isolated vertices (all κ = 0).
@@ -134,6 +139,14 @@ func (g *Graph) setAdj(u, v uint32, present bool) {
 // growing the graph to cover both endpoints (as graph.ApplyEdits does).
 // Returns false, leaving the graph as it was, if the edge already exists or
 // is a self-loop.
+//
+// Only vertices with κ = k, for k = min(κ(u), κ(v)), can rise, by one; a
+// risen vertex has more than k neighbors with κ >= k and reaches the edge
+// through risen vertices. So the walk starts at the κ = k endpoints, counts
+// each visited vertex's neighbors with κ >= k, and goes on through a vertex
+// only if that count is above k: one that cannot rise cannot pass a rise
+// on. The visited then shed, cascading, every vertex left with at most k
+// neighbors above k or still in; the rest rise.
 func (g *Graph) InsertEdge(u, v uint32) bool {
 	if u == v || g.HasEdge(u, v) {
 		return false
@@ -142,19 +155,56 @@ func (g *Graph) InsertEdge(u, v uint32) bool {
 	g.setAdj(u, v, true)
 	g.setAdj(v, u, true)
 	g.edges++
-	// A candidate joins the (k+1)-core only with more than k neighbors
-	// that are above k or candidates still in; the rest fall out, cascading.
-	k, cd := g.candidates(u, v)
-	g.shed(cd, k+1)
-	for x := range cd {
-		g.kappa[x]++
+	g.scratch()
+	k := min(g.kappa[u], g.kappa[v])
+	for _, r := range [2]uint32{u, v} {
+		if g.kappa[r] == k {
+			g.touch(r, 0)
+		}
 	}
+	for i := 0; i < len(g.touched); i++ {
+		x := g.touched[i]
+		if g.cnt[x] = g.countAtLeast(x, k); g.cnt[x] <= k {
+			continue
+		}
+		for _, w := range g.row(x) {
+			if g.kappa[w] == k && g.cnt[w] == untouched {
+				g.touch(w, 0)
+			}
+		}
+	}
+	// Every κ = k neighbor of a vertex walked through was visited, so that
+	// vertex's count is its degree within the candidate (k+1)-core.
+	for _, x := range g.touched {
+		if g.cnt[x] <= k {
+			g.queue = append(g.queue, x)
+		}
+	}
+	for i := 0; i < len(g.queue); i++ {
+		for _, w := range g.row(g.queue[i]) {
+			g.drop(w, k+1)
+		}
+	}
+	for _, x := range g.touched {
+		if g.cnt[x] > k {
+			g.kappa[x]++
+		}
+	}
+	g.reset()
 	return true
 }
 
 // RemoveEdge deletes edge {u,v} and repairs the core numbers locally.
 // Returns false if the edge does not exist — in particular when an endpoint
 // is at or past N().
+//
+// Only vertices with κ = k, for k = min(κ(u), κ(v)) >= 1, can fall, by one,
+// and a fallen vertex reaches the edge through fallen vertices. So the
+// cascade starts at the κ = k endpoints and goes on only through vertices
+// that fall: a vertex is counted (neighbors with κ >= k) on first touch and
+// falls once its count is below k. A fall is applied (κ := k-1) when its
+// queue entry is processed; a vertex touched later counts it out, one
+// counted earlier is decremented then — never both, or it would count twice.
 func (g *Graph) RemoveEdge(u, v uint32) bool {
 	if !g.HasEdge(u, v) {
 		return false
@@ -162,73 +212,80 @@ func (g *Graph) RemoveEdge(u, v uint32) bool {
 	g.setAdj(u, v, false)
 	g.setAdj(v, u, false)
 	g.edges--
-	// A candidate left with fewer than k neighbors inside the k-core
-	// falls to k-1, cascading (never at k = 0: no count is negative).
-	k, cd := g.candidates(u, v)
-	for _, x := range g.shed(cd, k) {
-		g.kappa[x] = k - 1
+	g.scratch()
+	k := min(g.kappa[u], g.kappa[v])
+	for _, r := range [2]uint32{u, v} {
+		if g.kappa[r] == k {
+			g.firstTouch(r, k)
+		}
 	}
+	for i := 0; i < len(g.queue); i++ {
+		x := g.queue[i]
+		g.kappa[x] = k - 1
+		for _, w := range g.row(x) {
+			if g.cnt[w] == untouched && g.kappa[w] == k {
+				g.firstTouch(w, k) // counts x out: it has fallen
+			} else {
+				g.drop(w, k)
+			}
+		}
+	}
+	g.reset()
 	return true
 }
 
-// candidates returns k = min(κ(u), κ(v)) and the subcore of the edited edge
-// {u,v}: the vertices with κ = k reachable from an endpoint through vertices
-// with κ = k — the only ones whose κ the edit can change, and by one — each
-// with its count of neighbors with κ >= k. A κ = k neighbor of a subcore
-// vertex is in the subcore itself, so on the insert side the count is the
-// candidate degree within the potential (k+1)-core.
-func (g *Graph) candidates(u, v uint32) (k int32, cd map[uint32]int32) {
-	k = min(g.kappa[u], g.kappa[v])
-	cd = make(map[uint32]int32)
-	var stack []uint32
-	for _, r := range [2]uint32{u, v} {
-		if g.kappa[r] == k {
-			cd[r] = 0
-			stack = append(stack, r)
-		}
+// untouched is the count of a vertex the current edit has not touched.
+const untouched = -1
+
+// scratch grows the count array to cover every vertex, untouched: on the
+// first edit, so an overlay never edited never pays for it.
+func (g *Graph) scratch() {
+	if n := len(g.kappa) - len(g.cnt); n > 0 {
+		g.cnt = append(g.cnt, slices.Repeat([]int32{untouched}, n)...)
 	}
-	for len(stack) > 0 {
-		x := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		var c int32
-		for _, w := range g.row(x) {
-			if g.kappa[w] < k {
-				continue
-			}
-			c++
-			if _, seen := cd[w]; g.kappa[w] == k && !seen {
-				cd[w] = 0
-				stack = append(stack, w)
-			}
-		}
-		cd[x] = c
-	}
-	return k, cd
 }
 
-// shed removes from the candidates, cascading, every vertex left with fewer
-// than need counted neighbors — a candidate that goes takes one off each
-// candidate neighbor — and returns the removed; the survivors stay in cd.
-func (g *Graph) shed(cd map[uint32]int32, need int32) (gone []uint32) {
-	for x, c := range cd {
-		if c < need {
-			gone = append(gone, x)
-			delete(cd, x)
+// touch records x's count c and lists x for the reset.
+func (g *Graph) touch(x uint32, c int32) {
+	g.cnt[x] = c
+	g.touched = append(g.touched, x)
+}
+
+// firstTouch counts x and queues its fall if the count is below k.
+func (g *Graph) firstTouch(x uint32, k int32) {
+	g.touch(x, g.countAtLeast(x, k))
+	if g.cnt[x] < k {
+		g.queue = append(g.queue, x)
+	}
+}
+
+// countAtLeast returns the number of x's neighbors with κ >= k.
+func (g *Graph) countAtLeast(x uint32, k int32) (c int32) {
+	for _, w := range g.row(x) {
+		if g.kappa[w] >= k {
+			c++
 		}
 	}
-	for i := 0; i < len(gone); i++ {
-		for _, w := range g.row(gone[i]) {
-			switch c, in := cd[w]; {
-			case !in:
-			case c > need:
-				cd[w] = c - 1
-			default:
-				gone = append(gone, w)
-				delete(cd, w)
-			}
+	return c
+}
+
+// drop takes one off w's count if it is at least need (one below need has
+// gone, or was never counted), queueing w when that takes it below need.
+func (g *Graph) drop(w uint32, need int32) {
+	if c := g.cnt[w]; c >= need {
+		g.cnt[w] = c - 1
+		if c == need {
+			g.queue = append(g.queue, w)
 		}
 	}
-	return gone
+}
+
+// reset returns every touched count to untouched and empties both lists.
+func (g *Graph) reset() {
+	for _, x := range g.touched {
+		g.cnt[x] = untouched
+	}
+	g.touched, g.queue = g.touched[:0], g.queue[:0]
 }
 
 // Static publishes the current graph as an immutable CSR graph,

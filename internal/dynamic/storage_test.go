@@ -70,19 +70,23 @@ func (m *model) check(t *testing.T, d *Graph, context string) (got, want *graph.
 	return got, want
 }
 
-// edit applies one edit to both sides and compares what they report.
-func (m *model) edit(t *testing.T, d *Graph, add bool, u, v uint32) {
+// edit applies one edit to both sides, compares what they report, and
+// returns it.
+func (m *model) edit(t *testing.T, d *Graph, add bool, u, v uint32) bool {
 	t.Helper()
+	var got, want bool
 	if add {
-		if got, want := d.InsertEdge(u, v), m.insert(u, v); got != want {
-			t.Fatalf("InsertEdge(%d,%d) = %v, want %v", u, v, got, want)
-		}
-	} else if got, want := d.RemoveEdge(u, v), m.remove(u, v); got != want {
-		t.Fatalf("RemoveEdge(%d,%d) = %v, want %v", u, v, got, want)
+		got, want = d.InsertEdge(u, v), m.insert(u, v)
+	} else {
+		got, want = d.RemoveEdge(u, v), m.remove(u, v)
+	}
+	if got != want {
+		t.Fatalf("edit add=%v (%d,%d) = %v, want %v", add, u, v, got, want)
 	}
 	if d.HasEdge(u, v) != (add && u != v) || d.HasEdge(v, u) != (add && u != v) {
 		t.Fatalf("HasEdge(%d,%d) after add=%v", u, v, add)
 	}
+	return got
 }
 
 // TestStaticMatchesBuild: seeded random scripts, published after every
@@ -199,6 +203,26 @@ func TestFromStaticCoresAllocsIndependentOfGraph(t *testing.T) {
 	}
 }
 
+func TestRepairAllocsIndependentOfGraph(t *testing.T) {
+	for _, n := range []int{100, 4000} {
+		d := FromStatic(graph.PowerLawCluster(n, 4, 0.5, 3))
+		u, v := uint32(0), uint32(n-1)
+		for d.HasEdge(u, v) {
+			v--
+		}
+		// The first pair copies both rows and grows the scratch; every pair
+		// after it reuses them.
+		pair := func() {
+			d.InsertEdge(u, v)
+			d.RemoveEdge(u, v)
+		}
+		pair()
+		if a := testing.AllocsPerRun(20, pair); a != 0 {
+			t.Fatalf("n=%d: an insert/remove pair on owned rows allocates %v times, want 0", n, a)
+		}
+	}
+}
+
 func TestStaticAllocsIndependentOfGraph(t *testing.T) {
 	for _, n := range []int{100, 4000} {
 		d := FromStatic(graph.PowerLawCluster(n, 4, 0.5, 3))
@@ -221,25 +245,25 @@ func TestStaticAllocsIndependentOfGraph(t *testing.T) {
 
 // FuzzDynamicEdits: any edit script — grows, publishes in the middle,
 // endpoints past the vertex count, self-loops, duplicates — leaves κ equal
-// to a peel and Static() equal to Build, and never panics. Three bytes an
-// op; vertex ids are bytes, so the graph stays under 256 vertices, and a
-// script is cut at 300 ops so one input costs at most 300 peels.
+// to the reference repair after every edit and to a peel at every publish,
+// Static() equal to Build, and never panics. Three bytes an op; vertex ids
+// are bytes, so the graph stays under 256 vertices, and a script is cut at
+// 300 ops so one input costs at most 300 peels.
 func FuzzDynamicEdits(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 0, 1, 2, 0, 0, 2, 4, 0, 0, 2, 0, 1, 0, 2, 200, 3, 9, 0, 1, 200, 2})
 	f.Add([]byte{0, 7, 1, 2, 1, 7, 2, 7, 1, 0, 5, 5, 4, 0, 0, 0, 7, 1})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		m := newModel(3)
-		d := New(3)
+		d, ref := New(3), New(3)
 		for script = script[:min(len(script), 900)]; len(script) >= 3; script = script[3:] {
 			u, v := uint32(script[1]), uint32(script[2])
-			switch script[0] % 5 {
-			case 0, 1:
-				m.edit(t, d, true, u, v)
-			case 2:
-				m.edit(t, d, false, u, v)
+			switch op := script[0] % 5; op {
+			case 0, 1, 2:
+				matchRef(t, d, ref, op < 2, u, v, m.edit(t, d, op < 2, u, v))
 			case 3:
 				m.n = max(m.n, int(u))
 				d.Grow(int(u))
+				ref.Grow(int(u))
 			case 4:
 				m.check(t, d, "mid-script publish")
 			}
