@@ -1,10 +1,6 @@
 package localhi
 
-import (
-	"math"
-
-	"nucleus/internal/nucleus"
-)
+import "nucleus/internal/nucleus"
 
 // The sweep kernel evaluates the update operator U for one cell — H over
 // { ρ(S) = min τ(co-members of S) : S ∋ c } — by scanning its row
@@ -12,28 +8,36 @@ import (
 // cur, the cell's current index, it returns min(cur, H) and the s-clique
 // visits paid. Clamping is Theorem 1, not a heuristic: τ never rises, so
 // the next index is at most cur whatever H is. Knowing that bound first
-// makes the evaluation one pass: a ρ ≥ cur only needs counting (support),
-// a smaller one lands in a counting array of cur slots, and once cur
-// s-cliques with ρ ≥ cur have been seen the answer is cur and the rest of
-// the row is never read (the §4.4 early exit). AND with notification at
-// co-arity ≥ 2 also writes each s-clique's ρ into the worker's rho buffer,
-// so that a fall to h wakes co-members only through the s-cliques whose ρ
-// is above h (notify). One at or below h cannot pass the fall on: a member
-// that reads it later sees it at ≤ h anyway, and one that read it before
-// is reached by the fall that brought it to ≤ h (the argument in full is
-// at wake). A cell at cur = 0 costs nothing, not even its row. par reads τ
-// atomically for concurrent asynchronous sweeps (a stale higher read is
-// repaired: the reading cell is in progress, so the fall it missed wakes it
-// again, and without notification every cell is evaluated again in the
-// next sweep).
-// At co-arity 1 (k-core) ρ is one τ read, and nothing is recorded.
+// makes the evaluation one pass over a counting array of cur + 1 slots:
+// every s-clique is counted at cnt[min(ρ, cur)], so slot cur takes the
+// ρ ≥ cur ones and slot 0 the ρ = 0 ones, which settle ignores, and a
+// running support grows by the 0/1 of ρ ≥ cur. Once cur s-cliques with
+// ρ ≥ cur have been seen the answer is cur and the rest of the row is
+// never read (the §4.4 early exit). The per-visit work has no
+// data-dependent jump: ρ, the clamp and the 0/1 come from the sign mask of
+// a 64-bit difference (minInt32, tally), because the builtin min lowers to
+// a compare and a branch in these loops, and a branch on τ is a coin toss
+// to the predictor. Co-arity 1
+// (k-core), 2 (truss) and 3 ((3,4)) each have a loop over fixed-size
+// groups; any other co-arity runs the generic loop, written the same way.
+// AND with notification at co-arity ≥ 2 also writes each s-clique's ρ
+// into the worker's rho buffer, so that a fall to h wakes co-members only
+// through the s-cliques whose ρ is above h (notify). One at or below h
+// cannot pass the fall on: a member that reads it later sees it at ≤ h
+// anyway, and one that read it before is reached by the fall that brought
+// it to ≤ h (the argument in full is at wake). A cell at cur = 0 costs
+// nothing, not even its row. par reads τ atomically for concurrent
+// asynchronous sweeps (a stale higher read is repaired: the reading cell
+// is in progress, so the fall it missed wakes it again, and without
+// notification every cell is evaluated again in the next sweep).
 // Nothing allocates once a worker's row buffer has grown to the longest
 // discovered row; the rho buffer is sized once per run, to the longest row.
 
 // sweepScratch is one worker's state for a whole run.
 type sweepScratch struct {
-	// cnt is the counting array of the clamped h-index: one slot per index
-	// below the run's largest starting τ, which no cur ever exceeds.
+	// cnt is the counting array of the clamped h-index: slots 0..cur for
+	// every cur up to the run's largest starting τ, which no cur ever
+	// exceeds. Slot cur takes the s-cliques at ρ ≥ cur.
 	cnt []int32
 	// row is the worker's buffer for discovered rows.
 	row []int32
@@ -57,7 +61,7 @@ func newScratches(workers int, tau []int32, longest int32) []sweepScratch {
 	top := maxOf(tau)
 	scs := make([]sweepScratch, workers)
 	for i := range scs {
-		scs[i].cnt = make([]int32, top)
+		scs[i].cnt = make([]int32, top+1)
 		if longest > 0 {
 			scs[i].rho = make([]int32, longest)
 		}
@@ -74,10 +78,11 @@ func maxOf(a []int32) int32 {
 	return top
 }
 
-// settle finishes a cell whose row ended with atLeast < cur = len(cnt)
-// s-cliques at ρ ≥ cur: the largest h < cur with h s-cliques at ρ ≥ h.
+// settle finishes a cell whose row ended with atLeast < cur s-cliques at
+// ρ ≥ cur, cur = len(cnt) − 1: the largest h < cur with h s-cliques at
+// ρ ≥ h. Slots cur (the atLeast s-cliques) and 0 are not read.
 func settle(cnt []int32, atLeast int32) int32 {
-	for h := int32(len(cnt)) - 1; h >= 1; h-- {
+	for h := int32(len(cnt)) - 2; h >= 1; h-- {
 		if atLeast += cnt[h]; atLeast >= h {
 			return h
 		}
@@ -93,48 +98,78 @@ func update(rows *nucleus.Rows, c int32, tau []int32, sc *sweepScratch, cur int3
 		return 0, 0, nil
 	}
 	row := rows.Row(c, &sc.row)
-	h, visits := rowTau(row, rows.Co, tau, sc.cnt[:cur], sc.rho, par)
+	h, visits := rowTau(row, rows.Co, tau, sc.cnt[:cur+1], sc.rho, par)
 	return h, visits, row
 }
 
-// rowTau is the kernel: min(cur, H) over one row, cur = len(cnt), and the
-// visits paid; see the contract at the top of the file. At co-arity ≥ 2 a
-// non-nil rhos receives the ρ of each s-clique visited, in row order.
+// minInt32 is min(a, b) without a jump: a − b, taken in 64 bits so that it
+// cannot overflow, masked by its own sign.
+func minInt32(a, b int32) int32 {
+	d := int64(a) - int64(b)
+	return b + int32(d&(d>>63))
+}
+
+// tally counts an s-clique of ρ = rho at cnt[min(rho, cur)] and returns 1
+// if rho ≥ cur, else 0, without a jump: both come from the sign mask of
+// rho − cur, taken in 64 bits.
+func tally(cnt []int32, rho, cur int32) int32 {
+	d := int64(rho) - int64(cur)
+	s := d >> 63 // −1 if rho < cur, else 0
+	cnt[int64(cur)+(d&s)]++
+	return int32(s + 1)
+}
+
+// rowTau is the kernel: min(cur, H) over one row, cur = len(cnt) − 1, and
+// the visits paid; see the contract at the top of the file. At co-arity
+// ≥ 2 a non-nil rhos receives the ρ of each s-clique visited, in row order.
 func rowTau(row []int32, co int, tau, cnt, rhos []int32, par bool) (int32, int64) {
-	cur := int32(len(cnt))
+	cur := int32(len(cnt)) - 1
 	clear(cnt)
 	support := int32(0)
-	if co == 1 {
+	var visits int64
+	switch co {
+	case 1:
 		for i, d := range row {
-			rho := load(par, tau, d)
-			if rho >= cur {
-				if support++; support >= cur {
-					return cur, int64(i) + 1
-				}
-			} else if rho > 0 {
-				cnt[rho]++
+			if support += tally(cnt, load(par, tau, d), cur); support >= cur {
+				return cur, int64(i) + 1
 			}
 		}
 		return settle(cnt, support), int64(len(row))
-	}
-	var visits int64
-	for ; len(row) >= co; row = row[co:] {
-		rho := int32(math.MaxInt32)
-		for _, d := range row[:co] {
-			if v := load(par, tau, d); v < rho {
-				rho = v
+	case 2:
+		for ; len(row) >= 2; row = row[2:] {
+			rho := minInt32(load(par, tau, row[0]), load(par, tau, row[1]))
+			if rhos != nil {
+				rhos[visits] = rho
 			}
-		}
-		if rhos != nil {
-			rhos[visits] = rho
-		}
-		visits++
-		if rho >= cur {
-			if support++; support >= cur {
+			visits++
+			if support += tally(cnt, rho, cur); support >= cur {
 				return cur, visits
 			}
-		} else if rho > 0 {
-			cnt[rho]++
+		}
+	case 3:
+		for ; len(row) >= 3; row = row[3:] {
+			rho := minInt32(minInt32(load(par, tau, row[0]), load(par, tau, row[1])), load(par, tau, row[2]))
+			if rhos != nil {
+				rhos[visits] = rho
+			}
+			visits++
+			if support += tally(cnt, rho, cur); support >= cur {
+				return cur, visits
+			}
+		}
+	default:
+		for ; len(row) >= co; row = row[co:] {
+			rho := load(par, tau, row[0])
+			for _, d := range row[1:co] {
+				rho = minInt32(rho, load(par, tau, d))
+			}
+			if rhos != nil {
+				rhos[visits] = rho
+			}
+			visits++
+			if support += tally(cnt, rho, cur); support >= cur {
+				return cur, visits
+			}
 		}
 	}
 	return settle(cnt, support), visits

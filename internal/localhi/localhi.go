@@ -18,8 +18,10 @@
 //
 // What the paper claims for them is a good approximation after few sweeps,
 // an answer at any time and thread scaling, which peeling lacks — not a
-// faster exact κ on few cores: on k-core at two threads the sequential peel
-// is about 3× ahead of AND (docs/PERFORMANCE.md "Scaling").
+// faster exact κ on few cores: on k-core of RMAT(14, 8) at two threads the
+// sequential peel is about 2.4× ahead of AND (localhi.and_core_ms 5.0
+// against peel.core_ms 2.1 in a traced bench pass; docs/PERFORMANCE.md
+// "Scaling").
 //
 // A converged run yields the exact decomposition (Result.Converged);
 // bounding Options.MaxSweeps yields an anytime approximation with the
@@ -79,7 +81,9 @@ type Options struct {
 	// Lemma 2 takes it to κ. A tight start (e.g. the κ of a slightly older
 	// version of the graph, bumped by the number of edits) converges in far
 	// fewer sweeps. The slice is copied. Values above a cell's s-degree are
-	// clamped to it (H can never exceed the s-clique count).
+	// clamped to it (H can never exceed the s-clique count). A negative
+	// value is below every κ, so it is not a start: the run panics, as it
+	// does on a length mismatch.
 	InitialTau []int32
 	// Progress, when non-nil, receives a copy-on-write snapshot of τ plus
 	// per-sweep convergence metrics after every sweep, and a Final snapshot
@@ -344,7 +348,8 @@ func store(concurrent bool, a []int32, i int32, v int32) {
 }
 
 // initialTau builds the starting τ array in place of the s-degrees deg:
-// the degrees themselves, or the caller's warm start clamped to them.
+// the degrees themselves, or the caller's warm start clamped to them. It
+// panics on a warm start of the wrong length or with a negative value.
 func initialTau(deg []int32, opts Options) []int32 {
 	tau := deg
 	if opts.InitialTau == nil {
@@ -354,6 +359,9 @@ func initialTau(deg []int32, opts Options) []int32 {
 		panic("localhi: InitialTau length mismatch")
 	}
 	for i, v := range opts.InitialTau {
+		if v < 0 {
+			panic(fmt.Sprintf("localhi: InitialTau[%d] = %d is negative", i, v))
+		}
 		if v < tau[i] {
 			tau[i] = v
 		}

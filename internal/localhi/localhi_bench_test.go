@@ -97,6 +97,21 @@ func BenchmarkAndN34Indexed(b *testing.B) {
 	benchAnd(b, nucleus.NewFlatN34(benchGraph(), 1), Options{Notification: true})
 }
 
+// BenchmarkSndTrussServeBudget8 is serve_query's miss without the server:
+// SND bounded at 8 sweeps, one thread, over the stored truss rows of its
+// input (48 planted communities of 80 vertices).
+func BenchmarkSndTrussServeBudget8(b *testing.B) {
+	g := graph.PlantedCommunities(48, 80, 0.3, 4800, 1)
+	benchSnd(b, nucleus.NewFlatTruss(g, 1), Options{Threads: 1, MaxSweeps: 8})
+}
+
+// BenchmarkAndCoreRMAT14 is lib_core's AND (notification, one thread) on
+// its input, RMAT(14, 8): co-arity 1, the graph's own CSR.
+func BenchmarkAndCoreRMAT14(b *testing.B) {
+	g := graph.RMAT(14, 8, 0.57, 0.19, 0.19, 1)
+	benchAnd(b, nucleus.NewCore(g), Options{Threads: 1, Notification: true})
+}
+
 func BenchmarkPeelTruss(b *testing.B) {
 	inst := benchTrussInstance()
 	b.ResetTimer()

@@ -146,6 +146,25 @@ func TestWarmStartClamp(t *testing.T) {
 	}
 }
 
+// TestInitialTauRejectsNegative: a negative start is below every κ, so Snd
+// and And panic on it rather than report a converged τ below κ; the
+// counting array would otherwise be indexed below zero.
+func TestInitialTauRejectsNegative(t *testing.T) {
+	inst := nucleus.NewCore(graph.Complete(6)) // κ = 5 everywhere
+	for name, run := range map[string]func(nucleus.Instance, Options) *Result{"snd": Snd, "and": And} {
+		t.Run(name, func(t *testing.T) {
+			seed := []int32{-3, 5, 5, 5, 5, 5}
+			defer func() {
+				if recover() == nil {
+					t.Fatal("no panic on a negative InitialTau")
+				}
+			}()
+			res := run(inst, Options{InitialTau: seed, Notification: true})
+			t.Fatalf("returned τ = %v, converged %v", res.Tau, res.Converged)
+		})
+	}
+}
+
 // TestMonotoneUnderEdgeAddition: adding edges never lowers κ (the
 // supergraph monotonicity the warm-start maintenance relies on).
 func TestMonotoneUnderEdgeAddition(t *testing.T) {

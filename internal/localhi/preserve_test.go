@@ -1,6 +1,8 @@
 package localhi
 
 import (
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -20,19 +22,29 @@ import (
 // exactly min(cur, H(ρ list)) — H computed by hindex.Linear over the ρ list
 // gathered from the cell's row (nucleustest.Groups) — over stored rows and
 // over the same rows discovered, and pays the same visits on both, never
-// more than the row holds. One scratch per side serves every call, so the
-// counting array is as dirty as a sweep leaves it.
+// more than the row holds. The instances run every row loop of the kernel:
+// co-arity 1 (core), 2 (truss, and (1,3) from the generic builder), 3
+// ((3,4) and (1,4)) and 5 ((2,4), the generic loop). Some τ are
+// math.MaxInt32, the overflow edge of the kernel's arithmetic min. One
+// scratch per side serves every call, so the counting array is as dirty as
+// a sweep leaves it.
 func TestPreserveExactness(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	for round := 0; round < 12; round++ {
 		n := 12 + rng.Intn(20)
 		g := graph.GnM(n, 3*n+rng.Intn(3*n), rng.Int63())
-		for _, inst := range []nucleus.Instance{nucleus.NewCore(g), nucleus.NewFlatTruss(g, 1), nucleus.NewFlatN34(g, 1)} {
+		for _, inst := range []nucleus.Instance{
+			nucleus.NewCore(g), nucleus.NewFlatTruss(g, 1), nucleus.NewFlatN34(g, 1),
+			nucleus.NewFlat(g, 1, 3, 1), nucleus.NewFlat(g, 1, 4, 1), nucleus.NewFlat(g, 2, 4, 1),
+		} {
 			deg := inst.Degrees()
 			tau := make([]int32, len(deg))
 			var maxDeg int32
 			for c, d := range deg {
 				tau[c] = int32(rng.Intn(int(d) + 2)) // any value, not only a valid τ
+				if rng.Intn(8) == 0 {
+					tau[c] = math.MaxInt32
+				}
 				maxDeg = max(maxDeg, d)
 			}
 			stored, discovered := inst.Rows(), nucleustest.Discovered(inst).Rows()
@@ -112,4 +124,62 @@ func TestPreserveZeroCells(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzRowTau holds the kernel to its contract over arbitrary rows, apart
+// from any instance: τ values are the 31-bit words of tauBytes (any
+// non-negative int32, math.MaxInt32 included), the row's entries index
+// them, co is 1..5 (every row loop, the generic one included) and cur is
+// anything a uint16 holds. The result is min(cur, hindex.Linear(ρ list)),
+// the visits never exceed the row's s-cliques and a short read returns
+// cur, the ρ recorded at co ≥ 2 are the visited prefix of the ρ list, and
+// the counting array is left dirty in between, as a sweep leaves it.
+func FuzzRowTau(f *testing.F) {
+	f.Add([]byte{3, 0, 0, 0, 2, 0, 0, 0, 5, 0, 0, 0}, []byte{0, 1, 2, 1, 0, 2, 2, 2}, uint8(1), uint16(3), false)
+	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, 1, 0, 0, 0, 0, 0, 0, 0}, []byte{0, 0, 1, 0, 2, 0, 1, 1, 0}, uint8(2), uint16(2), true)
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 4, 0, 0, 0}, []byte{0, 1, 0, 0, 1, 1, 0, 1, 0, 0}, uint8(4), uint16(0xffff), false)
+	f.Add([]byte{}, []byte{}, uint8(0), uint16(0), false)
+	f.Fuzz(func(t *testing.T, tauBytes, rowBytes []byte, coRaw uint8, curRaw uint16, par bool) {
+		co := int(coRaw%5) + 1
+		cur := int32(curRaw)
+		tau := []int32{0}
+		if len(tauBytes) >= 4 {
+			tau = tau[:0]
+			for i := 0; i+4 <= len(tauBytes) && len(tau) < 64; i += 4 {
+				tau = append(tau, int32(binary.LittleEndian.Uint32(tauBytes[i:])&math.MaxInt32))
+			}
+		}
+		row := make([]int32, 0, len(rowBytes))
+		for _, b := range rowBytes[:len(rowBytes)/co*co] {
+			row = append(row, int32(int(b)%len(tau)))
+		}
+		var rhos []int32
+		for g := row; len(g) >= co; g = g[co:] {
+			rho := int32(math.MaxInt32)
+			for _, d := range g[:co] {
+				rho = min(rho, tau[d])
+			}
+			rhos = append(rhos, rho)
+		}
+
+		cnt := make([]int32, cur+1)
+		for i := range cnt {
+			cnt[i] = int32(i*7 + 3) // dirty, as the last cell left it
+		}
+		got := make([]int32, len(rhos))
+		rec := got
+		if co == 1 {
+			rec = nil
+		}
+		h, visits := rowTau(row, co, tau, cnt, rec, par)
+		if want := min(cur, hindex.Linear(rhos)); h != want {
+			t.Fatalf("co %d cur %d ρ %v: got %d, want min(cur, H) = %d", co, cur, rhos, h, want)
+		}
+		if visits > int64(len(rhos)) || (visits < int64(len(rhos)) && h != cur) {
+			t.Fatalf("co %d cur %d ρ %v: %d visits of %d, result %d", co, cur, rhos, visits, len(rhos), h)
+		}
+		if rec != nil && !equalInt32(got[:visits], rhos[:visits]) {
+			t.Fatalf("co %d cur %d: recorded ρ %v, want %v", co, cur, got[:visits], rhos[:visits])
+		}
+	})
 }
