@@ -151,7 +151,9 @@ func mallocs(body func()) uint64 {
 // kernel recorded above it — with the co-members' flags in each of the
 // three states wake tells apart, and fails if any of it allocates: once
 // the worker's row buffer has grown, which the warm-up run of mallocs
-// does. The scratch is AND's, its rho buffer sized once for the run.
+// does. The scratch is AND's, its rho buffer sized once for the run. Then
+// it holds SND's first sweep (sndSweep, from the s-degrees, with the rho
+// buffer Snd sizes) to the same count, and demands that some cell fell.
 func sweepAllocs(t *testing.T, name string, inst nucleus.Instance) {
 	t.Helper()
 	rows := inst.Rows()
@@ -186,12 +188,23 @@ func sweepAllocs(t *testing.T, name string, inst nucleus.Instance) {
 			}
 		}
 	}
+
+	snd := &newScratches(1, tau, maxOf(tau))[0]
+	next := make([]int32, n)
+	var updates int64
+	if allocs := mallocs(func() { updates, _ = sndSweep(&rows, nil, 0, int(n), tau, next, snd) }); allocs != 0 {
+		t.Fatalf("%s: SND sweep allocated %d times in 10 runs, want 0", name, allocs)
+	}
+	if updates == 0 {
+		t.Fatalf("%s: no cell fell in SND's first sweep, so no fall was tallied", name)
+	}
 }
 
 // TestFusedKernelZeroAlloc proves that a full sweep over stored rows, and
-// the wake-ups of its falls, performs zero heap allocations — on truss and
-// (3,4) indexes (co-arity 2 and 3, the general row loop, which records ρ
-// per s-clique) and on k-core (co-arity 1, the graph's own CSR).
+// the wake-ups of its falls, performs zero heap allocations, and so does
+// SND's sweep over the same rows — on truss and (3,4) indexes (co-arity 2
+// and 3, the general row loop, which records ρ per s-clique) and on k-core
+// (co-arity 1, the graph's own CSR).
 func TestFusedKernelZeroAlloc(t *testing.T) {
 	g := graph.PlantedCommunities(3, 14, 0.5, 40, 11)
 	for name, inst := range map[string]nucleus.Instance{

@@ -7,26 +7,32 @@ import "nucleus/internal/nucleus"
 // (nucleus.Rows: stored, or discovered into the worker's buffer). Given
 // cur, the cell's current index, it returns min(cur, H) and the s-clique
 // visits paid. Clamping is Theorem 1, not a heuristic: τ never rises, so
-// the next index is at most cur whatever H is. Knowing that bound first
-// makes the evaluation one pass over a counting array of cur + 1 slots:
-// every s-clique is counted at cnt[min(ρ, cur)], so slot cur takes the
-// ρ ≥ cur ones and slot 0 the ρ = 0 ones, which settle ignores, and a
-// running support grows by the 0/1 of ρ ≥ cur. Once cur s-cliques with
-// ρ ≥ cur have been seen the answer is cur and the rest of the row is
-// never read (the §4.4 early exit). The per-visit work has no
-// data-dependent jump: ρ, the clamp and the 0/1 come from the sign mask of
-// a 64-bit difference (minInt32, tally), because the builtin min lowers to
-// a compare and a branch in these loops, and a branch on τ is a coin toss
-// to the predictor. Co-arity 1
-// (k-core), 2 (truss) and 3 ((3,4)) each have a loop over fixed-size
+// the next index is at most cur whatever H is. A running support grows by
+// the 0/1 of ρ ≥ cur; once cur s-cliques with ρ ≥ cur have been seen the
+// answer is cur and the rest of the row is never read (the §4.4 early
+// exit). Otherwise the answer is below cur, and a counting array of cur +
+// 1 slots finds it: every s-clique is counted at cnt[min(ρ, cur)], so slot
+// cur takes the ρ ≥ cur ones and slot 0 the ρ = 0 ones, which settle
+// ignores. The per-visit work has no data-dependent jump: ρ, the clamp and
+// the 0/1 come from the sign mask of a 64-bit difference (minInt32, tally,
+// atLeast), because the builtin min lowers to a compare and a branch in
+// these loops, and a branch on τ is a coin toss to the predictor. Co-arity
+// 1 (k-core), 2 (truss) and 3 ((3,4)) each have a loop over fixed-size
 // groups; any other co-arity runs the generic loop, written the same way.
-// AND with notification at co-arity ≥ 2 also writes each s-clique's ρ
-// into the worker's rho buffer, so that a fall to h wakes co-members only
-// through the s-cliques whose ρ is above h (notify). One at or below h
-// cannot pass the fall on: a member that reads it later sees it at ≤ h
-// anyway, and one that read it before is reached by the fall that brought
-// it to ≤ h (the argument in full is at wake). A cell at cur = 0 costs
-// nothing, not even its row. par reads τ atomically for concurrent
+// A cell at cur = 0 costs nothing, not even its row.
+//
+// The kernel has two loops, one per algorithm, because they see different
+// cells. SND (sndSweep) evaluates every cell of every sweep, and about one
+// evaluation in four falls: its rows only record ρ in the worker's rho
+// buffer and count the support, and only a row that ends short of cur
+// pays for the counting array. AND (update, rowTau) evaluates the cells a
+// fall woke, and half or more of them fall, so counting as it reads costs
+// less than a second pass; with notification at co-arity ≥ 2 it also
+// records ρ, so that a fall to h wakes co-members only through the
+// s-cliques whose ρ is above h (notify). One at or below h cannot pass the
+// fall on: a member that reads it later sees it at ≤ h anyway, and one
+// that read it before is reached by the fall that brought it to ≤ h (the
+// argument in full is at wake). par reads τ atomically for concurrent
 // asynchronous sweeps (a stale higher read is repaired: the reading cell
 // is in progress, so the fall it missed wakes it again, and without
 // notification every cell is evaluated again in the next sweep).
@@ -41,9 +47,9 @@ type sweepScratch struct {
 	cnt []int32
 	// row is the worker's buffer for discovered rows.
 	row []int32
-	// rho, for AND with notification at co-arity ≥ 2, receives the ρ of
-	// each s-clique of the row in flight, one slot per s-clique of the
-	// longest row; nil otherwise.
+	// rho, for SND and for AND with notification at co-arity ≥ 2,
+	// receives the ρ of each s-clique of the row in flight, one slot per
+	// s-clique of the longest row; nil otherwise.
 	rho []int32
 
 	// Tallies of the sweep in flight, added to by the owning worker once per
@@ -119,6 +125,12 @@ func tally(cnt []int32, rho, cur int32) int32 {
 	return int32(s + 1)
 }
 
+// atLeast returns 1 if rho ≥ cur, else 0, without a jump: the sign of
+// rho − cur, taken in 64 bits.
+func atLeast(rho, cur int32) int32 {
+	return int32((int64(rho)-int64(cur))>>63 + 1)
+}
+
 // rowTau is the kernel: min(cur, H) over one row, cur = len(cnt) − 1, and
 // the visits paid; see the contract at the top of the file. At co-arity
 // ≥ 2 a non-nil rhos receives the ρ of each s-clique visited, in row order.
@@ -173,6 +185,90 @@ func rowTau(row []int32, co int, tau, cnt, rhos []int32, par bool) (int32, int64
 		}
 	}
 	return settle(cnt, support), visits
+}
+
+// sndSweep is SND's sweep over the cells lo..hi−1 of the run, cells[i], or
+// i itself when cells is nil: tau[c] = min(prev[c], H) with every ρ read
+// from prev, and the updates and s-clique visits paid. Each row records
+// its ρ in sc.rho while the support counts those ≥ cur, with rowTau's
+// early exit, so the visits are rowTau's; only a row that ends short of
+// cur, whose cell falls, tallies what it recorded (fall).
+func sndSweep(rows *nucleus.Rows, cells []int32, lo, hi int, prev, tau []int32, sc *sweepScratch) (updates, visits int64) {
+	co, rho := rows.Co, sc.rho
+	for i := lo; i < hi; i++ {
+		c := int32(i)
+		if cells != nil {
+			c = cells[i]
+		}
+		cur := prev[c]
+		if cur <= 0 {
+			tau[c] = 0
+			continue
+		}
+		row := rows.Row(c, &sc.row)
+		support, n := int32(0), 0
+		switch co {
+		case 1:
+			for _, d := range row {
+				r := prev[d]
+				rho[n] = r
+				n++
+				if support += atLeast(r, cur); support >= cur {
+					break
+				}
+			}
+		case 2:
+			for ; len(row) >= 2; row = row[2:] {
+				r := minInt32(prev[row[0]], prev[row[1]])
+				rho[n] = r
+				n++
+				if support += atLeast(r, cur); support >= cur {
+					break
+				}
+			}
+		case 3:
+			for ; len(row) >= 3; row = row[3:] {
+				r := minInt32(minInt32(prev[row[0]], prev[row[1]]), prev[row[2]])
+				rho[n] = r
+				n++
+				if support += atLeast(r, cur); support >= cur {
+					break
+				}
+			}
+		default:
+			for ; len(row) >= co; row = row[co:] {
+				r := prev[row[0]]
+				for _, d := range row[1:co] {
+					r = minInt32(r, prev[d])
+				}
+				rho[n] = r
+				n++
+				if support += atLeast(r, cur); support >= cur {
+					break
+				}
+			}
+		}
+		visits += int64(n)
+		h := cur
+		if support < cur { // then H < cur: the cell falls
+			h = fall(sc.cnt[:cur+1], rho[:n], support)
+			updates++
+		}
+		tau[c] = h
+	}
+	return updates, visits
+}
+
+// fall finishes an SND row that ended with support < cur s-cliques at
+// ρ ≥ cur, cur = len(cnt) − 1, from the ρ it recorded: the counting pass
+// rowTau makes as it reads, then settle.
+func fall(cnt, rhos []int32, support int32) int32 {
+	clear(cnt)
+	cur := int32(len(cnt)) - 1
+	for _, r := range rhos {
+		cnt[minInt32(r, cur)]++
+	}
+	return settle(cnt, support)
 }
 
 // The states of And's per-cell active flag. A sequential run uses only the

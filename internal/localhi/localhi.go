@@ -6,11 +6,13 @@
 //
 // The algorithms work against any nucleus.Instance, so the same code
 // computes k-core (1,2), k-truss (2,3), the (3,4) nucleus and any generic
-// (r,s). One sweep kernel serves both sides of the paper's §5 fork: it
+// (r,s). The sweep kernel serves both sides of the paper's §5 fork: it
 // scans the cell's row, stored (Flat, and Core — the CSR *is* the
 // incidence) or discovered into the worker's buffer (Truss, N34), computes
-// min(τ, H) in one clamped pass that stops once the current index is
-// certified, and allocates nothing while sweeping (see kernel.go). Both
+// min(τ, H) clamped at the current index, stops once that index is
+// certified, and allocates nothing while sweeping. It has one loop per
+// algorithm (see kernel.go): SND's counts only the rows that fall, AND's
+// counts as it reads, since most of the cells it wakes fall. Both
 // algorithms are parallel: idle workers
 // claim the next 64 cells off a shared cursor (par.ForEachWorker), the
 // dynamic scheduling §4.4 recommends against notification-induced load
@@ -178,32 +180,33 @@ func Run(inst nucleus.Instance, alg Algorithm, opts Options) *Result {
 }
 
 // Snd runs the synchronous algorithm: every sweep computes τ_{t+1} for all
-// cells from the frozen τ_t of the previous sweep (Jacobi iteration).
+// cells from the frozen τ_t of the previous sweep (Jacobi iteration), in
+// its own loop (sndSweep). The two arrays swap after each sweep, which is
+// exact with a Subset too: they start equal, and each sweep writes every
+// listed cell.
 func Snd(inst nucleus.Instance, opts Options) *Result {
-	n := inst.NumCells()
-	tau := initialTau(inst.Degrees(), opts)
-	prev := make([]int32, n)
-	res := &Result{}
-	cells := sweepCells(n, opts, nil)
+	deg := inst.Degrees()
+	// One ρ slot per s-clique of the longest row: the largest s-degree,
+	// read before initialTau clamps deg into τ.
+	longest := maxOf(deg)
+	prev := initialTau(deg, opts)
+	tau := slices.Clone(prev)
+	cells := sweepCells(len(prev), opts, nil)
+	size := len(prev)
+	if cells != nil {
+		size = len(cells)
+	}
 	rows := inst.Rows()
-	scs := newScratches(opts.threads(), tau, 0)
-	body := func(chunk []int32, sc *sweepScratch) {
-		var upd, vis int64
-		for _, c := range chunk {
-			h, v, _ := update(&rows, c, prev, sc, prev[c], false)
-			vis += v
-			if h != prev[c] {
-				upd++
-			}
-			tau[c] = h
-		}
+	scs := newScratches(opts.threads(), prev, longest)
+	body := func(lo, hi int, sc *sweepScratch) {
+		upd, vis := sndSweep(&rows, cells, lo, hi, prev, tau, sc)
 		sc.updates += upd
 		sc.visits += vis
 	}
 
+	res := &Result{}
 	for {
-		copy(prev, tau)
-		updates := res.sweep(opts, tau, cells, scs, body)
+		updates := res.sweep(opts, tau, size, scs, body)
 		if updates == 0 {
 			res.Converged = true
 			break
@@ -215,6 +218,7 @@ func Snd(inst nucleus.Instance, opts Options) *Result {
 			res.Stopped = true
 			break
 		}
+		prev, tau = tau, prev
 	}
 	res.Tau = tau
 	if opts.Progress != nil {
@@ -267,9 +271,9 @@ func and(inst nucleus.Instance, opts Options, notify notifier) *Result {
 	if concurrent {
 		claimed = flagInProgress
 	}
-	body := func(chunk []int32, sc *sweepScratch) {
+	body := func(lo, hi int, sc *sweepScratch) {
 		var upd, vis, skip int64
-		for _, c := range chunk {
+		for _, c := range cells[lo:hi] {
 			if active != nil {
 				if load(concurrent, active, c) == flagIdle {
 					skip++
@@ -316,7 +320,7 @@ func and(inst nucleus.Instance, opts Options, notify notifier) *Result {
 			res.Stopped = true
 			break
 		}
-		if res.sweep(opts, tau, cells, scs, body) == 0 {
+		if res.sweep(opts, tau, len(cells), scs, body) == 0 {
 			res.Converged = true
 			break
 		}
@@ -371,7 +375,7 @@ func initialTau(deg []int32, opts Options) []int32 {
 
 // sweepCells resolves the cell visit order for a run: the caller's Subset
 // or Order, else ascending deg when the run passes the s-degrees (And),
-// else id order.
+// else nil, which is id order.
 func sweepCells(n int, opts Options, deg []int32) []int32 {
 	if opts.Subset != nil {
 		return opts.Subset
@@ -383,11 +387,7 @@ func sweepCells(n int, opts Options, deg []int32) []int32 {
 	if deg != nil {
 		return AscendingOrder(deg)
 	}
-	cells := make([]int32, n)
-	for i := range cells {
-		cells[i] = int32(i)
-	}
-	return cells
+	return nil
 }
 
 // AscendingOrder returns the cell ids sorted by (key, id) ascending with one
@@ -426,13 +426,14 @@ func checkPermutation(order []int32, n int) {
 	}
 }
 
-// sweep runs body over the cells in grain-sized chunks claimed dynamically
-// by up to len(scs) workers, each with its own scratch (a single worker
-// runs inline), books the tallies they left there into res, shows the
-// sweep to the run's observers and returns its update count.
-func (res *Result) sweep(opts Options, tau, cells []int32, scs []sweepScratch, body func(chunk []int32, sc *sweepScratch)) int64 {
-	par.ForEachWorker(len(cells), sweepGrain, len(scs), func(w, lo, hi int) {
-		body(cells[lo:hi], &scs[w])
+// sweep runs body over the n positions of the run's visit order in
+// grain-sized chunks claimed dynamically by up to len(scs) workers, each
+// with its own scratch (a single worker runs inline), books the tallies
+// they left there into res, shows the sweep to the run's observers and
+// returns its update count.
+func (res *Result) sweep(opts Options, tau []int32, n int, scs []sweepScratch, body func(lo, hi int, sc *sweepScratch)) int64 {
+	par.ForEachWorker(n, sweepGrain, len(scs), func(w, lo, hi int) {
+		body(lo, hi, &scs[w])
 	})
 	var updates int64
 	for i := range scs {

@@ -183,3 +183,96 @@ func FuzzRowTau(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSndSweep holds SND's loop to the same contract over arbitrary rows:
+// one sweep over k ≤ 8 cells whose indices are anything a uint16 holds
+// (curBytes), reading them and up to 64 more cells at any non-negative
+// int32, math.MaxInt32 included (tauBytes), at co-arity 1..5, with the
+// counting array left dirty. Each row takes a count byte (up to 7
+// s-cliques) and then co cell bytes per s-clique, while rowBytes last.
+// Every cell lands on min(prev, hindex.Linear(ρ list)) and counts as an
+// update iff it fell; a short read returns cur. The sweep over all k cells
+// in reverse order through a cells list writes the same τ with the same
+// totals.
+func FuzzSndSweep(f *testing.F) {
+	f.Add([]byte{3, 0, 2, 0}, []byte{5, 0, 0, 0, 0xff, 0xff, 0xff, 0x7f}, []byte{3, 1, 2, 3, 1, 2, 3, 2, 0, 2}, uint8(0))
+	f.Add([]byte{2, 0, 2, 0, 1, 0}, []byte{1, 0, 0, 0}, []byte{2, 1, 2, 3, 0, 2, 0, 3, 2, 0, 1}, uint8(1))
+	f.Add([]byte{0xff, 0xff}, []byte{0xff, 0xff, 0xff, 0xff, 4, 0, 0, 0}, []byte{7, 0, 1, 2, 1, 2, 1, 2, 2, 1, 1, 1, 0, 0, 2}, uint8(2))
+	f.Add([]byte{4, 0, 0, 0}, []byte{}, []byte{6, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}, uint8(3))
+	f.Fuzz(func(t *testing.T, curBytes, tauBytes, rowBytes []byte, coRaw uint8) {
+		co := int(coRaw%5) + 1
+		var prev []int32
+		for i := 0; i+2 <= len(curBytes) && len(prev) < 8; i += 2 {
+			prev = append(prev, int32(binary.LittleEndian.Uint16(curBytes[i:])))
+		}
+		k := len(prev)
+		if k == 0 {
+			return
+		}
+		curs := append([]int32(nil), prev...)
+		for i := 0; i+4 <= len(tauBytes) && len(prev) < k+64; i += 4 {
+			prev = append(prev, int32(binary.LittleEndian.Uint32(tauBytes[i:])&math.MaxInt32))
+		}
+		offs := make([]int64, len(prev)+1)
+		var mem []int32
+		var longest int32
+		for c := 0; c < k; c++ {
+			if len(rowBytes) > 0 {
+				m := int(rowBytes[0] % 8)
+				rowBytes = rowBytes[1:]
+				m = min(m, len(rowBytes)/co)
+				for _, b := range rowBytes[:m*co] {
+					mem = append(mem, int32(int(b)%len(prev)))
+				}
+				rowBytes = rowBytes[m*co:]
+				longest = max(longest, int32(m))
+			}
+			offs[c+1] = int64(len(mem))
+		}
+		for c := k + 1; c < len(offs); c++ {
+			offs[c] = int64(len(mem))
+		}
+		rows := nucleus.Rows{Offs: offs, Mem: mem, Co: co}
+		sc := &newScratches(1, curs, longest)[0]
+		for i := range sc.cnt {
+			sc.cnt[i] = int32(i*7 + 3) // dirty, as the last cell left it
+		}
+
+		tau := make([]int32, len(prev))
+		var updates, visits int64
+		for c := 0; c < k; c++ {
+			var rhos []int32
+			for g := mem[offs[c]:offs[c+1]]; len(g) >= co; g = g[co:] {
+				rho := int32(math.MaxInt32)
+				for _, d := range g[:co] {
+					rho = min(rho, prev[d])
+				}
+				rhos = append(rhos, rho)
+			}
+			cur := prev[c]
+			upd, vis := sndSweep(&rows, nil, c, c+1, prev, tau, sc)
+			updates, visits = updates+upd, visits+vis
+			want, fell := min(cur, hindex.Linear(rhos)), int64(0)
+			if want < cur {
+				fell = 1
+			}
+			if tau[c] != want || upd != fell {
+				t.Fatalf("co %d cur %d ρ %v: got %d (%d updates), want min(cur, H) = %d", co, cur, rhos, tau[c], upd, want)
+			}
+			if vis > int64(len(rhos)) || (vis < int64(len(rhos)) && tau[c] != cur) {
+				t.Fatalf("co %d cur %d ρ %v: %d visits of %d, result %d", co, cur, rhos, vis, len(rhos), tau[c])
+			}
+		}
+
+		order := make([]int32, k)
+		for i := range order {
+			order[i] = int32(k - 1 - i)
+		}
+		again := make([]int32, len(prev))
+		upd, vis := sndSweep(&rows, order, 0, k, prev, again, sc)
+		if upd != updates || vis != visits || !equalInt32(again[:k], tau[:k]) {
+			t.Fatalf("over a cells list: τ %v, %d updates, %d visits; one cell at a time: τ %v, %d, %d",
+				again[:k], upd, vis, tau[:k], updates, visits)
+		}
+	})
+}

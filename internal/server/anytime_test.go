@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -411,5 +412,100 @@ func TestProgressDisabled(t *testing.T) {
 	doJSON(t, "GET", ts.URL+"/stats", nil, &st)
 	if st.Anytime.ProgressSnapshots.Load() != 0 {
 		t.Fatalf("progress disabled but %d snapshots published", st.Anytime.ProgressSnapshots.Load())
+	}
+}
+
+// TestSyncReadPublishesNoSnapshots: only a job's run publishes progress. A
+// budgeted synchronous miss leaves anytime.progressSnapshots where it was;
+// a job on another key raises it by one per sweep plus the final snapshot.
+// A job that coalesces onto a synchronous read's run has no publisher to
+// follow: its stream sends no progress and ends with done, carrying the
+// terminal snapshot synthesized from the shared result.
+func TestSyncReadPublishesNoSnapshots(t *testing.T) {
+	ts, s := testServerWith(t, Config{Workers: 1})
+	uploadPath(t, ts.URL, "p", 41) // SND needs ~20 sweeps: both budgets bind
+	snapshots := func() int64 { return getStats(t, ts.URL).Anytime.ProgressSnapshots.Load() }
+
+	var budget decomposeResponse
+	if resp := doJSON(t, "GET", ts.URL+"/graphs/p/decompose?dec=core&alg=snd&max_sweeps=8", nil, &budget); resp.StatusCode != http.StatusOK || budget.Sweeps != 8 {
+		t.Fatalf("budgeted read: status %d, %d sweeps", resp.StatusCode, budget.Sweeps)
+	}
+	if n := snapshots(); n != 0 {
+		t.Fatalf("a synchronous miss published %d snapshots, want 0", n)
+	}
+	var jv jobView
+	postJSON(t, ts.URL+"/jobs", jobRequest{Graph: "p", Decomposition: "core", Algorithm: "snd", MaxSweeps: 3}, &jv)
+	if v := waitForJob(t, ts.URL, jv.ID); v.State != JobDone || v.Cached || v.Sweeps != 3 {
+		t.Fatalf("job: %+v, want a 3-sweep run of its own", v)
+	}
+	if n := snapshots(); n != 3+1 {
+		t.Fatalf("a 3-sweep job published %d snapshots, want 4", n)
+	}
+
+	// A synchronous read of the exact key, held in flight at its first
+	// sweep boundary until a job on the same key is running.
+	e, _ := s.reg.get("p")
+	read, err := s.newQuery(e, "core", "snd", 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	read.stop = func() bool {
+		once.Do(func() { close(held) })
+		<-release
+		return false
+	}
+	readDone := make(chan *decompResult)
+	go func() {
+		res, _, err := s.resolve(read)
+		if err != nil {
+			t.Error(err)
+		}
+		readDone <- res
+	}()
+	<-held
+	postJSON(t, ts.URL+"/jobs", jobRequest{Graph: "p", Decomposition: "core", Algorithm: "snd"}, &jv)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		var v jobView
+		doJSON(t, "GET", ts.URL+"/jobs/"+jv.ID, nil, &v)
+		if v.State == JobRunning {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job never started: %+v", v)
+		}
+	}
+	// Running, the job has reached the flight or is about to; released
+	// later, it would find the key filled. Either way it pays no run and
+	// has no publisher to follow. The client's timeout turns a stream that
+	// never ends into a failed read.
+	client := &http.Client{Timeout: 10 * time.Second}
+	resp, err := client.Get(ts.URL + "/jobs/" + jv.ID + "/stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	res := <-readDone
+	if res == nil {
+		t.FailNow()
+	}
+	got := readSSE(t, resp)
+	if len(got) != 1 || got[0].event != "done" {
+		t.Fatalf("stream events %v, want done alone", got)
+	}
+	var done jobProgressResponse
+	if err := json.Unmarshal(got[0].data, &done); err != nil {
+		t.Fatalf("bad done payload: %v", err)
+	}
+	if done.State != JobDone || done.Snapshot == nil || !done.Snapshot.Final || !done.Snapshot.Converged ||
+		done.Snapshot.Sweep != res.Sweeps || done.Approximate {
+		t.Fatalf("done event %+v, want the terminal snapshot of the %d-sweep shared run", done, res.Sweeps)
+	}
+	if v := waitForJob(t, ts.URL, jv.ID); !v.Cached {
+		t.Fatalf("job %+v ran for itself instead of sharing the read's run", v)
+	}
+	if n := snapshots(); n != 3+1 {
+		t.Fatalf("after the coalesced job: %d snapshots, want still 4", n)
 	}
 }

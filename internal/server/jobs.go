@@ -100,7 +100,8 @@ type job struct {
 	// prog is the progress publisher of the computation currently serving
 	// this job (the owning flight's — shared when this job coalesced onto
 	// another caller's run). Nil while queued, for peel jobs, for cache
-	// hits, and when progress publishing is disabled.
+	// hits, for a job that coalesced onto a synchronous read's run, and
+	// when progress publishing is disabled.
 	prog *localhi.Progress
 }
 

@@ -59,7 +59,8 @@ type query struct {
 	stop func() bool
 	// onFlight, when non-nil, is called with the flight this query attached
 	// to (its own or another caller's) before any blocking work, so the
-	// caller can expose the run's live progress publisher.
+	// caller can expose the run's live progress publisher. Only a job sets
+	// it, and only a flight such a query opens has a publisher (join).
 	onFlight func(*flight)
 }
 
@@ -112,8 +113,9 @@ func (q query) exactKey() cacheKey { return keyOf(q.entry, q.dec, q.alg, 0) }
 
 // flight is one in-progress decomposition that concurrent callers wait
 // on; res/err are set before done is closed. prog is the run's anytime
-// progress publisher (nil for peel runs or when publishing is disabled),
-// shared by every job that coalesces onto the flight.
+// progress publisher (nil for peel runs, for a flight a synchronous read
+// opened, or when publishing is disabled), shared by every job that
+// coalesces onto the flight.
 type flight struct {
 	done chan struct{}
 	res  *decompResult
@@ -166,13 +168,17 @@ func (s *Server) fill(key cacheKey, res *decompResult) {
 }
 
 // join attaches q to the flight of key, opening one when none is in the
-// air; owner reports that q opened it and must run and land it.
+// air; owner reports that q opened it and must run and land it. Only a job
+// (q.onFlight set) opens a flight with a progress publisher: a synchronous
+// read answers once its run ends, so no request could read its snapshots.
+// A job that coalesces onto such a flight gets no publisher, and its
+// progress endpoints synthesize the terminal view from the result.
 func (s *Server) join(q query, key cacheKey) (f *flight, owner bool) {
 	s.flightMu.Lock()
 	f, ok := s.inflight[key]
 	if !ok {
 		f = &flight{done: make(chan struct{})}
-		if q.alg != localhi.Peel && s.cfg.ProgressEvery > 0 {
+		if q.onFlight != nil && q.alg != localhi.Peel && s.cfg.ProgressEvery > 0 {
 			f.prog = localhi.NewProgress(s.cfg.ProgressEvery)
 		}
 		s.inflight[key] = f

@@ -118,10 +118,10 @@ type Config struct {
 	// (primary / replica / standalone) and, for replicas, the pull
 	// source. See docs/REPLICATION.md. The zero value is standalone.
 	Replication ReplicationConfig
-	// ProgressEvery samples the anytime progress publisher: running
-	// snd/and decompositions publish a copy-on-write τ snapshot (plus
-	// convergence metrics) every k-th sweep, feeding GET
-	// /jobs/{id}/progress and the /jobs/{id}/stream SSE feed. 0 defaults
+	// ProgressEvery samples the anytime progress publisher: the snd/and
+	// runs of jobs publish a copy-on-write τ snapshot (plus convergence
+	// metrics) every k-th sweep, feeding GET /jobs/{id}/progress and the
+	// /jobs/{id}/stream SSE feed. 0 defaults
 	// to 1 (every sweep); negative disables progress publishing entirely
 	// (jobs then report only their terminal result). Each published
 	// snapshot copies the τ array, so on huge graphs a larger k bounds the
