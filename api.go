@@ -94,14 +94,14 @@ func NucleiAt(g *Graph, dec Decomposition, kappa []int32, k int32) [][]int32 {
 }
 
 // CellsToVertices maps a cell set of the given decomposition to its sorted
-// distinct vertex set. It counts no s-cliques: truss and (3,4) cells are
-// read off instances built without s-degrees, which CellVertices never reads.
+// distinct vertex set. It counts no s-cliques: CellVertices reads only the
+// edge table, or for (3,4) the graph's memoized triangle index.
 func CellsToVertices(g *Graph, dec Decomposition, cells []int32) []uint32 {
 	switch dec {
 	case KTruss:
 		return hierarchy.CellsToVertices(&inucleus.Truss{G: g}, cells)
 	case Nucleus34:
-		return hierarchy.CellsToVertices(&inucleus.N34{G: g, Idx: cliques.BuildTriangleIndex(g)}, cells)
+		return hierarchy.CellsToVertices(&inucleus.N34{G: g, Idx: cliques.TriangleIndexOf(g, 1)}, cells)
 	}
 	return hierarchy.CellsToVertices(newInstance(g, dec, inucleus.LibraryIndexBudget, 1), cells)
 }

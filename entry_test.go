@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 
+	"nucleus/internal/cliques"
 	"nucleus/internal/graph"
 	"nucleus/internal/hierarchy"
 	inucleus "nucleus/internal/nucleus"
@@ -156,6 +157,54 @@ func TestCellsToVerticesMatchesInstance(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if bytes := after.TotalAlloc - before.TotalAlloc; bytes >= uint64(g.M()) {
 		t.Fatalf("CellsToVertices(KTruss) allocated %d bytes on a graph of %d edges", bytes, g.M())
+	}
+}
+
+// TestCellsToVerticesN34ReadsTheGraphIndex: on planted and RMAT inputs,
+// CellsToVertices(Nucleus34) of random cell sets is the union of the cells'
+// vertices in triangle-id order as cliques.ForEach walks them; and after a
+// (3,4) decomposition the call reads the graph's one triangle index, the
+// memoized pointer the decomposition's instance was built on, so it
+// allocates nothing of the graph's size and leaves the memo as it was.
+func TestCellsToVerticesN34ReadsTheGraphIndex(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for name, mk := range map[string]func() *Graph{
+		"planted": func() *Graph { return PlantedCommunities(12, 80, 0.3, 1200, 1_000_003) },
+		"rmat":    func() *Graph { return RMAT(10, 8, 0.57, 0.19, 0.19, 75) },
+	} {
+		g := mk()
+		var tris []cliques.Triangle
+		cliques.ForEach(g, func(tr cliques.Triangle) bool {
+			tris = append(tris, tr)
+			return true
+		})
+		for round := 0; round < 5; round++ {
+			cells := make([]int32, 1+rng.Intn(len(tris)))
+			var want []uint32
+			for i := range cells {
+				cells[i] = int32(rng.Intn(len(tris)))
+				want = append(want, tris[cells[i]][:]...)
+			}
+			slices.Sort(want)
+			if got := CellsToVertices(g, Nucleus34, cells); !slices.Equal(got, slices.Compact(want)) {
+				t.Fatalf("%s: CellsToVertices(%d cells) differs from the triangles' vertex union", name, len(cells))
+			}
+		}
+
+		g = mk()
+		Decompose(g, Nucleus34, Options{Algorithm: AND})
+		idx := cliques.TriangleIndexOf(g, 1)
+		cells := []int32{0, int32(len(tris) / 2), int32(len(tris) - 1)}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		CellsToVertices(g, Nucleus34, cells)
+		runtime.ReadMemStats(&after)
+		if bytes := after.TotalAlloc - before.TotalAlloc; bytes >= uint64(g.M()) {
+			t.Fatalf("%s: CellsToVertices(Nucleus34) allocated %d bytes on a graph of %d edges", name, bytes, g.M())
+		}
+		if cliques.TriangleIndexOf(g, 1) != idx {
+			t.Fatalf("%s: CellsToVertices replaced the graph's triangle index", name)
+		}
 	}
 }
 

@@ -33,16 +33,16 @@ func BenchmarkBuildTriangleIndex(b *testing.B) {
 	g := benchGraph()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		BuildTriangleIndex(g)
+		BuildTriangleIndexThreads(g, 1)
 	}
 }
 
 func BenchmarkK4DegreePerTriangle(b *testing.B) {
 	g := benchGraph()
-	idx := BuildTriangleIndex(g)
+	idx := BuildTriangleIndexThreads(g, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		idx.K4DegreePerTriangle(g)
+		idx.K4DegreePerTriangleParallel(g, 1)
 	}
 }
 
@@ -56,7 +56,7 @@ func nucleusBenchGraph() *graph.Graph {
 // the lib_nucleus input at one and two threads.
 func BenchmarkK4Count(b *testing.B) {
 	g := nucleusBenchGraph()
-	ti := BuildTriangleIndex(g)
+	ti := BuildTriangleIndexThreads(g, 1)
 	for _, p := range []int{1, 2} {
 		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
 			b.ReportAllocs()
@@ -71,8 +71,8 @@ func BenchmarkK4Count(b *testing.B) {
 // given, on the lib_nucleus input at one and two threads.
 func BenchmarkBuildK4Incidence(b *testing.B) {
 	g := nucleusBenchGraph()
-	ti := BuildTriangleIndex(g)
-	deg := ti.K4DegreePerTriangle(g)
+	ti := BuildTriangleIndexThreads(g, 1)
+	deg := ti.K4DegreePerTriangleParallel(g, 1)
 	for _, p := range []int{1, 2} {
 		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
 			b.ReportAllocs()

@@ -139,11 +139,12 @@ func TestForEachTriangleOfEdgeEarlyStop(t *testing.T) {
 
 func TestTriangleIndex(t *testing.T) {
 	g := graph.Complete(5)
-	idx := BuildTriangleIndex(g)
+	idx := BuildTriangleIndexThreads(g, 1)
 	if idx.Len() != 10 {
 		t.Fatalf("K5 index has %d triangles, want 10", idx.Len())
 	}
-	for i, tr := range idx.List {
+	for i := range idx.Len() {
+		tr := idx.Triangle(int32(i))
 		id, ok := idx.ID(tr[2], tr[0], tr[1]) // unsorted lookup
 		if !ok || id != int32(i) {
 			t.Fatalf("lookup of %v = %d,%v", tr, id, ok)
@@ -158,17 +159,18 @@ func TestK4DegreePerTriangle(t *testing.T) {
 	// In K5 every triangle is in exactly 2 four-cliques (two choices of
 	// apex among the remaining 2 vertices).
 	g := graph.Complete(5)
-	idx := BuildTriangleIndex(g)
-	for _, d := range idx.K4DegreePerTriangle(g) {
+	idx := BuildTriangleIndexThreads(g, 1)
+	for _, d := range idx.K4DegreePerTriangleParallel(g, 1) {
 		if d != 2 {
 			t.Fatalf("K5 triangle K4-degree = %d, want 2", d)
 		}
 	}
 	// In the (3,4) toy, no 4-clique spans the two blocks.
 	toy := graph.Nucleus34Toy()
-	tidx := BuildTriangleIndex(toy)
-	degs := tidx.K4DegreePerTriangle(toy)
-	for i, tr := range tidx.List {
+	tidx := BuildTriangleIndexThreads(toy, 1)
+	degs := tidx.K4DegreePerTriangleParallel(toy, 1)
+	for i := range tidx.Len() {
+		tr := tidx.Triangle(int32(i))
 		hasG := tr[0] == 6 || tr[1] == 6 || tr[2] == 6
 		if hasG && degs[i] != 0 {
 			t.Errorf("triangle %v through pendant g has K4 degree %d", tr, degs[i])
@@ -178,13 +180,13 @@ func TestK4DegreePerTriangle(t *testing.T) {
 
 func TestForEachK4OfTriangle(t *testing.T) {
 	g := graph.Complete(6)
-	idx := BuildTriangleIndex(g)
-	for tid := range idx.List {
+	idx := BuildTriangleIndexThreads(g, 1)
+	for tid := range idx.Len() {
 		count := 0
 		idx.ForEachK4OfTriangle(g, int32(tid), func(x uint32, t1, t2, t3 int32) bool {
-			tri := idx.List[tid]
+			tri := idx.Triangle(int32(tid))
 			for _, other := range []int32{t1, t2, t3} {
-				o := idx.List[other]
+				o := idx.Triangle(other)
 				// Each co-triangle must contain x and two of tri's vertices.
 				hasX := o[0] == x || o[1] == x || o[2] == x
 				if !hasX {

@@ -50,11 +50,12 @@ func EdgeIncidenceBytes(m, sumDeg int64) int64 {
 // orientation of the graph under a memory budget in bytes (negative:
 // unlimited), or returns nil once the EdgeIncidenceBytes of the triangles
 // collected so far exceeds it, before anything is laid out
-// (collectGroups). Each triangle is found once, as its three edge ids,
-// gathered in root order; the per-edge counts are taken off them and
-// ScatterGroups lays the rows out: rows list triangles in that order,
-// bit-identical at every thread count. Panics if the graph has more than
-// MaxInt32 edges (cell ids are int32).
+// (collectGroups). Each triangle is found once, as its three oriented
+// slots, gathered in root order; a completed pass leaves the graph's
+// triangle index (TriangleIndexOf) off them, then the slots become edge
+// ids, the per-edge counts are taken off them and ScatterGroups lays the
+// rows out: rows list triangles in that order, bit-identical at every
+// thread count. Panics if the graph has more than MaxInt32 edges.
 func EdgeIncidenceWithin(o *OrientedEdges, budget int64, threads int) *EdgeIncidence {
 	return o.incidence(nil, budget, threads)
 }
@@ -75,15 +76,30 @@ func (o *OrientedEdges) incidence(deg []int32, budget int64, threads int) *EdgeI
 	groups, ok := collectGroups(len(o.rank), threads, budget, func(k int64) int64 { return EdgeIncidenceBytes(m, k) },
 		func(w, u int, buf []int32) []int32 {
 			o.trianglesOfRoot(uint32(u), scratch(marks, w, len(o.rank)), func(uv, uw, vw int64) {
-				buf = append(buf, int32(o.eid[uv]), int32(o.eid[uw]), int32(o.eid[vw]))
+				buf = append(buf, int32(uv), int32(uw), int32(vw))
 			})
 			return buf
 		})
 	if !ok {
 		return nil
 	}
+	// The pass found the graph's triangle index: triangle t is the t-th slot
+	// triple (uv, uw, vw), on row uv with apex adj[vw].
+	ti := &TriangleIndex{oriented: oriented{rank: o.rank, off: o.off, adj: o.adj}, tOff: make([]int32, m+1), apex: make([]uint32, len(groups)/3)}
+	for t := range ti.apex {
+		ti.tOff[groups[3*t]+1]++
+		ti.apex[t] = o.adj[groups[3*t+2]]
+	}
+	if ti.finish() <= math.MaxInt32 {
+		graph.Memo(o.g, indexKey{}, func() *TriangleIndex { return ti })
+	}
+	par.ForEach(len(groups), 4096, threads, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			groups[i] = int32(o.eid[groups[i]])
+		}
+	})
 	inc := &EdgeIncidence{}
-	inc.Offs, inc.Pairs, inc.Deg = scatter(groups, 3, int(m), deg, threads)
+	inc.Offs, inc.Pairs, inc.Deg = ScatterGroups(groups, 3, int(m), deg)
 	return inc
 }
 
@@ -144,7 +160,7 @@ func (ti *TriangleIndex) incidence(deg []int32, budget int64, threads int) *K4In
 		return nil
 	}
 	inc := &K4Incidence{}
-	inc.Offs, inc.Triples, inc.Deg = scatter(groups, 4, int(t), deg, threads)
+	inc.Offs, inc.Triples, inc.Deg = ScatterGroups(groups, 4, int(t), deg)
 	return inc
 }
 
@@ -175,52 +191,51 @@ func collectGroups(roots, threads int, budget int64, bytes func(members int64) i
 	return groups, bytes(members.Load()) <= budget
 }
 
-// scatter lays out groups of size cells over n cells with ScatterGroups,
-// first counting the s-degrees off the groups when deg is nil: one
-// enumeration serves both.
-func scatter(groups []int32, size, n int, deg []int32, threads int) ([]int64, []int32, []int32) {
+// ScatterGroups lays out a flat incidence from its s-cliques: groups holds
+// size distinct member cells per s-clique over n cells, cell c is in
+// deg[c] of them — counted off the groups when deg is nil, so one
+// enumeration serves both — and row c lists each such group's other
+// members, in group order, written in one pass at the row's cursor
+// offs[c+1] (its start, then its end), the truss and (3,4) sizes unrolled:
+// bit-identical at every thread count.
+func ScatterGroups(groups []int32, size, n int, deg []int32) ([]int64, []int32, []int32) {
 	if deg == nil {
 		deg = make([]int32, n)
 		for _, c := range groups {
 			deg[c]++
 		}
 	}
-	offs, mem := ScatterGroups(groups, size, deg, threads)
-	return offs, mem, deg
-}
-
-// ScatterGroups lays out a flat incidence from its s-cliques: groups holds
-// size member cells per s-clique, cell c is in deg[c] of them, and row c
-// lists each such group's other members, in group order. Prefix sum, slots
-// assigned in group order, parallel scatter: bit-identical at every thread
-// count.
-func ScatterGroups(groups []int32, size int, deg []int32, threads int) (offs []int64, mem []int32) {
 	co := int64(size - 1)
-	n := len(deg)
-	offs = make([]int64, n+1)
+	offs := make([]int64, len(deg)+1)
+	var total int64
 	for c, d := range deg {
-		offs[c+1] = offs[c] + int64(d)*co
+		offs[c+1] = total
+		total += int64(d) * co
 	}
-	cursor := append([]int64(nil), offs[:n]...)
-	slots := make([]int64, len(groups))
-	for i, c := range groups {
-		slots[i] = cursor[c]
-		cursor[c] += co
-	}
-	mem = make([]int32, offs[n])
-	par.ForEach(len(groups)/size, 512, threads, func(lo, hi int) {
-		for gi := lo; gi < hi; gi++ {
-			grp := groups[gi*size : (gi+1)*size]
-			for j := range grp {
-				w := slots[gi*size+j]
-				for m, d := range grp {
-					if m != j {
-						mem[w] = d
-						w++
-					}
-				}
+	mem := make([]int32, total)
+	switch size {
+	case 3:
+		for g := groups; len(g) >= 3; g = g[3:] {
+			a, b, c := g[0], g[1], g[2]
+			wa, wb, wc := offs[a+1], offs[b+1], offs[c+1]
+			mem[wa], mem[wa+1], mem[wb], mem[wb+1], mem[wc], mem[wc+1] = b, c, a, c, a, b
+			offs[a+1], offs[b+1], offs[c+1] = wa+2, wb+2, wc+2
+		}
+	case 4:
+		for g := groups; len(g) >= 4; g = g[4:] {
+			a, b, c, d := g[0], g[1], g[2], g[3]
+			wa, wb, wc, wd := offs[a+1], offs[b+1], offs[c+1], offs[d+1]
+			mem[wa], mem[wa+1], mem[wa+2], mem[wb], mem[wb+1], mem[wb+2] = b, c, d, a, c, d
+			mem[wc], mem[wc+1], mem[wc+2], mem[wd], mem[wd+1], mem[wd+2] = a, b, d, a, b, c
+			offs[a+1], offs[b+1], offs[c+1], offs[d+1] = wa+3, wb+3, wc+3, wd+3
+		}
+	default:
+		for g := groups; len(g) >= size; g = g[size:] {
+			for j, c := range g[:size] {
+				w := offs[c+1] + int64(copy(mem[offs[c+1]:], g[:j]))
+				offs[c+1] = w + int64(copy(mem[w:], g[j+1:size]))
 			}
 		}
-	})
-	return offs, mem
+	}
+	return offs, mem, deg
 }

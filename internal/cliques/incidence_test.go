@@ -1,6 +1,7 @@
 package cliques
 
 import (
+	"math/rand"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -145,7 +146,7 @@ func FuzzEdgeIncidence(f *testing.F) {
 // emission order, the on-the-fly walk by apex id.
 func TestK4IncidenceMatchesOnTheFly(t *testing.T) {
 	for gi, g := range incidenceTestGraphs() {
-		ti := BuildTriangleIndex(g)
+		ti := BuildTriangleIndexThreads(g, 1)
 		inc := K4IncidenceWithin(ti, -1, 1)
 		if len(inc.Offs) != ti.Len()+1 {
 			t.Fatalf("graph %d: offs length %d, want %d", gi, len(inc.Offs), ti.Len()+1)
@@ -171,7 +172,7 @@ func TestK4IncidenceMatchesOnTheFly(t *testing.T) {
 func TestIncidenceParallelMatchesSequential(t *testing.T) {
 	for gi, g := range incidenceTestGraphs() {
 		seqE := EdgeIncidenceWithin(OrientEdges(g, 1), -1, 1)
-		ti := BuildTriangleIndex(g)
+		ti := BuildTriangleIndexThreads(g, 1)
 		seqK := K4IncidenceWithin(ti, -1, 1)
 		for _, threads := range []int{2, 3, 8, 100} {
 			parE := EdgeIncidenceWithin(OrientEdges(g, threads), -1, threads)
@@ -190,8 +191,8 @@ func TestIncidenceParallelMatchesSequential(t *testing.T) {
 // against the sequential one.
 func TestK4DegreeParallelMatches(t *testing.T) {
 	for gi, g := range incidenceTestGraphs() {
-		ti := BuildTriangleIndex(g)
-		want := ti.K4DegreePerTriangle(g)
+		ti := BuildTriangleIndexThreads(g, 1)
+		want := ti.K4DegreePerTriangleParallel(g, 1)
 		for _, threads := range []int{1, 2, 5, 64} {
 			got := ti.K4DegreePerTriangleParallel(g, threads)
 			if !int32sEqual(want, got) {
@@ -216,7 +217,7 @@ func TestBudgetZeroCollectsNothing(t *testing.T) {
 		if ok || len(groups) != 0 || roots.Load() != 0 {
 			t.Fatalf("threads %d: ok=%v, %d members collected from %d roots, want none", threads, ok, len(groups), roots.Load())
 		}
-		if EdgeIncidenceWithin(OrientEdges(g, threads), 0, threads) != nil || K4IncidenceWithin(BuildTriangleIndex(g), 0, threads) != nil {
+		if EdgeIncidenceWithin(OrientEdges(g, threads), 0, threads) != nil || K4IncidenceWithin(BuildTriangleIndexThreads(g, 1), 0, threads) != nil {
 			t.Fatalf("threads %d: an index built within budget 0", threads)
 		}
 	}
@@ -261,8 +262,8 @@ func TestIncidenceBytesEstimates(t *testing.T) {
 	if est := EdgeIncidenceBytes(g.M(), sum); est != inc.Bytes() {
 		t.Fatalf("edge estimate %d != actual %d", est, inc.Bytes())
 	}
-	ti := BuildTriangleIndex(g)
-	kdeg := ti.K4DegreePerTriangle(g)
+	ti := BuildTriangleIndexThreads(g, 1)
+	kdeg := ti.K4DegreePerTriangleParallel(g, 1)
 	sum = 0
 	for _, d := range kdeg {
 		sum += int64(d)
@@ -327,4 +328,29 @@ func canonicalRow(row []int32) [][3]int32 {
 	}
 	slices.SortFunc(out, func(a, b [3]int32) int { return slices.Compare(a[:], b[:]) })
 	return out
+}
+
+// TestScatterGroupsMatchesRef holds the one-pass scatter — the unrolled
+// truss and (3,4) sizes and the generic loop — bit-identical to the
+// two-pass reference on random groups of distinct cells, cells repeated
+// across groups and some cells in none.
+func TestScatterGroupsMatchesRef(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, size := range []int{2, 3, 4, 5, 6} {
+		for _, n := range []int{size, 7, 300} {
+			var groups []int32
+			deg := make([]int32, n)
+			for range rng.Intn(4 * n) {
+				for _, c := range rng.Perm(n)[:size] {
+					groups = append(groups, int32(c))
+					deg[c]++
+				}
+			}
+			offs, mem, counted := ScatterGroups(groups, size, n, nil)
+			wantOffs, wantMem := refScatterGroups(groups, size, deg, 4)
+			if !slices.Equal(offs, wantOffs) || !slices.Equal(mem, wantMem) || !slices.Equal(counted, deg) {
+				t.Fatalf("size %d, %d cells: the one-pass scatter differs from the reference", size, n)
+			}
+		}
+	}
 }

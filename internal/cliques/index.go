@@ -16,29 +16,33 @@ import (
 // Ids are positions, not hash keys: over the degree-oriented CSR, oriented
 // edge k = (u→v) owns the triangle row apex[tOff[k]:tOff[k+1]] = out(u) ∩
 // out(v), in id order, and triangle {u, v, apex[i]} has id i. That is the
-// order ForEach emits triangles in, so List[i] is triangle i.
+// order ForEach emits triangles in.
 type TriangleIndex struct {
-	// List holds triangles by id, each sorted ascending.
-	List []Triangle
 	oriented
 	tOff []int32
 	apex []uint32
+	// slot[t] is triangle t's k, owner[k] its u: set by WithSlots only.
+	slot  []int32
+	owner []uint32
 }
 
-// BuildTriangleIndex enumerates all triangles and indexes them. It is
-// BuildTriangleIndexThreads with a single thread.
-func BuildTriangleIndex(g *graph.Graph) *TriangleIndex {
-	return BuildTriangleIndexThreads(g, 1)
+// indexKey keys a graph's triangle index in its memo.
+type indexKey struct{}
+
+// TriangleIndexOf returns g's one triangle index, memoized on g: the one
+// its stored truss build left (EdgeIncidenceWithin), or else built here.
+func TriangleIndexOf(g *graph.Graph, threads int) *TriangleIndex {
+	ti, _ := graph.Memo(g, indexKey{}, func() *TriangleIndex { return BuildTriangleIndexThreads(g, threads) })
+	return ti
 }
 
-// BuildTriangleIndexThreads is BuildTriangleIndex fanned out across threads
-// by root vertex (trianglesOfRoot); rows are gathered in root order, so ids
-// are bit-identical at every thread count. Panics if int32 cell ids cannot
-// number them all.
+// BuildTriangleIndexThreads enumerates all triangles and indexes them,
+// fanned out across threads by root vertex (trianglesOfRoot); rows are
+// gathered in root order, so ids are bit-identical at every thread count.
+// It reads no memo. Panics if int32 cell ids cannot number them all.
 func BuildTriangleIndexThreads(g *graph.Graph, threads int) *TriangleIndex {
 	ti := &TriangleIndex{oriented: orient(g, g.DegreeOrder(), false, threads)}
-	m := len(ti.adj)
-	ti.tOff = make([]int32, m+1)
+	ti.tOff = make([]int32, len(ti.adj)+1)
 	marks := make([][]int32, max(threads, 1))
 	ti.apex = par.Collect(g.N(), 64, threads, func(w, u int, buf []uint32) []uint32 {
 		ti.trianglesOfRoot(uint32(u), scratch(marks, w, g.N()), func(uv, _, vw int64) {
@@ -47,25 +51,36 @@ func BuildTriangleIndexThreads(g *graph.Graph, threads int) *TriangleIndex {
 		})
 		return buf
 	})
+	checkCellIDs(ti.finish())
+	return ti
+}
+
+// finish turns row counts tOff[k+1] into offsets, returning their total.
+func (ti *TriangleIndex) finish() int64 {
 	var total int64
-	for k := 1; k <= m; k++ {
+	for k := 1; k < len(ti.tOff); k++ {
 		total += int64(ti.tOff[k])
 		ti.tOff[k] = int32(total)
 	}
-	checkCellIDs(total)
+	return total
+}
 
-	ti.List = make([]Triangle, len(ti.apex))
-	par.ForEach(g.N(), 256, threads, func(lo, hi int) {
+// WithSlots returns a copy of ti whose Triangle is O(1), 4 bytes per slot
+// and triangle, for the on-the-fly (3,4) rows: one lookup per row found.
+func (ti *TriangleIndex) WithSlots(threads int) *TriangleIndex {
+	c := *ti
+	c.slot, c.owner = make([]int32, ti.Len()), make([]uint32, len(ti.adj))
+	par.ForEach(len(ti.rank), 256, threads, func(lo, hi int) {
 		for u := lo; u < hi; u++ {
 			for k := ti.off[u]; k < ti.off[u+1]; k++ {
-				v := ti.adj[k]
+				c.owner[k] = uint32(u)
 				for t := ti.tOff[k]; t < ti.tOff[k+1]; t++ {
-					ti.List[t] = sortedTriple(uint32(u), v, ti.apex[t])
+					c.slot[t] = int32(k)
 				}
 			}
 		}
 	})
-	return ti
+	return &c
 }
 
 // checkCellIDs panics if int32 cell ids cannot number n triangles.
@@ -76,7 +91,20 @@ func checkCellIDs(n int64) {
 }
 
 // Len returns the number of triangles.
-func (ti *TriangleIndex) Len() int { return len(ti.List) }
+func (ti *TriangleIndex) Len() int { return len(ti.apex) }
+
+// Triangle returns triangle t's vertices, sorted ascending: u and v of the
+// slot k = (u→v) with tOff[k] <= t < tOff[k+1] (searched for without
+// WithSlots), and t's apex.
+func (ti *TriangleIndex) Triangle(t int32) Triangle {
+	if ti.slot != nil {
+		k := ti.slot[t]
+		return sortedTriple(ti.owner[k], ti.adj[k], ti.apex[t])
+	}
+	k, _ := slices.BinarySearch(ti.tOff, t+1)
+	u, _ := slices.BinarySearch(ti.off, int64(k))
+	return sortedTriple(uint32(u-1), ti.adj[k-1], ti.apex[t])
+}
 
 // ID returns the dense id of the triangle on vertices {a,b,c}, in any
 // order: ranked u < v < w, w's slot in the row of u→v, by binary search in
@@ -115,7 +143,7 @@ func (ti *TriangleIndex) row(k int64) (int32, []uint32) {
 // 4-clique: {u,v,x}, {u,w,x}, {v,w,x}. Iteration stops if fn returns false.
 // This is the on-the-fly discovery; the builds use k4OfRoot instead.
 func (ti *TriangleIndex) ForEachK4OfTriangle(g *graph.Graph, t int32, fn func(x uint32, t1, t2, t3 int32) bool) {
-	tri := ti.List[t]
+	tri := ti.Triangle(t)
 	u, v, w := tri[0], tri[1], tri[2]
 	commonNeighbors3(g, u, v, w, func(x uint32) bool {
 		t1, ok1 := ti.ID(u, v, x)
@@ -172,15 +200,10 @@ func (ti *TriangleIndex) k4OfRoot(u uint32, fn func(tuvw, tuvx, tuwx, tvwx int32
 	}
 }
 
-// K4DegreePerTriangle returns the number of 4-cliques containing each
-// triangle, indexed by triangle id.
-func (ti *TriangleIndex) K4DegreePerTriangle(g *graph.Graph) []int32 {
-	return ti.K4DegreePerTriangleParallel(g, 1)
-}
-
-// K4DegreePerTriangleParallel is K4DegreePerTriangle across workers: a
-// count-only pass of k4OfRoot, each worker adding into its own array, the
-// arrays summed. It reads only the index (built from the graph given).
+// K4DegreePerTriangleParallel returns the number of 4-cliques containing
+// each triangle, indexed by triangle id: a count-only pass of k4OfRoot,
+// each worker adding into its own array, the arrays summed. It reads only
+// the index (built from the graph given).
 func (ti *TriangleIndex) K4DegreePerTriangleParallel(_ *graph.Graph, threads int) []int32 {
 	degs := make([][]int32, max(threads, 1))
 	par.ForEachWorker(len(ti.rank), 64, threads, func(w, lo, hi int) {
@@ -199,7 +222,7 @@ func (ti *TriangleIndex) K4DegreePerTriangleParallel(_ *graph.Graph, threads int
 
 // CountK4 returns the total number of 4-cliques (each counted once).
 func CountK4(g *graph.Graph) int64 {
-	ti := BuildTriangleIndex(g)
+	ti := BuildTriangleIndexThreads(g, 1)
 	var total int64
 	for u := range uint32(g.N()) {
 		ti.k4OfRoot(u, func(int32, int32, int32, int32) { total++ })

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -12,13 +13,18 @@ import (
 
 // checkAgainstRef holds the positional triangle index and both 4-clique
 // passes to the map-based reference (ref_test.go) on g, at every thread
-// count: the same List, every triangle's id in all six vertex orders, the
-// same K4 degrees and Offs, every row equal as a multiset of co-member
+// count: the list refTriangleList lays out of the index is the reference's,
+// every triangle's vertices (Triangle, searched and through WithSlots'
+// tables) are its entry in that list, its id in all six vertex orders
+// round-trips through ID, the same K4 degrees and Offs, every row equal as a multiset of co-member
 // triples, arrays bit-identical across thread counts, and ID on random
 // triples — out of range and repeated vertices included — equal to the
 // reference's answer. The one-pass incidence (degrees counted off the
 // 4-cliques) is bit-identical to the two-pass one (count pass first), also
-// at a budget of exactly its size, and gives up one byte below it.
+// at a budget of exactly its size, and gives up one byte below it. The
+// index a truss group pass leaves in the graph's memo is array for array
+// the cold build's, and a pass one byte short of its budget leaves none
+// (checkTrussPassIndex).
 func checkAgainstRef(t testing.TB, g *graph.Graph, rng *rand.Rand) {
 	t.Helper()
 	ref := newRefTriangleIndex(g)
@@ -27,10 +33,16 @@ func checkAgainstRef(t testing.TB, g *graph.Graph, rng *rand.Rand) {
 	var first *K4Incidence
 	for _, threads := range []int{1, 2, 3, 4, 8, 100} {
 		ti := BuildTriangleIndexThreads(g, threads)
-		if !slices.Equal(ti.List, ref.List) {
+		list := refTriangleList(ti, threads)
+		if !slices.Equal(list, ref.List) {
 			t.Fatalf("threads %d: triangle list differs from the reference", threads)
 		}
-		for i, tr := range ti.List {
+		checkTrussPassIndex(t, g, ti, threads)
+		fast := ti.WithSlots(threads)
+		for i, tr := range list {
+			if got, viaSlots := ti.Triangle(int32(i)), fast.Triangle(int32(i)); got != tr || viaSlots != tr {
+				t.Fatalf("threads %d: Triangle(%d) = %v, with slots %v, want %v", threads, i, got, viaSlots, tr)
+			}
 			a, b, c := tr[0], tr[1], tr[2]
 			for _, p := range [][3]uint32{{a, b, c}, {a, c, b}, {b, a, c}, {b, c, a}, {c, a, b}, {c, b, a}} {
 				if id, ok := ti.ID(p[0], p[1], p[2]); !ok || id != int32(i) {
@@ -69,7 +81,7 @@ func checkAgainstRef(t testing.TB, g *graph.Graph, rng *rand.Rand) {
 			t.Fatalf("threads %d: K4 incidence differs from the one-thread build", threads)
 		}
 	}
-	ti := BuildTriangleIndex(g)
+	ti := BuildTriangleIndexThreads(g, 1)
 	n := g.N()
 	for i := 0; i < 200; i++ {
 		a, b, c := uint32(rng.Intn(n+3)), uint32(rng.Intn(n+3)), uint32(rng.Intn(n+3))
@@ -81,6 +93,26 @@ func checkAgainstRef(t testing.TB, g *graph.Graph, rng *rand.Rand) {
 		if gotID != wantID || gotOK != wantOK {
 			t.Fatalf("ID(%d,%d,%d) = %d/%v, reference %d/%v", a, b, c, gotID, gotOK, wantID, wantOK)
 		}
+	}
+}
+
+// checkTrussPassIndex holds the index the truss group pass leaves in the
+// memo of a fresh copy of g to want, the cold build at the same thread
+// count, array for array — the orientation's edge ids dropped — and a pass
+// refused one byte short of its budget to leaving nothing there.
+func checkTrussPassIndex(t testing.TB, g *graph.Graph, want *TriangleIndex, threads int) {
+	t.Helper()
+	h := graph.Build(g.N(), g.Edges())
+	inc := EdgeIncidenceWithin(OrientEdges(h, threads), -1, threads)
+	if got, built := graph.Memo(h, indexKey{}, func() *TriangleIndex { return nil }); built || !reflect.DeepEqual(got, want) {
+		t.Fatalf("threads %d: the truss pass left %+v (none: %v), want the cold build %+v", threads, got, built, want)
+	}
+	refused := graph.Build(g.N(), g.Edges())
+	if EdgeIncidenceWithin(OrientEdges(refused, threads), inc.Bytes()-1, threads) != nil {
+		t.Fatalf("threads %d: an edge incidence built one byte short of its budget", threads)
+	}
+	if got, built := graph.Memo(refused, indexKey{}, func() *TriangleIndex { return nil }); !built {
+		t.Fatalf("threads %d: a refused truss pass left an index of %d triangles", threads, got.Len())
 	}
 }
 
@@ -111,13 +143,13 @@ func TestTriangleIndexMatchesRef(t *testing.T) {
 // TestTriangleIndexIDRejects pins ID's answer for triples that are not
 // triangles of the graph: (0, false), never a panic.
 func TestTriangleIndexIDRejects(t *testing.T) {
-	ti := BuildTriangleIndex(graph.Complete(5))
+	ti := BuildTriangleIndexThreads(graph.Complete(5), 1)
 	for _, p := range [][3]uint32{{0, 1, 5}, {0, 1, 200}, {7, 8, 9}, {0, 0, 1}, {2, 1, 2}, {3, 3, 3}} {
 		if id, ok := ti.ID(p[0], p[1], p[2]); ok || id != 0 {
 			t.Fatalf("ID%v = %d/%v, want 0/false", p, id, ok)
 		}
 	}
-	path := BuildTriangleIndex(graph.Path(4))
+	path := BuildTriangleIndexThreads(graph.Path(4), 1)
 	if id, ok := path.ID(0, 1, 2); ok || id != 0 {
 		t.Fatalf("path ID(0,1,2) = %d/%v, want 0/false", id, ok)
 	}
@@ -140,7 +172,8 @@ func TestCheckCellIDs(t *testing.T) {
 // FuzzK4Incidence builds a graph of at most 24 vertices from the bytes —
 // bit i of data clears the i-th vertex pair's edge, so short inputs are
 // dense and full of 4-cliques — and holds the positional index to the
-// map-based reference (checkAgainstRef) and CountK4 to the naive count.
+// map-based reference and the truss pass's index to the cold build
+// (checkAgainstRef), and CountK4 to the naive count.
 func FuzzK4Incidence(f *testing.F) {
 	f.Add(uint8(3), []byte{})
 	f.Add(uint8(20), []byte{0x55, 0xaa, 0x0f})

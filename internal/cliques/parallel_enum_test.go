@@ -20,8 +20,8 @@ func enumFamilies() map[string]*graph.Graph {
 }
 
 // TestTrianglesParallelBitIdentical proves the parallel triangle index
-// lists the exact sequence ForEach emits, and assigns those ids, at every
-// thread count.
+// lists the exact sequence ForEach emits (Triangle by id), and assigns
+// those ids, at every thread count.
 func TestTrianglesParallelBitIdentical(t *testing.T) {
 	for name, g := range enumFamilies() {
 		var want []Triangle
@@ -31,13 +31,12 @@ func TestTrianglesParallelBitIdentical(t *testing.T) {
 		})
 		for _, threads := range []int{1, 2, 4, 8} {
 			idx := BuildTriangleIndexThreads(g, threads)
-			got := idx.List
-			if len(got) != len(want) {
-				t.Fatalf("%s threads=%d: %d triangles, want %d", name, threads, len(got), len(want))
+			if idx.Len() != len(want) {
+				t.Fatalf("%s threads=%d: %d triangles, want %d", name, threads, idx.Len(), len(want))
 			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("%s threads=%d: triangle %d = %v, want %v", name, threads, i, got[i], want[i])
+			for i := range want {
+				if got := idx.Triangle(int32(i)); got != want[i] {
+					t.Fatalf("%s threads=%d: triangle %d = %v, want %v", name, threads, i, got, want[i])
 				}
 			}
 			for i, tr := range want {
@@ -71,6 +70,20 @@ func TestKCliquesFlatBitIdentical(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestCountMatchesNaive holds the count-only walk to the triple-loop count
+// on every generator family, and checks that it leaves no triangle index
+// in the graph's memo.
+func TestCountMatchesNaive(t *testing.T) {
+	for name, g := range enumFamilies() {
+		if got, want := Count(g), int64(len(naiveTriangles(g))); got != want {
+			t.Fatalf("%s: Count = %d, naive %d", name, got, want)
+		}
+		if _, built := graph.Memo(g, indexKey{}, func() *TriangleIndex { return nil }); !built {
+			t.Fatalf("%s: Count left a triangle index in the graph's memo", name)
 		}
 	}
 }

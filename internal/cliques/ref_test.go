@@ -14,6 +14,14 @@ import (
 // adjacencies N(u) and N(v) — once to count, once more to fill the row at
 // the edge's offset, co-member pairs in apex order.
 //
+// The scatter: refScatterGroups assigned every member its row slot in
+// group order into an int64 array, then wrote the co-members in a parallel
+// second pass.
+//
+// The triangle list: before an index derived a triangle's vertices from
+// its slot (TriangleIndex.Triangle), it laid out every triangle's sorted
+// triple by id, refTriangleList below.
+//
 // (3,4): the map-based index — the triangle list from per-vertex oriented
 // rows, a map from sorted triple to id, a full-adjacency three-way
 // intersection per triangle for the 4-clique degrees, and the same
@@ -233,4 +241,52 @@ func refOrientedAdjacency(g *graph.Graph, rank []int32) [][]uint32 {
 		out[u] = row
 	}
 	return out
+}
+
+// refTriangleList is the per-triangle list the index kept: triangle t, on
+// the row of oriented edge k = (u→v), is sortedTriple(u, v, apex[t]).
+func refTriangleList(ti *TriangleIndex, threads int) []Triangle {
+	list := make([]Triangle, len(ti.apex))
+	par.ForEach(len(ti.rank), 256, threads, func(lo, hi int) {
+		for u := lo; u < hi; u++ {
+			for k := ti.off[u]; k < ti.off[u+1]; k++ {
+				v := ti.adj[k]
+				for t := ti.tOff[k]; t < ti.tOff[k+1]; t++ {
+					list[t] = sortedTriple(uint32(u), v, ti.apex[t])
+				}
+			}
+		}
+	})
+	return list
+}
+
+func refScatterGroups(groups []int32, size int, deg []int32, threads int) (offs []int64, mem []int32) {
+	co := int64(size - 1)
+	n := len(deg)
+	offs = make([]int64, n+1)
+	for c, d := range deg {
+		offs[c+1] = offs[c] + int64(d)*co
+	}
+	cursor := append([]int64(nil), offs[:n]...)
+	slots := make([]int64, len(groups))
+	for i, c := range groups {
+		slots[i] = cursor[c]
+		cursor[c] += co
+	}
+	mem = make([]int32, offs[n])
+	par.ForEach(len(groups)/size, 512, threads, func(lo, hi int) {
+		for gi := lo; gi < hi; gi++ {
+			grp := groups[gi*size : (gi+1)*size]
+			for j := range grp {
+				w := slots[gi*size+j]
+				for m, d := range grp {
+					if m != j {
+						mem[w] = d
+						w++
+					}
+				}
+			}
+		}
+	})
+	return offs, mem
 }

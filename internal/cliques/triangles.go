@@ -24,12 +24,15 @@ func CountPerEdge(g *graph.Graph) []int32 { return OrientEdges(g, 1).CountPerEdg
 // OrientedEdges is the substrate of every stored (2,3) pass: the
 // degree-oriented CSR with each slot's dense edge id, over which each
 // triangle is found once, from its lowest-rank vertex (trianglesOfRoot).
-type OrientedEdges struct{ oriented }
+type OrientedEdges struct {
+	oriented
+	g *graph.Graph
+}
 
 // OrientEdges orients g by degree rank, numbering g's edges if nothing has
 // read an edge id yet.
 func OrientEdges(g *graph.Graph, threads int) *OrientedEdges {
-	return &OrientedEdges{orient(g, g.DegreeOrder(), true, threads)}
+	return &OrientedEdges{orient(g, g.DegreeOrder(), true, threads), g}
 }
 
 // CountPerEdge is the count-only pass, the parallelizable degree
@@ -98,17 +101,23 @@ func ForEachTriangleOfEdge(g *graph.Graph, e int64, fn func(w uint32, euw, evw i
 	}
 }
 
-// Count returns the total number of triangles.
-func Count(g *graph.Graph) int64 { return int64(BuildTriangleIndex(g).Len()) }
+// Count returns the total number of triangles, keeping nothing (ForEach).
+func Count(g *graph.Graph) (total int64) {
+	ForEach(g, func(Triangle) bool { total++; return true })
+	return total
+}
 
 // ForEach calls fn for every triangle exactly once, sorted ascending within
-// the triple, in triangle-id order (TriangleIndex). Iteration stops early if
-// fn returns false.
+// the triple, in triangle-id order (TriangleIndex), over an orientation it
+// drops on return. Iteration stops early if fn returns false.
 func ForEach(g *graph.Graph, fn func(Triangle) bool) {
-	for _, t := range BuildTriangleIndex(g).List {
-		if !fn(t) {
-			return
-		}
+	o := orient(g, g.DegreeOrder(), false, 1)
+	mark := make([]int32, g.N())
+	more := true
+	for u := uint32(0); more && int(u) < g.N(); u++ {
+		o.trianglesOfRoot(u, mark, func(uv, _, vw int64) {
+			more = more && fn(sortedTriple(u, o.adj[uv], o.adj[vw]))
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package localhi
 
 import (
+	"fmt"
 	"testing"
 
 	"nucleus/internal/dataset"
@@ -95,6 +96,19 @@ func BenchmarkAndTrussNotificationIndexed(b *testing.B) {
 // through the 4-cliques the kernel read above its new index.
 func BenchmarkAndN34Indexed(b *testing.B) {
 	benchAnd(b, nucleus.NewFlatN34(benchGraph(), 1), Options{Notification: true})
+}
+
+// BenchmarkAndN34Discovered is the over-budget path of lib_nucleus/alt: AND
+// with notification over the (3,4) rows discovered on every sweep (Build
+// under budget 0), on that workload's input (12 × 80 planted communities,
+// round 0 of seed 1), at one and two threads. Each row starts from its
+// triangle's vertices, looked up by id in the graph's triangle index.
+func BenchmarkAndN34Discovered(b *testing.B) {
+	g := graph.PlantedCommunities(12, 80, 0.3, 1200, 1_000_003)
+	inst, _ := nucleus.Build(g, nucleus.FamilyN34, 0, 1)
+	for _, p := range []int{1, 2} {
+		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) { benchAnd(b, inst, Options{Threads: p, Notification: true}) })
+	}
 }
 
 // BenchmarkSndTrussServeBudget8 is serve_query's miss without the server:

@@ -107,12 +107,13 @@ func Build(g *graph.Graph, fam Family, memBudget int64, threads int) (Instance, 
 		rep.reject(cliques.EdgeIncidenceBytes(g.M(), sumInt32(t.deg)), memBudget)
 		return t, rep
 	case FamilyN34:
-		n := &N34{G: g, Idx: cliques.BuildTriangleIndexThreads(g, threads)}
+		n := &N34{G: g, Idx: cliques.TriangleIndexOf(g, threads)}
 		if memBudget != 0 {
 			if inc := cliques.K4IncidenceWithin(n.Idx, memBudget, threads); inc != nil {
 				return rep.stored(&Flat{r: 3, s: 4, offs: inc.Offs, members: inc.Triples, coArity: 3, deg: inc.Deg, verts: n.CellVertices})
 			}
 		}
+		n.Idx = n.Idx.WithSlots(threads) // rows are discovered by triangle id
 		n.deg = n.Idx.K4DegreePerTriangleParallel(g, threads)
 		rep.reject(cliques.K4IncidenceBytes(int64(n.NumCells()), sumInt32(n.deg)), memBudget)
 		return n, rep

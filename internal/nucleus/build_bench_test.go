@@ -47,12 +47,14 @@ func benchBudgets(b *testing.B, fam Family) {
 	}
 }
 
-// BenchmarkBuildN34 times the (3,4) instance: triangle index, group pass,
-// degrees counted off the groups, and scatter when stored; triangle index
-// and K4 count when refused.
+// BenchmarkBuildN34 times the (3,4) instance as lib_nucleus/alt builds it,
+// beside a truss build: the graph's triangle index is already in its memo,
+// so a stored build is the group pass, degrees counted off the groups, and
+// scatter, and a refused one adds the K4 count. The cold index is
+// cliques' BenchmarkBuildTriangleIndex.
 func BenchmarkBuildN34(b *testing.B) { benchBudgets(b, FamilyN34) }
 
-// BenchmarkBuildTruss times the (2,3) instance: orientation, group pass,
-// degrees counted off the groups, and scatter when stored; orientation and
-// triangle count when refused.
+// BenchmarkBuildTruss times the (2,3) instance: orientation, group pass
+// (which also records the triangle index), degrees counted off the groups,
+// and scatter when stored; orientation and triangle count when refused.
 func BenchmarkBuildTruss(b *testing.B) { benchBudgets(b, FamilyTruss) }

@@ -73,11 +73,10 @@ func NewFlat(g *graph.Graph, r, s, threads int) *Flat {
 	for c := 0; c < n; c++ {
 		idOf[cliqueKey(cellVerts[c*r:(c+1)*r])] = int32(c)
 	}
-	f.deg = make([]int32, n)
 
 	// Pass 1: enumerate the s-cliques once, resolving each to its member
-	// cell ids (groups of groupSize = coArity+1), and count s-degrees. The
-	// map is read-only here, so resolution shards over the s-cliques.
+	// cell ids (groups of groupSize = coArity+1). The map is read-only
+	// here, so resolution shards over the s-cliques.
 	groupSize := f.coArity + 1
 	sFlat := cliques.KCliquesFlat(g, s, threads)
 	numS := len(sFlat) / s
@@ -96,13 +95,11 @@ func NewFlat(g *graph.Graph, r, s, threads int) *Flat {
 		})
 		return buf
 	})
-	for _, id := range groups {
-		f.deg[id]++
-	}
 
-	// Passes 2–3, shared with the (3,4) builder: slots in enumeration
-	// order, so the arrays are byte-identical at every thread count.
-	f.offs, f.members = cliques.ScatterGroups(groups, groupSize, f.deg, threads)
+	// Pass 2, shared with the truss and (3,4) builders: s-degrees counted
+	// off the groups, rows in enumeration order, byte-identical at every
+	// thread count.
+	f.offs, f.members, f.deg = cliques.ScatterGroups(groups, groupSize, n, nil)
 	return f
 }
 

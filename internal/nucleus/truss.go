@@ -56,8 +56,8 @@ type N34 struct {
 	deg []int32
 }
 
-// NewN34 returns the (3,4) instance of g, enumerating and indexing all
-// triangles, with sequential degree initialization;
+// NewN34 returns the (3,4) instance of g over its triangle index
+// (cliques.TriangleIndexOf), with sequential degree initialization;
 // Build(g, FamilyN34, 0, threads) parallelizes it.
 func NewN34(g *graph.Graph) *N34 {
 	inst, _ := Build(g, FamilyN34, 0, 1)
@@ -85,7 +85,7 @@ func (n *N34) Rows() Rows {
 }
 
 func (n *N34) CellVertices(t int32, buf []uint32) []uint32 {
-	tri := n.Idx.List[t]
+	tri := n.Idx.Triangle(t)
 	return append(buf, tri[0], tri[1], tri[2])
 }
 
