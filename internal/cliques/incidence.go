@@ -52,10 +52,11 @@ func EdgeIncidenceBytes(m, sumDeg int64) int64 {
 // collected so far exceeds it, before anything is laid out
 // (collectGroups). Each triangle is found once, as its three oriented
 // slots, gathered in root order; a completed pass leaves the graph's
-// triangle index (TriangleIndexOf) off them, then the slots become edge
-// ids, the per-edge counts are taken off them and ScatterGroups lays the
-// rows out: rows list triangles in that order, bit-identical at every
-// thread count. Panics if the graph has more than MaxInt32 edges.
+// triangle index (TriangleIndexOf) off them if it fits the budget beside
+// the incidence, then the slots become edge ids, the per-edge counts are
+// taken off them and ScatterGroups lays the rows out: rows list triangles
+// in that order, bit-identical at every thread count. Panics if the graph
+// has more than MaxInt32 edges.
 func EdgeIncidenceWithin(o *OrientedEdges, budget int64, threads int) *EdgeIncidence {
 	return o.incidence(nil, budget, threads)
 }
@@ -83,15 +84,21 @@ func (o *OrientedEdges) incidence(deg []int32, budget int64, threads int) *EdgeI
 	if !ok {
 		return nil
 	}
-	// The pass found the graph's triangle index: triangle t is the t-th slot
-	// triple (uv, uw, vw), on row uv with apex adj[vw].
-	ti := &TriangleIndex{oriented: oriented{rank: o.rank, off: o.off, adj: o.adj}, tOff: make([]int32, m+1), apex: make([]uint32, len(groups)/3)}
-	for t := range ti.apex {
-		ti.tOff[groups[3*t]+1]++
-		ti.apex[t] = o.adj[groups[3*t+2]]
-	}
-	if ti.finish() <= math.MaxInt32 {
-		graph.Memo(o.g, indexKey{}, func() *TriangleIndex { return ti })
+	// The pass found the graph's triangle index: triangle t is slot triple
+	// t, (uv, uw, vw), its apex vw's place in out(adj[uv]). It is kept only
+	// if it fits the budget beside the incidence.
+	tris := int64(len(groups) / 3)
+	if tris <= math.MaxInt32 && (budget < 0 || EdgeIncidenceBytes(m, int64(len(groups)))+TriangleIndexBytes(len(o.rank), m, tris) <= budget) {
+		graph.Memo(o.g, indexKey{}, func() *TriangleIndex {
+			ti := &TriangleIndex{oriented: oriented{rank: o.rank, off: o.off, adj: o.adj}, tOff: make([]int32, m+1), apex: make([]uint16, tris)}
+			for t := range ti.apex {
+				uv := groups[3*t]
+				ti.tOff[uv+1]++
+				ti.apex[t] = uint16(int64(groups[3*t+2]) - o.off[o.adj[uv]])
+			}
+			ti.finish()
+			return ti
+		})
 	}
 	par.ForEach(len(groups), 4096, threads, func(lo, hi int) {
 		for i := lo; i < hi; i++ {

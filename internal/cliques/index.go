@@ -15,12 +15,13 @@ import (
 //
 // Ids are positions, not hash keys: over the degree-oriented CSR, oriented
 // edge k = (u→v) owns the triangle row apex[tOff[k]:tOff[k+1]] = out(u) ∩
-// out(v), in id order, and triangle {u, v, apex[i]} has id i. That is the
-// order ForEach emits triangles in.
+// out(v), in id order, and triangle {u, v, w} with apex[i] = w's position
+// in out(v) has id i, the order ForEach emits them in. Out-degrees are at
+// most √(2m), so positions fit 16 bits when m <= MaxInt32.
 type TriangleIndex struct {
 	oriented
 	tOff []int32
-	apex []uint32
+	apex []uint16
 	// slot[t] is triangle t's k, owner[k] its u: set by WithSlots only.
 	slot  []int32
 	owner []uint32
@@ -39,30 +40,44 @@ func TriangleIndexOf(g *graph.Graph, threads int) *TriangleIndex {
 // BuildTriangleIndexThreads enumerates all triangles and indexes them,
 // fanned out across threads by root vertex (trianglesOfRoot); rows are
 // gathered in root order, so ids are bit-identical at every thread count.
-// It reads no memo. Panics if int32 cell ids cannot number them all.
+// It reads no memo. Panics if the graph has more than MaxInt32 edges or
+// int32 cell ids cannot number its triangles.
 func BuildTriangleIndexThreads(g *graph.Graph, threads int) *TriangleIndex {
+	if g.M() > math.MaxInt32 {
+		panic("cliques: graph too large for 16-bit apex positions")
+	}
 	ti := &TriangleIndex{oriented: orient(g, g.DegreeOrder(), false, threads)}
 	ti.tOff = make([]int32, len(ti.adj)+1)
 	marks := make([][]int32, max(threads, 1))
-	ti.apex = par.Collect(g.N(), 64, threads, func(w, u int, buf []uint32) []uint32 {
+	ti.apex = par.Collect(g.N(), 64, threads, func(w, u int, buf []uint16) []uint16 {
 		ti.trianglesOfRoot(uint32(u), scratch(marks, w, g.N()), func(uv, _, vw int64) {
-			buf = append(buf, ti.adj[vw])
+			buf = append(buf, uint16(vw-ti.off[ti.adj[uv]]))
 			ti.tOff[uv+1]++
 		})
 		return buf
 	})
-	checkCellIDs(ti.finish())
+	ti.finish()
 	return ti
 }
 
-// finish turns row counts tOff[k+1] into offsets, returning their total.
-func (ti *TriangleIndex) finish() int64 {
+// TriangleIndexBytes is the memory a TriangleIndex over n vertices, m
+// edges and t triangles holds: per vertex its rank and offset, per
+// oriented slot its neighbor and row offset, per triangle its apex.
+func TriangleIndexBytes(n int, m, t int64) int64 {
+	return 12*int64(n) + 8 + 8*m + 4 + 2*t
+}
+
+// finish turns row counts tOff[k+1] into offsets. Ids are int32, so more
+// than MaxInt32 triangles panic instead of wrapping.
+func (ti *TriangleIndex) finish() {
 	var total int64
 	for k := 1; k < len(ti.tOff); k++ {
 		total += int64(ti.tOff[k])
 		ti.tOff[k] = int32(total)
 	}
-	return total
+	if total > math.MaxInt32 {
+		panic(fmt.Sprintf("cliques: %d triangles exceed int32 cell ids", total))
+	}
 }
 
 // WithSlots returns a copy of ti whose Triangle is O(1), 4 bytes per slot
@@ -83,13 +98,6 @@ func (ti *TriangleIndex) WithSlots(threads int) *TriangleIndex {
 	return &c
 }
 
-// checkCellIDs panics if int32 cell ids cannot number n triangles.
-func checkCellIDs(n int64) {
-	if n > math.MaxInt32 {
-		panic(fmt.Sprintf("cliques: %d triangles exceed int32 cell ids", n))
-	}
-}
-
 // Len returns the number of triangles.
 func (ti *TriangleIndex) Len() int { return len(ti.apex) }
 
@@ -98,18 +106,24 @@ func (ti *TriangleIndex) Len() int { return len(ti.apex) }
 // WithSlots), and t's apex.
 func (ti *TriangleIndex) Triangle(t int32) Triangle {
 	if ti.slot != nil {
-		k := ti.slot[t]
-		return sortedTriple(ti.owner[k], ti.adj[k], ti.apex[t])
+		k := int64(ti.slot[t])
+		return sortedTriple(ti.owner[k], ti.adj[k], ti.apexOf(k, t))
 	}
 	k, _ := slices.BinarySearch(ti.tOff, t+1)
 	u, _ := slices.BinarySearch(ti.off, int64(k))
-	return sortedTriple(uint32(u-1), ti.adj[k-1], ti.apex[t])
+	return sortedTriple(uint32(u-1), ti.adj[k-1], ti.apexOf(int64(k-1), t))
+}
+
+// apexOf returns the apex vertex of triangle t, on the row of slot k.
+func (ti *TriangleIndex) apexOf(k int64, t int32) uint32 {
+	return ti.adj[ti.off[ti.adj[k]]+int64(ti.apex[t])]
 }
 
 // ID returns the dense id of the triangle on vertices {a,b,c}, in any
-// order: ranked u < v < w, w's slot in the row of u→v, by binary search in
-// out(u) and in the row. False for a vertex out of range, a repeated vertex
-// (no row holds its own endpoint) or a non-triangle.
+// order: ranked u < v < w, w found in the row of u→v, by binary search in
+// out(u) and in the row, whose positions index out(v). False for a vertex
+// out of range, a repeated vertex (no row holds its own endpoint) or a
+// non-triangle.
 func (ti *TriangleIndex) ID(a, b, c uint32) (int32, bool) {
 	if n := uint32(len(ti.rank)); a >= n || b >= n || c >= n {
 		return 0, false
@@ -126,15 +140,23 @@ func (ti *TriangleIndex) ID(a, b, c uint32) (int32, bool) {
 	}
 	if i, ok := slices.BinarySearch(ti.out(a), b); ok {
 		lo, row := ti.row(ti.off[a] + int64(i))
-		if j, ok := slices.BinarySearch(row, c); ok {
+		ob, j, k := ti.out(b), 0, len(row)
+		for j < k {
+			if h := int(uint(j+k) >> 1); ob[row[h]] < c {
+				j = h + 1
+			} else {
+				k = h
+			}
+		}
+		if j < len(row) && ob[row[j]] == c {
 			return lo + int32(j), true
 		}
 	}
 	return 0, false
 }
 
-// row returns oriented edge k's first triangle id and its row of apexes.
-func (ti *TriangleIndex) row(k int64) (int32, []uint32) {
+// row returns oriented edge k's first triangle id and its apex positions.
+func (ti *TriangleIndex) row(k int64) (int32, []uint16) {
 	return ti.tOff[k], ti.apex[ti.tOff[k]:ti.tOff[k+1]]
 }
 
@@ -161,25 +183,25 @@ func (ti *TriangleIndex) ForEachK4OfTriangle(g *graph.Graph, t int32, fn func(x 
 // k4OfRoot calls fn once for every 4-clique whose lowest-rank vertex is u,
 // with the ids of its four triangles: for rank(u) < rank(v) < rank(w) <
 // rank(x), {u,v,w}, {u,v,x}, {u,w,x} and {v,w,x}. For v ∈ out(u), the row
-// W of u→v holds every w and x; for each w ∈ W, cursors advance to w's slot
-// in out(u) and out(v), and a merge of the rows of u→w and v→w — whose
-// intersection lies inside W — yields every x, with the four ids read off
-// the merge positions: no search, no map, no full-adjacency intersection.
+// W of u→v holds every w and x as positions in out(v); for each w ∈ W a
+// cursor advances to w's slot in out(u), and a merge of the rows of u→w
+// and v→w — positions in out(w), intersecting inside W — yields every x,
+// with the four ids read off the merge positions: no search, no map, no
+// full-adjacency intersection.
 func (ti *TriangleIndex) k4OfRoot(u uint32, fn func(tuvw, tuvx, tuwx, tvwx int32)) {
 	ou := ti.out(u)
 	for i, v := range ou {
 		base, row := ti.row(ti.off[u] + int64(i))
 		ov := ti.out(v)
-		cu, cv := 0, 0
-		for p, w := range row {
+		cu := 0
+		for p, pw := range row {
+			w := ov[pw]
 			for ou[cu] < w {
 				cu++
 			}
-			for ov[cv] < w {
-				cv++
-			}
 			bu, a := ti.row(ti.off[u] + int64(cu))
-			bv, b := ti.row(ti.off[v] + int64(cv))
+			bv, b := ti.row(ti.off[v] + int64(pw))
+			ow := ti.out(w)
 			x, y, z := 0, 0, 0
 			for y < len(a) && z < len(b) {
 				switch {
@@ -188,7 +210,7 @@ func (ti *TriangleIndex) k4OfRoot(u uint32, fn func(tuvw, tuvx, tuwx, tvwx int32
 				case a[y] > b[z]:
 					z++
 				default:
-					for row[x] < a[y] {
+					for ov[row[x]] < ow[a[y]] {
 						x++
 					}
 					fn(base+int32(p), base+int32(x), bu+int32(y), bv+int32(z))

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -98,22 +97,37 @@ func checkAgainstRef(t testing.TB, g *graph.Graph, rng *rand.Rand) {
 
 // checkTrussPassIndex holds the index the truss group pass leaves in the
 // memo of a fresh copy of g to want, the cold build at the same thread
-// count, array for array — the orientation's edge ids dropped — and a pass
-// refused one byte short of its budget to leaving nothing there.
+// count, array for array — the orientation's edge ids dropped — unlimited
+// and at a budget of exactly the incidence plus TriangleIndexBytes, which
+// is what want holds. One byte less builds the incidence and leaves no
+// index; a pass refused one byte short of the incidence leaves none.
 func checkTrussPassIndex(t testing.TB, g *graph.Graph, want *TriangleIndex, threads int) {
 	t.Helper()
-	h := graph.Build(g.N(), g.Edges())
-	inc := EdgeIncidenceWithin(OrientEdges(h, threads), -1, threads)
-	if got, built := graph.Memo(h, indexKey{}, func() *TriangleIndex { return nil }); built || !reflect.DeepEqual(got, want) {
-		t.Fatalf("threads %d: the truss pass left %+v (none: %v), want the cold build %+v", threads, got, built, want)
+	held := 4*int64(len(want.rank)) + 8*int64(len(want.off)) + 4*int64(len(want.adj)) + 4*int64(len(want.tOff)) + 2*int64(len(want.apex))
+	if size := TriangleIndexBytes(g.N(), g.M(), int64(want.Len())); size != held {
+		t.Fatalf("TriangleIndexBytes = %d, the index holds %d", size, held)
 	}
-	refused := graph.Build(g.N(), g.Edges())
-	if EdgeIncidenceWithin(OrientEdges(refused, threads), inc.Bytes()-1, threads) != nil {
-		t.Fatalf("threads %d: an edge incidence built one byte short of its budget", threads)
+	incBytes := EdgeIncidenceWithin(OrientEdges(graph.Build(g.N(), g.Edges()), threads), -1, threads).Bytes()
+	for _, c := range []struct {
+		budget          int64
+		incidence, left bool
+	}{{-1, true, true}, {incBytes + held, true, true}, {incBytes + held - 1, true, false}, {incBytes - 1, false, false}} {
+		h := graph.Build(g.N(), g.Edges())
+		inc := EdgeIncidenceWithin(OrientEdges(h, threads), c.budget, threads)
+		got, none := graph.Memo(h, indexKey{}, func() *TriangleIndex { return nil })
+		if (inc != nil) != c.incidence || none == c.left || (c.left && !sameIndex(got, want)) {
+			t.Fatalf("threads %d, budget %d (incidence %d, index %d bytes): built the incidence %v, left an index %v (the cold one: %v), want %v, %v",
+				threads, c.budget, incBytes, held, inc != nil, !none, !none && sameIndex(got, want), c.incidence, c.left)
+		}
 	}
-	if got, built := graph.Memo(refused, indexKey{}, func() *TriangleIndex { return nil }); !built {
-		t.Fatalf("threads %d: a refused truss pass left an index of %d triangles", threads, got.Len())
-	}
+}
+
+// sameIndex reports whether a and b hold equal arrays, array for array
+// (an empty array and none alike), and neither holds edge ids or slots.
+func sameIndex(a, b *TriangleIndex) bool {
+	return slices.Equal(a.rank, b.rank) && slices.Equal(a.off, b.off) && slices.Equal(a.adj, b.adj) &&
+		slices.Equal(a.tOff, b.tOff) && slices.Equal(a.apex, b.apex) &&
+		a.eid == nil && b.eid == nil && a.slot == nil && b.slot == nil && a.owner == nil && b.owner == nil
 }
 
 // TestTriangleIndexMatchesRef runs the reference checks on the bench's own
@@ -157,16 +171,16 @@ func TestTriangleIndexIDRejects(t *testing.T) {
 
 // TestCheckCellIDs: triangle ids are int32, so an index of more than
 // MaxInt32 triangles panics instead of wrapping. No test can build one;
-// the check the builder runs on its int64 prefix sum is tested directly.
+// the check finish runs on its int64 prefix sum is tested on row counts.
 func TestCheckCellIDs(t *testing.T) {
-	checkCellIDs(math.MaxInt32)
+	(&TriangleIndex{tOff: []int32{0, math.MaxInt32}}).finish()
 	defer func() {
 		want := fmt.Sprintf("cliques: %d triangles exceed int32 cell ids", int64(math.MaxInt32)+1)
 		if r := recover(); r != want {
 			t.Fatalf("panic %v, want %q", r, want)
 		}
 	}()
-	checkCellIDs(math.MaxInt32 + 1)
+	(&TriangleIndex{tOff: []int32{0, math.MaxInt32, 1}}).finish()
 }
 
 // FuzzK4Incidence builds a graph of at most 24 vertices from the bytes —

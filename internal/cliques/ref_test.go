@@ -244,7 +244,8 @@ func refOrientedAdjacency(g *graph.Graph, rank []int32) [][]uint32 {
 }
 
 // refTriangleList is the per-triangle list the index kept: triangle t, on
-// the row of oriented edge k = (u→v), is sortedTriple(u, v, apex[t]).
+// the row of oriented edge k = (u→v), is u, v and the vertex at position
+// apex[t] of out(v).
 func refTriangleList(ti *TriangleIndex, threads int) []Triangle {
 	list := make([]Triangle, len(ti.apex))
 	par.ForEach(len(ti.rank), 256, threads, func(lo, hi int) {
@@ -252,7 +253,7 @@ func refTriangleList(ti *TriangleIndex, threads int) []Triangle {
 			for k := ti.off[u]; k < ti.off[u+1]; k++ {
 				v := ti.adj[k]
 				for t := ti.tOff[k]; t < ti.tOff[k+1]; t++ {
-					list[t] = sortedTriple(uint32(u), v, ti.apex[t])
+					list[t] = sortedTriple(uint32(u), v, ti.out(v)[ti.apex[t]])
 				}
 			}
 		}

@@ -26,8 +26,9 @@ func build(g *graph.Graph, fam nucleus.Family, budget int64, threads int) nucleu
 // TestTriangleIndexSharedAcrossFamilies: a graph keeps one triangle index,
 // left by whichever stored truss or (3,4) build comes first, and which one
 // it was cannot be seen. In every order — truss then (3,4), (3,4) then
-// truss, (3,4) alone, and a truss build refused one byte short of its
-// index then (3,4) — the (3,4) instance has the degrees, rows, cells, cell
+// truss, (3,4) alone, a truss build stored one byte short of room for the
+// triangle index beside it then (3,4), and a truss build refused one byte
+// short of its incidence then (3,4) — the (3,4) instance has the degrees, rows, cells, cell
 // vertices and κ (peel and AND) of a cold build on a fresh copy of the
 // graph, itself checked against the cliques package's own index, and the
 // stored truss rows are the cold ones.
@@ -54,6 +55,7 @@ func TestTriangleIndexSharedAcrossFamilies(t *testing.T) {
 			}
 			wantKappa := peel.Run(want).Kappa
 			trussBytes := wantTruss.IndexBytes()
+			indexBytes := cliques.TriangleIndexBytes(g.N(), g.M(), int64(ti.Len()))
 
 			for order, run := range map[string]func(h *graph.Graph) (n34, truss nucleus.Instance){
 				"truss then n34": func(h *graph.Graph) (nucleus.Instance, nucleus.Instance) {
@@ -66,6 +68,10 @@ func TestTriangleIndexSharedAcrossFamilies(t *testing.T) {
 				},
 				"n34 alone": func(h *graph.Graph) (nucleus.Instance, nucleus.Instance) {
 					return build(h, nucleus.FamilyN34, -1, threads), nil
+				},
+				"truss with no room for the index then n34": func(h *graph.Graph) (nucleus.Instance, nucleus.Instance) {
+					truss := build(h, nucleus.FamilyTruss, trussBytes+indexBytes-1, threads)
+					return build(h, nucleus.FamilyN34, -1, threads), truss
 				},
 				"refused truss then n34": func(h *graph.Graph) (nucleus.Instance, nucleus.Instance) {
 					if _, ok := build(h, nucleus.FamilyTruss, trussBytes-1, threads).(*nucleus.Flat); ok {
