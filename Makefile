@@ -2,7 +2,7 @@
 # job runs exactly `make lint`, so a clean local run is a clean CI run.
 # See docs/DEVELOPMENT.md#static-analysis for the analyzer reference.
 
-.PHONY: lint fmt test race build loc bench-check
+.PHONY: lint fmt test race build loc bench-check bench-record
 
 lint:
 	@unformatted=$$(gofmt -l .); \
@@ -36,6 +36,16 @@ loc:
 # that breaks it must fail the PR, not the next benchmark run.
 bench-check:
 	cd bench && go vet ./... && go test ./...
+
+# Appends one record of the benchmark on this tree to BENCH_e2e.json
+# (scripts/bench-record.sh): RUNS runs of every workload from seed SEED,
+# 30 s each (about three minutes a run), one traced pass, and the sweep
+# loops' addresses mod 64. ROLE and NOTE label the record, COMMIT
+# overrides git's HEAD. Needs jq.
+RUNS ?= 3
+SEED ?= 1
+bench-record:
+	RUNS='$(RUNS)' SEED='$(SEED)' ROLE='$(ROLE)' NOTE='$(NOTE)' COMMIT='$(COMMIT)' bash scripts/bench-record.sh
 
 fmt:
 	gofmt -w .

@@ -152,19 +152,23 @@ func mallocs(body func()) uint64 {
 // three states wake tells apart, and fails if any of it allocates: once
 // the worker's row buffer has grown, which the warm-up run of mallocs
 // does. The scratch is AND's, its rho buffer sized once for the run. Then
-// it holds SND's first sweep (sndSweep, from the s-degrees, with the rho
-// buffer Snd sizes) to the same count, and demands that some cell fell.
+// it holds one bitmap sweep (andSweep over every position, every bit set,
+// from the s-degrees) and SND's first sweep (sndSweep, from the s-degrees,
+// with the rho buffer Snd sizes) to the same count, and demands that some
+// cell fell in each.
 func sweepAllocs(t *testing.T, name string, inst nucleus.Instance) {
 	t.Helper()
 	rows := inst.Rows()
 	tau := inst.Degrees()
-	active := make([]int32, len(tau))
 	var longest int32
 	if rows.Co > 1 {
 		longest = maxOf(tau)
 	}
 	sc := &newScratches(1, tau, longest)[0]
 	n := int32(inst.NumCells())
+	cells := AscendingOrder(tau)
+	w := newWakes(int(n), cells, tau)
+	active := w.active
 	falls := 0
 	for _, par := range []bool{false, true} {
 		for _, flag := range []int32{flagIdle, flagActive, flagInProgress} {
@@ -175,7 +179,7 @@ func sweepAllocs(t *testing.T, name string, inst nucleus.Instance) {
 				falls = 0
 				for c := int32(0); c < n; c++ {
 					if h, _, row := update(&rows, c, tau, sc, tau[c], par); h < tau[c] {
-						notify(row, sc.rho, rows.Co, tau, active, h, tau[c], par)
+						notify(row, sc.rho, rows.Co, tau, w, h, tau[c], par)
 						falls++
 					}
 				}
@@ -186,6 +190,25 @@ func sweepAllocs(t *testing.T, name string, inst nucleus.Instance) {
 			if falls == 0 {
 				t.Fatalf("%s: no cell fell in the first sweep, so no wake-up was exercised", name)
 			}
+		}
+
+		cur := make([]int32, n)
+		allocs := mallocs(func() {
+			copy(cur, tau)
+			for c := range active {
+				active[c] = flagActive
+			}
+			for p := range cells {
+				w.bits[p>>6] |= 1 << (p & 63)
+			}
+			sc.updates = 0
+			andSweep(&rows, cells, 0, int(n), cur, w, sc, notify, par)
+		})
+		if allocs != 0 {
+			t.Fatalf("%s par=%v: bitmap sweep allocated %d times in 10 runs, want 0", name, par, allocs)
+		}
+		if sc.updates == 0 {
+			t.Fatalf("%s par=%v: no cell fell in the bitmap sweep", name, par)
 		}
 	}
 

@@ -1,6 +1,11 @@
 package localhi
 
-import "nucleus/internal/nucleus"
+import (
+	"math/bits"
+	"sync/atomic"
+
+	"nucleus/internal/nucleus"
+)
 
 // The sweep kernel evaluates the update operator U for one cell — H over
 // { ρ(S) = min τ(co-members of S) : S ∋ c } — by scanning its row
@@ -280,13 +285,40 @@ const (
 	flagInProgress              // claimed: a worker is evaluating it now
 )
 
-// wake sets d's flag if a co-member's fall from old to h can matter to d,
-// given t, the τ(d) the caller read and found above h. That lower test is
-// the row loop's, so the common τ(d) ≤ h costs one load; it is race-free
-// because τ only falls: with τ(d) ≤ h, d still counts the co-member's
-// s-cliques at ≥ τ(d), whatever d's state. The upper test τ(d) ≤ old (with
-// τ(d) > old, d never counted them) holds only for an idle d, whose last
-// update has finished:
+// wakes is AND's active set: the per-cell flags that decide a wake, a
+// bitmap over the positions of the run's order that the sweeps walk, and
+// pos[c], c's position. A cell outside a Subset has none (−1): its flag
+// stays active, so a wake never reaches its bit.
+type wakes struct {
+	active, pos []int32
+	bits        []uint64
+}
+
+// newWakes returns the active set of a run over cells from tau: the cells
+// above τ = 1, flagged and with their bits set. One at τ ≤ 1 is final — a
+// cell in an s-clique has κ ≥ 1 — so it never enters.
+func newWakes(n int, cells, tau []int32) *wakes {
+	w := &wakes{active: make([]int32, n), bits: make([]uint64, (len(cells)+63)/64), pos: make([]int32, n)}
+	for c := range w.active {
+		w.active[c], w.pos[c] = flagActive, -1
+	}
+	for p, c := range cells {
+		w.pos[c], w.active[c] = int32(p), flagIdle
+		if tau[c] > 1 {
+			w.active[c] = flagActive
+			w.bits[p>>6] |= 1 << (p & 63)
+		}
+	}
+	return w
+}
+
+// wake reports whether d must be woken, i.e. made active, by a
+// co-member's fall from old to h, given t, the τ(d) the caller read and
+// found above h. That lower test is the row loop's, so the common
+// τ(d) ≤ h costs one load; it is race-free because τ only falls: with
+// τ(d) ≤ h, d still counts the co-member's s-cliques at ≥ τ(d), whatever
+// d's state. The upper test τ(d) ≤ old (with τ(d) > old, d never counted
+// them) holds only for an idle d, whose last update has finished:
 //   - active: d will be evaluated anyway; nothing is written.
 //   - in progress: d may have read the old value and its τ may still fall,
 //     so it is woken on the lower test alone.
@@ -306,30 +338,41 @@ const (
 // at a fall that processed S, or at one that d already saw.
 //
 // For any (r,s) this wakes every cell that can still fall, so a sweep that
-// updates nothing is the fixpoint.
-func wake(tau, active []int32, d, t, h, old int32, par bool) {
+// updates nothing is the fixpoint. The caller makes d active (wakeUp):
+// wake stays within the inlining budget.
+func wake(tau, active []int32, d, t, h, old int32, par bool) bool {
 	switch load(par, active, d) {
 	case flagActive:
-		return
+		return false
 	case flagIdle:
 		if t > old {
-			if t = load(par, tau, d); t <= h || t > old {
-				return
-			}
+			t = load(par, tau, d)
+			return t > h && t <= old
 		}
 	}
-	store(par, active, d, flagActive)
+	return true
+}
+
+// wakeUp makes d active and sets the bit of its position.
+func (w *wakes) wakeUp(d int32, par bool) {
+	store(par, w.active, d, flagActive)
+	p := w.pos[d]
+	if par {
+		atomic.OrUint64(&w.bits[p>>6], 1<<(p&63))
+		return
+	}
+	w.bits[p>>6] |= 1 << (p & 63)
 }
 
 // notify wakes the co-members of a cell, read off its row, that its fall
 // from old to h can affect, through the s-cliques whose ρ is above h
 // (wake): at co-arity 1 ρ is the co-member's τ, read here; above it, rhos
 // holds the ρ the kernel read for each s-clique of the row.
-func notify(row, rhos []int32, co int, tau, active []int32, h, old int32, par bool) {
+func notify(row, rhos []int32, co int, tau []int32, w *wakes, h, old int32, par bool) {
 	if co == 1 {
 		for _, d := range row {
-			if t := load(par, tau, d); t > h {
-				wake(tau, active, d, t, h, old, par)
+			if t := load(par, tau, d); t > h && wake(tau, w.active, d, t, h, old, par) {
+				w.wakeUp(d, par)
 			}
 		}
 		return
@@ -339,9 +382,63 @@ func notify(row, rhos []int32, co int, tau, active []int32, h, old int32, par bo
 			continue
 		}
 		for _, d := range row[:co] {
-			if t := load(par, tau, d); t > h {
-				wake(tau, active, d, t, h, old, par)
+			if t := load(par, tau, d); t > h && wake(tau, w.active, d, t, h, old, par) {
+				w.wakeUp(d, par)
 			}
 		}
+	}
+}
+
+// andSweep is AND's sweep over the positions lo..hi−1 of the order cells,
+// a chunk that starts on a word of the bitmap, tallied in sc: it evaluates
+// the cells whose bit is set, in position order. A sequential sweep takes
+// one bit at a time and reads the word again after each, so a wake ahead
+// of the scan is taken in this sweep, one behind it in the next, as by a
+// scan of the flags. A concurrent one takes a word with one atomic swap.
+func andSweep(rows *nucleus.Rows, cells []int32, lo, hi int, tau []int32, w *wakes, sc *sweepScratch, notify notifier, par bool) {
+	sc.skipped += int64(hi - lo)
+	for k := lo >> 6; k<<6 < hi; k++ {
+		word := &w.bits[k]
+		if par {
+			for set := atomic.SwapUint64(word, 0); set != 0; set &= set - 1 {
+				evaluate(rows, cells[k<<6+bits.TrailingZeros64(set)], tau, w, sc, notify, true)
+			}
+			continue
+		}
+		for b := 0; b < 64; b++ {
+			set := *word & (^uint64(0) << b)
+			if set == 0 {
+				break
+			}
+			b = bits.TrailingZeros64(set)
+			*word &^= 1 << b
+			evaluate(rows, cells[k<<6+b], tau, w, sc, notify, false)
+		}
+	}
+}
+
+// evaluate is AND's update of c, claimed as wake describes; a fall wakes
+// c's co-members unless notify is nil.
+func evaluate(rows *nucleus.Rows, c int32, tau []int32, w *wakes, sc *sweepScratch, notify notifier, par bool) {
+	claimed := flagIdle
+	if par {
+		claimed = flagInProgress
+	}
+	store(par, w.active, c, claimed)
+	// Only the worker that claimed c writes tau[c], so one read serves as
+	// both the kernel's clamp and the old value.
+	old := load(par, tau, c)
+	h, v, row := update(rows, c, tau, sc, old, par)
+	sc.visits += v
+	sc.skipped--
+	if h < old {
+		store(par, tau, c, h)
+		sc.updates++
+		if notify != nil {
+			notify(row, sc.rho, rows.Co, tau, w, h, old, par)
+		}
+	}
+	if par {
+		atomic.CompareAndSwapInt32(&w.active[c], flagInProgress, flagIdle)
 	}
 }

@@ -12,18 +12,15 @@
 // min(τ, H) clamped at the current index, stops once that index is
 // certified, and allocates nothing while sweeping. It has one loop per
 // algorithm (see kernel.go): SND's counts only the rows that fall, AND's
-// counts as it reads, since most of the cells it wakes fall. Both
-// algorithms are parallel: idle workers
-// claim the next 64 cells off a shared cursor (par.ForEachWorker), the
-// dynamic scheduling §4.4 recommends against notification-induced load
-// imbalance.
+// visits only its active set, the cells a fall woke. Both are parallel:
+// idle workers claim the next chunk of equal s-degree work off a shared
+// cursor, the dynamic scheduling §4.4 recommends against load imbalance.
 //
 // What the paper claims for them is a good approximation after few sweeps,
 // an answer at any time and thread scaling, which peeling lacks — not a
 // faster exact κ on few cores: on k-core of RMAT(14, 8) at two threads the
-// sequential peel is about 2.4× ahead of AND (localhi.and_core_ms 5.0
-// against peel.core_ms 2.1 in a traced bench pass; docs/PERFORMANCE.md
-// "Scaling").
+// sequential peel is about 2.5× ahead of AND (localhi.and_core_ms 6.9
+// against peel.core_ms 2.7 in a traced pass, BENCH_e2e.json).
 //
 // A converged run yields the exact decomposition (Result.Converged);
 // bounding Options.MaxSweeps yields an anytime approximation with the
@@ -48,8 +45,8 @@ import (
 	"nucleus/internal/peel"
 )
 
-// sweepGrain is the number of cells a worker claims at a time.
-const sweepGrain = 64
+// chunkWork is the s-degree work, Σ(deg + 1), of a chunk (cutByWork).
+const chunkWork = 4096
 
 // Options configures a local decomposition run.
 type Options struct {
@@ -119,7 +116,7 @@ type Result struct {
 	// Updates is the total number of τ decrements applied.
 	Updates int64
 	// SkippedCells counts cell visits avoided by the notification
-	// mechanism.
+	// mechanism, and those of cells that start final (τ ≤ 1).
 	SkippedCells int64
 	// WorkVisits counts s-clique visits performed (the dominant cost).
 	WorkVisits int64
@@ -189,13 +186,10 @@ func Snd(inst nucleus.Instance, opts Options) *Result {
 	// One ρ slot per s-clique of the longest row: the largest s-degree,
 	// read before initialTau clamps deg into τ.
 	longest := maxOf(deg)
+	cells := sweepCells(len(deg), opts, nil)
+	cuts := cutByWork(cells, deg)
 	prev := initialTau(deg, opts)
 	tau := slices.Clone(prev)
-	cells := sweepCells(len(prev), opts, nil)
-	size := len(prev)
-	if cells != nil {
-		size = len(cells)
-	}
 	rows := inst.Rows()
 	scs := newScratches(opts.threads(), prev, longest)
 	body := func(lo, hi int, sc *sweepScratch) {
@@ -203,28 +197,7 @@ func Snd(inst nucleus.Instance, opts Options) *Result {
 		sc.updates += upd
 		sc.visits += vis
 	}
-
-	res := &Result{}
-	for {
-		updates := res.sweep(opts, tau, size, scs, body)
-		if updates == 0 {
-			res.Converged = true
-			break
-		}
-		if opts.MaxSweeps > 0 && res.Sweeps >= opts.MaxSweeps {
-			break
-		}
-		if opts.Stop != nil && opts.Stop() {
-			res.Stopped = true
-			break
-		}
-		prev, tau = tau, prev
-	}
-	res.Tau = tau
-	if opts.Progress != nil {
-		opts.Progress.finish(res)
-	}
-	return res
+	return iterate(opts, &tau, cuts, scs, body, func() { prev, tau = tau, prev })
 }
 
 // And runs the asynchronous algorithm: cells read the freshest available τ
@@ -239,93 +212,53 @@ func And(inst nucleus.Instance, opts Options) *Result { return and(inst, opts, n
 
 // notifier is the wake-up pass of a fall: notify (the tests run And with
 // the full-row pass it replaced, as the reference).
-type notifier func(row, rhos []int32, co int, tau, active []int32, h, old int32, par bool)
+type notifier func(row, rhos []int32, co int, tau []int32, w *wakes, h, old int32, par bool)
 
 func and(inst nucleus.Instance, opts Options, notify notifier) *Result {
 	n := inst.NumCells()
 	deg := inst.Degrees()
 	cells := sweepCells(n, opts, deg) // before initialTau clamps deg into τ
+	cuts := cutByWork(cells, deg)
 	rows := inst.Rows()
 	// Notification at co-arity ≥ 2 records ρ per s-clique: as many slots as
-	// the longest row has s-cliques, the largest s-degree, read before
-	// initialTau clamps deg into τ.
+	// the longest row has s-cliques, the largest s-degree.
 	var longest int32
 	if opts.Notification && rows.Co > 1 {
 		longest = maxOf(deg)
 	}
 	tau := initialTau(deg, opts)
-	res := &Result{}
 	concurrent := opts.threads() > 1
 	scs := newScratches(opts.threads(), tau, longest)
 
-	var active []int32
-	if opts.Notification {
-		active = make([]int32, n)
-		for _, c := range cells {
-			active[c] = flagActive
-		}
-	}
-	// A sequential run clears the flag of the cell it claims; a concurrent
-	// one marks it in progress, before any co-member is read.
-	claimed := flagIdle
-	if concurrent {
-		claimed = flagInProgress
+	w, next := newWakes(n, cells, tau), func() {}
+	if !opts.Notification {
+		start := slices.Clone(w.bits)
+		notify, next = nil, func() { copy(w.bits, start) }
 	}
 	body := func(lo, hi int, sc *sweepScratch) {
-		var upd, vis, skip int64
-		for _, c := range cells[lo:hi] {
-			if active != nil {
-				if load(concurrent, active, c) == flagIdle {
-					skip++
-					continue
-				}
-				store(concurrent, active, c, claimed)
-			}
-			// Only the worker that claimed c writes tau[c], so one read
-			// serves as both the kernel's clamp and the old value.
-			old := load(concurrent, tau, c)
-			h, v, row := update(&rows, c, tau, sc, old, concurrent)
-			vis += v
-			if h < old {
-				store(concurrent, tau, c, h)
-				upd++
-				if active != nil {
-					notify(row, sc.rho, rows.Co, tau, active, h, old, concurrent)
-				}
-			}
-			if active != nil && concurrent {
-				// Back to idle, unless a wake arrived while c was in
-				// progress: then c stays active for the next sweep.
-				atomic.CompareAndSwapInt32(&active[c], flagInProgress, flagIdle)
-			}
-		}
-		sc.updates += upd
-		sc.visits += vis
-		sc.skipped += skip
+		andSweep(&rows, cells, lo, hi, tau, w, sc, notify, concurrent)
 	}
+	return iterate(opts, &tau, cuts, scs, body, next)
+}
 
-	// Every sweep counts against the budget, so a bounded run can never
-	// report Sweeps > MaxSweeps. The check sits at the loop head: when the
-	// budget is exhausted the run stops unconverged and returns the
-	// intermediate τ, which is still a valid approximation (τ ≥ κ,
-	// Theorem 1).
-	for {
+// iterate sweeps until a sweep updates nothing (Converged), MaxSweeps
+// sweeps have run or Stop, polled between sweeps, says so (Stopped), and
+// calls next between sweeps. A bounded run's τ is still a valid
+// approximation (τ ≥ κ, Theorem 1); a stop never precedes the first sweep.
+func iterate(opts Options, tau *[]int32, cuts []int, scs []sweepScratch, body func(lo, hi int, sc *sweepScratch), next func()) *Result {
+	res := &Result{}
+	for res.sweep(opts, *tau, cuts, scs, body) > 0 {
 		if opts.MaxSweeps > 0 && res.Sweeps >= opts.MaxSweeps {
 			break
 		}
-		// Checked only after the first sweep (like Snd): a stop signal can
-		// end a run early, but never before there is an intermediate τ
-		// worth returning.
-		if res.Sweeps > 0 && opts.Stop != nil && opts.Stop() {
+		if opts.Stop != nil && opts.Stop() {
 			res.Stopped = true
 			break
 		}
-		if res.sweep(opts, tau, len(cells), scs, body) == 0 {
-			res.Converged = true
-			break
-		}
+		next()
 	}
-	res.Tau = tau
+	res.Converged = res.SweepUpdates[res.Sweeps-1] == 0
+	res.Tau = *tau
 	if opts.Progress != nil {
 		opts.Progress.finish(res)
 	}
@@ -375,19 +308,49 @@ func initialTau(deg []int32, opts Options) []int32 {
 
 // sweepCells resolves the cell visit order for a run: the caller's Subset
 // or Order, else ascending deg when the run passes the s-degrees (And),
-// else nil, which is id order.
+// else nil, which is id order. A Subset lists distinct cells, an Order
+// every cell once: a cell listed twice could be evaluated by two workers
+// at once, the later store of its τ undoing the lower one.
 func sweepCells(n int, opts Options, deg []int32) []int32 {
 	if opts.Subset != nil {
+		checkDistinct("Subset", opts.Subset, n)
 		return opts.Subset
 	}
 	if opts.Order != nil {
-		checkPermutation(opts.Order, n)
+		checkDistinct("Order", opts.Order, n)
+		if len(opts.Order) != n {
+			panic(fmt.Sprintf("localhi: Order is not a permutation of [0, %d): it lists %d cells", n, len(opts.Order)))
+		}
 		return opts.Order
 	}
 	if deg != nil {
 		return AscendingOrder(deg)
 	}
 	return nil
+}
+
+// cutByWork cuts the positions of a run's order (cells, or the ids when
+// cells is nil) into chunks for the workers to claim, and returns their
+// bounds: a chunk ends at the first multiple of 64 where its s-degree work
+// reaches chunkWork, so it owns whole words of AND's bitmap, one of hubs
+// is one word and one of leaves many, at every thread count.
+func cutByWork(cells, deg []int32) []int {
+	n := len(deg)
+	if cells != nil {
+		n = len(cells)
+	}
+	cuts, work := []int{0}, 0
+	for p := 0; p < n; p++ {
+		if p&63 == 0 && work >= chunkWork {
+			cuts, work = append(cuts, p), 0
+		}
+		if cells != nil {
+			work += int(deg[cells[p]]) + 1
+		} else {
+			work += int(deg[p]) + 1
+		}
+	}
+	return append(cuts, n)
 }
 
 // AscendingOrder returns the cell ids sorted by (key, id) ascending with one
@@ -412,28 +375,28 @@ func AscendingOrder(keys []int32) []int32 {
 	return order
 }
 
-// checkPermutation panics unless order lists every cell of [0, n) once.
-func checkPermutation(order []int32, n int) {
+// checkDistinct panics unless list holds distinct cells of [0, n), naming
+// the first that is out of range or listed twice.
+func checkDistinct(what string, list []int32, n int) {
 	seen := make([]bool, n)
-	for _, c := range order {
+	for _, c := range list {
 		if c < 0 || int(c) >= n || seen[c] {
-			panic(fmt.Sprintf("localhi: Order is not a permutation of [0, %d): cell %d is out of range or listed twice", n, c))
+			panic(fmt.Sprintf("localhi: %s must list distinct cells of [0, %d): cell %d is out of range or listed twice", what, n, c))
 		}
 		seen[c] = true
 	}
-	if len(order) != n {
-		panic(fmt.Sprintf("localhi: Order is not a permutation of [0, %d): it lists %d cells", n, len(order)))
-	}
 }
 
-// sweep runs body over the n positions of the run's visit order in
-// grain-sized chunks claimed dynamically by up to len(scs) workers, each
-// with its own scratch (a single worker runs inline), books the tallies
-// they left there into res, shows the sweep to the run's observers and
-// returns its update count.
-func (res *Result) sweep(opts Options, tau []int32, n int, scs []sweepScratch, body func(lo, hi int, sc *sweepScratch)) int64 {
-	par.ForEachWorker(n, sweepGrain, len(scs), func(w, lo, hi int) {
-		body(lo, hi, &scs[w])
+// sweep runs body over the chunks of the run's visit order that cuts
+// bounds, claimed dynamically by up to len(scs) workers, each with its own
+// scratch (a single worker runs inline), books the tallies they left there
+// into res, shows the sweep to the run's observers and returns its update
+// count.
+func (res *Result) sweep(opts Options, tau []int32, cuts []int, scs []sweepScratch, body func(lo, hi int, sc *sweepScratch)) int64 {
+	par.ForEachWorker(len(cuts)-1, 1, len(scs), func(w, lo, hi int) {
+		for k := lo; k < hi; k++ {
+			body(cuts[k], cuts[k+1], &scs[w])
+		}
 	})
 	var updates int64
 	for i := range scs {

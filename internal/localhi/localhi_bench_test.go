@@ -183,3 +183,25 @@ func BenchmarkSweepKernelFused(b *testing.B) { benchKernel(b, benchIndexedTrussI
 func BenchmarkSweepKernelDiscovered(b *testing.B) {
 	benchKernel(b, nucleustest.Discovered(benchIndexedTrussInstance()))
 }
+
+// BenchmarkAndLibNucleus is lib_nucleus's AND without the library around
+// it: notification over the stored truss and (3,4) rows of that workload's
+// input (12 × 80 planted communities, round 0 of seed 1), and lib_core's
+// k-core of RMAT(14, 8), at one and two threads.
+func BenchmarkAndLibNucleus(b *testing.B) {
+	g := graph.PlantedCommunities(12, 80, 0.3, 1200, 1_000_003)
+	for _, tc := range []struct {
+		name string
+		inst nucleus.Instance
+	}{
+		{"n34", nucleus.NewFlatN34(g, 1)},
+		{"truss", nucleus.NewFlatTruss(g, 1)},
+		{"core", nucleus.NewCore(graph.RMAT(14, 8, 0.57, 0.19, 0.19, 1))},
+	} {
+		for _, p := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/P=%d", tc.name, p), func(b *testing.B) {
+				benchAnd(b, tc.inst, Options{Threads: p, Notification: true})
+			})
+		}
+	}
+}

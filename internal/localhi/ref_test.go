@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"nucleus/internal/graph"
@@ -13,15 +14,123 @@ import (
 )
 
 // refNotify is the wake-up pass notify replaced, kept as its oracle,
-// verbatim up to its name and the ρ record it ignores: after a fall, every
-// co-member of every s-clique of the row is read, whatever ρ the kernel
-// read for the s-clique.
-func refNotify(row, _ []int32, _ int, tau, active []int32, h, old int32, par bool) {
+// verbatim up to its name, the ρ record it ignores and the wake state it
+// writes: after a fall, every co-member of every s-clique of the row is
+// read, whatever ρ the kernel read for the s-clique.
+func refNotify(row, _ []int32, _ int, tau []int32, w *wakes, h, old int32, par bool) {
 	for _, d := range row {
-		if t := load(par, tau, d); t > h {
-			wake(tau, active, d, t, h, old, par)
+		if t := load(par, tau, d); t > h && wake(tau, w.active, d, t, h, old, par) {
+			w.wakeUp(d, par)
 		}
 	}
+}
+
+// gridCuts returns the bounds of the fixed 64-cell chunks that cutByWork
+// replaced: the grain the reference loops below hand to sweep.
+func gridCuts(n int) []int {
+	var cuts []int
+	for lo := 0; lo < n; lo += 64 {
+		cuts = append(cuts, lo)
+	}
+	return append(cuts, n)
+}
+
+// refAnd is the And loop that andSweep replaced, kept as its oracle,
+// verbatim up to its name, the wake state its flags now sit in (whose
+// bitmap it writes and never reads) and the chunk bounds it hands to
+// sweep: every listed cell starts active, and every sweep reads the flag
+// of every position, in fixed 64-cell chunks.
+func refAnd(inst nucleus.Instance, opts Options, notify notifier) *Result {
+	n := inst.NumCells()
+	deg := inst.Degrees()
+	cells := sweepCells(n, opts, deg) // before initialTau clamps deg into τ
+	rows := inst.Rows()
+	// Notification at co-arity ≥ 2 records ρ per s-clique: as many slots as
+	// the longest row has s-cliques, the largest s-degree, read before
+	// initialTau clamps deg into τ.
+	var longest int32
+	if opts.Notification && rows.Co > 1 {
+		longest = maxOf(deg)
+	}
+	tau := initialTau(deg, opts)
+	res := &Result{}
+	concurrent := opts.threads() > 1
+	scs := newScratches(opts.threads(), tau, longest)
+
+	var w *wakes
+	var active []int32
+	if opts.Notification {
+		w = &wakes{active: make([]int32, n), bits: make([]uint64, (n+63)/64), pos: make([]int32, n)}
+		active = w.active
+		for _, c := range cells {
+			active[c] = flagActive
+		}
+	}
+	// A sequential run clears the flag of the cell it claims; a concurrent
+	// one marks it in progress, before any co-member is read.
+	claimed := flagIdle
+	if concurrent {
+		claimed = flagInProgress
+	}
+	body := func(lo, hi int, sc *sweepScratch) {
+		var upd, vis, skip int64
+		for _, c := range cells[lo:hi] {
+			if active != nil {
+				if load(concurrent, active, c) == flagIdle {
+					skip++
+					continue
+				}
+				store(concurrent, active, c, claimed)
+			}
+			// Only the worker that claimed c writes tau[c], so one read
+			// serves as both the kernel's clamp and the old value.
+			old := load(concurrent, tau, c)
+			h, v, row := update(&rows, c, tau, sc, old, concurrent)
+			vis += v
+			if h < old {
+				store(concurrent, tau, c, h)
+				upd++
+				if active != nil {
+					notify(row, sc.rho, rows.Co, tau, w, h, old, concurrent)
+				}
+			}
+			if active != nil && concurrent {
+				// Back to idle, unless a wake arrived while c was in
+				// progress: then c stays active for the next sweep.
+				atomic.CompareAndSwapInt32(&active[c], flagInProgress, flagIdle)
+			}
+		}
+		sc.updates += upd
+		sc.visits += vis
+		sc.skipped += skip
+	}
+
+	// Every sweep counts against the budget, so a bounded run can never
+	// report Sweeps > MaxSweeps. The check sits at the loop head: when the
+	// budget is exhausted the run stops unconverged and returns the
+	// intermediate τ, which is still a valid approximation (τ ≥ κ,
+	// Theorem 1).
+	for {
+		if opts.MaxSweeps > 0 && res.Sweeps >= opts.MaxSweeps {
+			break
+		}
+		// Checked only after the first sweep (like Snd): a stop signal can
+		// end a run early, but never before there is an intermediate τ
+		// worth returning.
+		if res.Sweeps > 0 && opts.Stop != nil && opts.Stop() {
+			res.Stopped = true
+			break
+		}
+		if res.sweep(opts, tau, gridCuts(len(cells)), scs, body) == 0 {
+			res.Converged = true
+			break
+		}
+	}
+	res.Tau = tau
+	if opts.Progress != nil {
+		opts.Progress.finish(res)
+	}
+	return res
 }
 
 // hashSweeps is an OnSweep that appends the hash of τ after every sweep
@@ -121,7 +230,7 @@ func refSnd(inst nucleus.Instance, opts Options) *Result {
 
 	for {
 		copy(prev, tau)
-		updates := res.sweep(opts, tau, len(cells), scs, body)
+		updates := res.sweep(opts, tau, gridCuts(len(cells)), scs, body)
 		if updates == 0 {
 			res.Converged = true
 			break

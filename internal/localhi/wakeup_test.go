@@ -57,9 +57,11 @@ func TestNarrowWakeupsStress(t *testing.T) {
 // the row loop that calls wake, for a co-member whose index fell from
 // old = 5 to h = 2. An idle cell keeps the narrow test h < τ(d) ≤ old. An
 // in-progress cell wakes whenever h < τ(d), even above old: it may have
-// read the old value. An active cell is left as it is. Then wake itself on
-// an idle cell whose τ the caller read before its update finished: the
-// flag is idle again, so τ(d) is read anew and the narrow test decides.
+// read the old value. An active cell is left as it is. A cell that is
+// woken gets the bit of its position, and only such a cell. Then wake
+// itself on an idle cell whose τ the caller read before its update
+// finished: the flag is idle again, so τ(d) is read anew and the narrow
+// test decides.
 func TestWakeInProgress(t *testing.T) {
 	const h, old = 2, 5
 	row := []int32{1} // cell 0's row: its one co-member is cell 1
@@ -81,10 +83,18 @@ func TestWakeInProgress(t *testing.T) {
 	} {
 		for _, par := range []bool{false, true} {
 			tau, active := []int32{h, tc.tau}, []int32{flagIdle, tc.flag}
-			notify(row, nil, 1, tau, active, h, old, par)
+			w := &wakes{active: active, bits: make([]uint64, 1), pos: []int32{0, 1}}
+			notify(row, nil, 1, tau, w, h, old, par)
 			if active[1] != tc.want || active[0] != flagIdle || tau[1] != tc.tau {
 				t.Errorf("flag %d τ(d) %d par=%v: flags %v τ %v after the wake, want d's flag %d, τ untouched",
 					tc.flag, tc.tau, par, active, tau, tc.want)
+			}
+			var wantBits uint64 // d's bit (position 1), only if the wake made d active
+			if tc.flag != flagActive && tc.want == flagActive {
+				wantBits = 1 << 1
+			}
+			if w.bits[0] != wantBits {
+				t.Errorf("flag %d τ(d) %d par=%v: bits %b after the wake, want %b", tc.flag, tc.tau, par, w.bits[0], wantBits)
 			}
 		}
 	}
@@ -97,7 +107,9 @@ func TestWakeInProgress(t *testing.T) {
 	} {
 		for _, par := range []bool{false, true} {
 			tau, active := []int32{tc.tau}, []int32{flagIdle}
-			wake(tau, active, 0, tc.stale, h, old, par)
+			if wake(tau, active, 0, tc.stale, h, old, par) {
+				active[0] = flagActive
+			}
 			if active[0] != tc.want {
 				t.Errorf("idle, read %d, τ(d) now %d, par=%v: flag %d, want %d", tc.stale, tc.tau, par, active[0], tc.want)
 			}
