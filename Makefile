@@ -1,6 +1,7 @@
 # The lint target is the single static-analysis entry point: CI's lint
 # job runs exactly `make lint`, so a clean local run is a clean CI run.
-# See docs/DEVELOPMENT.md#static-analysis for the analyzer reference.
+# See docs/DEVELOPMENT.md#static-analysis for what it checks and which
+# tests hold the invariants it does not.
 
 .PHONY: lint fmt test race build loc bench-check bench-record
 
@@ -11,7 +12,7 @@ lint:
 		echo "$$unformatted"; \
 		exit 1; \
 	fi
-	go run ./cmd/nucleuslint ./...
+	go vet ./...
 	@if go list -deps . ./cmd/... | grep -qx nucleus/internal/nucleustest; then \
 		echo "internal/nucleustest (the Hyper test oracle) is imported by production code:"; \
 		echo "  go list -deps . ./cmd/... must not contain it"; \
@@ -21,7 +22,7 @@ lint:
 # Non-test source lines per package and in total: ROADMAP tracks the line
 # count per PR and expects it to go down. Not counted: bench/ (a module of
 # its own, the measuring instrument), internal/nucleustest (test support)
-# and analyzer fixtures under testdata/.
+# and fixtures under testdata/.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' \
 		! -path './internal/nucleustest/*' ! -path '*/testdata/*' -print0 \

@@ -157,7 +157,7 @@ func (p *Puller) Run() {
 			return
 		case <-ticker.C:
 			// Errors are recorded in Status and retried next tick.
-			p.PullOnce(context.Background()) //nucleus:ignore-err
+			p.PullOnce(context.Background())
 		}
 	}
 }
@@ -350,6 +350,10 @@ func (p *Puller) tailWAL(ctx context.Context, primary, name string, st *graphSta
 			}
 			applied, err := p.cfg.Applier.ApplyBatch(name, &cb.Batch, cb.Version)
 			if err != nil {
+				// The cursor is past a batch that did not apply: tail the
+				// log again from its start, where the version check skips
+				// the batches that did.
+				st.offset, st.scanner = 0, store.NewWALScanner()
 				return progressed, err
 			}
 			p.mu.Lock()

@@ -137,7 +137,7 @@ func (fp *fakePrimary) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	gen := fp.gen
 	fp.mu.Unlock()
 	w.Header().Set(GenerationHeader, strconv.FormatUint(gen, 10))
-	w.Write(img) //nucleus:ignore-err test server
+	w.Write(img) // a failed write shows up as the puller's error
 }
 
 func (fp *fakePrimary) handleWAL(w http.ResponseWriter, r *http.Request) {
@@ -172,7 +172,7 @@ func (fp *fakePrimary) handleWAL(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set(GenerationHeader, strconv.FormatUint(gen, 10))
 	w.Header().Set(WALSizeHeader, strconv.FormatInt(size, 10))
-	w.Write(chunk) //nucleus:ignore-err test server
+	w.Write(chunk) // a failed write shows up as the puller's error
 }
 
 // fakeApplier records every install/apply/drop in order.

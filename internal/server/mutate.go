@@ -38,12 +38,13 @@ import (
 //
 // Durability (package store): commitBatch (write.go) appends each batch to
 // the graph's WAL BEFORE it touches the overlay, and a commit frame carrying
-// the published version after the publish succeeds — both under the
+// the minted version BEFORE that version is published — both under the
 // per-name mutation lock, so the pair is adjacent in the log. Cache seeding
 // runs after the lock is released: the truss reconvergence is work over the
 // whole graph, and serializing it with the next batch would turn the
 // mutation path into a decomposition queue (regression tests:
-// TestConcurrentMutatorsWarmSeed, TestWarmSeedHoldsNoMutationLock).
+// TestConcurrentMutatorsWarmSeed, TestWarmSeedHoldsNoMutationLock,
+// TestBatchPublishesWhileWarmSeedBlocked).
 
 // edgeOp is one edit of a mutation batch.
 type edgeOp struct {

@@ -23,8 +23,9 @@ import (
 //     an acknowledged upload survives a crash, an unacknowledged one was
 //     never visible, and neither interleaves with a mutation or compaction;
 //   - edit batches append a WAL batch frame before touching the overlay and
-//     a commit frame after the new version is published (commitBatch), so
-//     replay reconstructs exactly the acknowledged state;
+//     a commit frame at the minted version before that version is published
+//     (commitBatch), so replay reconstructs exactly the acknowledged state
+//     and a batch whose commit fails was never visible;
 //   - a background compactor folds long WALs into fresh snapshots once they
 //     cross Config.WALCompactBytes, bounding replay time;
 //   - startup replays snapshot+WAL for every persisted graph, restores the
@@ -207,8 +208,10 @@ func (s *Server) maybeCompact(name string) {
 
 // compactGraph folds name's WAL into a fresh snapshot. The per-name
 // mutation lock serializes it against edit batches and re-uploads, so the
-// snapshot it writes is a consistent (graph, version, κ) triple and no
-// commit frame can land between the state read and the WAL truncation.
+// snapshot it writes is a consistent (graph, version, κ) triple: commitBatch
+// commits and publishes under this lock, so every commit frame in the log
+// is already published and none can land between the state read and the
+// WAL truncation.
 func (s *Server) compactGraph(name string) {
 	lock := s.reg.mutationLock(name)
 	lock.Lock()

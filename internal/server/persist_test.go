@@ -392,7 +392,7 @@ func TestWarmSeedHoldsNoMutationLock(t *testing.T) {
 		// liveness recheck) runs while the mutation lock is held above.
 		done <- s.warmSeed(e, e, 0)
 	}()
-	select { //nucleus:lint-ignore lockdiscipline the test holds the mutation lock on purpose: it proves warmSeed completes without ever needing it
+	select {
 	case seeded := <-done:
 		if len(seeded) == 0 {
 			t.Fatal("warm seeder did no work; the lock-freedom check proved nothing")

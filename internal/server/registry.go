@@ -82,8 +82,8 @@ type registry struct {
 
 	// mutMu guards mutLocks, the per-name mutation locks. A name's lock
 	// serializes everything that changes its durable or published state:
-	// edit batches (WAL batch append → overlay repair → snapshot →
-	// republish → WAL commit append), uploads/generates/deletes (snapshot
+	// edit batches (WAL batch append → overlay repair → WAL commit append
+	// → republish), uploads/generates/deletes (snapshot
 	// persistence + registry publish), and background WAL compaction.
 	// Warm cache seeding deliberately runs OUTSIDE the lock — it is
 	// graph-sized reconvergence work, and holding the lock across it would

@@ -3,7 +3,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"log"
 
 	"nucleus/internal/dynamic"
 	"nucleus/internal/nucleus"
@@ -94,9 +93,9 @@ type batchOutcome struct {
 }
 
 // commitBatch applies one edit batch to name: WAL batch frame → overlay
-// repair → copy-on-write publish → WAL commit frame → counters, then, with
-// the lock released, warm seeding, the purge of the displaced version's
-// cache entries and the compaction check.
+// repair → mint → WAL commit frame → copy-on-write publish → counters,
+// then, with the lock released, warm seeding, the purge of the displaced
+// version's cache entries and the compaction check.
 //
 // at == 0 skips republishing a fully no-op batch: the graph is
 // bit-identical, and a version bump would purge every cache entry the warm
@@ -133,7 +132,7 @@ func (s *Server) commitBatch(name string, batch *store.Batch, at uint64) (batchO
 		// held across the warm seeding below (which runs after unlock). A
 		// replicated batch runs on the puller's one goroutine, which the
 		// slots do not count.
-		s.acquireSync() //nucleus:lint-ignore lockdiscipline deliberate ordering per the comment above: mutation lock first, sync slot second, so queued batches never pin slots
+		s.acquireSync()
 		defer s.releaseSync()
 	}
 
@@ -187,22 +186,22 @@ func (s *Server) commitBatch(name string, batch *store.Batch, at uint64) (batchO
 	if at == 0 {
 		ne.version = s.reg.mint()
 	}
+	// Commit frame, then publish: no reader sees a version the log does not
+	// hold at exactly that number. A failed commit leaves nothing to roll
+	// back — the overlay was this batch's own, the minted version is never
+	// used and replay drops the uncommitted batch frame.
+	n, err = s.store.CommitBatch(name, ne.version)
+	if err != nil {
+		s.stats.Persistence.Errors.Add(1)
+		return batchOutcome{}, fmt.Errorf("committing batch to the WAL: %w", err)
+	}
+	s.walAppended(n)
 	if !s.reg.publish(ne, e) {
 		// Defensive: uploads and deletes hold this same lock, so a
 		// concurrent replacement should be impossible — but if it ever
 		// happens, our edits are against a dead snapshot and must not be
-		// published (the uncommitted WAL batch is dropped on replay).
+		// published (replay would still apply the committed batch).
 		return batchOutcome{}, fmt.Errorf("graph %q %w", name, errReplaced)
-	}
-	// Commit frame: replay applies the batch at exactly this version. A
-	// failed append cannot be rolled back (the overlay already mutated and
-	// the version published), so it degrades durability, loudly: the batch
-	// may not survive a restart.
-	if n, err := s.store.CommitBatch(name, ne.version); err != nil {
-		s.stats.Persistence.Errors.Add(1)
-		log.Printf("nucleusd: WAL commit for graph %q version %d failed (batch applied in memory, may be lost on restart): %v", name, ne.version, err)
-	} else {
-		s.walAppended(n)
 	}
 	s.stats.Mutations.Batches.Add(1)
 	s.stats.Mutations.Applied.Add(int64(added + removed))

@@ -16,18 +16,19 @@ import (
 )
 
 // faultStore is a durable store whose calls a test can intercept: a
-// non-nil hook runs instead of the real call (the hook may observe the
-// server, and decides the call's error).
+// non-nil hook runs before the real call (it may observe the server, or
+// block), and a non-nil error from it is the call's, in place of the real
+// call.
 type faultStore struct {
 	store.Store
-	saveSnapshot func(name string, snap *store.Snapshot) error
-	beginBatch   func(name string) error
-	delete       func(name string) error
+	saveSnapshot, beginBatch, commitBatch, delete func(name string) error
 }
 
 func (f *faultStore) SaveSnapshot(name string, snap *store.Snapshot) error {
 	if f.saveSnapshot != nil {
-		return f.saveSnapshot(name, snap)
+		if err := f.saveSnapshot(name); err != nil {
+			return err
+		}
 	}
 	return f.Store.SaveSnapshot(name, snap)
 }
@@ -41,9 +42,20 @@ func (f *faultStore) BeginBatch(name string, b *store.Batch) (int, error) {
 	return f.Store.BeginBatch(name, b)
 }
 
+func (f *faultStore) CommitBatch(name string, version uint64) (int, error) {
+	if f.commitBatch != nil {
+		if err := f.commitBatch(name); err != nil {
+			return 0, err
+		}
+	}
+	return f.Store.CommitBatch(name, version)
+}
+
 func (f *faultStore) Delete(name string) error {
 	if f.delete != nil {
-		return f.delete(name)
+		if err := f.delete(name); err != nil {
+			return err
+		}
 	}
 	return f.Store.Delete(name)
 }
@@ -86,7 +98,7 @@ func TestUploadInvisibleUntilDurable(t *testing.T) {
 					t.Errorf("%s: serving %+v, want the displaced graph %+v", when, gv, before)
 				}
 			}
-			fs.saveSnapshot = func(string, *store.Snapshot) error {
+			fs.saveSnapshot = func(string) error {
 				observe("during the snapshot write")
 				return errors.New("disk full")
 			}
@@ -124,6 +136,7 @@ func TestWritePathErrorsReachClient(t *testing.T) {
 		wantStatus        int
 		wantError         string
 		wantPersistErrors int64
+		unpublished       bool // the graph keeps its version, now and after a restart
 	}{
 		{
 			name: "mutate unknown graph", method: "POST", path: "/graphs/nope/edges", body: oneAdd,
@@ -145,7 +158,17 @@ func TestWritePathErrorsReachClient(t *testing.T) {
 				fs.beginBatch = func(string) error { return errors.New("disk full") }
 			},
 			wantStatus: http.StatusInternalServerError, wantError: "writing batch to the WAL: disk full",
-			wantPersistErrors: 1,
+			wantPersistErrors: 1, unpublished: true,
+		},
+		{
+			// The commit frame lands before the version is published, so a
+			// failed one leaves nothing to serve and nothing to replay.
+			name: "WAL commit failure", method: "POST", path: "/graphs/g/edges", body: oneAdd,
+			arm: func(_ *Server, fs *faultStore) {
+				fs.commitBatch = func(string) error { return errors.New("disk full") }
+			},
+			wantStatus: http.StatusInternalServerError, wantError: "committing batch to the WAL: disk full",
+			wantPersistErrors: 1, unpublished: true,
 		},
 		{
 			// Uploads and deletes take the batch's lock, so only a bug can
@@ -172,6 +195,7 @@ func TestWritePathErrorsReachClient(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			base, s, fs := faultServer(t)
+			before, _ := s.reg.get("g")
 			if tc.arm != nil {
 				tc.arm(s, fs)
 			}
@@ -187,6 +211,15 @@ func TestWritePathErrorsReachClient(t *testing.T) {
 			}
 			if got := getStats(t, base).Persistence.Errors.Load(); got != tc.wantPersistErrors {
 				t.Fatalf("persistence.errors = %d, want %d", got, tc.wantPersistErrors)
+			}
+			if tc.unpublished {
+				restarted := New(Config{Store: fs.Store, WALCompactBytes: -1})
+				defer restarted.Close()
+				for route, s := range map[string]*Server{"live": s, "restart": restarted} {
+					if e, _ := s.reg.get("g"); e.version != before.version || e.g.M() != before.g.M() {
+						t.Fatalf("%s: graph at version %d with %d edges, want %d with %d", route, e.version, e.g.M(), before.version, before.g.M())
+					}
+				}
 			}
 		})
 	}
@@ -300,5 +333,49 @@ func TestThreeRoutesOneStateProperty(t *testing.T) {
 	}
 	if !mutated {
 		t.Fatal("the workload never changed the graph")
+	}
+}
+
+// TestReplicaRetriesFailedCommit: a shipped batch whose commit frame the
+// replica cannot append is not published there, and the next pull applies
+// it again before anything that follows it, so the replica lands on the
+// primary's graph rather than on the later batches without it.
+func TestReplicaRetriesFailedCommit(t *testing.T) {
+	pts, ps := testServerWith(t, Config{
+		Workers:     2,
+		Store:       openFS(t, t.TempDir()),
+		Replication: ReplicationConfig{Role: replica.RolePrimary, Generation: 1},
+	})
+	fs := &faultStore{Store: openFS(t, t.TempDir())}
+	rts, rs := testServerWith(t, Config{
+		Workers: 2,
+		Store:   fs,
+		Replication: ReplicationConfig{
+			Role: replica.RoleReplica, Primary: pts.URL, Generation: 1, PullInterval: -1,
+		},
+	})
+	doJSON(t, "POST", pts.URL+"/graphs/g", strings.NewReader(edgeListBody(graph.Complete(5))), nil)
+	pull(t, rts.URL, http.StatusOK)
+
+	for _, e := range [][2]uint32{{0, 5}, {1, 6}} { // shipped in one chunk
+		if resp := postJSON(t, pts.URL+"/graphs/g/edges", mutateRequest{Edits: []edgeOp{{Op: "add", U: e[0], V: e[1]}}}, nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("batch %v: status %d", e, resp.StatusCode)
+		}
+	}
+	fs.commitBatch = func(string) error {
+		fs.commitBatch = nil
+		return errors.New("disk full")
+	}
+	if ns := pull(t, rts.URL, http.StatusBadGateway); !strings.Contains(ns.LastError, "disk full") {
+		t.Fatalf("failed pull: lastError %q", ns.LastError)
+	}
+	// A batch behind the failed one, so the next pull has new bytes to
+	// tail.
+	postJSON(t, pts.URL+"/graphs/g/edges", mutateRequest{Edits: []edgeOp{{Op: "add", U: 2, V: 7}}}, nil)
+	pull(t, rts.URL, http.StatusOK)
+	want, _ := ps.reg.get("g")
+	got, _ := rs.reg.get("g")
+	if got.version != want.version || !reflect.DeepEqual(got.g.Edges(), want.g.Edges()) {
+		t.Fatalf("replica at version %d with edges %v, primary at %d with %v", got.version, got.g.Edges(), want.version, want.g.Edges())
 	}
 }

@@ -22,10 +22,52 @@ import (
 // segment — including ".", ".." and unicode — maps to a distinct,
 // traversal-proof directory.
 type FS struct {
-	root string
+	root  string
+	files fileLayer
 
 	mu     sync.Mutex
 	graphs map[string]*fsGraph
+}
+
+// fileLayer is every file operation by which FS changes the disk. OpenFS
+// sets osFiles; the store's tests swap in one that fails a chosen call.
+type fileLayer interface {
+	openFile(path string, flag int) (file, error)
+	createTemp(dir, pattern string) (file, error)
+	rename(from, to string) error
+	remove(path string) error // a file or a whole tree; absent is not an error
+	truncate(path string, size int64) error
+	syncDir(dir string) error
+}
+
+// file is the part of *os.File that FS writes through.
+type file interface {
+	Write(p []byte) (int, error)
+	WriteAt(p []byte, off int64) (int, error)
+	Sync() error
+	Close() error
+	Name() string
+}
+
+type osFiles struct{}
+
+func (osFiles) openFile(path string, flag int) (file, error) { return os.OpenFile(path, flag, 0o644) }
+func (osFiles) createTemp(dir, pattern string) (file, error) { return os.CreateTemp(dir, pattern) }
+func (osFiles) rename(from, to string) error                 { return os.Rename(from, to) }
+func (osFiles) remove(path string) error                     { return os.RemoveAll(path) }
+func (osFiles) truncate(path string, size int64) error       { return os.Truncate(path, size) }
+
+// syncDir fsyncs a directory so a just-renamed file is durable.
+func (osFiles) syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // fsGraph is the per-name state: a lock serializing file operations, a
@@ -52,7 +94,7 @@ func OpenFS(dir string) (*FS, error) {
 	if err := os.MkdirAll(filepath.Join(dir, "graphs"), 0o755); err != nil {
 		return nil, fmt.Errorf("store: creating data dir: %w", err)
 	}
-	return &FS{root: dir, graphs: make(map[string]*fsGraph)}, nil
+	return &FS{root: dir, files: osFiles{}, graphs: make(map[string]*fsGraph)}, nil
 }
 
 // byName returns the per-name state, creating it (and priming the cached
@@ -80,39 +122,36 @@ func (s *FS) SaveSnapshot(name string, snap *Snapshot) error {
 	if err := os.MkdirAll(g.dir, 0o755); err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(g.dir, snapshotFile+".tmp*")
+	tmp, err := s.files.createTemp(g.dir, snapshotFile+".tmp*")
 	if err != nil {
 		return err
 	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := EncodeSnapshot(tmp, snap); err != nil {
-		tmp.Close() //nucleus:ignore-err the encode already failed; its error is what the caller must see
+	err = EncodeSnapshot(tmp, snap)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = s.files.rename(tmp.Name(), filepath.Join(g.dir, snapshotFile))
+	}
+	if err != nil {
+		s.files.remove(tmp.Name()) // the failed step's error is what the caller must see
 		return err
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close() //nucleus:ignore-err the sync already failed; its error is what the caller must see
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(g.dir, snapshotFile)); err != nil {
-		return err
-	}
-	if err := syncDir(g.dir); err != nil {
-		return err
-	}
-	// The snapshot is durable from here on; record its generation so the
-	// next WAL append stamps it. Should the WAL removal below fail (or the
-	// process die first), replay detects the stale log by its mismatched
-	// header generation and discards it instead of applying the previous
-	// lineage's batches to this snapshot.
+	// The new snapshot is the one on disk from here on, even if a step
+	// below fails: the next WAL append starts a fresh log stamped with its
+	// generation. Should the WAL removal fail (or the process die first),
+	// replay detects the stale log by its mismatched header generation and
+	// discards it instead of applying the previous lineage's batches to
+	// this snapshot.
 	g.gen = snap.Meta.Version
-	if err := os.Remove(filepath.Join(g.dir, walFile)); err != nil && !os.IsNotExist(err) {
+	g.walSize.Store(0)
+	if err := s.files.syncDir(g.dir); err != nil {
 		return err
 	}
-	g.walSize.Store(0)
-	return nil
+	return s.files.remove(filepath.Join(g.dir, walFile))
 }
 
 // BeginBatch implements Store.
@@ -132,9 +171,14 @@ func (s *FS) appendWAL(name string, frame []byte) (int, error) {
 	if err := os.MkdirAll(g.dir, 0o755); err != nil {
 		return 0, err
 	}
-	if g.walSize.Load() == 0 {
+	path := filepath.Join(g.dir, walFile)
+	size := g.walSize.Load()
+	flag := os.O_CREATE | os.O_WRONLY
+	if size == 0 {
 		// First frame of a fresh log: prepend the header naming the
-		// snapshot generation this WAL extends (one write, one fsync).
+		// snapshot generation this WAL extends (one write, one fsync), and
+		// drop whatever a dead lineage or a failed append left in the file.
+		flag |= os.O_TRUNC
 		if g.gen == 0 {
 			// Generation unknown: this process has neither saved nor loaded
 			// the snapshot (possible only for library users driving the
@@ -151,22 +195,27 @@ func (s *FS) appendWAL(name string, frame []byte) (int, error) {
 		}
 		frame = append(encodeHeaderFrame(g.gen), frame...)
 	}
-	f, err := os.OpenFile(filepath.Join(g.dir, walFile), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := s.files.openFile(path, flag)
 	if err != nil {
 		return 0, err
 	}
-	if _, err := f.Write(frame); err != nil {
-		f.Close() //nucleus:ignore-err the write already failed; its error is what the caller must see
+	_, err = f.WriteAt(frame, size)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		// A failed frame leaves no trace: cut the file back to the last
+		// frame that was acknowledged, so its length, WALSize, WALImage
+		// and Load agree. Should the cut fail too, the next append still
+		// writes at this offset. The append's error is what the caller
+		// must see.
+		s.files.truncate(path, size)
 		return 0, err
 	}
-	if err := f.Sync(); err != nil {
-		f.Close() //nucleus:ignore-err the sync already failed; its error is what the caller must see
-		return 0, err
-	}
-	if err := f.Close(); err != nil {
-		return 0, err
-	}
-	g.walSize.Add(int64(len(frame)))
+	g.walSize.Store(size + int64(len(frame)))
 	return len(frame), nil
 }
 
@@ -211,14 +260,14 @@ func (s *FS) LoadThreads(name string, threads int) (*Snapshot, []CommittedBatch,
 		// between a snapshot replacement and its WAL truncation (stale
 		// generation), or its header is torn. Its batches belong to a dead
 		// lineage — discard the file rather than replay them.
-		if err := os.Remove(walPath); err != nil && !os.IsNotExist(err) {
+		if err := s.files.remove(walPath); err != nil {
 			return nil, nil, fmt.Errorf("removing stale WAL of %q: %w", name, err)
 		}
 		g.walSize.Store(0)
 		return snap, nil, nil
 	}
 	if goodLen < len(wal) {
-		if err := os.Truncate(walPath, int64(goodLen)); err != nil {
+		if err := s.files.truncate(walPath, int64(goodLen)); err != nil {
 			return nil, nil, fmt.Errorf("truncating torn WAL tail of %q: %w", name, err)
 		}
 	}
@@ -301,7 +350,7 @@ func (s *FS) Delete(name string) error {
 	g := s.byName(name)
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if err := os.RemoveAll(g.dir); err != nil {
+	if err := s.files.remove(g.dir); err != nil {
 		return err
 	}
 	g.walSize.Store(0)
@@ -320,19 +369,6 @@ func (s *FS) Durable() bool { return true }
 // Close implements Store. The FS store holds no persistent handles —
 // every append opens, syncs and closes — so there is nothing to flush.
 func (s *FS) Close() error { return nil }
-
-// syncDir fsyncs a directory so a just-renamed file is durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
 
 // encodeName maps an arbitrary graph name to a filesystem-safe directory
 // name: bytes in [a-z0-9_-] pass through, everything else (including

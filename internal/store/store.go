@@ -8,11 +8,11 @@
 //
 // The WAL uses a two-frame protocol per batch. A *batch* frame is appended
 // and synced BEFORE the edits touch the in-memory overlay; a *commit* frame
-// carrying the published registry version is appended after the new graph
-// version is installed. Replay applies only batches with a matching commit
-// frame, so a crash anywhere in the window leaves exactly the acknowledged
-// state: a batch frame without a commit was never acknowledged to the
-// client and is dropped.
+// carrying the registry version is appended and synced BEFORE that version
+// is published. Replay applies only batches with a matching commit frame,
+// so a crash or a failed append anywhere in the window leaves exactly the
+// acknowledged state: a batch frame without a commit was never published
+// or acknowledged and is dropped.
 //
 // Two backends implement Store: the filesystem directory store (OpenFS) and
 // the in-memory null store (Null), which discards everything and keeps the

@@ -17,17 +17,17 @@ import (
 //	             nEdits × (op byte | uvarint u | uvarint v)
 //	batch frames are appended and synced BEFORE the edits are applied;
 //	commit (2) = uvarint version
-//	commit frames are appended after the new graph version is published;
+//	commit frames are appended before the new graph version is published;
 //	header (3) = uvarint generation
 //	the mandatory FIRST frame of every WAL file, written with the first
 //	append: the Meta.Version of the snapshot this log extends.
 //
 // Replay pairs each commit with the batch frame preceding it. A batch with
-// no commit (crash or abort between append and publish) is dropped — it
-// was never acknowledged. A frame that fails its checksum or runs past the
-// end of the file is a torn tail: everything from it onward is discarded
-// and the file truncated there, so later appends continue from a clean
-// boundary.
+// no commit (a crash, a no-op batch or a failed commit append) is dropped —
+// it was never published or acknowledged. A frame that fails its checksum
+// or runs past the end of the file is a torn tail: everything from it
+// onward is discarded and the file truncated there, so later appends
+// continue from a clean boundary.
 //
 // The header generation closes the snapshot-replacement crash window:
 // SaveSnapshot makes the new snapshot durable (rename) and then deletes
