@@ -42,11 +42,13 @@ bench-check:
 # (scripts/bench-record.sh): RUNS runs of every workload from seed SEED,
 # 30 s each (about three minutes a run), one traced pass, and the sweep
 # loops' addresses mod 64. ROLE and NOTE label the record, COMMIT
-# overrides git's HEAD. Needs jq.
+# overrides git's HEAD. PARENT=<rev> runs the committed rev and this tree
+# alternately, run by run on the same seeds, and appends a record of each.
+# Needs jq.
 RUNS ?= 3
 SEED ?= 1
 bench-record:
-	RUNS='$(RUNS)' SEED='$(SEED)' ROLE='$(ROLE)' NOTE='$(NOTE)' COMMIT='$(COMMIT)' bash scripts/bench-record.sh
+	RUNS='$(RUNS)' SEED='$(SEED)' ROLE='$(ROLE)' NOTE='$(NOTE)' COMMIT='$(COMMIT)' PARENT='$(PARENT)' bash scripts/bench-record.sh
 
 fmt:
 	gofmt -w .

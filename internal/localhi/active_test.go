@@ -65,7 +65,7 @@ func runBoth(inst nucleus.Instance, opts Options) (got, want *Result, gotSums, w
 	opts.OnSweep = hashSweeps(&gotSums)
 	got = And(inst, opts)
 	opts.OnSweep = hashSweeps(&wantSums)
-	want = refAnd(inst, opts, notify)
+	want = refAnd(inst, opts)
 	return got, want, gotSums, wantSums
 }
 
@@ -146,7 +146,7 @@ func TestBitmapSweepStress(t *testing.T) {
 	for seed := int64(1); seed <= int64(seeds); seed++ {
 		for gi, g := range []*graph.Graph{graph.RMAT(10, 8, 0.57, 0.19, 0.19, seed), graph.PlantedCommunities(4, 30, 0.4, 120, seed)} {
 			for _, tc := range referenceCases(g, gi, rng, 3) {
-				subsetTau := refAnd(tc.inst, Options{Subset: tc.subset, Notification: true}, notify).Tau
+				subsetTau := refAnd(tc.inst, Options{Subset: tc.subset, Notification: true}).Tau
 				for run, opts := range map[string]Options{
 					"order":  {Order: tc.order},
 					"subset": {Subset: tc.subset},
@@ -236,8 +236,9 @@ func TestSubsetMustListDistinctCells(t *testing.T) {
 // TestWakeOutsideSubsetMarksNothing: a cell outside a Subset has no
 // position in the order, so no fall may wake it. Every cell of a graph
 // falls to 0 in turn, waking its co-members through every s-clique; the
-// bits set afterwards are exactly those of the subset cells the falls
-// made active (a wake of an outside cell would index the bitmap at −1).
+// bits set afterwards are exactly those of the subset cells some fall's
+// band (0, old] held (a wake of an outside cell would index the bitmap at
+// −1), and none past the subset's last position.
 func TestWakeOutsideSubsetMarksNothing(t *testing.T) {
 	g := graph.PlantedCommunities(3, 14, 0.5, 40, 11)
 	for name, inst := range map[string]nucleus.Instance{
@@ -252,9 +253,7 @@ func TestWakeOutsideSubsetMarksNothing(t *testing.T) {
 		for _, par := range []bool{false, true} {
 			w := newWakes(len(tau), subset, tau)
 			clear(w.bits)
-			for _, c := range subset {
-				w.active[c] = flagIdle
-			}
+			want := make([]bool, len(tau))
 			rhos := make([]int32, maxOf(tau))
 			var buf []int32
 			for c := int32(0); c < int32(len(tau)); c++ {
@@ -263,12 +262,15 @@ func TestWakeOutsideSubsetMarksNothing(t *testing.T) {
 					rhos[i] = tau[c] // every s-clique above the fall
 				}
 				notify(row, rhos, rows.Co, tau, w, 0, tau[c], par)
+				for _, d := range row {
+					want[d] = want[d] || 0 < tau[d] && tau[d] <= tau[c]
+				}
 			}
 			woken := 0
 			for p, c := range subset {
 				bit := w.bits[p>>6]>>(p&63)&1 == 1
-				if bit != (w.active[c] == flagActive) {
-					t.Fatalf("%s par=%v: subset cell %d at position %d has bit %v, flag %d", name, par, c, p, bit, w.active[c])
+				if bit != want[c] {
+					t.Fatalf("%s par=%v: subset cell %d at position %d has bit %v, want %v", name, par, c, p, bit, want[c])
 				}
 				if bit {
 					woken++
@@ -276,6 +278,9 @@ func TestWakeOutsideSubsetMarksNothing(t *testing.T) {
 			}
 			if woken == 0 {
 				t.Fatalf("%s par=%v: no subset cell was woken", name, par)
+			}
+			if last := len(subset) - 1; w.bits[last>>6]>>(last&63)>>1 != 0 {
+				t.Fatalf("%s par=%v: bits %b set past position %d", name, par, w.bits[last>>6], last)
 			}
 		}
 	}

@@ -148,14 +148,13 @@ func mallocs(body func()) uint64 {
 
 // sweepAllocs runs AND's first sweep with notification over every cell of
 // inst — each fall wakes the cell's co-members through the s-cliques the
-// kernel recorded above it — with the co-members' flags in each of the
-// three states wake tells apart, and fails if any of it allocates: once
-// the worker's row buffer has grown, which the warm-up run of mallocs
-// does. The scratch is AND's, its rho buffer sized once for the run. Then
-// it holds one bitmap sweep (andSweep over every position, every bit set,
-// from the s-degrees) and SND's first sweep (sndSweep, from the s-degrees,
-// with the rho buffer Snd sizes) to the same count, and demands that some
-// cell fell in each.
+// kernel recorded above it — with the co-members' bits all clear and all
+// set, and fails if any of it allocates: once the worker's row buffer has
+// grown, which the warm-up run of mallocs does. The scratch is AND's, its
+// rho buffer sized once for the run. Then it holds one bitmap sweep
+// (andSweep over every position, every bit set, from the s-degrees) and
+// SND's first sweep (sndSweep, from the s-degrees, with the rho buffer Snd
+// sizes) to the same count, and demands that some cell fell in each.
 func sweepAllocs(t *testing.T, name string, inst nucleus.Instance) {
 	t.Helper()
 	rows := inst.Rows()
@@ -168,13 +167,13 @@ func sweepAllocs(t *testing.T, name string, inst nucleus.Instance) {
 	n := int32(inst.NumCells())
 	cells := AscendingOrder(tau)
 	w := newWakes(int(n), cells, tau)
-	active := w.active
 	falls := 0
 	for _, par := range []bool{false, true} {
-		for _, flag := range []int32{flagIdle, flagActive, flagInProgress} {
+		for _, set := range []bool{false, true} {
 			allocs := mallocs(func() {
-				for c := int32(0); c < n; c++ {
-					active[c] = flag
+				clear(w.bits)
+				for p := 0; set && p < len(cells); p++ {
+					w.bits[p>>6] |= 1 << (p & 63)
 				}
 				falls = 0
 				for c := int32(0); c < n; c++ {
@@ -185,7 +184,7 @@ func sweepAllocs(t *testing.T, name string, inst nucleus.Instance) {
 				}
 			})
 			if allocs != 0 {
-				t.Fatalf("%s par=%v flag=%d: sweep allocated %d times in 10 runs, want 0", name, par, flag, allocs)
+				t.Fatalf("%s par=%v bits set=%v: sweep allocated %d times in 10 runs, want 0", name, par, set, allocs)
 			}
 			if falls == 0 {
 				t.Fatalf("%s: no cell fell in the first sweep, so no wake-up was exercised", name)
@@ -195,9 +194,6 @@ func sweepAllocs(t *testing.T, name string, inst nucleus.Instance) {
 		cur := make([]int32, n)
 		allocs := mallocs(func() {
 			copy(cur, tau)
-			for c := range active {
-				active[c] = flagActive
-			}
 			for p := range cells {
 				w.bits[p>>6] |= 1 << (p & 63)
 			}

@@ -1,6 +1,7 @@
 package localhi
 
 import (
+	"math"
 	"math/bits"
 	"sync/atomic"
 
@@ -37,10 +38,13 @@ import (
 // s-cliques whose ρ is above h (notify). One at or below h cannot pass the
 // fall on: a member that reads it later sees it at ≤ h anyway, and one
 // that read it before is reached by the fall that brought it to ≤ h (the
-// argument in full is at wake). par reads τ atomically for concurrent
-// asynchronous sweeps (a stale higher read is repaired: the reading cell
-// is in progress, so the fall it missed wakes it again, and without
-// notification every cell is evaluated again in the next sweep).
+// argument in full is at mustWake). A co-member is then woken on one load
+// of its τ: iff h < τ ≤ old, or, if it is being evaluated, iff τ > h. par
+// reads τ atomically for concurrent asynchronous sweeps and masks the
+// in-progress mark, τ's sign bit, which only such a sweep with
+// notification sets (evaluate); a stale higher read is repaired: the
+// reading cell is marked, so the fall it missed wakes it again, and
+// without notification every cell is evaluated again in the next sweep.
 // Nothing allocates once a worker's row buffer has grown to the longest
 // discovered row; the rho buffer is sized once per run, to the longest row.
 
@@ -147,14 +151,14 @@ func rowTau(row []int32, co int, tau, cnt, rhos []int32, par bool) (int32, int64
 	switch co {
 	case 1:
 		for i, d := range row {
-			if support += tally(cnt, load(par, tau, d), cur); support >= cur {
+			if support += tally(cnt, loadTau(par, tau, d), cur); support >= cur {
 				return cur, int64(i) + 1
 			}
 		}
 		return settle(cnt, support), int64(len(row))
 	case 2:
 		for ; len(row) >= 2; row = row[2:] {
-			rho := minInt32(load(par, tau, row[0]), load(par, tau, row[1]))
+			rho := minInt32(loadTau(par, tau, row[0]), loadTau(par, tau, row[1]))
 			if rhos != nil {
 				rhos[visits] = rho
 			}
@@ -165,7 +169,7 @@ func rowTau(row []int32, co int, tau, cnt, rhos []int32, par bool) (int32, int64
 		}
 	case 3:
 		for ; len(row) >= 3; row = row[3:] {
-			rho := minInt32(minInt32(load(par, tau, row[0]), load(par, tau, row[1])), load(par, tau, row[2]))
+			rho := minInt32(minInt32(loadTau(par, tau, row[0]), loadTau(par, tau, row[1])), loadTau(par, tau, row[2]))
 			if rhos != nil {
 				rhos[visits] = rho
 			}
@@ -176,9 +180,9 @@ func rowTau(row []int32, co int, tau, cnt, rhos []int32, par bool) (int32, int64
 		}
 	default:
 		for ; len(row) >= co; row = row[co:] {
-			rho := load(par, tau, row[0])
+			rho := loadTau(par, tau, row[0])
 			for _, d := range row[1:co] {
-				rho = minInt32(rho, load(par, tau, d))
+				rho = minInt32(rho, loadTau(par, tau, d))
 			}
 			if rhos != nil {
 				rhos[visits] = rho
@@ -276,57 +280,48 @@ func fall(cnt, rhos []int32, support int32) int32 {
 	return settle(cnt, support)
 }
 
-// The states of And's per-cell active flag. A sequential run uses only the
-// first two; a concurrent one marks the cell it claimed in progress until
-// its τ is stored, so a co-member's fall in between is never lost.
-const (
-	flagIdle       int32 = iota // nothing changed since the cell's last update
-	flagActive                  // a co-member fell: evaluate it when a sweep next reaches it
-	flagInProgress              // claimed: a worker is evaluating it now
-)
-
-// wakes is AND's active set: the per-cell flags that decide a wake, a
-// bitmap over the positions of the run's order that the sweeps walk, and
-// pos[c], c's position. A cell outside a Subset has none (−1): its flag
-// stays active, so a wake never reaches its bit.
+// wakes is AND's active set: a bitmap over the positions of the run's
+// order that the sweeps walk, a set bit meaning the cell will be evaluated,
+// and pos[c], c's position. A cell outside a Subset has none (−1), so a
+// wake never reaches it.
 type wakes struct {
-	active, pos []int32
-	bits        []uint64
+	pos  []int32
+	bits []uint64
 }
 
 // newWakes returns the active set of a run over cells from tau: the cells
-// above τ = 1, flagged and with their bits set. One at τ ≤ 1 is final — a
-// cell in an s-clique has κ ≥ 1 — so it never enters.
+// above τ = 1, their bits set. One at τ ≤ 1 is final — a cell in an
+// s-clique has κ ≥ 1 — so it never enters.
 func newWakes(n int, cells, tau []int32) *wakes {
-	w := &wakes{active: make([]int32, n), bits: make([]uint64, (len(cells)+63)/64), pos: make([]int32, n)}
-	for c := range w.active {
-		w.active[c], w.pos[c] = flagActive, -1
+	w := &wakes{bits: make([]uint64, (len(cells)+63)/64), pos: make([]int32, n)}
+	for c := range w.pos {
+		w.pos[c] = -1
 	}
 	for p, c := range cells {
-		w.pos[c], w.active[c] = int32(p), flagIdle
+		w.pos[c] = int32(p)
 		if tau[c] > 1 {
-			w.active[c] = flagActive
 			w.bits[p>>6] |= 1 << (p & 63)
 		}
 	}
 	return w
 }
 
-// wake reports whether d must be woken, i.e. made active, by a
-// co-member's fall from old to h, given t, the τ(d) the caller read and
-// found above h. That lower test is the row loop's, so the common
-// τ(d) ≤ h costs one load; it is race-free because τ only falls: with
-// τ(d) ≤ h, d still counts the co-member's s-cliques at ≥ τ(d), whatever
-// d's state. The upper test τ(d) ≤ old (with τ(d) > old, d never counted
-// them) holds only for an idle d, whose last update has finished:
-//   - active: d will be evaluated anyway; nothing is written.
-//   - in progress: d may have read the old value and its τ may still fall,
-//     so it is woken on the lower test alone.
-//   - idle: woken if t ≤ old. A t above old may be a read from before d's
-//     last update finished, so τ(d) is read again, after the flag, and d is
-//     woken only if h < τ(d) ≤ old.
+// mustWake reports whether a co-member d must be woken by a fall from old
+// to h, given t, the τ(d) read once, in-progress mark and all (evaluate):
+//   - unmarked, d wakes iff h < t ≤ old, one unsigned compare. With
+//     t ≤ h, d still counts the fallen cell's s-cliques at ≥ τ(d). With
+//     t > old they did not count for d at old either; had d read the cell
+//     above old, the fall to old found d marked or its τ in that fall's
+//     band, and woke it. One load suffices because d is marked before it
+//     reads any co-member: an unmarked t is d's τ before an evaluation
+//     that will read h, or after one that has ended. A wake of a d whose
+//     bit a worker has taken but not yet evaluated costs one redundant
+//     evaluation in the next sweep.
+//   - marked, d is being evaluated and may have read the old value, so it
+//     wakes whenever its τ is above h, even above old, and is evaluated
+//     again in the next sweep.
 //
-// The fall of c reaches wake only through the s-cliques S of its row
+// The fall of c reaches mustWake only through the s-cliques S of its row
 // whose ρ — the least τ of S's other members, as c's kernel read it — is
 // above h (notify); skipping the rest is safe at every thread count.
 // Suppose c read some co-member o of S at τ(o) ≤ h. If another member d
@@ -338,40 +333,35 @@ func newWakes(n int, cells, tau []int32) *wakes {
 // at a fall that processed S, or at one that d already saw.
 //
 // For any (r,s) this wakes every cell that can still fall, so a sweep that
-// updates nothing is the fixpoint. The caller makes d active (wakeUp):
-// wake stays within the inlining budget.
-func wake(tau, active []int32, d, t, h, old int32, par bool) bool {
-	switch load(par, active, d) {
-	case flagActive:
-		return false
-	case flagIdle:
-		if t > old {
-			t = load(par, tau, d)
-			return t > h && t <= old
-		}
-	}
-	return true
+// updates nothing is the fixpoint.
+func mustWake(t, h, old int32) bool {
+	return uint32(t-h-1) < uint32(old-h) || t < 0 && t&math.MaxInt32 > h
 }
 
-// wakeUp makes d active and sets the bit of its position.
+// wakeUp sets the bit of d's position, unless it is set already or d has
+// none.
 func (w *wakes) wakeUp(d int32, par bool) {
-	store(par, w.active, d, flagActive)
 	p := w.pos[d]
-	if par {
-		atomic.OrUint64(&w.bits[p>>6], 1<<(p&63))
+	if p < 0 {
 		return
 	}
-	w.bits[p>>6] |= 1 << (p & 63)
+	word, bit := &w.bits[p>>6], uint64(1)<<(p&63)
+	if !par {
+		*word |= bit
+	} else if atomic.LoadUint64(word)&bit == 0 {
+		atomic.OrUint64(word, bit)
+	}
 }
 
 // notify wakes the co-members of a cell, read off its row, that its fall
 // from old to h can affect, through the s-cliques whose ρ is above h
-// (wake): at co-arity 1 ρ is the co-member's τ, read here; above it, rhos
-// holds the ρ the kernel read for each s-clique of the row.
+// (mustWake): at co-arity 1 ρ is the co-member's τ, read here; above it,
+// rhos holds the ρ the kernel read for each s-clique of the row. Each
+// co-member costs one load of its τ.
 func notify(row, rhos []int32, co int, tau []int32, w *wakes, h, old int32, par bool) {
 	if co == 1 {
 		for _, d := range row {
-			if t := load(par, tau, d); t > h && wake(tau, w.active, d, t, h, old, par) {
+			if mustWake(load(par, tau, d), h, old) {
 				w.wakeUp(d, par)
 			}
 		}
@@ -382,7 +372,7 @@ func notify(row, rhos []int32, co int, tau []int32, w *wakes, h, old int32, par 
 			continue
 		}
 		for _, d := range row[:co] {
-			if t := load(par, tau, d); t > h && wake(tau, w.active, d, t, h, old, par) {
+			if mustWake(load(par, tau, d), h, old) {
 				w.wakeUp(d, par)
 			}
 		}
@@ -417,17 +407,19 @@ func andSweep(rows *nucleus.Rows, cells []int32, lo, hi int, tau []int32, w *wak
 	}
 }
 
-// evaluate is AND's update of c, claimed as wake describes; a fall wakes
-// c's co-members unless notify is nil.
+// evaluate is AND's update of c, whose bit the sweep took; a fall wakes
+// c's co-members unless notify is nil. A concurrent run with notification
+// marks c in progress — τ(c)'s sign bit, which the kernel's loads mask
+// (loadTau) — before c's row is read, and the store of the result clears
+// it, so a co-member's fall in between wakes c (mustWake).
 func evaluate(rows *nucleus.Rows, c int32, tau []int32, w *wakes, sc *sweepScratch, notify notifier, par bool) {
-	claimed := flagIdle
-	if par {
-		claimed = flagInProgress
-	}
-	store(par, w.active, c, claimed)
-	// Only the worker that claimed c writes tau[c], so one read serves as
+	// Only the worker that took c's bit writes tau[c], so one read serves as
 	// both the kernel's clamp and the old value.
 	old := load(par, tau, c)
+	mark := par && notify != nil
+	if mark {
+		store(par, tau, c, old|math.MinInt32)
+	}
 	h, v, row := update(rows, c, tau, sc, old, par)
 	sc.visits += v
 	sc.skipped--
@@ -437,8 +429,7 @@ func evaluate(rows *nucleus.Rows, c int32, tau []int32, w *wakes, sc *sweepScrat
 		if notify != nil {
 			notify(row, sc.rho, rows.Co, tau, w, h, old, par)
 		}
-	}
-	if par {
-		atomic.CompareAndSwapInt32(&w.active[c], flagInProgress, flagIdle)
+	} else if mark {
+		store(par, tau, c, old)
 	}
 }

@@ -36,6 +36,7 @@ package localhi
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sync/atomic"
@@ -204,7 +205,7 @@ func Snd(inst nucleus.Instance, opts Options) *Result {
 // values (Gauss–Seidel iteration), optionally skipping cells whose
 // neighborhood is unchanged (notification mechanism).
 //
-// With notification the wake-ups are exact at every thread count (wake):
+// With notification the wake-ups are exact at every thread count (mustWake):
 // a cell left idle cannot fall, so a sweep that updates nothing is the
 // fixpoint, and the run ends on its first one, as it does without
 // notification.
@@ -265,8 +266,8 @@ func iterate(opts Options, tau *[]int32, cuts []int, scs []sweepScratch, body fu
 	return res
 }
 
-// load reads a[i], a τ or a flag, atomically when other workers may be
-// writing it.
+// load reads a[i] — for τ, in-progress mark and all (evaluate) —
+// atomically when other workers may be writing it.
 func load(concurrent bool, a []int32, i int32) int32 {
 	if concurrent {
 		return atomic.LoadInt32(&a[i])
@@ -274,8 +275,16 @@ func load(concurrent bool, a []int32, i int32) int32 {
 	return a[i]
 }
 
-// store writes a[i], a τ or a flag, atomically when other workers may be
-// reading it.
+// loadTau reads the index τ[i]: a concurrent load masks the in-progress
+// mark, which a sequential run never sets.
+func loadTau(concurrent bool, tau []int32, i int32) int32 {
+	if concurrent {
+		return atomic.LoadInt32(&tau[i]) & math.MaxInt32
+	}
+	return tau[i]
+}
+
+// store writes a[i], atomically when other workers may be reading it.
 func store(concurrent bool, a []int32, i int32, v int32) {
 	if concurrent {
 		atomic.StoreInt32(&a[i], v)

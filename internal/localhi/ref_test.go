@@ -14,13 +14,97 @@ import (
 )
 
 // refNotify is the wake-up pass notify replaced, kept as its oracle,
-// verbatim up to its name, the ρ record it ignores and the wake state it
-// writes: after a fall, every co-member of every s-clique of the row is
+// verbatim up to its name, the ρ record it ignores and the wake rule it
+// applies: after a fall, every co-member of every s-clique of the row is
 // read, whatever ρ the kernel read for the s-clique.
 func refNotify(row, _ []int32, _ int, tau []int32, w *wakes, h, old int32, par bool) {
 	for _, d := range row {
-		if t := load(par, tau, d); t > h && wake(tau, w.active, d, t, h, old, par) {
+		if mustWake(load(par, tau, d), h, old) {
 			w.wakeUp(d, par)
+		}
+	}
+}
+
+// The per-cell flag protocol that the bitmap and the in-progress mark in τ
+// replaced, kept for refAnd verbatim up to the names of its state
+// (refWakes) and wake-up pass (refFlagNotify).
+
+// The states of And's per-cell active flag. A sequential run uses only the
+// first two; a concurrent one marks the cell it claimed in progress until
+// its τ is stored, so a co-member's fall in between is never lost.
+const (
+	flagIdle       int32 = iota // nothing changed since the cell's last update
+	flagActive                  // a co-member fell: evaluate it when a sweep next reaches it
+	flagInProgress              // claimed: a worker is evaluating it now
+)
+
+// refWakes is AND's active set: the per-cell flags that decide a wake, a
+// bitmap over the positions of the run's order that the sweeps walk, and
+// pos[c], c's position. A cell outside a Subset has none (−1): its flag
+// stays active, so a wake never reaches its bit.
+type refWakes struct {
+	active, pos []int32
+	bits        []uint64
+}
+
+// wake reports whether d must be woken, i.e. made active, by a
+// co-member's fall from old to h, given t, the τ(d) the caller read and
+// found above h. That lower test is the row loop's, so the common
+// τ(d) ≤ h costs one load; it is race-free because τ only falls: with
+// τ(d) ≤ h, d still counts the co-member's s-cliques at ≥ τ(d), whatever
+// d's state. The upper test τ(d) ≤ old (with τ(d) > old, d never counted
+// them) holds only for an idle d, whose last update has finished:
+//   - active: d will be evaluated anyway; nothing is written.
+//   - in progress: d may have read the old value and its τ may still fall,
+//     so it is woken on the lower test alone.
+//   - idle: woken if t ≤ old. A t above old may be a read from before d's
+//     last update finished, so τ(d) is read again, after the flag, and d is
+//     woken only if h < τ(d) ≤ old.
+func wake(tau, active []int32, d, t, h, old int32, par bool) bool {
+	switch load(par, active, d) {
+	case flagActive:
+		return false
+	case flagIdle:
+		if t > old {
+			t = load(par, tau, d)
+			return t > h && t <= old
+		}
+	}
+	return true
+}
+
+// wakeUp makes d active and sets the bit of its position.
+func (w *refWakes) wakeUp(d int32, par bool) {
+	store(par, w.active, d, flagActive)
+	p := w.pos[d]
+	if par {
+		atomic.OrUint64(&w.bits[p>>6], 1<<(p&63))
+		return
+	}
+	w.bits[p>>6] |= 1 << (p & 63)
+}
+
+// refFlagNotify wakes the co-members of a cell, read off its row, that its
+// fall from old to h can affect, through the s-cliques whose ρ is above h
+// (wake): at co-arity 1 ρ is the co-member's τ, read here; above it, rhos
+// holds the ρ the kernel read for each s-clique of the row.
+func refFlagNotify(row, rhos []int32, co int, tau []int32, w *refWakes, h, old int32, par bool) {
+	if co == 1 {
+		for _, d := range row {
+			if t := load(par, tau, d); t > h && wake(tau, w.active, d, t, h, old, par) {
+				w.wakeUp(d, par)
+			}
+		}
+		return
+	}
+	for i := 0; len(row) >= co; i, row = i+1, row[co:] {
+		if rhos[i] <= h {
+			continue
+		}
+		for _, d := range row[:co] {
+			if t := load(par, tau, d); t > h && wake(tau, w.active, d, t, h, old, par) {
+				w.wakeUp(d, par)
+			}
 		}
 	}
 }
@@ -36,11 +120,11 @@ func gridCuts(n int) []int {
 }
 
 // refAnd is the And loop that andSweep replaced, kept as its oracle,
-// verbatim up to its name, the wake state its flags now sit in (whose
-// bitmap it writes and never reads) and the chunk bounds it hands to
-// sweep: every listed cell starts active, and every sweep reads the flag
-// of every position, in fixed 64-cell chunks.
-func refAnd(inst nucleus.Instance, opts Options, notify notifier) *Result {
+// verbatim up to its name, the wake state its flags sit in (refWakes, whose
+// bitmap it writes and never reads), its wake-up pass (refFlagNotify) and
+// the chunk bounds it hands to sweep: every listed cell starts active, and
+// every sweep reads the flag of every position, in fixed 64-cell chunks.
+func refAnd(inst nucleus.Instance, opts Options) *Result {
 	n := inst.NumCells()
 	deg := inst.Degrees()
 	cells := sweepCells(n, opts, deg) // before initialTau clamps deg into τ
@@ -57,10 +141,10 @@ func refAnd(inst nucleus.Instance, opts Options, notify notifier) *Result {
 	concurrent := opts.threads() > 1
 	scs := newScratches(opts.threads(), tau, longest)
 
-	var w *wakes
+	var w *refWakes
 	var active []int32
 	if opts.Notification {
-		w = &wakes{active: make([]int32, n), bits: make([]uint64, (n+63)/64), pos: make([]int32, n)}
+		w = &refWakes{active: make([]int32, n), bits: make([]uint64, (n+63)/64), pos: make([]int32, n)}
 		active = w.active
 		for _, c := range cells {
 			active[c] = flagActive
@@ -91,7 +175,7 @@ func refAnd(inst nucleus.Instance, opts Options, notify notifier) *Result {
 				store(concurrent, tau, c, h)
 				upd++
 				if active != nil {
-					notify(row, sc.rho, rows.Co, tau, w, h, old, concurrent)
+					refFlagNotify(row, sc.rho, rows.Co, tau, w, h, old, concurrent)
 				}
 			}
 			if active != nil && concurrent {

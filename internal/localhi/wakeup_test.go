@@ -1,6 +1,8 @@
 package localhi
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"nucleus/internal/graph"
@@ -10,7 +12,7 @@ import (
 
 // TestNarrowWakeupsStress hunts the wake-up a concurrent run could lose: a
 // co-member that is mid-update when its neighbor's index falls, or one
-// that only an s-clique the fall skipped could reach (kernel.go, wake).
+// that only an s-clique the fall skipped could reach (kernel.go, mustWake).
 // Heavy-tailed graphs at 2, 4 and 8 workers make the first race as likely
 // as this package can, on the graph's own CSR (co-arity 1) and on the
 // stored truss and (3,4) rows; planted communities, whose dense blocks
@@ -53,65 +55,115 @@ func TestNarrowWakeupsStress(t *testing.T) {
 	}
 }
 
-// TestWakeInProgress pins the wake decision in each flag state, through
-// the row loop that calls wake, for a co-member whose index fell from
-// old = 5 to h = 2. An idle cell keeps the narrow test h < τ(d) ≤ old. An
-// in-progress cell wakes whenever h < τ(d), even above old: it may have
-// read the old value. An active cell is left as it is. A cell that is
-// woken gets the bit of its position, and only such a cell. Then wake
-// itself on an idle cell whose τ the caller read before its update
-// finished: the flag is idle again, so τ(d) is read anew and the narrow
-// test decides.
+// TestWakeInProgress pins the wake decision, through the row loop that
+// reads each co-member once, for a co-member d whose neighbor's index fell
+// from old = 5 to h = 2: τ(d) below (1, and h itself), inside (3, and old
+// itself) and above (6) the band (h, old], each unmarked and marked in
+// progress, with d's bit clear, set, or d outside the order (pos −1). An
+// unmarked d wakes iff its τ is inside the band; a marked one whenever its
+// τ is above h: it may have read the old value. A wake sets d's bit and
+// nothing else; one that finds the bit set or d without a position writes
+// nothing, and τ is never touched. Then the rule itself at the ends of the
+// int32 range, where its unsigned compare could wrap.
 func TestWakeInProgress(t *testing.T) {
 	const h, old = 2, 5
 	row := []int32{1} // cell 0's row: its one co-member is cell 1
-	for _, tc := range []struct {
-		flag, tau, want int32
-	}{
-		{flagIdle, 1, flagIdle},
-		{flagIdle, 2, flagIdle},
-		{flagIdle, 3, flagActive},
-		{flagIdle, 5, flagActive},
-		{flagIdle, 6, flagIdle},
-		{flagInProgress, 1, flagInProgress},
-		{flagInProgress, 2, flagInProgress},
-		{flagInProgress, 3, flagActive},
-		{flagInProgress, 6, flagActive},
-		{flagActive, 1, flagActive},
-		{flagActive, 3, flagActive},
-		{flagActive, 6, flagActive},
-	} {
-		for _, par := range []bool{false, true} {
-			tau, active := []int32{h, tc.tau}, []int32{flagIdle, tc.flag}
-			w := &wakes{active: active, bits: make([]uint64, 1), pos: []int32{0, 1}}
-			notify(row, nil, 1, tau, w, h, old, par)
-			if active[1] != tc.want || active[0] != flagIdle || tau[1] != tc.tau {
-				t.Errorf("flag %d τ(d) %d par=%v: flags %v τ %v after the wake, want d's flag %d, τ untouched",
-					tc.flag, tc.tau, par, active, tau, tc.want)
+	for _, tau := range []int32{1, 2, 3, 5, 6} {
+		for _, marked := range []bool{false, true} {
+			wantWake := h < tau && tau <= old || marked && tau > h
+			raw := tau
+			if marked {
+				raw |= math.MinInt32
 			}
-			var wantBits uint64 // d's bit (position 1), only if the wake made d active
-			if tc.flag != flagActive && tc.want == flagActive {
-				wantBits = 1 << 1
-			}
-			if w.bits[0] != wantBits {
-				t.Errorf("flag %d τ(d) %d par=%v: bits %b after the wake, want %b", tc.flag, tc.tau, par, w.bits[0], wantBits)
+			for _, bit := range []string{"clear", "set", "no position"} {
+				for _, par := range []bool{false, true} {
+					w := &wakes{bits: make([]uint64, 1), pos: []int32{0, 1}}
+					var wantBits uint64
+					switch bit {
+					case "set":
+						w.bits[0], wantBits = 1<<1, 1<<1
+					case "no position":
+						w.pos[1] = -1
+					default:
+						if wantWake {
+							wantBits = 1 << 1
+						}
+					}
+					taus := []int32{h, raw}
+					notify(row, nil, 1, taus, w, h, old, par)
+					if w.bits[0] != wantBits || taus[0] != h || taus[1] != raw {
+						t.Errorf("τ(d) %d marked=%v bit %s par=%v: bits %b τ %v after the wake, want bits %b, τ untouched",
+							tau, marked, bit, par, w.bits[0], taus, wantBits)
+					}
+				}
 			}
 		}
 	}
 	for _, tc := range []struct {
-		stale, tau, want int32
+		t, h, old int32
+		want      bool
 	}{
-		{6, 3, flagActive}, // d fell to 3 ≤ old: its update read the old value
-		{6, 2, flagIdle},   // d fell to h: nothing left to lower
-		{7, 6, flagIdle},   // still above old: d never counted the co-member
+		{math.MinInt32, 0, math.MaxInt32, false},    // marked at 0: not above h
+		{math.MinInt32 | 1, 0, math.MaxInt32, true}, // marked above h
+		{math.MaxInt32, 0, math.MaxInt32, true},     // old itself
+		{math.MaxInt32, math.MaxInt32 - 1, math.MaxInt32, true},
+		{0, 0, math.MaxInt32, false}, // h itself
+		{math.MaxInt32, 0, math.MaxInt32 - 1, false},
+		{-1, 0, math.MaxInt32, true}, // marked at MaxInt32
 	} {
-		for _, par := range []bool{false, true} {
-			tau, active := []int32{tc.tau}, []int32{flagIdle}
-			if wake(tau, active, 0, tc.stale, h, old, par) {
-				active[0] = flagActive
+		if got := mustWake(tc.t, tc.h, tc.old); got != tc.want {
+			t.Errorf("mustWake(%d, %d, %d) = %v, want %v", tc.t, tc.h, tc.old, got, tc.want)
+		}
+	}
+}
+
+// TestMarkNeverEscapesSweep: the in-progress mark in τ's sign bit lives
+// only inside a sweep. Concurrent runs with notification, at 2, 4 and 8
+// workers, on the graph's CSR and on stored truss and (3,4) rows, to
+// convergence and under a two-sweep budget, must show only non-negative τ
+// to every OnSweep call, in every Progress snapshot and in Result.Tau. Run
+// repeatedly under -race in CI.
+func TestMarkNeverEscapesSweep(t *testing.T) {
+	rmat := func(scale int) *graph.Graph { return graph.RMAT(scale, 8, 0.57, 0.19, 0.19, 3) }
+	marked := func(tau []int32) int {
+		for c, v := range tau {
+			if v < 0 {
+				return c
 			}
-			if active[0] != tc.want {
-				t.Errorf("idle, read %d, τ(d) now %d, par=%v: flag %d, want %d", tc.stale, tc.tau, par, active[0], tc.want)
+		}
+		return -1
+	}
+	for _, tc := range []struct {
+		name string
+		inst nucleus.Instance
+	}{
+		{"core", nucleus.NewCore(rmat(11))},
+		{"truss", nucleus.NewFlatTruss(rmat(9), 1)},
+		{"n34", nucleus.NewFlatN34(rmat(8), 1)},
+	} {
+		for _, threads := range []int{2, 4, 8} {
+			for _, budget := range []int{0, 2} {
+				name := fmt.Sprintf("%s/threads=%d/sweeps=%d", tc.name, threads, budget)
+				sweeps := 0
+				opts := Options{Threads: threads, Notification: true, MaxSweeps: budget}
+				opts.OnSweep = func(sweep int, tau []int32) {
+					sweeps++
+					if c := marked(tau); c >= 0 {
+						t.Errorf("%s: sweep %d shows cell %d at τ %d", name, sweep, c, tau[c])
+					}
+				}
+				snaps, res := collectSnapshots(t, And, tc.inst, opts)
+				if sweeps == 0 || len(snaps) == 0 {
+					t.Fatalf("%s: %d sweeps observed, %d snapshots", name, sweeps, len(snaps))
+				}
+				for _, s := range snaps {
+					if c := marked(s.Tau); c >= 0 {
+						t.Errorf("%s: snapshot of sweep %d shows cell %d at τ %d", name, s.Sweep, c, s.Tau[c])
+					}
+				}
+				if c := marked(res.Tau); c >= 0 {
+					t.Errorf("%s: Result.Tau shows cell %d at τ %d", name, c, res.Tau[c])
+				}
 			}
 		}
 	}
