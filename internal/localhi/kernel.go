@@ -38,13 +38,11 @@ import (
 // s-cliques whose ρ is above h (notify). One at or below h cannot pass the
 // fall on: a member that reads it later sees it at ≤ h anyway, and one
 // that read it before is reached by the fall that brought it to ≤ h (the
-// argument in full is at mustWake). A co-member is then woken on one load
-// of its τ: iff h < τ ≤ old, or, if it is being evaluated, iff τ > h. par
-// reads τ atomically for concurrent asynchronous sweeps and masks the
-// in-progress mark, τ's sign bit, which only such a sweep with
-// notification sets (evaluate); a stale higher read is repaired: the
-// reading cell is marked, so the fall it missed wakes it again, and
-// without notification every cell is evaluated again in the next sweep.
+// argument in full is at mustWake). par reads τ atomically for concurrent
+// asynchronous sweeps, masking the in-progress mark (evaluate); a stale
+// higher read is repaired: the reading cell is marked, so the fall it
+// missed wakes it again, and without notification every cell is evaluated
+// again in the next sweep.
 // Nothing allocates once a worker's row buffer has grown to the longest
 // discovered row; the rho buffer is sized once per run, to the longest row.
 
@@ -314,12 +312,9 @@ func newWakes(n int, cells, tau []int32) *wakes {
 //     above old, the fall to old found d marked or its τ in that fall's
 //     band, and woke it. One load suffices because d is marked before it
 //     reads any co-member: an unmarked t is d's τ before an evaluation
-//     that will read h, or after one that has ended. A wake of a d whose
-//     bit a worker has taken but not yet evaluated costs one redundant
-//     evaluation in the next sweep.
+//     that will read h, or after one that has ended.
 //   - marked, d is being evaluated and may have read the old value, so it
-//     wakes whenever its τ is above h, even above old, and is evaluated
-//     again in the next sweep.
+//     wakes whenever its τ is above h, even above old.
 //
 // The fall of c reaches mustWake only through the s-cliques S of its row
 // whose ρ — the least τ of S's other members, as c's kernel read it — is
@@ -356,8 +351,7 @@ func (w *wakes) wakeUp(d int32, par bool) {
 // notify wakes the co-members of a cell, read off its row, that its fall
 // from old to h can affect, through the s-cliques whose ρ is above h
 // (mustWake): at co-arity 1 ρ is the co-member's τ, read here; above it,
-// rhos holds the ρ the kernel read for each s-clique of the row. Each
-// co-member costs one load of its τ.
+// rhos holds the ρ the kernel read for each s-clique of the row.
 func notify(row, rhos []int32, co int, tau []int32, w *wakes, h, old int32, par bool) {
 	if co == 1 {
 		for _, d := range row {
@@ -407,11 +401,10 @@ func andSweep(rows *nucleus.Rows, cells []int32, lo, hi int, tau []int32, w *wak
 	}
 }
 
-// evaluate is AND's update of c, whose bit the sweep took; a fall wakes
-// c's co-members unless notify is nil. A concurrent run with notification
-// marks c in progress — τ(c)'s sign bit, which the kernel's loads mask
-// (loadTau) — before c's row is read, and the store of the result clears
-// it, so a co-member's fall in between wakes c (mustWake).
+// evaluate is AND's update of c; a fall wakes c's co-members unless notify
+// is nil. A concurrent run with notification marks c in progress, in τ(c)'s
+// sign bit, until the store of the result, so a co-member's fall in
+// between wakes c (mustWake).
 func evaluate(rows *nucleus.Rows, c int32, tau []int32, w *wakes, sc *sweepScratch, notify notifier, par bool) {
 	// Only the worker that took c's bit writes tau[c], so one read serves as
 	// both the kernel's clamp and the old value.

@@ -19,8 +19,8 @@
 // What the paper claims for them is a good approximation after few sweeps,
 // an answer at any time and thread scaling, which peeling lacks — not a
 // faster exact κ on few cores: on k-core of RMAT(14, 8) at two threads the
-// sequential peel is about 2.5× ahead of AND (localhi.and_core_ms 6.9
-// against peel.core_ms 2.7 in a traced pass, BENCH_e2e.json).
+// sequential peel is about 1.9× ahead of AND (localhi.and_core_ms 4.9
+// against peel.core_ms 2.6 in a traced pass, BENCH_e2e.json).
 //
 // A converged run yields the exact decomposition (Result.Converged);
 // bounding Options.MaxSweeps yields an anytime approximation with the
