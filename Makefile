@@ -40,10 +40,11 @@ bench-check:
 
 # Appends one record of the benchmark on this tree to BENCH_e2e.json
 # (scripts/bench-record.sh): RUNS runs of every workload from seed SEED,
-# 30 s each (about three minutes a run), one traced pass, and the sweep
+# 30 s each (about three minutes a run), three traced passes, and the sweep
 # loops' addresses mod 64. ROLE and NOTE label the record, COMMIT
 # overrides git's HEAD. PARENT=<rev> runs the committed rev and this tree
-# alternately, run by run on the same seeds, and appends a record of each.
+# alternately, run by run and traced pass by traced pass, on the same
+# seeds, and appends a record of each.
 # Needs jq.
 RUNS ?= 3
 SEED ?= 1

@@ -2,6 +2,7 @@ package replica
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -330,6 +331,10 @@ func (p *Puller) tailWAL(ctx context.Context, primary, name string, st *graphSta
 		st.scanner.Feed(chunk)
 		for {
 			cb, err := st.scanner.Next()
+			if errors.Is(err, store.ErrWALFormat) { // a resync would fetch the same log
+				st.offset, st.scanner = 0, store.NewWALScanner()
+				return progressed, fmt.Errorf("replica: WAL of %q at %s: %w", name, primary, err)
+			}
 			if err != nil {
 				return progressed, errNeedResync
 			}

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -89,10 +90,7 @@ func (fp *fakePrimary) commitBatch(name string) uint64 {
 	fp.versions[name] = v
 	fp.mu.Unlock()
 	b := store.Batch{Edits: []store.BatchOp{{Op: store.OpAdd, U: uint32(v), V: uint32(v + 1)}}, GrowTo: int(v) + 2}
-	if _, err := fp.fs.BeginBatch(name, &b); err != nil {
-		fp.t.Fatal(err)
-	}
-	if _, err := fp.fs.CommitBatch(name, v); err != nil {
+	if _, err := fp.fs.AppendBatch(name, v, &b); err != nil {
 		fp.t.Fatal(err)
 	}
 	return v
@@ -364,6 +362,39 @@ func TestPullerCorruptFrameResyncs(t *testing.T) {
 	a.appliedOnce(t)
 	if p.Status().DuplicatesSkipped == 0 {
 		t.Fatal("resync re-tailed the log but skipped no duplicates — dedup path untested")
+	}
+}
+
+// TestPullerRefusesOtherWALFormat: a primary whose log is of another
+// format (here the format-1 fixture) is refused with an error naming the
+// graph and the format, every pull, and nothing of it is applied; a
+// resync would only fetch the same log again.
+func TestPullerRefusesOtherWALFormat(t *testing.T) {
+	fp := newFakePrimary(t)
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS("../store/testdata/walformat1")); err != nil {
+		t.Fatal(err)
+	}
+	fs, err := store.OpenFS(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp.mu.Lock()
+	fp.fs, fp.versions["g"] = fs, 5
+	fp.mu.Unlock()
+	a := newFakeApplier()
+	p := newTestPuller(fp, a, nil, nil, nil)
+	for range 2 {
+		err := p.PullOnce(context.Background())
+		if !errors.Is(err, store.ErrWALFormat) || !strings.Contains(err.Error(), `"g"`) || !strings.Contains(err.Error(), "format 1") {
+			t.Fatalf("pull: %v, want ErrWALFormat naming \"g\" and format 1", err)
+		}
+	}
+	if v, _ := a.GraphVersion("g"); v != 3 {
+		t.Fatalf("replica at version %d, want the snapshot's 3", v)
+	}
+	if st := p.Status(); st.BatchesApplied != 0 || st.SnapshotsInstalled != 1 {
+		t.Fatalf("status %+v, want one snapshot and no batch", st)
 	}
 }
 

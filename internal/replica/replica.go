@@ -7,13 +7,15 @@
 // The transport is pull-based HTTP against the primary's /replication
 // endpoints: a replica polls the manifest (per-graph version + WAL
 // size), fetches byte ranges of each graph's write-ahead log, decodes
-// them incrementally with store.WALScanner, and applies every committed
-// batch — through the same durable BeginBatch/CommitBatch path a
+// them incrementally with store.WALScanner, and applies every logged
+// batch — through the same durable AppendBatch-then-publish path a
 // primary uses, so a replica is itself crash-recoverable and
 // promotable. When the log cannot be extended onto the local state
 // (first contact, compaction reset, corrupt frame, or a WAL whose
 // header generation is newer than the local graph) the replica falls
-// back to a full snapshot resync and re-tails the fresh log.
+// back to a full snapshot resync and re-tails the fresh log. A WAL whose
+// header names another format is refused: the pull fails with an error
+// naming the graph, the primary and the format.
 //
 // Failover safety rests on the cluster generation stamped on every
 // replication response and proxied write: a pull from a source whose

@@ -97,8 +97,7 @@ func TestRegistryAnswersWhileStoreBlocked(t *testing.T) {
 		arm                func(fs *faultStore, hook func(string) error)
 	}{
 		{"SaveSnapshot", "POST", "/graphs/a", k5, func(fs *faultStore, h func(string) error) { fs.saveSnapshot = h }},
-		{"BeginBatch", "POST", "/graphs/a/edges", editBody(0, 5), func(fs *faultStore, h func(string) error) { fs.beginBatch = h }},
-		{"CommitBatch", "POST", "/graphs/a/edges", editBody(0, 5), func(fs *faultStore, h func(string) error) { fs.commitBatch = h }},
+		{"AppendBatch", "POST", "/graphs/a/edges", editBody(0, 5), func(fs *faultStore, h func(string) error) { fs.appendBatch = h }},
 		{"Delete", "DELETE", "/graphs/a", "", func(fs *faultStore, h func(string) error) { fs.delete = h }},
 	} {
 		t.Run(tc.call, func(t *testing.T) {

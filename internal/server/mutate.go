@@ -36,10 +36,10 @@ import (
 // stretches, no edge-list rebuild) installed under a bumped version, so
 // jobs in flight on the previous version keep their consistent snapshot.
 //
-// Durability (package store): commitBatch (write.go) appends each batch to
-// the graph's WAL BEFORE it touches the overlay, and a commit frame carrying
-// the minted version BEFORE that version is published — both under the
-// per-name mutation lock, so the pair is adjacent in the log. Cache seeding
+// Durability (package store): commitBatch (write.go) applies each batch to
+// a private overlay, mints its version, and appends one WAL frame carrying
+// both BEFORE that version is published — all under the per-name mutation
+// lock, so frames land in version order. Cache seeding
 // runs after the lock is released: the truss reconvergence is work over the
 // whole graph, and serializing it with the next batch would turn the
 // mutation path into a decomposition queue (regression tests:

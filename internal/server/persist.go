@@ -22,10 +22,10 @@ import (
 //     and the 201 sent, under the per-name mutation lock (installGraph), so
 //     an acknowledged upload survives a crash, an unacknowledged one was
 //     never visible, and neither interleaves with a mutation or compaction;
-//   - edit batches append a WAL batch frame before touching the overlay and
-//     a commit frame at the minted version before that version is published
+//   - an edit batch is applied to a private overlay and appended as one WAL
+//     frame {version, batch} before its minted version is published
 //     (commitBatch), so replay reconstructs exactly the acknowledged state
-//     and a batch whose commit fails was never visible;
+//     and a batch whose append fails was never visible;
 //   - a background compactor folds long WALs into fresh snapshots once they
 //     cross Config.WALCompactBytes, bounding replay time;
 //   - startup replays snapshot+WAL for every persisted graph, restores the
@@ -85,10 +85,10 @@ func (s *Server) recoverFromStore() {
 	})
 }
 
-// rebuildEntry replays one graph: the snapshot is the base, each committed
+// rebuildEntry replays one graph: the snapshot is the base, each logged
 // WAL batch is re-applied through the same overlay (overlayFor) and repair
 // (applyBatch) commitBatch uses, and the entry lands at the exact version
-// the last commit published. When the snapshot carries the maintained
+// the last batch was published at. When the snapshot carries the maintained
 // exact κ the overlay seeds from it (no cold peel even with a non-empty
 // WAL); a never-decomposed lineage with a WAL pays one peel.
 func (s *Server) rebuildEntry(name string, snap *store.Snapshot, batches []store.CommittedBatch) *graphEntry {
@@ -209,9 +209,9 @@ func (s *Server) maybeCompact(name string) {
 // compactGraph folds name's WAL into a fresh snapshot. The per-name
 // mutation lock serializes it against edit batches and re-uploads, so the
 // snapshot it writes is a consistent (graph, version, κ) triple: commitBatch
-// commits and publishes under this lock, so every commit frame in the log
-// is already published and none can land between the state read and the
-// WAL truncation.
+// appends and publishes under this lock, so every frame in the log is
+// already published and none can land between the state read and the WAL
+// truncation.
 func (s *Server) compactGraph(name string) {
 	lock := s.reg.mutationLock(name)
 	lock.Lock()

@@ -127,8 +127,8 @@ type anytimeStats struct {
 // persistenceStats reports the durable store (see internal/store and
 // docs/OPERATIONS.md). Snapshots counts full snapshot writes (uploads,
 // generates and compactions); WALAppends/WALBytes count appended frames
-// (batch + commit) and their bytes since start. Replays is the number of
-// graphs recovered at startup and ReplayedBatches the committed WAL
+// (one per published batch) and their bytes since start. Replays is the
+// number of graphs recovered at startup and ReplayedBatches the WAL
 // batches re-applied for them; Compactions counts WALs folded into fresh
 // snapshots. Errors counts non-fatal persistence failures (logged; the
 // server keeps serving from memory).

@@ -21,9 +21,8 @@ import (
 // errors, which the handlers map to a status (writeStatus, handlers.go) and
 // the replication applier to its lastError text.
 //
-// Each method takes the per-name mutation lock, so the WAL batch frame and
-// its commit frame are adjacent in the log and a snapshot is a consistent
-// (graph, version, κ) triple. The parameter `at` separates the two kinds of
+// Each method takes the per-name mutation lock, so WAL frames land in
+// version order and a snapshot is a consistent (graph, version, κ) triple. The parameter `at` separates the two kinds of
 // caller: 0 mints a fresh version (a client write on the primary); a
 // positive value is the version the primary acknowledged, which a replica
 // must reproduce exactly — a write at or below the live version is a
@@ -39,15 +38,6 @@ func (e errOversize) Error() string {
 // errReplaced: the entry a batch was applied against stopped being live
 // before the result could be published. Wrapped as "graph %q <this>".
 var errReplaced = errors.New("was replaced concurrently; re-fetch and retry")
-
-// walAppended accounts one WAL append of n bytes (the null store writes
-// nothing and reports 0).
-func (s *Server) walAppended(n int) {
-	if n > 0 {
-		s.stats.Persistence.WALAppends.Add(1)
-		s.stats.Persistence.WALBytes.Add(int64(n))
-	}
-}
 
 // installGraph makes e the live graph of its name: settle the version,
 // persist the snapshot, and only then publish — an install whose snapshot
@@ -92,18 +82,17 @@ type batchOutcome struct {
 	warmSeeded []string
 }
 
-// commitBatch applies one edit batch to name: WAL batch frame → overlay
-// repair → mint → WAL commit frame → copy-on-write publish → counters,
-// then, with the lock released, warm seeding, the purge of the displaced
+// commitBatch applies one edit batch to name: overlay repair → mint → one
+// WAL frame {version, batch} → copy-on-write publish → counters, then,
+// with the lock released, warm seeding, the purge of the displaced
 // version's cache entries and the compaction check.
 //
-// at == 0 skips republishing a fully no-op batch: the graph is
-// bit-identical, and a version bump would purge every cache entry the warm
-// seeder does not re-derive (n34, snd, bounded runs) and pay an O(m)
-// snapshot for nothing. No commit frame either — replay drops the batch,
-// which is right since it changed nothing. at > 0 publishes whatever the
-// edits did: the primary committed this batch at this version, and the
-// version sequence is the replication contract.
+// at == 0 skips a fully no-op batch: the graph is bit-identical, and a
+// version bump would purge every cache entry the warm seeder does not
+// re-derive (n34, snd, bounded runs) and pay an O(m) snapshot for nothing.
+// It appends nothing either. at > 0 publishes whatever the edits did: the
+// primary logged this batch at this version, and the version sequence is
+// the replication contract.
 func (s *Server) commitBatch(name string, batch *store.Batch, at uint64) (batchOutcome, error) {
 	// Cheap existence pre-check before creating a per-name mutation lock:
 	// without it, requests naming junk graphs would grow the lock map
@@ -143,21 +132,13 @@ func (s *Server) commitBatch(name string, batch *store.Batch, at uint64) (batchO
 	if at > 0 && e.version >= at {
 		return batchOutcome{live: e}, nil
 	}
-	// Resolve and bound the target vertex count before anything durable or
-	// mutable happens.
+	// Resolve and bound the target vertex count before anything mutable
+	// happens.
 	needN := batchNeedN(e.g.N(), batch)
 	if needN > maxGenVertices {
 		return batchOutcome{}, errOversize{needN}
 	}
-	// Write-ahead: the batch must be durable before it is applied. A
-	// failure here rejects the batch outright — nothing has been mutated.
-	n, err := s.store.BeginBatch(name, batch)
-	if err != nil {
-		s.stats.Persistence.Errors.Add(1)
-		return batchOutcome{}, fmt.Errorf("writing batch to the WAL: %w", err)
-	}
-	s.walAppended(n)
-
+	// The overlay is this batch's own: nothing sees it until the publish.
 	dyn := s.overlayFor(e)
 	// needN <= maxGenVertices, so the int conversion is safe.
 	added, removed, ignored := applyBatch(dyn, batch, int(needN))
@@ -186,21 +167,24 @@ func (s *Server) commitBatch(name string, batch *store.Batch, at uint64) (batchO
 	if at == 0 {
 		ne.version = s.reg.mint()
 	}
-	// Commit frame, then publish: no reader sees a version the log does not
-	// hold at exactly that number. A failed commit leaves nothing to roll
-	// back — the overlay was this batch's own, the minted version is never
-	// used and replay drops the uncommitted batch frame.
-	n, err = s.store.CommitBatch(name, ne.version)
+	// Append, then publish: no reader sees a version the log does not hold
+	// at exactly that number. A failed append leaves nothing to roll back —
+	// the overlay was this batch's own, the minted version is never used
+	// and the log has no trace of the batch.
+	n, err := s.store.AppendBatch(name, ne.version, batch)
 	if err != nil {
 		s.stats.Persistence.Errors.Add(1)
-		return batchOutcome{}, fmt.Errorf("committing batch to the WAL: %w", err)
+		return batchOutcome{}, fmt.Errorf("writing batch to the WAL: %w", err)
 	}
-	s.walAppended(n)
+	if n > 0 { // the null store writes nothing
+		s.stats.Persistence.WALAppends.Add(1)
+		s.stats.Persistence.WALBytes.Add(int64(n))
+	}
 	if !s.reg.publish(ne, e) {
 		// Defensive: uploads and deletes hold this same lock, so a
 		// concurrent replacement should be impossible — but if it ever
 		// happens, our edits are against a dead snapshot and must not be
-		// published (replay would still apply the committed batch).
+		// published (replay would still apply the logged batch).
 		return batchOutcome{}, fmt.Errorf("graph %q %w", name, errReplaced)
 	}
 	s.stats.Mutations.Batches.Add(1)

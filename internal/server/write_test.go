@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"nucleus/internal/graph"
@@ -21,7 +23,7 @@ import (
 // call.
 type faultStore struct {
 	store.Store
-	saveSnapshot, beginBatch, commitBatch, delete func(name string) error
+	saveSnapshot, appendBatch, delete func(name string) error
 }
 
 func (f *faultStore) SaveSnapshot(name string, snap *store.Snapshot) error {
@@ -33,22 +35,13 @@ func (f *faultStore) SaveSnapshot(name string, snap *store.Snapshot) error {
 	return f.Store.SaveSnapshot(name, snap)
 }
 
-func (f *faultStore) BeginBatch(name string, b *store.Batch) (int, error) {
-	if f.beginBatch != nil {
-		if err := f.beginBatch(name); err != nil {
+func (f *faultStore) AppendBatch(name string, version uint64, b *store.Batch) (int, error) {
+	if f.appendBatch != nil {
+		if err := f.appendBatch(name); err != nil {
 			return 0, err
 		}
 	}
-	return f.Store.BeginBatch(name, b)
-}
-
-func (f *faultStore) CommitBatch(name string, version uint64) (int, error) {
-	if f.commitBatch != nil {
-		if err := f.commitBatch(name); err != nil {
-			return 0, err
-		}
-	}
-	return f.Store.CommitBatch(name, version)
+	return f.Store.AppendBatch(name, version, b)
 }
 
 func (f *faultStore) Delete(name string) error {
@@ -153,21 +146,22 @@ func TestWritePathErrorsReachClient(t *testing.T) {
 			wantError:  "mutation would grow the graph to 33554433 vertices, exceeding the limit of 33554432",
 		},
 		{
-			name: "WAL begin failure", method: "POST", path: "/graphs/g/edges", body: oneAdd,
+			// The frame lands after the apply and before the publish, so a
+			// failed append leaves nothing to serve and nothing to replay.
+			name: "WAL append failure", method: "POST", path: "/graphs/g/edges", body: oneAdd,
 			arm: func(_ *Server, fs *faultStore) {
-				fs.beginBatch = func(string) error { return errors.New("disk full") }
+				fs.appendBatch = func(string) error { return errors.New("disk full") }
 			},
 			wantStatus: http.StatusInternalServerError, wantError: "writing batch to the WAL: disk full",
 			wantPersistErrors: 1, unpublished: true,
 		},
 		{
-			// The commit frame lands before the version is published, so a
-			// failed one leaves nothing to serve and nothing to replay.
-			name: "WAL commit failure", method: "POST", path: "/graphs/g/edges", body: oneAdd,
+			// A store in its failed state refuses the write, and says why.
+			name: "store failed", method: "POST", path: "/graphs/g/edges", body: oneAdd,
 			arm: func(_ *Server, fs *faultStore) {
-				fs.commitBatch = func(string) error { return errors.New("disk full") }
+				fs.appendBatch = func(string) error { return store.ErrFailed }
 			},
-			wantStatus: http.StatusInternalServerError, wantError: "committing batch to the WAL: disk full",
+			wantStatus: http.StatusInternalServerError, wantError: "writing batch to the WAL: " + store.ErrFailed.Error(),
 			wantPersistErrors: 1, unpublished: true,
 		},
 		{
@@ -176,7 +170,7 @@ func TestWritePathErrorsReachClient(t *testing.T) {
 			// behind the pipeline's back from inside its WAL append.
 			name: "replaced concurrently", method: "POST", path: "/graphs/g/edges", body: oneAdd,
 			arm: func(s *Server, fs *faultStore) {
-				fs.beginBatch = func(string) error {
+				fs.appendBatch = func(string) error {
 					s.reg.publish(&graphEntry{name: "g", g: graph.Complete(3), version: s.reg.mint()}, nil)
 					return nil
 				}
@@ -240,6 +234,85 @@ func TestWritePathErrorsReachClient(t *testing.T) {
 		if applied || err == nil || err.Error() != tc.want {
 			t.Errorf("ApplyBatch(%q): applied=%v err=%v, want %q", tc.graph, applied, err, tc.want)
 		}
+	}
+}
+
+// TestNoOpBatchAppendsNothing: a batch that changes nothing is neither
+// published nor logged — the WAL keeps its size — while a batch that
+// changes the graph appends exactly one frame.
+func TestNoOpBatchAppendsNothing(t *testing.T) {
+	base, s, fs := faultServer(t)
+	var appends atomic.Int32
+	fs.appendBatch = func(string) error { appends.Add(1); return nil }
+	size := fs.WALSize("g")
+	noop := mutateRequest{Edits: []edgeOp{{Op: "add", U: 0, V: 1}, {Op: "remove", U: 0, V: 9}, {Op: "add", U: 2, V: 2}}}
+	if resp := postJSON(t, base+"/graphs/g/edges", noop, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("no-op batch: status %d", resp.StatusCode)
+	}
+	if got := fs.WALSize("g"); got != size || appends.Load() != 0 {
+		t.Fatalf("no-op batch: WAL %d -> %d bytes, %d appends", size, got, appends.Load())
+	}
+	if resp := postJSON(t, base+"/graphs/g/edges", mutateRequest{Edits: []edgeOp{{Op: "add", U: 0, V: 5}}}, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch: status %d", resp.StatusCode)
+	}
+	if st := getStats(t, base); fs.WALSize("g") <= size || appends.Load() != 1 || st.Persistence.WALAppends.Load() != 1 {
+		t.Fatalf("batch: WAL %d -> %d bytes, %d appends, walAppends %d", size, fs.WALSize("g"), appends.Load(), st.Persistence.WALAppends.Load())
+	}
+	if e, _ := s.reg.get("g"); e.mutations != 1 {
+		t.Fatalf("mutations = %d, want 1", e.mutations)
+	}
+}
+
+// heldAppend is a store whose AppendBatch reports the version it landed
+// and then does not return until released: a node that dies between a
+// batch's append and its publish.
+type heldAppend struct {
+	store.Store
+	landed  chan uint64
+	release chan struct{}
+}
+
+func (h *heldAppend) AppendBatch(name string, version uint64, b *store.Batch) (int, error) {
+	n, err := h.Store.AppendBatch(name, version, b)
+	h.landed <- version
+	<-h.release
+	return n, err
+}
+
+// TestAppendedBatchReplaysAtItsVersion: a batch whose append returned but
+// whose publish never ran is durable — a restart serves it at exactly the
+// version its frame carries — and, while the append is held, the node has
+// not published it: the frame comes first.
+func TestAppendedBatchReplaysAtItsVersion(t *testing.T) {
+	dir := t.TempDir()
+	held := &heldAppend{Store: openFS(t, dir), landed: make(chan uint64, 1), release: make(chan struct{})}
+	ts, s := testServerWith(t, Config{Store: held})
+	var releaseOnce sync.Once // runs before the server's cleanup, which waits for the held request
+	t.Cleanup(func() { releaseOnce.Do(func() { close(held.release) }) })
+	if code := send("POST", ts.URL+"/graphs/g", edgeListBody(graph.Complete(5))); code != http.StatusCreated {
+		t.Fatalf("upload: status %d", code)
+	}
+	before, _ := s.reg.get("g")
+	done := make(chan int, 1)
+	go func() { done <- send("POST", ts.URL+"/graphs/g/edges", editBody(0, 5)) }()
+	v := <-held.landed
+	if e, _ := s.reg.get("g"); e.version != before.version {
+		t.Fatalf("version %d published before its append returned (was %d)", e.version, before.version)
+	}
+
+	restarted := New(Config{Store: openFS(t, dir), WALCompactBytes: -1})
+	defer restarted.Close()
+	e, ok := restarted.reg.get("g")
+	if !ok || e.version != v || e.mutations != before.mutations+1 || e.g.N() != 6 || !e.g.HasEdge(0, 5) {
+		t.Fatalf("restart: %+v (ok %v), want version %d with edge 0-5", e, ok, v)
+	}
+
+	releaseOnce.Do(func() { close(held.release) })
+	if code := <-done; code != http.StatusOK {
+		t.Fatalf("held batch: status %d", code)
+	}
+	if e, _ := s.reg.get("g"); e.version != v {
+		t.Fatalf("live version %d, want %d", e.version, v)
 	}
 }
 
@@ -336,9 +409,9 @@ func TestThreeRoutesOneStateProperty(t *testing.T) {
 	}
 }
 
-// TestReplicaRetriesFailedCommit: a shipped batch whose commit frame the
-// replica cannot append is not published there, and the next pull applies
-// it again before anything that follows it, so the replica lands on the
+// TestReplicaRetriesFailedCommit: a shipped batch whose frame the replica
+// cannot append is not published there, and the next pull applies it
+// again before anything that follows it, so the replica lands on the
 // primary's graph rather than on the later batches without it.
 func TestReplicaRetriesFailedCommit(t *testing.T) {
 	pts, ps := testServerWith(t, Config{
@@ -362,8 +435,8 @@ func TestReplicaRetriesFailedCommit(t *testing.T) {
 			t.Fatalf("batch %v: status %d", e, resp.StatusCode)
 		}
 	}
-	fs.commitBatch = func(string) error {
-		fs.commitBatch = nil
+	fs.appendBatch = func(string) error {
+		fs.appendBatch = nil
 		return errors.New("disk full")
 	}
 	if ns := pull(t, rts.URL, http.StatusBadGateway); !strings.Contains(ns.LastError, "disk full") {

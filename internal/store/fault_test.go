@@ -13,14 +13,13 @@ import (
 
 // faultStep is one Store call of a fault script.
 type faultStep struct {
-	op    string // "save", "begin", "commit" or "delete"
-	ver   uint64 // save: the snapshot's version; commit: the batch's
-	batch *Batch // begin
+	op    string // "save", "append" or "delete"
+	ver   uint64 // the snapshot's or the batch's version
+	batch *Batch // append
 }
 
 // faultScript draws a seeded sequence of the calls the serving layer
-// makes: snapshots (uploads and compactions), batch/commit pairs, batches
-// whose commit never comes (a no-op batch or a failed commit) and deletes.
+// makes: snapshots (uploads and compactions), batch appends and deletes.
 func faultScript(rng *rand.Rand, n int) []faultStep {
 	var steps []faultStep
 	ver, exists := uint64(0), false
@@ -39,21 +38,17 @@ func faultScript(rng *rand.Rand, n int) []faultStep {
 			for i := rng.Intn(4); i >= 0; i-- {
 				b.Edits = append(b.Edits, BatchOp{Op: byte(rng.Intn(2)), U: uint32(rng.Intn(16)), V: uint32(rng.Intn(16))})
 			}
-			steps = append(steps, faultStep{op: "begin", batch: b})
-			if r < 6 {
-				steps = append(steps, faultStep{op: "commit", ver: ver})
-			}
+			steps = append(steps, faultStep{op: "append", ver: ver, batch: b})
 		}
 	}
 	return steps
 }
 
 // faultModel is the acknowledged state of one name: the snapshot (nil
-// when there is none) and the batches committed since, in order.
+// when there is none) and the batches appended since, in order.
 type faultModel struct {
 	snap    *Snapshot
 	batches []CommittedBatch
-	pending *Batch
 }
 
 func faultSnapshot(ver uint64) *Snapshot {
@@ -66,10 +61,8 @@ func (st faultStep) do(s *FS) error {
 	switch st.op {
 	case "save":
 		err = s.SaveSnapshot("g", faultSnapshot(st.ver))
-	case "begin":
-		_, err = s.BeginBatch("g", st.batch)
-	case "commit":
-		_, err = s.CommitBatch("g", st.ver)
+	case "append":
+		_, err = s.AppendBatch("g", st.ver, st.batch)
 	case "delete":
 		err = s.Delete("g")
 	}
@@ -80,12 +73,9 @@ func (st faultStep) do(s *FS) error {
 func (m *faultModel) ack(st faultStep) {
 	switch st.op {
 	case "save":
-		m.snap, m.batches, m.pending = faultSnapshot(st.ver), nil, nil
-	case "begin":
-		m.pending = st.batch
-	case "commit":
-		m.batches = append(m.batches, CommittedBatch{Batch: *m.pending, Version: st.ver})
-		m.pending = nil
+		m.snap, m.batches = faultSnapshot(st.ver), nil
+	case "append":
+		m.batches = append(m.batches, CommittedBatch{Batch: *st.batch, Version: st.ver})
 	case "delete":
 		*m = faultModel{}
 	}
@@ -193,15 +183,19 @@ func checkAgree(t *testing.T, s *FS, m *faultModel, r *faultReplica, appended bo
 }
 
 // TestFSFaultScript fails, one run at a time, every file call that a
-// seeded script of SaveSnapshot, BeginBatch, CommitBatch and Delete makes
-// (each failed write lands half its bytes). Every fault must surface as
-// the Store call's error; afterwards Load, WALImage, WALSize, the file's
-// length and a replica's pull must agree on the last acknowledged state,
-// the next acknowledged version must reach the replica, and a reopened
-// store must hold exactly that state.
+// seeded script of SaveSnapshot, AppendBatch and Delete makes (each failed
+// write lands half its bytes). Every fault must surface as the Store
+// call's error, except a failed removal of the old WAL after a snapshot's
+// rename, which leaves an inert log and is no failure of the save. A
+// failed directory sync after that rename puts the store into its failed
+// state: the save and every later write return ErrFailed until a reopen.
+// After each fault, Load, WALImage, WALSize, the file's length and a
+// replica's pull must agree on the last acknowledged state, the next
+// acknowledged version must reach the replica, and a reopened store must
+// hold exactly that state.
 func TestFSFaultScript(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 4} {
-		script := faultScript(rand.New(rand.NewSource(seed)), 12)
+		script := faultScript(rand.New(rand.NewSource(seed)), 16)
 		total := runFaultScript(t, script, 0)
 		for failAt := 1; failAt <= total; failAt++ {
 			t.Run(fmt.Sprintf("seed%d/call%d", seed, failAt), func(t *testing.T) {
@@ -226,45 +220,8 @@ func runFaultScript(t *testing.T, script []faultStep, failAt int) int {
 		r   faultReplica
 		ver uint64
 	)
-	for i, st := range script {
-		ver = max(ver, st.ver)
-		err := st.do(s)
-		if failAt == 0 || len(ff.calls) < failAt {
-			if err != nil {
-				t.Fatalf("step %d (%s): %v", i, st.op, err)
-			}
-			m.ack(st)
-			checkAgree(t, s, &m, &r, st.op == "begin" || st.op == "commit")
-			continue
-		}
-		failed := ff.calls[failAt-1]
-		if err == nil {
-			t.Fatalf("step %d (%s): the failed %s call was not reported", i, st.op, failed)
-		}
-		switch {
-		case st.op == "save" && (failed == "syncDir" || failed == "remove"):
-			// A known gap: these calls follow the rename, which cannot be
-			// undone, so a snapshot reported as failed is the one on disk.
-			m.ack(st)
-		case st.op == "commit":
-			m.pending = nil // the uncommitted batch frame is dropped on replay
-		}
-		checkAgree(t, s, &m, &r, st.op == "begin" || st.op == "commit")
-
-		// The next acknowledged version: a batch, or a snapshot if the
-		// name has none.
-		next := []faultStep{{op: "save", ver: ver + 1}}
-		if m.snap != nil {
-			next = []faultStep{{op: "begin", batch: &Batch{Edits: []BatchOp{{OpAdd, 0, 1}}}}, {op: "commit", ver: ver + 1}}
-		}
-		for _, st := range next {
-			if err := st.do(s); err != nil {
-				t.Fatalf("after the fault, %s: %v", st.op, err)
-			}
-			m.ack(st)
-		}
-		checkAgree(t, s, &m, &r, next[0].op == "begin")
-
+	reopen := func() *FS {
+		t.Helper()
 		reopened, err := OpenFS(dir)
 		if err != nil {
 			t.Fatal(err)
@@ -274,6 +231,65 @@ func runFaultScript(t *testing.T, script []faultStep, failAt int) int {
 			t.Fatalf("reopened: snapshot %v, err %v; want version %d", snap, err, m.snap.Meta.Version)
 		}
 		sameBatches(t, batches, m.batches)
+		return reopened
+	}
+	for i, st := range script {
+		ver = max(ver, st.ver)
+		err := st.do(s)
+		if failAt == 0 || len(ff.calls) < failAt {
+			if err != nil {
+				t.Fatalf("step %d (%s): %v", i, st.op, err)
+			}
+			m.ack(st)
+			checkAgree(t, s, &m, &r, st.op == "append")
+			continue
+		}
+		// The next acknowledged version: a batch, or a snapshot if the
+		// name has none.
+		next := func() faultStep {
+			ver++
+			if m.snap == nil {
+				return faultStep{op: "save", ver: ver}
+			}
+			return faultStep{op: "append", ver: ver, batch: &Batch{Edits: []BatchOp{{OpAdd, 0, 1}}}}
+		}
+		failed := ff.calls[failAt-1]
+		switch {
+		case st.op == "save" && failed == "remove":
+			// After the rename: the stale log is inert.
+			if err != nil {
+				t.Fatalf("step %d (save): the failed WAL removal after the rename was reported: %v", i, err)
+			}
+			m.ack(st)
+		case err == nil:
+			t.Fatalf("step %d (%s): the failed %s call was not reported", i, st.op, failed)
+		case st.op == "save" && failed == "syncDir":
+			// The rename landed, so here the new snapshot is the one on
+			// disk; the store cannot know that and refuses every write.
+			if !errors.Is(err, ErrFailed) {
+				t.Fatalf("step %d (save): failed directory sync: %v, want ErrFailed", i, err)
+			}
+			m.ack(st)
+			checkAgree(t, s, &m, &r, false)
+			for _, st := range []faultStep{next(), {op: "save", ver: ver}, {op: "delete"}} {
+				if err := st.do(s); !errors.Is(err, ErrFailed) {
+					t.Fatalf("failed store, %s: %v, want ErrFailed", st.op, err)
+				}
+			}
+			checkAgree(t, s, &m, &r, false)
+			s = reopen()
+		case errors.Is(err, ErrFailed):
+			t.Fatalf("step %d (%s): the failed %s call failed the store: %v", i, st.op, failed, err)
+		}
+		checkAgree(t, s, &m, &r, st.op == "append")
+
+		st := next()
+		if err := st.do(s); err != nil {
+			t.Fatalf("after the fault, %s: %v", st.op, err)
+		}
+		m.ack(st)
+		checkAgree(t, s, &m, &r, st.op == "append")
+		reopen()
 		return len(ff.calls)
 	}
 	if failAt != 0 {

@@ -27,6 +27,7 @@ type FS struct {
 
 	mu     sync.Mutex
 	graphs map[string]*fsGraph
+	failed atomic.Pointer[error] // once set, every write's error (ErrFailed)
 }
 
 // fileLayer is every file operation by which FS changes the disk. OpenFS
@@ -81,7 +82,8 @@ type fsGraph struct {
 	// WAL header so replay can reject a log stranded by a crash between a
 	// snapshot replacement and its WAL truncation. 0 = not yet known
 	// (resolved lazily from the snapshot file on the first append).
-	gen uint64
+	gen    uint64
+	staged atomic.Pointer[Batch] // BeginBatch's, for CommitBatch
 }
 
 const (
@@ -113,9 +115,13 @@ func (s *FS) byName(name string) *fsGraph {
 	return g
 }
 
-// SaveSnapshot implements Store. The WAL is truncated after the rename:
-// every committed batch is now folded into the snapshot.
+// SaveSnapshot implements Store. The rename is the commit point: a failure
+// before it leaves the previous snapshot and its WAL as they were; after
+// it, the new snapshot (which folds in every logged batch) is on disk.
 func (s *FS) SaveSnapshot(name string, snap *Snapshot) error {
+	if err := s.failed.Load(); err != nil {
+		return *err
+	}
 	g := s.byName(name)
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -140,31 +146,47 @@ func (s *FS) SaveSnapshot(name string, snap *Snapshot) error {
 		s.files.remove(tmp.Name()) // the failed step's error is what the caller must see
 		return err
 	}
-	// The new snapshot is the one on disk from here on, even if a step
-	// below fails: the next WAL append starts a fresh log stamped with its
-	// generation. Should the WAL removal fail (or the process die first),
-	// replay detects the stale log by its mismatched header generation and
-	// discards it instead of applying the previous lineage's batches to
-	// this snapshot.
+	// The new snapshot is the one on disk from here on: the next WAL append
+	// starts a fresh log stamped with its generation.
 	g.gen = snap.Meta.Version
 	g.walSize.Store(0)
 	if err := s.files.syncDir(g.dir); err != nil {
-		return err
+		// Which snapshot a restart reads is now unknown, and a batch logged
+		// against either one could be replayed onto the other: refuse every
+		// write until recovery reads what the disk holds.
+		failed := fmt.Errorf("%w: the snapshot of %q was renamed into place, but syncing %s failed (%v)", ErrFailed, name, g.dir, err)
+		s.failed.Store(&failed)
+		return fmt.Errorf("%w; whether this snapshot or the previous one survives a restart is unknown", failed)
 	}
-	return s.files.remove(filepath.Join(g.dir, walFile))
+	// A log the removal leaves behind is inert: replay discards it by its
+	// header generation, and the next append truncates it.
+	s.files.remove(filepath.Join(g.dir, walFile))
+	return nil
 }
 
-// BeginBatch implements Store.
+// BeginBatch stages b and writes nothing; CommitBatch appends it at
+// version. They remain only for the benchmark's shadow replay
+// (bench/fleet.go); ROADMAP 5(d) points it at AppendBatch and deletes both.
 func (s *FS) BeginBatch(name string, b *Batch) (int, error) {
-	return s.appendWAL(name, encodeBatchFrame(b))
+	s.byName(name).staged.Store(b)
+	return 0, nil
 }
 
-// CommitBatch implements Store.
+// CommitBatch: see BeginBatch.
 func (s *FS) CommitBatch(name string, version uint64) (int, error) {
-	return s.appendWAL(name, encodeCommitFrame(version))
+	b := s.byName(name).staged.Swap(nil)
+	if b == nil {
+		return 0, fmt.Errorf("store: CommitBatch of %q with no staged batch", name)
+	}
+	return s.AppendBatch(name, version, b)
 }
 
-func (s *FS) appendWAL(name string, frame []byte) (int, error) {
+// AppendBatch implements Store.
+func (s *FS) AppendBatch(name string, version uint64, b *Batch) (int, error) {
+	if err := s.failed.Load(); err != nil {
+		return 0, *err
+	}
+	frame := encodeBatchFrame(version, b)
 	g := s.byName(name)
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -254,10 +276,13 @@ func (s *FS) LoadThreads(name string, threads int) (*Snapshot, []CommittedBatch,
 	if err != nil {
 		return nil, nil, err
 	}
-	gen, hasHeader, batches, goodLen := decodeFrames(wal)
+	gen, hasHeader, batches, goodLen, err := decodeFrames(wal)
+	if err != nil {
+		return nil, nil, fmt.Errorf("store: %s: %w", walPath, err)
+	}
 	if !hasHeader || gen != snap.Meta.Version {
 		// The log does not extend THIS snapshot: either it survived a crash
-		// between a snapshot replacement and its WAL truncation (stale
+		// or a failed removal after a snapshot replacement (stale
 		// generation), or its header is torn. Its batches belong to a dead
 		// lineage — discard the file rather than replay them.
 		if err := s.files.remove(walPath); err != nil {
@@ -347,6 +372,9 @@ func (s *FS) List() ([]string, error) {
 
 // Delete implements Store.
 func (s *FS) Delete(name string) error {
+	if err := s.failed.Load(); err != nil {
+		return *err
+	}
 	g := s.byName(name)
 	g.mu.Lock()
 	defer g.mu.Unlock()

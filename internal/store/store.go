@@ -6,13 +6,13 @@
 // s-clique indices, decomposition caches, hierarchies — is never persisted:
 // it is rebuilt (warm-started, not cold) from the recovered κ arrays.
 //
-// The WAL uses a two-frame protocol per batch. A *batch* frame is appended
-// and synced BEFORE the edits touch the in-memory overlay; a *commit* frame
-// carrying the registry version is appended and synced BEFORE that version
-// is published. Replay applies only batches with a matching commit frame,
-// so a crash or a failed append anywhere in the window leaves exactly the
-// acknowledged state: a batch frame without a commit was never published
-// or acknowledged and is dropped.
+// The WAL holds one frame per batch, {version, batch}, appended and
+// synced after the batch is applied to a private overlay and its version
+// minted, and before that version is published. Nothing sees a batch
+// before its frame is durable, so a crash or a failed append anywhere in
+// the window leaves exactly the acknowledged state: a batch whose append
+// did not return was never published or acknowledged, and one whose
+// append did replays at its exact version.
 //
 // Two backends implement Store: the filesystem directory store (OpenFS) and
 // the in-memory null store (Null), which discards everything and keeps the
@@ -29,6 +29,11 @@ import (
 
 // ErrNotFound reports that a name has no persisted snapshot.
 var ErrNotFound = errors.New("store: graph not found")
+
+// ErrFailed reports a store that no longer knows what is durable: a
+// snapshot's rename landed but the directory sync after it failed. Every
+// later write returns it until a restart's recovery reads the disk.
+var ErrFailed = errors.New("store: failed, writes are refused until restart")
 
 // Meta is the registry metadata persisted alongside a graph snapshot.
 type Meta struct {
@@ -88,23 +93,22 @@ type CommittedBatch struct {
 // Store is a pluggable persistence backend for the graph registry. All
 // methods are safe for concurrent use; operations on the same name are
 // serialized internally. Callers (the serving layer) additionally hold the
-// per-name mutation lock across a BeginBatch…CommitBatch pair, so the two
-// frames of one batch land adjacently in the log.
+// per-name mutation lock from a batch's apply through its AppendBatch to
+// its publish, so frames land in version order and a snapshot is never
+// written between a batch's append and its publish.
 type Store interface {
 	// SaveSnapshot atomically persists snap as the authoritative snapshot
 	// of name and truncates its WAL (the snapshot already contains every
-	// previously committed batch).
+	// previously appended batch).
 	SaveSnapshot(name string, snap *Snapshot) error
-	// BeginBatch durably appends an edit batch BEFORE it is applied,
-	// returning the bytes written.
-	BeginBatch(name string, b *Batch) (int, error)
-	// CommitBatch durably marks the most recently begun batch as published
-	// at version, returning the bytes written.
-	CommitBatch(name string, version uint64) (int, error)
-	// Load reads the snapshot of name and the committed batches appended
-	// since it was written, in append order. A corrupt WAL tail (torn
-	// write) is truncated at the last intact frame; uncommitted batches
-	// are dropped.
+	// AppendBatch durably appends one applied batch at the version it is
+	// about to be published at, returning the bytes written. It returns
+	// once the frame is synced; a failed append leaves no trace.
+	AppendBatch(name string, version uint64, b *Batch) (int, error)
+	// Load reads the snapshot of name and the batches appended since it
+	// was written, in append order. A corrupt WAL tail (torn write) is
+	// truncated at the last intact frame; a WAL of another format is an
+	// error wrapping ErrWALFormat, and the file is left as it is.
 	Load(name string) (*Snapshot, []CommittedBatch, error)
 	// List returns the names of all persisted graphs.
 	List() ([]string, error)
@@ -151,9 +155,8 @@ var nullSingleton Store = nullStore{}
 // Null returns the shared no-op Store.
 func Null() Store { return nullSingleton }
 
-func (nullStore) SaveSnapshot(string, *Snapshot) error    { return nil }
-func (nullStore) BeginBatch(string, *Batch) (int, error)  { return 0, nil }
-func (nullStore) CommitBatch(string, uint64) (int, error) { return 0, nil }
+func (nullStore) SaveSnapshot(string, *Snapshot) error            { return nil }
+func (nullStore) AppendBatch(string, uint64, *Batch) (int, error) { return 0, nil }
 func (nullStore) Load(string) (*Snapshot, []CommittedBatch, error) {
 	return nil, nil, ErrNotFound
 }

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"math/rand"
 	"os"
@@ -189,9 +190,9 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	})
 }
 
-// TestFSWALCommitReplay exercises the begin/commit protocol end to end:
-// committed batches replay in order, an uncommitted trailing batch is
-// dropped, and a torn tail is truncated so later appends still work.
+// TestFSWALCommitReplay exercises the one-frame log end to end: appended
+// batches replay in order at their versions, and a torn tail is truncated
+// so later appends still work.
 func TestFSWALCommitReplay(t *testing.T) {
 	s, err := OpenFS(t.TempDir())
 	if err != nil {
@@ -203,21 +204,11 @@ func TestFSWALCommitReplay(t *testing.T) {
 	}
 
 	b1 := &Batch{Edits: []BatchOp{{OpAdd, 1, 2}, {OpAdd, 2, 3}}, GrowTo: 6}
-	if _, err := s.BeginBatch("g", b1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.CommitBatch("g", 2); err != nil {
+	if _, err := s.AppendBatch("g", 2, b1); err != nil {
 		t.Fatal(err)
 	}
 	b2 := &Batch{Edits: []BatchOp{{OpRemove, 0, 1}}}
-	if _, err := s.BeginBatch("g", b2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.CommitBatch("g", 3); err != nil {
-		t.Fatal(err)
-	}
-	// A batch that began but never committed (crash before publish).
-	if _, err := s.BeginBatch("g", &Batch{Edits: []BatchOp{{OpAdd, 0, 3}}}); err != nil {
+	if _, err := s.AppendBatch("g", 3, b2); err != nil {
 		t.Fatal(err)
 	}
 
@@ -226,7 +217,7 @@ func TestFSWALCommitReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(batches) != 2 {
-		t.Fatalf("committed batches: %d, want 2 (uncommitted tail dropped)", len(batches))
+		t.Fatalf("batches: %d, want 2", len(batches))
 	}
 	if batches[0].Version != 2 || batches[1].Version != 3 {
 		t.Fatalf("versions: %d, %d", batches[0].Version, batches[1].Version)
@@ -257,10 +248,7 @@ func TestFSWALCommitReplay(t *testing.T) {
 	if len(batches) != 2 {
 		t.Fatalf("after torn tail: %d batches, want 2", len(batches))
 	}
-	if _, err := s.BeginBatch("g", b1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.CommitBatch("g", 9); err != nil {
+	if _, err := s.AppendBatch("g", 9, b1); err != nil {
 		t.Fatal(err)
 	}
 	if _, batches, err = s.Load("g"); err != nil {
@@ -297,10 +285,7 @@ func TestFSStaleWALDiscardedOnSnapshotMismatch(t *testing.T) {
 	if err := s.SaveSnapshot("g", oldSnap); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.BeginBatch("g", &Batch{Edits: []BatchOp{{OpAdd, 1, 2}}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.CommitBatch("g", 2); err != nil {
+	if _, err := s.AppendBatch("g", 2, &Batch{Edits: []BatchOp{{OpAdd, 1, 2}}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -336,10 +321,7 @@ func TestFSStaleWALDiscardedOnSnapshotMismatch(t *testing.T) {
 		t.Fatalf("stale WAL not discarded: %d bytes", sz)
 	}
 	// Appends against the new snapshot start a fresh, correctly stamped log.
-	if _, err := s2.BeginBatch("g", &Batch{Edits: []BatchOp{{OpAdd, 0, 1}}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s2.CommitBatch("g", 6); err != nil {
+	if _, err := s2.AppendBatch("g", 6, &Batch{Edits: []BatchOp{{OpAdd, 0, 1}}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, batches, err = s2.Load("g"); err != nil || len(batches) != 1 || batches[0].Version != 6 {
@@ -494,8 +476,8 @@ func TestNullStore(t *testing.T) {
 	if err := s.SaveSnapshot("g", &Snapshot{Graph: graph.Build(1, nil)}); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := s.BeginBatch("g", &Batch{}); n != 0 || err != nil {
-		t.Fatalf("BeginBatch: %d, %v", n, err)
+	if n, err := s.AppendBatch("g", 2, &Batch{}); n != 0 || err != nil {
+		t.Fatalf("AppendBatch: %d, %v", n, err)
 	}
 	if _, _, err := s.Load("g"); err != ErrNotFound {
 		t.Fatalf("Load: %v, want ErrNotFound", err)
@@ -503,4 +485,107 @@ func TestNullStore(t *testing.T) {
 	if names, err := s.List(); err != nil || len(names) != 0 {
 		t.Fatalf("List: %v, %v", names, err)
 	}
+}
+
+// oldFormatDir is a data directory written by the format-1 encoder, whose
+// log held two frames per batch: graph "g", a snapshot at version 3 and
+// two batches, published at versions 4 and 5.
+const oldFormatDir = "testdata/walformat1"
+
+// TestLoadRefusesOldFormatWAL: a log whose header is intact but names
+// another format is refused by Load and by a replica's scan, with an
+// error naming the file and the format, and is left byte for byte as it
+// was: reading it as torn or stale would drop acknowledged batches.
+func TestLoadRefusesOldFormatWAL(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "data")
+	if err := os.CopyFS(dir, os.DirFS(oldFormatDir)); err != nil {
+		t.Fatal(err)
+	}
+	walPath := filepath.Join(dir, "graphs", "g", walFile)
+	before, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := OpenFS(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		_, batches, err := s.Load("g")
+		if !errors.Is(err, ErrWALFormat) || !strings.Contains(err.Error(), walPath) || !strings.Contains(err.Error(), "format 1") {
+			t.Fatalf("Load: %d batches, err %v; want ErrWALFormat naming %s and format 1", len(batches), err, walPath)
+		}
+	}
+	if after, err := os.ReadFile(walPath); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("the refused log changed: %d bytes (err %v), was %d", len(after), err, len(before))
+	}
+
+	sc := NewWALScanner()
+	sc.Feed(before)
+	if cb, err := sc.Next(); cb != nil || !errors.Is(err, ErrWALFormat) {
+		t.Fatalf("replica scan: %v, %v; want ErrWALFormat", cb, err)
+	}
+}
+
+// TestFailedAppendLeavesNoTrace: an append whose write lands half its
+// frame and then fails is cut off again, so a reopened store replays
+// exactly the batches before it and the log has its old length.
+func TestFailedAppendLeavesNoTrace(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenFS(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SaveSnapshot("g", faultSnapshot(1)); err != nil {
+		t.Fatal(err)
+	}
+	b := &Batch{Edits: []BatchOp{{OpAdd, 0, 1}, {OpRemove, 2, 3}}}
+	if _, err := s.AppendBatch("g", 2, b); err != nil {
+		t.Fatal(err)
+	}
+	size := s.WALSize("g")
+	ff := injectFaults(s, 2) // open, then the write
+	if _, err := s.AppendBatch("g", 3, b); err == nil || ff.calls[1] != "write" {
+		t.Fatalf("append with a failed write: %v after %v", err, ff.calls)
+	}
+	reopened, err := OpenFS(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, batches, err := reopened.Load("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameBatches(t, batches, []CommittedBatch{{Batch: *b, Version: 2}})
+	if st, err := os.Stat(filepath.Join(dir, "graphs", "g", walFile)); err != nil || st.Size() != size {
+		t.Fatalf("log after the failed append: %v (err %v), want %d bytes", st, err, size)
+	}
+}
+
+// TestBeginCommitShimWritesOneFrame: BeginBatch writes nothing and
+// CommitBatch appends the staged batch as one frame, as AppendBatch does.
+func TestBeginCommitShimWritesOneFrame(t *testing.T) {
+	s, err := OpenFS(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SaveSnapshot("g", faultSnapshot(1)); err != nil {
+		t.Fatal(err)
+	}
+	b := &Batch{Edits: []BatchOp{{OpAdd, 0, 1}}}
+	if _, err := s.CommitBatch("g", 2); err == nil {
+		t.Fatal("CommitBatch with nothing staged succeeded")
+	}
+	if n, err := s.BeginBatch("g", b); n != 0 || err != nil || s.WALSize("g") != 0 {
+		t.Fatalf("BeginBatch: %d, %v; WALSize %d", n, err, s.WALSize("g"))
+	}
+	n, err := s.CommitBatch("g", 2)
+	if err != nil || int64(n) != s.WALSize("g") || n != len(encodeHeaderFrame(1))+len(encodeBatchFrame(2, b)) {
+		t.Fatalf("CommitBatch: %d, %v; WALSize %d", n, err, s.WALSize("g"))
+	}
+	_, batches, err := s.Load("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameBatches(t, batches, []CommittedBatch{{Batch: *b, Version: 2}})
 }

@@ -2,45 +2,46 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 )
 
-// WAL file format: a sequence of self-checking frames,
+// WAL file format 2: a sequence of self-checking frames,
 //
 //	frame   = type byte | uvarint len(payload) | payload | crc32c
 //	crc32c  covers the type byte and the payload (little-endian uint32)
 //
-// with three frame types:
+// with two frame types:
 //
-//	batch  (1) = uvarint growTo | uvarint nEdits |
+//	header (3) = uvarint generation | uvarint format
+//	the mandatory FIRST frame, written with the first append: the
+//	Meta.Version of the snapshot this log extends, and walFormat;
+//	batch  (4) = uvarint version | uvarint growTo | uvarint nEdits |
 //	             nEdits × (op byte | uvarint u | uvarint v)
-//	batch frames are appended and synced BEFORE the edits are applied;
-//	commit (2) = uvarint version
-//	commit frames are appended before the new graph version is published;
-//	header (3) = uvarint generation
-//	the mandatory FIRST frame of every WAL file, written with the first
-//	append: the Meta.Version of the snapshot this log extends.
+//	one per published batch, synced before its version is published.
 //
-// Replay pairs each commit with the batch frame preceding it. A batch with
-// no commit (a crash, a no-op batch or a failed commit append) is dropped —
-// it was never published or acknowledged. A frame that fails its checksum
-// or runs past the end of the file is a torn tail: everything from it
-// onward is discarded and the file truncated there, so later appends
-// continue from a clean boundary.
+// A frame that fails its checksum or runs past the end of the file is a
+// torn tail: everything from it onward is discarded and the file truncated
+// there, so later appends continue from a clean boundary. A log whose
+// intact header names another format (format 1 wrote a batch and a commit
+// frame per batch, under a header with no format field) is refused with
+// ErrWALFormat, never read as torn: that would drop acknowledged batches.
 //
 // The header generation closes the snapshot-replacement crash window:
-// SaveSnapshot makes the new snapshot durable (rename) and then deletes
-// the WAL as a separate step. A crash between the two leaves a fresh
-// snapshot next to the previous lineage's log — whose batches must NOT be
-// replayed onto the new graph. Load compares the header generation with
-// the snapshot's version and discards the whole file on mismatch.
-
+// SaveSnapshot renames the new snapshot into place and then deletes the
+// WAL. A crash between the two, or a failed removal, leaves the previous
+// lineage's log beside the new snapshot; Load sees its generation differ
+// from the snapshot's version and discards the whole file.
 const (
-	frameBatch  byte = 1
-	frameCommit byte = 2
 	frameHeader byte = 3
+	frameBatch  byte = 4
+	walFormat        = 2
 )
+
+// ErrWALFormat reports a WAL whose header is intact but names a format
+// this build does not read.
+var ErrWALFormat = errors.New("WAL format")
 
 // appendUvarint appends v to buf in uvarint encoding.
 func appendUvarint(buf []byte, v uint64) []byte {
@@ -62,8 +63,9 @@ func encodeFrame(typ byte, payload []byte) []byte {
 	return append(frame, tail[:]...)
 }
 
-func encodeBatchFrame(b *Batch) []byte {
-	payload := make([]byte, 0, 16+10*len(b.Edits))
+func encodeBatchFrame(version uint64, b *Batch) []byte {
+	payload := make([]byte, 0, 26+10*len(b.Edits))
+	payload = appendUvarint(payload, version)
 	growTo := b.GrowTo
 	if growTo < 0 {
 		growTo = 0
@@ -78,26 +80,20 @@ func encodeBatchFrame(b *Batch) []byte {
 	return encodeFrame(frameBatch, payload)
 }
 
-func encodeCommitFrame(version uint64) []byte {
-	return encodeFrame(frameCommit, appendUvarint(nil, version))
-}
-
 func encodeHeaderFrame(generation uint64) []byte {
-	return encodeFrame(frameHeader, appendUvarint(nil, generation))
+	return encodeFrame(frameHeader, appendUvarint(appendUvarint(nil, generation), walFormat))
 }
 
 // decodeFrames parses a WAL image: the mandatory header generation, the
-// committed batches, and the byte offset of the first torn or corrupt
-// frame (== len(data) when the whole file is intact) so the caller can
-// truncate the file there. hasHeader=false means the file does not begin
-// with an intact header frame — it is torn at byte 0 or predates the
-// current snapshot — and nothing from it may be replayed. A torn tail is
-// not an error: it is the expected shape of a crash mid-append. The image
-// is read by WALScanner, the replication stream's decoder, over data
-// itself (no copy); a file image never grows, so the scanner's "more bytes
-// needed" and corrupt verdicts both mean torn here, and the bytes it
-// consumed are the good prefix.
-func decodeFrames(data []byte) (gen uint64, hasHeader bool, batches []CommittedBatch, goodLen int) {
+// batches, and the byte offset of the first torn or corrupt frame
+// (== len(data) when the whole file is intact) so the caller can truncate
+// the file there. hasHeader=false means the file does not begin with an
+// intact header frame — it is torn at byte 0 — and nothing from it may be
+// replayed. A torn tail is not an error; a header of another format is
+// (ErrWALFormat). WALScanner reads the image in place; a file image never
+// grows, so the scanner's "more bytes needed" and corrupt verdicts both
+// mean torn here, and the bytes it consumed are the good prefix.
+func decodeFrames(data []byte) (gen uint64, hasHeader bool, batches []CommittedBatch, goodLen int, err error) {
 	sc := &WALScanner{buf: data}
 	for {
 		b, err := sc.Next()
@@ -106,8 +102,11 @@ func decodeFrames(data []byte) (gen uint64, hasHeader bool, batches []CommittedB
 		}
 		batches = append(batches, *b)
 	}
+	if errors.Is(sc.err, ErrWALFormat) {
+		return 0, false, nil, 0, sc.err
+	}
 	gen, hasHeader = sc.Generation()
-	return gen, hasHeader, batches, len(data) - len(sc.buf)
+	return gen, hasHeader, batches, len(data) - len(sc.buf), nil
 }
 
 // rawFrame is one checksum-verified frame; end is the offset just past it,
@@ -118,36 +117,30 @@ type rawFrame struct {
 	end     int
 }
 
-func decodeBatchPayload(payload []byte) (*Batch, error) {
+func decodeBatchPayload(payload []byte) (*CommittedBatch, error) {
 	r := &byteReader{data: payload}
-	growTo, err := r.uvarint()
-	if err != nil {
-		return nil, err
+	var head [3]uint64 // version, growTo, nEdits
+	for i := range head {
+		var err error
+		if head[i], err = r.uvarint(); err != nil {
+			return nil, err
+		}
 	}
-	nEdits, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
+	nEdits := head[2]
 	// Each edit costs at least three bytes (op + two uvarints).
 	if nEdits > uint64(len(payload))/3+1 {
 		return nil, fmt.Errorf("store: batch claims %d edits in %d bytes", nEdits, len(payload))
 	}
-	b := &Batch{GrowTo: int(growTo), Edits: make([]BatchOp, 0, nEdits)}
+	b := &CommittedBatch{Version: head[0], Batch: Batch{GrowTo: int(head[1]), Edits: make([]BatchOp, 0, nEdits)}}
 	for i := uint64(0); i < nEdits; i++ {
-		op, err := r.ReadByte()
-		if err != nil {
+		op, errOp := r.ReadByte()
+		u, errU := r.uvarint()
+		v, errV := r.uvarint()
+		if err := errors.Join(errOp, errU, errV); err != nil {
 			return nil, err
 		}
 		if op != OpAdd && op != OpRemove {
 			return nil, fmt.Errorf("store: unknown batch op %d", op)
-		}
-		u, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		v, err := r.uvarint()
-		if err != nil {
-			return nil, err
 		}
 		b.Edits = append(b.Edits, BatchOp{Op: op, U: uint32(u), V: uint32(v)})
 	}
@@ -157,16 +150,17 @@ func decodeBatchPayload(payload []byte) (*Batch, error) {
 	return b, nil
 }
 
-// decodeUvarintPayload reads the single-uvarint payload shared by commit
-// (version) and header (generation) frames.
-func decodeUvarintPayload(payload []byte) (uint64, error) {
+// decodeHeaderPayload reads a header frame's generation and format. A
+// header with no format field is format 1's.
+func decodeHeaderPayload(payload []byte) (gen, format uint64, err error) {
 	r := &byteReader{data: payload}
-	v, err := r.uvarint()
-	if err != nil {
-		return 0, err
+	gen, err = r.uvarint()
+	format = 1
+	if err == nil && r.pos < len(payload) {
+		format, err = r.uvarint()
 	}
-	if r.pos != len(payload) {
-		return 0, fmt.Errorf("store: %d trailing bytes in frame payload", len(payload)-r.pos)
+	if err == nil && r.pos != len(payload) {
+		err = fmt.Errorf("store: %d trailing bytes in header payload", len(payload)-r.pos)
 	}
-	return v, nil
+	return gen, format, err
 }

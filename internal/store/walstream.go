@@ -3,16 +3,17 @@ package store
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 )
 
 // WALScanner is the one WAL decoder. A replica feeds it frames in
 // arbitrary chunks (byte ranges of the primary's log pulled over HTTP);
 // file replay (decodeFrames) runs it once over a complete file image.
-// Feed appends received bytes; Next yields each committed batch as soon
-// as its batch+commit frame pair is complete, and (nil, nil) when the
-// buffered bytes end mid-frame — the replication analogue of a torn
-// tail, resolved by feeding more bytes rather than truncating.
+// Feed appends received bytes; Next yields each batch as soon as its frame
+// is complete, and (nil, nil) when the buffered bytes end mid-frame — the
+// replication analogue of a torn tail, resolved by feeding more bytes
+// rather than truncating.
 //
 // Unlike in file replay, a frame that is fully present but fails its
 // checksum is NOT a tolerable crash artifact here: the primary serves
@@ -22,15 +23,15 @@ import (
 // resync, never by applying a guess.
 //
 // A scanner always starts at byte 0 of a WAL file and therefore demands
-// the mandatory header frame first; Generation exposes the header's
-// snapshot generation once seen so the consumer can check it against
-// the base snapshot it holds.
+// the mandatory header frame first. A header of another format is an
+// error wrapping ErrWALFormat (sticky): a resync would fetch the same log.
+// Generation exposes the header's snapshot generation once seen so the
+// consumer can check it against the base snapshot it holds.
 type WALScanner struct {
-	buf     []byte
-	gen     uint64
-	hasGen  bool
-	pending *Batch
-	corrupt bool
+	buf    []byte
+	gen    uint64
+	hasGen bool
+	err    error // sticky: ErrCorruptFrame or an ErrWALFormat
 }
 
 // ErrCorruptFrame reports a complete frame that failed validation
@@ -59,68 +60,49 @@ func (sc *WALScanner) Generation() (uint64, bool) {
 	return sc.gen, sc.hasGen
 }
 
-// Next returns the next committed batch, (nil, nil) when more bytes are
-// needed, or ErrCorruptFrame. The error is sticky: a corrupt stream
-// cannot be resumed by feeding more bytes.
+// Next returns the next batch, (nil, nil) when more bytes are needed, or
+// the scanner's sticky error: a corrupt stream cannot be resumed by
+// feeding more bytes.
 func (sc *WALScanner) Next() (*CommittedBatch, error) {
-	for {
-		if sc.corrupt {
-			return nil, ErrCorruptFrame
-		}
+	for sc.err == nil {
 		frame, st := scanOneFrame(sc.buf)
-		switch st {
-		case frameShort:
+		if st == frameShort {
 			return nil, nil
-		case frameCorrupt:
-			sc.corrupt = true
-			return nil, ErrCorruptFrame
 		}
-		switch frame.typ {
-		case frameHeader:
-			// Exactly one header, and it must come first.
-			if sc.hasGen {
-				sc.corrupt = true
-				return nil, ErrCorruptFrame
-			}
-			gen, err := decodeUvarintPayload(frame.payload)
-			if err != nil {
-				sc.corrupt = true
-				return nil, ErrCorruptFrame
-			}
-			sc.gen, sc.hasGen = gen, true
-		case frameBatch:
-			if !sc.hasGen {
-				sc.corrupt = true
-				return nil, ErrCorruptFrame
-			}
-			batch, err := decodeBatchPayload(frame.payload)
-			if err != nil {
-				sc.corrupt = true
-				return nil, ErrCorruptFrame
-			}
-			// A previous pending batch with no commit was aborted on the
-			// primary; overwrite it, as file replay does.
-			sc.pending = batch
-		case frameCommit:
-			if !sc.hasGen || sc.pending == nil {
-				sc.corrupt = true
-				return nil, ErrCorruptFrame
-			}
-			version, err := decodeUvarintPayload(frame.payload)
-			if err != nil {
-				sc.corrupt = true
-				return nil, ErrCorruptFrame
-			}
-			b := sc.pending
-			sc.pending = nil
+		// A corrupt frame comes back as the zero frame, which decode refuses.
+		var b *CommittedBatch
+		if b, sc.err = sc.decode(frame); sc.err == nil {
 			sc.buf = sc.buf[frame.end:]
-			return &CommittedBatch{Batch: *b, Version: version}, nil
-		default:
-			sc.corrupt = true
+			if b != nil {
+				return b, nil
+			}
+		}
+	}
+	return nil, sc.err
+}
+
+// decode holds one intact frame to the log's grammar: exactly one header,
+// first, then batch frames.
+func (sc *WALScanner) decode(f rawFrame) (*CommittedBatch, error) {
+	switch {
+	case f.typ == frameHeader && !sc.hasGen:
+		gen, format, err := decodeHeaderPayload(f.payload)
+		if err != nil {
 			return nil, ErrCorruptFrame
 		}
-		sc.buf = sc.buf[frame.end:]
+		if format != walFormat {
+			return nil, fmt.Errorf("%w %d, this build reads format %d", ErrWALFormat, format, walFormat)
+		}
+		sc.gen, sc.hasGen = gen, true
+		return nil, nil
+	case f.typ == frameBatch && sc.hasGen:
+		b, err := decodeBatchPayload(f.payload)
+		if err != nil {
+			return nil, ErrCorruptFrame
+		}
+		return b, nil
 	}
+	return nil, ErrCorruptFrame
 }
 
 type frameStatus int

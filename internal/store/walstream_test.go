@@ -15,8 +15,8 @@ import (
 
 // makeShippableWAL builds a real WAL through the FS store — the same
 // bytes a primary would serve to a replica — and returns the raw file
-// image, the committed batches it carries, and the header generation.
-func makeShippableWAL(t *testing.T, nBatches int) (wal []byte, want []CommittedBatch, gen uint64) {
+// image, the batches it carries, and the header generation.
+func makeShippableWAL(t testing.TB, nBatches int) (wal []byte, want []CommittedBatch, gen uint64) {
 	t.Helper()
 	dir := t.TempDir()
 	s, err := OpenFS(dir)
@@ -35,11 +35,8 @@ func makeShippableWAL(t *testing.T, nBatches int) (wal []byte, want []CommittedB
 	}
 	for i := 0; i < nBatches; i++ {
 		b := Batch{Edits: []BatchOp{{Op: OpAdd, U: uint32(i), V: uint32(i + 1)}}, GrowTo: i + 2}
-		if _, err := s.BeginBatch("g", &b); err != nil {
-			t.Fatal(err)
-		}
 		v := gen + uint64(i) + 1
-		if _, err := s.CommitBatch("g", v); err != nil {
+		if _, err := s.AppendBatch("g", v, &b); err != nil {
 			t.Fatal(err)
 		}
 		want = append(want, CommittedBatch{Batch: b, Version: v})
@@ -91,9 +88,9 @@ func drainScanner(t *testing.T, sc *WALScanner) []CommittedBatch {
 // the header generation.
 func TestWALScannerMatchesFileReplay(t *testing.T) {
 	wal, want, gen := makeShippableWAL(t, 5)
-	fileGen, hasHeader, fileBatches, goodLen := decodeFrames(wal)
-	if !hasHeader || fileGen != gen || goodLen != len(wal) {
-		t.Fatalf("file replay: gen=%d hasHeader=%v goodLen=%d/%d", fileGen, hasHeader, goodLen, len(wal))
+	fileGen, hasHeader, fileBatches, goodLen, err := decodeFrames(wal)
+	if err != nil || !hasHeader || fileGen != gen || goodLen != len(wal) {
+		t.Fatalf("file replay: gen=%d hasHeader=%v goodLen=%d/%d err=%v", fileGen, hasHeader, goodLen, len(wal), err)
 	}
 	sameBatches(t, fileBatches, want)
 
@@ -194,10 +191,10 @@ func TestWALScannerDemandsHeader(t *testing.T) {
 
 // TestFileReplayMatchesScannerOnDamagedImages is the differential for the
 // one frame parser the two decoders share: over seeded frame sequences
-// (edits of varying size, aborted batches with no commit), cut at every
-// byte offset and with one byte flipped at every offset, file replay
-// returns exactly the committed batches the replication scanner yields
-// before it stops, and truncates at the start of the first damaged frame.
+// (edits of varying size), cut at every byte offset and with one byte
+// flipped at every offset, file replay returns exactly the batches the
+// replication scanner yields before it stops, and truncates at the start
+// of the first damaged frame.
 func TestFileReplayMatchesScannerOnDamagedImages(t *testing.T) {
 	scan := func(data []byte) []CommittedBatch {
 		sc := NewWALScanner()
@@ -225,11 +222,8 @@ func TestFileReplayMatchesScannerOnDamagedImages(t *testing.T) {
 			for j, m := 0, rng.Intn(5); j < m; j++ {
 				b.Edits = append(b.Edits, BatchOp{Op: OpAdd + byte(rng.Intn(2)), U: uint32(rng.Intn(1 << 20)), V: uint32(rng.Intn(200))})
 			}
-			frame(encodeBatchFrame(&b))
-			if rng.Intn(4) > 0 { // one batch in four is aborted: no commit
-				version++
-				frame(encodeCommitFrame(version))
-			}
+			version += 1 + uint64(rng.Intn(3))
+			frame(encodeBatchFrame(version, &b))
 		}
 		starts = append(starts, len(image))
 		// frameStart is the offset of the frame holding byte i (the last
@@ -246,9 +240,9 @@ func TestFileReplayMatchesScannerOnDamagedImages(t *testing.T) {
 		intact := scan(image)
 		check := func(what string, data []byte, wantGoodLen int) {
 			t.Helper()
-			_, hasHeader, fileBatches, goodLen := decodeFrames(data)
-			if goodLen != wantGoodLen || hasHeader != (wantGoodLen > 0) {
-				t.Fatalf("seed %d, %s: goodLen=%d hasHeader=%v, want %d", seed, what, goodLen, hasHeader, wantGoodLen)
+			_, hasHeader, fileBatches, goodLen, err := decodeFrames(data)
+			if err != nil || goodLen != wantGoodLen || hasHeader != (wantGoodLen > 0) {
+				t.Fatalf("seed %d, %s: goodLen=%d hasHeader=%v err=%v, want %d", seed, what, goodLen, hasHeader, err, wantGoodLen)
 			}
 			sameBatches(t, fileBatches, scan(data))
 			if len(fileBatches) > len(intact) {
@@ -313,10 +307,7 @@ func TestFSReplicationSource(t *testing.T) {
 
 	for i := 0; i < 6; i++ {
 		b := Batch{Edits: []BatchOp{{Op: OpAdd, U: 0, V: uint32(i)}}}
-		if _, err := s.BeginBatch("g", &b); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.CommitBatch("g", uint64(4+i)); err != nil {
+		if _, err := s.AppendBatch("g", uint64(4+i), &b); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -363,20 +354,26 @@ func TestFSReplicationSource(t *testing.T) {
 
 // FuzzWALScanner cross-checks the incremental scanner against the file
 // replay decoder on arbitrary byte images and chunkings: identical
-// committed batches (up to the first corruption) and identical header
-// generations, with no panics.
+// batches (up to the first corruption) and identical header generations,
+// with no panics.
 func FuzzWALScanner(f *testing.F) {
-	wal, _, _ := makeShippableWALForFuzz(f)
+	wal, _, _ := makeShippableWAL(f, 3)
 	f.Add(wal, 1)
 	f.Add(wal, 3)
 	f.Add(wal[:len(wal)-2], 5)
 	f.Add([]byte{}, 1)
 	f.Add([]byte{frameHeader, 0, 0, 0, 0, 0}, 2)
+	f.Add(append(encodeHeaderFrame(2), encodeBatchFrame(3, &Batch{GrowTo: 5, Edits: []BatchOp{{OpAdd, 0, 4}, {OpRemove, 1, 2}}})...), 4)
+	old, err := os.ReadFile(filepath.Join(oldFormatDir, "graphs", "g", walFile))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(old, 2)
 	f.Fuzz(func(t *testing.T, data []byte, chunk int) {
 		if chunk <= 0 {
 			chunk = 1
 		}
-		_, _, fileBatches, _ := decodeFrames(data)
+		_, _, fileBatches, _, _ := decodeFrames(data)
 
 		scan := func(feedChunk int) ([]CommittedBatch, bool) {
 			sc := NewWALScanner()
@@ -423,40 +420,4 @@ func FuzzWALScanner(f *testing.F) {
 			}
 		}
 	})
-}
-
-// makeShippableWALForFuzz is makeShippableWAL for a *testing.F seed
-// corpus (no *testing.T available).
-func makeShippableWALForFuzz(f *testing.F) (wal []byte, want []CommittedBatch, gen uint64) {
-	f.Helper()
-	dir := f.TempDir()
-	s, err := OpenFS(dir)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Cleanup(func() {
-		if err := s.Close(); err != nil {
-			f.Errorf("close: %v", err)
-		}
-	})
-	gen = 2
-	if err := s.SaveSnapshot("g", &Snapshot{Meta: Meta{Version: gen}, Graph: graph.Build(3, [][2]uint32{{0, 1}})}); err != nil {
-		f.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		b := Batch{Edits: []BatchOp{{Op: OpAdd, U: uint32(i), V: uint32(i + 1)}}}
-		if _, err := s.BeginBatch("g", &b); err != nil {
-			f.Fatal(err)
-		}
-		v := gen + uint64(i) + 1
-		if _, err := s.CommitBatch("g", v); err != nil {
-			f.Fatal(err)
-		}
-		want = append(want, CommittedBatch{Batch: b, Version: v})
-	}
-	wal, err = os.ReadFile(filepath.Join(dir, "graphs", "g", walFile))
-	if err != nil {
-		f.Fatal(err)
-	}
-	return wal, want, gen
 }
