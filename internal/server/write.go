@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"nucleus/internal/dynamic"
+	"nucleus/internal/graph"
 	"nucleus/internal/nucleus"
 	"nucleus/internal/store"
 )
@@ -22,11 +23,11 @@ import (
 // the replication applier to its lastError text.
 //
 // Each method takes the per-name mutation lock, so WAL frames land in
-// version order and a snapshot is a consistent (graph, version, κ) triple. The parameter `at` separates the two kinds of
-// caller: 0 mints a fresh version (a client write on the primary); a
-// positive value is the version the primary acknowledged, which a replica
-// must reproduce exactly — a write at or below the live version is a
-// re-delivery and changes nothing.
+// version order and a snapshot is a consistent (graph, version, κ) triple.
+// The parameter `at` separates the two kinds of caller: 0 mints a fresh
+// version (a client write on the primary); a positive value is the version
+// the primary acknowledged, which a replica must reproduce exactly — a
+// write at or below the live version is a re-delivery and changes nothing.
 
 // errOversize: the batch would grow the graph past maxGenVertices.
 type errOversize struct{ needN int64 }
@@ -83,9 +84,9 @@ type batchOutcome struct {
 }
 
 // commitBatch applies one edit batch to name: overlay repair → mint → one
-// WAL frame {version, batch} → copy-on-write publish → counters, then,
-// with the lock released, warm seeding, the purge of the displaced
-// version's cache entries and the compaction check.
+// WAL frame {version, batch}, beside the CSR patch → copy-on-write publish
+// → counters, then, with the lock released, warm seeding, the purge of the
+// displaced version's cache entries and the compaction check.
 //
 // at == 0 skips a fully no-op batch: the graph is bit-identical, and a
 // version bump would purge every cache entry the warm seeder does not
@@ -151,30 +152,32 @@ func (s *Server) commitBatch(name string, batch *store.Batch, at uint64) (batchO
 		return out, nil
 	}
 
+	version := at
+	if at == 0 {
+		version = s.reg.mint()
+	}
 	// Copy-on-write publication: the overlay patches the rows this batch
 	// touched into a fresh immutable CSR and hands over its κ; it is not
 	// used again, so the new entry owns both. In-flight work on the old
-	// version keeps its graph.
+	// version keeps its graph. The patch runs while the frame's fsync waits
+	// on the disk, and the publish waits for both. A failed append leaves
+	// nothing to roll back: the overlay was this batch's own (its patch is
+	// dropped) and the log has no trace of the batch.
+	patched := make(chan *graph.Graph, 1)
+	go func() { patched <- dyn.Static() }()
+	n, err := s.store.AppendBatch(name, version, batch)
+	if err != nil {
+		s.stats.Persistence.Errors.Add(1)
+		return batchOutcome{}, fmt.Errorf("writing batch to the WAL: %w", err)
+	}
 	ne := &graphEntry{
 		name:      name,
-		g:         dyn.Static(),
-		version:   at,
+		g:         <-patched,
+		version:   version,
 		source:    e.source,
 		created:   e.created,
 		coreKappa: dyn.CoreNumbers(),
 		mutations: e.mutations + 1,
-	}
-	if at == 0 {
-		ne.version = s.reg.mint()
-	}
-	// Append, then publish: no reader sees a version the log does not hold
-	// at exactly that number. A failed append leaves nothing to roll back —
-	// the overlay was this batch's own, the minted version is never used
-	// and the log has no trace of the batch.
-	n, err := s.store.AppendBatch(name, ne.version, batch)
-	if err != nil {
-		s.stats.Persistence.Errors.Add(1)
-		return batchOutcome{}, fmt.Errorf("writing batch to the WAL: %w", err)
 	}
 	if n > 0 { // the null store writes nothing
 		s.stats.Persistence.WALAppends.Add(1)

@@ -152,8 +152,7 @@ func (s *FS) SaveSnapshot(name string, snap *Snapshot) error {
 	g.walSize.Store(0)
 	if err := s.files.syncDir(g.dir); err != nil {
 		// Which snapshot a restart reads is now unknown, and a batch logged
-		// against either one could be replayed onto the other: refuse every
-		// write until recovery reads what the disk holds.
+		// against either could be replayed onto the other: refuse writes.
 		failed := fmt.Errorf("%w: the snapshot of %q was renamed into place, but syncing %s failed (%v)", ErrFailed, name, g.dir, err)
 		s.failed.Store(&failed)
 		return fmt.Errorf("%w; whether this snapshot or the previous one survives a restart is unknown", failed)
@@ -165,8 +164,9 @@ func (s *FS) SaveSnapshot(name string, snap *Snapshot) error {
 }
 
 // BeginBatch stages b and writes nothing; CommitBatch appends it at
-// version. They remain only for the benchmark's shadow replay
-// (bench/fleet.go); ROADMAP 5(d) points it at AppendBatch and deletes both.
+// version, and must follow a BeginBatch. They remain only for the
+// benchmark's shadow replay (bench/fleet.go); ROADMAP 5(d) points it at
+// AppendBatch and deletes both.
 func (s *FS) BeginBatch(name string, b *Batch) (int, error) {
 	s.byName(name).staged.Store(b)
 	return 0, nil
@@ -174,11 +174,7 @@ func (s *FS) BeginBatch(name string, b *Batch) (int, error) {
 
 // CommitBatch: see BeginBatch.
 func (s *FS) CommitBatch(name string, version uint64) (int, error) {
-	b := s.byName(name).staged.Swap(nil)
-	if b == nil {
-		return 0, fmt.Errorf("store: CommitBatch of %q with no staged batch", name)
-	}
-	return s.AppendBatch(name, version, b)
+	return s.AppendBatch(name, version, s.byName(name).staged.Swap(nil))
 }
 
 // AppendBatch implements Store.
