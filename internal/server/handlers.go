@@ -35,18 +35,31 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
-// writeBody answers 200 with an encoded JSON body in one Write.
-func writeBody(w http.ResponseWriter, body []byte) {
+// writeBody answers 200 with a JSON body made of parts, under a
+// Content-Length of their sum, each part written as it is.
+func writeBody(w http.ResponseWriter, parts ...[]byte) {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.Header().Set("Content-Length", strconv.Itoa(n))
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(body) // a failed write is the client's hang-up
+	for _, p := range parts {
+		if _, err := w.Write(p); err != nil {
+			return // the client's hang-up
+		}
+	}
 }
+
+// bodyEnd closes every body writeWithTail writes.
+var bodyEnd = []byte("}\n")
 
 // writeWithTail answers 200 with what writeJSON gives head plus two trailing
 // fields, "histogram" and, when cellsField (`,"name":`) is set and the
 // result has cells, the cell array. Only head is encoded per request; the
-// tail is copied from the result's memo.
+// histogram is appended to it from the result's memo, and the memo's cells
+// are written as they are, never copied.
 func writeWithTail(w http.ResponseWriter, head any, res *decompResult, cellsField string) {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
@@ -55,15 +68,16 @@ func writeWithTail(w http.ResponseWriter, head any, res *decompResult, cellsFiel
 		writeError(w, http.StatusInternalServerError, "encoding the response: %v", err)
 		return
 	}
-	open := buf.Bytes()[:buf.Len()-len("}\n")]
+	buf.Truncate(buf.Len() - len(bodyEnd))
 	m := res.encoded()
-	cells := m.cells
-	if cellsField == "" || len(res.Kappa) == 0 { // omitempty
-		cellsField, cells = "", nil
+	buf.WriteString(`,"histogram":`)
+	buf.Write(m.histogram)
+	var cells []byte
+	if cellsField != "" && len(res.Kappa) > 0 { // omitempty
+		buf.WriteString(cellsField)
+		cells = m.cells
 	}
-	body := make([]byte, 0, len(open)+len(`,"histogram":`)+len(m.histogram)+len(cellsField)+len(cells)+len("}\n"))
-	body = append(append(append(body, open...), `,"histogram":`...), m.histogram...)
-	writeBody(w, append(append(append(body, cellsField...), cells...), "}\n"...))
+	writeBody(w, buf.Bytes(), cells, bodyEnd)
 }
 
 // writeStatus maps a write-pipeline error to its HTTP status; anything

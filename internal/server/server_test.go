@@ -18,14 +18,25 @@ import (
 )
 
 // testServerWith spins up a Server behind httptest and tears both down
-// with the test, returning the Server for white-box assertions.
+// with the test, returning the Server for white-box assertions. The
+// httptest close waits for every handler; one still running 10 s in fails
+// the test instead of hanging the binary, and leaves the Server open.
 func testServerWith(t *testing.T, cfg Config) (*httptest.Server, *Server) {
 	t.Helper()
 	s := New(cfg)
 	ts := httptest.NewServer(s)
 	t.Cleanup(func() {
-		ts.Close()
-		s.Close()
+		closed := make(chan struct{})
+		go func() {
+			ts.Close()
+			close(closed)
+		}()
+		select {
+		case <-closed:
+			s.Close()
+		case <-time.After(10 * time.Second):
+			t.Errorf("a handler was still running 10 s into the test server's close (a store hook never released?)")
+		}
 	})
 	return ts, s
 }

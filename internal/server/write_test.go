@@ -287,7 +287,7 @@ func TestAppendedBatchReplaysAtItsVersion(t *testing.T) {
 	dir := t.TempDir()
 	held := &heldAppend{Store: openFS(t, dir), landed: make(chan uint64, 1), release: make(chan struct{})}
 	ts, s := testServerWith(t, Config{Store: held})
-	var releaseOnce sync.Once // runs before the server's cleanup, which waits for the held request
+	var releaseOnce sync.Once // cleanups run last first: the release comes before the server's close
 	t.Cleanup(func() { releaseOnce.Do(func() { close(held.release) }) })
 	if code := send("POST", ts.URL+"/graphs/g", edgeListBody(graph.Complete(5))); code != http.StatusCreated {
 		t.Fatalf("upload: status %d", code)
