@@ -111,11 +111,10 @@ const twoDigits = "00010203040506070809" +
 	"90919293949596979899"
 
 // appendInts returns xs as json.Marshal writes a non-nil slice of them, in
-// a buffer allocated at the exact length. Values in [0, 100) — every κ of
-// the bench graphs, most histogram counts — come from twoDigits without a
-// branch on their width: the tens digit is written first and, for a value
-// below 10, overwritten by the units digit. The rest go through
-// strconv.AppendInt.
+// a buffer allocated at the exact length. Values in [0, 100), which every κ
+// of the bench graphs is, come from twoDigits without a branch on their
+// width: the tens digit is written first and, for a value below 10,
+// overwritten by the units digit. The rest go through strconv.AppendInt.
 func appendInts[T int32 | int64](xs []T) []byte {
 	var digits [20]byte
 	size := max(len(xs), 1) + 1 // brackets and commas
