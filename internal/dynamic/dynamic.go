@@ -16,6 +16,8 @@
 package dynamic
 
 import (
+	"cmp"
+	"fmt"
 	"slices"
 
 	"nucleus/internal/graph"
@@ -45,6 +47,19 @@ type Graph struct {
 	// of the vertices it sheds.
 	cnt            []int32
 	touched, queue []uint32
+
+	// moved lists each rise and fall of the repair since the last publish
+	// as (vertex, κ before it), oldest first; compacted to each vertex's
+	// oldest entry whenever it fills, so it never outgrows twice the
+	// vertices that moved.
+	moved []CoreChange
+}
+
+// CoreChange is one vertex's core number: its new value in ChangedCores
+// and SetCores.
+type CoreChange struct {
+	V     uint32
+	Kappa int32
 }
 
 // New creates a dynamic graph with n isolated vertices (all κ = 0).
@@ -135,6 +150,34 @@ func (g *Graph) setAdj(u, v uint32, present bool) {
 	}
 }
 
+// AddRows adds edge {u,v} to the rows alone, first growing the graph to
+// cover both endpoints, and leaves every core number as it is: the first
+// half of InsertEdge, for a caller that installs the batch's κ itself
+// (SetCores). Returns false, leaving the graph as it was, if the edge
+// already exists or is a self-loop.
+func (g *Graph) AddRows(u, v uint32) bool {
+	if u == v || g.HasEdge(u, v) {
+		return false
+	}
+	g.Grow(int(max(u, v)) + 1)
+	g.setAdj(u, v, true)
+	g.setAdj(v, u, true)
+	g.edges++
+	return true
+}
+
+// RemoveRows deletes edge {u,v} from the rows alone, the first half of
+// RemoveEdge. Returns false if the edge does not exist.
+func (g *Graph) RemoveRows(u, v uint32) bool {
+	if !g.HasEdge(u, v) {
+		return false
+	}
+	g.setAdj(u, v, false)
+	g.setAdj(v, u, false)
+	g.edges--
+	return true
+}
+
 // InsertEdge adds edge {u,v} and repairs the core numbers locally, first
 // growing the graph to cover both endpoints (as graph.ApplyEdits does).
 // Returns false, leaving the graph as it was, if the edge already exists or
@@ -148,13 +191,9 @@ func (g *Graph) setAdj(u, v uint32, present bool) {
 // on. The visited then shed, cascading, every vertex left with at most k
 // neighbors above k or still in; the rest rise.
 func (g *Graph) InsertEdge(u, v uint32) bool {
-	if u == v || g.HasEdge(u, v) {
+	if !g.AddRows(u, v) {
 		return false
 	}
-	g.Grow(int(max(u, v)) + 1)
-	g.setAdj(u, v, true)
-	g.setAdj(v, u, true)
-	g.edges++
 	g.scratch()
 	k := min(g.kappa[u], g.kappa[v])
 	for _, r := range [2]uint32{u, v} {
@@ -187,6 +226,7 @@ func (g *Graph) InsertEdge(u, v uint32) bool {
 	}
 	for _, x := range g.touched {
 		if g.cnt[x] > k {
+			g.noteMove(x)
 			g.kappa[x]++
 		}
 	}
@@ -206,12 +246,9 @@ func (g *Graph) InsertEdge(u, v uint32) bool {
 // queue entry is processed; a vertex touched later counts it out, one
 // counted earlier is decremented then — never both, or it would count twice.
 func (g *Graph) RemoveEdge(u, v uint32) bool {
-	if !g.HasEdge(u, v) {
+	if !g.RemoveRows(u, v) {
 		return false
 	}
-	g.setAdj(u, v, false)
-	g.setAdj(v, u, false)
-	g.edges--
 	g.scratch()
 	k := min(g.kappa[u], g.kappa[v])
 	for _, r := range [2]uint32{u, v} {
@@ -221,6 +258,7 @@ func (g *Graph) RemoveEdge(u, v uint32) bool {
 	}
 	for i := 0; i < len(g.queue); i++ {
 		x := g.queue[i]
+		g.noteMove(x)
 		g.kappa[x] = k - 1
 		for _, w := range g.row(x) {
 			if g.cnt[w] == untouched && g.kappa[w] == k {
@@ -288,11 +326,67 @@ func (g *Graph) reset() {
 	g.touched, g.queue = g.touched[:0], g.queue[:0]
 }
 
+// noteMove records x's core number before the repair moves it.
+func (g *Graph) noteMove(x uint32) {
+	if len(g.moved) == cap(g.moved) {
+		g.moved = oldestPerVertex(g.moved)
+	}
+	g.moved = append(g.moved, CoreChange{x, g.kappa[x]})
+}
+
+// oldestPerVertex sorts moves by vertex and keeps each vertex's oldest,
+// in place.
+func oldestPerVertex(moves []CoreChange) []CoreChange {
+	slices.SortStableFunc(moves, func(a, b CoreChange) int { return cmp.Compare(a.V, b.V) })
+	return slices.CompactFunc(moves, func(a, b CoreChange) bool { return a.V == b.V })
+}
+
+// ChangedCores returns, by ascending vertex, every vertex whose core number
+// the repair (InsertEdge, RemoveEdge) has moved since the graph was created
+// or last published (Static), with its value now: what a replica needs
+// beside the batch's rows to reach this κ without repairing. A vertex that
+// moved and came back is left out; one that grew in is listed only if it
+// left κ = 0. It reads only what moved, never all of κ.
+func (g *Graph) ChangedCores() []CoreChange {
+	g.moved = oldestPerVertex(g.moved)
+	var out []CoreChange
+	for _, m := range g.moved {
+		if k := g.kappa[m.V]; k != m.Kappa {
+			out = append(out, CoreChange{m.V, k})
+		}
+	}
+	return out
+}
+
+// SetCores installs a batch's changed core numbers (ChangedCores of the
+// graph that repaired it) after its rows were edited by AddRows and
+// RemoveRows. It refuses, changing nothing, a list naming a vertex at or
+// past N(), a negative κ or a κ above the vertex's degree: no core number
+// of this graph can be that, so the list was not made for it.
+func (g *Graph) SetCores(cores []CoreChange) error {
+	for _, c := range cores {
+		switch {
+		case int(c.V) >= g.N():
+			return fmt.Errorf("core number of vertex %d, past the vertex count %d", c.V, g.N())
+		case c.Kappa < 0:
+			return fmt.Errorf("negative core number %d of vertex %d", c.Kappa, c.V)
+		case int(c.Kappa) > g.Degree(c.V):
+			return fmt.Errorf("core number %d of vertex %d, above its degree %d", c.Kappa, c.V, g.Degree(c.V))
+		}
+	}
+	for _, c := range cores {
+		g.kappa[c.V] = c.Kappa
+	}
+	return nil
+}
+
 // Static publishes the current graph as an immutable CSR graph,
 // bit-identical to graph.Build of its edge set, and rebases on it: the rows
 // edited since the last call are patched into the previous base and
-// released. With nothing edited it returns the graph it returned before.
+// released, and ChangedCores starts over. With nothing edited it returns
+// the graph it returned before.
 func (g *Graph) Static() *graph.Graph {
+	g.moved = g.moved[:0]
 	if len(g.own) > 0 || g.N() != g.base.N() {
 		g.base = g.base.Patch(g.N(), g.own)
 		clear(g.own)

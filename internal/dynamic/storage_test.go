@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"nucleus/internal/graph"
@@ -246,28 +247,102 @@ func TestStaticAllocsIndependentOfGraph(t *testing.T) {
 // FuzzDynamicEdits: any edit script — grows, publishes in the middle,
 // endpoints past the vertex count, self-loops, duplicates — leaves κ equal
 // to the reference repair after every edit and to a peel at every publish,
-// Static() equal to Build, and never panics. Three bytes an op; vertex ids
-// are bytes, so the graph stays under 256 vertices, and a script is cut at
-// 300 ops so one input costs at most 300 peels.
+// Static() equal to Build, and never panics. The script is replayed a
+// second time the way a replica or a recovery installs it: each batch (the
+// edits between two publishes) as row-only edits plus the first graph's
+// ChangedCores, after which κ must be identical and the published CSR
+// bit-identical. Three bytes an op; vertex ids are bytes, so the graph
+// stays under 256 vertices, and a script is cut at 300 ops so one input
+// costs at most 300 peels.
 func FuzzDynamicEdits(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 0, 1, 2, 0, 0, 2, 4, 0, 0, 2, 0, 1, 0, 2, 200, 3, 9, 0, 1, 200, 2})
 	f.Add([]byte{0, 7, 1, 2, 1, 7, 2, 7, 1, 0, 5, 5, 4, 0, 0, 0, 7, 1})
+	f.Add([]byte{3, 9, 0, 0, 0, 8, 4, 0, 0, 3, 12, 0, 4, 0, 0})                           // grows, alone and beside an edit
+	f.Add([]byte{0, 0, 1, 0, 1, 2, 4, 0, 0, 0, 1, 1, 0, 0, 1, 2, 5, 6, 2, 9, 0, 4, 0, 0}) // self-loop, duplicate add, absent removes
+	f.Add([]byte{0, 0, 1, 0, 1, 2, 0, 0, 2, 4, 0, 0, 0, 1, 3, 0, 0, 3, 2, 1, 3, 4, 0, 0}) // an edge added and removed in one batch
+	f.Add([]byte{0, 0, 1, 0, 2, 3, 4, 0, 0, 0, 1, 2, 4, 0, 0})                            // a batch that moves no κ
 	f.Fuzz(func(t *testing.T, script []byte) {
 		m := newModel(3)
-		d, ref := New(3), New(3)
+		d, ref, rows := New(3), New(3), New(3)
+		type op struct {
+			code byte // script[0] % 5: 0, 1 add, 2 remove, 3 grow
+			u, v uint32
+			did  bool // what the repairing edit returned
+		}
+		var batch []op // since the last publish
+		publish := func(context string) {
+			changed := d.ChangedCores()
+			for _, o := range batch {
+				var did bool
+				switch o.code {
+				case 0, 1:
+					did = rows.AddRows(o.u, o.v)
+				case 2:
+					did = rows.RemoveRows(o.u, o.v)
+				case 3:
+					rows.Grow(int(o.u))
+					continue
+				}
+				if did != o.did {
+					t.Fatalf("%s: row-only edit %+v returned %v", context, o, did)
+				}
+			}
+			batch = batch[:0]
+			if err := rows.SetCores(changed); err != nil {
+				t.Fatalf("%s: installing %v: %v", context, changed, err)
+			}
+			got, _ := m.check(t, d, context)
+			if !slices.Equal(rows.CoreNumbers(), d.CoreNumbers()) {
+				t.Fatalf("%s: installed κ %v, repaired %v (list %v)", context, rows.CoreNumbers(), d.CoreNumbers(), changed)
+			}
+			installed := rows.Static()
+			installed.Edges()
+			if !reflect.DeepEqual(installed, got) {
+				t.Fatalf("%s: the row-only replay's CSR differs from the repaired graph's", context)
+			}
+		}
 		for script = script[:min(len(script), 900)]; len(script) >= 3; script = script[3:] {
 			u, v := uint32(script[1]), uint32(script[2])
-			switch op := script[0] % 5; op {
+			switch code := script[0] % 5; code {
 			case 0, 1, 2:
-				matchRef(t, d, ref, op < 2, u, v, m.edit(t, d, op < 2, u, v))
+				did := m.edit(t, d, code < 2, u, v)
+				matchRef(t, d, ref, code < 2, u, v, did)
+				batch = append(batch, op{code, u, v, did})
 			case 3:
 				m.n = max(m.n, int(u))
 				d.Grow(int(u))
 				ref.Grow(int(u))
+				batch = append(batch, op{code: code, u: u})
 			case 4:
-				m.check(t, d, "mid-script publish")
+				publish("mid-script publish")
 			}
 		}
-		m.check(t, d, "end of script")
+		publish("end of script")
 	})
+}
+
+// TestSetCoresRefusesForeignList: a list naming a vertex past the graph, a
+// negative κ or a κ above the vertex's degree is refused, and κ is left as
+// it was, even for the entries before the bad one.
+func TestSetCoresRefusesForeignList(t *testing.T) {
+	d := FromStatic(graph.Complete(4)) // κ = 3 everywhere, degree 3
+	for _, tc := range []struct {
+		cores []CoreChange
+		want  string
+	}{
+		{[]CoreChange{{0, 2}, {4, 1}}, "vertex 4, past the vertex count 4"},
+		{[]CoreChange{{0, 2}, {1, -1}}, "negative core number -1 of vertex 1"},
+		{[]CoreChange{{0, 2}, {2, 4}}, "core number 4 of vertex 2, above its degree 3"},
+	} {
+		err := d.SetCores(tc.cores)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("SetCores(%v) = %v, want an error containing %q", tc.cores, err, tc.want)
+		}
+		if !slices.Equal(d.CoreNumbers(), []int32{3, 3, 3, 3}) {
+			t.Fatalf("SetCores(%v) changed κ to %v", tc.cores, d.CoreNumbers())
+		}
+	}
+	if err := d.SetCores([]CoreChange{{0, 0}, {3, 3}}); err != nil || !slices.Equal(d.CoreNumbers(), []int32{0, 3, 3, 3}) {
+		t.Fatalf("SetCores of a fitting list: %v, κ %v", err, d.CoreNumbers())
+	}
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"log"
 	"runtime"
 
@@ -23,7 +24,7 @@ import (
 //     an acknowledged upload survives a crash, an unacknowledged one was
 //     never visible, and neither interleaves with a mutation or compaction;
 //   - an edit batch is applied to a private overlay and appended as one WAL
-//     frame {version, batch} before its minted version is published
+//     frame {version, batch, changed κ} before its minted version is published
 //     (commitBatch), so replay reconstructs exactly the acknowledged state
 //     and a batch whose append fails was never visible;
 //   - a background compactor folds long WALs into fresh snapshots once they
@@ -74,7 +75,12 @@ func (s *Server) recoverFromStore() {
 				s.stats.Persistence.Errors.Add(1)
 				continue
 			}
-			e := s.rebuildEntry(name, snap, batches)
+			e, err := s.rebuildEntry(name, snap, batches)
+			if err != nil {
+				log.Printf("nucleusd: recovering graph %q: %v", name, err)
+				s.stats.Persistence.Errors.Add(1)
+				continue
+			}
 			s.reg.publish(e, nil)
 			s.stats.Persistence.Replays.Add(1)
 			s.stats.Persistence.ReplayedBatches.Add(int64(len(batches)))
@@ -86,12 +92,15 @@ func (s *Server) recoverFromStore() {
 }
 
 // rebuildEntry replays one graph: the snapshot is the base, each logged
-// WAL batch is re-applied through the same overlay (overlayFor) and repair
-// (applyBatch) commitBatch uses, and the entry lands at the exact version
-// the last batch was published at. When the snapshot carries the maintained
-// exact κ the overlay seeds from it (no cold peel even with a non-empty
-// WAL); a never-decomposed lineage with a WAL pays one peel.
-func (s *Server) rebuildEntry(name string, snap *store.Snapshot, batches []store.CommittedBatch) *graphEntry {
+// WAL batch is re-applied through the same overlay (overlayFor) and
+// applyBatch commitBatch uses — the rows edited and the logged core
+// numbers installed, or for a format-2 batch the repair — and the entry
+// lands at the exact version the last batch was published at. When the
+// snapshot carries the maintained exact κ the overlay seeds from it (no
+// cold peel even with a non-empty WAL); a never-decomposed lineage with a
+// WAL pays one peel. A logged list that does not fit the graph fails the
+// graph, naming the batch's version and the vertex.
+func (s *Server) rebuildEntry(name string, snap *store.Snapshot, batches []store.CommittedBatch) (*graphEntry, error) {
 	e := &graphEntry{
 		name:      name,
 		g:         snap.Graph,
@@ -102,16 +111,18 @@ func (s *Server) rebuildEntry(name string, snap *store.Snapshot, batches []store
 		mutations: snap.Meta.Mutations,
 	}
 	if len(batches) == 0 {
-		return e
+		return e, nil
 	}
 	dyn := s.overlayFor(e)
 	for _, b := range batches {
-		applyBatch(dyn, &b.Batch, int(batchNeedN(dyn.N(), &b.Batch)))
+		if _, _, _, err := applyBatch(dyn, &b.Batch, int(batchNeedN(dyn.N(), &b.Batch))); err != nil {
+			return nil, fmt.Errorf("replaying version %d: %w", b.Version, err)
+		}
 		e.version = b.Version
 		e.mutations++
 	}
 	e.g, e.coreKappa = dyn.Static(), dyn.CoreNumbers()
-	return e
+	return e, nil
 }
 
 // warmRecoverCore installs e's maintained (or persisted) exact κ as its

@@ -434,7 +434,10 @@ func (a replApplier) GraphNames() []string {
 // Meta.Version, and installs the shipped κ as the core cache entry so the
 // first read is a hit, not a cold run.
 func (a replApplier) InstallSnapshot(name string, snap *store.Snapshot) error {
-	e := a.s.rebuildEntry(name, snap, nil)
+	e, err := a.s.rebuildEntry(name, snap, nil)
+	if err != nil {
+		return err
+	}
 	installed, err := a.s.installGraph(e, snap.Meta.Version)
 	if installed && e.coreKappa != nil {
 		a.s.warmRecoverCore(e, nil)

@@ -17,10 +17,13 @@ import (
 // edit batch or delete, the same three shipped from a primary to a replica,
 // and (through overlayFor and applyBatch) WAL replay at startup — runs
 // through these three methods, so a replica or a restarted node holds
-// exactly what the primary acknowledged because it ran the primary's code,
-// not a copy of it. They know nothing of HTTP: failures come back as typed
-// errors, which the handlers map to a status (writeStatus, handlers.go) and
-// the replication applier to its lastError text.
+// exactly what the primary acknowledged. A batch's core numbers are
+// computed once, by the primary's repair, and logged in its frame; a
+// replica and a replay edit the rows and install those values instead of
+// running the repair again (only a batch from a format-2 log, which has no
+// list, is repaired). They know nothing of HTTP: failures come back as
+// typed errors, which the handlers map to a status (writeStatus,
+// handlers.go) and the replication applier to its lastError text.
 //
 // Each method takes the per-name mutation lock, so WAL frames land in
 // version order and a snapshot is a consistent (graph, version, κ) triple.
@@ -83,10 +86,12 @@ type batchOutcome struct {
 	warmSeeded []string
 }
 
-// commitBatch applies one edit batch to name: overlay repair → mint → one
-// WAL frame {version, batch}, beside the CSR patch → copy-on-write publish
-// → counters, then, with the lock released, warm seeding, the purge of the
-// displaced version's cache entries and the compaction check.
+// commitBatch applies one edit batch to name: overlay repair (or, for a
+// batch that carries its core numbers, row edits and their install) → mint
+// → one WAL frame {version, batch, changed κ}, beside the CSR patch →
+// copy-on-write publish → counters, then, with the lock released, warm
+// seeding, the purge of the displaced version's cache entries and the
+// compaction check.
 //
 // at == 0 skips a fully no-op batch: the graph is bit-identical, and a
 // version bump would purge every cache entry the warm seeder does not
@@ -142,7 +147,10 @@ func (s *Server) commitBatch(name string, batch *store.Batch, at uint64) (batchO
 	// The overlay is this batch's own: nothing sees it until the publish.
 	dyn := s.overlayFor(e)
 	// needN <= maxGenVertices, so the int conversion is safe.
-	added, removed, ignored := applyBatch(dyn, batch, int(needN))
+	added, removed, ignored, err := applyBatch(dyn, batch, int(needN))
+	if err != nil {
+		return batchOutcome{}, fmt.Errorf("graph %q version %d: %w", name, at, err)
+	}
 	out := batchOutcome{
 		live: e, added: added, removed: removed, ignored: ignored,
 		maxCore: maxOf(dyn.CoreNumbers()), warmSeeded: []string{},
@@ -155,6 +163,11 @@ func (s *Server) commitBatch(name string, batch *store.Batch, at uint64) (batchO
 	version := at
 	if at == 0 {
 		version = s.reg.mint()
+	}
+	if !batch.HasCores {
+		// The repair's changes ride in the frame: whoever applies it next
+		// installs them.
+		batch = &store.Batch{Edits: batch.Edits, GrowTo: batch.GrowTo, Cores: convertCores[store.CoreChange](dyn.ChangedCores()), HasCores: true}
 	}
 	// Copy-on-write publication: the overlay patches the rows this batch
 	// touched into a fresh immutable CSR and hands over its κ; it is not
@@ -273,24 +286,47 @@ func batchNeedN(n int, b *store.Batch) int64 {
 	return needN
 }
 
-// applyBatch grows the overlay and applies one batch to it, repairing κ
-// incrementally. The no-op semantics (duplicate adds, absent or
-// out-of-range removes, self-loops) are shared verbatim between commitBatch
-// and WAL replay — recovery MUST reproduce the exact decisions the
-// acknowledged write made or replayed graphs would drift from it.
-func applyBatch(dyn *dynamic.Graph, b *store.Batch, needN int) (added, removed, ignored int) {
+// applyBatch grows the overlay and applies one batch to it. A batch that
+// carries its core numbers has its rows edited and the values installed
+// (SetCores refuses a list that does not fit the graph); any other is
+// repaired edit by edit. The no-op semantics (duplicate adds, absent or
+// out-of-range removes, self-loops) are shared verbatim between
+// commitBatch and WAL replay, and between the two kinds of edit — recovery
+// MUST reproduce the exact decisions the acknowledged write made or
+// replayed graphs would drift from it.
+func applyBatch(dyn *dynamic.Graph, b *store.Batch, needN int) (added, removed, ignored int, err error) {
 	dyn.Grow(needN)
+	insert, remove := dyn.InsertEdge, dyn.RemoveEdge
+	if b.HasCores {
+		insert, remove = dyn.AddRows, dyn.RemoveRows
+	}
 	for _, ed := range b.Edits {
 		switch {
-		case ed.Op == store.OpAdd && dyn.InsertEdge(ed.U, ed.V):
+		case ed.Op == store.OpAdd && insert(ed.U, ed.V):
 			added++
-		case ed.Op == store.OpRemove && dyn.RemoveEdge(ed.U, ed.V):
+		case ed.Op == store.OpRemove && remove(ed.U, ed.V):
 			removed++
 		default:
 			ignored++
 		}
 	}
-	return added, removed, ignored
+	if b.HasCores {
+		err = dyn.SetCores(convertCores[dynamic.CoreChange](b.Cores))
+	}
+	return added, removed, ignored, err
+}
+
+// convertCores copies a core-number list between the repair's type and
+// the log's, which have one layout.
+func convertCores[To, From ~struct {
+	V     uint32
+	Kappa int32
+}](from []From) []To {
+	to := make([]To, len(from))
+	for i, c := range from {
+		to[i] = To(c)
+	}
+	return to
 }
 
 func maxOf(kappa []int32) int32 {

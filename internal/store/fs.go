@@ -82,7 +82,12 @@ type fsGraph struct {
 	// WAL header so replay can reject a log stranded by a crash between a
 	// snapshot replacement and its WAL truncation. 0 = not yet known
 	// (resolved lazily from the snapshot file on the first append).
-	gen    uint64
+	gen uint64
+	// format is the WAL header's format: a batch is logged with its core
+	// numbers only in a log of walFormat, which this process started or
+	// loaded; 0 = not known, and batch frames, which every format reads,
+	// are appended.
+	format uint64
 	staged atomic.Pointer[Batch] // BeginBatch's, for CommitBatch
 }
 
@@ -182,20 +187,26 @@ func (s *FS) AppendBatch(name string, version uint64, b *Batch) (int, error) {
 	if err := s.failed.Load(); err != nil {
 		return 0, *err
 	}
-	frame := encodeBatchFrame(version, b)
+	if b.HasCores && !ascendingCores(b.Cores) {
+		return 0, fmt.Errorf("store: batch for %q at version %d lists core numbers out of vertex order", name, version)
+	}
 	g := s.byName(name)
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if err := os.MkdirAll(g.dir, 0o755); err != nil {
-		return 0, err
-	}
 	path := filepath.Join(g.dir, walFile)
 	size := g.walSize.Load()
 	flag := os.O_CREATE | os.O_WRONLY
+	var header []byte
 	if size == 0 {
 		// First frame of a fresh log: prepend the header naming the
 		// snapshot generation this WAL extends (one write, one fsync), and
 		// drop whatever a dead lineage or a failed append left in the file.
+		// A live log's directory is not recreated: one removed under it
+		// held the snapshot, and a batch logged without that is one no
+		// restart can recover.
+		if err := os.MkdirAll(g.dir, 0o755); err != nil {
+			return 0, err
+		}
 		flag |= os.O_TRUNC
 		if g.gen == 0 {
 			// Generation unknown: this process has neither saved nor loaded
@@ -211,8 +222,9 @@ func (s *FS) AppendBatch(name string, version uint64, b *Batch) (int, error) {
 			}
 			g.gen = snap.Meta.Version
 		}
-		frame = append(encodeHeaderFrame(g.gen), frame...)
+		header, g.format = encodeHeaderFrame(g.gen), walFormat
 	}
+	frame := append(header, encodeBatchFrame(version, b, g.format == walFormat)...)
 	f, err := s.files.openFile(path, flag)
 	if err != nil {
 		return 0, err
@@ -272,7 +284,7 @@ func (s *FS) LoadThreads(name string, threads int) (*Snapshot, []CommittedBatch,
 	if err != nil {
 		return nil, nil, err
 	}
-	gen, hasHeader, batches, goodLen, err := decodeFrames(wal)
+	gen, format, hasHeader, batches, goodLen, err := decodeFrames(wal)
 	if err != nil {
 		return nil, nil, fmt.Errorf("store: %s: %w", walPath, err)
 	}
@@ -293,6 +305,7 @@ func (s *FS) LoadThreads(name string, threads int) (*Snapshot, []CommittedBatch,
 		}
 	}
 	g.walSize.Store(int64(goodLen))
+	g.format = format
 	return snap, batches, nil
 }
 

@@ -6,9 +6,11 @@
 // s-clique indices, decomposition caches, hierarchies — is never persisted:
 // it is rebuilt (warm-started, not cold) from the recovered κ arrays.
 //
-// The WAL holds one frame per batch, {version, batch}, appended and
-// synced after the batch is applied to a private overlay and its version
-// minted, and before that version is published. Nothing sees a batch
+// The WAL holds one frame per batch, {version, batch, changed κ}, appended
+// and synced after the batch is applied to a private overlay and its
+// version minted, and before that version is published; the core numbers
+// the batch moved ride in the frame, so whoever applies it next installs
+// them instead of repairing. Nothing sees a batch
 // before its frame is durable, so a crash or a failed append anywhere in
 // the window leaves exactly the acknowledged state: a batch whose append
 // did not return was never published or acknowledged, and one whose
@@ -81,6 +83,20 @@ type Batch struct {
 	// GrowTo optionally raises the vertex count beyond the largest edit
 	// endpoint; 0 means no explicit growth.
 	GrowTo int
+	// Cores lists, by ascending vertex, every vertex whose core number the
+	// batch moved and its new value, when HasCores: what lets a replica or
+	// a recovery edit the rows and install κ instead of repairing it.
+	Cores []CoreChange
+	// HasCores reports that Cores is the batch's list, even an empty one.
+	// A batch without one — a client's, before its repair, or one decoded
+	// from a format-2 log — must be repaired.
+	HasCores bool
+}
+
+// CoreChange is one vertex's new core number.
+type CoreChange struct {
+	V     uint32
+	Kappa int32
 }
 
 // CommittedBatch is a replayable WAL batch together with the registry

@@ -527,6 +527,104 @@ func TestLoadRefusesOldFormatWAL(t *testing.T) {
 	}
 }
 
+// format2Dir is a data directory written by the format-2 encoder (one
+// frame per batch, no core numbers): graph "g", a snapshot at version 3
+// with its κ, and two batches published at versions 4 and 5 that move κ,
+// the second with a growTo and a self-loop.
+const format2Dir = "testdata/walformat2"
+
+// TestLoadReadsFormat2WAL: a format-2 log is read, its batches marked as
+// carrying no core numbers, and appending to it keeps it format 2 — a
+// batch with its list is logged without it — so the log never holds a
+// frame its header does not name.
+func TestLoadReadsFormat2WAL(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "data")
+	if err := os.CopyFS(dir, os.DirFS(format2Dir)); err != nil {
+		t.Fatal(err)
+	}
+	s, err := OpenFS(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []CommittedBatch{
+		{Version: 4, Batch: Batch{Edits: []BatchOp{{OpAdd, 4, 3}, {OpAdd, 5, 1}}}},
+		{Version: 5, Batch: Batch{GrowTo: 8, Edits: []BatchOp{{OpRemove, 0, 1}, {OpAdd, 6, 7}, {OpAdd, 5, 2}, {OpAdd, 0, 0}}}},
+	}
+	snap, batches, err := s.Load("g")
+	if err != nil || snap.Meta.Version != 3 || snap.Kappa == nil {
+		t.Fatalf("Load: %+v, %v", snap, err)
+	}
+	sameBatches(t, batches, want)
+
+	next := CommittedBatch{Version: 6, Batch: Batch{Edits: []BatchOp{{OpAdd, 6, 0}}, Cores: []CoreChange{{6, 2}}, HasCores: true}}
+	if _, err := s.AppendBatch("g", next.Version, &next.Batch); err != nil {
+		t.Fatal(err)
+	}
+	next.Cores, next.HasCores = nil, false
+	_, batches, err = s.Load("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameBatches(t, batches, append(want, next))
+	wal, err := os.ReadFile(filepath.Join(dir, "graphs", "g", walFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, format, _, _, _, _ := decodeFrames(wal); format != 2 {
+		t.Fatalf("appended-to log reads as format %d, want 2", format)
+	}
+}
+
+// TestAppendKeepsRemovedDirGone: once a live log's directory is removed
+// (snapshot and all), the next append fails rather than log a batch no
+// restart could recover; the directory stays absent and WALSize is
+// unchanged.
+func TestAppendKeepsRemovedDirGone(t *testing.T) {
+	s, err := OpenFS(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SaveSnapshot("g", faultSnapshot(1)); err != nil {
+		t.Fatal(err)
+	}
+	b := &Batch{Edits: []BatchOp{{OpAdd, 0, 1}}}
+	if _, err := s.AppendBatch("g", 2, b); err != nil {
+		t.Fatal(err)
+	}
+	size := s.WALSize("g")
+	gdir := filepath.Join(s.root, "graphs", "g")
+	if err := os.RemoveAll(gdir); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := s.AppendBatch("g", 3, b); err == nil || n != 0 {
+		t.Fatalf("append under a removed directory: %d, %v; want an error", n, err)
+	}
+	if _, err := os.Stat(gdir); !os.IsNotExist(err) {
+		t.Fatalf("directory after the failed append: %v, want it absent", err)
+	}
+	if got := s.WALSize("g"); got != size {
+		t.Fatalf("WALSize %d after the failed append, want %d", got, size)
+	}
+}
+
+// TestAppendRefusesUnorderedCores: a core-number list the cores frame
+// cannot write (not strictly ascending by vertex) is refused before
+// anything is written.
+func TestAppendRefusesUnorderedCores(t *testing.T) {
+	s, err := OpenFS(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SaveSnapshot("g", faultSnapshot(1)); err != nil {
+		t.Fatal(err)
+	}
+	for _, cores := range [][]CoreChange{{{2, 1}, {1, 1}}, {{1, 1}, {1, 2}}} {
+		if _, err := s.AppendBatch("g", 2, &Batch{Cores: cores, HasCores: true}); err == nil || s.WALSize("g") != 0 {
+			t.Fatalf("cores %v: %v, WALSize %d; want a refusal and no log", cores, err, s.WALSize("g"))
+		}
+	}
+}
+
 // TestFailedAppendLeavesNoTrace: an append whose write lands half its
 // frame and then fails is cut off again, so a reopened store replays
 // exactly the batches before it and the log has its old length.
@@ -577,7 +675,7 @@ func TestBeginCommitShimWritesOneFrame(t *testing.T) {
 		t.Fatalf("BeginBatch: %d, %v; WALSize %d", n, err, s.WALSize("g"))
 	}
 	n, err := s.CommitBatch("g", 2)
-	if err != nil || int64(n) != s.WALSize("g") || n != len(encodeHeaderFrame(1))+len(encodeBatchFrame(2, b)) {
+	if err != nil || int64(n) != s.WALSize("g") || n != len(encodeHeaderFrame(1))+len(encodeBatchFrame(2, b, true)) {
 		t.Fatalf("CommitBatch: %d, %v; WALSize %d", n, err, s.WALSize("g"))
 	}
 	_, batches, err := s.Load("g")

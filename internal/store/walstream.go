@@ -30,6 +30,7 @@ import (
 type WALScanner struct {
 	buf    []byte
 	gen    uint64
+	format uint64 // the header's, once seen
 	hasGen bool
 	err    error // sticky: ErrCorruptFrame or an ErrWALFormat
 }
@@ -82,7 +83,7 @@ func (sc *WALScanner) Next() (*CommittedBatch, error) {
 }
 
 // decode holds one intact frame to the log's grammar: exactly one header,
-// first, then batch frames.
+// first, then batch frames, and cores frames only under a format-3 header.
 func (sc *WALScanner) decode(f rawFrame) (*CommittedBatch, error) {
 	switch {
 	case f.typ == frameHeader && !sc.hasGen:
@@ -90,13 +91,13 @@ func (sc *WALScanner) decode(f rawFrame) (*CommittedBatch, error) {
 		if err != nil {
 			return nil, ErrCorruptFrame
 		}
-		if format != walFormat {
-			return nil, fmt.Errorf("%w %d, this build reads format %d", ErrWALFormat, format, walFormat)
+		if format < oldestWALFormat || format > walFormat {
+			return nil, fmt.Errorf("%w %d, this build reads formats %d and %d", ErrWALFormat, format, oldestWALFormat, walFormat)
 		}
-		sc.gen, sc.hasGen = gen, true
+		sc.gen, sc.format, sc.hasGen = gen, format, true
 		return nil, nil
-	case f.typ == frameBatch && sc.hasGen:
-		b, err := decodeBatchPayload(f.payload)
+	case f.typ == frameBatch && sc.hasGen, f.typ == frameBatchCores && sc.hasGen && sc.format == walFormat:
+		b, err := decodeBatchPayload(f.payload, f.typ == frameBatchCores)
 		if err != nil {
 			return nil, ErrCorruptFrame
 		}

@@ -2,11 +2,14 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -35,6 +38,9 @@ func makeShippableWAL(t testing.TB, nBatches int) (wal []byte, want []CommittedB
 	}
 	for i := 0; i < nBatches; i++ {
 		b := Batch{Edits: []BatchOp{{Op: OpAdd, U: uint32(i), V: uint32(i + 1)}}, GrowTo: i + 2}
+		if i%2 == 1 { // every other batch carries its core numbers: both frame kinds
+			b.Cores, b.HasCores = []CoreChange{{uint32(i), 1}, {uint32(i + 1), 1}}, true
+		}
 		v := gen + uint64(i) + 1
 		if _, err := s.AppendBatch("g", v, &b); err != nil {
 			t.Fatal(err)
@@ -64,6 +70,9 @@ func sameBatches(t *testing.T, got, want []CommittedBatch) {
 				t.Fatalf("batch %d edit %d: got %+v want %+v", i, j, g.Edits[j], w.Edits[j])
 			}
 		}
+		if g.HasCores != w.HasCores || !slices.Equal(g.Cores, w.Cores) {
+			t.Fatalf("batch %d: got core numbers %v (%v), want %v (%v)", i, g.Cores, g.HasCores, w.Cores, w.HasCores)
+		}
 	}
 }
 
@@ -88,9 +97,9 @@ func drainScanner(t *testing.T, sc *WALScanner) []CommittedBatch {
 // the header generation.
 func TestWALScannerMatchesFileReplay(t *testing.T) {
 	wal, want, gen := makeShippableWAL(t, 5)
-	fileGen, hasHeader, fileBatches, goodLen, err := decodeFrames(wal)
-	if err != nil || !hasHeader || fileGen != gen || goodLen != len(wal) {
-		t.Fatalf("file replay: gen=%d hasHeader=%v goodLen=%d/%d err=%v", fileGen, hasHeader, goodLen, len(wal), err)
+	fileGen, format, hasHeader, fileBatches, goodLen, err := decodeFrames(wal)
+	if err != nil || !hasHeader || fileGen != gen || format != walFormat || goodLen != len(wal) {
+		t.Fatalf("file replay: gen=%d format=%d hasHeader=%v goodLen=%d/%d err=%v", fileGen, format, hasHeader, goodLen, len(wal), err)
 	}
 	sameBatches(t, fileBatches, want)
 
@@ -218,12 +227,15 @@ func TestFileReplayMatchesScannerOnDamagedImages(t *testing.T) {
 		}
 		version := uint64(rng.Intn(1000))
 		for i, n := 0, 3+rng.Intn(4); i < n; i++ {
-			b := Batch{GrowTo: rng.Intn(300)}
+			b := Batch{GrowTo: rng.Intn(300), HasCores: rng.Intn(2) == 0}
 			for j, m := 0, rng.Intn(5); j < m; j++ {
 				b.Edits = append(b.Edits, BatchOp{Op: OpAdd + byte(rng.Intn(2)), U: uint32(rng.Intn(1 << 20)), V: uint32(rng.Intn(200))})
 			}
+			for v, m := uint32(0), rng.Intn(4); b.HasCores && len(b.Cores) < m; v += uint32(1 + rng.Intn(1<<14)) {
+				b.Cores = append(b.Cores, CoreChange{V: v, Kappa: int32(rng.Intn(200))})
+			}
 			version += 1 + uint64(rng.Intn(3))
-			frame(encodeBatchFrame(version, &b))
+			frame(encodeBatchFrame(version, &b, true))
 		}
 		starts = append(starts, len(image))
 		// frameStart is the offset of the frame holding byte i (the last
@@ -240,7 +252,7 @@ func TestFileReplayMatchesScannerOnDamagedImages(t *testing.T) {
 		intact := scan(image)
 		check := func(what string, data []byte, wantGoodLen int) {
 			t.Helper()
-			_, hasHeader, fileBatches, goodLen, err := decodeFrames(data)
+			_, _, hasHeader, fileBatches, goodLen, err := decodeFrames(data)
 			if err != nil || goodLen != wantGoodLen || hasHeader != (wantGoodLen > 0) {
 				t.Fatalf("seed %d, %s: goodLen=%d hasHeader=%v err=%v, want %d", seed, what, goodLen, hasHeader, err, wantGoodLen)
 			}
@@ -363,17 +375,33 @@ func FuzzWALScanner(f *testing.F) {
 	f.Add(wal[:len(wal)-2], 5)
 	f.Add([]byte{}, 1)
 	f.Add([]byte{frameHeader, 0, 0, 0, 0, 0}, 2)
-	f.Add(append(encodeHeaderFrame(2), encodeBatchFrame(3, &Batch{GrowTo: 5, Edits: []BatchOp{{OpAdd, 0, 4}, {OpRemove, 1, 2}}})...), 4)
-	old, err := os.ReadFile(filepath.Join(oldFormatDir, "graphs", "g", walFile))
-	if err != nil {
-		f.Fatal(err)
+	edits := Batch{GrowTo: 5, Edits: []BatchOp{{OpAdd, 0, 4}, {OpRemove, 1, 2}}}
+	f.Add(append(encodeHeaderFrame(2), encodeBatchFrame(3, &edits, false)...), 4)
+	// Format 3: an empty list, a long one, and a count past the payload.
+	empty := edits
+	empty.HasCores = true
+	f.Add(append(encodeHeaderFrame(2), encodeBatchFrame(3, &empty, true)...), 3)
+	long := empty
+	for v := uint32(0); v < 300; v++ {
+		long.Cores = append(long.Cores, CoreChange{V: 3*v + 1, Kappa: int32(v % 7)})
 	}
-	f.Add(old, 2)
+	f.Add(append(encodeHeaderFrame(2), encodeBatchFrame(3, &long, true)...), 64)
+	overrun := encodeBatchFrame(3, &empty, true)
+	payload := overrun[2 : len(overrun)-4] // one length byte: the payload is short
+	payload[len(payload)-1] = 120          // nCores, with no entry behind it
+	f.Add(append(encodeHeaderFrame(2), encodeFrame(frameBatchCores, payload)...), 5)
+	for _, dir := range []string{oldFormatDir, format2Dir} {
+		old, err := os.ReadFile(filepath.Join(dir, "graphs", "g", walFile))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(old, 2)
+	}
 	f.Fuzz(func(t *testing.T, data []byte, chunk int) {
 		if chunk <= 0 {
 			chunk = 1
 		}
-		_, _, fileBatches, _, _ := decodeFrames(data)
+		_, _, _, fileBatches, _, _ := decodeFrames(data)
 
 		scan := func(feedChunk int) ([]CommittedBatch, bool) {
 			sc := NewWALScanner()
@@ -410,7 +438,8 @@ func FuzzWALScanner(f *testing.F) {
 		}
 		for i := range whole {
 			a, b := whole[i], fileBatches[i]
-			if a.Version != b.Version || a.GrowTo != b.GrowTo || len(a.Edits) != len(b.Edits) {
+			if a.Version != b.Version || a.GrowTo != b.GrowTo || len(a.Edits) != len(b.Edits) ||
+				a.HasCores != b.HasCores || !slices.Equal(a.Cores, b.Cores) {
 				t.Fatalf("batch %d diverges: scanner %+v file %+v", i, a, b)
 			}
 			for j := range a.Edits {
@@ -420,4 +449,47 @@ func FuzzWALScanner(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestCoresFrameBounds: a cores frame is refused as corrupt — never
+// allocated for, never read past — when its count runs past the payload,
+// a vertex past 32 bits or a κ past int32, or when it sits under a
+// format-2 header.
+func TestCoresFrameBounds(t *testing.T) {
+	head := encodeBatchFrame(3, &Batch{HasCores: true}, true)
+	prefix := head[2 : len(head)-4-1] // version, growTo, nEdits
+	entry := func(parts ...[]byte) []byte {
+		p := bytes.Clone(prefix)
+		for _, part := range parts {
+			p = append(p, part...)
+		}
+		return p
+	}
+	uv := func(v uint64) []byte { return binary.AppendUvarint(nil, v) }
+	sv := func(v int64) []byte { return binary.AppendVarint(nil, v) }
+	for name, payload := range map[string][]byte{
+		"count past the payload": entry(uv(1<<40), uv(0), sv(1)),
+		"count one past":         entry(uv(2), uv(0), sv(1)),
+		"vertex past 32 bits":    entry(uv(1), uv(1<<32), sv(1)),
+		"gap past 32 bits":       entry(uv(2), uv(1<<31), sv(1), uv(1<<31), sv(1)),
+		"κ past int32":           entry(uv(1), uv(0), sv(1<<31)),
+		"κ below int32":          entry(uv(1), uv(0), sv(-1<<31-1)),
+		"trailing byte":          entry(uv(1), uv(0), sv(1), []byte{0}),
+	} {
+		sc := NewWALScanner()
+		sc.Feed(append(encodeHeaderFrame(1), encodeFrame(frameBatchCores, payload)...))
+		if cb, err := sc.Next(); cb != nil || !errors.Is(err, ErrCorruptFrame) {
+			t.Errorf("%s: %+v, %v; want ErrCorruptFrame", name, cb, err)
+		}
+	}
+	sc := NewWALScanner()
+	sc.Feed(append(encodeFrame(frameHeader, append(uv(1), uv(2)...)), encodeFrame(frameBatchCores, entry(uv(0)))...))
+	if cb, err := sc.Next(); cb != nil || !errors.Is(err, ErrCorruptFrame) {
+		t.Errorf("cores frame under a format-2 header: %+v, %v; want ErrCorruptFrame", cb, err)
+	}
+	sc = NewWALScanner()
+	sc.Feed(append(encodeHeaderFrame(1), encodeFrame(frameBatchCores, entry(uv(1), uv(math.MaxUint32), sv(math.MaxInt32)))...))
+	if cb, err := sc.Next(); err != nil || !cb.HasCores || !slices.Equal(cb.Cores, []CoreChange{{math.MaxUint32, math.MaxInt32}}) {
+		t.Errorf("largest vertex and κ: %+v, %v", cb, err)
+	}
 }
