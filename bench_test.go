@@ -10,10 +10,10 @@ import (
 
 	"nucleus/internal/dataset"
 	"nucleus/internal/hierarchy"
-	"nucleus/internal/hindex"
 	"nucleus/internal/localhi"
 	"nucleus/internal/metrics"
 	inucleus "nucleus/internal/nucleus"
+	"nucleus/internal/nucleustest"
 	"nucleus/internal/peel"
 )
 
@@ -192,8 +192,8 @@ func BenchmarkE12OrderAblation(b *testing.B) {
 }
 
 // BenchmarkE14HIndex compares the h-index implementations of §4.4.
-func BenchmarkE14HIndexSort(b *testing.B)   { benchHIndex(b, hindex.Sort) }
-func BenchmarkE14HIndexLinear(b *testing.B) { benchHIndex(b, hindex.Linear) }
+func BenchmarkE14HIndexSort(b *testing.B)   { benchHIndex(b, nucleustest.HIndexSort) }
+func BenchmarkE14HIndexLinear(b *testing.B) { benchHIndex(b, nucleustest.HIndexLinear) }
 
 func benchHIndex(b *testing.B, f func([]int32) int32) {
 	vals := make([]int32, 512)

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"nucleus/internal/graph"
-	"nucleus/internal/hindex"
 	"nucleus/internal/nucleus"
 	"nucleus/internal/nucleustest"
 	"nucleus/internal/peel"
@@ -19,10 +18,10 @@ import (
 // kernel itself.
 
 // TestPreserveExactness: for any τ array and any cur, the kernel returns
-// exactly min(cur, H(ρ list)) — H computed by hindex.Linear over the ρ list
-// gathered from the cell's row (nucleustest.Groups) — over stored rows and
-// over the same rows discovered, and pays the same visits on both, never
-// more than the row holds. The instances run every row loop of the kernel:
+// exactly min(cur, H(ρ list)) — H computed by nucleustest.HIndexLinear over
+// the ρ list gathered from the cell's row (nucleustest.Groups) — over stored
+// rows and over the same rows discovered, and pays the same visits on both,
+// never more than the row holds. The instances run every row loop of the kernel:
 // co-arity 1 (core), 2 (truss, and (1,3) from the generic builder), 3
 // ((3,4) and (1,4)) and 5 ((2,4), the generic loop). Some τ are
 // math.MaxInt32, the overflow edge of the kernel's arithmetic min. One
@@ -59,7 +58,7 @@ func TestPreserveExactness(t *testing.T) {
 					}
 					rhos = append(rhos, rho)
 				}
-				h := hindex.Linear(rhos)
+				h := nucleustest.HIndexLinear(rhos)
 				for cur := int32(0); cur <= maxDeg+2; cur++ {
 					gotS, visS, _ := update(&stored, c, tau, scS, cur, false)
 					gotD, visD, _ := update(&discovered, c, tau, scD, cur, true)
@@ -130,10 +129,11 @@ func TestPreserveZeroCells(t *testing.T) {
 // from any instance: τ values are the 31-bit words of tauBytes (any
 // non-negative int32, math.MaxInt32 included), the row's entries index
 // them, co is 1..5 (every row loop, the generic one included) and cur is
-// anything a uint16 holds. The result is min(cur, hindex.Linear(ρ list)),
-// the visits never exceed the row's s-cliques and a short read returns
-// cur, the ρ recorded at co ≥ 2 are the visited prefix of the ρ list, and
-// the counting array is left dirty in between, as a sweep leaves it.
+// anything a uint16 holds. The result is
+// min(cur, nucleustest.HIndexLinear(ρ list)), the visits never exceed the
+// row's s-cliques and a short read returns cur, the ρ recorded at co ≥ 2
+// are the visited prefix of the ρ list, and the counting array is left
+// dirty in between, as a sweep leaves it.
 func FuzzRowTau(f *testing.F) {
 	f.Add([]byte{3, 0, 0, 0, 2, 0, 0, 0, 5, 0, 0, 0}, []byte{0, 1, 2, 1, 0, 2, 2, 2}, uint8(1), uint16(3), false)
 	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, 1, 0, 0, 0, 0, 0, 0, 0}, []byte{0, 0, 1, 0, 2, 0, 1, 1, 0}, uint8(2), uint16(2), true)
@@ -172,7 +172,7 @@ func FuzzRowTau(f *testing.F) {
 			rec = nil
 		}
 		h, visits := rowTau(row, co, tau, cnt, rec, par)
-		if want := min(cur, hindex.Linear(rhos)); h != want {
+		if want := min(cur, nucleustest.HIndexLinear(rhos)); h != want {
 			t.Fatalf("co %d cur %d ρ %v: got %d, want min(cur, H) = %d", co, cur, rhos, h, want)
 		}
 		if visits > int64(len(rhos)) || (visits < int64(len(rhos)) && h != cur) {
@@ -190,10 +190,10 @@ func FuzzRowTau(f *testing.F) {
 // int32, math.MaxInt32 included (tauBytes), at co-arity 1..5, with the
 // counting array left dirty. Each row takes a count byte (up to 7
 // s-cliques) and then co cell bytes per s-clique, while rowBytes last.
-// Every cell lands on min(prev, hindex.Linear(ρ list)) and counts as an
-// update iff it fell; a short read returns cur. The sweep over all k cells
-// in reverse order through a cells list writes the same τ with the same
-// totals.
+// Every cell lands on min(prev, nucleustest.HIndexLinear(ρ list)) and
+// counts as an update iff it fell; a short read returns cur. The sweep over
+// all k cells in reverse order through a cells list writes the same τ with
+// the same totals.
 func FuzzSndSweep(f *testing.F) {
 	f.Add([]byte{3, 0, 2, 0}, []byte{5, 0, 0, 0, 0xff, 0xff, 0xff, 0x7f}, []byte{3, 1, 2, 3, 1, 2, 3, 2, 0, 2}, uint8(0))
 	f.Add([]byte{2, 0, 2, 0, 1, 0}, []byte{1, 0, 0, 0}, []byte{2, 1, 2, 3, 0, 2, 0, 3, 2, 0, 1}, uint8(1))
@@ -252,7 +252,7 @@ func FuzzSndSweep(f *testing.F) {
 			cur := prev[c]
 			upd, vis := sndSweep(&rows, nil, c, c+1, prev, tau, sc)
 			updates, visits = updates+upd, visits+vis
-			want, fell := min(cur, hindex.Linear(rhos)), int64(0)
+			want, fell := min(cur, nucleustest.HIndexLinear(rhos)), int64(0)
 			if want < cur {
 				fell = 1
 			}

@@ -1,4 +1,4 @@
-package hindex
+package nucleustest
 
 import (
 	"math/rand"
@@ -6,8 +6,8 @@ import (
 	"testing/quick"
 )
 
-// reference is the literal Definition 5: largest k with >= k elements >= k.
-func reference(vals []int32) int32 {
+// refHIndex is the literal Definition 5: largest k with >= k elements >= k.
+func refHIndex(vals []int32) int32 {
 	for k := int32(len(vals)); k >= 1; k-- {
 		count := int32(0)
 		for _, v := range vals {
@@ -22,7 +22,7 @@ func reference(vals []int32) int32 {
 	return 0
 }
 
-var cases = [][]int32{
+var hIndexCases = [][]int32{
 	nil,
 	{},
 	{0},
@@ -44,50 +44,50 @@ var cases = [][]int32{
 	{-3, 2, -1, 2, 7}, // negatives count toward no h
 }
 
-func TestSortKnownCases(t *testing.T) {
-	for _, c := range cases {
-		want := reference(c)
-		if got := Sort(c); got != want {
-			t.Errorf("Sort(%v) = %d, want %d", c, got, want)
+func TestHIndexSortKnownCases(t *testing.T) {
+	for _, c := range hIndexCases {
+		want := refHIndex(c)
+		if got := HIndexSort(c); got != want {
+			t.Errorf("HIndexSort(%v) = %d, want %d", c, got, want)
 		}
 	}
 }
 
-func TestLinearKnownCases(t *testing.T) {
-	for _, c := range cases {
-		want := reference(c)
-		if got := Linear(c); got != want {
-			t.Errorf("Linear(%v) = %d, want %d", c, got, want)
+func TestHIndexLinearKnownCases(t *testing.T) {
+	for _, c := range hIndexCases {
+		want := refHIndex(c)
+		if got := HIndexLinear(c); got != want {
+			t.Errorf("HIndexLinear(%v) = %d, want %d", c, got, want)
 		}
 	}
 }
 
-func TestPaperFigure2Values(t *testing.T) {
+func TestHIndexPaperFigure2Values(t *testing.T) {
 	// τ1(a) = H({2,3}) = 2, τ1(b) = H({2,2,2}) = 2, τ2(a) = H({1,2}) = 1.
-	if Linear([]int32{2, 3}) != 2 {
+	if HIndexLinear([]int32{2, 3}) != 2 {
 		t.Error("H({2,3}) != 2")
 	}
-	if Linear([]int32{2, 2, 2}) != 2 {
+	if HIndexLinear([]int32{2, 2, 2}) != 2 {
 		t.Error("H({2,2,2}) != 2")
 	}
-	if Linear([]int32{1, 2}) != 1 {
+	if HIndexLinear([]int32{1, 2}) != 1 {
 		t.Error("H({1,2}) != 1")
 	}
 	// Truss example: L = {4,3,3,2}, τ1(ab) = 3.
-	if Linear([]int32{4, 3, 3, 2}) != 3 {
+	if HIndexLinear([]int32{4, 3, 3, 2}) != 3 {
 		t.Error("H({4,3,3,2}) != 3")
 	}
 }
 
-func TestAllAgreeQuick(t *testing.T) {
+func TestHIndexAllAgreeQuick(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(7))}
 	err := quick.Check(func(raw []uint16) bool {
 		vals := make([]int32, len(raw))
 		for i, r := range raw {
 			vals[i] = int32(r % 50)
 		}
-		want := reference(vals)
-		return Sort(vals) == want && Linear(vals) == want
+		want := refHIndex(vals)
+		return HIndexSort(vals) == want && HIndexLinear(vals) == want
 	}, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +106,7 @@ func TestHIndexBounds(t *testing.T) {
 				max = vals[i]
 			}
 		}
-		h := Linear(vals)
+		h := HIndexLinear(vals)
 		return h <= int32(len(vals)) && h <= max
 	}, cfg)
 	if err != nil {
@@ -132,17 +132,17 @@ func TestHIndexMonotone(t *testing.T) {
 		if lowered[p] < 0 {
 			lowered[p] = 0
 		}
-		return Linear(lowered) <= Linear(vals)
+		return HIndexLinear(lowered) <= HIndexLinear(vals)
 	}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 }
 
-func BenchmarkSort(b *testing.B)   { benchH(b, Sort) }
-func BenchmarkLinear(b *testing.B) { benchH(b, Linear) }
+func BenchmarkHIndexSort(b *testing.B)   { benchHIndex(b, HIndexSort) }
+func BenchmarkHIndexLinear(b *testing.B) { benchHIndex(b, HIndexLinear) }
 
-func benchH(b *testing.B, f func([]int32) int32) {
+func benchHIndex(b *testing.B, f func([]int32) int32) {
 	rng := rand.New(rand.NewSource(1))
 	vals := make([]int32, 256)
 	for i := range vals {

@@ -1,6 +1,7 @@
 // Package nucleustest is test support for the nucleus instances: Hyper,
 // the explicit-hypergraph (r,s) instance every production instance is
-// checked against, and the helpers that read any instance's rows. It is
+// checked against, the helpers that read any instance's rows, and the
+// paper's H function, which the sweep kernels are checked against. It is
 // imported from _test.go files only — CI fails if it shows up in
 // `go list -deps . ./cmd/...` — and shares nothing with internal/nucleus
 // but the Rows type its instances hand out, so the oracle cannot inherit a

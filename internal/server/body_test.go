@@ -4,18 +4,25 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"nucleus/internal/graph"
 	"nucleus/internal/localhi"
 	"nucleus/internal/nucleus"
+	"nucleus/internal/peel"
+	"nucleus/internal/store"
 )
 
 // decomposeResponse and jobResultResponse are the two result bodies as the
@@ -278,10 +285,11 @@ func FuzzTauBody(f *testing.F) {
 		for b := data; len(b) >= 8; b = b[8:] {
 			i64 = append(i64, int64(binary.LittleEndian.Uint64(b)))
 		}
+		marks := make([]int, (len(i32)+63)/64)
 		for _, c := range []struct {
 			got []byte
 			v   any
-		}{{appendInts(i32), i32}, {appendInts(i64), i64}} {
+		}{{appendInts(i32, marks), i32}, {appendInts(i64, nil), i64}} {
 			want, err := json.Marshal(c.v)
 			if err != nil {
 				t.Fatal(err)
@@ -290,7 +298,242 @@ func FuzzTauBody(f *testing.F) {
 				t.Fatalf("appendInts(%v) = %s (cap %d), json.Marshal %s", c.v, c.got, cap(c.got), want)
 			}
 		}
+		if want := refMarks(appendInts(i32, nil)); !slices.Equal(marks, want) {
+			t.Fatalf("appendInts(%v) marks %v, want %v", i32, marks, want)
+		}
 	})
+}
+
+// refMarks returns the offset of every 64th value in the JSON array cells.
+func refMarks(cells []byte) []int {
+	var marks []int
+	for i, value := 1, 0; i < len(cells)-1; i++ {
+		if i == 1 || cells[i-1] == ',' {
+			if value%64 == 0 {
+				marks = append(marks, i)
+			}
+			value++
+		}
+	}
+	return marks
+}
+
+// checkSplice makes the memo of base, splices from it the memo of base
+// with cores changed, and holds that memo's cells, marks, counts and
+// histogram to a fresh encode of the changed array; then splices base back
+// from it the same way, so a spliced memo is held as a base too.
+func checkSplice(t *testing.T, base []int32, cores []store.CoreChange) {
+	t.Helper()
+	next := slices.Clone(base)
+	back := make([]store.CoreChange, len(cores))
+	for i, c := range cores {
+		back[i] = store.CoreChange{V: c.V, Kappa: base[c.V]}
+		next[c.V] = c.Kappa
+	}
+	prev := &decompResult{Kappa: base, MaxKappa: maxOf(base), tail: new(tailMemo)}
+	prev.encoded()
+	for _, step := range []struct {
+		kappa []int32
+		cores []store.CoreChange
+	}{{next, cores}, {base, back}} {
+		res := &decompResult{Kappa: step.kappa, MaxKappa: maxOf(step.kappa), tail: tailOver(prev, step.cores, len(step.kappa))}
+		if res.tail.base == nil {
+			t.Fatal("a made predecessor of the same length was not spliced")
+		}
+		got := res.encoded()
+		want := (&decompResult{Kappa: step.kappa, MaxKappa: res.MaxKappa, tail: new(tailMemo)}).encoded()
+		if !bytes.Equal(got.cells, want.cells) || !slices.Equal(got.marks, want.marks) ||
+			!slices.Equal(got.counts, want.counts) || !bytes.Equal(got.histogram, want.histogram) {
+			t.Fatalf("%v over %v: spliced\n cells %s marks %v histogram %s\nencoded\n cells %s marks %v histogram %s",
+				step.cores, prev.Kappa, got.cells, got.marks, got.histogram, want.cells, want.marks, want.histogram)
+		}
+		if got.base != nil || got.moved != nil {
+			t.Fatal("the splice kept its predecessor")
+		}
+		prev = res
+	}
+}
+
+// spliceKappa maps a fuzzed byte to a κ: 0–119 twice over (both width
+// crossings, 9↔10 and 99↔100, and the strconv path just above them), or
+// one of 3 to 5 digits.
+func spliceKappa(b byte) int32 {
+	if b < 240 {
+		return int32(b) % 120
+	}
+	return int32(b-240)*997 + 100
+}
+
+// FuzzTailSplice holds the splice of a made tail memo to a fresh encode:
+// data is the predecessor's κ, one byte a value (spliceKappa), and picks,
+// read in pairs, the change list: each pair a gap past the previous moved
+// index and the new value.
+func FuzzTailSplice(f *testing.F) {
+	f.Add([]byte{}, []byte{})                                         // n = 0
+	f.Add([]byte{9, 10, 99, 100}, []byte{})                           // an empty list
+	f.Add([]byte{9, 10, 99, 100}, []byte{0, 10, 0, 9, 0, 100, 0, 99}) // every crossing, first and last value
+	f.Add([]byte{1, 2, 3}, []byte{2, 250})                            // the maximum rises past the table
+	f.Add([]byte{1, 250, 3}, []byte{1, 0})                            // and falls back
+	f.Add(bytes.Repeat([]byte{9, 99, 5}, 100), []byte{0, 10, 63, 100, 0, 1, 62, 119, 170, 8})
+	f.Add(bytes.Repeat([]byte{115}, 200), []byte{63, 1, 0, 1, 63, 1, 70, 1}) // every 64th value
+	f.Fuzz(func(t *testing.T, data, picks []byte) {
+		base := make([]int32, len(data))
+		for i, b := range data {
+			base[i] = spliceKappa(b)
+		}
+		var cores []store.CoreChange
+		for v, k := 0, 0; k+1 < len(picks); k += 2 {
+			if v += int(picks[k]); v >= len(base) {
+				break
+			}
+			cores = append(cores, store.CoreChange{V: uint32(v), Kappa: spliceKappa(picks[k+1])})
+			v++
+		}
+		checkSplice(t, base, cores)
+	})
+}
+
+// TestTailSpliceMatchesEncode runs checkSplice over random κ arrays of up
+// to a few thousand values around both width crossings and about 16
+// ascending changes each, the shape of a fleet batch.
+func TestTailSpliceMatchesEncode(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for range 200 {
+		n := rng.Intn(5000)
+		base := make([]int32, n)
+		for i := range base {
+			base[i] = spliceKappa(byte(rng.Intn(256)))
+		}
+		var cores []store.CoreChange
+		for v := 0; v < n; v++ {
+			if rng.Intn(n/16+1) == 0 {
+				cores = append(cores, store.CoreChange{V: uint32(v), Kappa: max(0, base[v]+int32(rng.Intn(3))-1)})
+			}
+		}
+		checkSplice(t, base, cores)
+	}
+}
+
+// TestTailOverFallsBack: a result installed with no predecessor, over one
+// nobody has read, or over one with fewer cells encodes in full.
+func TestTailOverFallsBack(t *testing.T) {
+	kappa := []int32{1, 2, 3}
+	unread := &decompResult{Kappa: kappa, MaxKappa: 3, tail: new(tailMemo)}
+	shorter := &decompResult{Kappa: kappa[:2], MaxKappa: 2, tail: new(tailMemo)}
+	shorter.encoded()
+	for name, seed := range map[string]*decompResult{"no seed": nil, "unread": unread, "grown": shorter} {
+		if m := tailOver(seed, nil, len(kappa)); m.base != nil {
+			t.Errorf("%s: the memo splices", name)
+		}
+	}
+}
+
+// coreBody is the replica-side check of TestReplicaFirstReadsMatchEncoder
+// and TestSplicedFirstReadsConcurrent: body, a /decompose?dec=core&tau=true
+// answer, is what the whole-struct encoder gives its own head and τ, and
+// that τ is want.
+func coreBody(body []byte, want func(version uint64) []int32) error {
+	var view decomposeResponse
+	if err := json.Unmarshal(body, &view); err != nil {
+		return err
+	}
+	if ref := refDecomposeBody(view, view.Tau, true); !bytes.Equal(body, ref) {
+		return fmt.Errorf("version %d:\n got %s\nwant %s", view.Version, body, ref)
+	}
+	if kappa := want(view.Version); !slices.Equal(view.Tau, kappa) {
+		return fmt.Errorf("version %d: τ %v, want %v", view.Version, view.Tau, kappa)
+	}
+	return nil
+}
+
+// TestReplicaFirstReadsMatchEncoder: with a primary and a replica, the
+// replica's first /decompose?dec=core&tau=true read after every pulled
+// batch is what TestDecomposeBodyMatchesEncoder requires of a body, with
+// a cold peel of the edited graph as its τ; a batch that kept the vertex
+// count is read from a memo spliced from the previous version's.
+func TestReplicaFirstReadsMatchEncoder(t *testing.T) {
+	pts, _ := newPrimary(t, 1)
+	rts, rs := newReplica(t, pts.URL, 1)
+	g := graph.PowerLawCluster(300, 10, 0.5, 5) // κ = 10: a removal crosses to 9
+	if resp := doJSON(t, "POST", pts.URL+"/graphs/g", strings.NewReader(edgeListBody(g)), nil); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("upload: status %d", resp.StatusCode)
+	}
+	pull(t, rts.URL, http.StatusOK)
+	rng := rand.New(rand.NewSource(9))
+	spliced := 0
+	for batch := range 16 {
+		if batch > 0 {
+			req, edits := randomBatch(rng, g, false)
+			g = graph.ApplyEdits(g, req.GrowTo, edits)
+			if resp := postJSON(t, pts.URL+"/graphs/g/edges", req, nil); resp.StatusCode != http.StatusOK {
+				t.Fatalf("mutate: status %d", resp.StatusCode)
+			}
+			pull(t, rts.URL, http.StatusOK)
+		}
+		e, _ := rs.reg.get("g")
+		if res, ok := rs.cache.peek(keyOf(e, nucleus.FamilyCore, localhi.AND, 0)); ok && res.tail.base != nil {
+			spliced++
+		}
+		want := peel.Run(nucleus.NewCore(g)).Kappa
+		body := serveBody(t, rs, "GET", "/graphs/g/decompose?dec=core&tau=true", "")
+		if err := coreBody(body, func(uint64) []int32 { return want }); err != nil {
+			t.Fatalf("batch %d: %v", batch, err)
+		}
+	}
+	if spliced < 8 {
+		t.Fatalf("%d of 15 first reads spliced, want most", spliced)
+	}
+}
+
+// TestSplicedFirstReadsConcurrent has readers of a graph's core body run
+// beside its batches, so under -race a version's first reads, spliced or
+// encoded, race each other, the reads of its predecessor still in flight
+// and the install that checks whether that predecessor was read: every
+// body is the encoder's for the κ the node published at its version.
+func TestSplicedFirstReadsConcurrent(t *testing.T) {
+	s := New(Config{Workers: 2})
+	t.Cleanup(s.Close)
+	g := graph.PowerLawCluster(300, 10, 0.5, 7)
+	serveBody(t, s, "POST", "/graphs/g", edgeListBody(g))
+	const path = "/graphs/g/decompose?dec=core&tau=true"
+	serveBody(t, s, "GET", path, "") // a cached core result: batches seed core
+	e, _ := s.reg.get("g")
+	published := map[uint64][]int32{e.version: peel.Run(nucleus.NewCore(g)).Kappa}
+
+	var done atomic.Bool
+	bodies := make([][][]byte, 4)
+	var wg sync.WaitGroup
+	for i := range bodies {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !done.Load() {
+				rec := httptest.NewRecorder()
+				s.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+				bodies[i] = append(bodies[i], rec.Body.Bytes())
+			}
+		}()
+	}
+	rng := rand.New(rand.NewSource(4))
+	for range 24 {
+		req, _ := randomBatch(rng, e.g, false)
+		data, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serveBody(t, s, "POST", "/graphs/g/edges", string(data))
+		e, _ = s.reg.get("g")
+		published[e.version] = e.coreKappa
+	}
+	done.Store(true)
+	wg.Wait()
+	for i, list := range bodies {
+		for _, body := range list {
+			if err := coreBody(body, func(v uint64) []int32 { return published[v] }); err != nil {
+				t.Fatalf("reader %d: %v", i, err)
+			}
+		}
+	}
 }
 
 // discardWriter is a ResponseWriter that keeps only the headers.
@@ -356,15 +599,44 @@ func BenchmarkDecomposeHit(b *testing.B) {
 	}
 }
 
-// BenchmarkFirstRead times the first read of a fresh result, which is what
-// every read of a version just published is: the hit of
-// BenchmarkDecomposeHit on a result whose tail memo is new, so the read
-// counts the histogram, encodes it and the cells, and writes the body.
+// BenchmarkFirstRead times the first read of a fresh result with no read
+// predecessor to splice, which is what the first read of a version
+// published over an unread one pays: the hit of BenchmarkDecomposeHit on a
+// result whose tail memo is new, so the read counts the histogram, encodes
+// it and the cells, and writes the body.
 func BenchmarkFirstRead(b *testing.B) {
 	s, w, r, res := hitFixture(b)
 	b.ReportAllocs()
 	for range b.N {
 		res.tail = new(tailMemo)
+		s.ServeHTTP(w, r)
+	}
+}
+
+// BenchmarkNextVersionRead times the first read of the version after a
+// read one, which is what every read of a replica that serves each new
+// version is: BenchmarkFirstRead's read on a result installed over the read
+// result with 16 of its values moved by one, so the read splices the
+// predecessor's body instead of encoding all of it.
+func BenchmarkNextVersionRead(b *testing.B) {
+	s, w, r, prev := hitFixture(b)
+	next := *prev
+	next.Kappa = slices.Clone(prev.Kappa)
+	var cores []store.CoreChange
+	for i := range 16 {
+		v := uint32(i*len(next.Kappa)/16 + 7)
+		next.Kappa[v]++
+		cores = append(cores, store.CoreChange{V: v, Kappa: next.Kappa[v]})
+	}
+	next.MaxKappa = maxOf(next.Kappa)
+	e, _ := s.reg.get("g")
+	s.cache.put(keyOf(e, nucleus.FamilyTruss, localhi.AND, 0), &next)
+	if tailOver(prev, cores, len(next.Kappa)).base == nil {
+		b.Fatal("the next version's memo does not splice its read predecessor's")
+	}
+	b.ReportAllocs()
+	for range b.N {
+		next.tail = tailOver(prev, cores, len(next.Kappa))
 		s.ServeHTTP(w, r)
 	}
 }

@@ -4,10 +4,12 @@ import (
 	"container/list"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"nucleus/internal/hierarchy"
 	"nucleus/internal/localhi"
 	"nucleus/internal/nucleus"
+	"nucleus/internal/store"
 )
 
 // cacheKey identifies one decomposition result. The graph version ties the
@@ -67,11 +69,48 @@ type forestMemo struct {
 }
 
 // tailMemo is the JSON of one decompResult's histogram and of its cell
-// array, encoded by the first read that asks (decompResult.encoded).
+// array, made by the first read that asks (decompResult.encoded): spliced
+// from base when the result was installed over a version whose memo was
+// already made, encoded from the result's cells otherwise. Whoever installs
+// a result over a predecessor checks made, not once, so the check does not
+// race the predecessor's first read (tailOver).
 type tailMemo struct {
 	once      sync.Once
+	made      atomic.Bool // set once the fields below are final
 	histogram []byte
 	cells     []byte
+	// counts is the histogram before its encoding, and marks[j] the offset
+	// of value 64·j in cells: what a successor's splice starts from.
+	counts []int64
+	marks  []int
+	// base is the predecessor's memo, already made, and moved lists the
+	// cells whose value differs from it, by strictly ascending index; the
+	// splice drops both, so a chain of unread memos cannot form.
+	base  *tailMemo
+	moved []movedCell
+}
+
+// movedCell is one cell a batch moved: its index and its value before and
+// after.
+type movedCell struct {
+	i        uint32
+	old, new int32
+}
+
+// tailOver returns the tail memo of a core result installed over seed, the
+// previous version's result, with cores the batch's changed core numbers:
+// one that splices seed's memo on first read when that memo is made and
+// has n cells, an empty one otherwise (no seed, a seed nobody read, a
+// grown vertex count), which encodes in full.
+func tailOver(seed *decompResult, cores []store.CoreChange, n int) *tailMemo {
+	if seed == nil || len(seed.Kappa) != n || !seed.tail.made.Load() {
+		return new(tailMemo)
+	}
+	moved := make([]movedCell, len(cores))
+	for i, c := range cores {
+		moved[i] = movedCell{c.V, seed.Kappa[c.V], c.Kappa}
+	}
+	return &tailMemo{base: seed.tail, moved: moved}
 }
 
 // stability is the ground-truth-free convergence signal of a finished run:
@@ -83,19 +122,71 @@ func (res *decompResult) stability() (updateRate, fractionStable float64) {
 	return updateRate, 1 - updateRate
 }
 
-// encoded returns res's tail memo, counting the cells at each κ (or τ)
-// value and encoding both arrays on first use.
+// encoded returns res's tail memo, made on first use.
 func (res *decompResult) encoded() *tailMemo {
 	m := res.tail
 	m.once.Do(func() {
-		hist := make([]int64, res.MaxKappa+1)
-		for _, k := range res.Kappa {
-			hist[k]++
+		if m.base != nil {
+			m.splice(res.MaxKappa)
+		} else {
+			m.encode(res.Kappa, res.MaxKappa)
 		}
-		m.histogram = appendInts(hist)
-		m.cells = appendInts(res.Kappa)
+		m.histogram = appendInts(m.counts, nil)
+		m.made.Store(true)
 	})
 	return m
+}
+
+// encode counts the cells at each κ (or τ) value and encodes the cells,
+// marking every 64th.
+func (m *tailMemo) encode(kappa []int32, maxKappa int32) {
+	m.counts = make([]int64, maxKappa+1)
+	for _, k := range kappa {
+		m.counts[k]++
+	}
+	m.marks = make([]int, (len(kappa)+63)/64)
+	m.cells = appendInts(kappa, m.marks)
+}
+
+// splice makes m from base and moved, in time linear in the bytes copied
+// and the cells moved: the stretches of base's cells between moved values
+// are bulk-copied into one buffer, each moved value is written at its new
+// width, the marks shift by the width changes before them and the counts
+// move; then base is dropped.
+func (m *tailMemo) splice(maxKappa int32) {
+	base, moved := m.base, m.moved
+	size := len(base.cells)
+	for _, c := range moved {
+		size += decimalWidth(int64(c.new)) - decimalWidth(int64(c.old))
+	}
+	cells := make([]byte, size)
+	m.marks = make([]int, len(base.marks))
+	counts := make([]int64, max(len(base.counts), int(maxKappa)+1))
+	copy(counts, base.counts)
+	from, to, shift, j := 0, 0, 0, 0
+	for _, c := range moved {
+		for ; j < len(m.marks) && j<<6 <= int(c.i); j++ {
+			m.marks[j] = base.marks[j] + shift
+		}
+		at := base.marks[c.i>>6]
+		for k := c.i & 63; k > 0; at++ {
+			if base.cells[at] == ',' {
+				k--
+			}
+		}
+		to += copy(cells[to:], base.cells[from:at])
+		to += len(strconv.AppendInt(cells[to:to], int64(c.new), 10))
+		from = at + decimalWidth(int64(c.old))
+		shift += decimalWidth(int64(c.new)) - decimalWidth(int64(c.old))
+		counts[c.old]--
+		counts[c.new]++
+	}
+	for ; j < len(m.marks); j++ {
+		m.marks[j] = base.marks[j] + shift
+	}
+	copy(cells[to:], base.cells[from:])
+	m.cells, m.counts = cells, counts[:maxKappa+1]
+	m.base, m.moved = nil, nil
 }
 
 // twoDigits holds the two decimal digits of every value in [0, 100).
@@ -111,12 +202,12 @@ const twoDigits = "00010203040506070809" +
 	"90919293949596979899"
 
 // appendInts returns xs as json.Marshal writes a non-nil slice of them, in
-// a buffer allocated at the exact length. Values in [0, 100), which every κ
-// of the bench graphs is, come from twoDigits without a branch on their
+// a buffer allocated at the exact length, and records in marks, when it is
+// not nil, the offset of every 64th value. Values in [0, 100), which every
+// κ of the bench graphs is, come from twoDigits without a branch on their
 // width: the tens digit is written first and, for a value below 10,
 // overwritten by the units digit. The rest go through strconv.AppendInt.
-func appendInts[T int32 | int64](xs []T) []byte {
-	var digits [20]byte
+func appendInts[T int32 | int64](xs []T, marks []int) []byte {
 	size := max(len(xs), 1) + 1 // brackets and commas
 	for _, x := range xs {
 		if u := uint64(int64(x)); u < 100 {
@@ -125,16 +216,15 @@ func appendInts[T int32 | int64](xs []T) []byte {
 				size++
 			}
 		} else {
-			size += len(strconv.AppendInt(digits[:0], int64(x), 10))
+			size += decimalWidth(int64(x))
 		}
 	}
 	buf := make([]byte, size)
 	buf[0] = '['
 	p := 1
 	for i, x := range xs {
-		if i > 0 {
-			buf[p] = ','
-			p++
+		if i&63 == 0 && marks != nil {
+			marks[i>>6] = p
 		}
 		if u := uint64(int64(x)); u < 100 {
 			units := p
@@ -147,9 +237,17 @@ func appendInts[T int32 | int64](xs []T) []byte {
 		} else {
 			p += len(strconv.AppendInt(buf[p:p], int64(x), 10))
 		}
+		buf[p] = ','
+		p++
 	}
-	buf[p] = ']'
+	buf[size-1] = ']'
 	return buf
+}
+
+// decimalWidth is the length of x in decimal.
+func decimalWidth(x int64) int {
+	var digits [20]byte
+	return len(strconv.AppendInt(digits[:0], x, 10))
 }
 
 // lruCache is a fixed-capacity LRU map from cacheKey to *decompResult.

@@ -155,13 +155,15 @@ func (s *Server) convergedResult(e *graphEntry, dec nucleus.Family) *decompResul
 //
 // Core costs nothing to seed (warmRecoverCore): the overlay's incrementally
 // maintained κ is already exact for the NEW graph and is installed as it
-// stands. Truss has no maintained counterpart, so it runs a Lemma 2 warm
-// start from the previous version's κ bumped by the insert count (each
-// insertion raises truss numbers by at most one).
-func (s *Server) warmSeed(old, ne *graphEntry, inserts int) []string {
+// stands, with cores, the batch's changed core numbers, for its first read
+// to splice the old version's body with. Truss has no maintained
+// counterpart, so it runs a Lemma 2 warm start from the previous version's
+// κ bumped by the insert count (each insertion raises truss numbers by at
+// most one).
+func (s *Server) warmSeed(old, ne *graphEntry, inserts int, cores []store.CoreChange) []string {
 	seeded := []string{} // non-nil so the response field is [] rather than null
 	if seedRes := s.convergedResult(old, nucleus.FamilyCore); seedRes != nil {
-		s.warmRecoverCore(ne, seedRes)
+		s.warmRecoverCore(ne, seedRes, cores)
 		seeded = append(seeded, nucleus.FamilyCore.String())
 	}
 	if seedRes := s.convergedResult(old, nucleus.FamilyTruss); seedRes != nil {

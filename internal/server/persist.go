@@ -85,7 +85,7 @@ func (s *Server) recoverFromStore() {
 			s.stats.Persistence.Replays.Add(1)
 			s.stats.Persistence.ReplayedBatches.Add(int64(len(batches)))
 			if e.coreKappa != nil {
-				s.warmRecoverCore(e, nil)
+				s.warmRecoverCore(e, nil, nil)
 			}
 		}
 	})
@@ -111,6 +111,7 @@ func (s *Server) rebuildEntry(name string, snap *store.Snapshot, batches []store
 		mutations: snap.Meta.Mutations,
 	}
 	if len(batches) == 0 {
+		e.coreMax = maxOf(e.coreKappa)
 		return e, nil
 	}
 	dyn := s.overlayFor(e)
@@ -122,6 +123,7 @@ func (s *Server) rebuildEntry(name string, snap *store.Snapshot, batches []store
 		e.mutations++
 	}
 	e.g, e.coreKappa = dyn.Static(), dyn.CoreNumbers()
+	e.coreMax = maxOf(e.coreKappa)
 	return e, nil
 }
 
@@ -134,13 +136,17 @@ func (s *Server) rebuildEntry(name string, snap *store.Snapshot, batches []store
 // asserted where a disagreement is reported — the dynamic-vs-peel property
 // and fuzz tests, the three-routes-one-state test, the benchmark's peel of
 // both nodes — not by a sweep whose result nothing read. seed is the
-// previous version's cached result when there was one (nil after recovery
-// or on a replica), for the sweeps-saved accounting.
-func (s *Server) warmRecoverCore(e *graphEntry, seed *decompResult) {
+// previous version's cached result when there was one (nil after recovery,
+// a resync or a replica's first batch), for the sweeps-saved accounting,
+// and cores the batch's changed core numbers from seed's κ to e's: when
+// seed's body was already read, the first read of e's splices it
+// (tailOver) instead of encoding all of κ again.
+func (s *Server) warmRecoverCore(e *graphEntry, seed *decompResult, cores []store.CoreChange) {
 	s.recordWarm(seed, 0)
 	s.fill(keyOf(e, nucleus.FamilyCore, localhi.AND, 0), &decompResult{
-		Kappa: e.coreKappa, MaxKappa: maxOf(e.coreKappa), Converged: true,
-		Inst: s.instanceOf(e, nucleus.FamilyCore), hier: new(forestMemo), tail: new(tailMemo),
+		Kappa: e.coreKappa, MaxKappa: e.coreMax, Converged: true,
+		Inst: s.instanceOf(e, nucleus.FamilyCore), hier: new(forestMemo),
+		tail: tailOver(seed, cores, len(e.coreKappa)),
 	})
 }
 

@@ -390,7 +390,7 @@ func TestWarmSeedHoldsNoMutationLock(t *testing.T) {
 		// Re-seed the current version from its own cached results: the
 		// full warm-seed body (instance fetch, reconvergence, cache put,
 		// liveness recheck) runs while the mutation lock is held above.
-		done <- s.warmSeed(e, e, 0)
+		done <- s.warmSeed(e, e, 0, nil)
 	}()
 	select {
 	case seeded := <-done:

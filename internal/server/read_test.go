@@ -136,17 +136,17 @@ func TestFillDropsDeadVersion(t *testing.T) {
 
 	before := s.cache.len()
 	s.fill(keyOf(dead, nucleus.FamilyCore, localhi.AND, 0), &decompResult{})
-	s.warmRecoverCore(dead, nil)
+	s.warmRecoverCore(dead, nil, nil)
 	if s.cache.len() != before {
 		t.Fatalf("a fill for a superseded version stayed cached: %d entries, want %d", s.cache.len(), before)
 	}
 	live, _ := s.reg.get("g")
-	s.warmRecoverCore(live, nil)
+	s.warmRecoverCore(live, nil, nil)
 	if s.cache.len() != before+1 {
 		t.Fatal("a fill for the live version was not cached")
 	}
 	doJSON(t, "DELETE", ts.URL+"/graphs/g", nil, nil)
-	s.warmRecoverCore(live, nil)
+	s.warmRecoverCore(live, nil, nil)
 	if s.cache.len() != 0 {
 		t.Fatalf("a fill for a dropped graph stayed cached: %d entries", s.cache.len())
 	}

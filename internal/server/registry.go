@@ -29,8 +29,10 @@ type graphEntry struct {
 	// left when this version was published (nil for versions that have
 	// never been mutated), immutable like g. GET /graphs/{name}/core and
 	// the version's (core, and, 0) cache entry serve it, the snapshot
-	// persists it, and the next batch's overlay starts from it.
+	// persists it, and the next batch's overlay starts from it. coreMax is
+	// its largest value, found once when the array is made.
 	coreKappa []int32
+	coreMax   int32
 	// mutations counts the edit batches applied to reach this version.
 	mutations int
 }

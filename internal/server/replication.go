@@ -440,7 +440,7 @@ func (a replApplier) InstallSnapshot(name string, snap *store.Snapshot) error {
 	}
 	installed, err := a.s.installGraph(e, snap.Meta.Version)
 	if installed && e.coreKappa != nil {
-		a.s.warmRecoverCore(e, nil)
+		a.s.warmRecoverCore(e, nil, nil)
 	}
 	return err
 }
@@ -465,7 +465,7 @@ func (a replApplier) ApplyBatch(name string, batch *store.Batch, version uint64)
 		return false, err
 	}
 	if out.published && !slices.Contains(out.warmSeeded, nucleus.FamilyCore.String()) {
-		a.s.warmRecoverCore(out.live, nil)
+		a.s.warmRecoverCore(out.live, nil, nil)
 	}
 	return out.published, nil
 }

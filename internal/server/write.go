@@ -190,6 +190,7 @@ func (s *Server) commitBatch(name string, batch *store.Batch, at uint64) (batchO
 		source:    e.source,
 		created:   e.created,
 		coreKappa: dyn.CoreNumbers(),
+		coreMax:   out.maxCore,
 		mutations: e.mutations + 1,
 	}
 	if n > 0 { // the null store writes nothing
@@ -213,7 +214,7 @@ func (s *Server) commitBatch(name string, batch *store.Batch, at uint64) (batchO
 	// behind graph-sized reconvergence — then purge the now-stale entries
 	// (the seeds carry the new version and survive the purge).
 	unlock()
-	out.warmSeeded = s.warmSeed(e, ne, added)
+	out.warmSeeded = s.warmSeed(e, ne, added, batch.Cores)
 	s.cache.purgeGraph(name, ne.version)
 	s.maybeCompact(name)
 	return out, nil
